@@ -62,6 +62,7 @@ from .structure import (
     commutes_with_marginals,
     conditional_ratio_check,
     decohere,
+    decohere_in_frame,
     decomposition_commutes,
     deficit_mutual_gap,
     overlap_tensor,

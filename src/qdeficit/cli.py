@@ -56,7 +56,14 @@ from .states import (
     random_mixed,
     werner,
 )
-from .structure import alpha_beta_frame, classify, decohere, overlap_tensor
+from .structure import (
+    alpha_beta_frame,
+    classify,
+    decohere,
+    decohere_in_frame,
+    overlap_tensor,
+    quantum_deficit,
+)
 
 LN2 = math.log(2.0)
 LN3 = math.log(3.0)
@@ -136,13 +143,11 @@ def table1_rows(tols: Tolerances = TOLS) -> dict[str, dict[str, float]]:
     rows = {}
     for name in EXAMPLE_NAMES:
         rho = example_state(name, tols=tols)
-        rho_d, _ = decohere(rho, tols=tols)
-        deficit = von_neumann(rho_d, tols=tols) - von_neumann(rho, tols=tols)
         rows[name] = {
             "concurrence": concurrence(rho, tols=tols),
             "entropy_diff_a": entropy_difference(rho, "A", 1.0, tols=tols),
             "entropy_diff_b": entropy_difference(rho, "B", 1.0, tols=tols),
-            "deficit_over_ln2": deficit / LN2,
+            "deficit_over_ln2": quantum_deficit(rho, tols=tols) / LN2,
             "mutual_over_ln2": mutual_entropy(rho, tols=tols) / LN2,
         }
     return rows
@@ -186,13 +191,12 @@ def werner_sweep_rows(pmin: float, pmax: float, step: float, tols: Tolerances = 
             break
         p = min(p, pmax)
         rho = werner(p, tols=tols)
-        rho_d, _ = decohere(rho, tols=tols)
         rows.append(
             (
                 p,
                 concurrence(rho, tols=tols),
                 mutual_entropy(rho, tols=tols) / LN2,
-                (von_neumann(rho_d, tols=tols) - von_neumann(rho, tols=tols)) / LN2,
+                quantum_deficit(rho, tols=tols) / LN2,
                 conditional_tsallis(rho, "A", 1.0, tols=tols),
                 float(hermitian_eig(partial_transpose(rho, "B"), tols=tols).values[-1]),
             )
@@ -205,7 +209,6 @@ def iso_report_data(tols: Tolerances = TOLS) -> dict:
     rho_e, rho_s = isospectral_pair(tols=tols)
     data = {}
     for tag, rho in (("E", rho_e), ("S", rho_s)):
-        rho_d, _ = decohere(rho, tols=tols)
         data[tag] = {
             "spectrum": [float(v) for v in rho.eigenvalues],
             "marginal_spectrum_a": [float(v) for v in rho.marginal("A").eigenvalues],
@@ -213,7 +216,7 @@ def iso_report_data(tols: Tolerances = TOLS) -> dict:
             "concurrence": concurrence(rho, tols=tols),
             "entropy_diff_a": entropy_difference(rho, "A", 1.0, tols=tols),
             "mutual": mutual_entropy(rho, tols=tols),
-            "deficit": von_neumann(rho_d, tols=tols) - von_neumann(rho, tols=tols),
+            "deficit": quantum_deficit(rho, tols=tols),
         }
     return data
 
@@ -346,7 +349,7 @@ def _run_state_checks(index: int, seed: int, tols: Tolerances) -> list[tuple[str
     record("concurrence-ppt-equivalence", (conc > 1e-8) == (ppt_min < -1e-8), f"C={conc:.3e} ppt={ppt_min:.3e}")
 
     frame = alpha_beta_frame(rho, tols=tols)
-    rho_d, joint = decohere(rho, tols=tols)
+    rho_d, joint = decohere_in_frame(rho, frame, tols=tols)
     marg_err = max(
         float(np.max(np.abs(rho_d.marginal("A").matrix - marg_a.matrix))),
         float(np.max(np.abs(rho_d.marginal("B").matrix - marg_b.matrix))),

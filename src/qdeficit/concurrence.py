@@ -18,7 +18,6 @@ from .linalg import (
     TOLS,
     CheckError,
     DensityMatrix,
-    EigenSystem,
     Tolerances,
     hermitian_eig,
     tensor_product,
@@ -52,15 +51,15 @@ def _require_two_qubit(rho: DensityMatrix) -> None:
         raise CheckError("dims", 0.0, f"two-qubit state required, got dims {rho.dims}")
 
 
+def _flipped(m: np.ndarray) -> np.ndarray:
+    f = _YY @ m.conj() @ _YY
+    return 0.5 * (f + f.conj().T)
+
+
 def spin_flip(rho: DensityMatrix, *, tols: Tolerances = TOLS) -> DensityMatrix:
     """(sigma_y x sigma_y) rho* (sigma_y x sigma_y), conjugated in the computational basis."""
     _require_two_qubit(rho)
-    flipped = _YY @ rho.matrix.conj() @ _YY
-    es = rho.eigensystem()
-    # The flip is conjugation by a unitary composed with complex
-    # conjugation, so the eigensystem maps along explicitly.
-    hint = EigenSystem(es.values.copy(), _YY @ es.vectors.conj())
-    return DensityMatrix(0.5 * (flipped + flipped.conj().T), (2, 2), tols=tols, eigensystem=hint)
+    return DensityMatrix(_flipped(rho.matrix), (2, 2), tols=tols)
 
 
 def lambda_spectrum(rho: DensityMatrix, *, tols: Tolerances = TOLS) -> LambdaSpectrum:
@@ -68,7 +67,7 @@ def lambda_spectrum(rho: DensityMatrix, *, tols: Tolerances = TOLS) -> LambdaSpe
     _require_two_qubit(rho)
     es = rho.eigensystem()
     root = (es.vectors * np.sqrt(np.clip(es.values, 0.0, None))) @ es.vectors.conj().T
-    core = root @ spin_flip(rho, tols=tols).matrix @ root
+    core = root @ _flipped(rho.matrix) @ root
     vals = hermitian_eig(0.5 * (core + core.conj().T), tols=tols).values
     if vals[-1] < _LAMBDA_FLOOR:
         raise CheckError("lambda nonnegativity", vals[-1])

@@ -8,7 +8,6 @@ familiar matrix form with ``|1>`` as the +1 eigenvector of ``SIGMA_Z``.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -41,11 +40,6 @@ SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 BASIS_LABELS = ("11", "10", "01", "00")
 
-# Jacobi sweep control; fixed by design, deliberately *not* part of
-# Tolerances so eigendecompositions are unaffected by tolerance scaling.
-_JACOBI_OFF_TOL = 1e-13
-_JACOBI_MAX_SWEEPS = 100
-
 # Eigenvector phase convention: entries at or below this magnitude are
 # treated as zero when locating the first nonzero component.
 _PHASE_CUTOFF = 1e-12
@@ -72,8 +66,9 @@ class Tolerances:
     """Central record of the numerical tolerances used across the package.
 
     ``scaled`` returns a uniformly scaled copy; the CLI exposes this via
-    the global ``--tolerance`` flag.  The Jacobi convergence threshold is
-    intentionally excluded (see module constants above).
+    the global ``--tolerance`` flag.  Eigendecompositions come from
+    LAPACK's Hermitian solver and take no tolerance, so scaling never
+    changes a computed spectrum.
     """
 
     hermiticity: float = 1e-10
@@ -129,113 +124,28 @@ class EigenSystem:
 
 
 def _fix_phases(vectors: np.ndarray) -> np.ndarray:
-    for j in range(vectors.shape[1]):
-        col = vectors[:, j]
-        for x in col:
-            if abs(x) > _PHASE_CUTOFF:
-                vectors[:, j] = col * (x.conjugate() / abs(x))
-                break
-    return vectors
+    first = np.argmax(np.abs(vectors) > _PHASE_CUTOFF, axis=0)
+    pivots = vectors[first, np.arange(vectors.shape[1])]
+    return vectors * (pivots.conj() / np.abs(pivots))
 
 
-def _off_norm(a: np.ndarray) -> float:
-    off = a - np.diag(np.diag(a))
-    return math.sqrt(float(np.sum(np.abs(off) ** 2)))
-
-
-def _jacobi(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Cyclic complex Jacobi diagonalization of a Hermitian matrix.
-
-    Works on nested Python lists; for the 2x2 and 4x4 matrices used here
-    that is several times faster than per-element numpy calls.
-    """
-    n = h.shape[0]
-    a = [[complex(h[i, j]) for j in range(n)] for i in range(n)]
-    v = [[1.0 + 0.0j if i == j else 0.0j for j in range(n)] for i in range(n)]
-    rng_n = range(n)
-    skip = _JACOBI_OFF_TOL / (10.0 * n)
-    for _ in range(_JACOBI_MAX_SWEEPS):
-        off2 = 0.0
-        for i in rng_n:
-            ai = a[i]
-            for j in rng_n:
-                if i != j:
-                    z = ai[j]
-                    off2 += z.real * z.real + z.imag * z.imag
-        if math.sqrt(off2) <= _JACOBI_OFF_TOL:
-            break
-        for p in range(n - 1):
-            ap = a[p]
-            for q in range(p + 1, n):
-                apq = ap[q]
-                b = abs(apq)
-                if b <= skip:
-                    continue
-                aq = a[q]
-                phase = apq / b
-                tau = (aq[q].real - ap[p].real) / (2.0 * b)
-                if tau >= 0.0:
-                    t = 1.0 / (tau + math.sqrt(1.0 + tau * tau))
-                else:
-                    t = 1.0 / (tau - math.sqrt(1.0 + tau * tau))
-                c = 1.0 / math.sqrt(1.0 + t * t)
-                s = t * c
-                sp = s * phase
-                spc = sp.conjugate()
-                # A <- J† A J with J mixing columns (p, q) only.
-                for i in rng_n:
-                    ai = a[i]
-                    x = ai[p]
-                    y = ai[q]
-                    ai[p] = c * x - spc * y
-                    ai[q] = sp * x + c * y
-                for j in rng_n:
-                    x = ap[j]
-                    y = aq[j]
-                    ap[j] = c * x - sp * y
-                    aq[j] = spc * x + c * y
-                ap[q] = 0.0j
-                aq[p] = 0.0j
-                ap[p] = complex(ap[p].real)
-                aq[q] = complex(aq[q].real)
-                for i in rng_n:
-                    vi = v[i]
-                    x = vi[p]
-                    y = vi[q]
-                    vi[p] = c * x - spc * y
-                    vi[q] = sp * x + c * y
-    else:
-        raise CheckError("eigensolver convergence", _off_norm(np.array(a)))
-    values = np.array([a[i][i].real for i in rng_n])
-    vectors = np.array(v, dtype=complex)
-    order = np.argsort(-values, kind="stable")
-    return values[order], _fix_phases(vectors[:, order])
-
-
-def _checked_eigensystem(arr: np.ndarray, eig: EigenSystem, tols: Tolerances) -> EigenSystem:
-    """Validate a decomposition known by construction against its matrix."""
-    v = eig.vectors
-    values = np.asarray(eig.values, dtype=float)
-    orth = float(np.max(np.abs(v.conj().T @ v - np.eye(v.shape[1]))))
-    if orth > tols.reconstruction:
-        raise CheckError("eigenvector orthonormality", orth)
-    rec = float(np.max(np.abs((v * values) @ v.conj().T - arr)))
-    if rec > tols.reconstruction:
-        raise CheckError("eigensystem reconstruction", rec)
-    order = np.argsort(-values, kind="stable")
-    return EigenSystem(values[order], _fix_phases(v[:, order].copy()))
+def _require_finite(arr: np.ndarray) -> None:
+    bad = int(np.count_nonzero(~np.isfinite(arr)))
+    if bad:
+        raise CheckError("finite", bad, f"{bad} NaN or infinite entries")
 
 
 def hermitian_eig(m: np.ndarray, *, tols: Tolerances = TOLS) -> EigenSystem:
     """Eigendecomposition of a Hermitian matrix, eigenvalues descending."""
     m = np.asarray(m, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise CheckError("square", 0.0, f"shape {m.shape} is not square")
-    herm = float(np.max(np.abs(m - m.conj().T))) if m.size else 0.0
+    _require_finite(m)
+    if m.ndim != 2 or m.shape[0] != m.shape[1] or not m.size:
+        raise CheckError("square", 0.0, f"shape {m.shape} is not square and nonempty")
+    herm = float(np.max(np.abs(m - m.conj().T)))
     if herm > tols.hermiticity:
         raise CheckError("hermiticity", herm)
-    values, vectors = _jacobi(m)
-    return EigenSystem(values, vectors)
+    values, vectors = np.linalg.eigh(m)
+    return EigenSystem(values[::-1].copy(), _fix_phases(vectors[:, ::-1]))
 
 
 class DensityMatrix:
@@ -254,29 +164,19 @@ class DensityMatrix:
         dims: tuple[int, int] | None = None,
         *,
         tols: Tolerances = TOLS,
-        eigensystem: EigenSystem | None = None,
     ):
         arr = np.array(matrix, dtype=complex)
-        if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-            raise CheckError("square", 0.0, f"shape {arr.shape} is not square")
+        # The finite, square and hermiticity checks run first, inside hermitian_eig.
+        eig = hermitian_eig(arr, tols=tols)
         n = arr.shape[0]
         if dims is None:
             dims = (2, 2) if n == 4 else (n, 1)
         da, db = int(dims[0]), int(dims[1])
         if da < 1 or db < 1 or da * db != n:
             raise CheckError("dims", 0.0, f"dims {dims} inconsistent with side {n}")
-        herm = float(np.max(np.abs(arr - arr.conj().T)))
-        if herm > tols.hermiticity:
-            raise CheckError("hermiticity", herm)
         tr = complex(np.trace(arr))
         if abs(tr - 1.0) > tols.hermiticity:
             raise CheckError("trace", abs(tr - 1.0), f"trace {tr:.12g}")
-        if eigensystem is None:
-            eig = hermitian_eig(arr, tols=tols)
-        else:
-            # Caller-supplied decomposition (used where the eigensystem is
-            # known by construction); verified rather than trusted.
-            eig = _checked_eigensystem(arr, eigensystem, tols)
         if eig.values[-1] < -tols.psd:
             raise CheckError("psd", eig.values[-1], "negative eigenvalue")
         self.matrix = _freeze(arr)

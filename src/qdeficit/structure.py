@@ -40,6 +40,7 @@ __all__ = [
     "ClassificationReport",
     "alpha_beta_frame",
     "overlap_tensor",
+    "decohere_in_frame",
     "decohere",
     "quantum_deficit",
     "deficit_mutual_gap",
@@ -218,11 +219,7 @@ def alpha_beta_frame(rho_ab: DensityMatrix, *, tols: Tolerances = TOLS) -> Alpha
         raise CheckError("composite", 0.0, "frame needs composite dims")
     eig_a, deg_a = _frame_eigensystem(rho_ab.marginal("A"), tols)
     eig_b, deg_b = _frame_eigensystem(rho_ab.marginal("B"), tols)
-    da, db = rho_ab.dims
-    u = np.empty((da * db, da * db), dtype=complex)
-    for alpha in range(da):
-        for beta in range(db):
-            u[:, alpha * db + beta] = np.kron(eig_a.vectors[:, alpha], eig_b.vectors[:, beta])
+    u = np.kron(eig_a.vectors, eig_b.vectors)
     return AlphaBetaFrame(eig_a, eig_b, u, deg_a, deg_b)
 
 
@@ -235,18 +232,19 @@ def overlap_tensor(rho_ab: DensityMatrix, frame: AlphaBetaFrame) -> OverlapTenso
     return OverlapTensor((np.abs(overlaps) ** 2).reshape(da, db, da * db))
 
 
-def _decohere_in_frame(
-    rho_ab: DensityMatrix, frame: AlphaBetaFrame, tols: Tolerances
+def decohere_in_frame(
+    rho_ab: DensityMatrix, frame: AlphaBetaFrame, *, tols: Tolerances = TOLS
 ) -> tuple[DensityMatrix, JointDistribution]:
+    """``decohere`` in ``frame = alpha_beta_frame(rho_ab)``, built once by the caller."""
+    if frame.dims != rho_ab.dims:
+        raise CheckError("dims", 0.0, f"frame dims {frame.dims} do not match state {rho_ab.dims}")
     u = frame.product_vectors
     diag = np.real(np.einsum("ij,ik,kj->j", u.conj(), rho_ab.matrix, u))
     if float(diag.min()) < -tols.psd:
         raise CheckError("joint nonnegativity", float(diag.min()))
     diag = np.clip(diag, 0.0, None)
     mat = (u * diag) @ u.conj().T
-    order = np.argsort(-diag, kind="stable")
-    hint = EigenSystem(diag[order], u[:, order].copy())
-    rho_d = DensityMatrix(0.5 * (mat + mat.conj().T), rho_ab.dims, tols=tols, eigensystem=hint)
+    rho_d = DensityMatrix(0.5 * (mat + mat.conj().T), rho_ab.dims, tols=tols)
     joint = JointDistribution(diag.reshape(rho_ab.dims))
     return rho_d, joint
 
@@ -258,8 +256,7 @@ def decohere(rho_ab: DensityMatrix, *, tols: Tolerances = TOLS) -> tuple[Density
     Both marginals are preserved, and the joint's row/column sums are the
     marginal eigenvalue distributions.
     """
-    frame = alpha_beta_frame(rho_ab, tols=tols)
-    return _decohere_in_frame(rho_ab, frame, tols)
+    return decohere_in_frame(rho_ab, alpha_beta_frame(rho_ab, tols=tols), tols=tols)
 
 
 def quantum_deficit(rho_ab: DensityMatrix, *, tols: Tolerances = TOLS) -> float:
@@ -365,7 +362,7 @@ def classify(rho_ab: DensityMatrix, *, tols: Tolerances = TOLS) -> Classificatio
     diff_b = von_neumann(rho_ab, tols=tols) - von_neumann(rho_ab.marginal("B"), tols=tols)
     mutual = mutual_entropy(rho_ab, tols=tols)
     frame = alpha_beta_frame(rho_ab, tols=tols)
-    rho_d, _ = _decohere_in_frame(rho_ab, frame, tols)
+    rho_d, _ = decohere_in_frame(rho_ab, frame, tols=tols)
     deficit = von_neumann(rho_d, tols=tols) - von_neumann(rho_ab, tols=tols)
     ppt_min = float(hermitian_eig(partial_transpose(rho_ab, "B"), tols=tols).values[-1])
     _, _, defined = conditional_ratio_check(rho_ab, frame, tols=tols)

@@ -25,6 +25,9 @@ from qdeficit.states import example_state, pure_density, PureStateAmplitudes, we
 from helpers import expm_oracle, kron_oracle, numpy_spectrum, random_hermitian
 
 
+NON_FINITE = [np.nan, np.inf, -np.inf, complex(np.nan, np.nan), complex(0.0, np.inf)]
+
+
 class TestHermitianEig:
     def test_identity(self):
         es = hermitian_eig(np.eye(2))
@@ -63,9 +66,10 @@ class TestHermitianEig:
                 assert abs(first.imag) < 1e-12 and first.real > 0
 
     def test_rejects_non_square(self):
-        with pytest.raises(CheckError) as err:
-            hermitian_eig(np.ones((2, 3)))
-        assert err.value.check == "square"
+        for shape in ((2, 3), (0, 0)):
+            with pytest.raises(CheckError) as err:
+                hermitian_eig(np.ones(shape))
+            assert err.value.check == "square"
 
     def test_rejects_non_hermitian(self):
         m = np.array([[0.0, 1.0], [0.0, 0.0]])
@@ -73,6 +77,13 @@ class TestHermitianEig:
             hermitian_eig(m)
         assert err.value.check == "hermiticity"
         assert err.value.magnitude == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("bad", NON_FINITE)
+    def test_rejects_non_finite(self, bad):
+        with pytest.raises(CheckError) as err:
+            hermitian_eig(np.diag([bad, 0.0]))
+        assert err.value.check == "finite"
+        assert err.value.magnitude == 1
 
     @settings(deadline=None, max_examples=60)
     @given(st.integers(min_value=0, max_value=10**9))
@@ -236,12 +247,13 @@ class TestDensityMatrix:
         with pytest.raises(ValueError):
             rho.matrix[0, 0] = 1.0
 
-    def test_rejects_bad_eigensystem_hint(self):
-        rho = werner(0.5)
-        wrong = hermitian_eig(np.eye(4) / 4)
+    @pytest.mark.parametrize("bad", NON_FINITE)
+    def test_rejects_non_finite(self, bad):
+        m = (np.eye(4) / 4).astype(complex)
+        m[0, 0] = bad
         with pytest.raises(CheckError) as err:
-            DensityMatrix(rho.matrix, (2, 2), eigensystem=wrong)
-        assert err.value.check == "eigensystem reconstruction"
+            DensityMatrix(m)
+        assert err.value.check == "finite"
 
     @settings(deadline=None, max_examples=40)
     @given(st.integers(min_value=0, max_value=10**9))
