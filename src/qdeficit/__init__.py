@@ -27,7 +27,6 @@ from .linalg import (
     hermitian_eig,
     matrix_from_json,
     matrix_to_json,
-    partial_trace,
     partial_transpose,
     psd_function,
     tensor_product,
@@ -59,12 +58,10 @@ from .structure import (
     OverlapTensor,
     alpha_beta_frame,
     classify,
-    commutes_with_marginals,
     conditional_ratio_check,
     decohere,
     decohere_in_frame,
     decomposition_commutes,
-    deficit_mutual_gap,
     overlap_tensor,
     quantum_deficit,
     reconstruct,

@@ -62,7 +62,6 @@ from .structure import (
     decohere,
     decohere_in_frame,
     overlap_tensor,
-    quantum_deficit,
 )
 
 LN2 = math.log(2.0)
@@ -142,13 +141,13 @@ def table1_rows(tols: Tolerances = TOLS) -> dict[str, dict[str, float]]:
     """Computed concurrence, q=1 entropy differences, D/ln2 and S/ln2 per example."""
     rows = {}
     for name in EXAMPLE_NAMES:
-        rho = example_state(name, tols=tols)
+        report = classify(example_state(name, tols=tols), tols=tols)
         rows[name] = {
-            "concurrence": concurrence(rho, tols=tols),
-            "entropy_diff_a": entropy_difference(rho, "A", 1.0, tols=tols),
-            "entropy_diff_b": entropy_difference(rho, "B", 1.0, tols=tols),
-            "deficit_over_ln2": quantum_deficit(rho, tols=tols) / LN2,
-            "mutual_over_ln2": mutual_entropy(rho, tols=tols) / LN2,
+            "concurrence": report.concurrence,
+            "entropy_diff_a": report.entropy_diff_a,
+            "entropy_diff_b": report.entropy_diff_b,
+            "deficit_over_ln2": report.deficit / LN2,
+            "mutual_over_ln2": report.mutual / LN2,
         }
     return rows
 
@@ -178,7 +177,11 @@ def check_table1(tols: Tolerances = TOLS, scale: float = 1.0) -> tuple[dict, lis
 
 
 def werner_sweep_rows(pmin: float, pmax: float, step: float, tols: Tolerances = TOLS):
-    """Rows (p, C, S/ln2, D/ln2, conditional entropy at q=1, PPT min eigenvalue)."""
+    """Rows (p, C, S/ln2, D/ln2, conditional entropy at q=1, PPT min eigenvalue).
+
+    Every column after p is a ``classify`` field; the q=1 conditional
+    entropy is ``entropy_diff_a``, S(AB) - S(A).
+    """
     if not (0.0 <= pmin <= pmax <= 1.0):
         raise ValueError(f"need 0 <= min <= max <= 1, got [{pmin}, {pmax}]")
     if step <= 0.0:
@@ -190,17 +193,8 @@ def werner_sweep_rows(pmin: float, pmax: float, step: float, tols: Tolerances = 
         if p > pmax + 1e-12:
             break
         p = min(p, pmax)
-        rho = werner(p, tols=tols)
-        rows.append(
-            (
-                p,
-                concurrence(rho, tols=tols),
-                mutual_entropy(rho, tols=tols) / LN2,
-                quantum_deficit(rho, tols=tols) / LN2,
-                conditional_tsallis(rho, "A", 1.0, tols=tols),
-                float(hermitian_eig(partial_transpose(rho, "B"), tols=tols).values[-1]),
-            )
-        )
+        r = classify(werner(p, tols=tols), tols=tols)
+        rows.append((p, r.concurrence, r.mutual / LN2, r.deficit / LN2, r.entropy_diff_a, r.ppt_min_eig))
         k += 1
     return rows
 
@@ -209,14 +203,15 @@ def iso_report_data(tols: Tolerances = TOLS) -> dict:
     rho_e, rho_s = isospectral_pair(tols=tols)
     data = {}
     for tag, rho in (("E", rho_e), ("S", rho_s)):
+        report = classify(rho, tols=tols)
         data[tag] = {
             "spectrum": [float(v) for v in rho.eigenvalues],
             "marginal_spectrum_a": [float(v) for v in rho.marginal("A").eigenvalues],
             "marginal_spectrum_b": [float(v) for v in rho.marginal("B").eigenvalues],
-            "concurrence": concurrence(rho, tols=tols),
-            "entropy_diff_a": entropy_difference(rho, "A", 1.0, tols=tols),
-            "mutual": mutual_entropy(rho, tols=tols),
-            "deficit": quantum_deficit(rho, tols=tols),
+            "concurrence": report.concurrence,
+            "entropy_diff_a": report.entropy_diff_a,
+            "mutual": report.mutual,
+            "deficit": report.deficit,
         }
     return data
 

@@ -20,7 +20,6 @@ __all__ = [
     "DensityMatrix",
     "hermitian_eig",
     "tensor_product",
-    "partial_trace",
     "partial_transpose",
     "psd_function",
     "matrix_to_json",
@@ -225,12 +224,9 @@ class DensityMatrix:
 
 def tensor_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Kronecker product with A-index major: entry ((i,k),(j,l)) = a[i,j] b[k,l]."""
-    return np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
-
-
-def partial_trace(rho: DensityMatrix, keep: str) -> DensityMatrix:
-    """Trace out one subsystem of a composite state, keeping ``keep``."""
-    return rho.marginal(keep)
+    a, b = np.asarray(a, dtype=complex), np.asarray(b, dtype=complex)
+    out = a[:, None, :, None] * b[None, :, None, :]
+    return out.reshape(a.shape[0] * b.shape[0], a.shape[1] * b.shape[1])
 
 
 def partial_transpose(rho: DensityMatrix, side: str) -> np.ndarray:

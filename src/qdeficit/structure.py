@@ -6,9 +6,11 @@ both marginals.  Dropping the off-diagonal elements of a composite state
 in that basis ("decohering") preserves both marginals exactly, and the
 entropy increase it causes is the quantum deficit.
 
-Where a marginal is degenerate its eigenbasis is not unique; the frame
-then falls back to the computational basis inside each degenerate
-eigenspace.  That makes decoherence deterministic but basis-dependent
+The frame is built for two qubits only.  A marginal whose two
+eigenvalues differ by more than ``tols.degeneracy`` contributes its
+eigenvectors; otherwise its eigenbasis is not unique and the frame takes
+the computational basis, ordered by descending diagonal entry (ties keep
+index order).  That makes decoherence deterministic but basis-dependent
 exactly where the construction itself is underdetermined, so the
 classifier records when the fallback fired.
 """
@@ -20,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .concurrence import concurrence
-from .entropy import mutual_entropy, von_neumann
+from .entropy import von_neumann
 from .linalg import (
     TOLS,
     CheckError,
@@ -43,9 +45,7 @@ __all__ = [
     "decohere_in_frame",
     "decohere",
     "quantum_deficit",
-    "deficit_mutual_gap",
     "conditional_ratio_check",
-    "commutes_with_marginals",
     "decomposition_commutes",
     "reconstruct",
     "classify",
@@ -58,43 +58,13 @@ _CONNECTION_CUTOFF = 1e-12
 
 
 def _frame_eigensystem(marg: DensityMatrix, tols: Tolerances) -> tuple[EigenSystem, bool]:
-    """Marginal eigensystem with the computational-basis degeneracy rule."""
+    """Qubit marginal eigensystem, or the computational basis when degenerate."""
     es = marg.eigensystem()
-    vals = es.values
-    d = len(vals)
-    clusters = []
-    start = 0
-    for i in range(1, d + 1):
-        if i == d or vals[i - 1] - vals[i] > tols.degeneracy:
-            clusters.append((start, i))
-            start = i
-    if all(b - a == 1 for a, b in clusters):
+    if es.values[0] - es.values[1] > tols.degeneracy:
         return es, False
-    vecs = es.vectors.copy()
-    for a, b in clusters:
-        k = b - a
-        if k == 1:
-            continue
-        if k == d:
-            vecs[:, a:b] = np.eye(d, dtype=complex)
-        else:
-            # Orthonormalize the computational basis projected onto the
-            # degenerate eigenspace (deterministic, index order).
-            proj = vecs[:, a:b] @ vecs[:, a:b].conj().T
-            chosen: list[np.ndarray] = []
-            for j in range(d):
-                cand = proj[:, j].copy()
-                for u in chosen:
-                    cand -= u * (u.conj() @ cand)
-                norm = float(np.linalg.norm(cand))
-                if norm > 1e-6:
-                    chosen.append(cand / norm)
-                if len(chosen) == k:
-                    break
-            vecs[:, a:b] = np.column_stack(chosen)
-    rayleigh = np.real(np.einsum("ij,ik,kj->j", vecs.conj(), marg.matrix, vecs))
-    order = np.argsort(-rayleigh, kind="stable")
-    return EigenSystem(rayleigh[order], vecs[:, order]), True
+    diag = np.real(np.diagonal(marg.matrix))
+    order = np.argsort(-diag, kind="stable")
+    return EigenSystem(diag[order], np.eye(2, dtype=complex)[:, order]), True
 
 
 @dataclass(frozen=True)
@@ -214,12 +184,12 @@ class ClassificationReport:
 
 
 def alpha_beta_frame(rho_ab: DensityMatrix, *, tols: Tolerances = TOLS) -> AlphaBetaFrame:
-    """Eigensystems of both marginals plus their product basis."""
-    if not rho_ab.is_composite:
-        raise CheckError("composite", 0.0, "frame needs composite dims")
+    """Eigensystems of both qubit marginals plus their product basis."""
+    if rho_ab.dims != (2, 2):
+        raise CheckError("dims", 0.0, f"two-qubit state required, got dims {rho_ab.dims}")
     eig_a, deg_a = _frame_eigensystem(rho_ab.marginal("A"), tols)
     eig_b, deg_b = _frame_eigensystem(rho_ab.marginal("B"), tols)
-    u = np.kron(eig_a.vectors, eig_b.vectors)
+    u = tensor_product(eig_a.vectors, eig_b.vectors)
     return AlphaBetaFrame(eig_a, eig_b, u, deg_a, deg_b)
 
 
@@ -265,11 +235,6 @@ def quantum_deficit(rho_ab: DensityMatrix, *, tols: Tolerances = TOLS) -> float:
     return von_neumann(rho_d, tols=tols) - von_neumann(rho_ab, tols=tols)
 
 
-def deficit_mutual_gap(rho_ab: DensityMatrix, *, tols: Tolerances = TOLS) -> float:
-    """Deficit minus mutual entropy; equals S_d - S(A) - S(B) and is <= 0."""
-    return quantum_deficit(rho_ab, tols=tols) - mutual_entropy(rho_ab, tols=tols)
-
-
 def conditional_ratio_check(
     rho_ab: DensityMatrix, frame: AlphaBetaFrame, *, tols: Tolerances = TOLS
 ) -> tuple[float, float, bool]:
@@ -283,14 +248,10 @@ def conditional_ratio_check(
     big = rho_ab.eigenvalues
 
     def side_max(marg_vals: np.ndarray, connection: np.ndarray) -> float:
-        best = 0.0
-        for i, p in enumerate(marg_vals):
-            if p <= tols.support_cutoff:
-                continue
-            for g, big_val in enumerate(big):
-                if connection[i, g] > _CONNECTION_CUTOFF:
-                    best = max(best, float(big_val) / float(p))
-        return best
+        live = (marg_vals[:, None] > tols.support_cutoff) & (connection > _CONNECTION_CUTOFF)
+        # The floor only keeps the masked-out rows finite.
+        ratios = big / np.maximum(marg_vals, tols.support_cutoff)[:, None]
+        return float(np.max(ratios, where=live, initial=0.0))
 
     max_a = side_max(frame.eig_a.values, weights.sum(axis=1))
     max_b = side_max(frame.eig_b.values, weights.sum(axis=0))
@@ -321,16 +282,6 @@ def _commutes_with_frame(rho_ab: DensityMatrix, frame: AlphaBetaFrame, tols: Tol
     return True
 
 
-def commutes_with_marginals(rho_ab: DensityMatrix, *, tols: Tolerances = TOLS) -> bool:
-    """True iff the state commutes with both marginal eigenframe operators.
-
-    When true, decohering is the identity (the state already carries no
-    coherence between distinct frame vectors).
-    """
-    frame = alpha_beta_frame(rho_ab, tols=tols)
-    return _commutes_with_frame(rho_ab, frame, tols)
-
-
 def decomposition_commutes(dec: LocalDecomposition, *, tols: Tolerances = TOLS) -> bool:
     """True iff all factor pairs commute within each subsystem."""
     for pick in (1, 2):
@@ -355,15 +306,15 @@ def reconstruct(dec: LocalDecomposition, *, tols: Tolerances = TOLS) -> DensityM
 
 def classify(rho_ab: DensityMatrix, *, tols: Tolerances = TOLS) -> ClassificationReport:
     """Aggregate every diagnostic for a two-qubit state into one report."""
-    if rho_ab.dims != (2, 2):
-        raise CheckError("dims", 0.0, f"two-qubit state required, got dims {rho_ab.dims}")
     conc = concurrence(rho_ab, tols=tols)
-    diff_a = von_neumann(rho_ab, tols=tols) - von_neumann(rho_ab.marginal("A"), tols=tols)
-    diff_b = von_neumann(rho_ab, tols=tols) - von_neumann(rho_ab.marginal("B"), tols=tols)
-    mutual = mutual_entropy(rho_ab, tols=tols)
+    s = von_neumann(rho_ab, tols=tols)
+    s_a = von_neumann(rho_ab.marginal("A"), tols=tols)
+    s_b = von_neumann(rho_ab.marginal("B"), tols=tols)
+    diff_a, diff_b = s - s_a, s - s_b
+    mutual = s_a + s_b - s
     frame = alpha_beta_frame(rho_ab, tols=tols)
     rho_d, _ = decohere_in_frame(rho_ab, frame, tols=tols)
-    deficit = von_neumann(rho_d, tols=tols) - von_neumann(rho_ab, tols=tols)
+    deficit = von_neumann(rho_d, tols=tols) - s
     ppt_min = float(hermitian_eig(partial_transpose(rho_ab, "B"), tols=tols).values[-1])
     _, _, defined = conditional_ratio_check(rho_ab, frame, tols=tols)
     commutes = _commutes_with_frame(rho_ab, frame, tols)

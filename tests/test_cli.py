@@ -23,6 +23,47 @@ class TestReferenceCommands:
         code, _, err = _run(capsys, "iso-report")
         assert code == 0, err
 
+    def test_tight_tolerance_is_verification_failure(self, capsys):
+        code, _, err = _run(capsys, "--tolerance", "1e-2", "table1")
+        assert code == 1
+        assert "E1.deficit_over_ln2: computed 0.601606745739 vs printed 0.6016" in err
+
+
+def _werner_entropy(p: float) -> float:
+    vals = np.array([(1 + 3 * p) / 4] + [(1 - p) / 4] * 3)
+    vals = vals[vals > 0]
+    return float(-np.sum(vals * np.log(vals)))
+
+
+class TestWernerSweep:
+    def test_rows_match_closed_forms(self, capsys):
+        code, out, err = _run(capsys, "werner-sweep", "--min", "0", "--max", "1", "--step", "0.25")
+        assert code == 0, err
+        lines = out.splitlines()
+        assert lines[0] == "p,concurrence,mutual_over_ln2,deficit_over_ln2,cond_entropy_q1,ppt_min_eig"
+        rows = [[float(x) for x in line.split(",")] for line in lines[1:]]
+        assert [row[0] for row in rows] == [0.0, 0.25, 0.5, 0.75, 1.0]
+        for p, conc, _, _, cond, ppt in rows:
+            assert abs(conc - max(0.0, (3 * p - 1) / 2)) <= 1e-9
+            assert abs(ppt - (1 - 3 * p) / 4) <= 1e-9
+            assert abs(cond - (_werner_entropy(p) - np.log(2.0))) <= 1e-9
+
+    @pytest.mark.parametrize(
+        "bounds", [("--step", "0"), ("--min", "0.7", "--max", "0.2")], ids=["zero-step", "reversed-range"]
+    )
+    def test_bad_range_is_input_error(self, capsys, bounds):
+        code, out, err = _run(capsys, "werner-sweep", *bounds)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:")
+
+    def test_gnuplot_script_written(self, capsys, tmp_path):
+        path = tmp_path / "sweep.gp"
+        code, _, err = _run(capsys, "werner-sweep", "--step", "0.5", "--gnuplot", str(path))
+        assert code == 0, err
+        assert "plot csvfile using 1:2" in path.read_text()
+        assert f"wrote gnuplot script to {path}" in err
+
 
 class TestAudit:
     def test_independent_of_job_count(self, capsys):

@@ -1,0 +1,38 @@
+"""Every exported name resolves, so a deletion cannot leave a stale entry."""
+
+import ast
+import importlib
+from pathlib import Path
+
+import pytest
+
+import qdeficit
+
+# The submodules that declare ``__all__`` (cli declares none).
+MODULES = ("linalg", "concurrence", "entropy", "states", "structure")
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_all_entries_resolve(name):
+    module = importlib.import_module(f"qdeficit.{name}")
+    missing = [attr for attr in module.__all__ if not hasattr(module, attr)]
+    assert missing == []
+
+
+def _package_imports():
+    tree = ast.parse(Path(qdeficit.__file__).read_text(encoding="utf-8"))
+    return [
+        (node.module, alias.name)
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom) and node.level == 1
+        for alias in node.names
+    ]
+
+
+def test_package_imports_resolve_to_public_names():
+    imports = _package_imports()
+    assert imports
+    for module_name, attr in imports:
+        module = importlib.import_module(f"qdeficit.{module_name}")
+        assert attr in module.__all__, f"{module_name}.{attr}"
+        assert getattr(qdeficit, attr) is getattr(module, attr)

@@ -15,7 +15,6 @@ from qdeficit.linalg import (
     hermitian_eig,
     matrix_from_json,
     matrix_to_json,
-    partial_trace,
     partial_transpose,
     psd_function,
     tensor_product,
@@ -116,36 +115,37 @@ class TestTensorProduct:
         x = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
         y = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
         assert np.max(np.abs(tensor_product(x, y) - kron_oracle(x, y))) < 1e-15
+        assert np.array_equal(tensor_product(x, y), np.kron(x, y))
 
 
 class TestPartialTrace:
     def test_singlet_marginal_maximally_mixed(self):
         singlet = example_state("E4")
         for side in ("A", "B"):
-            marg = partial_trace(singlet, side)
+            marg = singlet.marginal(side)
             assert np.max(np.abs(marg.matrix - np.eye(2) / 2)) < 1e-15
 
     def test_product_state_recovers_factor(self):
         rho_a = np.array([[0.7, 0.1 + 0.2j], [0.1 - 0.2j, 0.3]])
         sigma_b = np.array([[0.4, -0.1j], [0.1j, 0.6]])
         composite = DensityMatrix(tensor_product(rho_a, sigma_b), (2, 2))
-        assert np.max(np.abs(partial_trace(composite, "A").matrix - rho_a)) < 1e-15
-        assert np.max(np.abs(partial_trace(composite, "B").matrix - sigma_b)) < 1e-15
+        assert np.max(np.abs(composite.marginal("A").matrix - rho_a)) < 1e-15
+        assert np.max(np.abs(composite.marginal("B").matrix - sigma_b)) < 1e-15
 
     def test_example_marginals(self):
         e1 = example_state("E1")
-        assert np.max(np.abs(partial_trace(e1, "A").matrix - np.diag([4 / 6, 2 / 6]))) < 1e-15
-        assert np.max(np.abs(partial_trace(e1, "B").matrix - np.diag([1 / 6, 5 / 6]))) < 1e-15
+        assert np.max(np.abs(e1.marginal("A").matrix - np.diag([4 / 6, 2 / 6]))) < 1e-15
+        assert np.max(np.abs(e1.marginal("B").matrix - np.diag([1 / 6, 5 / 6]))) < 1e-15
 
     def test_trace_preserved(self):
         rho = werner(0.37)
         for side in ("A", "B"):
-            assert abs(np.trace(partial_trace(rho, side).matrix) - 1.0) < 1e-14
+            assert abs(np.trace(rho.marginal(side).matrix) - 1.0) < 1e-14
 
     def test_rejects_single_subsystem(self):
         single = DensityMatrix(np.eye(2) / 2, (2, 1))
         with pytest.raises(CheckError):
-            partial_trace(single, "A")
+            single.marginal("A")
 
 
 class TestPartialTranspose:
@@ -265,8 +265,8 @@ class TestDensityMatrix:
             m = z @ z.conj().T
             mats.append(m / np.trace(m).real)
         composite = DensityMatrix(tensor_product(mats[0], mats[1]), (2, 2))
-        assert np.max(np.abs(partial_trace(composite, "A").matrix - mats[0])) <= 1e-12
-        assert np.max(np.abs(partial_trace(composite, "B").matrix - mats[1])) <= 1e-12
+        assert np.max(np.abs(composite.marginal("A").matrix - mats[0])) <= 1e-12
+        assert np.max(np.abs(composite.marginal("B").matrix - mats[1])) <= 1e-12
 
 
 class TestTolerances:

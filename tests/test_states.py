@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qdeficit.concurrence import pure_concurrence
-from qdeficit.linalg import CheckError, DensityMatrix, partial_trace, tensor_product
+from qdeficit.linalg import CheckError, DensityMatrix, tensor_product
 from qdeficit.states import (
     BlochVector,
     PureStateAmplitudes,
@@ -54,7 +54,7 @@ class TestWerner:
             expected = sorted([(3 * p + 1) / 4, (1 - p) / 4, (1 - p) / 4, (1 - p) / 4], reverse=True)
             assert np.max(np.abs(rho.eigenvalues - expected)) <= 1e-12
             for side in ("A", "B"):
-                assert np.max(np.abs(partial_trace(rho, side).matrix - np.eye(2) / 2)) <= 1e-12
+                assert np.max(np.abs(rho.marginal(side).matrix - np.eye(2) / 2)) <= 1e-12
 
 
 class TestWernerLocalDecomposition:
@@ -127,8 +127,8 @@ class TestExampleStates:
     def test_marginal_diagonals(self, name):
         rho = example_state(name)
         diag_a, diag_b = self.MARGINALS[name]
-        assert np.max(np.abs(partial_trace(rho, "A").matrix - np.diag([float(v) for v in diag_a]))) <= 1e-15
-        assert np.max(np.abs(partial_trace(rho, "B").matrix - np.diag([float(v) for v in diag_b]))) <= 1e-15
+        assert np.max(np.abs(rho.marginal("A").matrix - np.diag([float(v) for v in diag_a]))) <= 1e-15
+        assert np.max(np.abs(rho.marginal("B").matrix - np.diag([float(v) for v in diag_b]))) <= 1e-15
 
     def test_singlet_matches_amplitude_construction(self):
         assert np.max(np.abs(example_state("E4").matrix - pure_density(SINGLET).matrix)) < 1e-15
@@ -147,7 +147,7 @@ class TestIsospectralPair:
     def test_marginal_spectra_coincide_as_sets(self):
         rho_e, rho_s = isospectral_pair()
         spectra = [
-            sorted(np.round(partial_trace(rho, side).eigenvalues, 12))
+            sorted(np.round(rho.marginal(side).eigenvalues, 12))
             for rho in isospectral_pair()
             for side in ("A", "B")
         ]
@@ -200,8 +200,8 @@ class TestBlochVectors:
             s_a, s_b = bloch_vectors(amps)
             rebuilt_a = (I2 + s_a.s1 * SX + s_a.s2 * SY + s_a.s3 * SZ) / 2
             rebuilt_b = (I2 + s_b.s1 * SX + s_b.s2 * SY + s_b.s3 * SZ) / 2
-            assert np.max(np.abs(rebuilt_a - partial_trace(rho, "A").matrix)) <= 1e-10
-            assert np.max(np.abs(rebuilt_b - partial_trace(rho, "B").matrix)) <= 1e-10
+            assert np.max(np.abs(rebuilt_a - rho.marginal("A").matrix)) <= 1e-10
+            assert np.max(np.abs(rebuilt_b - rho.marginal("B").matrix)) <= 1e-10
 
 
 class TestCorrelationTensor:

@@ -4,9 +4,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qdeficit.entropy import mutual_entropy, von_neumann
-from qdeficit.linalg import CheckError, DensityMatrix
-from qdeficit.states import example_state, random_mixed, werner
-from qdeficit.structure import alpha_beta_frame, decohere, decohere_in_frame, quantum_deficit
+from qdeficit.linalg import TOLS, CheckError, DensityMatrix
+from qdeficit.states import example_state, from_registry, random_mixed, werner, werner_local_decomposition
+from qdeficit.structure import (
+    LocalDecomposition,
+    alpha_beta_frame,
+    classify,
+    conditional_ratio_check,
+    decohere,
+    decohere_in_frame,
+    decomposition_commutes,
+    overlap_tensor,
+    quantum_deficit,
+    reconstruct,
+)
 
 from helpers import numpy_spectrum
 
@@ -47,6 +58,12 @@ class TestDecohere:
             decohere_in_frame(DensityMatrix(np.eye(4) / 4, (4, 1)), frame)
         assert err.value.check == "dims"
 
+    @pytest.mark.parametrize("func", [alpha_beta_frame, decohere, quantum_deficit, classify])
+    def test_rejects_non_qubit_dims(self, func):
+        with pytest.raises(CheckError) as err:
+            func(DensityMatrix(np.eye(6) / 6, (2, 3)))
+        assert err.value.check == "dims"
+
 
 class TestQuantumDeficit:
     @settings(deadline=None, max_examples=40)
@@ -66,3 +83,80 @@ class TestQuantumDeficit:
         s_b = _entropy_oracle(rho.marginal("B").matrix)
         assert abs(quantum_deficit(rho) - mutual_entropy(rho) - (s_d - s_a - s_b)) <= 1e-9
         assert abs(s_d - von_neumann(rho_d)) <= 1e-10
+
+
+def _ratio_loop(marg_vals, connection, big):
+    """Entrywise reference for one side of ``conditional_ratio_check``."""
+    best = 0.0
+    for i, p in enumerate(marg_vals):
+        if p <= TOLS.support_cutoff:
+            continue
+        for g, big_val in enumerate(big):
+            if connection[i, g] > 1e-12:
+                best = max(best, float(big_val) / float(p))
+    return best
+
+
+def _assert_ratios_match_loop(rho):
+    frame = alpha_beta_frame(rho)
+    weights = overlap_tensor(rho, frame).weights
+    max_a, max_b, _ = conditional_ratio_check(rho, frame)
+    assert max_a == _ratio_loop(frame.eig_a.values, weights.sum(axis=1), rho.eigenvalues)
+    assert max_b == _ratio_loop(frame.eig_b.values, weights.sum(axis=0), rho.eigenvalues)
+
+
+class TestConditionalRatio:
+    @settings(deadline=None, max_examples=40)
+    @given(SEEDED_STATES)
+    def test_matches_loop_reference(self, seed_rank):
+        _assert_ratios_match_loop(random_mixed(*seed_rank))
+
+    @pytest.mark.parametrize("name", ["E1", "E4", "E5", "E6", "iso:S", "werner:0.5"])
+    def test_matches_loop_reference_on_registry(self, name):
+        _assert_ratios_match_loop(from_registry(name))
+
+
+class TestDecompositionCommutes:
+    def test_diagonal_projectors_commute_and_rebuild_e6(self):
+        p1 = DensityMatrix(np.diag([1.0, 0.0]), (2, 1))  # |1><1|
+        p0 = DensityMatrix(np.diag([0.0, 1.0]), (2, 1))  # |0><0|
+        dec = LocalDecomposition(((0.5, p1, p1), (0.5, p0, p0)))
+        assert decomposition_commutes(dec)
+        assert np.array_equal(reconstruct(dec).matrix, example_state("E6").matrix)
+
+    def test_werner_spin_projectors_do_not_commute(self):
+        assert not decomposition_commutes(werner_local_decomposition(0.2))
+
+
+SEPARABLE = "separable (concurrence = 0)"
+ZERO_DIFFERENCE = "entangled despite zero entropy difference"
+PRODUCT = "classically uncorrelated product state"
+FIXED_POINT = "commutes with both marginal eigenframes: decoherence fixed point"
+CONDITIONAL = "conditional probabilities defined: eigenvalue ratios bounded by one"
+
+
+def _degenerate(which: str) -> str:
+    return f"degenerate marginal spectrum ({which}): computational-basis frame applied"
+
+
+class TestClassifyVerdicts:
+    @pytest.mark.parametrize(
+        "name, verdicts, commutes, defined",
+        [
+            ("E1", ("entangled (concurrence = 0.666667)",), False, False),
+            ("E2", ("entangled (concurrence = 0.333333)",), False, False),
+            ("E3", ("entangled (concurrence = 0.666667)", ZERO_DIFFERENCE), False, False),
+            ("E4", ("entangled (concurrence = 1)", _degenerate("AB")), False, False),
+            ("E5", (SEPARABLE, PRODUCT, FIXED_POINT, CONDITIONAL, _degenerate("B")), True, True),
+            ("E6", (SEPARABLE, FIXED_POINT, CONDITIONAL, _degenerate("AB")), True, True),
+            ("iso:E", ("entangled (concurrence = 0.666667)", ZERO_DIFFERENCE), False, False),
+            ("iso:S", (SEPARABLE, FIXED_POINT, CONDITIONAL), True, True),
+            ("werner:0.2", (SEPARABLE, CONDITIONAL, _degenerate("AB")), False, True),
+            ("werner:0.5", ("entangled (concurrence = 0.25)", _degenerate("AB")), False, False),
+        ],
+    )
+    def test_pinned(self, name, verdicts, commutes, defined):
+        report = classify(from_registry(name))
+        assert report.verdicts == verdicts
+        assert report.commutes_with_marginals is commutes
+        assert report.conditional_prob_defined is defined
