@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from .linalg import TOLS, CheckError, DensityMatrix, Tolerances, psd_function
+from .linalg import TOLS, CheckError, DensityMatrix, Tolerances
 
 __all__ = [
     "von_neumann",
@@ -121,11 +121,10 @@ def relative_entropy(rho1: DensityMatrix, rho2: DensityMatrix, *, tols: Toleranc
     if rho1.dims != rho2.dims:
         raise CheckError("dims", 0.0, f"dims differ: {rho1.dims} vs {rho2.dims}")
     eig2 = rho2.eigensystem()
-    null = eig2.vectors[:, eig2.values <= tols.support_cutoff]
-    if null.size:
-        mass = float(np.real(np.sum(null.conj() * (rho1.matrix @ null))))
-        if mass > 1e-10:
-            return math.inf
-    log2 = psd_function(rho2.matrix, "log", tols=tols)
-    cross = float(np.real(np.trace(rho1.matrix @ log2)))
+    # w_g = <g|rho1|g> over rho2's eigenvectors |g>: Tr rho1 ln rho2 = sum w_g ln lambda_g.
+    weights = np.real(np.einsum("ig,ij,jg->g", eig2.vectors.conj(), rho1.matrix, eig2.vectors))
+    support = eig2.values > tols.support_cutoff
+    if float(np.sum(weights[~support])) > 1e-10:
+        return math.inf
+    cross = float(np.sum(weights[support] * np.log(eig2.values[support])))
     return -von_neumann(rho1, tols=tols) - cross

@@ -8,7 +8,7 @@ familiar matrix form with ``|1>`` as the +1 eigenvector of ``SIGMA_Z``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -30,18 +30,12 @@ __all__ = [
     "SIGMA_X",
     "SIGMA_Y",
     "SIGMA_Z",
-    "BASIS_LABELS",
 ]
 
 I2 = np.eye(2, dtype=complex)
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
-BASIS_LABELS = ("11", "10", "01", "00")
-
-# Eigenvector phase convention: entries at or below this magnitude are
-# treated as zero when locating the first nonzero component.
-_PHASE_CUTOFF = 1e-12
 
 
 class CheckError(ValueError):
@@ -72,7 +66,6 @@ class Tolerances:
 
     hermiticity: float = 1e-10
     psd: float = 1e-10  # eigenvalues must be >= -psd
-    reconstruction: float = 1e-9
     support_cutoff: float = 1e-12
     degeneracy: float = 1e-10  # eigenvalue gap below which eigenspaces merge
     commutator: float = 1e-9
@@ -81,16 +74,7 @@ class Tolerances:
     def scaled(self, factor: float) -> "Tolerances":
         if factor <= 0:
             raise ValueError("tolerance scale factor must be positive")
-        return replace(
-            self,
-            hermiticity=self.hermiticity * factor,
-            psd=self.psd * factor,
-            reconstruction=self.reconstruction * factor,
-            support_cutoff=self.support_cutoff * factor,
-            degeneracy=self.degeneracy * factor,
-            commutator=self.commutator * factor,
-            concurrence_zero=self.concurrence_zero * factor,
-        )
+        return replace(self, **{f.name: getattr(self, f.name) * factor for f in fields(self)})
 
 
 TOLS = Tolerances()
@@ -105,9 +89,9 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
 class EigenSystem:
     """Eigenvalues (sorted descending) and matching orthonormal eigenvectors.
 
-    ``vectors[:, k]`` is the unit eigenvector for ``values[k]``.  Vector
-    phases follow the convention that the first nonzero component of each
-    column is real and positive.
+    ``vectors[:, k]`` is the unit eigenvector for ``values[k]``.  Phases
+    are LAPACK's: every consumer forms V f(values) V†, |<u|v>|^2 or
+    u† M u, none of which changes when a column gets a unit phase.
     """
 
     values: np.ndarray
@@ -120,12 +104,6 @@ class EigenSystem:
     def reconstruct(self) -> np.ndarray:
         """Return ``V diag(values) V``:sup:`†`."""
         return (self.vectors * self.values) @ self.vectors.conj().T
-
-
-def _fix_phases(vectors: np.ndarray) -> np.ndarray:
-    first = np.argmax(np.abs(vectors) > _PHASE_CUTOFF, axis=0)
-    pivots = vectors[first, np.arange(vectors.shape[1])]
-    return vectors * (pivots.conj() / np.abs(pivots))
 
 
 def _require_finite(arr: np.ndarray) -> None:
@@ -144,7 +122,7 @@ def hermitian_eig(m: np.ndarray, *, tols: Tolerances = TOLS) -> EigenSystem:
     if herm > tols.hermiticity:
         raise CheckError("hermiticity", herm)
     values, vectors = np.linalg.eigh(m)
-    return EigenSystem(values[::-1].copy(), _fix_phases(vectors[:, ::-1]))
+    return EigenSystem(values[::-1].copy(), vectors[:, ::-1].copy())
 
 
 class DensityMatrix:
@@ -155,7 +133,7 @@ class DensityMatrix:
     computed for the PSD check is cached, as are the marginals.
     """
 
-    __slots__ = ("matrix", "dims", "_eig", "_marginals")
+    __slots__ = ("matrix", "dims", "_eig", "_marginals", "_tols")
 
     def __init__(
         self,
@@ -182,6 +160,7 @@ class DensityMatrix:
         self.dims = (da, db)
         self._eig = eig
         self._marginals: dict[str, "DensityMatrix"] = {}
+        self._tols = tols
 
     @property
     def dim(self) -> int:
@@ -211,10 +190,10 @@ class DensityMatrix:
         r = self.matrix.reshape(da, db, da, db)
         if keep == "A":
             reduced = np.einsum("ikjk->ij", r)
-            out = DensityMatrix(0.5 * (reduced + reduced.conj().T), (da, 1))
+            out = DensityMatrix(0.5 * (reduced + reduced.conj().T), (da, 1), tols=self._tols)
         else:
             reduced = np.einsum("kikj->ij", r)
-            out = DensityMatrix(0.5 * (reduced + reduced.conj().T), (db, 1))
+            out = DensityMatrix(0.5 * (reduced + reduced.conj().T), (db, 1), tols=self._tols)
         self._marginals[keep] = out
         return out
 

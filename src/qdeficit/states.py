@@ -314,10 +314,7 @@ def purity_check(amps: PureStateAmplitudes) -> tuple[float, float]:
 
 def random_pure(seed: int) -> PureStateAmplitudes:
     """Haar-uniform pure state: four normalized standard complex Gaussians."""
-    rng = np.random.default_rng(seed)
-    z = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-    z /= np.linalg.norm(z)
-    return PureStateAmplitudes(*z)
+    return PureStateAmplitudes(*_haar_amplitudes(np.random.default_rng(seed)))
 
 
 def _haar_amplitudes(rng: np.random.Generator) -> np.ndarray:

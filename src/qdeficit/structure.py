@@ -17,7 +17,7 @@ classifier records when the fallback fired.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -170,17 +170,7 @@ class ClassificationReport:
     verdicts: tuple[str, ...]
 
     def as_dict(self) -> dict:
-        return {
-            "concurrence": self.concurrence,
-            "entropy_diff_a": self.entropy_diff_a,
-            "entropy_diff_b": self.entropy_diff_b,
-            "mutual": self.mutual,
-            "deficit": self.deficit,
-            "ppt_min_eig": self.ppt_min_eig,
-            "conditional_prob_defined": self.conditional_prob_defined,
-            "commutes_with_marginals": self.commutes_with_marginals,
-            "verdicts": list(self.verdicts),
-        }
+        return {**asdict(self), "verdicts": list(self.verdicts)}
 
 
 def alpha_beta_frame(rho_ab: DensityMatrix, *, tols: Tolerances = TOLS) -> AlphaBetaFrame:
@@ -259,29 +249,6 @@ def conditional_ratio_check(
     return max_a, max_b, defined
 
 
-def _commutes_with_frame(rho_ab: DensityMatrix, frame: AlphaBetaFrame, tols: Tolerances) -> bool:
-    """Commutation with distinct-weight operators sharing the frame's projectors.
-
-    Using weights 1..d instead of the marginal eigenvalues keeps the test
-    meaningful when a marginal is degenerate (where the literal marginal
-    operator is proportional to the identity and commutes with anything);
-    commuting in this sense is exactly the decoherence fixed-point
-    condition.
-    """
-    da, db = rho_ab.dims
-    m = rho_ab.matrix
-    for es, build in (
-        (frame.eig_a, lambda k: tensor_product(k, np.eye(db))),
-        (frame.eig_b, lambda k: tensor_product(np.eye(da), k)),
-    ):
-        marker = (es.vectors * np.arange(1, len(es.values) + 1)) @ es.vectors.conj().T
-        big = build(marker)
-        comm = float(np.max(np.abs(m @ big - big @ m)))
-        if comm > tols.commutator:
-            return False
-    return True
-
-
 def decomposition_commutes(dec: LocalDecomposition, *, tols: Tolerances = TOLS) -> bool:
     """True iff all factor pairs commute within each subsystem."""
     for pick in (1, 2):
@@ -317,7 +284,8 @@ def classify(rho_ab: DensityMatrix, *, tols: Tolerances = TOLS) -> Classificatio
     deficit = von_neumann(rho_d, tols=tols) - s
     ppt_min = float(hermitian_eig(partial_transpose(rho_ab, "B"), tols=tols).values[-1])
     _, _, defined = conditional_ratio_check(rho_ab, frame, tols=tols)
-    commutes = _commutes_with_frame(rho_ab, frame, tols)
+    # Commuting with both frames' projectors is the decoherence fixed point rho = rho_d.
+    commutes = float(np.max(np.abs(rho_ab.matrix - rho_d.matrix))) <= tols.commutator
 
     if deficit < -1e-9 or deficit > mutual + 1e-9:
         raise CheckError("deficit bounds", deficit, f"mutual={mutual:.12g}")

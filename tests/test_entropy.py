@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import logm
 
 from qdeficit.entropy import (
     conditional_tsallis,
@@ -25,6 +26,8 @@ from qdeficit.states import (
     werner,
 )
 from qdeficit.structure import decohere
+
+from helpers import haar_unitary
 
 LN2 = math.log(2.0)
 LN3 = math.log(3.0)
@@ -203,7 +206,30 @@ class TestMutualEntropy:
         assert mutual_entropy(example_state("E6")) > 0.5
 
 
+def _relative_entropy_oracle(m1: np.ndarray, m2: np.ndarray) -> float:
+    """Tr m1 (logm m1 - logm m2) by scipy's matrix logarithm; both must be full rank."""
+    return float(np.real(np.trace(m1 @ (logm(m1) - logm(m2)))))
+
+
 class TestRelativeEntropy:
+    @pytest.mark.parametrize("seed", range(10))
+    def test_matches_logm_oracle_on_full_rank_pairs(self, seed):
+        rho1, rho2 = random_mixed(2 * seed, 4), random_mixed(2 * seed + 1, 4)
+        want = _relative_entropy_oracle(rho1.matrix, rho2.matrix)
+        assert relative_entropy(rho1, rho2) == pytest.approx(want, abs=1e-10)
+
+    def test_matches_logm_oracle_inside_rank_three_support(self):
+        rng = np.random.default_rng(29)
+        support = haar_unitary(rng, 4)[:, :3]
+        z = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+        sigma = z @ z.conj().T / np.trace(z @ z.conj().T).real
+        rho1 = DensityMatrix(support @ sigma @ support.conj().T, (2, 2))
+        rho2 = DensityMatrix((support * [0.5, 0.3, 0.2]) @ support.conj().T, (2, 2))
+        assert rho2.eigenvalues[-1] == pytest.approx(0.0, abs=1e-15)
+        # Both states live on the same 3-dimensional support, where logm is defined.
+        want = _relative_entropy_oracle(*(support.conj().T @ m @ support for m in (rho1.matrix, rho2.matrix)))
+        assert relative_entropy(rho1, rho2) == pytest.approx(want, abs=1e-10)
+
     def test_self_distance_zero(self):
         rho = werner(0.4)
         assert relative_entropy(rho, rho) == pytest.approx(0.0, abs=1e-12)

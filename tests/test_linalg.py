@@ -1,10 +1,12 @@
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qdeficit.entropy import conditional_tsallis, mutual_entropy
 from qdeficit.linalg import (
     CheckError,
     DensityMatrix,
@@ -55,14 +57,6 @@ class TestHermitianEig:
         a, b = hermitian_eig(h), hermitian_eig(h)
         assert np.array_equal(a.values, b.values)
         assert np.array_equal(a.vectors, b.vectors)
-
-    def test_phase_convention(self):
-        rng = np.random.default_rng(11)
-        for _ in range(20):
-            es = hermitian_eig(random_hermitian(rng))
-            for col in es.vectors.T:
-                first = next(x for x in col if abs(x) > 1e-12)
-                assert abs(first.imag) < 1e-12 and first.real > 0
 
     def test_rejects_non_square(self):
         for shape in ((2, 3), (0, 0)):
@@ -276,6 +270,11 @@ class TestTolerances:
         assert scaled.support_cutoff == pytest.approx(1e-11)
         assert TOLS.hermiticity == 1e-10  # original untouched
 
+    def test_scaling_reaches_every_field(self):
+        scaled = TOLS.scaled(4.0)
+        for f in fields(Tolerances):
+            assert getattr(scaled, f.name) == 4.0 * getattr(TOLS, f.name), f.name
+
     def test_rejects_nonpositive_scale(self):
         with pytest.raises(ValueError):
             TOLS.scaled(0.0)
@@ -286,6 +285,16 @@ class TestTolerances:
         with pytest.raises(CheckError):
             DensityMatrix(noisy)
         DensityMatrix(noisy, tols=TOLS.scaled(10.0))
+
+    def test_marginals_inherit_the_state_tolerances(self):
+        loose = TOLS.scaled(10.0)
+        noisy = werner(0.5).matrix.copy()
+        noisy[0, 0] += 5e-10  # each marginal's trace is off by 5e-10 as well
+        rho = DensityMatrix(noisy, tols=loose)
+        for side in ("A", "B"):
+            assert abs(np.trace(rho.marginal(side).matrix) - (1.0 + 5e-10)) < 1e-15
+        assert math.isfinite(mutual_entropy(rho, tols=loose))
+        assert math.isfinite(conditional_tsallis(rho, "A", 2.0, tols=loose))
 
 
 class TestSerialization:

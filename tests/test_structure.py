@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qdeficit.entropy import mutual_entropy, von_neumann
-from qdeficit.linalg import TOLS, CheckError, DensityMatrix
+from qdeficit.linalg import TOLS, CheckError, DensityMatrix, tensor_product
 from qdeficit.states import example_state, from_registry, random_mixed, werner, werner_local_decomposition
 from qdeficit.structure import (
     LocalDecomposition,
@@ -51,6 +51,15 @@ class TestDecohere:
             rho_d, _ = decohere(rho)
             rho_dd, _ = decohere(rho_d)
             assert np.max(np.abs(rho_dd.matrix - rho_d.matrix)) <= 1e-12
+
+    @settings(deadline=None, max_examples=40)
+    @given(SEEDED_STATES)
+    def test_joint_sums_are_marginal_spectra(self, seed_rank):
+        rho = random_mixed(*seed_rank)
+        frame = alpha_beta_frame(rho)
+        _, joint = decohere_in_frame(rho, frame)
+        assert np.max(np.abs(joint.row_marginals() - frame.eig_a.values)) <= 1e-10
+        assert np.max(np.abs(joint.col_marginals() - frame.eig_b.values)) <= 1e-10
 
     def test_frame_of_other_dims_rejected(self):
         frame = alpha_beta_frame(werner(0.3))
@@ -160,3 +169,27 @@ class TestClassifyVerdicts:
         assert report.verdicts == verdicts
         assert report.commutes_with_marginals is commutes
         assert report.conditional_prob_defined is defined
+
+
+def _random_qubit_state(rng: np.random.Generator) -> np.ndarray:
+    z = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+    m = z @ z.conj().T
+    return m / np.trace(m).real
+
+
+class TestCommutesWithMarginals:
+    @settings(deadline=None, max_examples=40)
+    @given(SEEDED_STATES)
+    def test_decohered_state_is_a_fixed_point(self, seed_rank):
+        rho_d, _ = decohere(random_mixed(*seed_rank))
+        assert classify(rho_d).commutes_with_marginals
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_product_state_is_a_fixed_point(self, seed):
+        rng = np.random.default_rng(seed)
+        rho = DensityMatrix(tensor_product(_random_qubit_state(rng), _random_qubit_state(rng)), (2, 2))
+        assert classify(rho).commutes_with_marginals
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_generic_state_is_not(self, seed):
+        assert not classify(random_mixed(seed, 1 + seed % 4)).commutes_with_marginals
