@@ -6,7 +6,7 @@ alongside Wootters concurrence and the von Neumann / Tsallis entropy
 family.
 """
 
-from .concurrence import LambdaSpectrum, concurrence, lambda_spectrum, pure_concurrence, spin_flip
+from .concurrence import concurrence, lambda_spectrum, pure_concurrence, spin_flip
 from .entropy import (
     conditional_tsallis,
     entropy_difference,
@@ -53,9 +53,7 @@ from .states import (
 from .structure import (
     AlphaBetaFrame,
     ClassificationReport,
-    JointDistribution,
     LocalDecomposition,
-    OverlapTensor,
     alpha_beta_frame,
     classify,
     conditional_ratio_check,

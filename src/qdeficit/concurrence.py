@@ -9,8 +9,6 @@ matrix product lives in the test suite.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .linalg import (
@@ -23,27 +21,13 @@ from .linalg import (
     tensor_product,
 )
 
-__all__ = ["LambdaSpectrum", "spin_flip", "lambda_spectrum", "concurrence", "pure_concurrence"]
+__all__ = ["spin_flip", "lambda_spectrum", "concurrence", "pure_concurrence"]
 
 _YY = tensor_product(SIGMA_Y, SIGMA_Y)
-
-# Round-off clip floor for the spin-flip spectrum.
-_LAMBDA_FLOOR = -1e-9
 
 # Eigenvalues of the Hermitian core below this are round-off zeros; taking
 # their square root would inflate them to ~1e-8 and bias the concurrence.
 _CORE_NOISE_FLOOR = 1e-14
-
-
-@dataclass(frozen=True)
-class LambdaSpectrum:
-    """The four spin-flip singular values, sorted descending."""
-
-    lambdas: tuple[float, float, float, float]
-
-    def __post_init__(self):
-        if self.lambdas[-1] < _LAMBDA_FLOOR:
-            raise CheckError("lambda nonnegativity", self.lambdas[-1])
 
 
 def _require_two_qubit(rho: DensityMatrix) -> None:
@@ -62,22 +46,21 @@ def spin_flip(rho: DensityMatrix, *, tols: Tolerances = TOLS) -> DensityMatrix:
     return DensityMatrix(_flipped(rho.matrix), (2, 2), tols=tols)
 
 
-def lambda_spectrum(rho: DensityMatrix, *, tols: Tolerances = TOLS) -> LambdaSpectrum:
-    """Square roots of the eigenvalues of rho * spin_flip(rho), descending."""
+def lambda_spectrum(rho: DensityMatrix, *, tols: Tolerances = TOLS) -> np.ndarray:
+    """Spin-flip singular values: square roots of the eigenvalues of rho * spin_flip(rho), descending."""
     _require_two_qubit(rho)
     es = rho.eigensystem()
     root = (es.vectors * np.sqrt(np.clip(es.values, 0.0, None))) @ es.vectors.conj().T
     core = root @ _flipped(rho.matrix) @ root
     vals = hermitian_eig(0.5 * (core + core.conj().T), tols=tols).values
-    if vals[-1] < _LAMBDA_FLOOR:
+    if vals[-1] < -tols.identity:
         raise CheckError("lambda nonnegativity", vals[-1])
-    lam = np.sqrt(np.where(vals < _CORE_NOISE_FLOOR, 0.0, vals))
-    return LambdaSpectrum(tuple(float(x) for x in lam))
+    return np.sqrt(np.where(vals < _CORE_NOISE_FLOOR, 0.0, vals))
 
 
 def concurrence(rho: DensityMatrix, *, tols: Tolerances = TOLS) -> float:
     """max(lambda1 - lambda2 - lambda3 - lambda4, 0); zero iff separable."""
-    l1, l2, l3, l4 = lambda_spectrum(rho, tols=tols).lambdas
+    l1, l2, l3, l4 = lambda_spectrum(rho, tols=tols).tolist()
     return max(l1 - l2 - l3 - l4, 0.0)
 
 

@@ -8,7 +8,8 @@ familiar matrix form with ``|1>`` as the +1 eigenvector of ``SIGMA_Z``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields, replace
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -54,27 +55,39 @@ class CheckError(ValueError):
         super().__init__(msg)
 
 
+def _bound(default: float, doc: str) -> property:
+    return property(lambda self: default * self.scale, doc=f"{doc} (default {default:g}).")
+
+
 @dataclass(frozen=True)
 class Tolerances:
-    """Central record of the numerical tolerances used across the package.
+    """The package's one tolerance policy: each bound is its default times ``scale``.
 
-    ``scaled`` returns a uniformly scaled copy; the CLI exposes this via
-    the global ``--tolerance`` flag.  Eigendecompositions come from
-    LAPACK's Hermitian solver and take no tolerance, so scaling never
-    changes a computed spectrum.
+    ``scale`` is the only settable value; the CLI's global ``--tolerance``
+    sets it, and it must be finite and positive.  It reaches every check
+    and verdict bound in ``linalg``, ``entropy``, ``concurrence``,
+    ``structure`` and the CLI's reference-table comparisons; the audit's
+    literal per-property bounds do not scale yet.  Eigendecompositions
+    come from LAPACK's Hermitian solver and take no tolerance, so scaling
+    never changes a computed spectrum.
     """
 
-    hermiticity: float = 1e-10
-    psd: float = 1e-10  # eigenvalues must be >= -psd
-    support_cutoff: float = 1e-12
-    degeneracy: float = 1e-10  # eigenvalue gap below which eigenspaces merge
-    commutator: float = 1e-9
-    concurrence_zero: float = 1e-8
+    scale: float = 1.0
+
+    hermiticity = _bound(1e-10, "Residuals that vanish in exact arithmetic: Hermiticity, trace, normalization")
+    psd = _bound(1e-10, "Eigenvalues must be >= -psd")
+    support_cutoff = _bound(1e-12, "Eigenvalues and overlap weights at or below this count as zero")
+    degeneracy = _bound(1e-10, "Eigenvalue gap below which a qubit marginal counts as degenerate")
+    identity = _bound(1e-9, "Two routes to one quantity agree, e.g. rho and rho_d, or D and its bounds")
+    concurrence_zero = _bound(1e-8, "Concurrence at or below this counts as separable")
+    printed = _bound(1e-4, "Agreement with a decimal printed to four places")
+
+    def __post_init__(self):
+        if not (math.isfinite(self.scale) and self.scale > 0):
+            raise ValueError(f"tolerance scale must be finite and positive, got {self.scale}")
 
     def scaled(self, factor: float) -> "Tolerances":
-        if factor <= 0:
-            raise ValueError("tolerance scale factor must be positive")
-        return replace(self, **{f.name: getattr(self, f.name) * factor for f in fields(self)})
+        return Tolerances(self.scale * factor)
 
 
 TOLS = Tolerances()
@@ -224,25 +237,14 @@ def partial_transpose(rho: DensityMatrix, side: str) -> np.ndarray:
 
 
 def psd_function(m: np.ndarray, func: str, *, tols: Tolerances = TOLS) -> np.ndarray:
-    """Apply ``sqrt`` or ``log`` to a Hermitian PSD matrix spectrally.
-
-    For ``log`` the function acts on the support only (eigenvalues above
-    the support cutoff); null directions are projected out, realizing the
-    0*log(0) = 0 convention.
-    """
-    if func not in ("sqrt", "log"):
+    """Apply ``sqrt`` to a Hermitian PSD matrix spectrally."""
+    if func != "sqrt":
         raise ValueError(f"unsupported matrix function {func!r}")
     eig = hermitian_eig(m, tols=tols)
     vals = eig.values
     if vals[-1] < -tols.psd:
         raise CheckError("psd", vals[-1], "negative eigenvalue")
-    if func == "sqrt":
-        fvals = np.sqrt(np.clip(vals, 0.0, None))
-    else:
-        support = vals > tols.support_cutoff
-        fvals = np.zeros_like(vals)
-        fvals[support] = np.log(vals[support])
-    out = (eig.vectors * fvals) @ eig.vectors.conj().T
+    out = (eig.vectors * np.sqrt(np.clip(vals, 0.0, None))) @ eig.vectors.conj().T
     return 0.5 * (out + out.conj().T)
 
 

@@ -36,8 +36,6 @@ from .linalg import (
 
 __all__ = [
     "AlphaBetaFrame",
-    "OverlapTensor",
-    "JointDistribution",
     "LocalDecomposition",
     "ClassificationReport",
     "alpha_beta_frame",
@@ -50,12 +48,6 @@ __all__ = [
     "reconstruct",
     "classify",
 ]
-
-# Weight below which an (alpha, Gamma) pair counts as disconnected in the
-# conditional-ratio scan: a ratio with zero overlap weight never enters
-# any entropy expression.
-_CONNECTION_CUTOFF = 1e-12
-
 
 def _frame_eigensystem(marg: DensityMatrix, tols: Tolerances) -> tuple[EigenSystem, bool]:
     """Qubit marginal eigensystem, or the computational basis when degenerate."""
@@ -81,55 +73,9 @@ class AlphaBetaFrame:
     degenerate_a: bool
     degenerate_b: bool
 
-    def __post_init__(self):
-        u = self.product_vectors
-        gram = float(np.max(np.abs(u.conj().T @ u - np.eye(u.shape[1]))))
-        if gram > 1e-9:
-            raise CheckError("frame orthonormality", gram)
-        for es in (self.eig_a, self.eig_b):
-            err = abs(float(np.sum(es.values)) - 1.0)
-            if err > 1e-10:
-                raise CheckError("marginal normalization", err)
-
     @property
     def dims(self) -> tuple[int, int]:
         return (len(self.eig_a.values), len(self.eig_b.values))
-
-
-@dataclass(frozen=True)
-class OverlapTensor:
-    """Squared overlaps |<alpha,beta|Gamma>|^2, indexed [alpha][beta][Gamma]."""
-
-    weights: np.ndarray
-
-    def __post_init__(self):
-        w = self.weights
-        per_gamma = w.sum(axis=(0, 1))
-        per_pair = w.sum(axis=2)
-        err = max(float(np.max(np.abs(per_gamma - 1.0))), float(np.max(np.abs(per_pair - 1.0))))
-        if err > 1e-10:
-            raise CheckError("overlap normalization", err)
-
-
-@dataclass(frozen=True)
-class JointDistribution:
-    """Joint probabilities P(alpha, beta) of the decohered state."""
-
-    probs: np.ndarray
-
-    def __post_init__(self):
-        p = self.probs
-        if float(p.min()) < -1e-12:
-            raise CheckError("joint nonnegativity", float(p.min()))
-        err = abs(float(p.sum()) - 1.0)
-        if err > 1e-10:
-            raise CheckError("joint normalization", err)
-
-    def row_marginals(self) -> np.ndarray:
-        return self.probs.sum(axis=1)
-
-    def col_marginals(self) -> np.ndarray:
-        return self.probs.sum(axis=0)
 
 
 @dataclass(frozen=True)
@@ -180,21 +126,33 @@ def alpha_beta_frame(rho_ab: DensityMatrix, *, tols: Tolerances = TOLS) -> Alpha
     eig_a, deg_a = _frame_eigensystem(rho_ab.marginal("A"), tols)
     eig_b, deg_b = _frame_eigensystem(rho_ab.marginal("B"), tols)
     u = tensor_product(eig_a.vectors, eig_b.vectors)
+    gram = float(np.max(np.abs(u.conj().T @ u - np.eye(4))))
+    if gram > tols.identity:
+        raise CheckError("frame orthonormality", gram)
+    for es in (eig_a, eig_b):
+        err = abs(float(np.sum(es.values)) - 1.0)
+        if err > tols.hermiticity:
+            raise CheckError("marginal normalization", err)
     return AlphaBetaFrame(eig_a, eig_b, u, deg_a, deg_b)
 
 
-def overlap_tensor(rho_ab: DensityMatrix, frame: AlphaBetaFrame) -> OverlapTensor:
-    """|<alpha,beta|Gamma>|^2 between the frame and the composite eigenvectors."""
+def overlap_tensor(rho_ab: DensityMatrix, frame: AlphaBetaFrame, *, tols: Tolerances = TOLS) -> np.ndarray:
+    """Squared overlaps |<alpha,beta|Gamma>|^2, indexed [alpha, beta, Gamma]."""
     da, db = rho_ab.dims
     if frame.dims != (da, db):
         raise CheckError("dims", 0.0, f"frame dims {frame.dims} do not match state {rho_ab.dims}")
     overlaps = frame.product_vectors.conj().T @ rho_ab.eigensystem().vectors
-    return OverlapTensor((np.abs(overlaps) ** 2).reshape(da, db, da * db))
+    weights = (np.abs(overlaps) ** 2).reshape(da, db, da * db)
+    per_gamma, per_pair = weights.sum(axis=(0, 1)), weights.sum(axis=2)
+    err = max(float(np.max(np.abs(per_gamma - 1.0))), float(np.max(np.abs(per_pair - 1.0))))
+    if err > tols.hermiticity:
+        raise CheckError("overlap normalization", err)
+    return weights
 
 
 def decohere_in_frame(
     rho_ab: DensityMatrix, frame: AlphaBetaFrame, *, tols: Tolerances = TOLS
-) -> tuple[DensityMatrix, JointDistribution]:
+) -> tuple[DensityMatrix, np.ndarray]:
     """``decohere`` in ``frame = alpha_beta_frame(rho_ab)``, built once by the caller."""
     if frame.dims != rho_ab.dims:
         raise CheckError("dims", 0.0, f"frame dims {frame.dims} do not match state {rho_ab.dims}")
@@ -205,16 +163,15 @@ def decohere_in_frame(
     diag = np.clip(diag, 0.0, None)
     mat = (u * diag) @ u.conj().T
     rho_d = DensityMatrix(0.5 * (mat + mat.conj().T), rho_ab.dims, tols=tols)
-    joint = JointDistribution(diag.reshape(rho_ab.dims))
-    return rho_d, joint
+    return rho_d, diag.reshape(rho_ab.dims)
 
 
-def decohere(rho_ab: DensityMatrix, *, tols: Tolerances = TOLS) -> tuple[DensityMatrix, JointDistribution]:
+def decohere(rho_ab: DensityMatrix, *, tols: Tolerances = TOLS) -> tuple[DensityMatrix, np.ndarray]:
     """Drop all off-diagonal elements in the marginal-eigenbasis product frame.
 
-    Returns the decohered state and the joint distribution of its diagonal.
-    Both marginals are preserved, and the joint's row/column sums are the
-    marginal eigenvalue distributions.
+    Returns the decohered state and the joint distribution P[alpha, beta]
+    of its diagonal.  Both marginals are preserved, and the joint's
+    row/column sums are the marginal eigenvalue distributions.
     """
     return decohere_in_frame(rho_ab, alpha_beta_frame(rho_ab, tols=tols), tols=tols)
 
@@ -234,18 +191,18 @@ def conditional_ratio_check(
     read as conditional probabilities.  Pairs whose total overlap weight
     vanishes are skipped: they never enter any entropy expression.
     """
-    weights = overlap_tensor(rho_ab, frame).weights
+    weights = overlap_tensor(rho_ab, frame, tols=tols)
     big = rho_ab.eigenvalues
 
     def side_max(marg_vals: np.ndarray, connection: np.ndarray) -> float:
-        live = (marg_vals[:, None] > tols.support_cutoff) & (connection > _CONNECTION_CUTOFF)
+        live = (marg_vals[:, None] > tols.support_cutoff) & (connection > tols.support_cutoff)
         # The floor only keeps the masked-out rows finite.
         ratios = big / np.maximum(marg_vals, tols.support_cutoff)[:, None]
         return float(np.max(ratios, where=live, initial=0.0))
 
     max_a = side_max(frame.eig_a.values, weights.sum(axis=1))
     max_b = side_max(frame.eig_b.values, weights.sum(axis=0))
-    defined = max_a <= 1.0 + 1e-10 and max_b <= 1.0 + 1e-10
+    defined = max_a <= 1.0 + tols.hermiticity and max_b <= 1.0 + tols.hermiticity
     return max_a, max_b, defined
 
 
@@ -256,7 +213,7 @@ def decomposition_commutes(dec: LocalDecomposition, *, tols: Tolerances = TOLS) 
         for i in range(len(mats)):
             for j in range(i + 1, len(mats)):
                 comm = float(np.max(np.abs(mats[i] @ mats[j] - mats[j] @ mats[i])))
-                if comm > tols.commutator:
+                if comm > tols.identity:
                     return False
     return True
 
@@ -285,9 +242,9 @@ def classify(rho_ab: DensityMatrix, *, tols: Tolerances = TOLS) -> Classificatio
     ppt_min = float(hermitian_eig(partial_transpose(rho_ab, "B"), tols=tols).values[-1])
     _, _, defined = conditional_ratio_check(rho_ab, frame, tols=tols)
     # Commuting with both frames' projectors is the decoherence fixed point rho = rho_d.
-    commutes = float(np.max(np.abs(rho_ab.matrix - rho_d.matrix))) <= tols.commutator
+    commutes = float(np.max(np.abs(rho_ab.matrix - rho_d.matrix))) <= tols.identity
 
-    if deficit < -1e-9 or deficit > mutual + 1e-9:
+    if deficit < -tols.identity or deficit > mutual + tols.identity:
         raise CheckError("deficit bounds", deficit, f"mutual={mutual:.12g}")
 
     verdicts = []
@@ -295,9 +252,9 @@ def classify(rho_ab: DensityMatrix, *, tols: Tolerances = TOLS) -> Classificatio
         verdicts.append("separable (concurrence = 0)")
     else:
         verdicts.append(f"entangled (concurrence = {conc:.6g})")
-        if max(abs(diff_a), abs(diff_b)) <= 1e-9:
+        if max(abs(diff_a), abs(diff_b)) <= tols.identity:
             verdicts.append("entangled despite zero entropy difference")
-    if mutual <= 1e-10:
+    if mutual <= tols.hermiticity:
         verdicts.append("classically uncorrelated product state")
     if commutes:
         verdicts.append("commutes with both marginal eigenframes: decoherence fixed point")

@@ -71,9 +71,3 @@ def gamma_route_matrix(values: np.ndarray, vectors: np.ndarray) -> np.ndarray:
                 total += values[g] * bra_g * values[g1] * ket_gp
             m[g, gp] = total
     return m
-
-
-def expm_oracle(h: np.ndarray) -> np.ndarray:
-    """Matrix exponential of a Hermitian matrix via numpy's solver."""
-    vals, vecs = np.linalg.eigh(h)
-    return (vecs * np.exp(vals)) @ vecs.conj().T

@@ -5,6 +5,7 @@ import pytest
 
 from qdeficit.cli import main
 from qdeficit.linalg import matrix_to_json
+from qdeficit.states import werner
 
 
 def _run(capsys, *argv):
@@ -63,6 +64,34 @@ class TestWernerSweep:
         assert code == 0, err
         assert "plot csvfile using 1:2" in path.read_text()
         assert f"wrote gnuplot script to {path}" in err
+
+
+class TestToleranceScale:
+    @pytest.mark.parametrize("scale", ["nan", "inf", "0", "-1"])
+    def test_scale_that_is_not_finite_and_positive_is_input_error(self, capsys, scale):
+        code, out, err = _run(capsys, "--tolerance", scale, "table1")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: tolerance scale must be finite and positive")
+
+    def test_scale_reaches_the_frame_checks(self, capsys, tmp_path):
+        noisy = werner(0.5).matrix.copy()
+        noisy[0, 0] += 5e-10  # trace 1 + 5e-10
+        path = tmp_path / "noisy_state.json"
+        path.write_text(json.dumps({"dims": [2, 2], "matrix": matrix_to_json(noisy)}))
+        code, out, err = _run(capsys, "--tolerance", "10", "classify", str(path))
+        assert code == 0, err
+        assert json.loads(out)["concurrence"] == pytest.approx(0.25, abs=1e-8)
+        code, _, err = _run(capsys, "classify", str(path))
+        assert code == 2
+        assert "trace check failed" in err
+
+    def test_scaled_audit_independent_of_job_count(self, capsys):
+        code_1, out_1, err_1 = _run(capsys, "--tolerance", "2", "audit", "--n", "60", "--jobs", "1")
+        code_2, out_2, err_2 = _run(capsys, "--tolerance", "2", "audit", "--n", "60", "--jobs", "2")
+        assert code_1 == 0, err_1
+        assert code_2 == 0, err_2
+        assert out_1 == out_2
 
 
 class TestAudit:

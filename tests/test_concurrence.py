@@ -48,22 +48,22 @@ class TestSpinFlip:
 
 class TestLambdaSpectrum:
     def test_singlet(self):
-        lam = lambda_spectrum(example_state("E4")).lambdas
+        lam = lambda_spectrum(example_state("E4"))
         assert lam == pytest.approx((1.0, 0.0, 0.0, 0.0), abs=1e-12)
 
     def test_maximally_mixed(self):
-        lam = lambda_spectrum(DensityMatrix(np.eye(4) / 4, (2, 2))).lambdas
+        lam = lambda_spectrum(DensityMatrix(np.eye(4) / 4, (2, 2)))
         assert lam == pytest.approx((0.25, 0.25, 0.25, 0.25), abs=1e-14)
 
     def test_sorted_descending(self):
         for seed in range(20):
-            lam = lambda_spectrum(random_mixed(seed, 4)).lambdas
+            lam = lambda_spectrum(random_mixed(seed, 4))
             assert all(a >= b for a, b in zip(lam, lam[1:]))
 
     def test_matches_characteristic_polynomial_bruteforce(self):
         for seed in range(150):
             rho = random_mixed(seed, 4)
-            lam = np.array(lambda_spectrum(rho).lambdas)
+            lam = lambda_spectrum(rho)
             assert np.max(np.abs(lam - charpoly_lambdas(rho.matrix))) <= 1e-7
 
     def test_eigenbasis_route_spectrum_matches(self):
@@ -75,7 +75,7 @@ class TestLambdaSpectrum:
             es = rho.eigensystem()
             gamma = gamma_route_matrix(es.values, es.vectors)
             spec = np.sort(np.clip(np.real(np.linalg.eigvals(gamma)), 0, None))[::-1]
-            lam_sq = np.array(lambda_spectrum(rho).lambdas) ** 2
+            lam_sq = lambda_spectrum(rho) ** 2
             assert np.max(np.abs(spec - lam_sq)) <= 1e-9
 
 

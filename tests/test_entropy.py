@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -31,6 +32,19 @@ from helpers import haar_unitary
 
 LN2 = math.log(2.0)
 LN3 = math.log(3.0)
+
+
+def werner_power_sum(p, q):
+    """Tr werner(p)^q = ((1+3p)/4)^q + 3((1-p)/4)^q in mpmath arithmetic."""
+    p = mpmath.mpf(p)
+    return ((1 + 3 * p) / 4) ** q + 3 * ((1 - p) / 4) ** q
+
+
+def werner_conditional(p, q):
+    """(Tr rho^q / Tr rho_A^q - 1) / (1 - q) for werner(p), with Tr rho_A^q = 2^(1-q), to 50 digits."""
+    with mpmath.workdps(50):
+        q = mpmath.mpf(q)
+        return float((werner_power_sum(p, q) / mpmath.mpf(2) ** (1 - q) - 1) / (1 - q))
 
 
 def binary_entropy(p):
@@ -140,10 +154,23 @@ class TestConditionalTsallis:
         root = brentq(lambda p: conditional_tsallis(werner(p), "A", 2.0), 0.3, 0.9, xtol=1e-12)
         assert root == pytest.approx(1 / math.sqrt(3), abs=1e-9)
 
-    def test_denominator_underflow_guard(self):
-        with pytest.raises(CheckError) as err:
-            conditional_tsallis(werner(0.0), "A", 2000.0)
-        assert err.value.check == "conditional denominator"
+    @pytest.mark.parametrize("q", [2.0, 5.0, 20.0, 50.0, 100.0, 2000.0])
+    @pytest.mark.parametrize("p", [0.0, 0.2, 0.34, 0.36, 0.5])
+    def test_werner_closed_form(self, p, q):
+        assert conditional_tsallis(werner(p), "A", q) == pytest.approx(werner_conditional(p, q), rel=1e-11, abs=0)
+
+    def test_overflow_keeps_the_sign(self):
+        # Tr rho^q / Tr rho_A^q = exp(1230) at q = 2000, beyond the float range
+        assert conditional_tsallis(werner(0.9), "A", 2000.0) == -math.inf
+
+    def test_werner_q100_threshold_near_concurrence_threshold(self):
+        from scipy.optimize import brentq
+
+        root = brentq(lambda p: conditional_tsallis(werner(p), "A", 100.0), 0.2, 0.9, xtol=1e-12)
+        assert abs(root - 1 / 3) <= 0.01
+        with mpmath.workdps(50):
+            closed = mpmath.findroot(lambda p: werner_power_sum(p, 100) - mpmath.mpf(2) ** -99, 0.34)
+        assert root == pytest.approx(float(closed), abs=1e-9)
 
     def test_product_state_q1_additivity(self):
         rho_a = np.diag([0.9, 0.1]).astype(complex)
@@ -177,6 +204,22 @@ class TestInfinityCriterion:
             for side, flag in zip(("A", "B"), flags):
                 sign = conditional_tsallis(rho, side, 50.0)
                 assert flag == (sign >= -1e-12), (rho, side, sign)
+
+    def test_agrees_with_q100_sign_away_from_boundary(self):
+        states = [example_state(name) for name in ("E1", "E2", "E3", "E4", "E5", "E6")]
+        states += [werner(float(p)) for p in np.arange(0.0, 1.0 + 1e-12, 0.05)]
+        states += [random_mixed(seed, seed % 4 + 1) for seed in range(40)]
+        checked = {True: 0, False: 0}
+        for rho in states:
+            flags = tsallis_infinity_criterion(rho)
+            for side, flag in zip(("A", "B"), flags):
+                # multiplicities still decide the sign within ~ln(4)/q of the boundary
+                if abs(rho.eigenvalues[0] - rho.marginal(side).eigenvalues[0]) < 0.02:
+                    continue
+                sign = conditional_tsallis(rho, side, 100.0)
+                assert flag == (sign >= 0.0), (rho, side, sign)
+                checked[flag] += 1
+        assert min(checked.values()) >= 10, checked
 
 
 class TestMutualEntropy:

@@ -23,8 +23,19 @@ from qdeficit.linalg import (
 )
 from qdeficit.states import example_state, pure_density, PureStateAmplitudes, werner
 
-from helpers import expm_oracle, kron_oracle, numpy_spectrum, random_hermitian
+from helpers import kron_oracle, numpy_spectrum, random_hermitian
 
+
+# Every bound Tolerances derives from its scale, with its default.
+BOUNDS = {
+    "hermiticity": 1e-10,
+    "psd": 1e-10,
+    "support_cutoff": 1e-12,
+    "degeneracy": 1e-10,
+    "identity": 1e-9,
+    "concurrence_zero": 1e-8,
+    "printed": 1e-4,
+}
 
 NON_FINITE = [np.nan, np.inf, -np.inf, complex(np.nan, np.nan), complex(0.0, np.inf)]
 
@@ -184,17 +195,6 @@ class TestPsdFunction:
         out = psd_function(np.diag([4 / 9, 1 / 9, 0, 0]).astype(complex), "sqrt")
         assert np.max(np.abs(out - np.diag([2 / 3, 1 / 3, 0, 0]))) < 1e-14
 
-    def test_log_exp_roundtrip_on_werner(self):
-        rho = werner(0.5).matrix
-        log = psd_function(rho, "log")
-        assert np.max(np.abs(expm_oracle(log) - rho)) < 1e-12
-
-    def test_log_projects_out_null_space(self):
-        rho = example_state("E4").matrix  # rank one
-        log = psd_function(rho, "log")
-        # support log of a projector is the zero matrix
-        assert np.max(np.abs(log)) < 1e-12
-
     def test_sqrt_squares_back(self):
         rng = np.random.default_rng(13)
         for _ in range(20):
@@ -209,8 +209,9 @@ class TestPsdFunction:
         assert err.value.check == "psd"
 
     def test_rejects_unknown_function(self):
-        with pytest.raises(ValueError):
-            psd_function(np.eye(2), "exp")
+        for func in ("exp", "log"):
+            with pytest.raises(ValueError):
+                psd_function(np.eye(2), func)
 
 
 class TestDensityMatrix:
@@ -270,14 +271,29 @@ class TestTolerances:
         assert scaled.support_cutoff == pytest.approx(1e-11)
         assert TOLS.hermiticity == 1e-10  # original untouched
 
+    def test_scale_is_the_only_field(self):
+        assert [f.name for f in fields(Tolerances)] == ["scale"]
+
     def test_scaling_reaches_every_field(self):
         scaled = TOLS.scaled(4.0)
-        for f in fields(Tolerances):
-            assert getattr(scaled, f.name) == 4.0 * getattr(TOLS, f.name), f.name
+        assert scaled == Tolerances(4.0)
+        for name in BOUNDS:
+            assert getattr(scaled, name) == 4.0 * getattr(TOLS, name), name
+
+    def test_bounds_keep_their_defaults(self):
+        assert [name for name, attr in vars(Tolerances).items() if isinstance(attr, property)] == list(BOUNDS)
+        assert {name: getattr(TOLS, name) for name in BOUNDS} == BOUNDS
 
     def test_rejects_nonpositive_scale(self):
         with pytest.raises(ValueError):
             TOLS.scaled(0.0)
+
+    @pytest.mark.parametrize("scale", [-1.0, math.nan, math.inf, -math.inf])
+    def test_rejects_scale_that_is_not_finite_and_positive(self, scale):
+        with pytest.raises(ValueError):
+            Tolerances(scale)
+        with pytest.raises(ValueError):
+            TOLS.scaled(scale)
 
     def test_loose_tolerances_accept_noisy_state(self):
         noisy = werner(0.5).matrix.copy()

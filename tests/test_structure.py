@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qdeficit import structure
 from qdeficit.entropy import mutual_entropy, von_neumann
 from qdeficit.linalg import TOLS, CheckError, DensityMatrix, tensor_product
 from qdeficit.states import example_state, from_registry, random_mixed, werner, werner_local_decomposition
@@ -58,8 +59,8 @@ class TestDecohere:
         rho = random_mixed(*seed_rank)
         frame = alpha_beta_frame(rho)
         _, joint = decohere_in_frame(rho, frame)
-        assert np.max(np.abs(joint.row_marginals() - frame.eig_a.values)) <= 1e-10
-        assert np.max(np.abs(joint.col_marginals() - frame.eig_b.values)) <= 1e-10
+        assert np.max(np.abs(joint.sum(axis=1) - frame.eig_a.values)) <= 1e-10
+        assert np.max(np.abs(joint.sum(axis=0) - frame.eig_b.values)) <= 1e-10
 
     def test_frame_of_other_dims_rejected(self):
         frame = alpha_beta_frame(werner(0.3))
@@ -108,7 +109,7 @@ def _ratio_loop(marg_vals, connection, big):
 
 def _assert_ratios_match_loop(rho):
     frame = alpha_beta_frame(rho)
-    weights = overlap_tensor(rho, frame).weights
+    weights = overlap_tensor(rho, frame)
     max_a, max_b, _ = conditional_ratio_check(rho, frame)
     assert max_a == _ratio_loop(frame.eig_a.values, weights.sum(axis=1), rho.eigenvalues)
     assert max_b == _ratio_loop(frame.eig_b.values, weights.sum(axis=0), rho.eigenvalues)
@@ -193,3 +194,31 @@ class TestCommutesWithMarginals:
     @pytest.mark.parametrize("seed", range(20))
     def test_generic_state_is_not(self, seed):
         assert not classify(random_mixed(seed, 1 + seed % 4)).commutes_with_marginals
+
+
+class TestScaledChecks:
+    """The frame's and the classifier's bounds read ``tols``, so ``scaled`` reaches them."""
+
+    def test_marginal_normalization_scales(self):
+        loose = TOLS.scaled(10.0)
+        noisy = werner(0.5).matrix.copy()
+        noisy[0, 0] += 5e-10  # both marginals' traces are off by 5e-10
+        rho = DensityMatrix(noisy, tols=loose)
+        with pytest.raises(CheckError) as err:
+            alpha_beta_frame(rho)
+        assert err.value.check == "marginal normalization"
+        assert classify(rho, tols=loose).deficit == pytest.approx(quantum_deficit(werner(0.5)), abs=1e-8)
+
+    @pytest.mark.parametrize("shift", [1.0, -1.0], ids=["above-mutual", "negative"])
+    def test_classify_rejects_deficit_outside_bounds(self, monkeypatch, shift):
+        rho = werner(0.3)
+        real = structure.von_neumann
+
+        def bad_decohered_entropy(state, *, tols):
+            # rho_d is the only two-qubit state classify evaluates besides rho
+            return real(state, tols=tols) + (shift if state.dims == (2, 2) and state is not rho else 0.0)
+
+        monkeypatch.setattr(structure, "von_neumann", bad_decohered_entropy)
+        with pytest.raises(CheckError) as err:
+            classify(rho)
+        assert err.value.check == "deficit bounds"
