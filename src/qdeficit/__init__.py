@@ -9,7 +9,6 @@ family.
 from .concurrence import concurrence, lambda_spectrum, pure_concurrence, spin_flip
 from .entropy import (
     conditional_tsallis,
-    entropy_difference,
     mutual_entropy,
     relative_entropy,
     tsallis,
@@ -34,7 +33,6 @@ from .linalg import (
 from .states import (
     BlochVector,
     CorrelationTensor,
-    MarginalEigenData,
     PureStateAmplitudes,
     RegistryError,
     bloch_vectors,
@@ -42,27 +40,22 @@ from .states import (
     example_state,
     from_registry,
     isospectral_pair,
-    marginal_eigendata,
     pure_density,
     purity_check,
     random_mixed,
     random_pure,
     werner,
-    werner_local_decomposition,
 )
 from .structure import (
     AlphaBetaFrame,
     ClassificationReport,
-    LocalDecomposition,
     alpha_beta_frame,
     classify,
     conditional_ratio_check,
     decohere,
     decohere_in_frame,
-    decomposition_commutes,
     overlap_tensor,
     quantum_deficit,
-    reconstruct,
 )
 
 __version__ = "0.1.0"

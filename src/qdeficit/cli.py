@@ -20,7 +20,6 @@ import numpy as np
 from .concurrence import concurrence, pure_concurrence, spin_flip
 from .entropy import (
     conditional_tsallis,
-    entropy_difference,
     mutual_entropy,
     tsallis,
     von_neumann,
@@ -442,8 +441,8 @@ def _run_state_checks(index: int, seed: int, tols: Tolerances) -> list[tuple[str
     if label.endswith("product |10>") or label == "random mixed product":
         prod_gap = float(np.max(np.abs(rho.matrix - tensor_product(marg_a.matrix, marg_b.matrix))))
         record("product-mutual-zero", mut <= 1e-10 and prod_gap <= 1e-8, f"mut={mut:.2e}")
-        diff_a = entropy_difference(rho, "A", 1.0, tols=tols)
-        diff_b = entropy_difference(rho, "B", 1.0, tols=tols)
+        diff_a = conditional_tsallis(rho, "A", 1.0, tols=tols)
+        diff_b = conditional_tsallis(rho, "B", 1.0, tols=tols)
         ok = (
             abs(diff_a - von_neumann(marg_b, tols=tols)) <= 1e-9
             and abs(diff_b - von_neumann(marg_a, tols=tols)) <= 1e-9
@@ -465,14 +464,18 @@ def run_audit(n: int, seed: int, jobs: int = 1, tols: Tolerances = TOLS):
 
     Returns (per-property (checked, failed) counts in stable order,
     failure detail lines).  Deterministic for a given seed, independent of
-    the job count.
+    the job count.  At most ``min(jobs, n, cpu count)`` worker processes
+    are started.
     """
     if n < 1:
         raise ValueError(f"audit needs n >= 1, got {n}")
+    if jobs < 1:
+        raise ValueError(f"audit needs jobs >= 1, got {jobs}")
     indices = list(range(n))
-    if jobs > 1:
-        chunks = [indices[k::jobs] for k in range(jobs)]
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    workers = min(jobs, n, os.cpu_count() or 1)
+    if workers > 1:
+        chunks = [indices[k::workers] for k in range(workers)]
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             parts = list(pool.map(_audit_chunk, [(c, seed, tols) for c in chunks]))
         merged = sorted((item for part in parts for item in part), key=lambda kv: kv[0])
     else:

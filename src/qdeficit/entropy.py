@@ -17,7 +17,6 @@ from .linalg import TOLS, CheckError, DensityMatrix, Tolerances
 __all__ = [
     "von_neumann",
     "tsallis",
-    "entropy_difference",
     "conditional_tsallis",
     "tsallis_infinity_criterion",
     "mutual_entropy",
@@ -55,11 +54,6 @@ def tsallis(rho: DensityMatrix, q: float, *, tols: Tolerances = TOLS) -> float:
     vals = _clipped_spectrum(rho, tols)
     support = vals[vals > tols.support_cutoff]
     return float((np.sum(support**q) - 1.0) / (1.0 - q))
-
-
-def entropy_difference(rho_ab: DensityMatrix, side: str, q: float = 1.0, *, tols: Tolerances = TOLS) -> float:
-    """S_q(composite) - S_q(one marginal).  Sign is unconstrained in general."""
-    return tsallis(rho_ab, q, tols=tols) - tsallis(rho_ab.marginal(side), q, tols=tols)
 
 
 def conditional_tsallis(rho_ab: DensityMatrix, side: str, q: float = 1.0, *, tols: Tolerances = TOLS) -> float:

@@ -176,10 +176,6 @@ class DensityMatrix:
         self._tols = tols
 
     @property
-    def dim(self) -> int:
-        return self.dims[0] * self.dims[1]
-
-    @property
     def is_composite(self) -> bool:
         return self.dims[0] > 1 and self.dims[1] > 1
 
@@ -254,9 +250,15 @@ def matrix_to_json(m: np.ndarray) -> list:
     return [[[float(z.real), float(z.imag)] for z in row] for row in m]
 
 
+def _json_entry(pair) -> complex:
+    if len(pair) != 2:
+        raise ValueError(f"matrix entry {pair!r} is not an [re, im] pair")
+    return complex(pair[0], pair[1])
+
+
 def matrix_from_json(payload) -> np.ndarray:
     try:
-        rows = [[complex(entry[0], entry[1]) for entry in row] for row in payload]
+        rows = [[_json_entry(entry) for entry in row] for row in payload]
     except (TypeError, IndexError) as exc:
         raise ValueError("matrix payload must be nested arrays of [re, im] pairs") from exc
     arr = np.array(rows, dtype=complex)
@@ -276,7 +278,10 @@ def density_from_json(payload, *, tols: Tolerances = TOLS) -> DensityMatrix:
             raise ValueError("state object must contain a 'matrix' field")
         matrix = matrix_from_json(payload["matrix"])
         dims = payload.get("dims")
-        dims = (int(dims[0]), int(dims[1])) if dims is not None else None
+        if dims is not None:
+            if not (isinstance(dims, (list, tuple)) and len(dims) == 2 and all(type(d) is int for d in dims)):
+                raise ValueError(f"'dims' must be a list of two integers, got {dims!r}")
+            dims = tuple(dims)
     else:
         matrix = matrix_from_json(payload)
         dims = None

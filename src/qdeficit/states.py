@@ -7,38 +7,24 @@ the amplitude labels (a11, a10, a01, a00) of a pure state.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import (
-    I2,
-    SIGMA_X,
-    SIGMA_Y,
-    SIGMA_Z,
-    TOLS,
-    CheckError,
-    DensityMatrix,
-    Tolerances,
-)
-from .structure import LocalDecomposition
+from .linalg import TOLS, CheckError, DensityMatrix, Tolerances
 
 __all__ = [
     "PureStateAmplitudes",
     "BlochVector",
     "CorrelationTensor",
-    "MarginalEigenData",
     "RegistryError",
     "werner",
-    "werner_local_decomposition",
     "example_state",
     "isospectral_pair",
     "pure_density",
     "bloch_vectors",
     "correlation_tensor",
-    "marginal_eigendata",
     "purity_check",
     "random_pure",
     "random_mixed",
@@ -47,8 +33,6 @@ __all__ = [
 ]
 
 EXAMPLE_NAMES = ("E1", "E2", "E3", "E4", "E5", "E6")
-
-_PAULI = (SIGMA_X, SIGMA_Y, SIGMA_Z)
 
 
 class RegistryError(ValueError):
@@ -111,41 +95,6 @@ class CorrelationTensor:
             raise CheckError("correlation bound", worst - 1.0)
 
 
-@dataclass(frozen=True)
-class MarginalEigenData:
-    """Eigendata of a qubit marginal (I + s.tau)/2.
-
-    Eigenvalues are (1 +/- |s|)/2; the eigenvectors are built from the
-    amplitudes (amp_plus, amp_minus) and the azimuthal phase.  When the
-    transverse part of s vanishes the phase is fixed to 0, and when s
-    itself vanishes the eigenvectors default to the computational basis.
-    """
-
-    p_plus: float
-    p_minus: float
-    phase: float
-    amp_plus: float
-    amp_minus: float
-
-    def __post_init__(self):
-        if abs(self.p_plus + self.p_minus - 1.0) > 1e-10:
-            raise CheckError("probability normalization", abs(self.p_plus + self.p_minus - 1.0))
-        amp_err = abs(self.amp_plus**2 + self.amp_minus**2 - 1.0)
-        if amp_err > 1e-10:
-            raise CheckError("amplitude normalization", amp_err)
-
-    def vectors(self) -> np.ndarray:
-        """2x2 matrix whose columns are the (+) and (-) eigenvectors."""
-        phase = cmath.exp(1j * self.phase)
-        return np.array(
-            [
-                [self.amp_plus, -phase.conjugate() * self.amp_minus],
-                [phase * self.amp_minus, self.amp_plus],
-            ],
-            dtype=complex,
-        )
-
-
 def _ket(entries) -> np.ndarray:
     return np.asarray(entries, dtype=complex)
 
@@ -164,26 +113,6 @@ def werner(p: float, *, tols: Tolerances = TOLS) -> DensityMatrix:
         raise ValueError(f"werner parameter must lie in [0, 1], got {p}")
     mat = p * _projector(_BELL_PHI_PLUS) + (1.0 - p) * np.eye(4) / 4.0
     return DensityMatrix(mat, (2, 2), tols=tols)
-
-
-def werner_local_decomposition(p: float, *, tols: Tolerances = TOLS) -> LocalDecomposition:
-    """Seven-term local representation of the Werner state.
-
-    One identity term with weight (1 - 3p) plus six spin-projector product
-    terms of weight p/2: matched signs for the x and z axes, opposed signs
-    for y.  All weights are nonnegative exactly when p <= 1/3.
-    """
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"werner parameter must lie in [0, 1], got {p}")
-    half = DensityMatrix(I2 / 2.0, (2, 1), tols=tols)
-    terms = [(1.0 - 3.0 * p, half, half)]
-    for i, pauli in enumerate(_PAULI):
-        flip = -1.0 if i == 1 else 1.0
-        for eps in (1.0, -1.0):
-            fac_a = DensityMatrix((I2 + eps * pauli) / 2.0, (2, 1), tols=tols)
-            fac_b = DensityMatrix((I2 + flip * eps * pauli) / 2.0, (2, 1), tols=tols)
-            terms.append((p / 2.0, fac_a, fac_b))
-    return LocalDecomposition(tuple(term for term in terms if term[0] != 0.0))
 
 
 def _example_matrix(name: str) -> np.ndarray:
@@ -282,25 +211,6 @@ def correlation_tensor(amps: PureStateAmplitudes) -> CorrelationTensor:
     c[2, 1] = _im2(a11, a10) - _im2(a01, a00)
     c[2, 2] = abs(a11) ** 2 - abs(a10) ** 2 - abs(a01) ** 2 + abs(a00) ** 2
     return CorrelationTensor(c)
-
-
-def marginal_eigendata(s: BlochVector) -> MarginalEigenData:
-    """Eigendecomposition of the qubit state (I + s.tau)/2.
-
-    Conventions at the singular points: a vanishing transverse component
-    fixes the azimuthal phase to 0, and a vanishing s returns the fully
-    degenerate (1/2, 1/2) spectrum with computational-basis eigenvectors.
-    """
-    mag = s.norm()
-    p_plus = (1.0 + mag) / 2.0
-    p_minus = (1.0 - mag) / 2.0
-    if mag < 1e-15:
-        return MarginalEigenData(p_plus, p_minus, 0.0, 1.0, 0.0)
-    transverse = math.hypot(s.s1, s.s2)
-    phase = 0.0 if transverse < 1e-15 else math.atan2(s.s2, s.s1)
-    amp_plus = math.sqrt(max((mag + s.s3) / (2.0 * mag), 0.0))
-    amp_minus = math.sqrt(max((mag - s.s3) / (2.0 * mag), 0.0))
-    return MarginalEigenData(p_plus, p_minus, phase, amp_plus, amp_minus)
 
 
 def purity_check(amps: PureStateAmplitudes) -> tuple[float, float]:

@@ -1,5 +1,5 @@
 """The marginal-eigenbasis machinery: product frames, overlap weights,
-decohered states, the quantum deficit, and local decompositions.
+decohered states and the quantum deficit.
 
 The central object is the product basis built from the eigenvectors of
 both marginals.  Dropping the off-diagonal elements of a composite state
@@ -36,7 +36,6 @@ from .linalg import (
 
 __all__ = [
     "AlphaBetaFrame",
-    "LocalDecomposition",
     "ClassificationReport",
     "alpha_beta_frame",
     "overlap_tensor",
@@ -44,8 +43,6 @@ __all__ = [
     "decohere",
     "quantum_deficit",
     "conditional_ratio_check",
-    "decomposition_commutes",
-    "reconstruct",
     "classify",
 ]
 
@@ -76,31 +73,6 @@ class AlphaBetaFrame:
     @property
     def dims(self) -> tuple[int, int]:
         return (len(self.eig_a.values), len(self.eig_b.values))
-
-
-@dataclass(frozen=True)
-class LocalDecomposition:
-    """Weighted product terms sum(w_j rho_j(A) x sigma_j(B)).
-
-    Weights must sum to one but may be negative (pseudo-mixtures).
-    """
-
-    terms: tuple[tuple[float, DensityMatrix, DensityMatrix], ...]
-
-    def __post_init__(self):
-        if not self.terms:
-            raise CheckError("decomposition size", 0.0, "at least one term required")
-        total = sum(w for w, _, _ in self.terms)
-        if abs(total - 1.0) > 1e-10:
-            raise CheckError("decomposition weights", abs(total - 1.0))
-
-    @property
-    def weights(self) -> tuple[float, ...]:
-        return tuple(w for w, _, _ in self.terms)
-
-    @property
-    def all_weights_nonnegative(self) -> bool:
-        return all(w >= -1e-12 for w in self.weights)
 
 
 @dataclass(frozen=True)
@@ -204,28 +176,6 @@ def conditional_ratio_check(
     max_b = side_max(frame.eig_b.values, weights.sum(axis=0))
     defined = max_a <= 1.0 + tols.hermiticity and max_b <= 1.0 + tols.hermiticity
     return max_a, max_b, defined
-
-
-def decomposition_commutes(dec: LocalDecomposition, *, tols: Tolerances = TOLS) -> bool:
-    """True iff all factor pairs commute within each subsystem."""
-    for pick in (1, 2):
-        mats = [term[pick].matrix for term in dec.terms]
-        for i in range(len(mats)):
-            for j in range(i + 1, len(mats)):
-                comm = float(np.max(np.abs(mats[i] @ mats[j] - mats[j] @ mats[i])))
-                if comm > tols.identity:
-                    return False
-    return True
-
-
-def reconstruct(dec: LocalDecomposition, *, tols: Tolerances = TOLS) -> DensityMatrix:
-    """Assemble sum(w_j rho_j x sigma_j); the result must be a valid state."""
-    _, first_a, first_b = dec.terms[0]
-    da, db = first_a.dim, first_b.dim
-    total = np.zeros((da * db, da * db), dtype=complex)
-    for w, fa, fb in dec.terms:
-        total += w * tensor_product(fa.matrix, fb.matrix)
-    return DensityMatrix(0.5 * (total + total.conj().T), (da, db), tols=tols)
 
 
 def classify(rho_ab: DensityMatrix, *, tols: Tolerances = TOLS) -> ClassificationReport:

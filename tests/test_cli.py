@@ -1,8 +1,10 @@
 import json
+import os
 
 import numpy as np
 import pytest
 
+from qdeficit import cli
 from qdeficit.cli import main
 from qdeficit.linalg import matrix_to_json
 from qdeficit.states import werner
@@ -103,6 +105,39 @@ class TestAudit:
         assert out_1 == out_2
         assert "FAIL" not in out_1
 
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_job_count_below_one_is_input_error(self, capsys, jobs):
+        code, out, err = _run(capsys, "audit", "--n", "3", "--jobs", jobs)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: audit needs jobs >= 1")
+
+    @pytest.mark.parametrize(
+        ("n", "jobs", "cpus", "pool_sizes"), [(3, 64, 8, [3]), (20, 64, 8, [8]), (20, 4, 8, [4]), (3, 64, None, [])]
+    )
+    def test_pool_size_is_capped_by_states_and_cpus(self, monkeypatch, n, jobs, cpus, pool_sizes):
+        sizes = []
+
+        class RecordingPool:
+            """Records the requested size and runs the chunks in this process."""
+
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, payloads):
+                return map(fn, payloads)
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        assert cli.run_audit(n, 42, jobs) == cli.run_audit(n, 42, 1)
+        assert sizes == pool_sizes
+
 
 class TestClassify:
     def test_registry_state(self, capsys):
@@ -124,3 +159,12 @@ class TestClassify:
         code, _, err = _run(capsys, "classify", str(path))
         assert code == 2
         assert "finite check failed" in err
+
+    @pytest.mark.parametrize("dims", [4, [2], [2, 2, 1], [2.9, 2]])
+    def test_malformed_dims_json_file_is_input_error(self, capsys, tmp_path, dims):
+        path = tmp_path / "bad_dims.json"
+        path.write_text(json.dumps({"dims": dims, "matrix": matrix_to_json(np.eye(4) / 4)}))
+        code, out, err = _run(capsys, "classify", str(path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: 'dims' must be a list of two integers")

@@ -9,7 +9,6 @@ from scipy.linalg import logm
 
 from qdeficit.entropy import (
     conditional_tsallis,
-    entropy_difference,
     mutual_entropy,
     relative_entropy,
     tsallis,
@@ -98,22 +97,24 @@ class TestTsallis:
 
 
 class TestEntropyDifference:
+    """S_q(AB) - S_q(side) through ``conditional_tsallis``; at q = 1 it is the plain difference."""
+
     def test_e1_negative_on_a_zero_on_b(self):
         rho = example_state("E1")
-        assert entropy_difference(rho, "A", 1.0) == pytest.approx((5 / 6) * math.log(4 / 5), abs=1e-10)
-        assert entropy_difference(rho, "B", 1.0) == pytest.approx(0.0, abs=1e-10)
+        assert conditional_tsallis(rho, "A", 1.0) == pytest.approx((5 / 6) * math.log(4 / 5), abs=1e-10)
+        assert conditional_tsallis(rho, "B", 1.0) == pytest.approx(0.0, abs=1e-10)
 
     def test_e2_positive_both_sides(self):
         rho = example_state("E2")
         expected = (5 / 6) * math.log(5 / 4)
-        assert entropy_difference(rho, "A", 1.0) == pytest.approx(expected, abs=1e-10)
-        assert entropy_difference(rho, "B", 1.0) == pytest.approx(expected, abs=1e-10)
+        assert conditional_tsallis(rho, "A", 1.0) == pytest.approx(expected, abs=1e-10)
+        assert conditional_tsallis(rho, "B", 1.0) == pytest.approx(expected, abs=1e-10)
 
     def test_e3_zero_for_all_q(self):
         rho = example_state("E3")
         for q in (0.5, 1.0, 2.0, 5.0):
             for side in ("A", "B"):
-                assert abs(entropy_difference(rho, side, q)) <= 1e-12
+                assert abs(conditional_tsallis(rho, side, q)) <= 1e-12
 
     def test_product_state_gives_other_factor_entropy(self):
         rng = np.random.default_rng(2)
@@ -124,17 +125,20 @@ class TestEntropyDifference:
         composite = DensityMatrix(tensor_product(rho_a, sigma_b), (2, 2))
         s_b = von_neumann(DensityMatrix(sigma_b, (2, 1)))
         s_a = von_neumann(DensityMatrix(rho_a, (2, 1)))
-        assert entropy_difference(composite, "A", 1.0) == pytest.approx(s_b, abs=1e-10)
-        assert entropy_difference(composite, "B", 1.0) == pytest.approx(s_a, abs=1e-10)
+        assert conditional_tsallis(composite, "A", 1.0) == pytest.approx(s_b, abs=1e-10)
+        assert conditional_tsallis(composite, "B", 1.0) == pytest.approx(s_a, abs=1e-10)
 
 
 class TestConditionalTsallis:
     def test_reduces_to_difference_at_q_one(self):
-        rho = example_state("E1")
-        for side in ("A", "B"):
-            assert conditional_tsallis(rho, side, 1.0) == pytest.approx(
-                entropy_difference(rho, side, 1.0), abs=1e-14
-            )
+        for name in ("E1", "E2", "E3", "E4", "E5", "E6"):
+            rho = example_state(name)
+            for side in ("A", "B"):
+                diff = von_neumann(rho) - von_neumann(rho.marginal(side))
+                assert conditional_tsallis(rho, side, 1.0) == pytest.approx(diff, abs=1e-14)
+                # the q != 1 branch joins the q = 1 value continuously
+                for q in (1.0 - 1e-6, 1.0 + 1e-6):
+                    assert conditional_tsallis(rho, side, q) == pytest.approx(diff, abs=1e-5)
 
     def test_bell_state_minus_ln2(self):
         rho = example_state("E4")
@@ -145,7 +149,8 @@ class TestConditionalTsallis:
         from scipy.optimize import brentq
 
         root = brentq(lambda p: conditional_tsallis(werner(p), "A", 1.0), 0.5, 0.9, xtol=1e-12)
-        assert root == pytest.approx(0.7476, abs=1e-3)
+        # p*(1) solves S(werner(p)) = ln 2
+        assert root == pytest.approx(0.747613833446, abs=1e-9)
 
     def test_werner_q2_threshold_below_conditional_one(self):
         # at q=2 the Werner conditional crosses zero at p = 1/sqrt(3)
@@ -153,6 +158,13 @@ class TestConditionalTsallis:
 
         root = brentq(lambda p: conditional_tsallis(werner(p), "A", 2.0), 0.3, 0.9, xtol=1e-12)
         assert root == pytest.approx(1 / math.sqrt(3), abs=1e-9)
+        # p*(q) falls strictly with q towards the concurrence threshold 1/3
+        roots = [
+            brentq(lambda p: conditional_tsallis(werner(p), "A", q), 0.2, 0.9, xtol=1e-12)
+            for q in (1.0, 2.0, 5.0, 20.0, 100.0)
+        ]
+        assert all(hi > lo for hi, lo in zip(roots, roots[1:])), roots
+        assert roots[-1] > 1 / 3
 
     @pytest.mark.parametrize("q", [2.0, 5.0, 20.0, 50.0, 100.0, 2000.0])
     @pytest.mark.parametrize("p", [0.0, 0.2, 0.34, 0.36, 0.5])

@@ -36,3 +36,18 @@ def test_package_imports_resolve_to_public_names():
         module = importlib.import_module(f"qdeficit.{module_name}")
         assert attr in module.__all__, f"{module_name}.{attr}"
         assert getattr(qdeficit, attr) is getattr(module, attr)
+
+
+def _package_modules_imported_by(name):
+    """The qdeficit modules that ``qdeficit/<name>.py`` imports relatively, anywhere in the file."""
+    path = Path(qdeficit.__file__).with_name(f"{name}.py")
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            found.update([node.module] if node.module else [alias.name for alias in node.names])
+    return found
+
+
+@pytest.mark.parametrize(("name", "allowed"), [("linalg", set()), ("states", {"linalg"})])
+def test_constructor_layers_import_only_below(name, allowed):
+    assert _package_modules_imported_by(name) <= allowed

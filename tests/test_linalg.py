@@ -335,7 +335,14 @@ class TestSerialization:
         with pytest.raises(ValueError):
             matrix_from_json([[1.0, 2.0], [3.0, 4.0]])  # not [re, im] pairs
         with pytest.raises(ValueError):
+            matrix_from_json([[[1.0, 0.0, 0.0]]])  # [re, im, extra]
+        with pytest.raises(ValueError):
             density_from_json({"dims": [2, 2]})
+
+    @pytest.mark.parametrize("dims", [4, [2], [2, 2, 1], [2.9, 2], [2, 2.0], [True, 4], "22"])
+    def test_malformed_dims_rejected(self, dims):
+        with pytest.raises(ValueError, match="'dims' must be a list of two integers"):
+            density_from_json({"dims": dims, "matrix": matrix_to_json(np.eye(4) / 4)})
 
     def test_invalid_state_payload(self):
         payload = matrix_to_json(np.eye(4))  # trace 4

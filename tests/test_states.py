@@ -7,9 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qdeficit.concurrence import pure_concurrence
-from qdeficit.linalg import CheckError, DensityMatrix, tensor_product
+from qdeficit.linalg import CheckError
 from qdeficit.states import (
-    BlochVector,
     PureStateAmplitudes,
     RegistryError,
     bloch_vectors,
@@ -17,17 +16,14 @@ from qdeficit.states import (
     example_state,
     from_registry,
     isospectral_pair,
-    marginal_eigendata,
     pure_density,
     purity_check,
     random_mixed,
     random_pure,
     werner,
-    werner_local_decomposition,
 )
-from qdeficit.structure import reconstruct
 
-from helpers import I2, SX, SY, SZ, numpy_spectrum
+from helpers import I2, SX, SY, SZ
 
 SINGLET = PureStateAmplitudes(0, 1 / math.sqrt(2), -1 / math.sqrt(2), 0)
 
@@ -56,47 +52,11 @@ class TestWerner:
             for side in ("A", "B"):
                 assert np.max(np.abs(rho.marginal(side).matrix - np.eye(2) / 2)) <= 1e-12
 
-
-class TestWernerLocalDecomposition:
-    def test_p_zero_single_identity_term(self):
-        dec = werner_local_decomposition(0.0)
-        assert len(dec.terms) == 1
-        assert dec.terms[0][0] == pytest.approx(1.0)
-        assert dec.all_weights_nonnegative
-
-    def test_boundary_identity_weight_vanishes(self):
-        # 3 * (1/3) rounds to exactly 1.0, so the identity weight is an
-        # exact zero and the term drops out
-        dec = werner_local_decomposition(1 / 3)
-        assert len(dec.terms) == 6
-        assert all(w == pytest.approx(1 / 6) for w in dec.weights)
-        assert dec.all_weights_nonnegative
-        assert np.max(np.abs(reconstruct(dec).matrix - werner(1 / 3).matrix)) <= 1e-12
-
-    def test_half_negative_identity_weight(self):
-        dec = werner_local_decomposition(0.5)
-        assert dec.terms[0][0] == pytest.approx(-0.5)
-        assert not dec.all_weights_nonnegative
-        err = np.max(np.abs(reconstruct(dec).matrix - werner(0.5).matrix))
-        assert err <= 1e-12
-
-    def test_reconstruction_and_nonnegativity_on_grid(self):
+    def test_pauli_expansion_on_grid(self):
+        correlations = np.kron(SX, SX) - np.kron(SY, SY) + np.kron(SZ, SZ)
         for p in np.arange(0.0, 1.0 + 1e-12, 0.05):
-            dec = werner_local_decomposition(float(p))
-            assert np.max(np.abs(reconstruct(dec).matrix - werner(float(p)).matrix)) <= 1e-12
-            assert dec.all_weights_nonnegative == (p <= 1 / 3 + 1e-12)
-
-    def test_sign_pairing_of_factors(self):
-        dec = werner_local_decomposition(0.4)
-        # terms 1..6: x matched, y opposed, z matched
-        pairs = [(SX, 1.0), (SY, -1.0), (SZ, 1.0)]
-        idx = 1
-        for pauli, flip in pairs:
-            for eps in (1.0, -1.0):
-                _, fa, fb = dec.terms[idx]
-                assert np.max(np.abs(fa.matrix - (I2 + eps * pauli) / 2)) < 1e-15
-                assert np.max(np.abs(fb.matrix - (I2 + flip * eps * pauli) / 2)) < 1e-15
-                idx += 1
+            expected = (np.kron(I2, I2) + p * correlations) / 4
+            assert np.max(np.abs(werner(float(p)).matrix - expected)) <= 1e-12
 
 
 class TestExampleStates:
@@ -202,6 +162,9 @@ class TestBlochVectors:
             rebuilt_b = (I2 + s_b.s1 * SX + s_b.s2 * SY + s_b.s3 * SZ) / 2
             assert np.max(np.abs(rebuilt_a - rho.marginal("A").matrix)) <= 1e-10
             assert np.max(np.abs(rebuilt_b - rho.marginal("B").matrix)) <= 1e-10
+            for side, vec in (("A", s_a), ("B", s_b)):
+                expected = [(1 + vec.norm()) / 2, (1 - vec.norm()) / 2]
+                assert np.max(np.abs(rho.marginal(side).eigenvalues - expected)) <= 1e-10
 
 
 class TestCorrelationTensor:
@@ -239,39 +202,6 @@ class TestCorrelationTensor:
                 for j in range(3):
                     rebuilt += c[i, j] * np.kron(paulis[i], paulis[j])
             assert np.max(np.abs(rebuilt / 4 - rho)) <= 1e-10
-
-
-class TestMarginalEigenData:
-    def test_unpolarized(self):
-        data = marginal_eigendata(BlochVector(0, 0, 0))
-        assert (data.p_plus, data.p_minus) == (0.5, 0.5)
-        assert np.array_equal(data.vectors(), np.eye(2))
-
-    def test_pole(self):
-        data = marginal_eigendata(BlochVector(0, 0, 1))
-        assert (data.p_plus, data.p_minus) == (1.0, 0.0)
-        assert np.allclose(data.vectors(), np.eye(2))
-
-    def test_transverse_half(self):
-        data = marginal_eigendata(BlochVector(0.5, 0, 0))
-        assert (data.p_plus, data.p_minus) == (0.75, 0.25)
-        assert data.phase == 0.0
-        assert data.amp_plus == pytest.approx(1 / math.sqrt(2))
-        assert data.amp_minus == pytest.approx(1 / math.sqrt(2))
-
-    def test_diagonalizes_marginal(self):
-        rng = np.random.default_rng(23)
-        for _ in range(30):
-            v = rng.standard_normal(3)
-            v *= rng.uniform(0, 1) / np.linalg.norm(v)
-            s = BlochVector(*v)
-            data = marginal_eigendata(s)
-            m = (I2 + s.s1 * SX + s.s2 * SY + s.s3 * SZ) / 2
-            vecs = data.vectors()
-            diag = vecs.conj().T @ m @ vecs
-            assert abs(diag[0, 0] - data.p_plus) < 1e-10
-            assert abs(diag[1, 1] - data.p_minus) < 1e-10
-            assert abs(diag[0, 1]) < 1e-10
 
 
 class TestPurityCheck:

@@ -6,18 +6,15 @@ from hypothesis import strategies as st
 from qdeficit import structure
 from qdeficit.entropy import mutual_entropy, von_neumann
 from qdeficit.linalg import TOLS, CheckError, DensityMatrix, tensor_product
-from qdeficit.states import example_state, from_registry, random_mixed, werner, werner_local_decomposition
+from qdeficit.states import example_state, from_registry, random_mixed, werner
 from qdeficit.structure import (
-    LocalDecomposition,
     alpha_beta_frame,
     classify,
     conditional_ratio_check,
     decohere,
     decohere_in_frame,
-    decomposition_commutes,
     overlap_tensor,
     quantum_deficit,
-    reconstruct,
 )
 
 from helpers import numpy_spectrum
@@ -124,18 +121,6 @@ class TestConditionalRatio:
     @pytest.mark.parametrize("name", ["E1", "E4", "E5", "E6", "iso:S", "werner:0.5"])
     def test_matches_loop_reference_on_registry(self, name):
         _assert_ratios_match_loop(from_registry(name))
-
-
-class TestDecompositionCommutes:
-    def test_diagonal_projectors_commute_and_rebuild_e6(self):
-        p1 = DensityMatrix(np.diag([1.0, 0.0]), (2, 1))  # |1><1|
-        p0 = DensityMatrix(np.diag([0.0, 1.0]), (2, 1))  # |0><0|
-        dec = LocalDecomposition(((0.5, p1, p1), (0.5, p0, p0)))
-        assert decomposition_commutes(dec)
-        assert np.array_equal(reconstruct(dec).matrix, example_state("E6").matrix)
-
-    def test_werner_spin_projectors_do_not_commute(self):
-        assert not decomposition_commutes(werner_local_decomposition(0.2))
 
 
 SEPARABLE = "separable (concurrence = 0)"
