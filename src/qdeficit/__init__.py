@@ -45,12 +45,14 @@ from .states import (
     random_mixed,
     random_pure,
     werner,
+    werner_matrices,
 )
 from .structure import (
     AlphaBetaFrame,
     ClassificationReport,
     alpha_beta_frame,
     classify,
+    classify_stack,
     conditional_ratio_check,
     decohere,
     decohere_in_frame,

@@ -9,6 +9,7 @@ digits.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import os
@@ -53,11 +54,12 @@ from .states import (
     pure_density,
     purity_check,
     random_mixed,
-    werner,
+    werner_matrices,
 )
 from .structure import (
     alpha_beta_frame,
     classify,
+    classify_stack,
     decohere,
     decohere_in_frame,
     overlap_tensor,
@@ -135,6 +137,10 @@ _ISO_CLOSED = {
 # Round-off allowance for the last grid point p = pmin + k * step against pmax.
 _GRID_END_SLACK = 1e-12
 
+# Rows classified per ``classify_stack`` call: bounds the sweep's working
+# arrays (a few hundred kB) whatever the step.
+WERNER_CHUNK = 1024
+
 
 def _fmt(x: float) -> str:
     return format(float(x), ".12g")
@@ -179,26 +185,30 @@ def check_table1(tols: Tolerances = TOLS) -> tuple[dict, list[str]]:
     return rows, mismatches
 
 
+def _grid(pmin: float, pmax: float, step: float):
+    """p = pmin + k * step for k = 0, 1, ... up to pmax, the last point clamped to pmax."""
+    k = 0
+    while (p := pmin + k * step) <= pmax + _GRID_END_SLACK:
+        yield min(p, pmax)
+        k += 1
+
+
 def werner_sweep_rows(pmin: float, pmax: float, step: float, tols: Tolerances = TOLS):
     """Rows (p, C, S/ln2, D/ln2, conditional entropy at q=1, PPT min eigenvalue).
 
     Every column after p is a ``classify`` field; the q=1 conditional
-    entropy is ``entropy_diff_a``, S(AB) - S(A).
+    entropy is ``entropy_diff_a``, S(AB) - S(A).  The grid is classified
+    ``WERNER_CHUNK`` rows at a time by ``classify_stack``.
     """
     if not (0.0 <= pmin <= pmax <= 1.0):
         raise ValueError(f"need 0 <= min <= max <= 1, got [{pmin}, {pmax}]")
-    if step <= 0.0:
-        raise ValueError(f"step must be positive, got {step}")
+    if not 0.0 < step < math.inf:
+        raise ValueError(f"step must be positive and finite, got {step}")
+    grid = _grid(pmin, pmax, step)
     rows = []
-    k = 0
-    while True:
-        p = pmin + k * step
-        if p > pmax + _GRID_END_SLACK:
-            break
-        p = min(p, pmax)
-        r = classify(werner(p, tols=tols), tols=tols)
-        rows.append((p, r.concurrence, r.mutual / LN2, r.deficit / LN2, r.entropy_diff_a, r.ppt_min_eig))
-        k += 1
+    while chunk := list(itertools.islice(grid, WERNER_CHUNK)):
+        for p, r in zip(chunk, classify_stack(werner_matrices(chunk), tols=tols)):
+            rows.append((p, r.concurrence, r.mutual / LN2, r.deficit / LN2, r.entropy_diff_a, r.ppt_min_eig))
     return rows
 
 

@@ -2,9 +2,11 @@
 
 The spin-flip spectrum is computed by a Hermitian route: the eigenvalues
 of rho * rho_tilde equal those of sqrt(rho) rho_tilde sqrt(rho), which is
-Hermitian PSD, so no general non-Hermitian eigensolver is needed.  A
-brute-force cross-check against the characteristic polynomial of the
-matrix product lives in the test suite.
+Hermitian PSD, so no general non-Hermitian eigensolver is needed.
+``concurrence_stack`` evaluates it on a validated stack ``(N, 4, 4)``
+with its eigensystems; ``lambda_spectrum`` and ``concurrence`` are N = 1
+calls of the same kernel.  A brute-force cross-check against the
+characteristic polynomial of the matrix product lives in the test suite.
 """
 
 from __future__ import annotations
@@ -17,11 +19,11 @@ from .linalg import (
     CheckError,
     DensityMatrix,
     Tolerances,
-    hermitian_eig,
+    eigh_stack,
     tensor_product,
 )
 
-__all__ = ["spin_flip", "lambda_spectrum", "concurrence", "pure_concurrence"]
+__all__ = ["spin_flip", "lambda_spectrum", "concurrence_stack", "concurrence", "pure_concurrence"]
 
 _YY = tensor_product(SIGMA_Y, SIGMA_Y)
 
@@ -37,7 +39,7 @@ def _require_two_qubit(rho: DensityMatrix) -> None:
 
 def _flipped(m: np.ndarray) -> np.ndarray:
     f = _YY @ m.conj() @ _YY
-    return 0.5 * (f + f.conj().T)
+    return 0.5 * (f + f.conj().swapaxes(-1, -2))
 
 
 def spin_flip(rho: DensityMatrix, *, tols: Tolerances = TOLS) -> DensityMatrix:
@@ -46,22 +48,34 @@ def spin_flip(rho: DensityMatrix, *, tols: Tolerances = TOLS) -> DensityMatrix:
     return DensityMatrix(_flipped(rho.matrix), (2, 2), tols=tols)
 
 
+def _lambda_stack(m: np.ndarray, values: np.ndarray, vectors: np.ndarray, *, tols: Tolerances = TOLS) -> np.ndarray:
+    """Spin-flip singular values ``(N, 4)``, descending, of a stack with its eigensystems."""
+    root = (vectors * np.sqrt(np.maximum(values, 0.0))[:, None, :]) @ vectors.conj().swapaxes(-1, -2)
+    core = root @ _flipped(m) @ root
+    vals, _ = eigh_stack(0.5 * (core + core.conj().swapaxes(-1, -2)), tols=tols)
+    CheckError.below("lambda nonnegativity", vals[:, -1], -tols.identity)
+    return np.sqrt(np.where(vals < _CORE_NOISE_FLOOR, 0.0, vals))
+
+
+def concurrence_stack(m: np.ndarray, values: np.ndarray, vectors: np.ndarray, *, tols: Tolerances = TOLS) -> np.ndarray:
+    """max(lambda1 - lambda2 - lambda3 - lambda4, 0) for each state of the stack."""
+    lam = _lambda_stack(m, values, vectors, tols=tols)
+    # subtract.reduce is ((l1 - l2) - l3) - l4, left to right.
+    return np.maximum(np.subtract.reduce(lam, axis=-1), 0.0)
+
+
 def lambda_spectrum(rho: DensityMatrix, *, tols: Tolerances = TOLS) -> np.ndarray:
     """Spin-flip singular values: square roots of the eigenvalues of rho * spin_flip(rho), descending."""
     _require_two_qubit(rho)
     es = rho.eigensystem()
-    root = (es.vectors * np.sqrt(np.clip(es.values, 0.0, None))) @ es.vectors.conj().T
-    core = root @ _flipped(rho.matrix) @ root
-    vals = hermitian_eig(0.5 * (core + core.conj().T), tols=tols).values
-    if vals[-1] < -tols.identity:
-        raise CheckError("lambda nonnegativity", vals[-1])
-    return np.sqrt(np.where(vals < _CORE_NOISE_FLOOR, 0.0, vals))
+    return _lambda_stack(rho.matrix[None], es.values[None], es.vectors[None], tols=tols)[0]
 
 
 def concurrence(rho: DensityMatrix, *, tols: Tolerances = TOLS) -> float:
     """max(lambda1 - lambda2 - lambda3 - lambda4, 0); zero iff separable."""
-    l1, l2, l3, l4 = lambda_spectrum(rho, tols=tols).tolist()
-    return max(l1 - l2 - l3 - l4, 0.0)
+    _require_two_qubit(rho)
+    es = rho.eigensystem()
+    return float(concurrence_stack(rho.matrix[None], es.values[None], es.vectors[None], tols=tols)[0])
 
 
 def pure_concurrence(amps) -> float:

@@ -15,6 +15,7 @@ import numpy as np
 from .linalg import TOLS, CheckError, DensityMatrix, Tolerances
 
 __all__ = [
+    "entropy_stack",
     "von_neumann",
     "tsallis",
     "conditional_tsallis",
@@ -38,11 +39,17 @@ def _log_power_sum(rho: DensityMatrix, q: float, tols: Tolerances) -> float:
     return float(q * np.log(top) + np.log(np.sum((support / top) ** q)))
 
 
+def entropy_stack(values: np.ndarray, *, tols: Tolerances = TOLS) -> np.ndarray:
+    """-sum x ln x over the last axis of descending spectra ``(N, ..., n)``, on the support."""
+    CheckError.below("psd", values[..., -1], -tols.psd, lambda k: "negative eigenvalue in entropy input")
+    # Entries off the support become 1, whose x ln x is exactly 0.
+    vals = np.where(values > tols.support_cutoff, values, 1.0)
+    return -np.sum(vals * np.log(vals), axis=-1)
+
+
 def von_neumann(rho: DensityMatrix, *, tols: Tolerances = TOLS) -> float:
     """-Tr(rho ln rho), evaluated on the eigenvalue support."""
-    vals = _clipped_spectrum(rho, tols)
-    support = vals[vals > tols.support_cutoff]
-    return float(-np.sum(support * np.log(support)))
+    return float(entropy_stack(rho.eigenvalues[None], tols=tols)[0])
 
 
 def tsallis(rho: DensityMatrix, q: float, *, tols: Tolerances = TOLS) -> float:

@@ -4,11 +4,19 @@ Everything here works on plain ``numpy`` complex arrays.  The fixed
 two-qubit basis order is ``|11>, |10>, |01>, |00>`` (index 0..3); single
 qubits are ordered ``(|1>, |0>)``, so the Pauli matrices below have their
 familiar matrix form with ``|1>`` as the +1 eigenvector of ``SIGMA_Z``.
+
+The ``*_stack`` functions work on stacks ``(N, ..., n, n)`` whose leading
+index counts states; ``hermitian_eig`` and ``DensityMatrix`` are their
+N = 1 calls, so every validity check is written once.  A check that fails
+on a stack raises for the lowest failing state and names it.  Each check
+first reduces the whole stack to one number, and searches for the failing
+state only once that number is out of bounds.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,7 +28,11 @@ __all__ = [
     "EigenSystem",
     "DensityMatrix",
     "hermitian_eig",
+    "eigh_stack",
+    "density_stack",
     "tensor_product",
+    "marginal_stack",
+    "transpose_stack",
     "partial_transpose",
     "psd_function",
     "matrix_to_json",
@@ -53,6 +65,40 @@ class CheckError(ValueError):
         if detail:
             msg += f": {detail}"
         super().__init__(msg)
+
+    @classmethod
+    def raise_first(cls, check: str, bad: np.ndarray, magnitude: np.ndarray, detail=None) -> None:
+        """Raise ``check`` for the lowest state flagged in ``bad``, if any.
+
+        ``bad`` and ``magnitude`` have shape ``(N, ...)``, one leading entry
+        per state; ``detail(k)`` describes flat entry ``k``.  With N > 1 the
+        message names the failing state.
+        """
+        if not np.count_nonzero(bad):
+            return
+        k = int(bad.argmax())
+        text = detail(k) if detail else ""
+        if len(bad) > 1:
+            state = k // (bad.size // len(bad))
+            text = f"state {state}: {text}" if text else f"state {state}"
+        raise cls(check, magnitude.flat[k], text)
+
+    @classmethod
+    def above(cls, check: str, magnitude: np.ndarray, bound: float, detail=None) -> None:
+        """``raise_first`` where ``magnitude`` is not <= ``bound`` (NaN fails)."""
+        if not _extreme(magnitude, np.maximum) <= bound:
+            cls.raise_first(check, ~(magnitude <= bound), magnitude, detail)
+
+    @classmethod
+    def below(cls, check: str, value: np.ndarray, bound: float, detail=None) -> None:
+        """``raise_first`` where ``value`` is not >= ``bound`` (NaN fails)."""
+        if not _extreme(value, np.minimum) >= bound:
+            cls.raise_first(check, ~(value >= bound), value, detail)
+
+
+def _extreme(x: np.ndarray, ufunc: np.ufunc) -> float:
+    # A single entry is read as a float: one state pays for no reduction.
+    return x.item() if x.size == 1 else ufunc.reduce(x, axis=None)
 
 
 def _bound(default: float, doc: str) -> property:
@@ -94,7 +140,7 @@ TOLS = Tolerances()
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
-    arr.flags.writeable = False
+    arr.setflags(write=False)
     return arr
 
 
@@ -119,23 +165,58 @@ class EigenSystem:
         return (self.vectors * self.values) @ self.vectors.conj().T
 
 
-def _require_finite(arr: np.ndarray) -> None:
-    bad = int(np.count_nonzero(~np.isfinite(arr)))
-    if bad:
-        raise CheckError("finite", bad, f"{bad} NaN or infinite entries")
+def _require_finite(m: np.ndarray) -> None:
+    nonfinite = ~np.isfinite(m)
+    if np.count_nonzero(nonfinite):
+        counts = np.count_nonzero(nonfinite.reshape(len(m), -1), axis=1)
+        CheckError.raise_first("finite", counts > 0, counts, lambda k: f"{counts[k]} NaN or infinite entries")
+
+
+def _eigh_checked(m: np.ndarray, tols: Tolerances, shape: tuple) -> tuple[np.ndarray, np.ndarray]:
+    """finite, square and hermiticity on a stack ``(N, ..., n, n)``, then ``eigh``.
+
+    ``shape`` is what the square check reports.  Eigenvalues come back
+    descending, ``vectors[..., :, j]`` belonging to ``values[..., j]``.
+    """
+    _require_finite(m)
+    if m.ndim < 3 or m.shape[-1] != m.shape[-2] or not m.size:
+        raise CheckError("square", 0.0, f"shape {shape} is not square and nonempty")
+    herm = np.abs(m - m.conj().swapaxes(-1, -2))
+    if not herm.max() <= tols.hermiticity:
+        CheckError.above("hermiticity", herm.max(axis=(-2, -1)), tols.hermiticity)
+    values, vectors = np.linalg.eigh(m)
+    return values[..., ::-1].copy(), vectors[..., ::-1].copy()
+
+
+def eigh_stack(m, *, tols: Tolerances = TOLS) -> tuple[np.ndarray, np.ndarray]:
+    """Validated eigendecomposition of a stack ``(N, ..., n, n)`` of Hermitian matrices.
+
+    Runs the finite, square and hermiticity checks on every matrix and
+    returns ``(values, vectors)``, eigenvalues descending.
+    """
+    m = np.asarray(m, dtype=complex)
+    return _eigh_checked(m, tols, m.shape)
+
+
+def _density_checks(m: np.ndarray, values: np.ndarray, tols: Tolerances) -> None:
+    tr = m.trace(axis1=-2, axis2=-1)
+    CheckError.above("trace", abs(tr - 1.0), tols.hermiticity, lambda k: f"trace {complex(tr.flat[k]):.12g}")
+    CheckError.below("psd", values[..., -1], -tols.psd, lambda k: "negative eigenvalue")
+
+
+def density_stack(m, *, tols: Tolerances = TOLS) -> tuple[np.ndarray, np.ndarray]:
+    """``eigh_stack`` plus the trace and psd checks of a density matrix."""
+    m = np.asarray(m, dtype=complex)
+    values, vectors = _eigh_checked(m, tols, m.shape)
+    _density_checks(m, values, tols)
+    return values, vectors
 
 
 def hermitian_eig(m: np.ndarray, *, tols: Tolerances = TOLS) -> EigenSystem:
     """Eigendecomposition of a Hermitian matrix, eigenvalues descending."""
     m = np.asarray(m, dtype=complex)
-    _require_finite(m)
-    if m.ndim != 2 or m.shape[0] != m.shape[1] or not m.size:
-        raise CheckError("square", 0.0, f"shape {m.shape} is not square and nonempty")
-    herm = float(np.max(np.abs(m - m.conj().T)))
-    if herm > tols.hermiticity:
-        raise CheckError("hermiticity", herm)
-    values, vectors = np.linalg.eigh(m)
-    return EigenSystem(values[::-1].copy(), vectors[:, ::-1].copy())
+    values, vectors = _eigh_checked(m[None], tols, m.shape)
+    return EigenSystem(values[0], vectors[0])
 
 
 class DensityMatrix:
@@ -156,22 +237,22 @@ class DensityMatrix:
         tols: Tolerances = TOLS,
     ):
         arr = np.array(matrix, dtype=complex)
-        # The finite, square and hermiticity checks run first, inside hermitian_eig.
-        eig = hermitian_eig(arr, tols=tols)
+        stack = arr[None]
+        # The finite, square and hermiticity checks run first.
+        values, vectors = _eigh_checked(stack, tols, arr.shape)
         n = arr.shape[0]
         if dims is None:
             dims = (2, 2) if n == 4 else (n, 1)
-        da, db = int(dims[0]), int(dims[1])
+        try:
+            da, db = operator.index(dims[0]), operator.index(dims[1])
+        except TypeError:
+            raise CheckError("dims", 0.0, f"dims {dims} are not integers") from None
         if da < 1 or db < 1 or da * db != n:
             raise CheckError("dims", 0.0, f"dims {dims} inconsistent with side {n}")
-        tr = complex(np.trace(arr))
-        if abs(tr - 1.0) > tols.hermiticity:
-            raise CheckError("trace", abs(tr - 1.0), f"trace {tr:.12g}")
-        if eig.values[-1] < -tols.psd:
-            raise CheckError("psd", eig.values[-1], "negative eigenvalue")
+        _density_checks(stack, values, tols)
         self.matrix = _freeze(arr)
         self.dims = (da, db)
-        self._eig = eig
+        self._eig = EigenSystem(values[0], vectors[0])
         self._marginals: dict[str, "DensityMatrix"] = {}
         self._tols = tols
 
@@ -193,28 +274,57 @@ class DensityMatrix:
         if not self.is_composite:
             raise CheckError("composite", 0.0, "partial trace needs composite dims")
         cached = self._marginals.get(keep)
-        if cached is not None:
-            return cached
-        da, db = self.dims
-        r = self.matrix.reshape(da, db, da, db)
-        if keep == "A":
-            reduced = np.einsum("ikjk->ij", r)
-            out = DensityMatrix(0.5 * (reduced + reduced.conj().T), (da, 1), tols=self._tols)
-        else:
-            reduced = np.einsum("kikj->ij", r)
-            out = DensityMatrix(0.5 * (reduced + reduced.conj().T), (db, 1), tols=self._tols)
-        self._marginals[keep] = out
-        return out
+        if cached is None:
+            side = self.dims[0] if keep == "A" else self.dims[1]
+            cached = DensityMatrix(_reduce_stack(self.matrix, self.dims, keep), (side, 1), tols=self._tols)
+            self._marginals[keep] = cached
+        return cached
 
     def __repr__(self) -> str:
         return f"DensityMatrix(dims={self.dims}, spectrum={np.round(self.eigenvalues, 6)})"
 
 
 def tensor_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product with A-index major: entry ((i,k),(j,l)) = a[i,j] b[k,l]."""
+    """Kronecker product with A-index major: entry ((i,k),(j,l)) = a[i,j] b[k,l].
+
+    Leading axes of stacks ``(..., r, c)`` broadcast, one product per state.
+    """
     a, b = np.asarray(a, dtype=complex), np.asarray(b, dtype=complex)
-    out = a[:, None, :, None] * b[None, :, None, :]
-    return out.reshape(a.shape[0] * b.shape[0], a.shape[1] * b.shape[1])
+    out = a[..., :, None, :, None] * b[..., None, :, None, :]
+    return out.reshape(out.shape[:-4] + (a.shape[-2] * b.shape[-2], a.shape[-1] * b.shape[-1]))
+
+
+def _split(m: np.ndarray, dims: tuple[int, int]) -> np.ndarray:
+    da, db = dims
+    return m.reshape(m.shape[:-2] + (da, db, da, db))
+
+
+def _reduce_stack(m: np.ndarray, dims: tuple[int, int], keep: str) -> np.ndarray:
+    """Hermitian part of the reduced matrix of subsystem ``keep`` for each matrix of ``(..., n, n)``."""
+    r = _split(m, dims)
+    reduced = np.einsum("...ikjk->...ij" if keep == "A" else "...kikj->...ij", r)
+    return 0.5 * (reduced + reduced.conj().swapaxes(-1, -2))
+
+
+def marginal_stack(m: np.ndarray, dims: tuple[int, int], *, tols: Tolerances = TOLS):
+    """Both reduced states of each matrix of a stack ``(N, n, n)`` on equal sides ``dims = (d, d)``.
+
+    Returns ``(matrices, values, vectors)`` indexed ``[state, side A/B, ...]``:
+    the 2N marginals are validated and diagonalised in one call.
+    """
+    d = dims[0]
+    mats = np.empty(m.shape[:-2] + (2, d, d), dtype=complex)
+    mats[..., 0, :, :] = _reduce_stack(m, dims, "A")
+    mats[..., 1, :, :] = _reduce_stack(m, dims, "B")
+    values, vectors = density_stack(mats, tols=tols)
+    return mats, values, vectors
+
+
+def transpose_stack(m: np.ndarray, dims: tuple[int, int], side: str) -> np.ndarray:
+    """Transpose the indices of subsystem ``side`` in each matrix of ``(..., n, n)``."""
+    r = _split(m, dims)
+    out = np.einsum("...iljk->...ikjl" if side == "B" else "...jkil->...ikjl", r)
+    return out.reshape(m.shape)
 
 
 def partial_transpose(rho: DensityMatrix, side: str) -> np.ndarray:
@@ -223,13 +333,7 @@ def partial_transpose(rho: DensityMatrix, side: str) -> np.ndarray:
         raise ValueError(f"subsystem must be 'A' or 'B', got {side!r}")
     if not rho.is_composite:
         raise CheckError("composite", 0.0, "partial transpose needs composite dims")
-    da, db = rho.dims
-    r = rho.matrix.reshape(da, db, da, db)
-    if side == "B":
-        out = np.einsum("iljk->ikjl", r)
-    else:
-        out = np.einsum("jkil->ikjl", r)
-    return out.reshape(da * db, da * db)
+    return transpose_stack(rho.matrix, rho.dims, side)
 
 
 def psd_function(m: np.ndarray, func: str, *, tols: Tolerances = TOLS) -> np.ndarray:

@@ -19,6 +19,7 @@ __all__ = [
     "BlochVector",
     "CorrelationTensor",
     "RegistryError",
+    "werner_matrices",
     "werner",
     "example_state",
     "isospectral_pair",
@@ -50,7 +51,7 @@ class PureStateAmplitudes:
 
     def __post_init__(self):
         norm_err = abs(self.norm_squared() - 1.0)
-        if norm_err > 1e-8:
+        if not norm_err <= 1e-8:
             raise CheckError("normalization", norm_err, "amplitudes are not renormalized silently")
 
     def norm_squared(self) -> float:
@@ -70,7 +71,7 @@ class BlochVector:
     s3: float
 
     def __post_init__(self):
-        if self.norm_squared() > 1.0 + 1e-10:
+        if not self.norm_squared() <= 1.0 + 1e-10:
             raise CheckError("bloch norm", self.norm_squared() - 1.0)
 
     def norm_squared(self) -> float:
@@ -91,7 +92,7 @@ class CorrelationTensor:
         if m.shape != (3, 3):
             raise CheckError("shape", 0.0, f"correlation tensor must be 3x3, got {m.shape}")
         worst = float(np.max(np.abs(m)))
-        if worst > 1.0 + 1e-10:
+        if not worst <= 1.0 + 1e-10:
             raise CheckError("correlation bound", worst - 1.0)
 
 
@@ -105,14 +106,22 @@ def _projector(entries) -> np.ndarray:
 
 
 _BELL_PHI_PLUS = _ket([1, 0, 0, 1]) / math.sqrt(2)  # (|11> + |00>)/sqrt(2)
+_BELL_PROJECTOR = _projector(_BELL_PHI_PLUS)
+_MAXIMALLY_MIXED = np.eye(4) / 4.0
+
+
+def werner_matrices(ps) -> np.ndarray:
+    """Stack ``(N, 4, 4)`` of p |Phi><Phi| + (1-p) I/4, one matrix per p in ``ps``."""
+    ps = np.asarray(ps, dtype=float).reshape(-1)
+    inside = (ps >= 0.0) & (ps <= 1.0)
+    if not inside.all():
+        raise ValueError(f"werner parameter must lie in [0, 1], got {ps[~inside][0]}")
+    return ps[:, None, None] * _BELL_PROJECTOR + (1.0 - ps)[:, None, None] * _MAXIMALLY_MIXED
 
 
 def werner(p: float, *, tols: Tolerances = TOLS) -> DensityMatrix:
     """p |Phi><Phi| + (1-p) I/4 with Phi the (|00>+|11>)/sqrt(2) Bell state."""
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"werner parameter must lie in [0, 1], got {p}")
-    mat = p * _projector(_BELL_PHI_PLUS) + (1.0 - p) * np.eye(4) / 4.0
-    return DensityMatrix(mat, (2, 2), tols=tols)
+    return DensityMatrix(werner_matrices(p)[0], (2, 2), tols=tols)
 
 
 def _example_matrix(name: str) -> np.ndarray:

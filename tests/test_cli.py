@@ -8,6 +8,7 @@ from qdeficit import cli
 from qdeficit.cli import main
 from qdeficit.linalg import matrix_to_json
 from qdeficit.states import werner
+from qdeficit.structure import classify
 
 
 def _run(capsys, *argv):
@@ -52,7 +53,9 @@ class TestWernerSweep:
             assert abs(cond - (_werner_entropy(p) - np.log(2.0))) <= 1e-9
 
     @pytest.mark.parametrize(
-        "bounds", [("--step", "0"), ("--min", "0.7", "--max", "0.2")], ids=["zero-step", "reversed-range"]
+        "bounds",
+        [("--step", "0"), ("--step", "nan"), ("--min", "0.7", "--max", "0.2")],
+        ids=["zero-step", "nan-step", "reversed-range"],
     )
     def test_bad_range_is_input_error(self, capsys, bounds):
         code, out, err = _run(capsys, "werner-sweep", *bounds)
@@ -168,3 +171,45 @@ class TestClassify:
         assert code == 2
         assert out == ""
         assert err.startswith("error: 'dims' must be a list of two integers")
+
+
+def _werner_closed_row(p: float) -> tuple:
+    ln2 = np.log(2.0)
+    s = _werner_entropy(p)
+    probs = np.array([(1 + p) / 4] * 2 + [(1 - p) / 4] * 2)
+    probs = probs[probs > 0]
+    s_d = float(-np.sum(probs * np.log(probs)))
+    return (p, max(0.0, (3 * p - 1) / 2), (2 * ln2 - s) / ln2, (s_d - s) / ln2, s - ln2, (1 - 3 * p) / 4)
+
+
+@pytest.fixture(scope="module")
+def fine_grid_rows():
+    """The 10,001 rows of ``werner-sweep --step 1e-4`` and the same rows built one state at a time."""
+    rows = cli.werner_sweep_rows(0.0, 1.0, 1e-4)
+    single = []
+    for p, *_ in rows:
+        r = classify(werner(p))
+        single.append((p, r.concurrence, r.mutual / cli.LN2, r.deficit / cli.LN2, r.entropy_diff_a, r.ppt_min_eig))
+    return rows, single
+
+
+class TestWernerSweepChunks:
+    """The sweep classifies its grid WERNER_CHUNK rows at a time; no boundary changes a row."""
+
+    def test_fine_grid_matches_single_state_rows(self, fine_grid_rows):
+        rows, single = fine_grid_rows
+        assert len(rows) == 10_001
+        assert rows == single
+
+    @pytest.mark.parametrize("offset", [-1, 0, 1])
+    def test_grid_around_one_chunk(self, fine_grid_rows, offset):
+        n = cli.WERNER_CHUNK + offset
+        _, single = fine_grid_rows
+        rows = cli.werner_sweep_rows(0.0, (n - 1) * 1e-4, 1e-4)
+        assert len(rows) == n
+        assert rows == single[:n]
+
+    def test_fine_grid_matches_closed_forms(self, fine_grid_rows):
+        rows, _ = fine_grid_rows
+        worst = max(abs(got - want) for row in rows for got, want in zip(row, _werner_closed_row(row[0])))
+        assert worst <= 1e-9

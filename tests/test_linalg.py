@@ -237,6 +237,17 @@ class TestDensityMatrix:
         with pytest.raises(CheckError):
             DensityMatrix(np.eye(4) / 4, (3, 2))
 
+    @pytest.mark.parametrize("dims", [(2.9, 2), (2, 2.0), (np.float64(2), 2)])
+    def test_rejects_non_integral_dims(self, dims):
+        with pytest.raises(CheckError) as err:
+            DensityMatrix(np.eye(4) / 4, dims)
+        assert err.value.check == "dims"
+
+    def test_accepts_numpy_integer_dims(self):
+        rho = DensityMatrix(np.eye(4) / 4, (np.int64(2), np.int32(2)))
+        assert rho.dims == (2, 2)
+        assert all(type(d) is int for d in rho.dims)
+
     def test_matrix_is_immutable(self):
         rho = werner(0.5)
         with pytest.raises(ValueError):

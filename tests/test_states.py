@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 from qdeficit.concurrence import pure_concurrence
 from qdeficit.linalg import CheckError
 from qdeficit.states import (
+    BlochVector,
+    CorrelationTensor,
     PureStateAmplitudes,
     RegistryError,
     bloch_vectors,
@@ -21,6 +23,7 @@ from qdeficit.states import (
     random_mixed,
     random_pure,
     werner,
+    werner_matrices,
 )
 
 from helpers import I2, SX, SY, SZ
@@ -279,3 +282,36 @@ class TestRegistry:
     def test_rejects_bad_specs(self, bad):
         with pytest.raises(RegistryError):
             from_registry(bad)
+
+
+class TestNaNFailsTheBounds:
+    """Each bound is written so that a NaN fails it."""
+
+    def test_pure_amplitudes(self):
+        with pytest.raises(CheckError) as err:
+            PureStateAmplitudes(math.nan, 0, 0, 0)
+        assert err.value.check == "normalization"
+
+    def test_bloch_vector(self):
+        with pytest.raises(CheckError) as err:
+            BlochVector(math.nan, 0, 0)
+        assert err.value.check == "bloch norm"
+
+    def test_correlation_tensor(self):
+        with pytest.raises(CheckError) as err:
+            CorrelationTensor(np.full((3, 3), math.nan))
+        assert err.value.check == "correlation bound"
+
+
+class TestWernerMatrices:
+    def test_stack_matches_single_states(self):
+        ps = [0.0, 0.3, 1 / 3, 1.0]
+        stack = werner_matrices(ps)
+        assert stack.shape == (4, 4, 4)
+        for p, m in zip(ps, stack):
+            assert np.array_equal(m, werner(p).matrix)
+
+    @pytest.mark.parametrize("bad", [-0.1, 1.5, math.nan])
+    def test_rejects_parameter_outside_unit_interval(self, bad):
+        with pytest.raises(ValueError, match="werner parameter must lie in"):
+            werner_matrices([0.2, bad, 0.5])

@@ -1,3 +1,5 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,10 +8,12 @@ from hypothesis import strategies as st
 from qdeficit import structure
 from qdeficit.entropy import mutual_entropy, von_neumann
 from qdeficit.linalg import TOLS, CheckError, DensityMatrix, tensor_product
-from qdeficit.states import example_state, from_registry, random_mixed, werner
+from qdeficit.states import example_state, from_registry, random_mixed, werner, werner_matrices
 from qdeficit.structure import (
+    ClassificationReport,
     alpha_beta_frame,
     classify,
+    classify_stack,
     conditional_ratio_check,
     decohere,
     decohere_in_frame,
@@ -197,13 +201,120 @@ class TestScaledChecks:
     @pytest.mark.parametrize("shift", [1.0, -1.0], ids=["above-mutual", "negative"])
     def test_classify_rejects_deficit_outside_bounds(self, monkeypatch, shift):
         rho = werner(0.3)
-        real = structure.von_neumann
+        real = structure.entropy_stack
 
-        def bad_decohered_entropy(state, *, tols):
-            # rho_d is the only two-qubit state classify evaluates besides rho
-            return real(state, tols=tols) + (shift if state.dims == (2, 2) and state is not rho else 0.0)
+        def bad_decohered_entropy(values, *, tols):
+            # rho_d's spectrum is the only four-level one classify reads besides rho's
+            is_rho_d = values.shape[-1] == 4 and not np.array_equal(values, rho.eigenvalues[None])
+            return real(values, tols=tols) + (shift if is_rho_d else 0.0)
 
-        monkeypatch.setattr(structure, "von_neumann", bad_decohered_entropy)
+        monkeypatch.setattr(structure, "entropy_stack", bad_decohered_entropy)
         with pytest.raises(CheckError) as err:
             classify(rho)
         assert err.value.check == "deficit bounds"
+
+
+def _mixed_stack() -> np.ndarray:
+    """Degenerate and generic marginals side by side: the paper's states, Werner
+    states, 200 seeded mixed states of rank 1-4, products and decohered states."""
+    names = ["E1", "E2", "E3", "E4", "E5", "E6", "iso:E", "iso:S"]
+    mats = [from_registry(name).matrix for name in names]
+    mats += list(werner_matrices([0.0, 0.3, 1 / 3, 1.0]))
+    mats += [random_mixed(seed, 1 + seed % 4).matrix for seed in range(200)]
+    rng = np.random.default_rng(11)
+    mats += [tensor_product(_random_qubit_state(rng), _random_qubit_state(rng)) for _ in range(10)]
+    mats += [decohere(random_mixed(1000 + seed, 1 + seed % 4))[0].matrix for seed in range(10)]
+    mats += [decohere(werner(0.6))[0].matrix, decohere(example_state("E1"))[0].matrix]
+    return np.array(mats)
+
+
+class TestClassifyStack:
+    def test_stack_matches_single_state_calls(self):
+        stack = _mixed_stack()
+        reports = classify_stack(stack)
+        assert len(reports) == len(stack)
+        degenerate = 0
+        for m, got in zip(stack, reports):
+            want = classify(DensityMatrix(m))
+            for field in fields(ClassificationReport):
+                a, b = getattr(got, field.name), getattr(want, field.name)
+                if isinstance(b, float):
+                    assert abs(a - b) <= 1e-12, field.name
+                else:
+                    assert a == b, field.name
+            degenerate += any("degenerate marginal" in v for v in want.verdicts)
+        assert 0 < degenerate < len(stack)
+
+    def test_report_fields_are_python_scalars(self):
+        report = classify_stack(werner_matrices([0.5]))[0]
+        assert type(report.concurrence) is float
+        assert type(report.commutes_with_marginals) is bool
+        assert type(report.conditional_prob_defined) is bool
+
+    @pytest.mark.parametrize("shape", [(4, 4), (2, 3, 3), (1, 2, 2)])
+    def test_rejects_stack_that_is_not_two_qubit(self, shape):
+        with pytest.raises(CheckError) as err:
+            classify_stack(np.ones(shape) / 4)
+        assert err.value.check == "dims"
+
+
+def _corrupt(kind: str, m: np.ndarray) -> np.ndarray:
+    m = m.astype(complex)
+    if kind == "finite":
+        m[1, 2] = np.nan
+    elif kind == "hermiticity":
+        m[0, 1] += 0.1
+    elif kind == "trace":
+        m = 1.1 * m
+    else:  # psd
+        m = np.diag([0.75, 0.5, 0.0, -0.25]).astype(complex)
+    return m
+
+
+class TestClassifyStackErrors:
+    """A bad state inside a stack raises its named check and names its index."""
+
+    @pytest.mark.parametrize("check", ["finite", "hermiticity", "trace", "psd"])
+    def test_names_the_bad_state(self, check):
+        stack = werner_matrices(np.linspace(0.0, 1.0, 6))
+        stack[3] = _corrupt(check, stack[3])
+        with pytest.raises(CheckError) as err:
+            classify_stack(stack)
+        assert err.value.check == check
+        assert "state 3" in str(err.value)
+
+    @pytest.mark.parametrize("check", ["finite", "hermiticity", "trace", "psd"])
+    def test_lowest_failing_state_is_named(self, check):
+        stack = werner_matrices(np.linspace(0.0, 1.0, 6))
+        stack[4] = _corrupt(check, stack[4])
+        stack[2] = _corrupt(check, stack[2])
+        with pytest.raises(CheckError) as err:
+            classify_stack(stack)
+        assert "state 2" in str(err.value)
+
+    @pytest.mark.parametrize("check", ["finite", "hermiticity", "trace", "psd"])
+    def test_single_state_message_is_unchanged(self, check):
+        bad = _corrupt(check, werner(0.4).matrix)
+        with pytest.raises(CheckError) as single:
+            DensityMatrix(bad)
+        with pytest.raises(CheckError) as stacked:
+            classify_stack(bad[None])
+        assert str(stacked.value) == str(single.value)
+        assert "state" not in str(stacked.value)
+
+    def test_deficit_bounds_names_the_bad_state(self, monkeypatch):
+        stack = werner_matrices([0.1, 0.3, 0.5, 0.7])
+        spectra = np.array([DensityMatrix(m).eigenvalues for m in stack])
+        real = structure.entropy_stack
+
+        def bad_decohered_entropy(values, *, tols):
+            out = real(values, tols=tols)
+            if values.shape == spectra.shape and not np.array_equal(values, spectra):  # the rho_d spectra
+                out[2] += 1.0
+            return out
+
+        monkeypatch.setattr(structure, "entropy_stack", bad_decohered_entropy)
+        with pytest.raises(CheckError) as err:
+            classify_stack(stack)
+        assert err.value.check == "deficit bounds"
+        assert "state 2" in str(err.value)
