@@ -54,8 +54,8 @@ def von_neumann(rho: DensityMatrix, *, tols: Tolerances = TOLS) -> float:
 
 def tsallis(rho: DensityMatrix, q: float, *, tols: Tolerances = TOLS) -> float:
     """(Tr rho^q - 1) / (1 - q); dispatches to von Neumann at q = 1."""
-    if q <= 0:
-        raise ValueError(f"Tsallis index must be positive, got {q}")
+    if not 0 < q < math.inf:
+        raise ValueError(f"Tsallis index must be finite and positive, got {q}")
     if q == 1:
         return von_neumann(rho, tols=tols)
     vals = _clipped_spectrum(rho, tols)
@@ -74,8 +74,8 @@ def conditional_tsallis(rho_ab: DensityMatrix, side: str, q: float = 1.0, *, tol
     1/(q-1) nor a vanishing Tr rho_side^q costs the sign at large q.  A
     ratio beyond the float range returns ``-inf``.
     """
-    if q <= 0:
-        raise ValueError(f"Tsallis index must be positive, got {q}")
+    if not 0 < q < math.inf:
+        raise ValueError(f"Tsallis index must be finite and positive, got {q}")
     marg = rho_ab.marginal(side)
     if q == 1:
         return von_neumann(rho_ab, tols=tols) - von_neumann(marg, tols=tols)

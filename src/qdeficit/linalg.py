@@ -112,10 +112,9 @@ class Tolerances:
     ``scale`` is the only settable value; the CLI's global ``--tolerance``
     sets it, and it must be finite and positive.  It reaches every check
     and verdict bound in ``linalg``, ``entropy``, ``concurrence``,
-    ``structure`` and the CLI's reference-table comparisons; the audit's
-    literal per-property bounds do not scale yet.  Eigendecompositions
-    come from LAPACK's Hermitian solver and take no tolerance, so scaling
-    never changes a computed spectrum.
+    ``structure``, the randomized audit and the CLI's reference-table
+    comparisons.  Eigendecompositions come from LAPACK's Hermitian solver
+    and take no tolerance, so scaling never changes a computed spectrum.
     """
 
     scale: float = 1.0
@@ -127,6 +126,9 @@ class Tolerances:
     identity = _bound(1e-9, "Two routes to one quantity agree, e.g. rho and rho_d, or D and its bounds")
     concurrence_zero = _bound(1e-8, "Concurrence at or below this counts as separable")
     printed = _bound(1e-4, "Agreement with a decimal printed to four places")
+    reshuffle = _bound(1e-12, "Residuals of exact rearrangements: index reshuffles, involutions, idempotent maps")
+    rebuilt = _bound(1e-8, "Residuals of a matrix rebuilt from factors: a square root squared, a product of marginals")
+    continuity = _bound(1e-3, "Tsallis entropy at q = 1 ± 1e-4 against von Neumann")
 
     def __post_init__(self):
         if not (math.isfinite(self.scale) and self.scale > 0):
@@ -355,15 +357,16 @@ def matrix_to_json(m: np.ndarray) -> list:
 
 
 def _json_entry(pair) -> complex:
-    if len(pair) != 2:
-        raise ValueError(f"matrix entry {pair!r} is not an [re, im] pair")
+    # type(), not isinstance(): a JSON true/false is a bool, which is an int subclass.
+    if not (isinstance(pair, list) and len(pair) == 2 and all(type(x) in (int, float) for x in pair)):
+        raise ValueError(f"matrix entry {pair!r} is not an [re, im] pair of numbers")
     return complex(pair[0], pair[1])
 
 
 def matrix_from_json(payload) -> np.ndarray:
     try:
         rows = [[_json_entry(entry) for entry in row] for row in payload]
-    except (TypeError, IndexError) as exc:
+    except TypeError as exc:
         raise ValueError("matrix payload must be nested arrays of [re, im] pairs") from exc
     arr = np.array(rows, dtype=complex)
     if arr.ndim != 2:

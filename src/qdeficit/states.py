@@ -231,20 +231,18 @@ def purity_check(amps: PureStateAmplitudes) -> tuple[float, float]:
     return (1.0 + mag2) / 2.0, abs((1.0 - mag2) - 4.0 * abs(det) ** 2)
 
 
-def random_pure(seed: int) -> PureStateAmplitudes:
-    """Haar-uniform pure state: four normalized standard complex Gaussians."""
+def random_pure(seed: int | np.random.Generator) -> PureStateAmplitudes:
+    """Haar-uniform pure state: four normalized standard complex Gaussians.
+
+    ``seed`` is anything ``np.random.default_rng`` accepts.  A ``Generator``
+    is used as it is, so the amplitudes are its next eight draws.
+    """
     return PureStateAmplitudes(*_haar_amplitudes(np.random.default_rng(seed)))
 
 
 def _haar_amplitudes(rng: np.random.Generator) -> np.ndarray:
     z = rng.standard_normal(4) + 1j * rng.standard_normal(4)
     return z / np.linalg.norm(z)
-
-
-def _haar_unitary(rng: np.random.Generator, n: int) -> np.ndarray:
-    z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    q, r = np.linalg.qr(z)
-    return q * (np.diag(r) / np.abs(np.diag(r)))
 
 
 def random_mixed(seed: int, rank: int, *, tols: Tolerances = TOLS) -> DensityMatrix:

@@ -1,12 +1,14 @@
 import json
+import math
 import os
+import re
 
 import numpy as np
 import pytest
 
-from qdeficit import cli
+from qdeficit import audit, cli
 from qdeficit.cli import main
-from qdeficit.linalg import matrix_to_json
+from qdeficit.linalg import matrix_to_json, psd_function
 from qdeficit.states import werner
 from qdeficit.structure import classify
 
@@ -136,10 +138,43 @@ class TestAudit:
             def map(self, fn, payloads):
                 return map(fn, payloads)
 
-        monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(audit, "ProcessPoolExecutor", RecordingPool)
         monkeypatch.setattr(os, "cpu_count", lambda: cpus)
         assert cli.run_audit(n, 42, jobs) == cli.run_audit(n, 42, 1)
         assert sizes == pool_sizes
+
+    # Squaring root * (1 + 3e-8) leaves a residual of 6e-8 |rho_ij|, and every
+    # trace-one 4x4 state has an entry of at least 1/4: between 1e-8 and 1e-7.
+    @pytest.mark.parametrize(("scale", "passes"), [("1", False), ("10", True)])
+    def test_injected_sqrt_fault_fails_at_default_scale_only(self, capsys, monkeypatch, scale, passes):
+        def faulty_sqrt(m, func, *, tols):
+            return psd_function(m, func, tols=tols) * (1.0 + 3e-8)
+
+        monkeypatch.setattr(audit, "psd_function", faulty_sqrt)
+        code, out, err = _run(capsys, "--tolerance", scale, "audit", "--n", "12")
+        if passes:
+            assert code == 0, err
+            assert "FAIL" not in out
+            assert err == ""
+        else:
+            assert code == 1
+            assert "FAIL sqrt-roundtrip (0/12)" in out.splitlines()
+            assert out.count("FAIL") == 1
+            lines = err.splitlines()
+            assert lines[-1] == "12 property violations"
+            assert all(re.match(r"^state \d+ \(seed \d+\) failed sqrt-roundtrip: ", line) for line in lines[:-1])
+            assert len(lines) == 13
+
+    def test_nan_entropy_fails_every_property_that_reads_it(self, monkeypatch):
+        monkeypatch.setattr(audit, "von_neumann", lambda rho, *, tols: math.nan)
+        reads_entropy = {
+            "mutual-nonnegative", "tsallis-continuity", "klein-entropy-increase", "deficit-bounds",
+            "deficit-mutual-gap-identity", "pure-marginal-entropy-symmetry", "pure-conditional-nonpositive",
+            "product-mutual-zero", "product-entropy-difference",
+        }
+        counts, _ = audit.run_audit(12, 42)
+        for prop, (checked, failed) in counts.items():
+            assert failed == (checked if prop in reads_entropy else 0), prop
 
 
 class TestClassify:
@@ -171,6 +206,15 @@ class TestClassify:
         assert code == 2
         assert out == ""
         assert err.startswith("error: 'dims' must be a list of two integers")
+
+    @pytest.mark.parametrize("entry", [{"a": 1, "b": 2}, [True, False]])
+    def test_entry_that_is_not_a_pair_of_numbers_is_input_error(self, capsys, tmp_path, entry):
+        path = tmp_path / "bad_entry.json"
+        path.write_text(json.dumps({"matrix": [[entry, [0, 0]], [[0, 0], [1, 0]]]}))
+        code, out, err = _run(capsys, "classify", str(path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: matrix entry")
 
 
 def _werner_closed_row(p: float) -> tuple:

@@ -81,9 +81,11 @@ class TestTsallis:
         assert tsallis(werner(0.5), 2.0) == pytest.approx(expected, abs=1e-14)
 
     def test_rejects_nonpositive_q(self):
-        for q in (0.0, -1.0):
+        for q in (0.0, -1.0, math.nan, math.inf):
             with pytest.raises(ValueError):
                 tsallis(werner(0.5), q)
+            with pytest.raises(ValueError):
+                conditional_tsallis(werner(0.5), "A", q)
 
     def test_continuity_at_q_one(self):
         for rho in (werner(0.5), example_state("E1"), random_mixed(4, 3)):

@@ -9,7 +9,8 @@ import pytest
 import qdeficit
 
 # The submodules that declare ``__all__`` (cli declares none).
-MODULES = ("linalg", "concurrence", "entropy", "states", "structure")
+MODULES = ("linalg", "concurrence", "entropy", "states", "structure", "audit")
+SOURCES = sorted(Path(qdeficit.__file__).parent.glob("*.py"))
 
 
 @pytest.mark.parametrize("name", MODULES)
@@ -38,16 +39,33 @@ def test_package_imports_resolve_to_public_names():
         assert getattr(qdeficit, attr) is getattr(module, attr)
 
 
+def _relative_imports(path):
+    """(module, name) per relative import in ``path``, anywhere in it; module is None for ``from . import``."""
+    return [
+        (node.module, alias.name)
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.ImportFrom) and node.level
+        for alias in node.names
+    ]
+
+
 def _package_modules_imported_by(name):
     """The qdeficit modules that ``qdeficit/<name>.py`` imports relatively, anywhere in the file."""
     path = Path(qdeficit.__file__).with_name(f"{name}.py")
-    found = set()
-    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-        if isinstance(node, ast.ImportFrom) and node.level:
-            found.update([node.module] if node.module else [alias.name for alias in node.names])
-    return found
+    return {module or alias for module, alias in _relative_imports(path)}
 
 
 @pytest.mark.parametrize(("name", "allowed"), [("linalg", set()), ("states", {"linalg"})])
 def test_constructor_layers_import_only_below(name, allowed):
     assert _package_modules_imported_by(name) <= allowed
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.stem)
+def test_no_module_imports_a_private_name(path):
+    private = [(module, name) for module, name in _relative_imports(path) if name.startswith("_")]
+    assert private == []
+
+
+def test_only_cli_imports_the_audit():
+    importers = [path.stem for path in SOURCES if "audit" in _package_modules_imported_by(path.stem)]
+    assert importers == ["cli"]

@@ -35,6 +35,9 @@ BOUNDS = {
     "identity": 1e-9,
     "concurrence_zero": 1e-8,
     "printed": 1e-4,
+    "reshuffle": 1e-12,
+    "rebuilt": 1e-8,
+    "continuity": 1e-3,
 }
 
 NON_FINITE = [np.nan, np.inf, -np.inf, complex(np.nan, np.nan), complex(0.0, np.inf)]
@@ -347,6 +350,10 @@ class TestSerialization:
             matrix_from_json([[1.0, 2.0], [3.0, 4.0]])  # not [re, im] pairs
         with pytest.raises(ValueError):
             matrix_from_json([[[1.0, 0.0, 0.0]]])  # [re, im, extra]
+        with pytest.raises(ValueError):
+            matrix_from_json([[{"a": 1, "b": 2}, [0, 0]], [[0, 0], [1, 0]]])  # object entry
+        with pytest.raises(ValueError):
+            matrix_from_json([[[True, False]]])  # booleans are not numbers
         with pytest.raises(ValueError):
             density_from_json({"dims": [2, 2]})
 
