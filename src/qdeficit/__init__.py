@@ -1,9 +1,10 @@
 """Entropy-based separability and correlation toolkit for two-qubit states.
 
-Core objects: density matrices with validated invariants, the marginal
-eigenbasis product frame, decohered states, and the quantum deficit,
-alongside Wootters concurrence and the von Neumann / Tsallis entropy
-family.
+Core objects: density matrices with validated invariants; decoherence in
+the marginal-eigenbasis product frame, whose one pass gives the decohered
+state, the joint distribution, the frame's eigenvalues and the overlap
+weights; the quantum deficit and the classification report; alongside
+Wootters concurrence and the von Neumann / Tsallis entropy family.
 """
 
 from .concurrence import concurrence, lambda_spectrum, pure_concurrence, spin_flip
@@ -48,15 +49,11 @@ from .states import (
     werner_matrices,
 )
 from .structure import (
-    AlphaBetaFrame,
     ClassificationReport,
-    alpha_beta_frame,
+    Decoherence,
     classify,
     classify_stack,
-    conditional_ratio_check,
     decohere,
-    decohere_in_frame,
-    overlap_tensor,
     quantum_deficit,
 )
 

@@ -26,6 +26,7 @@ from .linalg import (
     DensityMatrix,
     Tolerances,
     hermitian_eig,
+    marginal_stack,
     partial_transpose,
     psd_function,
     tensor_product,
@@ -40,7 +41,7 @@ from .states import (
     random_mixed,
     random_pure,
 )
-from .structure import alpha_beta_frame, decohere, decohere_in_frame, overlap_tensor
+from .structure import decohere
 
 __all__ = ["AUDIT_PROPERTIES", "run_audit"]
 
@@ -129,7 +130,7 @@ def _run_state_checks(index: int, seed: int, tols: Tolerances) -> list[tuple[str
     ok = inv_err <= tols.reshuffle and tr_pt <= tols.reshuffle
     record("partial-transpose-involution", ok, f"inv={inv_err:.2e}")
 
-    root = psd_function(rho.matrix, "sqrt", tols=tols)
+    root = psd_function(rho.matrix, tols=tols)
     sq_err = _max_abs(root @ root - rho.matrix)
     record("sqrt-roundtrip", sq_err <= tols.rebuilt, f"{sq_err:.2e}")
 
@@ -161,31 +162,30 @@ def _run_state_checks(index: int, seed: int, tols: Tolerances) -> list[tuple[str
     ppt_ok = conc > zero and ppt_min < -zero or conc <= zero and ppt_min >= -zero
     record("concurrence-ppt-equivalence", ppt_ok, f"C={conc:.3e} ppt={ppt_min:.3e}")
 
-    frame = alpha_beta_frame(rho, tols=tols)
-    rho_d, joint = decohere_in_frame(rho, frame, tols=tols)
-    err_a = _max_abs(rho_d.marginal("A").matrix - marg_a.matrix)
-    err_b = _max_abs(rho_d.marginal("B").matrix - marg_b.matrix)
+    rho_d, joint, frame_values, weights = decohere(rho, tols=tols)
+    marg_d = marginal_stack(rho_d.matrix[None], rho.dims, tols=tols)[0][0]
+    err_a = _max_abs(marg_d[0] - marg_a.matrix)
+    err_b = _max_abs(marg_d[1] - marg_b.matrix)
     record("decohere-marginals", err_a <= tols.identity and err_b <= tols.identity, f"{max(err_a, err_b):.2e}")
 
-    rho_dd, _ = decohere(rho_d, tols=tols)
-    idem = _max_abs(rho_dd.matrix - rho_d.matrix)
+    idem = _max_abs(decohere(rho_d, tols=tols).state.matrix - rho_d.matrix)
     record("decohere-idempotent", idem <= tols.reshuffle, f"{idem:.2e}")
 
-    err_a = _max_abs(joint.sum(axis=1) - frame.eig_a.values)
-    err_b = _max_abs(joint.sum(axis=0) - frame.eig_b.values)
+    values_a, values_b = frame_values
+    err_a = _max_abs(joint.sum(axis=1) - values_a)
+    err_b = _max_abs(joint.sum(axis=0) - values_b)
     ok = err_a <= tols.hermiticity and err_b <= tols.hermiticity
     record("decohere-joint-marginals", ok, f"{max(err_a, err_b):.2e}")
 
     s_d = von_neumann(rho_d, tols=tols)
     record("klein-entropy-increase", s_d >= s1 - tols.identity, f"S_d-S={s_d - s1:.2e}")
 
-    weights = overlap_tensor(rho, frame, tols=tols)
-    err_a = _max_abs(np.einsum("abg,g->a", weights, rho.eigenvalues) - frame.eig_a.values)
-    err_b = _max_abs(np.einsum("abg,g->b", weights, rho.eigenvalues) - frame.eig_b.values)
+    err_a = _max_abs(np.einsum("abg,g->a", weights, rho.eigenvalues) - values_a)
+    err_b = _max_abs(np.einsum("abg,g->b", weights, rho.eigenvalues) - values_b)
     record("overlap-reconstruction", err_a <= tols.identity and err_b <= tols.identity, f"{max(err_a, err_b):.2e}")
 
     # P(alpha, beta) / p_beta and P(alpha, beta) / p_alpha over the marginal values off the cutoff.
-    sides = ((frame.eig_b.values, joint), (frame.eig_a.values, joint.T))
+    sides = ((values_b, joint), (values_a, joint.T))
     ratios = np.concatenate([sums[:, k] / v for vals, sums in sides for k, v in enumerate(vals)
                              if not v <= tols.support_cutoff])
     worst_ratio = float(ratios.max())

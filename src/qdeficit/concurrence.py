@@ -20,6 +20,7 @@ from .linalg import (
     DensityMatrix,
     Tolerances,
     eigh_stack,
+    require_two_qubit,
     tensor_product,
 )
 
@@ -32,11 +33,6 @@ _YY = tensor_product(SIGMA_Y, SIGMA_Y)
 _CORE_NOISE_FLOOR = 1e-14
 
 
-def _require_two_qubit(rho: DensityMatrix) -> None:
-    if rho.dims != (2, 2):
-        raise CheckError("dims", 0.0, f"two-qubit state required, got dims {rho.dims}")
-
-
 def _flipped(m: np.ndarray) -> np.ndarray:
     f = _YY @ m.conj() @ _YY
     return 0.5 * (f + f.conj().swapaxes(-1, -2))
@@ -44,7 +40,7 @@ def _flipped(m: np.ndarray) -> np.ndarray:
 
 def spin_flip(rho: DensityMatrix, *, tols: Tolerances = TOLS) -> DensityMatrix:
     """(sigma_y x sigma_y) rho* (sigma_y x sigma_y), conjugated in the computational basis."""
-    _require_two_qubit(rho)
+    require_two_qubit(rho)
     return DensityMatrix(_flipped(rho.matrix), (2, 2), tols=tols)
 
 
@@ -66,14 +62,14 @@ def concurrence_stack(m: np.ndarray, values: np.ndarray, vectors: np.ndarray, *,
 
 def lambda_spectrum(rho: DensityMatrix, *, tols: Tolerances = TOLS) -> np.ndarray:
     """Spin-flip singular values: square roots of the eigenvalues of rho * spin_flip(rho), descending."""
-    _require_two_qubit(rho)
+    require_two_qubit(rho)
     es = rho.eigensystem()
     return _lambda_stack(rho.matrix[None], es.values[None], es.vectors[None], tols=tols)[0]
 
 
 def concurrence(rho: DensityMatrix, *, tols: Tolerances = TOLS) -> float:
     """max(lambda1 - lambda2 - lambda3 - lambda4, 0); zero iff separable."""
-    _require_two_qubit(rho)
+    require_two_qubit(rho)
     es = rho.eigensystem()
     return float(concurrence_stack(rho.matrix[None], es.values[None], es.vectors[None], tols=tols)[0])
 

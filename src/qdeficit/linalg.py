@@ -27,6 +27,7 @@ __all__ = [
     "TOLS",
     "EigenSystem",
     "DensityMatrix",
+    "require_two_qubit",
     "hermitian_eig",
     "eigh_stack",
     "density_stack",
@@ -133,9 +134,6 @@ class Tolerances:
     def __post_init__(self):
         if not (math.isfinite(self.scale) and self.scale > 0):
             raise ValueError(f"tolerance scale must be finite and positive, got {self.scale}")
-
-    def scaled(self, factor: float) -> "Tolerances":
-        return Tolerances(self.scale * factor)
 
 
 TOLS = Tolerances()
@@ -286,6 +284,12 @@ class DensityMatrix:
         return f"DensityMatrix(dims={self.dims}, spectrum={np.round(self.eigenvalues, 6)})"
 
 
+def require_two_qubit(rho: DensityMatrix) -> None:
+    """Raise the ``dims`` check unless ``rho`` is a two-qubit state."""
+    if rho.dims != (2, 2):
+        raise CheckError("dims", 0.0, f"two-qubit state required, got dims {rho.dims}")
+
+
 def tensor_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Kronecker product with A-index major: entry ((i,k),(j,l)) = a[i,j] b[k,l].
 
@@ -338,10 +342,8 @@ def partial_transpose(rho: DensityMatrix, side: str) -> np.ndarray:
     return transpose_stack(rho.matrix, rho.dims, side)
 
 
-def psd_function(m: np.ndarray, func: str, *, tols: Tolerances = TOLS) -> np.ndarray:
-    """Apply ``sqrt`` to a Hermitian PSD matrix spectrally."""
-    if func != "sqrt":
-        raise ValueError(f"unsupported matrix function {func!r}")
+def psd_function(m: np.ndarray, *, tols: Tolerances = TOLS) -> np.ndarray:
+    """Square root of a Hermitian PSD matrix, taken spectrally."""
     eig = hermitian_eig(m, tols=tols)
     vals = eig.values
     if vals[-1] < -tols.psd:

@@ -8,10 +8,12 @@ entropy increase it causes is the quantum deficit.
 
 Every figure is computed once, by array kernels over a validated stack
 ``(m, w, v)``: the matrices ``m`` ``(N, 4, 4)`` with their descending
-eigenvalues ``w`` and eigenvectors ``v``.  ``classify_stack`` runs them on
-a whole stack; ``classify``, ``alpha_beta_frame``, ``decohere_in_frame``,
-``overlap_tensor`` and ``conditional_ratio_check`` are their N = 1 calls.
-A failed check names the lowest failing state of a stack.
+eigenvalues ``w`` and eigenvectors ``v``.  The frame sequence (frame,
+decohered matrices, joint distribution, overlap weights) is one pass,
+``_frame_pass``.  ``classify_stack`` runs every kernel on a whole stack;
+``classify`` and ``decohere`` are N = 1 calls, and ``decohere`` returns
+the frame pass's figures for one state.  A failed check names the lowest
+failing state of a stack.
 
 The frame is built for two qubits only.  A marginal whose two
 eigenvalues differ by more than ``tols.degeneracy`` contributes its
@@ -26,6 +28,7 @@ is underdetermined, so the classifier records when the fallback fired.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -35,24 +38,20 @@ from .linalg import (
     TOLS,
     CheckError,
     DensityMatrix,
-    EigenSystem,
     Tolerances,
     density_stack,
     eigh_stack,
     marginal_stack,
+    require_two_qubit,
     tensor_product,
     transpose_stack,
 )
 
 __all__ = [
-    "AlphaBetaFrame",
     "ClassificationReport",
-    "alpha_beta_frame",
-    "overlap_tensor",
-    "decohere_in_frame",
+    "Decoherence",
     "decohere",
     "quantum_deficit",
-    "conditional_ratio_check",
     "classify_stack",
     "classify",
 ]
@@ -63,14 +62,9 @@ _SWAP2 = _EYE2[:, ::-1].copy()
 _EYE4 = np.eye(4)
 
 
-def _require_two_qubit(rho: DensityMatrix) -> None:
-    if rho.dims != _QUBITS:
-        raise CheckError("dims", 0.0, f"two-qubit state required, got dims {rho.dims}")
-
-
 def _frame_stack(marg: np.ndarray, values: np.ndarray, vectors: np.ndarray, tols: Tolerances):
-    """Frame eigenvalues ``(N, 2, 2)`` and vectors ``(N, 2, 2, 2)`` per side, the degeneracy mask
-    ``(N, 2)`` and the product vectors ``(N, 4, 4)``, from the marginals' eigensystems."""
+    """Frame eigenvalues ``(N, 2, 2)`` per side, the degeneracy mask ``(N, 2)`` and the
+    product vectors ``(N, 4, 4)``, from the marginals' eigensystems."""
     degenerate = values[..., 0] - values[..., 1] <= tols.degeneracy
     if np.count_nonzero(degenerate):
         diag = np.real(np.diagonal(marg[degenerate], axis1=-2, axis2=-1))
@@ -83,7 +77,7 @@ def _frame_stack(marg: np.ndarray, values: np.ndarray, vectors: np.ndarray, tols
     if not gram.max() <= tols.identity:
         CheckError.above("frame orthonormality", gram.max(axis=(-2, -1)), tols.identity)
     CheckError.above("marginal normalization", np.abs(values.sum(axis=-1) - 1.0), tols.hermiticity)
-    return values, vectors, degenerate, u
+    return values, degenerate, u
 
 
 def _decohere_stack(m: np.ndarray, u: np.ndarray, tols: Tolerances) -> tuple[np.ndarray, np.ndarray]:
@@ -105,6 +99,20 @@ def _overlap_stack(u: np.ndarray, vectors: np.ndarray, tols: Tolerances) -> np.n
     return weights.reshape(-1, 2, 2, 4)
 
 
+def _frame_pass(
+    m: np.ndarray, v: np.ndarray, marg: np.ndarray, marg_w: np.ndarray, marg_v: np.ndarray, tols: Tolerances
+):
+    """The frame sequence on a validated stack ``(m, _, v)`` with its marginals' eigensystems.
+
+    Returns the frame eigenvalues ``(N, 2, 2)``, the degeneracy mask
+    ``(N, 2)``, the decohered matrices ``(N, 4, 4)``, their joint diagonals
+    ``(N, 4)`` and the overlap weights ``(N, 2, 2, 4)``.
+    """
+    frame_w, degenerate, u = _frame_stack(marg, marg_w, marg_v, tols)
+    mat_d, joint = _decohere_stack(m, u, tols)
+    return frame_w, degenerate, mat_d, joint, _overlap_stack(u, v, tols)
+
+
 def _ratio_stack(weights: np.ndarray, values: np.ndarray, frame_values: np.ndarray, tols: Tolerances):
     """Largest composite/marginal eigenvalue ratio per side ``(N, 2)`` and the defined flag ``(N,)``.
 
@@ -117,25 +125,6 @@ def _ratio_stack(weights: np.ndarray, values: np.ndarray, frame_values: np.ndarr
     ratios = values[:, None, None, :] / np.maximum(frame_values, tols.support_cutoff)[..., None]
     side_max = np.max(ratios, axis=(-2, -1), where=live, initial=0.0)
     return side_max, (side_max <= 1.0 + tols.hermiticity).all(axis=-1)
-
-
-@dataclass(frozen=True)
-class AlphaBetaFrame:
-    """Product basis built from the eigenvectors of both marginals.
-
-    ``product_vectors[:, alpha * dB + beta]`` is the composite basis
-    vector |alpha, beta> (alpha-major ordering).
-    """
-
-    eig_a: EigenSystem
-    eig_b: EigenSystem
-    product_vectors: np.ndarray
-    degenerate_a: bool
-    degenerate_b: bool
-
-    @property
-    def dims(self) -> tuple[int, int]:
-        return (len(self.eig_a.values), len(self.eig_b.values))
 
 
 @dataclass(frozen=True)
@@ -154,74 +143,31 @@ class ClassificationReport:
         return {**asdict(self), "verdicts": list(self.verdicts)}
 
 
-def alpha_beta_frame(rho_ab: DensityMatrix, *, tols: Tolerances = TOLS) -> AlphaBetaFrame:
-    """Eigensystems of both qubit marginals plus their product basis."""
-    _require_two_qubit(rho_ab)
-    marg_a, marg_b = rho_ab.marginal("A"), rho_ab.marginal("B")
-    es_a, es_b = marg_a.eigensystem(), marg_b.eigensystem()
-    values, vectors, degenerate, u = _frame_stack(
-        np.array([(marg_a.matrix, marg_b.matrix)]),
-        np.array([(es_a.values, es_b.values)]),
-        np.array([(es_a.vectors, es_b.vectors)]),
-        tols,
-    )
-    return AlphaBetaFrame(
-        EigenSystem(values[0, 0], vectors[0, 0]),
-        EigenSystem(values[0, 1], vectors[0, 1]),
-        u[0],
-        bool(degenerate[0, 0]),
-        bool(degenerate[0, 1]),
-    )
+class Decoherence(NamedTuple):
+    """One state's frame pass: ``decohere``'s result."""
+
+    state: DensityMatrix  # rho_d, diagonal in the frame
+    joint: np.ndarray  # P[alpha, beta], the diagonal of rho_d in the frame
+    frame_values: np.ndarray  # [side A/B, alpha]: the frame's marginal eigenvalues
+    weights: np.ndarray  # |<alpha, beta|Gamma>|^2, indexed [alpha, beta, Gamma]
 
 
-def _require_frame_dims(rho_ab: DensityMatrix, frame: AlphaBetaFrame) -> None:
-    if frame.dims != rho_ab.dims:
-        raise CheckError("dims", 0.0, f"frame dims {frame.dims} do not match state {rho_ab.dims}")
-
-
-def overlap_tensor(rho_ab: DensityMatrix, frame: AlphaBetaFrame, *, tols: Tolerances = TOLS) -> np.ndarray:
-    """Squared overlaps |<alpha,beta|Gamma>|^2, indexed [alpha, beta, Gamma]."""
-    _require_frame_dims(rho_ab, frame)
-    return _overlap_stack(frame.product_vectors[None], rho_ab.eigensystem().vectors[None], tols)[0]
-
-
-def decohere_in_frame(
-    rho_ab: DensityMatrix, frame: AlphaBetaFrame, *, tols: Tolerances = TOLS
-) -> tuple[DensityMatrix, np.ndarray]:
-    """``decohere`` in ``frame = alpha_beta_frame(rho_ab)``, built once by the caller."""
-    _require_frame_dims(rho_ab, frame)
-    mat, diag = _decohere_stack(rho_ab.matrix[None], frame.product_vectors[None], tols)
-    return DensityMatrix(mat[0], rho_ab.dims, tols=tols), diag[0].reshape(rho_ab.dims)
-
-
-def decohere(rho_ab: DensityMatrix, *, tols: Tolerances = TOLS) -> tuple[DensityMatrix, np.ndarray]:
+def decohere(rho_ab: DensityMatrix, *, tols: Tolerances = TOLS) -> Decoherence:
     """Drop all off-diagonal elements in the marginal-eigenbasis product frame.
 
-    Returns the decohered state and the joint distribution P[alpha, beta]
-    of its diagonal.  Both marginals are preserved, and the joint's
-    row/column sums are the marginal eigenvalue distributions.
+    Both marginals are preserved, and the joint's row/column sums are the
+    frame's marginal eigenvalues.
     """
-    return decohere_in_frame(rho_ab, alpha_beta_frame(rho_ab, tols=tols), tols=tols)
+    require_two_qubit(rho_ab)
+    m, v = rho_ab.matrix[None], rho_ab.eigensystem().vectors[None]
+    marg, marg_w, marg_v = marginal_stack(m, _QUBITS, tols=tols)
+    frame_w, _, mat_d, joint, weights = _frame_pass(m, v, marg, marg_w, marg_v, tols)
+    return Decoherence(DensityMatrix(mat_d[0], _QUBITS, tols=tols), joint[0].reshape(_QUBITS), frame_w[0], weights[0])
 
 
 def quantum_deficit(rho_ab: DensityMatrix, *, tols: Tolerances = TOLS) -> float:
     """Entropy gained by decohering in the marginal eigenframe: S_d - S >= 0."""
-    rho_d, _ = decohere(rho_ab, tols=tols)
-    return von_neumann(rho_d, tols=tols) - von_neumann(rho_ab, tols=tols)
-
-
-def conditional_ratio_check(
-    rho_ab: DensityMatrix, frame: AlphaBetaFrame, *, tols: Tolerances = TOLS
-) -> tuple[float, float, bool]:
-    """Largest composite/marginal eigenvalue ratio over overlap-connected pairs.
-
-    Ratios at or below one on both sides mean the eigenvalue ratios can be
-    read as conditional probabilities.
-    """
-    weights = overlap_tensor(rho_ab, frame, tols=tols)
-    frame_values = np.array([(frame.eig_a.values, frame.eig_b.values)])
-    side_max, defined = _ratio_stack(weights[None], rho_ab.eigenvalues[None], frame_values, tols)
-    return float(side_max[0, 0]), float(side_max[0, 1]), bool(defined[0])
+    return von_neumann(decohere(rho_ab, tols=tols).state, tols=tols) - von_neumann(rho_ab, tols=tols)
 
 
 def _classify(m: np.ndarray, w: np.ndarray, v: np.ndarray, tols: Tolerances) -> list[ClassificationReport]:
@@ -233,11 +179,10 @@ def _classify(m: np.ndarray, w: np.ndarray, v: np.ndarray, tols: Tolerances) -> 
     s_a, s_b = s_marg[:, 0], s_marg[:, 1]
     diff_a, diff_b = s - s_a, s - s_b
     mutual = s_a + s_b - s
-    frame_w, _, degenerate, u = _frame_stack(marg, marg_w, marg_v, tols)
-    mat_d, _ = _decohere_stack(m, u, tols)
+    frame_w, degenerate, mat_d, _, weights = _frame_pass(m, v, marg, marg_w, marg_v, tols)
     deficit = entropy_stack(density_stack(mat_d, tols=tols)[0], tols=tols) - s
     ppt_min = eigh_stack(transpose_stack(m, _QUBITS, "B"), tols=tols)[0][:, -1]
-    _, defined = _ratio_stack(_overlap_stack(u, v, tols), w, frame_w, tols)
+    _, defined = _ratio_stack(weights, w, frame_w, tols)
     # Commuting with both frames' projectors is the decoherence fixed point rho = rho_d.
     commutes = np.abs(m - mat_d).max(axis=(-2, -1)) <= tols.identity
 
@@ -286,6 +231,6 @@ def classify_stack(matrices, *, tols: Tolerances = TOLS) -> list[ClassificationR
 
 def classify(rho_ab: DensityMatrix, *, tols: Tolerances = TOLS) -> ClassificationReport:
     """Aggregate every diagnostic for a two-qubit state into one report."""
-    _require_two_qubit(rho_ab)
+    require_two_qubit(rho_ab)
     es = rho_ab.eigensystem()
     return _classify(rho_ab.matrix[None], es.values[None], es.vectors[None], tols)[0]

@@ -147,8 +147,8 @@ class TestAudit:
     # trace-one 4x4 state has an entry of at least 1/4: between 1e-8 and 1e-7.
     @pytest.mark.parametrize(("scale", "passes"), [("1", False), ("10", True)])
     def test_injected_sqrt_fault_fails_at_default_scale_only(self, capsys, monkeypatch, scale, passes):
-        def faulty_sqrt(m, func, *, tols):
-            return psd_function(m, func, tols=tols) * (1.0 + 3e-8)
+        def faulty_sqrt(m, *, tols):
+            return psd_function(m, tols=tols) * (1.0 + 3e-8)
 
         monkeypatch.setattr(audit, "psd_function", faulty_sqrt)
         code, out, err = _run(capsys, "--tolerance", scale, "audit", "--n", "12")

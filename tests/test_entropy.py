@@ -298,7 +298,7 @@ class TestRelativeEntropy:
 
     def test_klein_mechanism_for_decohered_state(self):
         rho = werner(0.5)
-        rho_d, _ = decohere(rho)
+        rho_d = decohere(rho).state
         gap = von_neumann(rho_d) - von_neumann(rho)
         assert relative_entropy(rho, rho_d) == pytest.approx(gap, abs=1e-10)
         assert gap >= 0.0

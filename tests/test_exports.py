@@ -69,3 +69,27 @@ def test_no_module_imports_a_private_name(path):
 def test_only_cli_imports_the_audit():
     importers = [path.stem for path in SOURCES if "audit" in _package_modules_imported_by(path.stem)]
     assert importers == ["cli"]
+
+
+def _unused_imports(path):
+    """Names that ``path`` imports and never reads, except ``__future__`` features and ``__all__`` entries."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported |= {alias.asname or alias.name.split(".")[0] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported |= {alias.asname or alias.name for alias in node.names}
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    exported = {
+        elt.value
+        for node in tree.body
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets)
+        for elt in node.value.elts
+    }
+    return sorted(imported - read - exported)
+
+
+@pytest.mark.parametrize("path", [p for p in SOURCES if p.stem != "__init__"], ids=lambda path: path.stem)
+def test_no_unused_imports(path):
+    assert _unused_imports(path) == []

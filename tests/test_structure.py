@@ -7,19 +7,9 @@ from hypothesis import strategies as st
 
 from qdeficit import structure
 from qdeficit.entropy import mutual_entropy, von_neumann
-from qdeficit.linalg import TOLS, CheckError, DensityMatrix, tensor_product
+from qdeficit.linalg import TOLS, CheckError, DensityMatrix, Tolerances, tensor_product
 from qdeficit.states import example_state, from_registry, random_mixed, werner, werner_matrices
-from qdeficit.structure import (
-    ClassificationReport,
-    alpha_beta_frame,
-    classify,
-    classify_stack,
-    conditional_ratio_check,
-    decohere,
-    decohere_in_frame,
-    overlap_tensor,
-    quantum_deficit,
-)
+from qdeficit.structure import ClassificationReport, classify, classify_stack, decohere, quantum_deficit
 
 from helpers import numpy_spectrum
 
@@ -37,39 +27,31 @@ class TestDecohere:
     @given(SEEDED_STATES)
     def test_preserves_both_marginals(self, seed_rank):
         rho = random_mixed(*seed_rank)
-        rho_d, _ = decohere(rho)
+        rho_d = decohere(rho).state
         for side in ("A", "B"):
             assert np.max(np.abs(rho_d.marginal(side).matrix - rho.marginal(side).matrix)) <= 1e-10
 
     @settings(deadline=None, max_examples=40)
     @given(SEEDED_STATES)
     def test_idempotent(self, seed_rank):
-        rho_d, _ = decohere(random_mixed(*seed_rank))
-        rho_dd, _ = decohere(rho_d)
+        rho_d = decohere(random_mixed(*seed_rank)).state
+        rho_dd = decohere(rho_d).state
         assert np.max(np.abs(rho_dd.matrix - rho_d.matrix)) <= 1e-12
 
     def test_idempotent_on_degenerate_marginals(self):
         for rho in (werner(0.3), example_state("E5"), example_state("E6")):
-            rho_d, _ = decohere(rho)
-            rho_dd, _ = decohere(rho_d)
+            rho_d = decohere(rho).state
+            rho_dd = decohere(rho_d).state
             assert np.max(np.abs(rho_dd.matrix - rho_d.matrix)) <= 1e-12
 
     @settings(deadline=None, max_examples=40)
     @given(SEEDED_STATES)
     def test_joint_sums_are_marginal_spectra(self, seed_rank):
-        rho = random_mixed(*seed_rank)
-        frame = alpha_beta_frame(rho)
-        _, joint = decohere_in_frame(rho, frame)
-        assert np.max(np.abs(joint.sum(axis=1) - frame.eig_a.values)) <= 1e-10
-        assert np.max(np.abs(joint.sum(axis=0) - frame.eig_b.values)) <= 1e-10
+        dec = decohere(random_mixed(*seed_rank))
+        assert np.max(np.abs(dec.joint.sum(axis=1) - dec.frame_values[0])) <= 1e-10
+        assert np.max(np.abs(dec.joint.sum(axis=0) - dec.frame_values[1])) <= 1e-10
 
-    def test_frame_of_other_dims_rejected(self):
-        frame = alpha_beta_frame(werner(0.3))
-        with pytest.raises(CheckError) as err:
-            decohere_in_frame(DensityMatrix(np.eye(4) / 4, (4, 1)), frame)
-        assert err.value.check == "dims"
-
-    @pytest.mark.parametrize("func", [alpha_beta_frame, decohere, quantum_deficit, classify])
+    @pytest.mark.parametrize("func", [decohere, quantum_deficit, classify])
     def test_rejects_non_qubit_dims(self, func):
         with pytest.raises(CheckError) as err:
             func(DensityMatrix(np.eye(6) / 6, (2, 3)))
@@ -88,7 +70,7 @@ class TestQuantumDeficit:
     @given(SEEDED_STATES)
     def test_gap_to_mutual_entropy_identity(self, seed_rank):
         rho = random_mixed(*seed_rank)
-        rho_d, _ = decohere(rho)
+        rho_d = decohere(rho).state
         s_d = _entropy_oracle(rho_d.matrix)
         s_a = _entropy_oracle(rho.marginal("A").matrix)
         s_b = _entropy_oracle(rho.marginal("B").matrix)
@@ -97,7 +79,7 @@ class TestQuantumDeficit:
 
 
 def _ratio_loop(marg_vals, connection, big):
-    """Entrywise reference for one side of ``conditional_ratio_check``."""
+    """Entrywise reference for one side of ``structure._ratio_stack``."""
     best = 0.0
     for i, p in enumerate(marg_vals):
         if p <= TOLS.support_cutoff:
@@ -109,11 +91,12 @@ def _ratio_loop(marg_vals, connection, big):
 
 
 def _assert_ratios_match_loop(rho):
-    frame = alpha_beta_frame(rho)
-    weights = overlap_tensor(rho, frame)
-    max_a, max_b, _ = conditional_ratio_check(rho, frame)
-    assert max_a == _ratio_loop(frame.eig_a.values, weights.sum(axis=1), rho.eigenvalues)
-    assert max_b == _ratio_loop(frame.eig_b.values, weights.sum(axis=0), rho.eigenvalues)
+    dec = decohere(rho)
+    side_max, defined = structure._ratio_stack(dec.weights[None], rho.eigenvalues[None], dec.frame_values[None], TOLS)
+    max_a, max_b = side_max[0]
+    assert max_a == _ratio_loop(dec.frame_values[0], dec.weights.sum(axis=1), rho.eigenvalues)
+    assert max_b == _ratio_loop(dec.frame_values[1], dec.weights.sum(axis=0), rho.eigenvalues)
+    assert bool(defined[0]) is classify(rho).conditional_prob_defined
 
 
 class TestConditionalRatio:
@@ -171,7 +154,7 @@ class TestCommutesWithMarginals:
     @settings(deadline=None, max_examples=40)
     @given(SEEDED_STATES)
     def test_decohered_state_is_a_fixed_point(self, seed_rank):
-        rho_d, _ = decohere(random_mixed(*seed_rank))
+        rho_d = decohere(random_mixed(*seed_rank)).state
         assert classify(rho_d).commutes_with_marginals
 
     @pytest.mark.parametrize("seed", range(10))
@@ -186,17 +169,31 @@ class TestCommutesWithMarginals:
 
 
 class TestScaledChecks:
-    """The frame's and the classifier's bounds read ``tols``, so ``scaled`` reaches them."""
+    """The frame's and the classifier's bounds read ``tols``, so ``Tolerances(scale)`` reaches them."""
 
     def test_marginal_normalization_scales(self):
-        loose = TOLS.scaled(10.0)
+        loose = Tolerances(10.0)
         noisy = werner(0.5).matrix.copy()
         noisy[0, 0] += 5e-10  # both marginals' traces are off by 5e-10
         rho = DensityMatrix(noisy, tols=loose)
-        with pytest.raises(CheckError) as err:
-            alpha_beta_frame(rho)
-        assert err.value.check == "marginal normalization"
+        checks = []
+        for func in (decohere, classify):
+            with pytest.raises(CheckError) as err:
+                func(rho)
+            checks.append(err.value.check)
+        assert checks == ["trace", "trace"]
+        assert decohere(rho, tols=loose).frame_values.sum(axis=-1) == pytest.approx([1 + 5e-10] * 2, abs=1e-15)
         assert classify(rho, tols=loose).deficit == pytest.approx(quantum_deficit(werner(0.5)), abs=1e-8)
+
+        # The frame's own normalization check, on marginal values that sum to 1 + 5e-10.
+        values = np.array([[[0.7 + 5e-10, 0.3], [0.6, 0.4 + 5e-10]]])
+        vectors = np.broadcast_to(np.eye(2, dtype=complex), (1, 2, 2, 2))
+        marg = vectors * values[..., None, :]
+        with pytest.raises(CheckError) as err:
+            structure._frame_stack(marg, values, vectors, TOLS)
+        assert err.value.check == "marginal normalization"
+        frame_values, _, _ = structure._frame_stack(marg, values, vectors, loose)
+        assert np.array_equal(frame_values, values)
 
     @pytest.mark.parametrize("shift", [1.0, -1.0], ids=["above-mutual", "negative"])
     def test_classify_rejects_deficit_outside_bounds(self, monkeypatch, shift):
@@ -223,8 +220,8 @@ def _mixed_stack() -> np.ndarray:
     mats += [random_mixed(seed, 1 + seed % 4).matrix for seed in range(200)]
     rng = np.random.default_rng(11)
     mats += [tensor_product(_random_qubit_state(rng), _random_qubit_state(rng)) for _ in range(10)]
-    mats += [decohere(random_mixed(1000 + seed, 1 + seed % 4))[0].matrix for seed in range(10)]
-    mats += [decohere(werner(0.6))[0].matrix, decohere(example_state("E1"))[0].matrix]
+    mats += [decohere(random_mixed(1000 + seed, 1 + seed % 4)).state.matrix for seed in range(10)]
+    mats += [decohere(werner(0.6)).state.matrix, decohere(example_state("E1")).state.matrix]
     return np.array(mats)
 
 
@@ -244,6 +241,15 @@ class TestClassifyStack:
                     assert a == b, field.name
             degenerate += any("degenerate marginal" in v for v in want.verdicts)
         assert 0 < degenerate < len(stack)
+
+    def test_decohere_shares_the_classify_frame(self):
+        for m in _mixed_stack():
+            rho = DensityMatrix(m)
+            report, dec = classify(rho), decohere(rho)
+            assert abs(quantum_deficit(rho) - report.deficit) <= 1e-12
+            assert report.commutes_with_marginals == (np.max(np.abs(m - dec.state.matrix)) <= TOLS.identity)
+            assert np.max(np.abs(dec.joint.sum(axis=1) - dec.frame_values[0])) <= 1e-10
+            assert np.max(np.abs(dec.joint.sum(axis=0) - dec.frame_values[1])) <= 1e-10
 
     def test_report_fields_are_python_scalars(self):
         report = classify_stack(werner_matrices([0.5]))[0]
