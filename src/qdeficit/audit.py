@@ -16,7 +16,7 @@ from concurrent.futures import ProcessPoolExecutor
 import numpy as np
 
 from .concurrence import concurrence, pure_concurrence, spin_flip
-from .entropy import tsallis, von_neumann
+from .entropy import relative_entropy, tsallis, von_neumann
 from .linalg import (
     I2,
     SIGMA_X,
@@ -28,7 +28,7 @@ from .linalg import (
     hermitian_eig,
     marginal_stack,
     partial_transpose,
-    psd_function,
+    sqrt_stack,
     tensor_product,
     transpose_stack,
 )
@@ -94,7 +94,7 @@ def _audit_state(index: int, seed: int, tols: Tolerances):
         a = random_mixed(int(rng.integers(0, 2**32)), int(rng.integers(1, 3)), tols=tols)
         b = random_mixed(int(rng.integers(0, 2**32)), int(rng.integers(1, 3)), tols=tols)
         prod = tensor_product(a.marginal("A").matrix, b.marginal("B").matrix)
-        return DensityMatrix(prod, (2, 2), tols=tols), None, "random mixed product", True
+        return DensityMatrix(prod, tols=tols), None, "random mixed product", True
     rank = (index // 3 - 1) % 4 + 1
     return random_mixed(int(rng.integers(0, 2**32)), rank, tols=tols), None, f"random mixed rank {rank}", False
 
@@ -118,24 +118,24 @@ def _run_state_checks(index: int, seed: int, tols: Tolerances) -> list[tuple[str
     record("eig-reconstruction", ok, f"rec={rec_err:.2e} tr={tr_err:.2e}")
 
     marg_a, marg_b = rho.marginal("A"), rho.marginal("B")
-    prod = DensityMatrix(tensor_product(marg_a.matrix, marg_b.matrix), (2, 2), tols=tols)
+    prod = DensityMatrix(tensor_product(marg_a.matrix, marg_b.matrix), tols=tols)
     kron_err = _max_abs(prod.marginal("A").matrix - marg_a.matrix)
     record("kron-partial-trace", kron_err <= tols.reshuffle, f"{kron_err:.2e}")
 
     # involution checked on the raw matrix: the transpose of an entangled
     # state is not PSD, so it cannot round-trip through DensityMatrix
     pt = partial_transpose(rho, "B")
-    inv_err = _max_abs(transpose_stack(pt, rho.dims, "B") - rho.matrix)
+    inv_err = _max_abs(transpose_stack(pt, "B") - rho.matrix)
     tr_pt = abs(float(np.trace(pt).real) - 1.0)
     ok = inv_err <= tols.reshuffle and tr_pt <= tols.reshuffle
     record("partial-transpose-involution", ok, f"inv={inv_err:.2e}")
 
-    root = psd_function(rho.matrix, tols=tols)
+    root = sqrt_stack(es.values, es.vectors)
     sq_err = _max_abs(root @ root - rho.matrix)
     record("sqrt-roundtrip", sq_err <= tols.rebuilt, f"{sq_err:.2e}")
 
     # S(AB), S(A), S(B) once; the mutual entropy and the q = 1 conditional
-    # entropies are the same sums as in ``mutual_entropy`` and ``conditional_tsallis``.
+    # entropies are the same sums as ``classify``'s and ``conditional_tsallis``'s.
     s1 = von_neumann(rho, tols=tols)
     s_a, s_b = von_neumann(marg_a, tols=tols), von_neumann(marg_b, tols=tols)
     mut = s_a + s_b - s1
@@ -153,7 +153,7 @@ def _run_state_checks(index: int, seed: int, tols: Tolerances) -> list[tuple[str
     record("concurrence-flip-invariance", flip_gap <= tols.concurrence_zero, f"{flip_gap:.2e}")
 
     u_local = tensor_product(_haar_unitary(rng, 2), _haar_unitary(rng, 2))
-    rotated = DensityMatrix(u_local @ rho.matrix @ u_local.conj().T, (2, 2), tols=tols)
+    rotated = DensityMatrix(u_local @ rho.matrix @ u_local.conj().T, tols=tols)
     lu_gap = abs(conc - concurrence(rotated, tols=tols))
     record("concurrence-local-unitary", lu_gap <= tols.concurrence_zero, f"{lu_gap:.2e}")
 
@@ -163,7 +163,7 @@ def _run_state_checks(index: int, seed: int, tols: Tolerances) -> list[tuple[str
     record("concurrence-ppt-equivalence", ppt_ok, f"C={conc:.3e} ppt={ppt_min:.3e}")
 
     rho_d, joint, frame_values, weights = decohere(rho, tols=tols)
-    marg_d = marginal_stack(rho_d.matrix[None], rho.dims, tols=tols)[0][0]
+    marg_d = marginal_stack(rho_d.matrix[None], tols=tols)[0][0]
     err_a = _max_abs(marg_d[0] - marg_a.matrix)
     err_b = _max_abs(marg_d[1] - marg_b.matrix)
     record("decohere-marginals", err_a <= tols.identity and err_b <= tols.identity, f"{max(err_a, err_b):.2e}")
@@ -195,8 +195,10 @@ def _run_state_checks(index: int, seed: int, tols: Tolerances) -> list[tuple[str
     deficit = s_d - s1
     record("deficit-bounds", -tols.identity <= deficit <= mut + tols.identity, f"D={deficit:.3e} S={mut:.3e}")
 
+    # D - I with D by a second route: rho_d is rho's pinching in rho_d's eigenbasis, so D = S(rho || rho_d).
+    # (-S(rho_d || rho_A x rho_B) is infinite wherever a marginal eigenvalue squared falls below the support cutoff.)
     gap = deficit - mut
-    gap_identity = abs(gap - (s_d - s_a - s_b))
+    gap_identity = abs(gap - (relative_entropy(rho, rho_d, tols=tols) - mut))
     record("deficit-mutual-gap-identity", gap_identity <= tols.identity and gap <= tols.identity, f"{gap_identity:.2e}")
 
     if amps is not None:
@@ -208,18 +210,19 @@ def _run_state_checks(index: int, seed: int, tols: Tolerances) -> list[tuple[str
         ok = nonpos and (equality and pure_c <= zero or not equality and pure_c > zero)
         record("pure-conditional-nonpositive", ok, f"cond=({cond_a:.3e},{cond_b:.3e}) C={pure_c:.3e}")
 
-        vec_a, vec_b = bloch_vectors(amps)
-        _, residual = purity_check(amps)
-        norm_gap = abs(vec_a.norm() - vec_b.norm())
+        vec_a, vec_b = bloch_vectors(amps, tols=tols)
+        _, residual = purity_check(amps, tols=tols)
+        norm_a, norm_b = np.linalg.norm((vec_a, vec_b), axis=1)
+        norm_gap = abs(norm_a - norm_b)
         ok = residual <= tols.hermiticity and norm_gap <= tols.hermiticity
         record("pure-bloch-identity", ok, f"res={residual:.2e}")
 
         paulis = (SIGMA_X, SIGMA_Y, SIGMA_Z)
-        ct = correlation_tensor(amps).matrix
+        ct = correlation_tensor(amps, tols=tols)
         rebuilt = tensor_product(I2, I2).astype(complex)
         for i, pauli in enumerate(paulis):
-            rebuilt += (vec_a.s1, vec_a.s2, vec_a.s3)[i] * tensor_product(pauli, I2)
-            rebuilt += (vec_b.s1, vec_b.s2, vec_b.s3)[i] * tensor_product(I2, pauli)
+            rebuilt += vec_a[i] * tensor_product(pauli, I2)
+            rebuilt += vec_b[i] * tensor_product(I2, pauli)
             for j in range(3):
                 rebuilt += ct[i, j] * tensor_product(pauli, paulis[j])
         rebuilt /= 4.0
@@ -227,7 +230,7 @@ def _run_state_checks(index: int, seed: int, tols: Tolerances) -> list[tuple[str
         record("pure-pauli-reconstruction", pauli_err <= tols.identity, f"{pauli_err:.2e}")
 
         gap_c = abs(pure_c - conc)
-        gap_bloch = abs(pure_c - math.sqrt(max(1.0 - vec_a.norm_squared(), 0.0)))
+        gap_bloch = abs(pure_c - math.sqrt(max(1.0 - float(vec_a @ vec_a), 0.0)))
         record("pure-concurrence-routes", gap_c <= zero and gap_bloch <= zero, f"{max(gap_c, gap_bloch):.2e}")
 
     if product:

@@ -94,6 +94,7 @@ _ISO_CLOSED = {
 
 
 # Round-off allowance for the last grid point p = pmin + k * step against pmax.
+# A float64 round-off level, not a bound: ``--tolerance`` would move the grid's last point.
 _GRID_END_SLACK = 1e-12
 
 # Rows classified per ``classify_stack`` call: bounds the sweep's working

@@ -21,6 +21,7 @@ from .linalg import (
     Tolerances,
     eigh_stack,
     require_two_qubit,
+    sqrt_stack,
     tensor_product,
 )
 
@@ -30,6 +31,7 @@ _YY = tensor_product(SIGMA_Y, SIGMA_Y)
 
 # Eigenvalues of the Hermitian core below this are round-off zeros; taking
 # their square root would inflate them to ~1e-8 and bias the concurrence.
+# A float64 round-off level, not a bound: ``--tolerance`` would move printed concurrences.
 _CORE_NOISE_FLOOR = 1e-14
 
 
@@ -41,12 +43,12 @@ def _flipped(m: np.ndarray) -> np.ndarray:
 def spin_flip(rho: DensityMatrix, *, tols: Tolerances = TOLS) -> DensityMatrix:
     """(sigma_y x sigma_y) rho* (sigma_y x sigma_y), conjugated in the computational basis."""
     require_two_qubit(rho)
-    return DensityMatrix(_flipped(rho.matrix), (2, 2), tols=tols)
+    return DensityMatrix(_flipped(rho.matrix), tols=tols)
 
 
 def _lambda_stack(m: np.ndarray, values: np.ndarray, vectors: np.ndarray, *, tols: Tolerances = TOLS) -> np.ndarray:
     """Spin-flip singular values ``(N, 4)``, descending, of a stack with its eigensystems."""
-    root = (vectors * np.sqrt(np.maximum(values, 0.0))[:, None, :]) @ vectors.conj().swapaxes(-1, -2)
+    root = sqrt_stack(values, vectors)
     core = root @ _flipped(m) @ root
     vals, _ = eigh_stack(0.5 * (core + core.conj().swapaxes(-1, -2)), tols=tols)
     CheckError.below("lambda nonnegativity", vals[:, -1], -tols.identity)

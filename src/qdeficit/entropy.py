@@ -1,4 +1,4 @@
-"""Entropy functionals: von Neumann, Tsallis, conditional, mutual, relative.
+"""Entropy functionals: von Neumann, Tsallis, conditional, relative.
 
 All entropies are in natural log units (nats).  Eigenvalues in
 ``[-tols.psd, 0)`` are clipped to zero before evaluation; anything more
@@ -20,7 +20,6 @@ __all__ = [
     "tsallis",
     "conditional_tsallis",
     "tsallis_infinity_criterion",
-    "mutual_entropy",
     "relative_entropy",
 ]
 
@@ -101,15 +100,6 @@ def tsallis_infinity_criterion(rho_ab: DensityMatrix, *, tols: Tolerances = TOLS
     top_a = rho_ab.marginal("A").eigenvalues[0]
     top_b = rho_ab.marginal("B").eigenvalues[0]
     return (top <= top_a + tols.support_cutoff, top <= top_b + tols.support_cutoff)
-
-
-def mutual_entropy(rho_ab: DensityMatrix, *, tols: Tolerances = TOLS) -> float:
-    """S(A) + S(B) - S(A,B); zero exactly for product states."""
-    return (
-        von_neumann(rho_ab.marginal("A"), tols=tols)
-        + von_neumann(rho_ab.marginal("B"), tols=tols)
-        - von_neumann(rho_ab, tols=tols)
-    )
 
 
 def relative_entropy(rho1: DensityMatrix, rho2: DensityMatrix, *, tols: Tolerances = TOLS) -> float:

@@ -1,9 +1,10 @@
-"""Dense complex Hermitian linear algebra for small bipartite systems.
+"""Dense complex Hermitian linear algebra for two-qubit states and their qubit marginals.
 
 Everything here works on plain ``numpy`` complex arrays.  The fixed
 two-qubit basis order is ``|11>, |10>, |01>, |00>`` (index 0..3); single
 qubits are ordered ``(|1>, |0>)``, so the Pauli matrices below have their
 familiar matrix form with ``|1>`` as the +1 eigenvector of ``SIGMA_Z``.
+A ``DensityMatrix`` is a two-qubit state or one of its qubit marginals.
 
 The ``*_stack`` functions work on stacks ``(N, ..., n, n)`` whose leading
 index counts states; ``hermitian_eig`` and ``DensityMatrix`` are their
@@ -16,7 +17,6 @@ state only once that number is out of bounds.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,10 +35,8 @@ __all__ = [
     "marginal_stack",
     "transpose_stack",
     "partial_transpose",
-    "psd_function",
-    "matrix_to_json",
+    "sqrt_stack",
     "matrix_from_json",
-    "density_to_json",
     "density_from_json",
     "I2",
     "SIGMA_X",
@@ -219,46 +217,38 @@ def hermitian_eig(m: np.ndarray, *, tols: Tolerances = TOLS) -> EigenSystem:
     return EigenSystem(values[0], vectors[0])
 
 
-class DensityMatrix:
-    """Hermitian, positive-semidefinite, trace-one matrix on ``dA x dB``.
+# (dA, dB) by matrix side: a two-qubit state, or a qubit marginal.
+_DIMS = {4: (2, 2), 2: (2, 1)}
 
-    ``dims = (dA, dB)`` with ``dB = 1`` allowed for single-subsystem
-    states.  Validation happens at construction; the eigendecomposition
-    computed for the PSD check is cached, as are the marginals.
+
+class DensityMatrix:
+    """Hermitian, positive-semidefinite, trace-one matrix of two qubits or of one.
+
+    The shape fixes the read-only ``dims``: a 4x4 matrix is a two-qubit
+    state, ``(2, 2)``, and a 2x2 matrix a qubit marginal, ``(2, 1)``; any
+    other side fails the ``dims`` check.  Validation happens at
+    construction; the eigendecomposition computed for the PSD check is
+    cached, as are the marginals.
     """
 
-    __slots__ = ("matrix", "dims", "_eig", "_marginals", "_tols")
+    __slots__ = ("matrix", "_eig", "_marginals", "_tols")
 
-    def __init__(
-        self,
-        matrix,
-        dims: tuple[int, int] | None = None,
-        *,
-        tols: Tolerances = TOLS,
-    ):
+    def __init__(self, matrix, *, tols: Tolerances = TOLS):
         arr = np.array(matrix, dtype=complex)
         stack = arr[None]
         # The finite, square and hermiticity checks run first.
         values, vectors = _eigh_checked(stack, tols, arr.shape)
-        n = arr.shape[0]
-        if dims is None:
-            dims = (2, 2) if n == 4 else (n, 1)
-        try:
-            da, db = operator.index(dims[0]), operator.index(dims[1])
-        except TypeError:
-            raise CheckError("dims", 0.0, f"dims {dims} are not integers") from None
-        if da < 1 or db < 1 or da * db != n:
-            raise CheckError("dims", 0.0, f"dims {dims} inconsistent with side {n}")
+        if arr.shape[0] not in _DIMS:
+            raise CheckError("dims", 0.0, f"a 4x4 two-qubit or 2x2 qubit matrix required, got side {arr.shape[0]}")
         _density_checks(stack, values, tols)
         self.matrix = _freeze(arr)
-        self.dims = (da, db)
         self._eig = EigenSystem(values[0], vectors[0])
         self._marginals: dict[str, "DensityMatrix"] = {}
         self._tols = tols
 
     @property
-    def is_composite(self) -> bool:
-        return self.dims[0] > 1 and self.dims[1] > 1
+    def dims(self) -> tuple[int, int]:
+        return _DIMS[len(self.matrix)]
 
     def eigensystem(self) -> EigenSystem:
         return self._eig
@@ -271,12 +261,10 @@ class DensityMatrix:
         """Reduced state of subsystem ``keep`` ('A' or 'B')."""
         if keep not in ("A", "B"):
             raise ValueError(f"subsystem must be 'A' or 'B', got {keep!r}")
-        if not self.is_composite:
-            raise CheckError("composite", 0.0, "partial trace needs composite dims")
+        require_two_qubit(self)
         cached = self._marginals.get(keep)
         if cached is None:
-            side = self.dims[0] if keep == "A" else self.dims[1]
-            cached = DensityMatrix(_reduce_stack(self.matrix, self.dims, keep), (side, 1), tols=self._tols)
+            cached = DensityMatrix(_reduce_stack(self.matrix, keep), tols=self._tols)
             self._marginals[keep] = cached
         return cached
 
@@ -300,35 +288,34 @@ def tensor_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out.reshape(out.shape[:-4] + (a.shape[-2] * b.shape[-2], a.shape[-1] * b.shape[-1]))
 
 
-def _split(m: np.ndarray, dims: tuple[int, int]) -> np.ndarray:
-    da, db = dims
-    return m.reshape(m.shape[:-2] + (da, db, da, db))
+def _split(m: np.ndarray) -> np.ndarray:
+    """View each two-qubit matrix of ``(..., 4, 4)`` with indices (a, b, a', b')."""
+    return m.reshape(m.shape[:-2] + (2, 2, 2, 2))
 
 
-def _reduce_stack(m: np.ndarray, dims: tuple[int, int], keep: str) -> np.ndarray:
-    """Hermitian part of the reduced matrix of subsystem ``keep`` for each matrix of ``(..., n, n)``."""
-    r = _split(m, dims)
+def _reduce_stack(m: np.ndarray, keep: str) -> np.ndarray:
+    """Hermitian part of the reduced matrix of qubit ``keep`` for each matrix of ``(..., 4, 4)``."""
+    r = _split(m)
     reduced = np.einsum("...ikjk->...ij" if keep == "A" else "...kikj->...ij", r)
     return 0.5 * (reduced + reduced.conj().swapaxes(-1, -2))
 
 
-def marginal_stack(m: np.ndarray, dims: tuple[int, int], *, tols: Tolerances = TOLS):
-    """Both reduced states of each matrix of a stack ``(N, n, n)`` on equal sides ``dims = (d, d)``.
+def marginal_stack(m: np.ndarray, *, tols: Tolerances = TOLS):
+    """Both qubit marginals of each two-qubit matrix of a stack ``(N, 4, 4)``.
 
     Returns ``(matrices, values, vectors)`` indexed ``[state, side A/B, ...]``:
     the 2N marginals are validated and diagonalised in one call.
     """
-    d = dims[0]
-    mats = np.empty(m.shape[:-2] + (2, d, d), dtype=complex)
-    mats[..., 0, :, :] = _reduce_stack(m, dims, "A")
-    mats[..., 1, :, :] = _reduce_stack(m, dims, "B")
+    mats = np.empty(m.shape[:-2] + (2, 2, 2), dtype=complex)
+    mats[..., 0, :, :] = _reduce_stack(m, "A")
+    mats[..., 1, :, :] = _reduce_stack(m, "B")
     values, vectors = density_stack(mats, tols=tols)
     return mats, values, vectors
 
 
-def transpose_stack(m: np.ndarray, dims: tuple[int, int], side: str) -> np.ndarray:
-    """Transpose the indices of subsystem ``side`` in each matrix of ``(..., n, n)``."""
-    r = _split(m, dims)
+def transpose_stack(m: np.ndarray, side: str) -> np.ndarray:
+    """Transpose the indices of qubit ``side`` in each two-qubit matrix of ``(..., 4, 4)``."""
+    r = _split(m)
     out = np.einsum("...iljk->...ikjl" if side == "B" else "...jkil->...ikjl", r)
     return out.reshape(m.shape)
 
@@ -337,32 +324,23 @@ def partial_transpose(rho: DensityMatrix, side: str) -> np.ndarray:
     """Transpose the indices of one subsystem only.  Hermitian, trace one."""
     if side not in ("A", "B"):
         raise ValueError(f"subsystem must be 'A' or 'B', got {side!r}")
-    if not rho.is_composite:
-        raise CheckError("composite", 0.0, "partial transpose needs composite dims")
-    return transpose_stack(rho.matrix, rho.dims, side)
+    require_two_qubit(rho)
+    return transpose_stack(rho.matrix, side)
 
 
-def psd_function(m: np.ndarray, *, tols: Tolerances = TOLS) -> np.ndarray:
-    """Square root of a Hermitian PSD matrix, taken spectrally."""
-    eig = hermitian_eig(m, tols=tols)
-    vals = eig.values
-    if vals[-1] < -tols.psd:
-        raise CheckError("psd", vals[-1], "negative eigenvalue")
-    out = (eig.vectors * np.sqrt(np.clip(vals, 0.0, None))) @ eig.vectors.conj().T
-    return 0.5 * (out + out.conj().T)
-
-
-def matrix_to_json(m: np.ndarray) -> list:
-    """Row-major nested lists of [re, im] pairs."""
-    m = np.asarray(m, dtype=complex)
-    return [[[float(z.real), float(z.imag)] for z in row] for row in m]
+def sqrt_stack(values: np.ndarray, vectors: np.ndarray) -> np.ndarray:
+    """V sqrt(max(values, 0)) V† for each eigensystem of a stack, values ``(..., n)``, vectors ``(..., n, n)``."""
+    return (vectors * np.sqrt(np.maximum(values, 0.0))[..., None, :]) @ vectors.conj().swapaxes(-1, -2)
 
 
 def _json_entry(pair) -> complex:
     # type(), not isinstance(): a JSON true/false is a bool, which is an int subclass.
     if not (isinstance(pair, list) and len(pair) == 2 and all(type(x) in (int, float) for x in pair)):
         raise ValueError(f"matrix entry {pair!r} is not an [re, im] pair of numbers")
-    return complex(pair[0], pair[1])
+    try:
+        return complex(pair[0], pair[1])
+    except OverflowError:  # a JSON integer beyond the float range
+        raise ValueError("matrix entry has an integer beyond the float range") from None
 
 
 def matrix_from_json(payload) -> np.ndarray:
@@ -376,22 +354,22 @@ def matrix_from_json(payload) -> np.ndarray:
     return arr
 
 
-def density_to_json(rho: DensityMatrix) -> dict:
-    return {"dims": [rho.dims[0], rho.dims[1]], "matrix": matrix_to_json(rho.matrix)}
-
-
 def density_from_json(payload, *, tols: Tolerances = TOLS) -> DensityMatrix:
-    """Parse either {"dims": [dA, dB], "matrix": ...} or a bare matrix."""
+    """Parse either {"dims": [dA, dB], "matrix": ...} or a bare matrix.
+
+    An optional ``dims`` must be the pair the matrix's shape implies:
+    ``[2, 2]`` for a 4x4 matrix, ``[2, 1]`` for a 2x2 one.
+    """
+    dims = None
     if isinstance(payload, dict):
         if "matrix" not in payload:
             raise ValueError("state object must contain a 'matrix' field")
-        matrix = matrix_from_json(payload["matrix"])
-        dims = payload.get("dims")
-        if dims is not None:
-            if not (isinstance(dims, (list, tuple)) and len(dims) == 2 and all(type(d) is int for d in dims)):
-                raise ValueError(f"'dims' must be a list of two integers, got {dims!r}")
-            dims = tuple(dims)
-    else:
-        matrix = matrix_from_json(payload)
-        dims = None
-    return DensityMatrix(matrix, dims, tols=tols)
+        payload, dims = payload["matrix"], payload.get("dims")
+    matrix = matrix_from_json(payload)
+    well_formed = isinstance(dims, (list, tuple)) and len(dims) == 2 and all(type(d) is int for d in dims)
+    if dims is not None and not well_formed:
+        raise ValueError(f"'dims' must be a list of two integers, got {dims!r}")
+    rho = DensityMatrix(matrix, tols=tols)
+    if dims is not None and tuple(dims) != rho.dims:
+        raise CheckError("dims", 0.0, f"dims {list(dims)} inconsistent with a matrix of dims {rho.dims}")
+    return rho

@@ -16,8 +16,6 @@ from .linalg import TOLS, CheckError, DensityMatrix, Tolerances
 
 __all__ = [
     "PureStateAmplitudes",
-    "BlochVector",
-    "CorrelationTensor",
     "RegistryError",
     "werner_matrices",
     "werner",
@@ -62,40 +60,6 @@ class PureStateAmplitudes:
         return np.array([self.a11, self.a10, self.a01, self.a00], dtype=complex)
 
 
-@dataclass(frozen=True)
-class BlochVector:
-    """Single-qubit polarization vector, |s| <= 1."""
-
-    s1: float
-    s2: float
-    s3: float
-
-    def __post_init__(self):
-        if not self.norm_squared() <= 1.0 + 1e-10:
-            raise CheckError("bloch norm", self.norm_squared() - 1.0)
-
-    def norm_squared(self) -> float:
-        return self.s1 * self.s1 + self.s2 * self.s2 + self.s3 * self.s3
-
-    def norm(self) -> float:
-        return math.sqrt(self.norm_squared())
-
-
-@dataclass(frozen=True)
-class CorrelationTensor:
-    """3x3 real two-qubit correlation tensor, entries in [-1, 1]."""
-
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=float)
-        if m.shape != (3, 3):
-            raise CheckError("shape", 0.0, f"correlation tensor must be 3x3, got {m.shape}")
-        worst = float(np.max(np.abs(m)))
-        if not worst <= 1.0 + 1e-10:
-            raise CheckError("correlation bound", worst - 1.0)
-
-
 def _ket(entries) -> np.ndarray:
     return np.asarray(entries, dtype=complex)
 
@@ -121,7 +85,7 @@ def werner_matrices(ps) -> np.ndarray:
 
 def werner(p: float, *, tols: Tolerances = TOLS) -> DensityMatrix:
     """p |Phi><Phi| + (1-p) I/4 with Phi the (|00>+|11>)/sqrt(2) Bell state."""
-    return DensityMatrix(werner_matrices(p)[0], (2, 2), tols=tols)
+    return DensityMatrix(werner_matrices(p)[0], tols=tols)
 
 
 def _example_matrix(name: str) -> np.ndarray:
@@ -142,7 +106,7 @@ def _example_matrix(name: str) -> np.ndarray:
 
 def example_state(name: str, *, tols: Tolerances = TOLS) -> DensityMatrix:
     """One of the six reference mixed/pure states E1..E6."""
-    return DensityMatrix(_example_matrix(name), (2, 2), tols=tols)
+    return DensityMatrix(_example_matrix(name), tols=tols)
 
 
 def isospectral_pair(*, tols: Tolerances = TOLS) -> tuple[DensityMatrix, DensityMatrix]:
@@ -165,40 +129,51 @@ def isospectral_pair(*, tols: Tolerances = TOLS) -> tuple[DensityMatrix, Density
     ) / 3.0
     separable = np.diag([1.0, 0.0, 0.0, 2.0]).astype(complex) / 3.0
     return (
-        DensityMatrix(entangled, (2, 2), tols=tols),
-        DensityMatrix(separable, (2, 2), tols=tols),
+        DensityMatrix(entangled, tols=tols),
+        DensityMatrix(separable, tols=tols),
     )
 
 
 def pure_density(amps: PureStateAmplitudes, *, tols: Tolerances = TOLS) -> DensityMatrix:
     """Rank-one projector |Psi><Psi| of a normalized pure state."""
-    return DensityMatrix(_projector(amps.vector), (2, 2), tols=tols)
+    return DensityMatrix(_projector(amps.vector), tols=tols)
 
 
-def bloch_vectors(amps: PureStateAmplitudes) -> tuple[BlochVector, BlochVector]:
-    """Polarization vectors of both qubits of a pure state."""
+def bloch_vectors(amps: PureStateAmplitudes, *, tols: Tolerances = TOLS) -> np.ndarray:
+    """Polarization vectors of both qubits of a pure state: rows A and B of a ``(2, 3)`` array.
+
+    Each row must satisfy |s| <= 1 within ``tols.hermiticity``.
+    """
     a11, a10, a01, a00 = amps.a11, amps.a10, amps.a01, amps.a00
 
     def _real(z: complex, label: str) -> float:
-        if abs(z.imag) > 1e-12:
+        # z + z* is real by construction: the imaginary part is an exact cancellation.
+        if not abs(z.imag) <= tols.reshuffle:
             raise CheckError("real component", abs(z.imag), label)
         return z.real
 
-    s_a = BlochVector(
+    s_a = (
         _real(a11 * a01.conjugate() + a11.conjugate() * a01 + a10 * a00.conjugate() + a10.conjugate() * a00, "s1(A)"),
         _real(1j * (a11 * a01.conjugate() - a11.conjugate() * a01 + a10 * a00.conjugate() - a10.conjugate() * a00), "s2(A)"),
         abs(a11) ** 2 - abs(a01) ** 2 + abs(a10) ** 2 - abs(a00) ** 2,
     )
-    s_b = BlochVector(
+    s_b = (
         _real(a11 * a10.conjugate() + a11.conjugate() * a10 + a01 * a00.conjugate() + a01.conjugate() * a00, "s1(B)"),
         _real(1j * (a11 * a10.conjugate() - a11.conjugate() * a10 + a01 * a00.conjugate() - a01.conjugate() * a00), "s2(B)"),
         abs(a11) ** 2 - abs(a10) ** 2 + abs(a01) ** 2 - abs(a00) ** 2,
     )
-    return s_a, s_b
+    s = np.array((s_a, s_b))
+    worst = float(np.max(np.sum(s * s, axis=1)))
+    if not worst <= 1.0 + tols.hermiticity:
+        raise CheckError("bloch norm", worst - 1.0)
+    return s
 
 
-def correlation_tensor(amps: PureStateAmplitudes) -> CorrelationTensor:
-    """Two-qubit correlation tensor C_ij = <tau_i x tau_j> of a pure state."""
+def correlation_tensor(amps: PureStateAmplitudes, *, tols: Tolerances = TOLS) -> np.ndarray:
+    """Two-qubit correlation tensor C_ij = <tau_i x tau_j> of a pure state, ``(3, 3)``.
+
+    Every entry must lie in [-1, 1] within ``tols.hermiticity``.
+    """
     a11, a10, a01, a00 = amps.a11, amps.a10, amps.a01, amps.a00
 
     def _re2(x: complex, y: complex) -> float:
@@ -219,14 +194,17 @@ def correlation_tensor(amps: PureStateAmplitudes) -> CorrelationTensor:
     c[2, 0] = _re2(a11, a10) - _re2(a01, a00)
     c[2, 1] = _im2(a11, a10) - _im2(a01, a00)
     c[2, 2] = abs(a11) ** 2 - abs(a10) ** 2 - abs(a01) ** 2 + abs(a00) ** 2
-    return CorrelationTensor(c)
+    worst = float(np.max(np.abs(c)))
+    if not worst <= 1.0 + tols.hermiticity:
+        raise CheckError("correlation bound", worst - 1.0)
+    return c
 
 
-def purity_check(amps: PureStateAmplitudes) -> tuple[float, float]:
+def purity_check(amps: PureStateAmplitudes, *, tols: Tolerances = TOLS) -> tuple[float, float]:
     """Marginal purity (1 + |s|^2)/2 and the residual of the identity
     1 - |s(A)|^2 = 4 |a11 a00 - a01 a10|^2."""
-    s_a, _ = bloch_vectors(amps)
-    mag2 = s_a.norm_squared()
+    s_a = bloch_vectors(amps, tols=tols)[0]
+    mag2 = float(s_a @ s_a)
     det = amps.a11 * amps.a00 - amps.a01 * amps.a10
     return (1.0 + mag2) / 2.0, abs((1.0 - mag2) - 4.0 * abs(det) ** 2)
 
@@ -256,7 +234,7 @@ def random_mixed(seed: int, rank: int, *, tols: Tolerances = TOLS) -> DensityMat
     for w in weights:
         v = _haar_amplitudes(rng)
         mat += w * np.outer(v, v.conj())
-    return DensityMatrix(0.5 * (mat + mat.conj().T), (2, 2), tols=tols)
+    return DensityMatrix(0.5 * (mat + mat.conj().T), tols=tols)
 
 
 def from_registry(spec: str, *, tols: Tolerances = TOLS) -> DensityMatrix:

@@ -1,10 +1,11 @@
-"""The marginal-eigenbasis machinery: product frames, overlap weights,
-decohered states and the quantum deficit.
+"""The marginal-eigenbasis machinery for two-qubit states: product frames,
+overlap weights, decohered states and the quantum deficit.
 
 The central object is the product basis built from the eigenvectors of
-both marginals.  Dropping the off-diagonal elements of a composite state
-in that basis ("decohering") preserves both marginals exactly, and the
-entropy increase it causes is the quantum deficit.
+both qubit marginals.  Dropping the off-diagonal elements of a state in
+that basis ("decohering") preserves both marginals exactly, and the
+entropy increase it causes is the quantum deficit, ``classify``'s
+``deficit``.
 
 Every figure is computed once, by array kernels over a validated stack
 ``(m, w, v)``: the matrices ``m`` ``(N, 4, 4)`` with their descending
@@ -15,14 +16,14 @@ decohered matrices, joint distribution, overlap weights) is one pass,
 the frame pass's figures for one state.  A failed check names the lowest
 failing state of a stack.
 
-The frame is built for two qubits only.  A marginal whose two
-eigenvalues differ by more than ``tols.degeneracy`` contributes its
-eigenvectors; otherwise its eigenbasis is not unique and the frame takes
-the computational basis, ordered by descending diagonal entry (ties keep
-index order).  On a stack this rule is a per-state, per-side mask, so
-degenerate and generic states share one call.  That makes decoherence
-deterministic but basis-dependent exactly where the construction itself
-is underdetermined, so the classifier records when the fallback fired.
+A marginal whose two eigenvalues differ by more than ``tols.degeneracy``
+contributes its eigenvectors; otherwise its eigenbasis is not unique and
+the frame takes the computational basis, ordered by descending diagonal
+entry (ties keep index order).  On a stack this rule is a per-state,
+per-side mask, so degenerate and generic states share one call.  That
+makes decoherence deterministic but basis-dependent exactly where the
+construction itself is underdetermined, so the classifier records when
+the fallback fired.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .concurrence import concurrence_stack
-from .entropy import entropy_stack, von_neumann
+from .entropy import entropy_stack
 from .linalg import (
     TOLS,
     CheckError,
@@ -51,12 +52,10 @@ __all__ = [
     "ClassificationReport",
     "Decoherence",
     "decohere",
-    "quantum_deficit",
     "classify_stack",
     "classify",
 ]
 
-_QUBITS = (2, 2)
 _EYE2 = np.eye(2, dtype=complex)
 _SWAP2 = _EYE2[:, ::-1].copy()
 _EYE4 = np.eye(4)
@@ -160,28 +159,23 @@ def decohere(rho_ab: DensityMatrix, *, tols: Tolerances = TOLS) -> Decoherence:
     """
     require_two_qubit(rho_ab)
     m, v = rho_ab.matrix[None], rho_ab.eigensystem().vectors[None]
-    marg, marg_w, marg_v = marginal_stack(m, _QUBITS, tols=tols)
+    marg, marg_w, marg_v = marginal_stack(m, tols=tols)
     frame_w, _, mat_d, joint, weights = _frame_pass(m, v, marg, marg_w, marg_v, tols)
-    return Decoherence(DensityMatrix(mat_d[0], _QUBITS, tols=tols), joint[0].reshape(_QUBITS), frame_w[0], weights[0])
-
-
-def quantum_deficit(rho_ab: DensityMatrix, *, tols: Tolerances = TOLS) -> float:
-    """Entropy gained by decohering in the marginal eigenframe: S_d - S >= 0."""
-    return von_neumann(decohere(rho_ab, tols=tols).state, tols=tols) - von_neumann(rho_ab, tols=tols)
+    return Decoherence(DensityMatrix(mat_d[0], tols=tols), joint[0].reshape(2, 2), frame_w[0], weights[0])
 
 
 def _classify(m: np.ndarray, w: np.ndarray, v: np.ndarray, tols: Tolerances) -> list[ClassificationReport]:
     """Every diagnostic of each state of a validated stack ``(m, w, v)``."""
     conc = concurrence_stack(m, w, v, tols=tols)
     s = entropy_stack(w, tols=tols)
-    marg, marg_w, marg_v = marginal_stack(m, _QUBITS, tols=tols)
+    marg, marg_w, marg_v = marginal_stack(m, tols=tols)
     s_marg = entropy_stack(marg_w, tols=tols)
     s_a, s_b = s_marg[:, 0], s_marg[:, 1]
     diff_a, diff_b = s - s_a, s - s_b
     mutual = s_a + s_b - s
     frame_w, degenerate, mat_d, _, weights = _frame_pass(m, v, marg, marg_w, marg_v, tols)
     deficit = entropy_stack(density_stack(mat_d, tols=tols)[0], tols=tols) - s
-    ppt_min = eigh_stack(transpose_stack(m, _QUBITS, "B"), tols=tols)[0][:, -1]
+    ppt_min = eigh_stack(transpose_stack(m, "B"), tols=tols)[0][:, -1]
     _, defined = _ratio_stack(weights, w, frame_w, tols)
     # Commuting with both frames' projectors is the decoherence fixed point rho = rho_d.
     commutes = np.abs(m - mat_d).max(axis=(-2, -1)) <= tols.identity

@@ -1,8 +1,9 @@
-"""Independent numerical oracles used across the test suite.
+"""Independent numerical oracles used across the test suite, and a JSON writer.
 
 Everything here deliberately avoids the package's own computation paths:
 numpy's eigensolvers, explicit entrywise loops, and characteristic
 polynomial root-finding serve as the second route for cross-checks.
+``matrix_json`` writes the state-file format that ``density_from_json`` reads.
 """
 
 from __future__ import annotations
@@ -14,6 +15,11 @@ SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
 SZ = np.array([[1, 0], [0, -1]], dtype=complex)
 YY = np.kron(SY, SY)
+
+
+def matrix_json(m) -> list:
+    """Row-major nested lists of [re, im] pairs."""
+    return [[[float(z.real), float(z.imag)] for z in row] for row in np.asarray(m, dtype=complex)]
 
 
 def kron_oracle(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -8,9 +8,11 @@ import pytest
 
 from qdeficit import audit, cli
 from qdeficit.cli import main
-from qdeficit.linalg import matrix_to_json, psd_function
+from qdeficit.linalg import sqrt_stack
 from qdeficit.states import werner
 from qdeficit.structure import classify
+
+from helpers import matrix_json
 
 
 def _run(capsys, *argv):
@@ -85,7 +87,7 @@ class TestToleranceScale:
         noisy = werner(0.5).matrix.copy()
         noisy[0, 0] += 5e-10  # trace 1 + 5e-10
         path = tmp_path / "noisy_state.json"
-        path.write_text(json.dumps({"dims": [2, 2], "matrix": matrix_to_json(noisy)}))
+        path.write_text(json.dumps({"dims": [2, 2], "matrix": matrix_json(noisy)}))
         code, out, err = _run(capsys, "--tolerance", "10", "classify", str(path))
         assert code == 0, err
         assert json.loads(out)["concurrence"] == pytest.approx(0.25, abs=1e-8)
@@ -147,10 +149,10 @@ class TestAudit:
     # trace-one 4x4 state has an entry of at least 1/4: between 1e-8 and 1e-7.
     @pytest.mark.parametrize(("scale", "passes"), [("1", False), ("10", True)])
     def test_injected_sqrt_fault_fails_at_default_scale_only(self, capsys, monkeypatch, scale, passes):
-        def faulty_sqrt(m, *, tols):
-            return psd_function(m, tols=tols) * (1.0 + 3e-8)
+        def faulty_sqrt(values, vectors):
+            return sqrt_stack(values, vectors) * (1.0 + 3e-8)
 
-        monkeypatch.setattr(audit, "psd_function", faulty_sqrt)
+        monkeypatch.setattr(audit, "sqrt_stack", faulty_sqrt)
         code, out, err = _run(capsys, "--tolerance", scale, "audit", "--n", "12")
         if passes:
             assert code == 0, err
@@ -192,7 +194,7 @@ class TestClassify:
         m = np.eye(4) / 4
         m[0, 0] = np.nan
         path = tmp_path / "nan_state.json"
-        path.write_text(json.dumps({"dims": [2, 2], "matrix": matrix_to_json(m)}))
+        path.write_text(json.dumps({"dims": [2, 2], "matrix": matrix_json(m)}))
         assert "NaN" in path.read_text()
         code, _, err = _run(capsys, "classify", str(path))
         assert code == 2
@@ -201,11 +203,28 @@ class TestClassify:
     @pytest.mark.parametrize("dims", [4, [2], [2, 2, 1], [2.9, 2]])
     def test_malformed_dims_json_file_is_input_error(self, capsys, tmp_path, dims):
         path = tmp_path / "bad_dims.json"
-        path.write_text(json.dumps({"dims": dims, "matrix": matrix_to_json(np.eye(4) / 4)}))
+        path.write_text(json.dumps({"dims": dims, "matrix": matrix_json(np.eye(4) / 4)}))
         code, out, err = _run(capsys, "classify", str(path))
         assert code == 2
         assert out == ""
         assert err.startswith("error: 'dims' must be a list of two integers")
+
+    @pytest.mark.parametrize("dims", [[1, 4], [4, 1], [2, 1]])
+    def test_dims_other_than_the_shapes_is_input_error(self, capsys, tmp_path, dims):
+        path = tmp_path / "other_dims.json"
+        path.write_text(json.dumps({"dims": dims, "matrix": matrix_json(np.eye(4) / 4)}))
+        code, out, err = _run(capsys, "classify", str(path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: dims check failed")
+
+    def test_integer_beyond_the_float_range_is_input_error(self, capsys, tmp_path):
+        path = tmp_path / "huge_entry.json"
+        path.write_text('{"matrix": [[[1%s, 0], [0, 0]], [[0, 0], [0, 0]]]}' % ("0" * 400))
+        code, out, err = _run(capsys, "classify", str(path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: matrix entry")
 
     @pytest.mark.parametrize("entry", [{"a": 1, "b": 2}, [True, False]])
     def test_entry_that_is_not_a_pair_of_numbers_is_input_error(self, capsys, tmp_path, entry):

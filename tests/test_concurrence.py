@@ -23,7 +23,7 @@ SINGLET = PureStateAmplitudes(0, 1 / math.sqrt(2), -1 / math.sqrt(2), 0)
 
 class TestSpinFlip:
     def test_maximally_mixed_invariant(self):
-        rho = DensityMatrix(np.eye(4) / 4, (2, 2))
+        rho = DensityMatrix(np.eye(4) / 4)
         assert np.max(np.abs(spin_flip(rho).matrix - rho.matrix)) < 1e-15
 
     def test_singlet_invariant(self):
@@ -43,7 +43,7 @@ class TestSpinFlip:
 
     def test_rejects_single_subsystem(self):
         with pytest.raises(CheckError):
-            spin_flip(DensityMatrix(np.eye(2) / 2, (2, 1)))
+            spin_flip(DensityMatrix(np.eye(2) / 2))
 
 
 class TestLambdaSpectrum:
@@ -52,7 +52,7 @@ class TestLambdaSpectrum:
         assert lam == pytest.approx((1.0, 0.0, 0.0, 0.0), abs=1e-12)
 
     def test_maximally_mixed(self):
-        lam = lambda_spectrum(DensityMatrix(np.eye(4) / 4, (2, 2)))
+        lam = lambda_spectrum(DensityMatrix(np.eye(4) / 4))
         assert lam == pytest.approx((0.25, 0.25, 0.25, 0.25), abs=1e-14)
 
     def test_sorted_descending(self):
@@ -112,7 +112,7 @@ class TestConcurrence:
         for seed in range(40):
             rho = random_mixed(seed, seed % 4 + 1)
             u = np.kron(haar_unitary(rng), haar_unitary(rng))
-            rotated = DensityMatrix(u @ rho.matrix @ u.conj().T, (2, 2))
+            rotated = DensityMatrix(u @ rho.matrix @ u.conj().T)
             assert abs(concurrence(rho) - concurrence(rotated)) <= 1e-8
 
     def test_ppt_equivalence(self):
@@ -135,5 +135,5 @@ class TestPureConcurrence:
             amps = random_pure(seed)
             closed = pure_concurrence(amps)
             assert abs(closed - concurrence(pure_density(amps))) <= 1e-8
-            s_a, _ = bloch_vectors(amps)
-            assert abs(closed - math.sqrt(max(1 - s_a.norm_squared(), 0.0))) <= 1e-8
+            s_a = bloch_vectors(amps)[0]
+            assert abs(closed - math.sqrt(max(1 - s_a @ s_a, 0.0))) <= 1e-8

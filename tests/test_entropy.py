@@ -9,7 +9,6 @@ from scipy.linalg import logm
 
 from qdeficit.entropy import (
     conditional_tsallis,
-    mutual_entropy,
     relative_entropy,
     tsallis,
     tsallis_infinity_criterion,
@@ -25,7 +24,7 @@ from qdeficit.states import (
     random_pure,
     werner,
 )
-from qdeficit.structure import decohere
+from qdeficit.structure import classify, decohere
 
 from helpers import haar_unitary
 
@@ -59,7 +58,7 @@ class TestVonNeumann:
         assert von_neumann(example_state("E4")) == pytest.approx(0.0, abs=1e-12)
 
     def test_maximally_mixed_qubit(self):
-        assert von_neumann(DensityMatrix(np.eye(2) / 2, (2, 1))) == pytest.approx(LN2)
+        assert von_neumann(DensityMatrix(np.eye(2) / 2)) == pytest.approx(LN2)
 
     def test_werner_half(self):
         expected = -0.625 * math.log(0.625) - 3 * 0.125 * math.log(0.125)
@@ -73,7 +72,7 @@ class TestTsallis:
             assert tsallis(rho, q) == pytest.approx(0.0, abs=1e-12)
 
     def test_maximally_mixed_q2(self):
-        rho = DensityMatrix(np.eye(4) / 4, (2, 2))
+        rho = DensityMatrix(np.eye(4) / 4)
         assert tsallis(rho, 2.0) == pytest.approx(0.75, abs=1e-14)
 
     def test_werner_half_q2(self):
@@ -124,9 +123,9 @@ class TestEntropyDifference:
         m = z @ z.conj().T
         rho_a = m / np.trace(m).real
         sigma_b = np.array([[0.85, 0.1], [0.1, 0.15]], dtype=complex)
-        composite = DensityMatrix(tensor_product(rho_a, sigma_b), (2, 2))
-        s_b = von_neumann(DensityMatrix(sigma_b, (2, 1)))
-        s_a = von_neumann(DensityMatrix(rho_a, (2, 1)))
+        composite = DensityMatrix(tensor_product(rho_a, sigma_b))
+        s_b = von_neumann(DensityMatrix(sigma_b))
+        s_a = von_neumann(DensityMatrix(rho_a))
         assert conditional_tsallis(composite, "A", 1.0) == pytest.approx(s_b, abs=1e-10)
         assert conditional_tsallis(composite, "B", 1.0) == pytest.approx(s_a, abs=1e-10)
 
@@ -189,7 +188,7 @@ class TestConditionalTsallis:
     def test_product_state_q1_additivity(self):
         rho_a = np.diag([0.9, 0.1]).astype(complex)
         sigma_b = np.diag([0.6, 0.4]).astype(complex)
-        composite = DensityMatrix(tensor_product(rho_a, sigma_b), (2, 2))
+        composite = DensityMatrix(tensor_product(rho_a, sigma_b))
         s_other = binary_entropy(0.6)
         assert conditional_tsallis(composite, "A", 1.0) == pytest.approx(s_other, abs=1e-12)
         assert conditional_tsallis(composite, "A", 1.0) >= 0.0
@@ -237,30 +236,32 @@ class TestInfinityCriterion:
 
 
 class TestMutualEntropy:
+    """S(A) + S(B) - S(AB), ``classify``'s ``mutual``."""
+
     def test_product_example_zero(self):
-        assert mutual_entropy(example_state("E5")) == pytest.approx(0.0, abs=1e-12)
+        assert classify(example_state("E5")).mutual == pytest.approx(0.0, abs=1e-12)
 
     def test_bell_state(self):
-        assert mutual_entropy(example_state("E4")) == pytest.approx(2 * LN2, abs=1e-12)
+        assert classify(example_state("E4")).mutual == pytest.approx(2 * LN2, abs=1e-12)
 
     def test_isospectral_pair_share_value(self):
         expected = (3 * LN3 - 2 * LN2) / 3
         for rho in isospectral_pair():
-            assert mutual_entropy(rho) == pytest.approx(expected, abs=1e-10)
+            assert classify(rho).mutual == pytest.approx(expected, abs=1e-10)
 
     @settings(deadline=None, max_examples=50)
     @given(st.integers(min_value=0, max_value=10**9))
     def test_nonnegative_property(self, seed):
         rho = random_mixed(seed, seed % 4 + 1)
-        assert mutual_entropy(rho) >= -1e-10
+        assert classify(rho).mutual >= -1e-10
 
     def test_zero_iff_product(self):
         rho_a = np.diag([0.7, 0.3]).astype(complex)
         sigma_b = np.array([[0.5, 0.2], [0.2, 0.5]], dtype=complex)
-        product = DensityMatrix(tensor_product(rho_a, sigma_b), (2, 2))
-        assert mutual_entropy(product) <= 1e-10
+        product = DensityMatrix(tensor_product(rho_a, sigma_b))
+        assert classify(product).mutual <= 1e-10
         # and a correlated state is bounded away from zero
-        assert mutual_entropy(example_state("E6")) > 0.5
+        assert classify(example_state("E6")).mutual > 0.5
 
 
 def _relative_entropy_oracle(m1: np.ndarray, m2: np.ndarray) -> float:
@@ -280,8 +281,8 @@ class TestRelativeEntropy:
         support = haar_unitary(rng, 4)[:, :3]
         z = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
         sigma = z @ z.conj().T / np.trace(z @ z.conj().T).real
-        rho1 = DensityMatrix(support @ sigma @ support.conj().T, (2, 2))
-        rho2 = DensityMatrix((support * [0.5, 0.3, 0.2]) @ support.conj().T, (2, 2))
+        rho1 = DensityMatrix(support @ sigma @ support.conj().T)
+        rho2 = DensityMatrix((support * [0.5, 0.3, 0.2]) @ support.conj().T)
         assert rho2.eigenvalues[-1] == pytest.approx(0.0, abs=1e-15)
         # Both states live on the same 3-dimensional support, where logm is defined.
         want = _relative_entropy_oracle(*(support.conj().T @ m @ support for m in (rho1.matrix, rho2.matrix)))
@@ -293,7 +294,7 @@ class TestRelativeEntropy:
 
     def test_pure_vs_maximally_mixed(self):
         pure = pure_density(PureStateAmplitudes(1, 0, 0, 0))
-        mixed = DensityMatrix(np.eye(4) / 4, (2, 2))
+        mixed = DensityMatrix(np.eye(4) / 4)
         assert relative_entropy(pure, mixed) == pytest.approx(math.log(4), abs=1e-12)
 
     def test_klein_mechanism_for_decohered_state(self):
@@ -304,7 +305,7 @@ class TestRelativeEntropy:
         assert gap >= 0.0
 
     def test_support_violation_returns_infinity(self):
-        full = DensityMatrix(np.eye(4) / 4, (2, 2))
+        full = DensityMatrix(np.eye(4) / 4)
         pure = example_state("E4")
         assert relative_entropy(full, pure) == math.inf
 
@@ -313,7 +314,7 @@ class TestRelativeEntropy:
 
     def test_dimension_mismatch(self):
         with pytest.raises(CheckError):
-            relative_entropy(werner(0.5), DensityMatrix(np.eye(2) / 2, (2, 1)))
+            relative_entropy(werner(0.5), DensityMatrix(np.eye(2) / 2))
 
 
 class TestPureStateTheoremB:

@@ -93,3 +93,47 @@ def _unused_imports(path):
 @pytest.mark.parametrize("path", [p for p in SOURCES if p.stem != "__init__"], ids=lambda path: path.stem)
 def test_no_unused_imports(path):
     assert _unused_imports(path) == []
+
+
+# Public names that no module reads, each kept because the named test pins a paper number with it:
+# the Werner roots p*(q), the q = 50/100 cross-check and the characteristic-polynomial oracle.
+PINNED_BY_TESTS = {
+    "conditional_tsallis": "test_entropy.py::TestConditionalTsallis::test_werner_q2_threshold_below_conditional_one",
+    "tsallis_infinity_criterion":
+        "test_entropy.py::TestInfinityCriterion::test_agrees_with_q100_sign_away_from_boundary",
+    "lambda_spectrum": "test_concurrence.py::TestLambdaSpectrum::test_matches_characteristic_polynomial_bruteforce",
+}
+
+
+def _defined_names(node):
+    if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+        return {node.name}
+    if isinstance(node, ast.Assign):
+        return {target.id for target in node.targets if isinstance(target, ast.Name)}
+    return set()
+
+
+def _names_read_in_the_package():
+    """Names each top-level statement of a ``qdeficit`` module reads, except the names it defines."""
+    read = set()
+    for path in SOURCES:
+        for statement in ast.parse(path.read_text(encoding="utf-8")).body:
+            name_nodes = [node for node in ast.walk(statement) if isinstance(node, ast.Name)]
+            read |= {node.id for node in name_nodes if isinstance(node.ctx, ast.Load)} - _defined_names(statement)
+    return read
+
+
+def test_every_public_name_is_read_in_the_package_or_pinned_by_a_test():
+    """A public name earns its place on a package path; a pinned name that gains one leaves the pins."""
+    read = _names_read_in_the_package()
+    public = {attr for name in MODULES for attr in importlib.import_module(f"qdeficit.{name}").__all__}
+    assert sorted(public - read) == sorted(PINNED_BY_TESTS)
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_BY_TESTS))
+def test_pinning_test_exists_and_calls_the_name(name):
+    file, cls, test = PINNED_BY_TESTS[name].split("::")
+    tree = ast.parse(Path(__file__).with_name(file).read_text(encoding="utf-8"))
+    body = next(node for node in tree.body if isinstance(node, ast.ClassDef) and node.name == cls)
+    func = next(node for node in body.body if isinstance(node, ast.FunctionDef) and node.name == test)
+    assert name in {node.id for node in ast.walk(func) if isinstance(node, ast.Name)}

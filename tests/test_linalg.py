@@ -6,24 +6,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qdeficit.entropy import conditional_tsallis, mutual_entropy
+from qdeficit.entropy import conditional_tsallis
 from qdeficit.linalg import (
     CheckError,
     DensityMatrix,
     TOLS,
     Tolerances,
     density_from_json,
-    density_to_json,
     hermitian_eig,
     matrix_from_json,
-    matrix_to_json,
     partial_transpose,
-    psd_function,
+    sqrt_stack,
     tensor_product,
 )
 from qdeficit.states import example_state, pure_density, PureStateAmplitudes, werner
+from qdeficit.structure import classify
 
-from helpers import kron_oracle, numpy_spectrum, random_hermitian
+from helpers import kron_oracle, matrix_json, numpy_spectrum, random_hermitian
 
 
 # Every bound Tolerances derives from its scale, with its default.
@@ -136,7 +135,7 @@ class TestPartialTrace:
     def test_product_state_recovers_factor(self):
         rho_a = np.array([[0.7, 0.1 + 0.2j], [0.1 - 0.2j, 0.3]])
         sigma_b = np.array([[0.4, -0.1j], [0.1j, 0.6]])
-        composite = DensityMatrix(tensor_product(rho_a, sigma_b), (2, 2))
+        composite = DensityMatrix(tensor_product(rho_a, sigma_b))
         assert np.max(np.abs(composite.marginal("A").matrix - rho_a)) < 1e-15
         assert np.max(np.abs(composite.marginal("B").matrix - sigma_b)) < 1e-15
 
@@ -151,16 +150,17 @@ class TestPartialTrace:
             assert abs(np.trace(rho.marginal(side).matrix) - 1.0) < 1e-14
 
     def test_rejects_single_subsystem(self):
-        single = DensityMatrix(np.eye(2) / 2, (2, 1))
-        with pytest.raises(CheckError):
+        single = DensityMatrix(np.eye(2) / 2)
+        with pytest.raises(CheckError) as err:
             single.marginal("A")
+        assert err.value.check == "dims"
 
 
 class TestPartialTranspose:
     def test_product_state_stays_positive(self):
         rho_a = np.array([[0.8, 0.2], [0.2, 0.2]], dtype=complex)
         sigma_b = np.array([[0.5, 0.5j], [-0.5j, 0.5]], dtype=complex)
-        composite = DensityMatrix(tensor_product(rho_a, sigma_b), (2, 2))
+        composite = DensityMatrix(tensor_product(rho_a, sigma_b))
         for side in ("A", "B"):
             vals = numpy_spectrum(partial_transpose(composite, side))
             assert vals[-1] > -1e-12
@@ -189,13 +189,18 @@ class TestPartialTranspose:
         assert np.max(np.abs(sa - sb)) < 1e-12
 
 
-class TestPsdFunction:
+def _sqrt(m: np.ndarray) -> np.ndarray:
+    es = hermitian_eig(m)
+    return sqrt_stack(es.values, es.vectors)
+
+
+class TestSqrtStack:
     def test_sqrt_of_scaled_identity(self):
-        out = psd_function(np.eye(4) / 4)
+        out = _sqrt(np.eye(4) / 4)
         assert np.max(np.abs(out - np.eye(4) / 2)) < 1e-14
 
     def test_sqrt_diagonal(self):
-        out = psd_function(np.diag([4 / 9, 1 / 9, 0, 0]).astype(complex))
+        out = _sqrt(np.diag([4 / 9, 1 / 9, 0, 0]).astype(complex))
         assert np.max(np.abs(out - np.diag([2 / 3, 1 / 3, 0, 0]))) < 1e-14
 
     def test_sqrt_squares_back(self):
@@ -203,13 +208,12 @@ class TestPsdFunction:
         for _ in range(20):
             h = random_hermitian(rng)
             m = h @ h.conj().T / np.trace(h @ h.conj().T).real
-            root = psd_function(m)
+            root = _sqrt(m)
             assert np.max(np.abs(root @ root - m)) < 1e-8
 
-    def test_rejects_negative_eigenvalue(self):
-        with pytest.raises(CheckError) as err:
-            psd_function(np.diag([1.0, -0.5]).astype(complex))
-        assert err.value.check == "psd"
+    def test_round_off_negative_eigenvalues_become_zero(self):
+        out = sqrt_stack(np.array([[0.25, -1e-12], [1.0, 0.0]]), np.array([np.eye(2), np.eye(2)[::-1]]))
+        assert np.array_equal(out, [np.diag([0.5, 0.0]), np.diag([0.0, 1.0])])
 
 
 class TestDensityMatrix:
@@ -232,19 +236,17 @@ class TestDensityMatrix:
         assert err.value.check == "psd"
 
     def test_rejects_inconsistent_dims(self):
-        with pytest.raises(CheckError):
-            DensityMatrix(np.eye(4) / 4, (3, 2))
+        # Only a two-qubit state or a qubit marginal has dims.
+        for side in (1, 3, 8):
+            with pytest.raises(CheckError) as err:
+                DensityMatrix(np.eye(side) / side)
+            assert err.value.check == "dims"
 
-    @pytest.mark.parametrize("dims", [(2.9, 2), (2, 2.0), (np.float64(2), 2)])
-    def test_rejects_non_integral_dims(self, dims):
-        with pytest.raises(CheckError) as err:
-            DensityMatrix(np.eye(4) / 4, dims)
-        assert err.value.check == "dims"
-
-    def test_accepts_numpy_integer_dims(self):
-        rho = DensityMatrix(np.eye(4) / 4, (np.int64(2), np.int32(2)))
-        assert rho.dims == (2, 2)
-        assert all(type(d) is int for d in rho.dims)
+    def test_shape_fixes_dims(self):
+        assert DensityMatrix(np.eye(4) / 4).dims == (2, 2)
+        assert DensityMatrix(np.eye(2) / 2).dims == (2, 1)
+        with pytest.raises(AttributeError):
+            werner(0.5).dims = (1, 4)
 
     def test_matrix_is_immutable(self):
         rho = werner(0.5)
@@ -268,7 +270,7 @@ class TestDensityMatrix:
             z = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
             m = z @ z.conj().T
             mats.append(m / np.trace(m).real)
-        composite = DensityMatrix(tensor_product(mats[0], mats[1]), (2, 2))
+        composite = DensityMatrix(tensor_product(mats[0], mats[1]))
         assert np.max(np.abs(composite.marginal("A").matrix - mats[0])) <= 1e-12
         assert np.max(np.abs(composite.marginal("B").matrix - mats[1])) <= 1e-12
 
@@ -316,7 +318,7 @@ class TestTolerances:
         rho = DensityMatrix(noisy, tols=loose)
         for side in ("A", "B"):
             assert abs(np.trace(rho.marginal(side).matrix) - (1.0 + 5e-10)) < 1e-15
-        assert math.isfinite(mutual_entropy(rho, tols=loose))
+        assert math.isfinite(classify(rho, tols=loose).mutual)
         assert math.isfinite(conditional_tsallis(rho, "A", 2.0, tols=loose))
 
 
@@ -324,17 +326,16 @@ class TestSerialization:
     def test_matrix_roundtrip(self):
         rng = np.random.default_rng(17)
         m = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-        assert np.array_equal(matrix_from_json(matrix_to_json(m)), m)
+        assert np.array_equal(matrix_from_json(matrix_json(m)), m)
 
     def test_density_roundtrip(self):
         rho = werner(0.31)
-        payload = density_to_json(rho)
-        back = density_from_json(payload)
+        back = density_from_json({"dims": [2, 2], "matrix": matrix_json(rho.matrix)})
         assert back.dims == (2, 2)
         assert np.max(np.abs(back.matrix - rho.matrix)) < 1e-15
 
     def test_bare_matrix_payload(self):
-        payload = matrix_to_json(np.eye(4) / 4)
+        payload = matrix_json(np.eye(4) / 4)
         rho = density_from_json(payload)
         assert rho.dims == (2, 2)
 
@@ -353,9 +354,22 @@ class TestSerialization:
     @pytest.mark.parametrize("dims", [4, [2], [2, 2, 1], [2.9, 2], [2, 2.0], [True, 4], "22"])
     def test_malformed_dims_rejected(self, dims):
         with pytest.raises(ValueError, match="'dims' must be a list of two integers"):
-            density_from_json({"dims": dims, "matrix": matrix_to_json(np.eye(4) / 4)})
+            density_from_json({"dims": dims, "matrix": matrix_json(np.eye(4) / 4)})
+
+    @pytest.mark.parametrize(("dims", "side"), [([1, 4], 4), ([4, 1], 4), ([2, 1], 4), ([2, 2], 2)])
+    def test_dims_other_than_the_shapes_rejected(self, dims, side):
+        with pytest.raises(CheckError) as err:
+            density_from_json({"dims": dims, "matrix": matrix_json(np.eye(side) / side)})
+        assert err.value.check == "dims"
+
+    def test_qubit_marginal_payload(self):
+        assert density_from_json({"dims": [2, 1], "matrix": matrix_json(np.eye(2) / 2)}).dims == (2, 1)
+
+    def test_integer_beyond_the_float_range_rejected(self):
+        with pytest.raises(ValueError, match="beyond the float range"):
+            matrix_from_json([[[10**400, 0]]])
 
     def test_invalid_state_payload(self):
-        payload = matrix_to_json(np.eye(4))  # trace 4
+        payload = matrix_json(np.eye(4))  # trace 4
         with pytest.raises(CheckError):
             density_from_json(payload)

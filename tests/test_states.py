@@ -1,5 +1,6 @@
 import math
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -7,10 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qdeficit.concurrence import pure_concurrence
-from qdeficit.linalg import CheckError
+from qdeficit.linalg import CheckError, Tolerances
 from qdeficit.states import (
-    BlochVector,
-    CorrelationTensor,
     PureStateAmplitudes,
     RegistryError,
     bloch_vectors,
@@ -137,46 +136,43 @@ class TestPureDensity:
 
 class TestBlochVectors:
     def test_singlet_is_unpolarized(self):
-        s_a, s_b = bloch_vectors(SINGLET)
-        assert s_a.norm() < 1e-15 and s_b.norm() < 1e-15
+        assert bloch_vectors(SINGLET).shape == (2, 3)
+        assert np.max(np.abs(bloch_vectors(SINGLET))) < 1e-15
 
     def test_computational_product(self):
-        s_a, s_b = bloch_vectors(PureStateAmplitudes(1, 0, 0, 0))
-        assert (s_a.s1, s_a.s2, s_a.s3) == (0, 0, 1)
-        assert (s_b.s1, s_b.s2, s_b.s3) == (0, 0, 1)
+        assert np.array_equal(bloch_vectors(PureStateAmplitudes(1, 0, 0, 0)), [[0, 0, 1], [0, 0, 1]])
 
     def test_bell_phi_plus(self):
         amps = PureStateAmplitudes(1 / math.sqrt(2), 0, 0, 1 / math.sqrt(2))
-        s_a, s_b = bloch_vectors(amps)
-        assert s_a.norm() < 1e-15 and s_b.norm() < 1e-15
+        assert np.max(np.abs(bloch_vectors(amps))) < 1e-15
 
     def test_transverse_polarization(self):
         # (|1> + i|0>)/sqrt(2) on A gives s(A) = (0, 1, 0)
         amps = PureStateAmplitudes(1 / math.sqrt(2), 0, 1j / math.sqrt(2), 0)
-        s_a, _ = bloch_vectors(amps)
-        assert (s_a.s1, s_a.s2, s_a.s3) == pytest.approx((0.0, 1.0, 0.0), abs=1e-15)
+        assert tuple(bloch_vectors(amps)[0]) == pytest.approx((0.0, 1.0, 0.0), abs=1e-15)
 
     def test_consistent_with_marginals(self):
         for seed in range(40):
             amps = random_pure(seed)
             rho = pure_density(amps)
             s_a, s_b = bloch_vectors(amps)
-            rebuilt_a = (I2 + s_a.s1 * SX + s_a.s2 * SY + s_a.s3 * SZ) / 2
-            rebuilt_b = (I2 + s_b.s1 * SX + s_b.s2 * SY + s_b.s3 * SZ) / 2
+            rebuilt_a = (I2 + s_a[0] * SX + s_a[1] * SY + s_a[2] * SZ) / 2
+            rebuilt_b = (I2 + s_b[0] * SX + s_b[1] * SY + s_b[2] * SZ) / 2
             assert np.max(np.abs(rebuilt_a - rho.marginal("A").matrix)) <= 1e-10
             assert np.max(np.abs(rebuilt_b - rho.marginal("B").matrix)) <= 1e-10
             for side, vec in (("A", s_a), ("B", s_b)):
-                expected = [(1 + vec.norm()) / 2, (1 - vec.norm()) / 2]
+                expected = [(1 + np.linalg.norm(vec)) / 2, (1 - np.linalg.norm(vec)) / 2]
                 assert np.max(np.abs(rho.marginal(side).eigenvalues - expected)) <= 1e-10
 
 
 class TestCorrelationTensor:
     def test_computational_product(self):
-        c = correlation_tensor(PureStateAmplitudes(1, 0, 0, 0)).matrix
+        c = correlation_tensor(PureStateAmplitudes(1, 0, 0, 0))
+        assert c.shape == (3, 3)
         assert np.max(np.abs(c - np.diag([0.0, 0.0, 1.0]))) < 1e-15
 
     def test_singlet_fully_anticorrelated(self):
-        c = correlation_tensor(SINGLET).matrix
+        c = correlation_tensor(SINGLET)
         assert np.max(np.abs(c - np.diag([-1.0, -1.0, -1.0]))) < 1e-15
 
     def test_matches_direct_expectation_values(self):
@@ -184,7 +180,7 @@ class TestCorrelationTensor:
         for seed in range(25):
             amps = random_pure(seed)
             rho = pure_density(amps).matrix
-            c = correlation_tensor(amps).matrix
+            c = correlation_tensor(amps)
             for i in range(3):
                 for j in range(3):
                     direct = np.trace(rho @ np.kron(paulis[i], paulis[j])).real
@@ -196,11 +192,11 @@ class TestCorrelationTensor:
             amps = random_pure(seed)
             rho = pure_density(amps).matrix
             s_a, s_b = bloch_vectors(amps)
-            c = correlation_tensor(amps).matrix
+            c = correlation_tensor(amps)
             rebuilt = np.kron(I2, I2).astype(complex)
             for i, pauli in enumerate(paulis):
-                rebuilt += (s_a.s1, s_a.s2, s_a.s3)[i] * np.kron(pauli, I2)
-                rebuilt += (s_b.s1, s_b.s2, s_b.s3)[i] * np.kron(I2, pauli)
+                rebuilt += s_a[i] * np.kron(pauli, I2)
+                rebuilt += s_b[i] * np.kron(I2, pauli)
             for i in range(3):
                 for j in range(3):
                     rebuilt += c[i, j] * np.kron(paulis[i], paulis[j])
@@ -225,7 +221,7 @@ class TestPurityCheck:
         _, residual = purity_check(amps)
         assert residual <= 1e-10
         s_a, s_b = bloch_vectors(amps)
-        assert abs(s_a.norm() - s_b.norm()) <= 1e-10
+        assert abs(np.linalg.norm(s_a) - np.linalg.norm(s_b)) <= 1e-10
 
 
 class TestSamplers:
@@ -292,15 +288,35 @@ class TestNaNFailsTheBounds:
             PureStateAmplitudes(math.nan, 0, 0, 0)
         assert err.value.check == "normalization"
 
+    # Duck-typed amplitudes: PureStateAmplitudes itself rejects a NaN.
+    NAN_AMPS = SimpleNamespace(a11=complex(math.nan), a10=0j, a01=0j, a00=0j)
+
     def test_bloch_vector(self):
         with pytest.raises(CheckError) as err:
-            BlochVector(math.nan, 0, 0)
-        assert err.value.check == "bloch norm"
+            bloch_vectors(self.NAN_AMPS)
+        assert err.value.check == "real component"
 
     def test_correlation_tensor(self):
         with pytest.raises(CheckError) as err:
-            CorrelationTensor(np.full((3, 3), math.nan))
+            correlation_tensor(self.NAN_AMPS)
         assert err.value.check == "correlation bound"
+
+
+class TestPolarizationBounds:
+    """|s| <= 1 and |C_ij| <= 1 hold to ``tols.hermiticity``, so the tolerance scale reaches them."""
+
+    # |a11|^2 = 1 + 5e-9 passes the amplitudes' 1e-8 normalization check.
+    LONG = PureStateAmplitudes(math.sqrt(1 + 5e-9), 0, 0, 0)
+
+    @pytest.mark.parametrize(
+        ("func", "check"), [(bloch_vectors, "bloch norm"), (correlation_tensor, "correlation bound")]
+    )
+    def test_overshoot_fails_at_default_scale_only(self, func, check):
+        with pytest.raises(CheckError) as err:
+            func(self.LONG)
+        assert err.value.check == check
+        assert err.value.magnitude > 4e-9
+        assert np.max(np.abs(func(self.LONG, tols=Tolerances(1000.0)))) > 1.0
 
 
 class TestWernerMatrices:

@@ -6,10 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qdeficit import structure
-from qdeficit.entropy import mutual_entropy, von_neumann
+from qdeficit.entropy import von_neumann
 from qdeficit.linalg import TOLS, CheckError, DensityMatrix, Tolerances, tensor_product
 from qdeficit.states import example_state, from_registry, random_mixed, werner, werner_matrices
-from qdeficit.structure import ClassificationReport, classify, classify_stack, decohere, quantum_deficit
+from qdeficit.structure import ClassificationReport, classify, classify_stack, decohere
 
 from helpers import numpy_spectrum
 
@@ -51,10 +51,10 @@ class TestDecohere:
         assert np.max(np.abs(dec.joint.sum(axis=1) - dec.frame_values[0])) <= 1e-10
         assert np.max(np.abs(dec.joint.sum(axis=0) - dec.frame_values[1])) <= 1e-10
 
-    @pytest.mark.parametrize("func", [decohere, quantum_deficit, classify])
+    @pytest.mark.parametrize("func", [decohere, classify])
     def test_rejects_non_qubit_dims(self, func):
         with pytest.raises(CheckError) as err:
-            func(DensityMatrix(np.eye(6) / 6, (2, 3)))
+            func(DensityMatrix(np.eye(2) / 2))
         assert err.value.check == "dims"
 
 
@@ -62,9 +62,8 @@ class TestQuantumDeficit:
     @settings(deadline=None, max_examples=40)
     @given(SEEDED_STATES)
     def test_bounded_by_mutual_entropy(self, seed_rank):
-        rho = random_mixed(*seed_rank)
-        deficit = quantum_deficit(rho)
-        assert -1e-10 <= deficit <= mutual_entropy(rho) + 1e-10
+        report = classify(random_mixed(*seed_rank))
+        assert -1e-10 <= report.deficit <= report.mutual + 1e-10
 
     @settings(deadline=None, max_examples=40)
     @given(SEEDED_STATES)
@@ -74,7 +73,8 @@ class TestQuantumDeficit:
         s_d = _entropy_oracle(rho_d.matrix)
         s_a = _entropy_oracle(rho.marginal("A").matrix)
         s_b = _entropy_oracle(rho.marginal("B").matrix)
-        assert abs(quantum_deficit(rho) - mutual_entropy(rho) - (s_d - s_a - s_b)) <= 1e-9
+        report = classify(rho)
+        assert abs(report.deficit - report.mutual - (s_d - s_a - s_b)) <= 1e-9
         assert abs(s_d - von_neumann(rho_d)) <= 1e-10
 
 
@@ -160,7 +160,7 @@ class TestCommutesWithMarginals:
     @pytest.mark.parametrize("seed", range(10))
     def test_product_state_is_a_fixed_point(self, seed):
         rng = np.random.default_rng(seed)
-        rho = DensityMatrix(tensor_product(_random_qubit_state(rng), _random_qubit_state(rng)), (2, 2))
+        rho = DensityMatrix(tensor_product(_random_qubit_state(rng), _random_qubit_state(rng)))
         assert classify(rho).commutes_with_marginals
 
     @pytest.mark.parametrize("seed", range(20))
@@ -183,7 +183,7 @@ class TestScaledChecks:
             checks.append(err.value.check)
         assert checks == ["trace", "trace"]
         assert decohere(rho, tols=loose).frame_values.sum(axis=-1) == pytest.approx([1 + 5e-10] * 2, abs=1e-15)
-        assert classify(rho, tols=loose).deficit == pytest.approx(quantum_deficit(werner(0.5)), abs=1e-8)
+        assert classify(rho, tols=loose).deficit == pytest.approx(classify(werner(0.5)).deficit, abs=1e-8)
 
         # The frame's own normalization check, on marginal values that sum to 1 + 5e-10.
         values = np.array([[[0.7 + 5e-10, 0.3], [0.6, 0.4 + 5e-10]]])
@@ -246,7 +246,7 @@ class TestClassifyStack:
         for m in _mixed_stack():
             rho = DensityMatrix(m)
             report, dec = classify(rho), decohere(rho)
-            assert abs(quantum_deficit(rho) - report.deficit) <= 1e-12
+            assert abs(von_neumann(dec.state) - von_neumann(rho) - report.deficit) <= 1e-12
             assert report.commutes_with_marginals == (np.max(np.abs(m - dec.state.matrix)) <= TOLS.identity)
             assert np.max(np.abs(dec.joint.sum(axis=1) - dec.frame_values[0])) <= 1e-10
             assert np.max(np.abs(dec.joint.sum(axis=0) - dec.frame_values[1])) <= 1e-10
