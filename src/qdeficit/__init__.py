@@ -8,12 +8,12 @@ carries the quantum deficit and the mutual entropy; alongside Wootters
 concurrence and the von Neumann / Tsallis entropy family.
 """
 
-from .concurrence import concurrence, lambda_spectrum, pure_concurrence, spin_flip
+from .concurrence import concurrence_stack, lambda_spectrum, pure_concurrence, spin_flip_stack
 from .entropy import (
     conditional_tsallis,
-    relative_entropy,
-    tsallis,
+    relative_entropy_stack,
     tsallis_infinity_criterion,
+    tsallis_stack,
     von_neumann,
 )
 from .linalg import (
@@ -25,8 +25,8 @@ from .linalg import (
     density_from_json,
     hermitian_eig,
     matrix_from_json,
-    partial_transpose,
     tensor_product,
+    transpose_stack,
 )
 from .states import (
     PureStateAmplitudes,
@@ -48,7 +48,7 @@ from .structure import (
     Decoherence,
     classify,
     classify_stack,
-    decohere,
+    decohere_stack,
 )
 
 __version__ = "0.1.0"

@@ -2,32 +2,51 @@
 
 State ``i`` of seed ``s`` is drawn from ``default_rng((s, i))``: the pure
 product |10> at index 0, then in turn a Haar-pure state, a product of two
-random mixed marginals and a random mixed state of rank 1..4.  Pure and
-product states get their own properties too.  Every bound is a
-``Tolerances`` property, and every check fails on NaN.
+random mixed marginals and a random mixed state of rank 1..4.  Its two
+random local unitaries are drawn from ``default_rng((s, i, 7))``.  Pure
+and product states get their own properties too.
+
+The draws are made one state at a time.  Everything after them runs on
+stacks of at most ``STACK_SIZE`` states: each stack is validated once by
+``density_stack``, and each property's magnitude is one array over the
+stack, from the package's stack kernels (``marginal_stack``,
+``transpose_stack``, ``eigh_stack``, ``sqrt_stack``,
+``concurrence_stack``, ``entropy_stack``, ``tsallis_stack``,
+``relative_entropy_stack`` and the frame pass ``decohere_stack``), held
+against its bound once.  The pure-only and product-only properties run
+on the pure and the product rows of the stack.  Per state remain only
+the draws and the pure states' closed forms (``bloch_vectors``,
+``correlation_tensor``, ``purity_check``, ``pure_concurrence``), which
+solve no eigenproblem.  The stack size is fixed, so memory does not grow
+with the number of states, and no state's result depends on the others
+in its stack.
+
+Each property keeps two independent routes to the quantity it checks:
+neither side of a comparison is derived from the other side's
+intermediate.  Every bound is a ``Tolerances`` property, and every check
+fails on NaN.
 """
 
 from __future__ import annotations
 
-import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
-from .concurrence import concurrence, pure_concurrence, spin_flip
-from .entropy import relative_entropy, tsallis, von_neumann
+from .concurrence import concurrence_stack, pure_concurrence, spin_flip_stack
+from .entropy import entropy_stack, relative_entropy_stack, tsallis_stack
 from .linalg import (
     I2,
     SIGMA_X,
     SIGMA_Y,
     SIGMA_Z,
     TOLS,
-    DensityMatrix,
+    CheckError,
     Tolerances,
-    hermitian_eig,
+    density_stack,
+    eigh_stack,
     marginal_stack,
-    partial_transpose,
     sqrt_stack,
     tensor_product,
     transpose_stack,
@@ -36,12 +55,11 @@ from .states import (
     PureStateAmplitudes,
     bloch_vectors,
     correlation_tensor,
-    pure_density,
     purity_check,
     random_mixed,
     random_pure,
 )
-from .structure import decohere
+from .structure import decohere_stack
 
 __all__ = ["AUDIT_PROPERTIES", "run_audit"]
 
@@ -73,209 +91,282 @@ AUDIT_PROPERTIES = (
     "product-entropy-difference",
 )
 
+_POSITION = {prop: k for k, prop in enumerate(AUDIT_PROPERTIES)}
 
-def _haar_unitary(rng: np.random.Generator, n: int) -> np.ndarray:
-    z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    q, r = np.linalg.qr(z)
-    return q * (np.diag(r) / np.abs(np.diag(r)))
+# States per stack: bounds the working arrays (a few hundred kB) whatever the number of states.
+STACK_SIZE = 256
+
+_PAULIS = np.array((I2, SIGMA_X, SIGMA_Y, SIGMA_Z))
+# sigma_mu x sigma_nu indexed [mu, nu], sigma_0 = I: rho = sum_mu,nu R_mu,nu sigma_mu x sigma_nu / 4.
+_PAULI_PRODUCTS = tensor_product(_PAULIS[:, None], _PAULIS[None, :])
 
 
-def _audit_state(index: int, seed: int, tols: Tolerances):
-    """(state, its amplitudes if pure else None, label, whether it is a product state) for one index."""
+def _draw(index: int, seed: int):
+    """(label, amplitudes if pure, whether a product state, and the state's matrix, except that
+    a mixed product gives the two mixed states whose marginals it multiplies)."""
     if index == 0:
         amps = PureStateAmplitudes(0.0, 1.0, 0.0, 0.0)
-        return pure_density(amps, tols=tols), amps, "fixed pure product |10>", True
+        return "fixed pure product |10>", amps, True, np.outer(amps.vector, amps.vector.conj())
     kind = index % 3
     rng = np.random.default_rng((seed, index))
     if kind == 1:
         amps = random_pure(rng)
-        return pure_density(amps, tols=tols), amps, "haar pure", False
+        return "haar pure", amps, False, np.outer(amps.vector, amps.vector.conj())
     if kind == 2:
-        a = random_mixed(int(rng.integers(0, 2**32)), int(rng.integers(1, 3)), tols=tols)
-        b = random_mixed(int(rng.integers(0, 2**32)), int(rng.integers(1, 3)), tols=tols)
-        prod = tensor_product(a.marginal("A").matrix, b.marginal("B").matrix)
-        return DensityMatrix(prod, tols=tols), None, "random mixed product", True
+        a = random_mixed(int(rng.integers(0, 2**32)), int(rng.integers(1, 3)))
+        b = random_mixed(int(rng.integers(0, 2**32)), int(rng.integers(1, 3)))
+        return "random mixed product", None, True, (a, b)
     rank = (index // 3 - 1) % 4 + 1
-    return random_mixed(int(rng.integers(0, 2**32)), rank, tols=tols), None, f"random mixed rank {rank}", False
+    return f"random mixed rank {rank}", None, False, random_mixed(int(rng.integers(0, 2**32)), rank)
 
 
-def _max_abs(m: np.ndarray) -> float:
-    return float(np.max(np.abs(m)))
-
-
-def _run_state_checks(index: int, seed: int, tols: Tolerances) -> list[tuple[str, bool, str]]:
-    rho, amps, label, product = _audit_state(index, seed, tols)
+def _local_gaussians(index: int, seed: int) -> list[np.ndarray]:
+    """The complex Gaussian 2x2 draws of the state's two local unitaries, in order."""
     rng = np.random.default_rng((seed, index, 7))
-    results: list[tuple[str, bool, str]] = []
+    return [rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)) for _ in range(2)]
 
-    def record(prop: str, ok: bool, detail: float | str = ""):
-        results.append((prop, bool(ok), f"{label}: {detail}" if not ok else ""))
 
-    es = rho.eigensystem()
-    rec_err = _max_abs(es.reconstruct() - rho.matrix)
-    tr_err = abs(float(np.sum(es.values)) - float(np.trace(rho.matrix).real))
-    ok = rec_err <= tols.identity and tr_err <= tols.identity
-    record("eig-reconstruction", ok, f"rec={rec_err:.2e} tr={tr_err:.2e}")
+def _haar_unitaries(z: np.ndarray) -> np.ndarray:
+    """Haar unitaries from a stack of complex Gaussian matrices: Q of QR with R's diagonal phases."""
+    q, r = np.linalg.qr(z)
+    d = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * (d / np.abs(d))[..., None, :]
 
-    marg_a, marg_b = rho.marginal("A"), rho.marginal("B")
-    prod = DensityMatrix(tensor_product(marg_a.matrix, marg_b.matrix), tols=tols)
-    kron_err = _max_abs(prod.marginal("A").matrix - marg_a.matrix)
-    record("kron-partial-trace", kron_err <= tols.reshuffle, f"{kron_err:.2e}")
 
-    # involution checked on the raw matrix: the transpose of an entangled
-    # state is not PSD, so it cannot round-trip through DensityMatrix
-    pt = partial_transpose(rho, "B")
-    inv_err = _max_abs(transpose_stack(pt, "B") - rho.matrix)
-    tr_pt = abs(float(np.trace(pt).real) - 1.0)
-    ok = inv_err <= tols.reshuffle and tr_pt <= tols.reshuffle
-    record("partial-transpose-involution", ok, f"inv={inv_err:.2e}")
+def _dagger(m: np.ndarray) -> np.ndarray:
+    return m.conj().swapaxes(-1, -2)
 
-    root = sqrt_stack(es.values, es.vectors)
-    sq_err = _max_abs(root @ root - rho.matrix)
-    record("sqrt-roundtrip", sq_err <= tols.rebuilt, f"{sq_err:.2e}")
+
+def _max_abs(x: np.ndarray) -> np.ndarray:
+    """Largest |entry| per state of a stack; NaN stays NaN."""
+    return np.abs(x).reshape(len(x), -1).max(axis=1)
+
+
+def _check_stack(indices, seed: int, tols: Tolerances):
+    """Every property on the states ``indices`` as one stack.
+
+    Returns the checked count per property and the failures as
+    ``(index, property position, property, detail)``.
+    """
+    draws = [_draw(i, seed) for i in indices]
+    gaussians = np.array([_local_gaussians(i, seed) for i in indices])
+    labels = [label for label, _, _, _ in draws]
+    pure = np.array([k for k, (_, amps, _, _) in enumerate(draws) if amps is not None], dtype=int)
+    product = np.array([k for k, (_, _, is_product, _) in enumerate(draws) if is_product], dtype=int)
+    mixed_product = [k for k, (_, _, _, drawn) in enumerate(draws) if isinstance(drawn, tuple)]
+
+    m = np.empty((len(draws), 4, 4), dtype=complex)
+    for k, (_, _, _, drawn) in enumerate(draws):
+        if not isinstance(drawn, tuple):
+            m[k] = drawn
+    if mixed_product:
+        # Each factor is validated, and so are the marginals the product is built from.
+        factors = np.array([draws[k][3] for k in mixed_product])
+        density_stack(factors, tols=tols)
+        factor_marg = marginal_stack(factors, tols=tols)[0]
+        m[mixed_product] = tensor_product(factor_marg[:, 0, 0], factor_marg[:, 1, 1])
+
+    checked = dict.fromkeys(AUDIT_PROPERTIES, 0)
+    failures = []
+
+    def record(prop: str, ok: np.ndarray, detail, rows: np.ndarray | None = None):
+        """``ok`` holds one verdict per row of ``rows`` (default: every state); ``detail(j)`` describes row j."""
+        checked[prop] += len(ok)
+        for j in np.flatnonzero(~ok):
+            k = j if rows is None else rows[j]
+            failures.append((indices[k], _POSITION[prop], prop, f"{labels[k]}: {detail(j)}"))
+
+    w, v = density_stack(m, tols=tols)
+    marginals = marginal_stack(m, tols=tols)
+    marg, marg_w = marginals[0], marginals[1]
+
+    rec = _max_abs((v * w[:, None, :]) @ _dagger(v) - m)
+    tr = np.abs(w.sum(axis=-1) - m.trace(axis1=-2, axis2=-1).real)
+    ok = (rec <= tols.identity) & (tr <= tols.identity)
+    record("eig-reconstruction", ok, lambda j: f"rec={rec[j]:.2e} tr={tr[j]:.2e}")
+
+    prod = tensor_product(marg[:, 0], marg[:, 1])
+    density_stack(prod, tols=tols)
+    kron = _max_abs(marginal_stack(prod, tols=tols)[0][:, 0] - marg[:, 0])
+    record("kron-partial-trace", kron <= tols.reshuffle, lambda j: f"{kron[j]:.2e}")
+
+    # involution checked on the raw matrices: the transpose of an entangled
+    # state is not PSD, so it cannot round-trip through validation
+    pt = transpose_stack(m, "B")
+    inv = _max_abs(transpose_stack(pt, "B") - m)
+    tr_pt = np.abs(pt.trace(axis1=-2, axis2=-1).real - 1.0)
+    ok = (inv <= tols.reshuffle) & (tr_pt <= tols.reshuffle)
+    record("partial-transpose-involution", ok, lambda j: f"inv={inv[j]:.2e}")
+
+    root = sqrt_stack(w, v)
+    sq = _max_abs(root @ root - m)
+    record("sqrt-roundtrip", sq <= tols.rebuilt, lambda j: f"{sq[j]:.2e}")
 
     # S(AB), S(A), S(B) once; the mutual entropy and the q = 1 conditional
     # entropies are the same sums as ``classify``'s and ``conditional_tsallis``'s.
-    s1 = von_neumann(rho, tols=tols)
-    s_a, s_b = von_neumann(marg_a, tols=tols), von_neumann(marg_b, tols=tols)
-    mut = s_a + s_b - s1
-    cond_a, cond_b = s1 - s_a, s1 - s_b
-    record("mutual-nonnegative", mut >= -tols.hermiticity, f"{mut:.2e}")
+    s = entropy_stack(w, tols=tols)
+    s_marg = entropy_stack(marg_w, tols=tols)
+    s_a, s_b = s_marg[:, 0], s_marg[:, 1]
+    mut = s_a + s_b - s
+    cond_a, cond_b = s - s_a, s - s_b
+    record("mutual-nonnegative", mut >= -tols.hermiticity, lambda j: f"{mut[j]:.2e}")
 
-    up = abs(tsallis(rho, 1.0 + 1e-4, tols=tols) - s1)
-    down = abs(tsallis(rho, 1.0 - 1e-4, tols=tols) - s1)
-    record("tsallis-continuity", up <= tols.continuity and down <= tols.continuity, f"{max(up, down):.2e}")
+    up = np.abs(tsallis_stack(w, 1.0 + 1e-4, tols=tols) - s)
+    down = np.abs(tsallis_stack(w, 1.0 - 1e-4, tols=tols) - s)
+    ok = (up <= tols.continuity) & (down <= tols.continuity)
+    record("tsallis-continuity", ok, lambda j: f"{max(up[j], down[j]):.2e}")
 
-    conc = concurrence(rho, tols=tols)
-    record("concurrence-range", -tols.support_cutoff <= conc <= 1.0 + tols.hermiticity, f"{conc}")
+    conc = concurrence_stack(m, w, v, tols=tols)
+    ok = (conc >= -tols.support_cutoff) & (conc <= 1.0 + tols.hermiticity)
+    record("concurrence-range", ok, lambda j: f"{float(conc[j])}")
 
-    flip_gap = abs(conc - concurrence(spin_flip(rho, tols=tols), tols=tols))
-    record("concurrence-flip-invariance", flip_gap <= tols.concurrence_zero, f"{flip_gap:.2e}")
+    flipped = spin_flip_stack(m)
+    flip_gap = np.abs(conc - concurrence_stack(flipped, *density_stack(flipped, tols=tols), tols=tols))
+    record("concurrence-flip-invariance", flip_gap <= tols.concurrence_zero, lambda j: f"{flip_gap[j]:.2e}")
 
-    u_local = tensor_product(_haar_unitary(rng, 2), _haar_unitary(rng, 2))
-    rotated = DensityMatrix(u_local @ rho.matrix @ u_local.conj().T, tols=tols)
-    lu_gap = abs(conc - concurrence(rotated, tols=tols))
-    record("concurrence-local-unitary", lu_gap <= tols.concurrence_zero, f"{lu_gap:.2e}")
+    units = _haar_unitaries(gaussians)
+    u_local = tensor_product(units[:, 0], units[:, 1])
+    rotated = u_local @ m @ _dagger(u_local)
+    lu_gap = np.abs(conc - concurrence_stack(rotated, *density_stack(rotated, tols=tols), tols=tols))
+    record("concurrence-local-unitary", lu_gap <= tols.concurrence_zero, lambda j: f"{lu_gap[j]:.2e}")
 
-    ppt_min = float(hermitian_eig(pt, tols=tols).values[-1])
+    ppt_min = eigh_stack(pt, tols=tols)[0][:, -1]
     zero = tols.concurrence_zero
-    ppt_ok = conc > zero and ppt_min < -zero or conc <= zero and ppt_min >= -zero
-    record("concurrence-ppt-equivalence", ppt_ok, f"C={conc:.3e} ppt={ppt_min:.3e}")
+    ok = (conc > zero) & (ppt_min < -zero) | (conc <= zero) & (ppt_min >= -zero)
+    record("concurrence-ppt-equivalence", ok, lambda j: f"C={conc[j]:.3e} ppt={ppt_min[j]:.3e}")
 
-    rho_d, joint, frame_values, weights = decohere(rho, tols=tols)
-    marg_d = marginal_stack(rho_d.matrix[None], tols=tols)[0][0]
-    err_a = _max_abs(marg_d[0] - marg_a.matrix)
-    err_b = _max_abs(marg_d[1] - marg_b.matrix)
-    record("decohere-marginals", err_a <= tols.identity and err_b <= tols.identity, f"{max(err_a, err_b):.2e}")
+    dec = decohere_stack(m, marginals, v, tols=tols)
+    rho_d, joint, frame_w = dec.matrices, dec.joint, dec.frame_values
+    w_d, v_d = density_stack(rho_d, tols=tols)
+    marginals_d = marginal_stack(rho_d, tols=tols)
+    err = _max_abs(marginals_d[0] - marg)
+    record("decohere-marginals", err <= tols.identity, lambda j: f"{err[j]:.2e}")
 
-    idem = _max_abs(decohere(rho_d, tols=tols).state.matrix - rho_d.matrix)
-    record("decohere-idempotent", idem <= tols.reshuffle, f"{idem:.2e}")
+    # rho_d's own marginals frame the second pass, which reads no overlap weights.
+    idem = _max_abs(decohere_stack(rho_d, marginals_d, tols=tols).matrices - rho_d)
+    record("decohere-idempotent", idem <= tols.reshuffle, lambda j: f"{idem[j]:.2e}")
 
-    values_a, values_b = frame_values
-    err_a = _max_abs(joint.sum(axis=1) - values_a)
-    err_b = _max_abs(joint.sum(axis=0) - values_b)
-    ok = err_a <= tols.hermiticity and err_b <= tols.hermiticity
-    record("decohere-joint-marginals", ok, f"{max(err_a, err_b):.2e}")
+    # Row sums of P[alpha, beta] against side A's frame values, column sums against side B's.
+    err_joint = _max_abs(np.stack((joint.sum(axis=2), joint.sum(axis=1)), axis=1) - frame_w)
+    record("decohere-joint-marginals", err_joint <= tols.hermiticity, lambda j: f"{err_joint[j]:.2e}")
 
-    s_d = von_neumann(rho_d, tols=tols)
-    record("klein-entropy-increase", s_d >= s1 - tols.identity, f"S_d-S={s_d - s1:.2e}")
+    s_d = entropy_stack(w_d, tols=tols)
+    record("klein-entropy-increase", s_d >= s - tols.identity, lambda j: f"S_d-S={s_d[j] - s[j]:.2e}")
 
-    err_a = _max_abs(np.einsum("abg,g->a", weights, rho.eigenvalues) - values_a)
-    err_b = _max_abs(np.einsum("abg,g->b", weights, rho.eigenvalues) - values_b)
-    record("overlap-reconstruction", err_a <= tols.identity and err_b <= tols.identity, f"{max(err_a, err_b):.2e}")
+    rebuilt = np.stack((np.einsum("nabg,ng->na", dec.weights, w), np.einsum("nabg,ng->nb", dec.weights, w)), axis=1)
+    err_overlap = _max_abs(rebuilt - frame_w)
+    record("overlap-reconstruction", err_overlap <= tols.identity, lambda j: f"{err_overlap[j]:.2e}")
 
-    # P(alpha, beta) / p_beta and P(alpha, beta) / p_alpha over the marginal values off the cutoff.
-    sides = ((values_b, joint), (values_a, joint.T))
-    ratios = np.concatenate([sums[:, k] / v for vals, sums in sides for k, v in enumerate(vals)
-                             if not v <= tols.support_cutoff])
-    worst_ratio = float(ratios.max())
-    ok = float(ratios.min()) >= -tols.support_cutoff and worst_ratio <= 1.0 + tols.hermiticity
-    record("joint-conditional-probability", ok, f"worst ratio {worst_ratio:.12g}")
+    # P(alpha, beta) against p_beta and against p_alpha, over the marginal values off the
+    # cutoff: the excess P - p is the joint-marginals scale, where P / p would amplify
+    # round-off in P by 1 / p.
+    given = np.stack((np.broadcast_to(frame_w[:, 1, None, :], joint.shape),
+                      np.broadcast_to(frame_w[:, 0, :, None], joint.shape)), axis=1)
+    both = np.stack((joint, joint), axis=1)
+    defined = ~(given <= tols.support_cutoff)
+    excess = np.max(both - given, axis=(1, 2, 3), where=defined, initial=-np.inf)
+    lowest = np.min(both, axis=(1, 2, 3), where=defined, initial=np.inf)
+    ratio = np.max(np.divide(both, given, out=np.zeros_like(both), where=defined), axis=(1, 2, 3))
+    ok = (excess <= tols.hermiticity) & (lowest >= -tols.support_cutoff)
+    record("joint-conditional-probability", ok, lambda j: f"worst ratio {ratio[j]:.12g}, excess {excess[j]:.2e}")
 
-    deficit = s_d - s1
-    record("deficit-bounds", -tols.identity <= deficit <= mut + tols.identity, f"D={deficit:.3e} S={mut:.3e}")
+    deficit = s_d - s
+    ok = (deficit >= -tols.identity) & (deficit <= mut + tols.identity)
+    record("deficit-bounds", ok, lambda j: f"D={deficit[j]:.3e} S={mut[j]:.3e}")
 
     # D - I with D by a second route: rho_d is rho's pinching in rho_d's eigenbasis, so D = S(rho || rho_d).
     # (-S(rho_d || rho_A x rho_B) is infinite wherever a marginal eigenvalue squared falls below the support cutoff.)
     gap = deficit - mut
-    gap_identity = abs(gap - (relative_entropy(rho, rho_d, tols=tols) - mut))
-    record("deficit-mutual-gap-identity", gap_identity <= tols.identity and gap <= tols.identity, f"{gap_identity:.2e}")
+    gap_identity = np.abs(gap - (relative_entropy_stack(m, w, w_d, v_d, tols=tols) - mut))
+    ok = (gap_identity <= tols.identity) & (gap <= tols.identity)
+    record("deficit-mutual-gap-identity", ok, lambda j: f"{gap_identity[j]:.2e}")
 
-    if amps is not None:
-        record("pure-marginal-entropy-symmetry", abs(s_a - s_b) <= tols.identity, f"{abs(s_a - s_b):.2e}")
+    if len(pure):
+        amps = [draws[k][1] for k in pure]
+        sym = np.abs(s_a[pure] - s_b[pure])
+        record("pure-marginal-entropy-symmetry", sym <= tols.identity, lambda j: f"{sym[j]:.2e}", pure)
 
-        pure_c = pure_concurrence(amps)
-        nonpos = cond_a <= tols.hermiticity and cond_b <= tols.hermiticity
-        equality = abs(cond_a) <= tols.hermiticity and abs(cond_b) <= tols.hermiticity
-        ok = nonpos and (equality and pure_c <= zero or not equality and pure_c > zero)
-        record("pure-conditional-nonpositive", ok, f"cond=({cond_a:.3e},{cond_b:.3e}) C={pure_c:.3e}")
+        pure_c = np.array([pure_concurrence(a) for a in amps])
+        c_a, c_b = cond_a[pure], cond_b[pure]
+        nonpos = (c_a <= tols.hermiticity) & (c_b <= tols.hermiticity)
+        equality = (np.abs(c_a) <= tols.hermiticity) & (np.abs(c_b) <= tols.hermiticity)
+        ok = nonpos & (equality & (pure_c <= zero) | ~equality & (pure_c > zero))
+        record(
+            "pure-conditional-nonpositive", ok, lambda j: f"cond=({c_a[j]:.3e},{c_b[j]:.3e}) C={pure_c[j]:.3e}", pure
+        )
 
-        vec_a, vec_b = bloch_vectors(amps, tols=tols)
-        _, residual = purity_check(amps, tols=tols)
-        norm_a, norm_b = np.linalg.norm((vec_a, vec_b), axis=1)
-        norm_gap = abs(norm_a - norm_b)
-        ok = residual <= tols.hermiticity and norm_gap <= tols.hermiticity
-        record("pure-bloch-identity", ok, f"res={residual:.2e}")
+        vecs = np.array([bloch_vectors(a, tols=tols) for a in amps])
+        residual = np.array([purity_check(a, tols=tols)[1] for a in amps])
+        norms = np.linalg.norm(vecs, axis=2)
+        ok = (residual <= tols.hermiticity) & (np.abs(norms[:, 0] - norms[:, 1]) <= tols.hermiticity)
+        record("pure-bloch-identity", ok, lambda j: f"res={residual[j]:.2e}", pure)
 
-        paulis = (SIGMA_X, SIGMA_Y, SIGMA_Z)
-        ct = correlation_tensor(amps, tols=tols)
-        rebuilt = tensor_product(I2, I2).astype(complex)
-        for i, pauli in enumerate(paulis):
-            rebuilt += vec_a[i] * tensor_product(pauli, I2)
-            rebuilt += vec_b[i] * tensor_product(I2, pauli)
-            for j in range(3):
-                rebuilt += ct[i, j] * tensor_product(pauli, paulis[j])
-        rebuilt /= 4.0
-        pauli_err = _max_abs(rebuilt - rho.matrix)
-        record("pure-pauli-reconstruction", pauli_err <= tols.identity, f"{pauli_err:.2e}")
+        coeffs = np.empty((len(pure), 4, 4))
+        coeffs[:, 0, 0] = 1.0
+        coeffs[:, 1:, 0], coeffs[:, 0, 1:] = vecs[:, 0], vecs[:, 1]
+        coeffs[:, 1:, 1:] = [correlation_tensor(a, tols=tols) for a in amps]
+        pauli_err = _max_abs(np.einsum("pmn,mnij->pij", coeffs, _PAULI_PRODUCTS) / 4.0 - m[pure])
+        record("pure-pauli-reconstruction", pauli_err <= tols.identity, lambda j: f"{pauli_err[j]:.2e}", pure)
 
-        gap_c = abs(pure_c - conc)
-        gap_bloch = abs(pure_c - math.sqrt(max(1.0 - float(vec_a @ vec_a), 0.0)))
-        record("pure-concurrence-routes", gap_c <= zero and gap_bloch <= zero, f"{max(gap_c, gap_bloch):.2e}")
+        gap_c = np.abs(pure_c - conc[pure])
+        gap_bloch = np.abs(pure_c - np.sqrt(np.maximum(1.0 - np.sum(vecs[:, 0] ** 2, axis=-1), 0.0)))
+        ok = (gap_c <= zero) & (gap_bloch <= zero)
+        record("pure-concurrence-routes", ok, lambda j: f"{max(gap_c[j], gap_bloch[j]):.2e}", pure)
 
-    if product:
-        prod_gap = _max_abs(rho.matrix - prod.matrix)
-        record("product-mutual-zero", mut <= tols.hermiticity and prod_gap <= tols.rebuilt, f"mut={mut:.2e}")
+    if len(product):
+        prod_gap = _max_abs(m[product] - prod[product])
+        mut_p = mut[product]
+        ok = (mut_p <= tols.hermiticity) & (prod_gap <= tols.rebuilt)
+        record("product-mutual-zero", ok, lambda j: f"mut={mut_p[j]:.2e}", product)
         # S(AB) - S(A) = S(B) and S(AB) - S(B) = S(A), both nonnegative.
-        ok = abs(cond_a - s_b) <= tols.identity and abs(cond_b - s_a) <= tols.identity
-        ok = ok and cond_a >= -tols.identity and cond_b >= -tols.identity
-        record("product-entropy-difference", ok, f"({cond_a:.3e},{cond_b:.3e})")
+        c_a, c_b = cond_a[product], cond_b[product]
+        ok = (np.abs(c_a - s_b[product]) <= tols.identity) & (np.abs(c_b - s_a[product]) <= tols.identity)
+        ok &= (c_a >= -tols.identity) & (c_b >= -tols.identity)
+        record("product-entropy-difference", ok, lambda j: f"({c_a[j]:.3e},{c_b[j]:.3e})", product)
 
-    return results
+    return checked, failures
 
 
-def _audit_chunk(payload) -> list[tuple[int, list[tuple[str, bool, str]]]]:
+def _audit_part(payload):
+    """``_check_stack`` over ``indices``, ``STACK_SIZE`` states at a time, with the results summed."""
     indices, seed, tols = payload
-    return [(i, _run_state_checks(i, seed, tols)) for i in indices]
+    checked = dict.fromkeys(AUDIT_PROPERTIES, 0)
+    failures = []
+    for start in range(0, len(indices), STACK_SIZE):
+        stack = indices[start:start + STACK_SIZE]
+        try:
+            stack_checked, stack_failures = _check_stack(stack, seed, tols)
+        except CheckError as exc:
+            # A stack check names the position of the failing state in its stack.
+            raise ValueError(f"audit seed {seed}, states {stack} (state k is the k-th of them): {exc}") from exc
+        for prop, count in stack_checked.items():
+            checked[prop] += count
+        failures += stack_failures
+    return checked, failures
 
 
 def run_audit(n: int, seed: int, jobs: int = 1, tols: Tolerances = TOLS):
     """Evaluate every randomized invariant on n seeded states.
 
     Returns (per-property (checked, failed) counts in stable order,
-    failure detail lines).  Deterministic for a given seed, independent of
-    the job count.  At most ``min(jobs, n, cpu count)`` worker processes
-    are started.
+    failure detail lines ordered by state, then property).  Deterministic
+    for a given seed, independent of the job count.  At most
+    ``min(jobs, n, cpu count)`` worker processes are started.
     """
     if n < 1:
         raise ValueError(f"audit needs n >= 1, got {n}")
     if jobs < 1:
         raise ValueError(f"audit needs jobs >= 1, got {jobs}")
-    indices = list(range(n))
+    indices = range(n)
     workers = min(jobs, n, os.cpu_count() or 1)
     if workers > 1:
-        chunks = [indices[k::workers] for k in range(workers)]
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(_audit_chunk, [(c, seed, tols) for c in chunks]))
-        merged = sorted((item for part in parts for item in part), key=lambda kv: kv[0])
+            parts = list(pool.map(_audit_part, [(indices[k::workers], seed, tols) for k in range(workers)]))
     else:
-        merged = _audit_chunk((indices, seed, tols))
-    counts = {prop: [0, 0] for prop in AUDIT_PROPERTIES}
-    failures = []
-    for index, results in merged:
-        for prop, ok, detail in results:
-            counts[prop][0] += 1
-            if not ok:
-                counts[prop][1] += 1
-                failures.append(f"state {index} (seed {seed}) failed {prop}: {detail}")
-    return counts, failures
+        parts = [_audit_part((indices, seed, tols))]
+    counts = {prop: [sum(checked[prop] for checked, _ in parts), 0] for prop in AUDIT_PROPERTIES}
+    lines = []
+    for index, _, prop, detail in sorted(failure for _, failures in parts for failure in failures):
+        counts[prop][1] += 1
+        lines.append(f"state {index} (seed {seed}) failed {prop}: {detail}")
+    return counts, lines

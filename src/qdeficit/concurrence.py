@@ -4,9 +4,10 @@ The spin-flip spectrum is computed by a Hermitian route: the eigenvalues
 of rho * rho_tilde equal those of sqrt(rho) rho_tilde sqrt(rho), which is
 Hermitian PSD, so no general non-Hermitian eigensolver is needed.
 ``concurrence_stack`` evaluates it on a validated stack ``(N, 4, 4)``
-with its eigensystems; ``lambda_spectrum`` and ``concurrence`` are N = 1
-calls of the same kernel.  A brute-force cross-check against the
-characteristic polynomial of the matrix product lives in the test suite.
+with its eigensystems, and ``lambda_spectrum`` is its N = 1 call; a
+single state's concurrence is ``classify(rho).concurrence``.  A
+brute-force cross-check against the characteristic polynomial of the
+matrix product lives in the test suite.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from .linalg import (
     tensor_product,
 )
 
-__all__ = ["spin_flip", "lambda_spectrum", "concurrence_stack", "concurrence", "pure_concurrence"]
+__all__ = ["spin_flip_stack", "lambda_spectrum", "concurrence_stack", "pure_concurrence"]
 
 _YY = tensor_product(SIGMA_Y, SIGMA_Y)
 
@@ -35,21 +36,19 @@ _YY = tensor_product(SIGMA_Y, SIGMA_Y)
 _CORE_NOISE_FLOOR = 1e-14
 
 
-def _flipped(m: np.ndarray) -> np.ndarray:
-    f = _YY @ m.conj() @ _YY
+def spin_flip_stack(m: np.ndarray) -> np.ndarray:
+    """(sigma_y x sigma_y) m* (sigma_y x sigma_y), conjugated in the computational basis,
+    for each two-qubit matrix of ``(..., 4, 4)``.  The flip of a state is a state."""
+    if np.shape(m)[-2:] != (4, 4):
+        raise CheckError("dims", 0.0, f"two-qubit matrices (..., 4, 4) required, got shape {np.shape(m)}")
+    f = _YY @ np.conj(m) @ _YY
     return 0.5 * (f + f.conj().swapaxes(-1, -2))
-
-
-def spin_flip(rho: DensityMatrix, *, tols: Tolerances = TOLS) -> DensityMatrix:
-    """(sigma_y x sigma_y) rho* (sigma_y x sigma_y), conjugated in the computational basis."""
-    require_two_qubit(rho)
-    return DensityMatrix(_flipped(rho.matrix), tols=tols)
 
 
 def _lambda_stack(m: np.ndarray, values: np.ndarray, vectors: np.ndarray, *, tols: Tolerances = TOLS) -> np.ndarray:
     """Spin-flip singular values ``(N, 4)``, descending, of a stack with its eigensystems."""
     root = sqrt_stack(values, vectors)
-    core = root @ _flipped(m) @ root
+    core = root @ spin_flip_stack(m) @ root
     vals, _ = eigh_stack(0.5 * (core + core.conj().swapaxes(-1, -2)), tols=tols)
     CheckError.below("lambda nonnegativity", vals[:, -1], -tols.identity)
     return np.sqrt(np.where(vals < _CORE_NOISE_FLOOR, 0.0, vals))
@@ -63,17 +62,10 @@ def concurrence_stack(m: np.ndarray, values: np.ndarray, vectors: np.ndarray, *,
 
 
 def lambda_spectrum(rho: DensityMatrix, *, tols: Tolerances = TOLS) -> np.ndarray:
-    """Spin-flip singular values: square roots of the eigenvalues of rho * spin_flip(rho), descending."""
+    """Spin-flip singular values: square roots of the eigenvalues of rho times its spin flip, descending."""
     require_two_qubit(rho)
     es = rho.eigensystem()
     return _lambda_stack(rho.matrix[None], es.values[None], es.vectors[None], tols=tols)[0]
-
-
-def concurrence(rho: DensityMatrix, *, tols: Tolerances = TOLS) -> float:
-    """max(lambda1 - lambda2 - lambda3 - lambda4, 0); zero iff separable."""
-    require_two_qubit(rho)
-    es = rho.eigensystem()
-    return float(concurrence_stack(rho.matrix[None], es.values[None], es.vectors[None], tols=tols)[0])
 
 
 def pure_concurrence(amps) -> float:

@@ -17,10 +17,10 @@ from .linalg import TOLS, CheckError, DensityMatrix, Tolerances
 __all__ = [
     "entropy_stack",
     "von_neumann",
-    "tsallis",
+    "tsallis_stack",
     "conditional_tsallis",
     "tsallis_infinity_criterion",
-    "relative_entropy",
+    "relative_entropy_stack",
 ]
 
 def _clipped_spectrum(rho: DensityMatrix, tols: Tolerances) -> np.ndarray:
@@ -51,15 +51,23 @@ def von_neumann(rho: DensityMatrix, *, tols: Tolerances = TOLS) -> float:
     return float(entropy_stack(rho.eigenvalues[None], tols=tols)[0])
 
 
-def tsallis(rho: DensityMatrix, q: float, *, tols: Tolerances = TOLS) -> float:
-    """(Tr rho^q - 1) / (1 - q); dispatches to von Neumann at q = 1."""
+def _require_index(q: float) -> None:
     if not 0 < q < math.inf:
         raise ValueError(f"Tsallis index must be finite and positive, got {q}")
+
+
+def tsallis_stack(values: np.ndarray, q: float, *, tols: Tolerances = TOLS) -> np.ndarray:
+    """(sum x^q - 1) / (1 - q) over the last axis of descending spectra ``(N, ..., n)``, on the support.
+
+    At q = 1 this is ``entropy_stack``.
+    """
+    _require_index(q)
     if q == 1:
-        return von_neumann(rho, tols=tols)
-    vals = _clipped_spectrum(rho, tols)
-    support = vals[vals > tols.support_cutoff]
-    return float((np.sum(support**q) - 1.0) / (1.0 - q))
+        return entropy_stack(values, tols=tols)
+    CheckError.below("psd", values[..., -1], -tols.psd, lambda k: "negative eigenvalue in entropy input")
+    # Entries off the support become 0, whose q-th power is exactly 0.
+    support = np.where(values > tols.support_cutoff, values, 0.0)
+    return (np.sum(support**q, axis=-1) - 1.0) / (1.0 - q)
 
 
 def conditional_tsallis(rho_ab: DensityMatrix, side: str, q: float = 1.0, *, tols: Tolerances = TOLS) -> float:
@@ -73,8 +81,7 @@ def conditional_tsallis(rho_ab: DensityMatrix, side: str, q: float = 1.0, *, tol
     1/(q-1) nor a vanishing Tr rho_side^q costs the sign at large q.  A
     ratio beyond the float range returns ``-inf``.
     """
-    if not 0 < q < math.inf:
-        raise ValueError(f"Tsallis index must be finite and positive, got {q}")
+    _require_index(q)
     marg = rho_ab.marginal(side)
     if q == 1:
         return von_neumann(rho_ab, tols=tols) - von_neumann(marg, tols=tols)
@@ -102,20 +109,22 @@ def tsallis_infinity_criterion(rho_ab: DensityMatrix, *, tols: Tolerances = TOLS
     return (top <= top_a + tols.support_cutoff, top <= top_b + tols.support_cutoff)
 
 
-def relative_entropy(rho1: DensityMatrix, rho2: DensityMatrix, *, tols: Tolerances = TOLS) -> float:
-    """Tr rho1 (ln rho1 - ln rho2).
+def relative_entropy_stack(
+    m1: np.ndarray, values1: np.ndarray, values2: np.ndarray, vectors2: np.ndarray, *, tols: Tolerances = TOLS
+) -> np.ndarray:
+    """Tr rho1 (ln rho1 - ln rho2) for each pair of a stack.
 
-    Returns ``math.inf`` when rho1 carries more than ``tols.hermiticity``
-    of weight outside the support of rho2 (instead of raising, so that
-    random-state audits can probe arbitrary pairs).
+    ``m1`` ``(N, n, n)`` are the rho1 matrices with their descending
+    spectra ``values1``; ``values2`` and ``vectors2`` are the rho2
+    eigensystems.  A pair is ``inf`` when rho1 carries more than
+    ``tols.hermiticity`` of weight outside the support of rho2 (instead
+    of raising, so that random-state audits can probe arbitrary pairs).
     """
-    if rho1.dims != rho2.dims:
-        raise CheckError("dims", 0.0, f"dims differ: {rho1.dims} vs {rho2.dims}")
-    eig2 = rho2.eigensystem()
+    if m1.shape[-1] != vectors2.shape[-1]:
+        raise CheckError("dims", 0.0, f"matrix sides differ: {m1.shape[-1]} vs {vectors2.shape[-1]}")
     # w_g = <g|rho1|g> over rho2's eigenvectors |g>: Tr rho1 ln rho2 = sum w_g ln lambda_g.
-    weights = np.real(np.einsum("ig,ij,jg->g", eig2.vectors.conj(), rho1.matrix, eig2.vectors))
-    support = eig2.values > tols.support_cutoff
-    if float(np.sum(weights[~support])) > tols.hermiticity:
-        return math.inf
-    cross = float(np.sum(weights[support] * np.log(eig2.values[support])))
-    return -von_neumann(rho1, tols=tols) - cross
+    weights = np.einsum("...ig,...ij,...jg->...g", vectors2.conj(), m1, vectors2).real
+    support = values2 > tols.support_cutoff
+    outside = np.sum(weights, axis=-1, where=~support)
+    cross = np.sum(weights * np.log(np.where(support, values2, 1.0)), axis=-1, where=support)
+    return np.where(outside > tols.hermiticity, math.inf, -entropy_stack(values1, tols=tols) - cross)

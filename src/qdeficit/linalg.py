@@ -34,7 +34,6 @@ __all__ = [
     "tensor_product",
     "marginal_stack",
     "transpose_stack",
-    "partial_transpose",
     "sqrt_stack",
     "matrix_from_json",
     "density_from_json",
@@ -158,10 +157,6 @@ class EigenSystem:
         _freeze(self.values)
         _freeze(self.vectors)
 
-    def reconstruct(self) -> np.ndarray:
-        """Return ``V diag(values) V``:sup:`†`."""
-        return (self.vectors * self.values) @ self.vectors.conj().T
-
 
 def _require_finite(m: np.ndarray) -> None:
     nonfinite = ~np.isfinite(m)
@@ -235,14 +230,13 @@ class DensityMatrix:
 
     def __init__(self, matrix, *, tols: Tolerances = TOLS):
         arr = np.array(matrix, dtype=complex)
-        stack = arr[None]
         # The finite, square and hermiticity checks run first.
-        values, vectors = _eigh_checked(stack, tols, arr.shape)
+        eig = hermitian_eig(arr, tols=tols)
         if arr.shape[0] not in _DIMS:
             raise CheckError("dims", 0.0, f"a 4x4 two-qubit or 2x2 qubit matrix required, got side {arr.shape[0]}")
-        _density_checks(stack, values, tols)
+        _density_checks(arr[None], eig.values[None], tols)
         self.matrix = _freeze(arr)
-        self._eig = EigenSystem(values[0], vectors[0])
+        self._eig = eig
         self._marginals: dict[str, "DensityMatrix"] = {}
         self._tols = tols
 
@@ -306,6 +300,8 @@ def marginal_stack(m: np.ndarray, *, tols: Tolerances = TOLS):
     Returns ``(matrices, values, vectors)`` indexed ``[state, side A/B, ...]``:
     the 2N marginals are validated and diagonalised in one call.
     """
+    if m.shape[-2:] != (4, 4):
+        raise CheckError("dims", 0.0, f"two-qubit matrices (..., 4, 4) required, got shape {m.shape}")
     mats = np.empty(m.shape[:-2] + (2, 2, 2), dtype=complex)
     mats[..., 0, :, :] = _reduce_stack(m, "A")
     mats[..., 1, :, :] = _reduce_stack(m, "B")
@@ -314,18 +310,16 @@ def marginal_stack(m: np.ndarray, *, tols: Tolerances = TOLS):
 
 
 def transpose_stack(m: np.ndarray, side: str) -> np.ndarray:
-    """Transpose the indices of qubit ``side`` in each two-qubit matrix of ``(..., 4, 4)``."""
+    """Transpose the indices of qubit ``side`` ('A' or 'B') in each two-qubit matrix of ``(..., 4, 4)``.
+
+    The partial transpose of a state is Hermitian with trace one, but not
+    PSD when the state is entangled.
+    """
+    if side not in ("A", "B"):
+        raise ValueError(f"subsystem must be 'A' or 'B', got {side!r}")
     r = _split(m)
     out = np.einsum("...iljk->...ikjl" if side == "B" else "...jkil->...ikjl", r)
     return out.reshape(m.shape)
-
-
-def partial_transpose(rho: DensityMatrix, side: str) -> np.ndarray:
-    """Transpose the indices of one subsystem only.  Hermitian, trace one."""
-    if side not in ("A", "B"):
-        raise ValueError(f"subsystem must be 'A' or 'B', got {side!r}")
-    require_two_qubit(rho)
-    return transpose_stack(rho.matrix, side)
 
 
 def sqrt_stack(values: np.ndarray, vectors: np.ndarray) -> np.ndarray:

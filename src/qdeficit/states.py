@@ -139,30 +139,27 @@ def pure_density(amps: PureStateAmplitudes, *, tols: Tolerances = TOLS) -> Densi
     return DensityMatrix(_projector(amps.vector), tols=tols)
 
 
+def _re2(x: complex, y: complex) -> float:
+    # x y* + y x*
+    return 2.0 * (x * y.conjugate()).real
+
+
+def _im2(x: complex, y: complex) -> float:
+    # i (x y* - y x*)
+    return -2.0 * (x * y.conjugate()).imag
+
+
 def bloch_vectors(amps: PureStateAmplitudes, *, tols: Tolerances = TOLS) -> np.ndarray:
     """Polarization vectors of both qubits of a pure state: rows A and B of a ``(2, 3)`` array.
 
     Each row must satisfy |s| <= 1 within ``tols.hermiticity``.
     """
     a11, a10, a01, a00 = amps.a11, amps.a10, amps.a01, amps.a00
-
-    def _real(z: complex, label: str) -> float:
-        # z + z* is real by construction: the imaginary part is an exact cancellation.
-        if not abs(z.imag) <= tols.reshuffle:
-            raise CheckError("real component", abs(z.imag), label)
-        return z.real
-
-    s_a = (
-        _real(a11 * a01.conjugate() + a11.conjugate() * a01 + a10 * a00.conjugate() + a10.conjugate() * a00, "s1(A)"),
-        _real(1j * (a11 * a01.conjugate() - a11.conjugate() * a01 + a10 * a00.conjugate() - a10.conjugate() * a00), "s2(A)"),
-        abs(a11) ** 2 - abs(a01) ** 2 + abs(a10) ** 2 - abs(a00) ** 2,
-    )
-    s_b = (
-        _real(a11 * a10.conjugate() + a11.conjugate() * a10 + a01 * a00.conjugate() + a01.conjugate() * a00, "s1(B)"),
-        _real(1j * (a11 * a10.conjugate() - a11.conjugate() * a10 + a01 * a00.conjugate() - a01.conjugate() * a00), "s2(B)"),
-        abs(a11) ** 2 - abs(a10) ** 2 + abs(a01) ** 2 - abs(a00) ** 2,
-    )
-    s = np.array((s_a, s_b))
+    p11, p10, p01, p00 = abs(a11) ** 2, abs(a10) ** 2, abs(a01) ** 2, abs(a00) ** 2
+    s = np.array((
+        (_re2(a11, a01) + _re2(a10, a00), _im2(a11, a01) + _im2(a10, a00), p11 - p01 + p10 - p00),
+        (_re2(a11, a10) + _re2(a01, a00), _im2(a11, a10) + _im2(a01, a00), p11 - p10 + p01 - p00),
+    ))
     worst = float(np.max(np.sum(s * s, axis=1)))
     if not worst <= 1.0 + tols.hermiticity:
         raise CheckError("bloch norm", worst - 1.0)
@@ -175,15 +172,6 @@ def correlation_tensor(amps: PureStateAmplitudes, *, tols: Tolerances = TOLS) ->
     Every entry must lie in [-1, 1] within ``tols.hermiticity``.
     """
     a11, a10, a01, a00 = amps.a11, amps.a10, amps.a01, amps.a00
-
-    def _re2(x: complex, y: complex) -> float:
-        # x y* + y x*
-        return 2.0 * (x * y.conjugate()).real
-
-    def _im2(x: complex, y: complex) -> float:
-        # i (x y* - y x*)
-        return -2.0 * (x * y.conjugate()).imag
-
     c = np.empty((3, 3))
     c[0, 0] = _re2(a11, a00) + _re2(a10, a01)
     c[0, 1] = _im2(a11, a00) - _im2(a10, a01)
@@ -223,8 +211,12 @@ def _haar_amplitudes(rng: np.random.Generator) -> np.ndarray:
     return z / np.linalg.norm(z)
 
 
-def random_mixed(seed: int, rank: int, *, tols: Tolerances = TOLS) -> DensityMatrix:
-    """Convex mix of ``rank`` Haar-random pure projectors with flat-simplex weights."""
+def random_mixed(seed: int, rank: int) -> np.ndarray:
+    """Matrix ``(4, 4)`` of a convex mix of ``rank`` Haar-random pure projectors with flat-simplex weights.
+
+    ``seed`` is anything ``np.random.default_rng`` accepts.  Like
+    ``random_pure``, it returns the draw; ``DensityMatrix`` validates it.
+    """
     if not 1 <= rank <= 4:
         raise ValueError(f"rank must lie in 1..4, got {rank}")
     rng = np.random.default_rng(seed)
@@ -234,7 +226,7 @@ def random_mixed(seed: int, rank: int, *, tols: Tolerances = TOLS) -> DensityMat
     for w in weights:
         v = _haar_amplitudes(rng)
         mat += w * np.outer(v, v.conj())
-    return DensityMatrix(0.5 * (mat + mat.conj().T), tols=tols)
+    return 0.5 * (mat + mat.conj().T)
 
 
 def from_registry(spec: str, *, tols: Tolerances = TOLS) -> DensityMatrix:

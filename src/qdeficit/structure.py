@@ -11,10 +11,9 @@ Every figure is computed once, by array kernels over a validated stack
 ``(m, w, v)``: the matrices ``m`` ``(N, 4, 4)`` with their descending
 eigenvalues ``w`` and eigenvectors ``v``.  The frame sequence (frame,
 decohered matrices, joint distribution, overlap weights) is one pass,
-``_frame_pass``.  ``classify_stack`` runs every kernel on a whole stack;
-``classify`` and ``decohere`` are N = 1 calls, and ``decohere`` returns
-the frame pass's figures for one state.  A failed check names the lowest
-failing state of a stack.
+``decohere_stack``.  ``classify_stack`` runs every kernel on a whole
+stack, and ``classify`` is its N = 1 call.  A failed check names the
+lowest failing state of a stack.
 
 A marginal whose two eigenvalues differ by more than ``tols.degeneracy``
 contributes its eigenvectors; otherwise its eigenbasis is not unique and
@@ -51,7 +50,7 @@ from .linalg import (
 __all__ = [
     "ClassificationReport",
     "Decoherence",
-    "decohere",
+    "decohere_stack",
     "classify_stack",
     "classify",
 ]
@@ -79,7 +78,7 @@ def _frame_stack(marg: np.ndarray, values: np.ndarray, vectors: np.ndarray, tols
     return values, degenerate, u
 
 
-def _decohere_stack(m: np.ndarray, u: np.ndarray, tols: Tolerances) -> tuple[np.ndarray, np.ndarray]:
+def _dephase(m: np.ndarray, u: np.ndarray, tols: Tolerances) -> tuple[np.ndarray, np.ndarray]:
     """Decohered matrices ``(N, 4, 4)`` and their joint diagonals ``(N, 4)`` in the frames ``u``."""
     diag = np.einsum("nij,nik,nkj->nj", u.conj(), m, u).real
     if not diag.min() >= -tols.psd:
@@ -96,20 +95,6 @@ def _overlap_stack(u: np.ndarray, vectors: np.ndarray, tols: Tolerances) -> np.n
     if not err.max() <= tols.hermiticity:
         CheckError.above("overlap normalization", err.max(axis=-1), tols.hermiticity)
     return weights.reshape(-1, 2, 2, 4)
-
-
-def _frame_pass(
-    m: np.ndarray, v: np.ndarray, marg: np.ndarray, marg_w: np.ndarray, marg_v: np.ndarray, tols: Tolerances
-):
-    """The frame sequence on a validated stack ``(m, _, v)`` with its marginals' eigensystems.
-
-    Returns the frame eigenvalues ``(N, 2, 2)``, the degeneracy mask
-    ``(N, 2)``, the decohered matrices ``(N, 4, 4)``, their joint diagonals
-    ``(N, 4)`` and the overlap weights ``(N, 2, 2, 4)``.
-    """
-    frame_w, degenerate, u = _frame_stack(marg, marg_w, marg_v, tols)
-    mat_d, joint = _decohere_stack(m, u, tols)
-    return frame_w, degenerate, mat_d, joint, _overlap_stack(u, v, tols)
 
 
 def _ratio_stack(weights: np.ndarray, values: np.ndarray, frame_values: np.ndarray, tols: Tolerances):
@@ -143,37 +128,42 @@ class ClassificationReport:
 
 
 class Decoherence(NamedTuple):
-    """One state's frame pass: ``decohere``'s result."""
+    """The frame pass over a stack of N states: ``decohere_stack``'s result."""
 
-    state: DensityMatrix  # rho_d, diagonal in the frame
-    joint: np.ndarray  # P[alpha, beta], the diagonal of rho_d in the frame
-    frame_values: np.ndarray  # [side A/B, alpha]: the frame's marginal eigenvalues
-    weights: np.ndarray  # |<alpha, beta|Gamma>|^2, indexed [alpha, beta, Gamma]
+    matrices: np.ndarray  # rho_d (N, 4, 4), diagonal in each state's frame
+    joint: np.ndarray  # P[alpha, beta] (N, 2, 2), the diagonal of rho_d in the frame
+    frame_values: np.ndarray  # (N, side A/B, alpha): the frame's marginal eigenvalues
+    degenerate: np.ndarray  # (N, side A/B): the side took the computational-basis frame
+    weights: np.ndarray | None  # |<alpha, beta|Gamma>|^2 (N, alpha, beta, Gamma); None without eigenvectors
 
 
-def decohere(rho_ab: DensityMatrix, *, tols: Tolerances = TOLS) -> Decoherence:
-    """Drop all off-diagonal elements in the marginal-eigenbasis product frame.
+def decohere_stack(
+    m: np.ndarray, marginals, vectors: np.ndarray | None = None, *, tols: Tolerances = TOLS
+) -> Decoherence:
+    """Drop all off-diagonal elements of each state in its marginal-eigenbasis product frame.
 
-    Both marginals are preserved, and the joint's row/column sums are the
-    frame's marginal eigenvalues.
+    ``m`` is a validated stack ``(N, 4, 4)`` and ``marginals`` its
+    ``marginal_stack(m)``.  Both marginals are preserved, and the joint's
+    row/column sums are the frame's marginal eigenvalues.  The overlap
+    weights need the states' eigenvectors ``vectors`` ``(N, 4, 4)``.
     """
-    require_two_qubit(rho_ab)
-    m, v = rho_ab.matrix[None], rho_ab.eigensystem().vectors[None]
-    marg, marg_w, marg_v = marginal_stack(m, tols=tols)
-    frame_w, _, mat_d, joint, weights = _frame_pass(m, v, marg, marg_w, marg_v, tols)
-    return Decoherence(DensityMatrix(mat_d[0], tols=tols), joint[0].reshape(2, 2), frame_w[0], weights[0])
+    marg, marg_w, marg_v = marginals
+    frame_w, degenerate, u = _frame_stack(marg, marg_w, marg_v, tols)
+    mat_d, joint = _dephase(m, u, tols)
+    weights = None if vectors is None else _overlap_stack(u, vectors, tols)
+    return Decoherence(mat_d, joint.reshape(-1, 2, 2), frame_w, degenerate, weights)
 
 
 def _classify(m: np.ndarray, w: np.ndarray, v: np.ndarray, tols: Tolerances) -> list[ClassificationReport]:
     """Every diagnostic of each state of a validated stack ``(m, w, v)``."""
     conc = concurrence_stack(m, w, v, tols=tols)
     s = entropy_stack(w, tols=tols)
-    marg, marg_w, marg_v = marginal_stack(m, tols=tols)
-    s_marg = entropy_stack(marg_w, tols=tols)
+    marginals = marginal_stack(m, tols=tols)
+    s_marg = entropy_stack(marginals[1], tols=tols)
     s_a, s_b = s_marg[:, 0], s_marg[:, 1]
     diff_a, diff_b = s - s_a, s - s_b
     mutual = s_a + s_b - s
-    frame_w, degenerate, mat_d, _, weights = _frame_pass(m, v, marg, marg_w, marg_v, tols)
+    mat_d, _, frame_w, degenerate, weights = decohere_stack(m, marginals, v, tols=tols)
     deficit = entropy_stack(density_stack(mat_d, tols=tols)[0], tols=tols) - s
     ppt_min = eigh_stack(transpose_stack(m, "B"), tols=tols)[0][:, -1]
     _, defined = _ratio_stack(weights, w, frame_w, tols)

@@ -8,9 +8,9 @@ import pytest
 
 from qdeficit import audit, cli
 from qdeficit.cli import main
-from qdeficit.linalg import sqrt_stack
-from qdeficit.states import werner
-from qdeficit.structure import classify
+from qdeficit.linalg import TOLS, marginal_stack, sqrt_stack
+from qdeficit.states import pure_density, werner
+from qdeficit.structure import classify, decohere_stack
 
 from helpers import matrix_json
 
@@ -168,7 +168,7 @@ class TestAudit:
             assert len(lines) == 13
 
     def test_nan_entropy_fails_every_property_that_reads_it(self, monkeypatch):
-        monkeypatch.setattr(audit, "von_neumann", lambda rho, *, tols: math.nan)
+        monkeypatch.setattr(audit, "entropy_stack", lambda values, *, tols: np.full(values.shape[:-1], math.nan))
         reads_entropy = {
             "mutual-nonnegative", "tsallis-continuity", "klein-entropy-increase", "deficit-bounds",
             "deficit-mutual-gap-identity", "pure-marginal-entropy-symmetry", "pure-conditional-nonpositive",
@@ -177,6 +177,82 @@ class TestAudit:
         counts, _ = audit.run_audit(12, 42)
         for prop, (checked, failed) in counts.items():
             assert failed == (checked if prop in reads_entropy else 0), prop
+
+    def test_failure_is_booked_to_its_state(self, monkeypatch):
+        def run(stack_size):
+            """The audit of 20 states with row 5 of the first stack's square roots off by 3e-8."""
+            stacks = []
+
+            def faulty_sqrt(values, vectors):
+                root = sqrt_stack(values, vectors)
+                if not stacks:
+                    root[5] *= 1.0 + 3e-8
+                stacks.append(len(root))
+                return root
+
+            monkeypatch.setattr(audit, "sqrt_stack", faulty_sqrt)
+            monkeypatch.setattr(audit, "STACK_SIZE", stack_size)
+            return audit.run_audit(20, 42), stacks
+
+        (counts, failures), stacks = run(audit.STACK_SIZE)
+        assert stacks == [20]
+        assert len(failures) == 1
+        assert failures[0].startswith("state 5 (seed 42) failed sqrt-roundtrip: random mixed product: ")
+        assert [prop for prop, (_, failed) in counts.items() if failed] == ["sqrt-roundtrip"]
+        assert counts["sqrt-roundtrip"] == [20, 1]
+        assert run(7) == ((counts, failures), [7, 7, 6])
+
+    def test_eigensolver_calls_do_not_grow_with_the_state_count(self, monkeypatch):
+        calls = []
+        eigh = np.linalg.eigh
+
+        def counted_eigh(*args, **kwargs):
+            calls.append(1)
+            return eigh(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", counted_eigh)
+        audit.run_audit(15, 42)
+        small = len(calls)
+        calls.clear()
+        audit.run_audit(150, 42)
+        assert small > 0
+        assert len(calls) == small
+
+
+class TestJointConditionalProbability:
+    def test_round_off_on_a_tiny_marginal_value_passes(self):
+        # Haar-pure state 65284 of seed 0 has p = 2.1e-7 on both sides.  P(alpha, beta) - p is one
+        # ulp (1.1e-16), which the ratio P / p inflates to 1 + 5.3e-10, beyond 1 + tols.hermiticity.
+        label, amps, _, _ = audit._draw(65284, 0)
+        m = pure_density(amps).matrix[None]
+        dec = decohere_stack(m, marginal_stack(m))
+        given_a = dec.frame_values[:, 0, :, None]
+        assert (dec.joint / given_a).max() > 1.0 + TOLS.hermiticity
+        assert (dec.joint - given_a).max() <= TOLS.hermiticity
+        checked, failures = audit._check_stack(range(65284, 65285), 0, TOLS)
+        assert label == "haar pure"
+        assert checked["joint-conditional-probability"] == 1
+        assert failures == []
+
+    def test_genuine_excess_fails(self, monkeypatch):
+        real = audit.decohere_stack
+
+        def excess_joint(m, marginals, vectors=None, *, tols):
+            dec = real(m, marginals, vectors, tols=tols)
+            if vectors is None:  # the idempotence pass
+                return dec
+            joint = dec.joint.copy()
+            joint[3, 0, 0] = 1.01 * dec.frame_values[3, 1, 0]  # P(0, 0) = 1.01 p_beta=0 for state 3
+            return dec._replace(joint=joint)
+
+        monkeypatch.setattr(audit, "decohere_stack", excess_joint)
+        counts, failures = audit.run_audit(12, 42)
+        assert counts["joint-conditional-probability"] == [12, 1]
+        lines = [line for line in failures if "joint-conditional-probability" in line]
+        assert lines == [
+            "state 3 (seed 42) failed joint-conditional-probability: "
+            "random mixed rank 1: worst ratio 1.01, excess 9.25e-03"
+        ]
 
 
 class TestClassify:

@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from qdeficit.concurrence import concurrence, lambda_spectrum, pure_concurrence, spin_flip
-from qdeficit.linalg import CheckError, DensityMatrix, hermitian_eig, partial_transpose
+from qdeficit.concurrence import concurrence_stack, lambda_spectrum, pure_concurrence, spin_flip_stack
+from qdeficit.linalg import CheckError, DensityMatrix, density_stack, eigh_stack, transpose_stack
 from qdeficit.states import (
     PureStateAmplitudes,
     bloch_vectors,
@@ -21,29 +21,36 @@ from helpers import charpoly_lambdas, gamma_route_matrix, haar_unitary
 SINGLET = PureStateAmplitudes(0, 1 / math.sqrt(2), -1 / math.sqrt(2), 0)
 
 
+def _concurrence(*matrices) -> np.ndarray:
+    """``concurrence_stack`` over the matrices, validated as one stack."""
+    m = np.array(matrices)
+    return concurrence_stack(m, *density_stack(m))
+
+
 class TestSpinFlip:
     def test_maximally_mixed_invariant(self):
-        rho = DensityMatrix(np.eye(4) / 4)
-        assert np.max(np.abs(spin_flip(rho).matrix - rho.matrix)) < 1e-15
+        m = np.eye(4) / 4
+        assert np.max(np.abs(spin_flip_stack(m) - m)) < 1e-15
 
     def test_singlet_invariant(self):
-        rho = example_state("E4")
-        assert np.max(np.abs(spin_flip(rho).matrix - rho.matrix)) < 1e-15
+        m = example_state("E4").matrix
+        assert np.max(np.abs(spin_flip_stack(m) - m)) < 1e-15
 
     def test_basis_projector_flips(self):
         rho = pure_density(PureStateAmplitudes(1, 0, 0, 0))  # |11><11|
         expected = np.zeros((4, 4))
         expected[3, 3] = 1.0  # |00><00|
-        assert np.max(np.abs(spin_flip(rho).matrix - expected)) < 1e-15
+        assert np.max(np.abs(spin_flip_stack(rho.matrix) - expected)) < 1e-15
 
     def test_output_is_valid_state(self):
-        for seed in range(20):
-            flipped = spin_flip(random_mixed(seed, seed % 4 + 1))
-            assert flipped.eigenvalues[-1] > -1e-10
+        stack = np.array([random_mixed(seed, seed % 4 + 1) for seed in range(20)])
+        values, _ = density_stack(spin_flip_stack(stack))
+        assert values[:, -1].min() > -1e-10
 
     def test_rejects_single_subsystem(self):
-        with pytest.raises(CheckError):
-            spin_flip(DensityMatrix(np.eye(2) / 2))
+        with pytest.raises(CheckError) as err:
+            spin_flip_stack(np.eye(2) / 2)
+        assert err.value.check == "dims"
 
 
 class TestLambdaSpectrum:
@@ -57,12 +64,12 @@ class TestLambdaSpectrum:
 
     def test_sorted_descending(self):
         for seed in range(20):
-            lam = lambda_spectrum(random_mixed(seed, 4))
+            lam = lambda_spectrum(DensityMatrix(random_mixed(seed, 4)))
             assert all(a >= b for a, b in zip(lam, lam[1:]))
 
     def test_matches_characteristic_polynomial_bruteforce(self):
         for seed in range(150):
-            rho = random_mixed(seed, 4)
+            rho = DensityMatrix(random_mixed(seed, 4))
             lam = lambda_spectrum(rho)
             assert np.max(np.abs(lam - charpoly_lambdas(rho.matrix))) <= 1e-7
 
@@ -71,7 +78,7 @@ class TestLambdaSpectrum:
         # reproduce the squared spin-flip spectrum, confirming that the
         # eigenvectors (not just eigenvalues) enter the concurrence
         for seed in (0, 3, 7, 21):
-            rho = random_mixed(seed, 4)
+            rho = DensityMatrix(random_mixed(seed, 4))
             es = rho.eigensystem()
             gamma = gamma_route_matrix(es.values, es.vectors)
             spec = np.sort(np.clip(np.real(np.linalg.eigvals(gamma)), 0, None))[::-1]
@@ -85,42 +92,40 @@ class TestConcurrence:
         [("E1", 2 / 3), ("E2", 1 / 3), ("E3", 2 / 3), ("E4", 1.0), ("E5", 0.0), ("E6", 0.0)],
     )
     def test_reference_states(self, name, expected):
-        assert concurrence(example_state(name)) == pytest.approx(expected, abs=1e-10)
+        assert _concurrence(example_state(name).matrix)[0] == pytest.approx(expected, abs=1e-10)
 
     def test_werner_closed_form(self):
-        for p in np.arange(0.0, 1.0 + 1e-12, 0.05):
-            expected = max((3 * p - 1) / 2, 0.0)
-            assert concurrence(werner(float(p))) == pytest.approx(expected, abs=1e-12)
+        ps = np.arange(0.0, 1.0 + 1e-12, 0.05)
+        expected = np.maximum((3 * ps - 1) / 2, 0.0)
+        assert np.max(np.abs(_concurrence(*(werner(float(p)).matrix for p in ps)) - expected)) <= 1e-12
 
     def test_werner_two_thirds(self):
-        assert concurrence(werner(2 / 3)) == pytest.approx(0.5, abs=1e-12)
+        assert _concurrence(werner(2 / 3).matrix)[0] == pytest.approx(0.5, abs=1e-12)
 
     def test_isospectral_pair_distinguished(self):
         rho_e, rho_s = isospectral_pair()
-        assert concurrence(rho_e) == pytest.approx(2 / 3, abs=1e-10)
-        assert concurrence(rho_s) == pytest.approx(0.0, abs=1e-10)
+        assert _concurrence(rho_e.matrix, rho_s.matrix) == pytest.approx([2 / 3, 0.0], abs=1e-10)
 
     def test_range_and_flip_invariance(self):
-        for seed in range(50):
-            rho = random_mixed(seed, seed % 4 + 1)
-            c = concurrence(rho)
-            assert -1e-12 <= c <= 1 + 1e-10
-            assert abs(c - concurrence(spin_flip(rho))) <= 1e-8
+        stack = np.array([random_mixed(seed, seed % 4 + 1) for seed in range(50)])
+        c = _concurrence(*stack)
+        assert c.min() >= -1e-12 and c.max() <= 1 + 1e-10
+        assert np.max(np.abs(c - _concurrence(*spin_flip_stack(stack)))) <= 1e-8
 
     def test_local_unitary_invariance(self):
         rng = np.random.default_rng(99)
-        for seed in range(40):
-            rho = random_mixed(seed, seed % 4 + 1)
+        stack = np.array([random_mixed(seed, seed % 4 + 1) for seed in range(40)])
+        rotated = []
+        for m in stack:
             u = np.kron(haar_unitary(rng), haar_unitary(rng))
-            rotated = DensityMatrix(u @ rho.matrix @ u.conj().T)
-            assert abs(concurrence(rho) - concurrence(rotated)) <= 1e-8
+            rotated.append(u @ m @ u.conj().T)
+        assert np.max(np.abs(_concurrence(*stack) - _concurrence(*rotated))) <= 1e-8
 
     def test_ppt_equivalence(self):
-        for seed in range(200):
-            rho = random_mixed(seed, seed % 4 + 1)
-            entangled = concurrence(rho) > 1e-8
-            ppt_min = hermitian_eig(partial_transpose(rho, "B")).values[-1]
-            assert entangled == (ppt_min < -1e-8)
+        stack = np.array([random_mixed(seed, seed % 4 + 1) for seed in range(200)])
+        entangled = _concurrence(*stack) > 1e-8
+        ppt_min = eigh_stack(transpose_stack(stack, "B"))[0][:, -1]
+        assert np.array_equal(entangled, ppt_min < -1e-8)
 
 
 class TestPureConcurrence:
@@ -134,6 +139,6 @@ class TestPureConcurrence:
         for seed in range(100):
             amps = random_pure(seed)
             closed = pure_concurrence(amps)
-            assert abs(closed - concurrence(pure_density(amps))) <= 1e-8
+            assert abs(closed - _concurrence(pure_density(amps).matrix)[0]) <= 1e-8
             s_a = bloch_vectors(amps)[0]
             assert abs(closed - math.sqrt(max(1 - s_a @ s_a, 0.0))) <= 1e-8

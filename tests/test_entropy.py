@@ -9,12 +9,12 @@ from scipy.linalg import logm
 
 from qdeficit.entropy import (
     conditional_tsallis,
-    relative_entropy,
-    tsallis,
+    relative_entropy_stack,
     tsallis_infinity_criterion,
+    tsallis_stack,
     von_neumann,
 )
-from qdeficit.linalg import CheckError, DensityMatrix, tensor_product
+from qdeficit.linalg import CheckError, DensityMatrix, marginal_stack, tensor_product
 from qdeficit.states import (
     PureStateAmplitudes,
     example_state,
@@ -24,7 +24,7 @@ from qdeficit.states import (
     random_pure,
     werner,
 )
-from qdeficit.structure import classify, decohere
+from qdeficit.structure import classify, decohere_stack
 
 from helpers import haar_unitary
 
@@ -67,30 +67,30 @@ class TestVonNeumann:
 
 class TestTsallis:
     def test_pure_state_zero_for_any_q(self):
-        rho = example_state("E4")
+        values = example_state("E4").eigenvalues[None]
         for q in (0.5, 1.0, 2.0, 5.0, 50.0):
-            assert tsallis(rho, q) == pytest.approx(0.0, abs=1e-12)
+            assert tsallis_stack(values, q)[0] == pytest.approx(0.0, abs=1e-12)
 
     def test_maximally_mixed_q2(self):
-        rho = DensityMatrix(np.eye(4) / 4)
-        assert tsallis(rho, 2.0) == pytest.approx(0.75, abs=1e-14)
+        values = DensityMatrix(np.eye(4) / 4).eigenvalues[None]
+        assert tsallis_stack(values, 2.0)[0] == pytest.approx(0.75, abs=1e-14)
 
     def test_werner_half_q2(self):
         expected = (0.625**2 + 3 * 0.125**2 - 1) / (1 - 2)
-        assert tsallis(werner(0.5), 2.0) == pytest.approx(expected, abs=1e-14)
+        assert tsallis_stack(werner(0.5).eigenvalues[None], 2.0)[0] == pytest.approx(expected, abs=1e-14)
 
     def test_rejects_nonpositive_q(self):
         for q in (0.0, -1.0, math.nan, math.inf):
             with pytest.raises(ValueError):
-                tsallis(werner(0.5), q)
+                tsallis_stack(werner(0.5).eigenvalues[None], q)
             with pytest.raises(ValueError):
                 conditional_tsallis(werner(0.5), "A", q)
 
     def test_continuity_at_q_one(self):
-        for rho in (werner(0.5), example_state("E1"), random_mixed(4, 3)):
+        for rho in (werner(0.5), example_state("E1"), DensityMatrix(random_mixed(4, 3))):
             s1 = von_neumann(rho)
-            above = tsallis(rho, 1.0 + 1e-4)
-            below = tsallis(rho, 1.0 - 1e-4)
+            above = tsallis_stack(rho.eigenvalues[None], 1.0 + 1e-4)[0]
+            below = tsallis_stack(rho.eigenvalues[None], 1.0 - 1e-4)[0]
             assert abs(above - s1) <= 1e-3
             assert abs(below - s1) <= 1e-3
             # the symmetric mean cancels the linear term in (q - 1)
@@ -221,7 +221,7 @@ class TestInfinityCriterion:
     def test_agrees_with_q100_sign_away_from_boundary(self):
         states = [example_state(name) for name in ("E1", "E2", "E3", "E4", "E5", "E6")]
         states += [werner(float(p)) for p in np.arange(0.0, 1.0 + 1e-12, 0.05)]
-        states += [random_mixed(seed, seed % 4 + 1) for seed in range(40)]
+        states += [DensityMatrix(random_mixed(seed, seed % 4 + 1)) for seed in range(40)]
         checked = {True: 0, False: 0}
         for rho in states:
             flags = tsallis_infinity_criterion(rho)
@@ -252,7 +252,7 @@ class TestMutualEntropy:
     @settings(deadline=None, max_examples=50)
     @given(st.integers(min_value=0, max_value=10**9))
     def test_nonnegative_property(self, seed):
-        rho = random_mixed(seed, seed % 4 + 1)
+        rho = DensityMatrix(random_mixed(seed, seed % 4 + 1))
         assert classify(rho).mutual >= -1e-10
 
     def test_zero_iff_product(self):
@@ -269,10 +269,17 @@ def _relative_entropy_oracle(m1: np.ndarray, m2: np.ndarray) -> float:
     return float(np.real(np.trace(m1 @ (logm(m1) - logm(m2)))))
 
 
+def relative_entropy(rho1: DensityMatrix, rho2: DensityMatrix) -> float:
+    """``relative_entropy_stack`` on one pair of validated states."""
+    eig2 = rho2.eigensystem()
+    pair = (rho1.matrix[None], rho1.eigenvalues[None], eig2.values[None], eig2.vectors[None])
+    return float(relative_entropy_stack(*pair)[0])
+
+
 class TestRelativeEntropy:
     @pytest.mark.parametrize("seed", range(10))
     def test_matches_logm_oracle_on_full_rank_pairs(self, seed):
-        rho1, rho2 = random_mixed(2 * seed, 4), random_mixed(2 * seed + 1, 4)
+        rho1, rho2 = DensityMatrix(random_mixed(2 * seed, 4)), DensityMatrix(random_mixed(2 * seed + 1, 4))
         want = _relative_entropy_oracle(rho1.matrix, rho2.matrix)
         assert relative_entropy(rho1, rho2) == pytest.approx(want, abs=1e-10)
 
@@ -299,7 +306,8 @@ class TestRelativeEntropy:
 
     def test_klein_mechanism_for_decohered_state(self):
         rho = werner(0.5)
-        rho_d = decohere(rho).state
+        m = rho.matrix[None]
+        rho_d = DensityMatrix(decohere_stack(m, marginal_stack(m)).matrices[0])
         gap = von_neumann(rho_d) - von_neumann(rho)
         assert relative_entropy(rho, rho_d) == pytest.approx(gap, abs=1e-10)
         assert gap >= 0.0
@@ -313,8 +321,9 @@ class TestRelativeEntropy:
         assert relative_entropy(werner(0.3), werner(0.6)) > 1e-3
 
     def test_dimension_mismatch(self):
-        with pytest.raises(CheckError):
+        with pytest.raises(CheckError) as err:
             relative_entropy(werner(0.5), DensityMatrix(np.eye(2) / 2))
+        assert err.value.check == "dims"
 
 
 class TestPureStateTheoremB:

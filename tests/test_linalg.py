@@ -15,9 +15,9 @@ from qdeficit.linalg import (
     density_from_json,
     hermitian_eig,
     matrix_from_json,
-    partial_transpose,
     sqrt_stack,
     tensor_product,
+    transpose_stack,
 )
 from qdeficit.states import example_state, pure_density, PureStateAmplitudes, werner
 from qdeficit.structure import classify
@@ -42,11 +42,16 @@ BOUNDS = {
 NON_FINITE = [np.nan, np.inf, -np.inf, complex(np.nan, np.nan), complex(0.0, np.inf)]
 
 
+def _rebuild(es) -> np.ndarray:
+    """V diag(values) V^dagger."""
+    return (es.vectors * es.values) @ es.vectors.conj().T
+
+
 class TestHermitianEig:
     def test_identity(self):
         es = hermitian_eig(np.eye(2))
         assert np.allclose(es.values, [1.0, 1.0])
-        assert np.max(np.abs(es.reconstruct() - np.eye(2))) < 1e-15
+        assert np.max(np.abs(_rebuild(es) - np.eye(2))) < 1e-15
 
     def test_already_diagonal(self):
         es = hermitian_eig(np.diag([1 / 6, 5 / 6]).astype(complex))
@@ -96,7 +101,7 @@ class TestHermitianEig:
     def test_reconstruction_and_trace_property(self, seed):
         h = random_hermitian(np.random.default_rng(seed))
         es = hermitian_eig(h)
-        assert np.max(np.abs(es.reconstruct() - h)) <= 1e-9
+        assert np.max(np.abs(_rebuild(es) - h)) <= 1e-9
         assert abs(np.sum(es.values) - np.trace(h).real) <= 1e-9
         assert np.max(np.abs(es.vectors.conj().T @ es.vectors - np.eye(4))) <= 1e-9
 
@@ -162,31 +167,35 @@ class TestPartialTranspose:
         sigma_b = np.array([[0.5, 0.5j], [-0.5j, 0.5]], dtype=complex)
         composite = DensityMatrix(tensor_product(rho_a, sigma_b))
         for side in ("A", "B"):
-            vals = numpy_spectrum(partial_transpose(composite, side))
+            vals = numpy_spectrum(transpose_stack(composite.matrix, side))
             assert vals[-1] > -1e-12
 
     def test_werner_crossing_at_one_third(self):
         eps = 1e-9
-        below = numpy_spectrum(partial_transpose(werner(1 / 3 - eps), "B"))[-1]
-        above = numpy_spectrum(partial_transpose(werner(1 / 3 + eps), "B"))[-1]
+        below = numpy_spectrum(transpose_stack(werner(1 / 3 - eps).matrix, "B"))[-1]
+        above = numpy_spectrum(transpose_stack(werner(1 / 3 + eps).matrix, "B"))[-1]
         assert below > 0 > above
 
     def test_singlet_minimum_eigenvalue(self):
-        vals = numpy_spectrum(partial_transpose(example_state("E4"), "B"))
+        vals = numpy_spectrum(transpose_stack(example_state("E4").matrix, "B"))
         assert vals[-1] == pytest.approx(-0.5, abs=1e-12)
 
     def test_involution_and_trace(self):
         rho = werner(0.9)
-        pt = partial_transpose(rho, "B")
+        pt = transpose_stack(rho.matrix, "B")
         assert abs(np.trace(pt) - 1.0) < 1e-12
         back = np.einsum("iljk->ikjl", pt.reshape(2, 2, 2, 2)).reshape(4, 4)
         assert np.max(np.abs(back - rho.matrix)) < 1e-15
 
     def test_both_sides_share_spectrum(self):
         rho = werner(0.77)
-        sa = numpy_spectrum(partial_transpose(rho, "A"))
-        sb = numpy_spectrum(partial_transpose(rho, "B"))
+        sa = numpy_spectrum(transpose_stack(rho.matrix, "A"))
+        sb = numpy_spectrum(transpose_stack(rho.matrix, "B"))
         assert np.max(np.abs(sa - sb)) < 1e-12
+
+    def test_rejects_unknown_side(self):
+        with pytest.raises(ValueError, match="subsystem must be 'A' or 'B'"):
+            transpose_stack(werner(0.5).matrix, "C")
 
 
 def _sqrt(m: np.ndarray) -> np.ndarray:

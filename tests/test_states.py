@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qdeficit.concurrence import pure_concurrence
-from qdeficit.linalg import CheckError, Tolerances
+from qdeficit.linalg import CheckError, DensityMatrix, Tolerances
 from qdeficit.states import (
     PureStateAmplitudes,
     RegistryError,
@@ -164,6 +164,15 @@ class TestBlochVectors:
                 expected = [(1 + np.linalg.norm(vec)) / 2, (1 - np.linalg.norm(vec)) / 2]
                 assert np.max(np.abs(rho.marginal(side).eigenvalues - expected)) <= 1e-10
 
+    def test_equals_pauli_expectations(self):
+        # s_i(A) = Tr rho (sigma_i x I) and s_j(B) = Tr rho (I x sigma_j)
+        for seed in range(200):
+            amps = random_pure(seed)
+            rho = pure_density(amps).matrix
+            want = [[np.trace(rho @ np.kron(p, I2)).real for p in (SX, SY, SZ)],
+                    [np.trace(rho @ np.kron(I2, p)).real for p in (SX, SY, SZ)]]
+            assert np.max(np.abs(bloch_vectors(amps) - want)) <= 1e-14
+
 
 class TestCorrelationTensor:
     def test_computational_product(self):
@@ -236,19 +245,18 @@ class TestSamplers:
         assert 0.3 < total / 10_000 < 0.6
 
     def test_mixed_rank_one_is_pure(self):
-        rho = random_mixed(5, 1)
-        assert np.max(np.abs(rho.matrix @ rho.matrix - rho.matrix)) < 1e-10
+        m = random_mixed(5, 1)
+        assert np.max(np.abs(m @ m - m)) < 1e-10
 
     def test_mixed_validity_and_determinism(self):
         for rank in (1, 2, 3, 4):
-            rho = random_mixed(11, rank)
-            again = random_mixed(11, rank)
-            assert np.array_equal(rho.matrix, again.matrix)
+            rho = DensityMatrix(random_mixed(11, rank))
+            assert np.array_equal(rho.matrix, random_mixed(11, rank))
         with pytest.raises(ValueError):
             random_mixed(1, 5)
 
     def test_mixed_full_rank_spectrum(self):
-        vals = random_mixed(3, 4).eigenvalues
+        vals = DensityMatrix(random_mixed(3, 4)).eigenvalues
         assert vals[-1] > 1e-6
 
 
@@ -294,7 +302,7 @@ class TestNaNFailsTheBounds:
     def test_bloch_vector(self):
         with pytest.raises(CheckError) as err:
             bloch_vectors(self.NAN_AMPS)
-        assert err.value.check == "real component"
+        assert err.value.check == "bloch norm"
 
     def test_correlation_tensor(self):
         with pytest.raises(CheckError) as err:

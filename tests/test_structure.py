@@ -1,4 +1,5 @@
 from dataclasses import fields
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -7,13 +8,21 @@ from hypothesis import strategies as st
 
 from qdeficit import structure
 from qdeficit.entropy import von_neumann
-from qdeficit.linalg import TOLS, CheckError, DensityMatrix, Tolerances, tensor_product
+from qdeficit.linalg import TOLS, CheckError, DensityMatrix, Tolerances, marginal_stack, tensor_product
 from qdeficit.states import example_state, from_registry, random_mixed, werner, werner_matrices
-from qdeficit.structure import ClassificationReport, classify, classify_stack, decohere
+from qdeficit.structure import ClassificationReport, classify, classify_stack, decohere_stack
 
 from helpers import numpy_spectrum
 
 SEEDED_STATES = st.tuples(st.integers(min_value=0, max_value=2**32 - 1), st.integers(min_value=1, max_value=4))
+
+
+def decohere(rho: DensityMatrix, *, tols: Tolerances = TOLS) -> SimpleNamespace:
+    """``decohere_stack`` on one state: rho_d validated, with the joint, frame values and overlap weights."""
+    m = rho.matrix[None]
+    dec = decohere_stack(m, marginal_stack(m, tols=tols), rho.eigensystem().vectors[None], tols=tols)
+    state = DensityMatrix(dec.matrices[0], tols=tols)
+    return SimpleNamespace(state=state, joint=dec.joint[0], frame_values=dec.frame_values[0], weights=dec.weights[0])
 
 
 def _entropy_oracle(m: np.ndarray) -> float:
@@ -26,7 +35,7 @@ class TestDecohere:
     @settings(deadline=None, max_examples=40)
     @given(SEEDED_STATES)
     def test_preserves_both_marginals(self, seed_rank):
-        rho = random_mixed(*seed_rank)
+        rho = DensityMatrix(random_mixed(*seed_rank))
         rho_d = decohere(rho).state
         for side in ("A", "B"):
             assert np.max(np.abs(rho_d.marginal(side).matrix - rho.marginal(side).matrix)) <= 1e-10
@@ -34,7 +43,7 @@ class TestDecohere:
     @settings(deadline=None, max_examples=40)
     @given(SEEDED_STATES)
     def test_idempotent(self, seed_rank):
-        rho_d = decohere(random_mixed(*seed_rank)).state
+        rho_d = decohere(DensityMatrix(random_mixed(*seed_rank))).state
         rho_dd = decohere(rho_d).state
         assert np.max(np.abs(rho_dd.matrix - rho_d.matrix)) <= 1e-12
 
@@ -47,7 +56,7 @@ class TestDecohere:
     @settings(deadline=None, max_examples=40)
     @given(SEEDED_STATES)
     def test_joint_sums_are_marginal_spectra(self, seed_rank):
-        dec = decohere(random_mixed(*seed_rank))
+        dec = decohere(DensityMatrix(random_mixed(*seed_rank)))
         assert np.max(np.abs(dec.joint.sum(axis=1) - dec.frame_values[0])) <= 1e-10
         assert np.max(np.abs(dec.joint.sum(axis=0) - dec.frame_values[1])) <= 1e-10
 
@@ -62,13 +71,13 @@ class TestQuantumDeficit:
     @settings(deadline=None, max_examples=40)
     @given(SEEDED_STATES)
     def test_bounded_by_mutual_entropy(self, seed_rank):
-        report = classify(random_mixed(*seed_rank))
+        report = classify(DensityMatrix(random_mixed(*seed_rank)))
         assert -1e-10 <= report.deficit <= report.mutual + 1e-10
 
     @settings(deadline=None, max_examples=40)
     @given(SEEDED_STATES)
     def test_gap_to_mutual_entropy_identity(self, seed_rank):
-        rho = random_mixed(*seed_rank)
+        rho = DensityMatrix(random_mixed(*seed_rank))
         rho_d = decohere(rho).state
         s_d = _entropy_oracle(rho_d.matrix)
         s_a = _entropy_oracle(rho.marginal("A").matrix)
@@ -103,7 +112,7 @@ class TestConditionalRatio:
     @settings(deadline=None, max_examples=40)
     @given(SEEDED_STATES)
     def test_matches_loop_reference(self, seed_rank):
-        _assert_ratios_match_loop(random_mixed(*seed_rank))
+        _assert_ratios_match_loop(DensityMatrix(random_mixed(*seed_rank)))
 
     @pytest.mark.parametrize("name", ["E1", "E4", "E5", "E6", "iso:S", "werner:0.5"])
     def test_matches_loop_reference_on_registry(self, name):
@@ -154,7 +163,7 @@ class TestCommutesWithMarginals:
     @settings(deadline=None, max_examples=40)
     @given(SEEDED_STATES)
     def test_decohered_state_is_a_fixed_point(self, seed_rank):
-        rho_d = decohere(random_mixed(*seed_rank)).state
+        rho_d = decohere(DensityMatrix(random_mixed(*seed_rank))).state
         assert classify(rho_d).commutes_with_marginals
 
     @pytest.mark.parametrize("seed", range(10))
@@ -165,7 +174,7 @@ class TestCommutesWithMarginals:
 
     @pytest.mark.parametrize("seed", range(20))
     def test_generic_state_is_not(self, seed):
-        assert not classify(random_mixed(seed, 1 + seed % 4)).commutes_with_marginals
+        assert not classify(DensityMatrix(random_mixed(seed, 1 + seed % 4))).commutes_with_marginals
 
 
 class TestScaledChecks:
@@ -217,10 +226,10 @@ def _mixed_stack() -> np.ndarray:
     names = ["E1", "E2", "E3", "E4", "E5", "E6", "iso:E", "iso:S"]
     mats = [from_registry(name).matrix for name in names]
     mats += list(werner_matrices([0.0, 0.3, 1 / 3, 1.0]))
-    mats += [random_mixed(seed, 1 + seed % 4).matrix for seed in range(200)]
+    mats += [random_mixed(seed, 1 + seed % 4) for seed in range(200)]
     rng = np.random.default_rng(11)
     mats += [tensor_product(_random_qubit_state(rng), _random_qubit_state(rng)) for _ in range(10)]
-    mats += [decohere(random_mixed(1000 + seed, 1 + seed % 4)).state.matrix for seed in range(10)]
+    mats += [decohere(DensityMatrix(random_mixed(1000 + seed, 1 + seed % 4))).state.matrix for seed in range(10)]
     mats += [decohere(werner(0.6)).state.matrix, decohere(example_state("E1")).state.matrix]
     return np.array(mats)
 
