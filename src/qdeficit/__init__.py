@@ -44,6 +44,7 @@ from .states import (
     werner_matrices,
 )
 from .structure import (
+    ClassificationColumns,
     ClassificationReport,
     Decoherence,
     classify,

@@ -158,7 +158,8 @@ def werner_sweep_rows(pmin: float, pmax: float, step: float, tols: Tolerances = 
 
     Every column after p is a ``classify`` field; the q=1 conditional
     entropy is ``entropy_diff_a``, S(AB) - S(A).  The grid is classified
-    ``WERNER_CHUNK`` rows at a time by ``classify_stack``.
+    ``WERNER_CHUNK`` rows at a time by ``classify_stack``, whose figure
+    columns are read as Python floats, the values ``classify`` reports.
     """
     if not (0.0 <= pmin <= pmax <= 1.0):
         raise ValueError(f"need 0 <= min <= max <= 1, got [{pmin}, {pmax}]")
@@ -167,8 +168,11 @@ def werner_sweep_rows(pmin: float, pmax: float, step: float, tols: Tolerances = 
     grid = _grid(pmin, pmax, step)
     rows = []
     while chunk := list(itertools.islice(grid, WERNER_CHUNK)):
-        for p, r in zip(chunk, classify_stack(werner_matrices(chunk), tols=tols)):
-            rows.append((p, r.concurrence, r.mutual / LN2, r.deficit / LN2, r.entropy_diff_a, r.ppt_min_eig))
+        cols = classify_stack(werner_matrices(chunk), tols=tols)
+        rows += zip(
+            chunk, cols.concurrence.tolist(), (cols.mutual / LN2).tolist(), (cols.deficit / LN2).tolist(),
+            cols.entropy_diff_a.tolist(), cols.ppt_min_eig.tolist(),
+        )
     return rows
 
 

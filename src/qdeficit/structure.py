@@ -12,8 +12,16 @@ Every figure is computed once, by array kernels over a validated stack
 eigenvalues ``w`` and eigenvectors ``v``.  The frame sequence (frame,
 decohered matrices, joint distribution, overlap weights) is one pass,
 ``decohere_stack``.  ``classify_stack`` runs every kernel on a whole
-stack, and ``classify`` is its N = 1 call.  A failed check names the
-lowest failing state of a stack.
+stack and returns one array column per figure; ``classify`` is its
+N = 1 call, and only it builds a ``ClassificationReport`` with verdict
+strings.  A failed check names the lowest failing state of a stack.
+
+rho_d is diagonal in the product frame, and that diagonal is the joint
+distribution P(alpha, beta).  So rho_d's spectrum is P, and S(rho_d) is
+the Shannon entropy H(P): the deficit needs no eigensolve of rho_d.
+rho_d's density checks are read from P as well: nonnegativity of P is
+its psd check, P's sum its trace check, and rho_d is Hermitian by
+construction.
 
 A marginal whose two eigenvalues differ by more than ``tols.degeneracy``
 contributes its eigenvectors; otherwise its eigenbasis is not unique and
@@ -49,6 +57,7 @@ from .linalg import (
 
 __all__ = [
     "ClassificationReport",
+    "ClassificationColumns",
     "Decoherence",
     "decohere_stack",
     "classify_stack",
@@ -113,6 +122,15 @@ def _ratio_stack(weights: np.ndarray, values: np.ndarray, frame_values: np.ndarr
 
 @dataclass(frozen=True)
 class ClassificationReport:
+    """Every figure of one two-qubit state, with its verdicts: ``classify``'s result.
+
+    ``frame_fallback`` is the (A, B) pair of sides whose degenerate marginal
+    took the computational-basis frame.  ``worst_eigen_ratio`` is the
+    largest composite/marginal eigenvalue ratio over both sides; the
+    conditional probabilities are defined while it is at most
+    1 + ``tols.hermiticity``.
+    """
+
     concurrence: float
     entropy_diff_a: float
     entropy_diff_b: float
@@ -121,10 +139,27 @@ class ClassificationReport:
     ppt_min_eig: float
     conditional_prob_defined: bool
     commutes_with_marginals: bool
+    frame_fallback: tuple[bool, bool]
+    worst_eigen_ratio: float
     verdicts: tuple[str, ...]
 
     def as_dict(self) -> dict:
-        return {**asdict(self), "verdicts": list(self.verdicts)}
+        return {**asdict(self), "frame_fallback": list(self.frame_fallback), "verdicts": list(self.verdicts)}
+
+
+class ClassificationColumns(NamedTuple):
+    """``classify_stack``'s result: one array per figure, one entry per state of the stack."""
+
+    concurrence: np.ndarray  # (N,)
+    entropy_diff_a: np.ndarray  # (N,): S(AB) - S(A)
+    entropy_diff_b: np.ndarray  # (N,): S(AB) - S(B)
+    mutual: np.ndarray  # (N,): S(A) + S(B) - S(AB)
+    deficit: np.ndarray  # (N,): S(rho_d) - S(AB)
+    ppt_min_eig: np.ndarray  # (N,)
+    conditional_prob_defined: np.ndarray  # bool (N,)
+    commutes_with_marginals: np.ndarray  # bool (N,)
+    degenerate: np.ndarray  # bool (N, side A/B): the side took the computational-basis frame
+    worst_eigen_ratio: np.ndarray  # (N,): the larger side of ``_ratio_stack``'s maxima
 
 
 class Decoherence(NamedTuple):
@@ -154,57 +189,65 @@ def decohere_stack(
     return Decoherence(mat_d, joint.reshape(-1, 2, 2), frame_w, degenerate, weights)
 
 
-def _classify(m: np.ndarray, w: np.ndarray, v: np.ndarray, tols: Tolerances) -> list[ClassificationReport]:
-    """Every diagnostic of each state of a validated stack ``(m, w, v)``."""
+def _classify(m: np.ndarray, w: np.ndarray, v: np.ndarray, tols: Tolerances) -> ClassificationColumns:
+    """Every figure of each state of a validated stack ``(m, w, v)``, as columns."""
     conc = concurrence_stack(m, w, v, tols=tols)
     s = entropy_stack(w, tols=tols)
     marginals = marginal_stack(m, tols=tols)
     s_marg = entropy_stack(marginals[1], tols=tols)
     s_a, s_b = s_marg[:, 0], s_marg[:, 1]
-    diff_a, diff_b = s - s_a, s - s_b
     mutual = s_a + s_b - s
-    mat_d, _, frame_w, degenerate, weights = decohere_stack(m, marginals, v, tols=tols)
-    deficit = entropy_stack(density_stack(mat_d, tols=tols)[0], tols=tols) - s
+    mat_d, joint, frame_w, degenerate, weights = decohere_stack(m, marginals, v, tols=tols)
+    # rho_d is diagonal in the frame, so its spectrum is the joint P: S(rho_d) = H(P).  _dephase has
+    # checked P >= -psd (the psd check) and made rho_d Hermitian; its trace is P's sum.
+    p = joint.reshape(-1, 4)
+    tr = p.sum(axis=-1)
+    CheckError.above("trace", abs(tr - 1.0), tols.hermiticity, lambda k: f"decohered trace {tr[k]:.12g}")
+    deficit = entropy_stack(np.sort(p, axis=-1)[:, ::-1], tols=tols) - s
     ppt_min = eigh_stack(transpose_stack(m, "B"), tols=tols)[0][:, -1]
-    _, defined = _ratio_stack(weights, w, frame_w, tols)
+    side_max, defined = _ratio_stack(weights, w, frame_w, tols)
     # Commuting with both frames' projectors is the decoherence fixed point rho = rho_d.
     commutes = np.abs(m - mat_d).max(axis=(-2, -1)) <= tols.identity
 
     inside = (deficit >= -tols.identity) & (deficit <= mutual + tols.identity)
     CheckError.raise_first("deficit bounds", ~inside, deficit, lambda k: f"mutual={mutual[k]:.12g}")
+    return ClassificationColumns(
+        conc, s - s_a, s - s_b, mutual, deficit, ppt_min, defined, commutes, degenerate, side_max.max(axis=-1)
+    )
 
+
+def _report(cols: ClassificationColumns, tols: Tolerances) -> ClassificationReport:
+    """The report of the first state of ``cols``, as Python scalars, with its verdicts."""
+    c, d_a, d_b, mut, dfc, ppt, dfn, com, (deg_a, deg_b), ratio = (col[0].tolist() for col in cols)
     sep, same, product = tols.concurrence_zero, tols.identity, tols.hermiticity
-    reports = []
-    for row in zip(
-        conc.tolist(), diff_a.tolist(), diff_b.tolist(), mutual.tolist(), deficit.tolist(), ppt_min.tolist(),
-        defined.tolist(), commutes.tolist(), degenerate.tolist(),
-    ):
-        c, d_a, d_b, mut, dfc, ppt, dfn, com, (deg_a, deg_b) = row
-        verdicts = []
-        if c <= sep:
-            verdicts.append("separable (concurrence = 0)")
-        else:
-            verdicts.append(f"entangled (concurrence = {c:.6g})")
-            if max(abs(d_a), abs(d_b)) <= same:
-                verdicts.append("entangled despite zero entropy difference")
-        if mut <= product:
-            verdicts.append("classically uncorrelated product state")
-        if com:
-            verdicts.append("commutes with both marginal eigenframes: decoherence fixed point")
-        if dfn:
-            verdicts.append("conditional probabilities defined: eigenvalue ratios bounded by one")
-        if deg_a or deg_b:
-            which = "A" * deg_a + "B" * deg_b
-            verdicts.append(f"degenerate marginal spectrum ({which}): computational-basis frame applied")
-        reports.append(ClassificationReport(c, d_a, d_b, mut, dfc, ppt, dfn, com, tuple(verdicts)))
-    return reports
+    verdicts = []
+    if c <= sep:
+        verdicts.append("separable (concurrence = 0)")
+    else:
+        verdicts.append(f"entangled (concurrence = {c:.6g})")
+        if max(abs(d_a), abs(d_b)) <= same:
+            verdicts.append("entangled despite zero entropy difference")
+    if mut <= product:
+        verdicts.append("classically uncorrelated product state")
+    if com:
+        verdicts.append("commutes with both marginal eigenframes: decoherence fixed point")
+    if dfn:
+        verdicts.append("conditional probabilities defined: eigenvalue ratios bounded by one")
+    if deg_a or deg_b:
+        which = "A" * deg_a + "B" * deg_b
+        verdicts.append(f"degenerate marginal spectrum ({which}): computational-basis frame applied")
+    return ClassificationReport(c, d_a, d_b, mut, dfc, ppt, dfn, com, (deg_a, deg_b), ratio, tuple(verdicts))
 
 
-def classify_stack(matrices, *, tols: Tolerances = TOLS) -> list[ClassificationReport]:
-    """One ``ClassificationReport`` per two-qubit state of a stack ``(N, 4, 4)``.
+def classify_stack(matrices, *, tols: Tolerances = TOLS) -> ClassificationColumns:
+    """Every ``classify`` figure of each two-qubit state of a stack ``(N, 4, 4)``, one array per figure.
 
     Each matrix is validated as ``DensityMatrix`` validates it; the first
-    failing check raises for the lowest failing state and names it.
+    failing check raises for the lowest failing state and names it.  No
+    verdict strings are built: ``classify`` adds them for one state.
+    S(rho_d) is read from the joint P(alpha, beta), which is rho_d's
+    spectrum, so the stack takes four eigensolves: the states, their
+    marginals, the spin-flip cores and the partial transposes.
     """
     m = np.asarray(matrices, dtype=complex)
     if m.ndim != 3 or m.shape[1:] != (4, 4):
@@ -217,4 +260,4 @@ def classify(rho_ab: DensityMatrix, *, tols: Tolerances = TOLS) -> Classificatio
     """Aggregate every diagnostic for a two-qubit state into one report."""
     require_two_qubit(rho_ab)
     es = rho_ab.eigensystem()
-    return _classify(rho_ab.matrix[None], es.values[None], es.vectors[None], tols)[0]
+    return _report(_classify(rho_ab.matrix[None], es.values[None], es.vectors[None], tols), tols)

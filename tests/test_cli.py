@@ -261,6 +261,25 @@ class TestClassify:
         assert code == 0, err
         assert json.loads(out)["concurrence"] == pytest.approx(2.0 / 3.0, abs=1e-11)
 
+    @pytest.mark.parametrize(
+        "name, fallback, ratio",
+        [
+            ("werner:0.3", [True, True], 0.95),  # marginals I/2: (1 + 3p)/4 over 1/2, both frames computational
+            ("E1", [False, False], 5.0),  # the eigenvalue 5/6 over the marginal eigenvalue 1/6
+        ],
+    )
+    def test_reports_frame_fallback_and_worst_eigen_ratio(self, capsys, name, fallback, ratio):
+        code, out, err = _run(capsys, "classify", name)
+        assert code == 0, err
+        payload = json.loads(out)
+        assert list(payload) == [
+            "concurrence", "entropy_diff_a", "entropy_diff_b", "mutual", "deficit", "ppt_min_eig",
+            "conditional_prob_defined", "commutes_with_marginals", "frame_fallback", "worst_eigen_ratio", "verdicts",
+        ]
+        assert payload["frame_fallback"] == fallback
+        assert payload["worst_eigen_ratio"] == pytest.approx(ratio, abs=1e-11)
+        assert payload["conditional_prob_defined"] is (ratio <= 1.0 + TOLS.hermiticity)
+
     def test_unknown_state_is_input_error(self, capsys):
         code, _, err = _run(capsys, "classify", "nosuch")
         assert code == 2

@@ -1,4 +1,3 @@
-from dataclasses import fields
 from types import SimpleNamespace
 
 import numpy as np
@@ -7,10 +6,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qdeficit import structure
-from qdeficit.entropy import von_neumann
-from qdeficit.linalg import TOLS, CheckError, DensityMatrix, Tolerances, marginal_stack, tensor_product
+from qdeficit.entropy import entropy_stack, von_neumann
+from qdeficit.linalg import (
+    TOLS,
+    CheckError,
+    DensityMatrix,
+    Tolerances,
+    density_stack,
+    marginal_stack,
+    tensor_product,
+)
 from qdeficit.states import example_state, from_registry, random_mixed, werner, werner_matrices
-from qdeficit.structure import ClassificationReport, classify, classify_stack, decohere_stack
+from qdeficit.structure import classify, classify_stack, decohere_stack
 
 from helpers import numpy_spectrum
 
@@ -105,7 +112,10 @@ def _assert_ratios_match_loop(rho):
     max_a, max_b = side_max[0]
     assert max_a == _ratio_loop(dec.frame_values[0], dec.weights.sum(axis=1), rho.eigenvalues)
     assert max_b == _ratio_loop(dec.frame_values[1], dec.weights.sum(axis=0), rho.eigenvalues)
-    assert bool(defined[0]) is classify(rho).conditional_prob_defined
+    report = classify(rho)
+    assert bool(defined[0]) is report.conditional_prob_defined
+    assert report.worst_eigen_ratio == max(max_a, max_b)
+    assert report.conditional_prob_defined is (report.worst_eigen_ratio <= 1.0 + TOLS.hermiticity)
 
 
 class TestConditionalRatio:
@@ -237,18 +247,21 @@ def _mixed_stack() -> np.ndarray:
 class TestClassifyStack:
     def test_stack_matches_single_state_calls(self):
         stack = _mixed_stack()
-        reports = classify_stack(stack)
-        assert len(reports) == len(stack)
-        degenerate = 0
-        for m, got in zip(stack, reports):
+        cols = classify_stack(stack)
+        assert all(len(col) == len(stack) for col in cols)
+        assert cols.degenerate.shape == (len(stack), 2)
+        for k, m in enumerate(stack):
             want = classify(DensityMatrix(m))
-            for field in fields(ClassificationReport):
-                a, b = getattr(got, field.name), getattr(want, field.name)
-                if isinstance(b, float):
-                    assert abs(a - b) <= 1e-12, field.name
+            for name, col in cols._asdict().items():
+                if name == "degenerate":
+                    assert tuple(col[k].tolist()) == want.frame_fallback, name
+                    fell_back = any("degenerate marginal" in v for v in want.verdicts)
+                    assert fell_back == any(want.frame_fallback), name
+                elif col.dtype == bool:
+                    assert col[k] == getattr(want, name), name
                 else:
-                    assert a == b, field.name
-            degenerate += any("degenerate marginal" in v for v in want.verdicts)
+                    assert abs(col[k] - getattr(want, name)) <= 1e-12, name
+        degenerate = np.count_nonzero(cols.degenerate.any(axis=-1))
         assert 0 < degenerate < len(stack)
 
     def test_decohere_shares_the_classify_frame(self):
@@ -260,11 +273,36 @@ class TestClassifyStack:
             assert np.max(np.abs(dec.joint.sum(axis=1) - dec.frame_values[0])) <= 1e-10
             assert np.max(np.abs(dec.joint.sum(axis=0) - dec.frame_values[1])) <= 1e-10
 
+    def test_deficit_matches_the_decohered_spectrum(self):
+        """H(P) against the eigenvalues of rho_d, on degenerate, generic and already decohered states."""
+        stack = _mixed_stack()
+        w, v = density_stack(stack)
+        dec = decohere_stack(stack, marginal_stack(stack), v)
+        want = entropy_stack(density_stack(dec.matrices)[0]) - entropy_stack(w)
+        assert np.max(np.abs(classify_stack(stack).deficit - want)) <= 1e-12
+
+    @pytest.mark.parametrize("n", [1, 200])
+    def test_makes_four_eigensolves_whatever_the_stack_size(self, monkeypatch, n):
+        """The states, their marginals, the spin-flip cores and the partial transposes: rho_d takes none."""
+        stack = _mixed_stack()[:n]
+        calls = []
+        eigh = np.linalg.eigh
+
+        def counted_eigh(*args, **kwargs):
+            calls.append(1)
+            return eigh(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", counted_eigh)
+        classify_stack(stack)
+        assert len(calls) == 4
+
     def test_report_fields_are_python_scalars(self):
-        report = classify_stack(werner_matrices([0.5]))[0]
+        report = classify(werner(0.5))
         assert type(report.concurrence) is float
+        assert type(report.worst_eigen_ratio) is float
         assert type(report.commutes_with_marginals) is bool
         assert type(report.conditional_prob_defined) is bool
+        assert [type(side) for side in report.frame_fallback] == [bool, bool]
 
     @pytest.mark.parametrize("shape", [(4, 4), (2, 3, 3), (1, 2, 2)])
     def test_rejects_stack_that_is_not_two_qubit(self, shape):
@@ -332,4 +370,30 @@ class TestClassifyStackErrors:
         with pytest.raises(CheckError) as err:
             classify_stack(stack)
         assert err.value.check == "deficit bounds"
+        assert "state 2" in str(err.value)
+
+    @pytest.mark.parametrize("excess", [1e-6, np.nan], ids=["heavy", "nan"])
+    def test_decohered_trace_names_the_bad_state(self, monkeypatch, excess):
+        """rho_d's trace is read from the joint P: a P that does not sum to one fails ``trace``."""
+        real = structure._dephase
+
+        def heavy_joint(m, u, tols):
+            mat, diag = real(m, u, tols)
+            diag = diag.copy()
+            diag[2, 0] += excess
+            return mat, diag
+
+        monkeypatch.setattr(structure, "_dephase", heavy_joint)
+        with pytest.raises(CheckError) as err:
+            classify_stack(werner_matrices([0.1, 0.3, 0.5, 0.7]))
+        assert err.value.check == "trace"
+        assert "state 2" in str(err.value)
+
+    def test_nan_joint_fails_nonnegativity(self):
+        stack = werner_matrices([0.1, 0.3, 0.5, 0.7])
+        u = np.broadcast_to(np.eye(4, dtype=complex), stack.shape).copy()
+        u[2, 1, 1] = np.nan
+        with pytest.raises(CheckError) as err:
+            structure._dephase(stack, u, TOLS)
+        assert err.value.check == "joint nonnegativity"
         assert "state 2" in str(err.value)
