@@ -1,11 +1,14 @@
 """Entropy-based separability and correlation toolkit for two-qubit states.
 
-Core objects: the validated two-qubit density matrix and its qubit
-marginals; decoherence in the marginal-eigenbasis product frame, whose
-one pass gives the decohered state, the joint distribution, the frame's
-eigenvalues and the overlap weights; the classification report, which
-carries the quantum deficit and the mutual entropy; alongside Wootters
-concurrence and the von Neumann / Tsallis entropy family.
+Core objects: the validated two-qubit density matrix, which holds its
+own eigen-data, and its qubit marginals; decoherence in the
+marginal-eigenbasis product frame, whose one pass gives the decohered
+state, the joint distribution, the frame's eigenvalues and the overlap
+weights; the ``Classification`` of a state or of a stack of states,
+which carries the quantum deficit and the mutual entropy, with its
+verdict strings; alongside Wootters concurrence and the von Neumann /
+Tsallis entropy family.  Every single-state figure is row 0 of a stack
+kernel.
 """
 
 from .concurrence import concurrence_stack, lambda_spectrum, pure_concurrence, spin_flip_stack
@@ -20,10 +23,8 @@ from .linalg import (
     TOLS,
     CheckError,
     DensityMatrix,
-    EigenSystem,
     Tolerances,
     density_from_json,
-    hermitian_eig,
     matrix_from_json,
     tensor_product,
     transpose_stack,
@@ -43,13 +44,6 @@ from .states import (
     werner,
     werner_matrices,
 )
-from .structure import (
-    ClassificationColumns,
-    ClassificationReport,
-    Decoherence,
-    classify,
-    classify_stack,
-    decohere_stack,
-)
+from .structure import Classification, Decoherence, classify, classify_stack, decohere_stack, verdicts
 
 __version__ = "0.1.0"

@@ -242,8 +242,8 @@ def _check_stack(indices, seed: int, tols: Tolerances):
     err = _max_abs(marginals_d[0] - marg)
     record("decohere-marginals", err <= tols.identity, lambda j: f"{err[j]:.2e}")
 
-    # rho_d's own marginals frame the second pass, which reads no overlap weights.
-    idem = _max_abs(decohere_stack(rho_d, marginals_d, tols=tols).matrices - rho_d)
+    # rho_d's own marginals and eigenvectors frame the second pass.
+    idem = _max_abs(decohere_stack(rho_d, marginals_d, v_d, tols=tols).matrices - rho_d)
     record("decohere-idempotent", idem <= tols.reshuffle, lambda j: f"{idem[j]:.2e}")
 
     # Row sums of P[alpha, beta] against side A's frame values, column sums against side B's.

@@ -20,9 +20,9 @@ import os
 import sys
 
 from .audit import AUDIT_PROPERTIES, run_audit
-from .linalg import TOLS, CheckError, DensityMatrix, Tolerances, density_from_json
-from .states import EXAMPLE_NAMES, RegistryError, example_state, from_registry, isospectral_pair, werner_matrices
-from .structure import classify, classify_stack
+from .linalg import TOLS, DensityMatrix, Tolerances, density_from_json
+from .states import EXAMPLE_NAMES, example_state, from_registry, isospectral_pair, werner_matrices
+from .structure import classify, classify_stack, verdicts
 
 LN2 = math.log(2.0)
 LN3 = math.log(3.0)
@@ -235,11 +235,7 @@ def _cmd_table1(args, tols: Tolerances) -> int:
 
 
 def _cmd_werner_sweep(args, tols: Tolerances) -> int:
-    try:
-        rows = werner_sweep_rows(args.min, args.max, args.step, tols)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    rows = werner_sweep_rows(args.min, args.max, args.step, tols)
     print("p,concurrence,mutual_over_ln2,deficit_over_ln2,cond_entropy_q1,ppt_min_eig")
     for row in rows:
         print(",".join(_fmt(x) for x in row))
@@ -265,13 +261,8 @@ def _resolve_state(spec: str, tols: Tolerances) -> DensityMatrix:
 
 
 def _cmd_classify(args, tols: Tolerances) -> int:
-    try:
-        rho = _resolve_state(args.state, tols)
-        report = classify(rho, tols=tols)
-    except (RegistryError, CheckError, ValueError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    payload = report.as_dict()
+    report = classify(_resolve_state(args.state, tols), tols=tols)
+    payload = {**report._asdict(), "verdicts": verdicts(report, tols=tols)}
     for key, value in payload.items():
         if isinstance(value, float):
             payload[key] = float(_fmt(value))
@@ -280,11 +271,7 @@ def _cmd_classify(args, tols: Tolerances) -> int:
 
 
 def _cmd_audit(args, tols: Tolerances) -> int:
-    try:
-        counts, failures = run_audit(args.n, args.seed, args.jobs, tols)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    counts, failures = run_audit(args.n, args.seed, args.jobs, tols)
     print(f"audit n={args.n} seed={args.seed}")
     for prop in AUDIT_PROPERTIES:
         checked, failed = counts[prop]
@@ -361,14 +348,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
+    # CheckError, RegistryError and json.JSONDecodeError are ValueErrors: every input error exits 2.
     try:
-        tols = Tolerances(args.tolerance)
+        return args.func(args, Tolerances(args.tolerance))
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    try:
-        return args.func(args, tols)
-    except (CheckError, RegistryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -4,7 +4,7 @@ The spin-flip spectrum is computed by a Hermitian route: the eigenvalues
 of rho * rho_tilde equal those of sqrt(rho) rho_tilde sqrt(rho), which is
 Hermitian PSD, so no general non-Hermitian eigensolver is needed.
 ``concurrence_stack`` evaluates it on a validated stack ``(N, 4, 4)``
-with its eigensystems, and ``lambda_spectrum`` is its N = 1 call; a
+with its eigendecompositions, and ``lambda_spectrum`` is its N = 1 call; a
 single state's concurrence is ``classify(rho).concurrence``.  A
 brute-force cross-check against the characteristic polynomial of the
 matrix product lives in the test suite.
@@ -21,7 +21,6 @@ from .linalg import (
     DensityMatrix,
     Tolerances,
     eigh_stack,
-    require_two_qubit,
     sqrt_stack,
     tensor_product,
 )
@@ -46,7 +45,7 @@ def spin_flip_stack(m: np.ndarray) -> np.ndarray:
 
 
 def _lambda_stack(m: np.ndarray, values: np.ndarray, vectors: np.ndarray, *, tols: Tolerances = TOLS) -> np.ndarray:
-    """Spin-flip singular values ``(N, 4)``, descending, of a stack with its eigensystems."""
+    """Spin-flip singular values ``(N, 4)``, descending, of a stack with its eigendecompositions."""
     root = sqrt_stack(values, vectors)
     core = root @ spin_flip_stack(m) @ root
     vals, _ = eigh_stack(0.5 * (core + core.conj().swapaxes(-1, -2)), tols=tols)
@@ -63,9 +62,7 @@ def concurrence_stack(m: np.ndarray, values: np.ndarray, vectors: np.ndarray, *,
 
 def lambda_spectrum(rho: DensityMatrix, *, tols: Tolerances = TOLS) -> np.ndarray:
     """Spin-flip singular values: square roots of the eigenvalues of rho times its spin flip, descending."""
-    require_two_qubit(rho)
-    es = rho.eigensystem()
-    return _lambda_stack(rho.matrix[None], es.values[None], es.vectors[None], tols=tols)[0]
+    return _lambda_stack(rho.matrix[None], rho.eigenvalues[None], rho.eigenvectors[None], tols=tols)[0]
 
 
 def pure_concurrence(amps) -> float:

@@ -116,7 +116,7 @@ def relative_entropy_stack(
 
     ``m1`` ``(N, n, n)`` are the rho1 matrices with their descending
     spectra ``values1``; ``values2`` and ``vectors2`` are the rho2
-    eigensystems.  A pair is ``inf`` when rho1 carries more than
+    eigendecompositions.  A pair is ``inf`` when rho1 carries more than
     ``tols.hermiticity`` of weight outside the support of rho2 (instead
     of raising, so that random-state audits can probe arbitrary pairs).
     """

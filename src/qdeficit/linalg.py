@@ -7,11 +7,12 @@ familiar matrix form with ``|1>`` as the +1 eigenvector of ``SIGMA_Z``.
 A ``DensityMatrix`` is a two-qubit state or one of its qubit marginals.
 
 The ``*_stack`` functions work on stacks ``(N, ..., n, n)`` whose leading
-index counts states; ``hermitian_eig`` and ``DensityMatrix`` are their
-N = 1 calls, so every validity check is written once.  A check that fails
-on a stack raises for the lowest failing state and names it.  Each check
-first reduces the whole stack to one number, and searches for the failing
-state only once that number is out of bounds.
+index counts states.  ``DensityMatrix`` is their N = 1 call: it validates
+through ``eigh_stack`` and keeps the eigen-data it computed, so every
+validity check, and the package's one eigensolver call, is written once.
+A check that fails on a stack raises for the lowest failing state and
+names it.  Each check first reduces the whole stack to one number, and
+searches for the failing state only once that number is out of bounds.
 """
 
 from __future__ import annotations
@@ -25,10 +26,7 @@ __all__ = [
     "CheckError",
     "Tolerances",
     "TOLS",
-    "EigenSystem",
     "DensityMatrix",
-    "require_two_qubit",
-    "hermitian_eig",
     "eigh_stack",
     "density_stack",
     "tensor_product",
@@ -141,23 +139,6 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-@dataclass(frozen=True)
-class EigenSystem:
-    """Eigenvalues (sorted descending) and matching orthonormal eigenvectors.
-
-    ``vectors[:, k]`` is the unit eigenvector for ``values[k]``.  Phases
-    are LAPACK's: every consumer forms V f(values) V†, |<u|v>|^2 or
-    u† M u, none of which changes when a column gets a unit phase.
-    """
-
-    values: np.ndarray
-    vectors: np.ndarray
-
-    def __post_init__(self):
-        _freeze(self.values)
-        _freeze(self.vectors)
-
-
 def _require_finite(m: np.ndarray) -> None:
     nonfinite = ~np.isfinite(m)
     if np.count_nonzero(nonfinite):
@@ -165,30 +146,24 @@ def _require_finite(m: np.ndarray) -> None:
         CheckError.raise_first("finite", counts > 0, counts, lambda k: f"{counts[k]} NaN or infinite entries")
 
 
-def _eigh_checked(m: np.ndarray, tols: Tolerances, shape: tuple) -> tuple[np.ndarray, np.ndarray]:
-    """finite, square and hermiticity on a stack ``(N, ..., n, n)``, then ``eigh``.
+def eigh_stack(m, *, tols: Tolerances = TOLS) -> tuple[np.ndarray, np.ndarray]:
+    """Validated eigendecomposition of a stack ``(N, ..., n, n)`` of Hermitian matrices.
 
-    ``shape`` is what the square check reports.  Eigenvalues come back
-    descending, ``vectors[..., :, j]`` belonging to ``values[..., j]``.
+    Runs the finite, square and hermiticity checks on every matrix and
+    returns ``(values, vectors)``: eigenvalues descending, with
+    ``vectors[..., :, j]`` belonging to ``values[..., j]``.  Phases are
+    LAPACK's: every consumer forms V f(values) V†, |<u|v>|^2 or u† M u,
+    none of which changes when a column gets a unit phase.
     """
+    m = np.asarray(m, dtype=complex)
     _require_finite(m)
     if m.ndim < 3 or m.shape[-1] != m.shape[-2] or not m.size:
-        raise CheckError("square", 0.0, f"shape {shape} is not square and nonempty")
+        raise CheckError("square", 0.0, f"shape {m.shape[1:]} is not square and nonempty")
     herm = np.abs(m - m.conj().swapaxes(-1, -2))
     if not herm.max() <= tols.hermiticity:
         CheckError.above("hermiticity", herm.max(axis=(-2, -1)), tols.hermiticity)
     values, vectors = np.linalg.eigh(m)
     return values[..., ::-1].copy(), vectors[..., ::-1].copy()
-
-
-def eigh_stack(m, *, tols: Tolerances = TOLS) -> tuple[np.ndarray, np.ndarray]:
-    """Validated eigendecomposition of a stack ``(N, ..., n, n)`` of Hermitian matrices.
-
-    Runs the finite, square and hermiticity checks on every matrix and
-    returns ``(values, vectors)``, eigenvalues descending.
-    """
-    m = np.asarray(m, dtype=complex)
-    return _eigh_checked(m, tols, m.shape)
 
 
 def _density_checks(m: np.ndarray, values: np.ndarray, tols: Tolerances) -> None:
@@ -200,20 +175,13 @@ def _density_checks(m: np.ndarray, values: np.ndarray, tols: Tolerances) -> None
 def density_stack(m, *, tols: Tolerances = TOLS) -> tuple[np.ndarray, np.ndarray]:
     """``eigh_stack`` plus the trace and psd checks of a density matrix."""
     m = np.asarray(m, dtype=complex)
-    values, vectors = _eigh_checked(m, tols, m.shape)
+    values, vectors = eigh_stack(m, tols=tols)
     _density_checks(m, values, tols)
     return values, vectors
 
 
-def hermitian_eig(m: np.ndarray, *, tols: Tolerances = TOLS) -> EigenSystem:
-    """Eigendecomposition of a Hermitian matrix, eigenvalues descending."""
-    m = np.asarray(m, dtype=complex)
-    values, vectors = _eigh_checked(m[None], tols, m.shape)
-    return EigenSystem(values[0], vectors[0])
-
-
-# (dA, dB) by matrix side: a two-qubit state, or a qubit marginal.
-_DIMS = {4: (2, 2), 2: (2, 1)}
+# (dA, dB) by matrix shape: a two-qubit state, or a qubit marginal.
+_DIMS = {(4, 4): (2, 2), (2, 2): (2, 1)}
 
 
 class DensityMatrix:
@@ -221,41 +189,37 @@ class DensityMatrix:
 
     The shape fixes the read-only ``dims``: a 4x4 matrix is a two-qubit
     state, ``(2, 2)``, and a 2x2 matrix a qubit marginal, ``(2, 1)``; any
-    other side fails the ``dims`` check.  Validation happens at
-    construction; the eigendecomposition computed for the PSD check is
-    cached, as are the marginals.
+    other shape fails the ``dims`` check.  Validation happens at
+    construction, as ``density_stack`` validates a stack of one.  The
+    read-only ``eigenvalues`` (descending) and ``eigenvectors`` (columns)
+    are that call's row 0; the marginals are cached.
     """
 
-    __slots__ = ("matrix", "_eig", "_marginals", "_tols")
+    __slots__ = ("matrix", "eigenvalues", "eigenvectors", "_marginals", "_tols")
 
     def __init__(self, matrix, *, tols: Tolerances = TOLS):
         arr = np.array(matrix, dtype=complex)
         # The finite, square and hermiticity checks run first.
-        eig = hermitian_eig(arr, tols=tols)
-        if arr.shape[0] not in _DIMS:
-            raise CheckError("dims", 0.0, f"a 4x4 two-qubit or 2x2 qubit matrix required, got side {arr.shape[0]}")
-        _density_checks(arr[None], eig.values[None], tols)
+        values, vectors = eigh_stack(arr[None], tols=tols)
+        if arr.shape not in _DIMS:
+            raise CheckError("dims", 0.0, f"a 4x4 two-qubit or 2x2 qubit matrix required, got shape {arr.shape}")
+        _density_checks(arr[None], values, tols)
         self.matrix = _freeze(arr)
-        self._eig = eig
+        self.eigenvalues = _freeze(values[0])
+        self.eigenvectors = _freeze(vectors[0])
         self._marginals: dict[str, "DensityMatrix"] = {}
         self._tols = tols
 
     @property
     def dims(self) -> tuple[int, int]:
-        return _DIMS[len(self.matrix)]
-
-    def eigensystem(self) -> EigenSystem:
-        return self._eig
-
-    @property
-    def eigenvalues(self) -> np.ndarray:
-        return self._eig.values
+        return _DIMS[self.matrix.shape]
 
     def marginal(self, keep: str) -> "DensityMatrix":
-        """Reduced state of subsystem ``keep`` ('A' or 'B')."""
+        """Reduced state of subsystem ``keep`` ('A' or 'B') of a two-qubit state."""
         if keep not in ("A", "B"):
             raise ValueError(f"subsystem must be 'A' or 'B', got {keep!r}")
-        require_two_qubit(self)
+        if self.dims != (2, 2):
+            raise CheckError("dims", 0.0, f"two-qubit state required, got dims {self.dims}")
         cached = self._marginals.get(keep)
         if cached is None:
             cached = DensityMatrix(_reduce_stack(self.matrix, keep), tols=self._tols)
@@ -264,12 +228,6 @@ class DensityMatrix:
 
     def __repr__(self) -> str:
         return f"DensityMatrix(dims={self.dims}, spectrum={np.round(self.eigenvalues, 6)})"
-
-
-def require_two_qubit(rho: DensityMatrix) -> None:
-    """Raise the ``dims`` check unless ``rho`` is a two-qubit state."""
-    if rho.dims != (2, 2):
-        raise CheckError("dims", 0.0, f"two-qubit state required, got dims {rho.dims}")
 
 
 def tensor_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -323,7 +281,7 @@ def transpose_stack(m: np.ndarray, side: str) -> np.ndarray:
 
 
 def sqrt_stack(values: np.ndarray, vectors: np.ndarray) -> np.ndarray:
-    """V sqrt(max(values, 0)) V† for each eigensystem of a stack, values ``(..., n)``, vectors ``(..., n, n)``."""
+    """V sqrt(max(values, 0)) V† for each eigendecomposition of a stack, values ``(..., n)``, vectors ``(..., n, n)``."""
     return (vectors * np.sqrt(np.maximum(values, 0.0))[..., None, :]) @ vectors.conj().swapaxes(-1, -2)
 
 

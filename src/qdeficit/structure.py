@@ -12,9 +12,11 @@ Every figure is computed once, by array kernels over a validated stack
 eigenvalues ``w`` and eigenvectors ``v``.  The frame sequence (frame,
 decohered matrices, joint distribution, overlap weights) is one pass,
 ``decohere_stack``.  ``classify_stack`` runs every kernel on a whole
-stack and returns one array column per figure; ``classify`` is its
-N = 1 call, and only it builds a ``ClassificationReport`` with verdict
-strings.  A failed check names the lowest failing state of a stack.
+stack and returns a ``Classification`` of arrays, one entry per state.
+``classify`` is its N = 1 call on a ``DensityMatrix``'s own eigen-data:
+the same ``Classification``, holding row 0 as Python scalars.
+``verdicts`` words one such row.  A failed check names the lowest
+failing state of a stack.
 
 rho_d is diagonal in the product frame, and that diagonal is the joint
 distribution P(alpha, beta).  So rho_d's spectrum is P, and S(rho_d) is
@@ -35,7 +37,6 @@ the fallback fired.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -50,18 +51,17 @@ from .linalg import (
     density_stack,
     eigh_stack,
     marginal_stack,
-    require_two_qubit,
     tensor_product,
     transpose_stack,
 )
 
 __all__ = [
-    "ClassificationReport",
-    "ClassificationColumns",
+    "Classification",
     "Decoherence",
     "decohere_stack",
     "classify_stack",
     "classify",
+    "verdicts",
 ]
 
 _EYE2 = np.eye(2, dtype=complex)
@@ -71,7 +71,7 @@ _EYE4 = np.eye(4)
 
 def _frame_stack(marg: np.ndarray, values: np.ndarray, vectors: np.ndarray, tols: Tolerances):
     """Frame eigenvalues ``(N, 2, 2)`` per side, the degeneracy mask ``(N, 2)`` and the
-    product vectors ``(N, 4, 4)``, from the marginals' eigensystems."""
+    product vectors ``(N, 4, 4)``, from the marginals' eigendecompositions."""
     degenerate = values[..., 0] - values[..., 1] <= tols.degeneracy
     if np.count_nonzero(degenerate):
         diag = np.real(np.diagonal(marg[degenerate], axis1=-2, axis2=-1))
@@ -120,35 +120,13 @@ def _ratio_stack(weights: np.ndarray, values: np.ndarray, frame_values: np.ndarr
     return side_max, (side_max <= 1.0 + tols.hermiticity).all(axis=-1)
 
 
-@dataclass(frozen=True)
-class ClassificationReport:
-    """Every figure of one two-qubit state, with its verdicts: ``classify``'s result.
+class Classification(NamedTuple):
+    """Every figure of two-qubit states: ``classify_stack``'s arrays, one entry per state,
+    or ``classify``'s Python scalars for one state.
 
-    ``frame_fallback`` is the (A, B) pair of sides whose degenerate marginal
-    took the computational-basis frame.  ``worst_eigen_ratio`` is the
-    largest composite/marginal eigenvalue ratio over both sides; the
-    conditional probabilities are defined while it is at most
-    1 + ``tols.hermiticity``.
+    The conditional probabilities are defined while ``worst_eigen_ratio``
+    is at most 1 + ``tols.hermiticity``.
     """
-
-    concurrence: float
-    entropy_diff_a: float
-    entropy_diff_b: float
-    mutual: float
-    deficit: float
-    ppt_min_eig: float
-    conditional_prob_defined: bool
-    commutes_with_marginals: bool
-    frame_fallback: tuple[bool, bool]
-    worst_eigen_ratio: float
-    verdicts: tuple[str, ...]
-
-    def as_dict(self) -> dict:
-        return {**asdict(self), "frame_fallback": list(self.frame_fallback), "verdicts": list(self.verdicts)}
-
-
-class ClassificationColumns(NamedTuple):
-    """``classify_stack``'s result: one array per figure, one entry per state of the stack."""
 
     concurrence: np.ndarray  # (N,)
     entropy_diff_a: np.ndarray  # (N,): S(AB) - S(A)
@@ -158,7 +136,7 @@ class ClassificationColumns(NamedTuple):
     ppt_min_eig: np.ndarray  # (N,)
     conditional_prob_defined: np.ndarray  # bool (N,)
     commutes_with_marginals: np.ndarray  # bool (N,)
-    degenerate: np.ndarray  # bool (N, side A/B): the side took the computational-basis frame
+    frame_fallback: np.ndarray  # bool (N, side A/B): the side took the computational-basis frame
     worst_eigen_ratio: np.ndarray  # (N,): the larger side of ``_ratio_stack``'s maxima
 
 
@@ -169,27 +147,25 @@ class Decoherence(NamedTuple):
     joint: np.ndarray  # P[alpha, beta] (N, 2, 2), the diagonal of rho_d in the frame
     frame_values: np.ndarray  # (N, side A/B, alpha): the frame's marginal eigenvalues
     degenerate: np.ndarray  # (N, side A/B): the side took the computational-basis frame
-    weights: np.ndarray | None  # |<alpha, beta|Gamma>|^2 (N, alpha, beta, Gamma); None without eigenvectors
+    weights: np.ndarray  # |<alpha, beta|Gamma>|^2 (N, alpha, beta, Gamma)
 
 
-def decohere_stack(
-    m: np.ndarray, marginals, vectors: np.ndarray | None = None, *, tols: Tolerances = TOLS
-) -> Decoherence:
+def decohere_stack(m: np.ndarray, marginals, vectors: np.ndarray, *, tols: Tolerances = TOLS) -> Decoherence:
     """Drop all off-diagonal elements of each state in its marginal-eigenbasis product frame.
 
     ``m`` is a validated stack ``(N, 4, 4)`` and ``marginals`` its
-    ``marginal_stack(m)``.  Both marginals are preserved, and the joint's
-    row/column sums are the frame's marginal eigenvalues.  The overlap
-    weights need the states' eigenvectors ``vectors`` ``(N, 4, 4)``.
+    ``marginal_stack(m)``, ``vectors`` ``(N, 4, 4)`` the states'
+    eigenvectors, which the overlap weights read.  Both marginals are
+    preserved, and the joint's row/column sums are the frame's marginal
+    eigenvalues.
     """
     marg, marg_w, marg_v = marginals
     frame_w, degenerate, u = _frame_stack(marg, marg_w, marg_v, tols)
     mat_d, joint = _dephase(m, u, tols)
-    weights = None if vectors is None else _overlap_stack(u, vectors, tols)
-    return Decoherence(mat_d, joint.reshape(-1, 2, 2), frame_w, degenerate, weights)
+    return Decoherence(mat_d, joint.reshape(-1, 2, 2), frame_w, degenerate, _overlap_stack(u, vectors, tols))
 
 
-def _classify(m: np.ndarray, w: np.ndarray, v: np.ndarray, tols: Tolerances) -> ClassificationColumns:
+def _classify(m: np.ndarray, w: np.ndarray, v: np.ndarray, tols: Tolerances) -> Classification:
     """Every figure of each state of a validated stack ``(m, w, v)``, as columns."""
     conc = concurrence_stack(m, w, v, tols=tols)
     s = entropy_stack(w, tols=tols)
@@ -211,40 +187,16 @@ def _classify(m: np.ndarray, w: np.ndarray, v: np.ndarray, tols: Tolerances) -> 
 
     inside = (deficit >= -tols.identity) & (deficit <= mutual + tols.identity)
     CheckError.raise_first("deficit bounds", ~inside, deficit, lambda k: f"mutual={mutual[k]:.12g}")
-    return ClassificationColumns(
+    return Classification(
         conc, s - s_a, s - s_b, mutual, deficit, ppt_min, defined, commutes, degenerate, side_max.max(axis=-1)
     )
 
 
-def _report(cols: ClassificationColumns, tols: Tolerances) -> ClassificationReport:
-    """The report of the first state of ``cols``, as Python scalars, with its verdicts."""
-    c, d_a, d_b, mut, dfc, ppt, dfn, com, (deg_a, deg_b), ratio = (col[0].tolist() for col in cols)
-    sep, same, product = tols.concurrence_zero, tols.identity, tols.hermiticity
-    verdicts = []
-    if c <= sep:
-        verdicts.append("separable (concurrence = 0)")
-    else:
-        verdicts.append(f"entangled (concurrence = {c:.6g})")
-        if max(abs(d_a), abs(d_b)) <= same:
-            verdicts.append("entangled despite zero entropy difference")
-    if mut <= product:
-        verdicts.append("classically uncorrelated product state")
-    if com:
-        verdicts.append("commutes with both marginal eigenframes: decoherence fixed point")
-    if dfn:
-        verdicts.append("conditional probabilities defined: eigenvalue ratios bounded by one")
-    if deg_a or deg_b:
-        which = "A" * deg_a + "B" * deg_b
-        verdicts.append(f"degenerate marginal spectrum ({which}): computational-basis frame applied")
-    return ClassificationReport(c, d_a, d_b, mut, dfc, ppt, dfn, com, (deg_a, deg_b), ratio, tuple(verdicts))
-
-
-def classify_stack(matrices, *, tols: Tolerances = TOLS) -> ClassificationColumns:
-    """Every ``classify`` figure of each two-qubit state of a stack ``(N, 4, 4)``, one array per figure.
+def classify_stack(matrices, *, tols: Tolerances = TOLS) -> Classification:
+    """Every figure of each two-qubit state of a stack ``(N, 4, 4)``, one array per figure.
 
     Each matrix is validated as ``DensityMatrix`` validates it; the first
-    failing check raises for the lowest failing state and names it.  No
-    verdict strings are built: ``classify`` adds them for one state.
+    failing check raises for the lowest failing state and names it.
     S(rho_d) is read from the joint P(alpha, beta), which is rho_d's
     spectrum, so the stack takes four eigensolves: the states, their
     marginals, the spin-flip cores and the partial transposes.
@@ -256,8 +208,34 @@ def classify_stack(matrices, *, tols: Tolerances = TOLS) -> ClassificationColumn
     return _classify(m, w, v, tols)
 
 
-def classify(rho_ab: DensityMatrix, *, tols: Tolerances = TOLS) -> ClassificationReport:
-    """Aggregate every diagnostic for a two-qubit state into one report."""
-    require_two_qubit(rho_ab)
-    es = rho_ab.eigensystem()
-    return _report(_classify(rho_ab.matrix[None], es.values[None], es.vectors[None], tols), tols)
+def classify(rho_ab: DensityMatrix, *, tols: Tolerances = TOLS) -> Classification:
+    """``classify_stack``'s row 0 for one two-qubit state, from its own eigen-data, as Python scalars.
+
+    ``frame_fallback`` is the (A, B) pair of sides whose degenerate
+    marginal took the computational-basis frame.
+    """
+    cols = _classify(rho_ab.matrix[None], rho_ab.eigenvalues[None], rho_ab.eigenvectors[None], tols)
+    row = Classification._make(col[0].tolist() for col in cols)
+    return row._replace(frame_fallback=tuple(row.frame_fallback))
+
+
+def verdicts(report: Classification, *, tols: Tolerances = TOLS) -> tuple[str, ...]:
+    """The verdict strings of one ``classify`` result."""
+    c, (deg_a, deg_b) = report.concurrence, report.frame_fallback
+    out = []
+    if c <= tols.concurrence_zero:
+        out.append("separable (concurrence = 0)")
+    else:
+        out.append(f"entangled (concurrence = {c:.6g})")
+        if max(abs(report.entropy_diff_a), abs(report.entropy_diff_b)) <= tols.identity:
+            out.append("entangled despite zero entropy difference")
+    if report.mutual <= tols.hermiticity:
+        out.append("classically uncorrelated product state")
+    if report.commutes_with_marginals:
+        out.append("commutes with both marginal eigenframes: decoherence fixed point")
+    if report.conditional_prob_defined:
+        out.append("conditional probabilities defined: eigenvalue ratios bounded by one")
+    if deg_a or deg_b:
+        which = "A" * deg_a + "B" * deg_b
+        out.append(f"degenerate marginal spectrum ({which}): computational-basis frame applied")
+    return tuple(out)

@@ -79,8 +79,7 @@ class TestLambdaSpectrum:
         # eigenvectors (not just eigenvalues) enter the concurrence
         for seed in (0, 3, 7, 21):
             rho = DensityMatrix(random_mixed(seed, 4))
-            es = rho.eigensystem()
-            gamma = gamma_route_matrix(es.values, es.vectors)
+            gamma = gamma_route_matrix(rho.eigenvalues, rho.eigenvectors)
             spec = np.sort(np.clip(np.real(np.linalg.eigvals(gamma)), 0, None))[::-1]
             lam_sq = lambda_spectrum(rho) ** 2
             assert np.max(np.abs(spec - lam_sq)) <= 1e-9

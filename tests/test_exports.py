@@ -95,6 +95,46 @@ def test_no_unused_imports(path):
     assert _unused_imports(path) == []
 
 
+# numpy's eigen- and singular-value solvers: the package calls ``eigh`` once and no other.
+SOLVERS = {"eigh", "eig", "eigvals", "eigvalsh", "svd"}
+
+
+def _solver_references():
+    """(module, top-level definition, name) per reference to a ``SOLVERS`` name, imported or read."""
+    found = []
+    for path in SOURCES:
+        for statement in ast.parse(path.read_text(encoding="utf-8")).body:
+            owner = getattr(statement, "name", None)
+            for node in ast.walk(statement):
+                if isinstance(node, ast.Attribute):
+                    names = [node.attr]
+                elif isinstance(node, ast.Name):
+                    names = [node.id]
+                elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                    names = [alias.name for alias in node.names]
+                else:
+                    continue
+                found += [(path.stem, owner, name) for name in names if name in SOLVERS]
+    return found
+
+
+def _imported_roots(path):
+    """The top-level package of every module that ``path`` imports absolutely."""
+    roots = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            roots |= {alias.name.split(".")[0] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            roots.add(node.module.split(".")[0])
+    return roots
+
+
+def test_one_eigensolver_call_in_eigh_stack():
+    """Every eigendecomposition in the package goes through ``linalg.eigh_stack``."""
+    assert _solver_references() == [("linalg", "eigh_stack", "eigh")]
+    assert [path.stem for path in SOURCES if "scipy" in _imported_roots(path)] == []
+
+
 # Public names that no module reads, each kept because the named test pins a paper number with it:
 # the Werner roots p*(q), the q = 50/100 cross-check and the characteristic-polynomial oracle.
 PINNED_BY_TESTS = {

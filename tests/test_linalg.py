@@ -13,7 +13,8 @@ from qdeficit.linalg import (
     TOLS,
     Tolerances,
     density_from_json,
-    hermitian_eig,
+    density_stack,
+    eigh_stack,
     matrix_from_json,
     sqrt_stack,
     tensor_product,
@@ -42,57 +43,65 @@ BOUNDS = {
 NON_FINITE = [np.nan, np.inf, -np.inf, complex(np.nan, np.nan), complex(0.0, np.inf)]
 
 
-def _rebuild(es) -> np.ndarray:
+def _eig(m) -> tuple[np.ndarray, np.ndarray]:
+    """``eigh_stack`` on a stack of one matrix: row 0 of ``(values, vectors)``."""
+    values, vectors = eigh_stack(np.asarray(m)[None])
+    return values[0], vectors[0]
+
+
+def _rebuild(values, vectors) -> np.ndarray:
     """V diag(values) V^dagger."""
-    return (es.vectors * es.values) @ es.vectors.conj().T
+    return (vectors * values) @ vectors.conj().T
 
 
 class TestHermitianEig:
+    """The Hermitian eigendecomposition of one matrix, as ``eigh_stack``'s row 0."""
+
     def test_identity(self):
-        es = hermitian_eig(np.eye(2))
-        assert np.allclose(es.values, [1.0, 1.0])
-        assert np.max(np.abs(_rebuild(es) - np.eye(2))) < 1e-15
+        values, vectors = _eig(np.eye(2))
+        assert np.allclose(values, [1.0, 1.0])
+        assert np.max(np.abs(_rebuild(values, vectors) - np.eye(2))) < 1e-15
 
     def test_already_diagonal(self):
-        es = hermitian_eig(np.diag([1 / 6, 5 / 6]).astype(complex))
-        assert np.allclose(es.values, [5 / 6, 1 / 6], atol=0)
+        values, vectors = _eig(np.diag([1 / 6, 5 / 6]).astype(complex))
+        assert np.allclose(values, [5 / 6, 1 / 6], atol=0)
         # descending order swaps the basis columns
-        assert np.allclose(es.vectors, np.array([[0, 1], [1, 0]]))
+        assert np.allclose(vectors, np.array([[0, 1], [1, 0]]))
 
     def test_werner_half_spectrum(self):
-        es = hermitian_eig(werner(0.5).matrix)
-        assert np.allclose(es.values, [0.625, 0.125, 0.125, 0.125], atol=1e-14)
+        values, _ = _eig(werner(0.5).matrix)
+        assert np.allclose(values, [0.625, 0.125, 0.125, 0.125], atol=1e-14)
 
     def test_matches_numpy_on_random_input(self):
         rng = np.random.default_rng(7)
         for _ in range(50):
             h = random_hermitian(rng)
-            es = hermitian_eig(h)
-            assert np.max(np.abs(es.values - numpy_spectrum(h))) < 1e-12
+            values, _ = _eig(h)
+            assert np.max(np.abs(values - numpy_spectrum(h))) < 1e-12
 
     def test_deterministic(self):
         h = random_hermitian(np.random.default_rng(3))
-        a, b = hermitian_eig(h), hermitian_eig(h)
-        assert np.array_equal(a.values, b.values)
-        assert np.array_equal(a.vectors, b.vectors)
+        (a_values, a_vectors), (b_values, b_vectors) = _eig(h), _eig(h)
+        assert np.array_equal(a_values, b_values)
+        assert np.array_equal(a_vectors, b_vectors)
 
     def test_rejects_non_square(self):
         for shape in ((2, 3), (0, 0)):
             with pytest.raises(CheckError) as err:
-                hermitian_eig(np.ones(shape))
+                _eig(np.ones(shape))
             assert err.value.check == "square"
 
     def test_rejects_non_hermitian(self):
         m = np.array([[0.0, 1.0], [0.0, 0.0]])
         with pytest.raises(CheckError) as err:
-            hermitian_eig(m)
+            _eig(m)
         assert err.value.check == "hermiticity"
         assert err.value.magnitude == pytest.approx(1.0)
 
     @pytest.mark.parametrize("bad", NON_FINITE)
     def test_rejects_non_finite(self, bad):
         with pytest.raises(CheckError) as err:
-            hermitian_eig(np.diag([bad, 0.0]))
+            _eig(np.diag([bad, 0.0]))
         assert err.value.check == "finite"
         assert err.value.magnitude == 1
 
@@ -100,10 +109,10 @@ class TestHermitianEig:
     @given(st.integers(min_value=0, max_value=10**9))
     def test_reconstruction_and_trace_property(self, seed):
         h = random_hermitian(np.random.default_rng(seed))
-        es = hermitian_eig(h)
-        assert np.max(np.abs(_rebuild(es) - h)) <= 1e-9
-        assert abs(np.sum(es.values) - np.trace(h).real) <= 1e-9
-        assert np.max(np.abs(es.vectors.conj().T @ es.vectors - np.eye(4))) <= 1e-9
+        values, vectors = _eig(h)
+        assert np.max(np.abs(_rebuild(values, vectors) - h)) <= 1e-9
+        assert abs(np.sum(values) - np.trace(h).real) <= 1e-9
+        assert np.max(np.abs(vectors.conj().T @ vectors - np.eye(4))) <= 1e-9
 
 
 class TestTensorProduct:
@@ -199,8 +208,7 @@ class TestPartialTranspose:
 
 
 def _sqrt(m: np.ndarray) -> np.ndarray:
-    es = hermitian_eig(m)
-    return sqrt_stack(es.values, es.vectors)
+    return sqrt_stack(*_eig(m))
 
 
 class TestSqrtStack:
@@ -261,6 +269,20 @@ class TestDensityMatrix:
         rho = werner(0.5)
         with pytest.raises(ValueError):
             rho.matrix[0, 0] = 1.0
+
+    def test_eigen_data_is_row_zero_of_density_stack_and_read_only(self):
+        rho = werner(0.3)
+        values, vectors = density_stack(rho.matrix[None])
+        assert np.array_equal(rho.eigenvalues, values[0])
+        assert np.array_equal(rho.eigenvectors, vectors[0])
+        for arr in (rho.eigenvalues, rho.eigenvectors):
+            with pytest.raises(ValueError):
+                arr[0] = 0.0
+
+    def test_rejects_a_stack_of_states(self):
+        with pytest.raises(CheckError) as err:
+            DensityMatrix(np.stack([np.eye(4) / 4] * 2))
+        assert err.value.check == "dims"
 
     @pytest.mark.parametrize("bad", NON_FINITE)
     def test_rejects_non_finite(self, bad):

@@ -17,7 +17,7 @@ from qdeficit.linalg import (
     tensor_product,
 )
 from qdeficit.states import example_state, from_registry, random_mixed, werner, werner_matrices
-from qdeficit.structure import classify, classify_stack, decohere_stack
+from qdeficit.structure import classify, classify_stack, decohere_stack, verdicts
 
 from helpers import numpy_spectrum
 
@@ -27,7 +27,7 @@ SEEDED_STATES = st.tuples(st.integers(min_value=0, max_value=2**32 - 1), st.inte
 def decohere(rho: DensityMatrix, *, tols: Tolerances = TOLS) -> SimpleNamespace:
     """``decohere_stack`` on one state: rho_d validated, with the joint, frame values and overlap weights."""
     m = rho.matrix[None]
-    dec = decohere_stack(m, marginal_stack(m, tols=tols), rho.eigensystem().vectors[None], tols=tols)
+    dec = decohere_stack(m, marginal_stack(m, tols=tols), rho.eigenvectors[None], tols=tols)
     state = DensityMatrix(dec.matrices[0], tols=tols)
     return SimpleNamespace(state=state, joint=dec.joint[0], frame_values=dec.frame_values[0], weights=dec.weights[0])
 
@@ -158,7 +158,7 @@ class TestClassifyVerdicts:
     )
     def test_pinned(self, name, verdicts, commutes, defined):
         report = classify(from_registry(name))
-        assert report.verdicts == verdicts
+        assert structure.verdicts(report) == verdicts
         assert report.commutes_with_marginals is commutes
         assert report.conditional_prob_defined is defined
 
@@ -249,19 +249,19 @@ class TestClassifyStack:
         stack = _mixed_stack()
         cols = classify_stack(stack)
         assert all(len(col) == len(stack) for col in cols)
-        assert cols.degenerate.shape == (len(stack), 2)
+        assert cols.frame_fallback.shape == (len(stack), 2)
         for k, m in enumerate(stack):
             want = classify(DensityMatrix(m))
             for name, col in cols._asdict().items():
-                if name == "degenerate":
+                if name == "frame_fallback":
                     assert tuple(col[k].tolist()) == want.frame_fallback, name
-                    fell_back = any("degenerate marginal" in v for v in want.verdicts)
+                    fell_back = any("degenerate marginal" in v for v in verdicts(want))
                     assert fell_back == any(want.frame_fallback), name
                 elif col.dtype == bool:
                     assert col[k] == getattr(want, name), name
                 else:
                     assert abs(col[k] - getattr(want, name)) <= 1e-12, name
-        degenerate = np.count_nonzero(cols.degenerate.any(axis=-1))
+        degenerate = np.count_nonzero(cols.frame_fallback.any(axis=-1))
         assert 0 < degenerate < len(stack)
 
     def test_decohere_shares_the_classify_frame(self):
@@ -303,6 +303,21 @@ class TestClassifyStack:
         assert type(report.commutes_with_marginals) is bool
         assert type(report.conditional_prob_defined) is bool
         assert [type(side) for side in report.frame_fallback] == [bool, bool]
+
+    @pytest.mark.parametrize(
+        "name", ["E1", "E2", "E3", "E4", "E5", "E6", "iso:E", "iso:S", "werner:0.3", "werner:1", "pure:0.6,0.8j,0,0"]
+    )
+    def test_classify_is_row_zero_of_the_stack(self, name):
+        rho = from_registry(name)
+        report, cols = classify(rho), classify_stack(rho.matrix[None])
+        for field, value in report._asdict().items():
+            row = cols._asdict()[field][0]
+            if field == "frame_fallback":
+                assert value == tuple(row.tolist()), field
+                assert [type(side) for side in value] == [bool, bool], field
+            else:
+                assert value == row.item(), field
+                assert type(value) is (bool if row.dtype == bool else float), field
 
     @pytest.mark.parametrize("shape", [(4, 4), (2, 3, 3), (1, 2, 2)])
     def test_rejects_stack_that_is_not_two_qubit(self, shape):
