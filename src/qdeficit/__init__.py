@@ -8,7 +8,9 @@ weights; the ``Classification`` of a state or of a stack of states,
 which carries the quantum deficit and the mutual entropy, with its
 verdict strings; alongside Wootters concurrence and the von Neumann /
 Tsallis entropy family.  Every single-state figure is row 0 of a stack
-kernel.
+kernel.  A pure state is its amplitude vector ``(4,)``, and a stack of
+them ``(..., 4)`` is what the closed forms ``bloch_vectors``,
+``correlation_tensor`` and ``pure_concurrence`` take.
 """
 
 from .concurrence import concurrence_stack, lambda_spectrum, pure_concurrence, spin_flip_stack
@@ -30,7 +32,6 @@ from .linalg import (
     transpose_stack,
 )
 from .states import (
-    PureStateAmplitudes,
     RegistryError,
     bloch_vectors,
     correlation_tensor,
@@ -38,7 +39,6 @@ from .states import (
     from_registry,
     isospectral_pair,
     pure_density,
-    purity_check,
     random_mixed,
     random_pure,
     werner,

@@ -14,12 +14,12 @@ stack, from the package's stack kernels (``marginal_stack``,
 ``concurrence_stack``, ``entropy_stack``, ``tsallis_stack``,
 ``relative_entropy_stack`` and the frame pass ``decohere_stack``), held
 against its bound once.  The pure-only and product-only properties run
-on the pure and the product rows of the stack.  Per state remain only
-the draws and the pure states' closed forms (``bloch_vectors``,
-``correlation_tensor``, ``purity_check``, ``pure_concurrence``), which
-solve no eigenproblem.  The stack size is fixed, so memory does not grow
-with the number of states, and no state's result depends on the others
-in its stack.
+on the pure and the product rows of the stack; the pure rows' second
+route is the closed forms ``bloch_vectors``, ``correlation_tensor`` and
+``pure_concurrence`` on their amplitude stack ``(P, 4)``, which solve no
+eigenproblem.  Per state remain only the draws.  The stack size is
+fixed, so memory does not grow with the number of states, and no
+state's result depends on the others in its stack.
 
 Each property keeps two independent routes to the quantity it checks:
 neither side of a comparison is derived from the other side's
@@ -51,14 +51,7 @@ from .linalg import (
     tensor_product,
     transpose_stack,
 )
-from .states import (
-    PureStateAmplitudes,
-    bloch_vectors,
-    correlation_tensor,
-    purity_check,
-    random_mixed,
-    random_pure,
-)
+from .states import bloch_vectors, correlation_tensor, random_mixed, random_pure
 from .structure import decohere_stack
 
 __all__ = ["AUDIT_PROPERTIES", "run_audit"]
@@ -96,6 +89,9 @@ _POSITION = {prop: k for k, prop in enumerate(AUDIT_PROPERTIES)}
 # States per stack: bounds the working arrays (a few hundred kB) whatever the number of states.
 STACK_SIZE = 256
 
+# tsallis-continuity compares S_q at q = 1 +- this offset with S.
+_TSALLIS_OFFSET = 1e-4
+
 _PAULIS = np.array((I2, SIGMA_X, SIGMA_Y, SIGMA_Z))
 # sigma_mu x sigma_nu indexed [mu, nu], sigma_0 = I: rho = sum_mu,nu R_mu,nu sigma_mu x sigma_nu / 4.
 _PAULI_PRODUCTS = tensor_product(_PAULIS[:, None], _PAULIS[None, :])
@@ -105,13 +101,13 @@ def _draw(index: int, seed: int):
     """(label, amplitudes if pure, whether a product state, and the state's matrix, except that
     a mixed product gives the two mixed states whose marginals it multiplies)."""
     if index == 0:
-        amps = PureStateAmplitudes(0.0, 1.0, 0.0, 0.0)
-        return "fixed pure product |10>", amps, True, np.outer(amps.vector, amps.vector.conj())
+        amps = np.array([0, 1, 0, 0], dtype=complex)
+        return "fixed pure product |10>", amps, True, np.outer(amps, amps.conj())
     kind = index % 3
     rng = np.random.default_rng((seed, index))
     if kind == 1:
         amps = random_pure(rng)
-        return "haar pure", amps, False, np.outer(amps.vector, amps.vector.conj())
+        return "haar pure", amps, False, np.outer(amps, amps.conj())
     if kind == 2:
         a = random_mixed(int(rng.integers(0, 2**32)), int(rng.integers(1, 3)))
         b = random_mixed(int(rng.integers(0, 2**32)), int(rng.integers(1, 3)))
@@ -211,8 +207,8 @@ def _check_stack(indices, seed: int, tols: Tolerances):
     cond_a, cond_b = s - s_a, s - s_b
     record("mutual-nonnegative", mut >= -tols.hermiticity, lambda j: f"{mut[j]:.2e}")
 
-    up = np.abs(tsallis_stack(w, 1.0 + 1e-4, tols=tols) - s)
-    down = np.abs(tsallis_stack(w, 1.0 - 1e-4, tols=tols) - s)
+    up = np.abs(tsallis_stack(w, 1.0 + _TSALLIS_OFFSET, tols=tols) - s)
+    down = np.abs(tsallis_stack(w, 1.0 - _TSALLIS_OFFSET, tols=tols) - s)
     ok = (up <= tols.continuity) & (down <= tols.continuity)
     record("tsallis-continuity", ok, lambda j: f"{max(up[j], down[j]):.2e}")
 
@@ -282,11 +278,12 @@ def _check_stack(indices, seed: int, tols: Tolerances):
     record("deficit-mutual-gap-identity", ok, lambda j: f"{gap_identity[j]:.2e}")
 
     if len(pure):
-        amps = [draws[k][1] for k in pure]
+        # The closed forms run on the pure rows alone: a bound they fail names the k-th pure row.
+        amps = np.array([draws[k][1] for k in pure])
         sym = np.abs(s_a[pure] - s_b[pure])
         record("pure-marginal-entropy-symmetry", sym <= tols.identity, lambda j: f"{sym[j]:.2e}", pure)
 
-        pure_c = np.array([pure_concurrence(a) for a in amps])
+        pure_c = pure_concurrence(amps)
         c_a, c_b = cond_a[pure], cond_b[pure]
         nonpos = (c_a <= tols.hermiticity) & (c_b <= tols.hermiticity)
         equality = (np.abs(c_a) <= tols.hermiticity) & (np.abs(c_b) <= tols.hermiticity)
@@ -295,8 +292,10 @@ def _check_stack(indices, seed: int, tols: Tolerances):
             "pure-conditional-nonpositive", ok, lambda j: f"cond=({c_a[j]:.3e},{c_b[j]:.3e}) C={pure_c[j]:.3e}", pure
         )
 
-        vecs = np.array([bloch_vectors(a, tols=tols) for a in amps])
-        residual = np.array([purity_check(a, tols=tols)[1] for a in amps])
+        # 1 - |s(A)|^2 = C^2 = 4 |a11 a00 - a01 a10|^2
+        vecs = bloch_vectors(amps, tols=tols)
+        mag2_a = np.sum(vecs[:, 0] ** 2, axis=-1)
+        residual = np.abs((1.0 - mag2_a) - pure_c**2)
         norms = np.linalg.norm(vecs, axis=2)
         ok = (residual <= tols.hermiticity) & (np.abs(norms[:, 0] - norms[:, 1]) <= tols.hermiticity)
         record("pure-bloch-identity", ok, lambda j: f"res={residual[j]:.2e}", pure)
@@ -304,12 +303,12 @@ def _check_stack(indices, seed: int, tols: Tolerances):
         coeffs = np.empty((len(pure), 4, 4))
         coeffs[:, 0, 0] = 1.0
         coeffs[:, 1:, 0], coeffs[:, 0, 1:] = vecs[:, 0], vecs[:, 1]
-        coeffs[:, 1:, 1:] = [correlation_tensor(a, tols=tols) for a in amps]
+        coeffs[:, 1:, 1:] = correlation_tensor(amps, tols=tols)
         pauli_err = _max_abs(np.einsum("pmn,mnij->pij", coeffs, _PAULI_PRODUCTS) / 4.0 - m[pure])
         record("pure-pauli-reconstruction", pauli_err <= tols.identity, lambda j: f"{pauli_err[j]:.2e}", pure)
 
         gap_c = np.abs(pure_c - conc[pure])
-        gap_bloch = np.abs(pure_c - np.sqrt(np.maximum(1.0 - np.sum(vecs[:, 0] ** 2, axis=-1), 0.0)))
+        gap_bloch = np.abs(pure_c - np.sqrt(np.maximum(1.0 - mag2_a, 0.0)))
         ok = (gap_c <= zero) & (gap_bloch <= zero)
         record("pure-concurrence-routes", ok, lambda j: f"{max(gap_c[j], gap_bloch[j]):.2e}", pure)
 
@@ -357,6 +356,8 @@ def run_audit(n: int, seed: int, jobs: int = 1, tols: Tolerances = TOLS):
         raise ValueError(f"audit needs n >= 1, got {n}")
     if jobs < 1:
         raise ValueError(f"audit needs jobs >= 1, got {jobs}")
+    if seed < 0:
+        raise ValueError(f"audit needs seed >= 0, got {seed}")
     indices = range(n)
     workers = min(jobs, n, os.cpu_count() or 1)
     if workers > 1:

@@ -146,10 +146,13 @@ def check_table1(tols: Tolerances = TOLS) -> tuple[dict, list[str]]:
 
 
 def _grid(pmin: float, pmax: float, step: float):
-    """p = pmin + k * step for k = 0, 1, ... up to pmax, the last point clamped to pmax."""
+    """p = pmin + k * step for k = 0, 1, ... up to pmax, the last point clamped to pmax and emitted once."""
     k = 0
     while (p := pmin + k * step) <= pmax + _GRID_END_SLACK:
-        yield min(p, pmax)
+        if p >= pmax:
+            yield pmax
+            return
+        yield p
         k += 1
 
 

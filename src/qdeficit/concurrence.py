@@ -7,7 +7,9 @@ Hermitian PSD, so no general non-Hermitian eigensolver is needed.
 with its eigendecompositions, and ``lambda_spectrum`` is its N = 1 call; a
 single state's concurrence is ``classify(rho).concurrence``.  A
 brute-force cross-check against the characteristic polynomial of the
-matrix product lives in the test suite.
+matrix product lives in the test suite.  ``pure_concurrence`` is the
+closed form on a stack of pure-state amplitudes ``(..., 4)`` and solves
+no eigenproblem.
 """
 
 from __future__ import annotations
@@ -65,6 +67,7 @@ def lambda_spectrum(rho: DensityMatrix, *, tols: Tolerances = TOLS) -> np.ndarra
     return _lambda_stack(rho.matrix[None], rho.eigenvalues[None], rho.eigenvectors[None], tols=tols)[0]
 
 
-def pure_concurrence(amps) -> float:
-    """Closed form 2 |a11 a00 - a01 a10| for a pure two-qubit state."""
-    return 2.0 * abs(amps.a11 * amps.a00 - amps.a01 * amps.a10)
+def pure_concurrence(amps) -> np.ndarray:
+    """Closed form 2 |a11 a00 - a01 a10| for pure two-qubit states ``(..., 4)``, one value per state."""
+    a11, a10, a01, a00 = np.moveaxis(np.asarray(amps, dtype=complex), -1, 0)
+    return 2.0 * np.abs(a11 * a00 - a01 * a10)

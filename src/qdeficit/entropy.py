@@ -1,9 +1,9 @@
 """Entropy functionals: von Neumann, Tsallis, conditional, relative.
 
-All entropies are in natural log units (nats).  Eigenvalues in
-``[-tols.psd, 0)`` are clipped to zero before evaluation; anything more
-negative is rejected.  Eigenvalues at or below the support cutoff
-contribute nothing (the 0*log(0) = 0 convention).
+All entropies are in natural log units (nats).  A spectrum whose lowest
+eigenvalue is below ``-tols.psd`` is rejected.  Eigenvalues at or below
+the support cutoff, those in ``[-tols.psd, 0)`` among them, contribute
+nothing (the 0*log(0) = 0 convention).
 """
 
 from __future__ import annotations
@@ -23,16 +23,16 @@ __all__ = [
     "relative_entropy_stack",
 ]
 
-def _clipped_spectrum(rho: DensityMatrix, tols: Tolerances) -> np.ndarray:
-    vals = rho.eigenvalues
-    if vals[-1] < -tols.psd:
-        raise CheckError("psd", vals[-1], "negative eigenvalue in entropy input")
-    return np.clip(vals, 0.0, None)
+
+def _require_psd(values: np.ndarray, tols: Tolerances) -> None:
+    """Descending spectra ``(N, ..., n)``: each lowest eigenvalue must be >= -tols.psd."""
+    CheckError.below("psd", values[..., -1], -tols.psd, lambda k: "negative eigenvalue in entropy input")
 
 
 def _log_power_sum(rho: DensityMatrix, q: float, tols: Tolerances) -> float:
     """ln Tr rho^q with the largest eigenvalue factored out, so no power underflows."""
-    vals = _clipped_spectrum(rho, tols)
+    vals = rho.eigenvalues
+    _require_psd(vals[None], tols)
     support = vals[vals > tols.support_cutoff]
     top = support[0]
     return float(q * np.log(top) + np.log(np.sum((support / top) ** q)))
@@ -40,7 +40,7 @@ def _log_power_sum(rho: DensityMatrix, q: float, tols: Tolerances) -> float:
 
 def entropy_stack(values: np.ndarray, *, tols: Tolerances = TOLS) -> np.ndarray:
     """-sum x ln x over the last axis of descending spectra ``(N, ..., n)``, on the support."""
-    CheckError.below("psd", values[..., -1], -tols.psd, lambda k: "negative eigenvalue in entropy input")
+    _require_psd(values, tols)
     # Entries off the support become 1, whose x ln x is exactly 0.
     vals = np.where(values > tols.support_cutoff, values, 1.0)
     return -np.sum(vals * np.log(vals), axis=-1)
@@ -64,7 +64,7 @@ def tsallis_stack(values: np.ndarray, q: float, *, tols: Tolerances = TOLS) -> n
     _require_index(q)
     if q == 1:
         return entropy_stack(values, tols=tols)
-    CheckError.below("psd", values[..., -1], -tols.psd, lambda k: "negative eigenvalue in entropy input")
+    _require_psd(values, tols)
     # Entries off the support become 0, whose q-th power is exactly 0.
     support = np.where(values > tols.support_cutoff, values, 0.0)
     return (np.sum(support**q, axis=-1) - 1.0) / (1.0 - q)

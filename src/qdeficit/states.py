@@ -1,21 +1,24 @@
 """State constructors: Werner family, the six reference examples, the
-isospectral pair, general pure two-qubit states, and seeded samplers.
+isospectral pair, pure two-qubit states, and seeded samplers.
 
-Computational basis order is |11>, |10>, |01>, |00> throughout, matching
-the amplitude labels (a11, a10, a01, a00) of a pure state.
+Computational basis order is |11>, |10>, |01>, |00> throughout.  A pure
+state is its amplitude vector (a11, a10, a01, a00) in that order, and a
+stack of them is a complex array ``(..., 4)``: ``bloch_vectors`` and
+``correlation_tensor`` evaluate their closed forms on the whole stack at
+once, as ``werner_matrices`` builds a stack of mixed states.  Nothing
+here normalizes or validates amplitudes; ``pure_density`` hands the
+projector to ``DensityMatrix``, whose trace check is |psi|^2 = 1.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .linalg import TOLS, CheckError, DensityMatrix, Tolerances
 
 __all__ = [
-    "PureStateAmplitudes",
     "RegistryError",
     "werner_matrices",
     "werner",
@@ -24,7 +27,6 @@ __all__ = [
     "pure_density",
     "bloch_vectors",
     "correlation_tensor",
-    "purity_check",
     "random_pure",
     "random_mixed",
     "from_registry",
@@ -36,28 +38,6 @@ EXAMPLE_NAMES = ("E1", "E2", "E3", "E4", "E5", "E6")
 
 class RegistryError(ValueError):
     """Unknown or malformed state-registry specifier."""
-
-
-@dataclass(frozen=True)
-class PureStateAmplitudes:
-    """The four amplitudes of a two-qubit pure state, unit normalized."""
-
-    a11: complex
-    a10: complex
-    a01: complex
-    a00: complex
-
-    def __post_init__(self):
-        norm_err = abs(self.norm_squared() - 1.0)
-        if not norm_err <= 1e-8:
-            raise CheckError("normalization", norm_err, "amplitudes are not renormalized silently")
-
-    def norm_squared(self) -> float:
-        return abs(self.a11) ** 2 + abs(self.a10) ** 2 + abs(self.a01) ** 2 + abs(self.a00) ** 2
-
-    @property
-    def vector(self) -> np.ndarray:
-        return np.array([self.a11, self.a10, self.a01, self.a00], dtype=complex)
 
 
 def _ket(entries) -> np.ndarray:
@@ -134,79 +114,64 @@ def isospectral_pair(*, tols: Tolerances = TOLS) -> tuple[DensityMatrix, Density
     )
 
 
-def pure_density(amps: PureStateAmplitudes, *, tols: Tolerances = TOLS) -> DensityMatrix:
-    """Rank-one projector |Psi><Psi| of a normalized pure state."""
-    return DensityMatrix(_projector(amps.vector), tols=tols)
+def pure_density(amps, *, tols: Tolerances = TOLS) -> DensityMatrix:
+    """Rank-one projector |Psi><Psi| of the amplitudes ``(4,)``; its trace check is |Psi|^2 = 1."""
+    return DensityMatrix(_projector(amps), tols=tols)
 
 
-def _re2(x: complex, y: complex) -> float:
+def _re2(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     # x y* + y x*
-    return 2.0 * (x * y.conjugate()).real
+    return 2.0 * (x * y.conj()).real
 
 
-def _im2(x: complex, y: complex) -> float:
+def _im2(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     # i (x y* - y x*)
-    return -2.0 * (x * y.conjugate()).imag
+    return -2.0 * (x * y.conj()).imag
 
 
-def bloch_vectors(amps: PureStateAmplitudes, *, tols: Tolerances = TOLS) -> np.ndarray:
-    """Polarization vectors of both qubits of a pure state: rows A and B of a ``(2, 3)`` array.
+def bloch_vectors(amps, *, tols: Tolerances = TOLS) -> np.ndarray:
+    """Polarization vectors of both qubits of pure states ``(..., 4)``: rows A and B of ``(..., 2, 3)``.
 
     Each row must satisfy |s| <= 1 within ``tols.hermiticity``.
     """
-    a11, a10, a01, a00 = amps.a11, amps.a10, amps.a01, amps.a00
+    a11, a10, a01, a00 = np.moveaxis(np.asarray(amps, dtype=complex), -1, 0)
     p11, p10, p01, p00 = abs(a11) ** 2, abs(a10) ** 2, abs(a01) ** 2, abs(a00) ** 2
-    s = np.array((
-        (_re2(a11, a01) + _re2(a10, a00), _im2(a11, a01) + _im2(a10, a00), p11 - p01 + p10 - p00),
-        (_re2(a11, a10) + _re2(a01, a00), _im2(a11, a10) + _im2(a01, a00), p11 - p10 + p01 - p00),
-    ))
-    worst = float(np.max(np.sum(s * s, axis=1)))
-    if not worst <= 1.0 + tols.hermiticity:
-        raise CheckError("bloch norm", worst - 1.0)
+    s = np.stack((
+        np.stack((_re2(a11, a01) + _re2(a10, a00), _im2(a11, a01) + _im2(a10, a00), p11 - p01 + p10 - p00), -1),
+        np.stack((_re2(a11, a10) + _re2(a01, a00), _im2(a11, a10) + _im2(a01, a00), p11 - p10 + p01 - p00), -1),
+    ), -2)
+    CheckError.above("bloch norm", np.sum(s * s, axis=-1).reshape(-1, 2) - 1.0, tols.hermiticity)
     return s
 
 
-def correlation_tensor(amps: PureStateAmplitudes, *, tols: Tolerances = TOLS) -> np.ndarray:
-    """Two-qubit correlation tensor C_ij = <tau_i x tau_j> of a pure state, ``(3, 3)``.
+def correlation_tensor(amps, *, tols: Tolerances = TOLS) -> np.ndarray:
+    """Two-qubit correlation tensor C_ij = <tau_i x tau_j> of pure states ``(..., 4)``, ``(..., 3, 3)``.
 
     Every entry must lie in [-1, 1] within ``tols.hermiticity``.
     """
-    a11, a10, a01, a00 = amps.a11, amps.a10, amps.a01, amps.a00
-    c = np.empty((3, 3))
-    c[0, 0] = _re2(a11, a00) + _re2(a10, a01)
-    c[0, 1] = _im2(a11, a00) - _im2(a10, a01)
-    c[0, 2] = _re2(a11, a01) - _re2(a10, a00)
-    c[1, 0] = _im2(a11, a00) + _im2(a10, a01)
-    c[1, 1] = -_re2(a11, a00) + _re2(a10, a01)
-    c[1, 2] = _im2(a11, a01) - _im2(a10, a00)
-    c[2, 0] = _re2(a11, a10) - _re2(a01, a00)
-    c[2, 1] = _im2(a11, a10) - _im2(a01, a00)
-    c[2, 2] = abs(a11) ** 2 - abs(a10) ** 2 - abs(a01) ** 2 + abs(a00) ** 2
-    worst = float(np.max(np.abs(c)))
-    if not worst <= 1.0 + tols.hermiticity:
-        raise CheckError("correlation bound", worst - 1.0)
-    return c
+    a11, a10, a01, a00 = np.moveaxis(np.asarray(amps, dtype=complex), -1, 0)
+    c = np.stack((
+        _re2(a11, a00) + _re2(a10, a01),
+        _im2(a11, a00) - _im2(a10, a01),
+        _re2(a11, a01) - _re2(a10, a00),
+        _im2(a11, a00) + _im2(a10, a01),
+        -_re2(a11, a00) + _re2(a10, a01),
+        _im2(a11, a01) - _im2(a10, a00),
+        _re2(a11, a10) - _re2(a01, a00),
+        _im2(a11, a10) - _im2(a01, a00),
+        abs(a11) ** 2 - abs(a10) ** 2 - abs(a01) ** 2 + abs(a00) ** 2,
+    ), -1)
+    CheckError.above("correlation bound", np.abs(c).reshape(-1, 9) - 1.0, tols.hermiticity)
+    return c.reshape(c.shape[:-1] + (3, 3))
 
 
-def purity_check(amps: PureStateAmplitudes, *, tols: Tolerances = TOLS) -> tuple[float, float]:
-    """Marginal purity (1 + |s|^2)/2 and the residual of the identity
-    1 - |s(A)|^2 = 4 |a11 a00 - a01 a10|^2."""
-    s_a = bloch_vectors(amps, tols=tols)[0]
-    mag2 = float(s_a @ s_a)
-    det = amps.a11 * amps.a00 - amps.a01 * amps.a10
-    return (1.0 + mag2) / 2.0, abs((1.0 - mag2) - 4.0 * abs(det) ** 2)
-
-
-def random_pure(seed: int | np.random.Generator) -> PureStateAmplitudes:
-    """Haar-uniform pure state: four normalized standard complex Gaussians.
+def random_pure(seed: int | np.random.Generator) -> np.ndarray:
+    """Amplitudes ``(4,)`` of a Haar-uniform pure state: four normalized standard complex Gaussians.
 
     ``seed`` is anything ``np.random.default_rng`` accepts.  A ``Generator``
     is used as it is, so the amplitudes are its next eight draws.
     """
-    return PureStateAmplitudes(*_haar_amplitudes(np.random.default_rng(seed)))
-
-
-def _haar_amplitudes(rng: np.random.Generator) -> np.ndarray:
+    rng = np.random.default_rng(seed)
     z = rng.standard_normal(4) + 1j * rng.standard_normal(4)
     return z / np.linalg.norm(z)
 
@@ -224,8 +189,7 @@ def random_mixed(seed: int, rank: int) -> np.ndarray:
     weights /= weights.sum()
     mat = np.zeros((4, 4), dtype=complex)
     for w in weights:
-        v = _haar_amplitudes(rng)
-        mat += w * np.outer(v, v.conj())
+        mat += w * _projector(random_pure(rng))
     return 0.5 * (mat + mat.conj().T)
 
 
@@ -256,7 +220,7 @@ def from_registry(spec: str, *, tols: Tolerances = TOLS) -> DensityMatrix:
         if len(parts) != 4:
             raise RegistryError(f"pure state needs 4 amplitudes, got {len(parts)}")
         try:
-            amps = PureStateAmplitudes(*(complex(part.strip()) for part in parts))
+            amps = [complex(part.strip()) for part in parts]
         except ValueError as exc:
             raise RegistryError(f"bad amplitude in {spec!r}: {exc}") from exc
         return pure_density(amps, tols=tols)

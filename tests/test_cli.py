@@ -67,6 +67,19 @@ class TestWernerSweep:
         assert out == ""
         assert err.startswith("error:")
 
+    @pytest.mark.parametrize(
+        ("pmin", "pmax", "step", "grid"),
+        [(0.5, 0.5, 1e-13, [0.5]), (0.0, 3e-13, 1e-13, [0.0, 1e-13, 2e-13, 3e-13])],
+    )
+    def test_step_below_the_end_slack_emits_the_endpoint_once(self, pmin, pmax, step, grid):
+        # Every point in (pmax, pmax + _GRID_END_SLACK] clamps to pmax: only the first is a row.
+        assert list(cli._grid(pmin, pmax, step)) == grid
+
+    def test_single_point_sweep_has_one_row(self, capsys):
+        code, out, err = _run(capsys, "werner-sweep", "--min", "0.5", "--max", "0.5", "--step", "1e-13")
+        assert code == 0, err
+        assert [line.split(",")[0] for line in out.splitlines()[1:]] == ["0.5"]
+
     def test_gnuplot_script_written(self, capsys, tmp_path):
         path = tmp_path / "sweep.gp"
         code, _, err = _run(capsys, "werner-sweep", "--step", "0.5", "--gnuplot", str(path))
@@ -95,6 +108,15 @@ class TestToleranceScale:
         assert code == 2
         assert "trace check failed" in err
 
+    def test_scale_reaches_the_pure_state_normalization(self, capsys):
+        # |psi|^2 = 1 + 4e-8: beyond the trace bound at the default scale, within it at 1000.
+        code, _, err = _run(capsys, "classify", "pure:1.00000002,0,0,0")
+        assert code == 2
+        assert err.startswith("error: trace check failed")
+        code, out, err = _run(capsys, "--tolerance", "1000", "classify", "pure:1.00000002,0,0,0")
+        assert code == 0, err
+        assert json.loads(out)["concurrence"] == 0.0
+
     def test_scaled_audit_independent_of_job_count(self, capsys):
         code_1, out_1, err_1 = _run(capsys, "--tolerance", "2", "audit", "--n", "60", "--jobs", "1")
         code_2, out_2, err_2 = _run(capsys, "--tolerance", "2", "audit", "--n", "60", "--jobs", "2")
@@ -118,6 +140,12 @@ class TestAudit:
         assert code == 2
         assert out == ""
         assert err.startswith("error: audit needs jobs >= 1")
+
+    def test_negative_seed_is_input_error(self, capsys):
+        code, out, err = _run(capsys, "audit", "--n", "3", "--seed", "-1")
+        assert code == 2
+        assert out == ""
+        assert err == "error: audit needs seed >= 0, got -1\n"
 
     @pytest.mark.parametrize(
         ("n", "jobs", "cpus", "pool_sizes"), [(3, 64, 8, [3]), (20, 64, 8, [8]), (20, 4, 8, [4]), (3, 64, None, [])]
@@ -279,6 +307,17 @@ class TestClassify:
         assert payload["frame_fallback"] == fallback
         assert payload["worst_eigen_ratio"] == pytest.approx(ratio, abs=1e-11)
         assert payload["conditional_prob_defined"] is (ratio <= 1.0 + TOLS.hermiticity)
+
+    def test_unnormalized_pure_state_fails_the_trace_check(self, capsys):
+        code, out, err = _run(capsys, "classify", "pure:1,0.5,0,0")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: trace check failed (magnitude 0.25)")
+
+    def test_nan_pure_state_fails_the_finite_check(self, capsys):
+        code, _, err = _run(capsys, "classify", "pure:nan,0,0,0")
+        assert code == 2
+        assert err.startswith("error: finite check failed")
 
     def test_unknown_state_is_input_error(self, capsys):
         code, _, err = _run(capsys, "classify", "nosuch")

@@ -6,7 +6,6 @@ import pytest
 from qdeficit.concurrence import concurrence_stack, lambda_spectrum, pure_concurrence, spin_flip_stack
 from qdeficit.linalg import CheckError, DensityMatrix, density_stack, eigh_stack, transpose_stack
 from qdeficit.states import (
-    PureStateAmplitudes,
     bloch_vectors,
     example_state,
     isospectral_pair,
@@ -18,7 +17,7 @@ from qdeficit.states import (
 
 from helpers import charpoly_lambdas, gamma_route_matrix, haar_unitary
 
-SINGLET = PureStateAmplitudes(0, 1 / math.sqrt(2), -1 / math.sqrt(2), 0)
+SINGLET = np.array([0, 1, -1, 0]) / math.sqrt(2)
 
 
 def _concurrence(*matrices) -> np.ndarray:
@@ -37,7 +36,7 @@ class TestSpinFlip:
         assert np.max(np.abs(spin_flip_stack(m) - m)) < 1e-15
 
     def test_basis_projector_flips(self):
-        rho = pure_density(PureStateAmplitudes(1, 0, 0, 0))  # |11><11|
+        rho = pure_density([1, 0, 0, 0])  # |11><11|
         expected = np.zeros((4, 4))
         expected[3, 3] = 1.0  # |00><00|
         assert np.max(np.abs(spin_flip_stack(rho.matrix) - expected)) < 1e-15
@@ -132,7 +131,7 @@ class TestPureConcurrence:
         assert pure_concurrence(SINGLET) == pytest.approx(1.0)
 
     def test_product(self):
-        assert pure_concurrence(PureStateAmplitudes(1, 0, 0, 0)) == 0.0
+        assert pure_concurrence([1, 0, 0, 0]) == 0.0
 
     def test_matches_mixed_route_and_bloch_identity(self):
         for seed in range(100):

@@ -14,9 +14,8 @@ from qdeficit.entropy import (
     tsallis_stack,
     von_neumann,
 )
-from qdeficit.linalg import CheckError, DensityMatrix, marginal_stack, tensor_product
+from qdeficit.linalg import CheckError, DensityMatrix, Tolerances, marginal_stack, tensor_product
 from qdeficit.states import (
-    PureStateAmplitudes,
     example_state,
     isospectral_pair,
     pure_density,
@@ -51,6 +50,29 @@ def binary_entropy(p):
         if x > 0:
             total -= x * math.log(x)
     return total
+
+
+class TestEntropyInputPsd:
+    """Every entropy reads its spectrum through one psd check, at the caller's own scale."""
+
+    # Lowest eigenvalue -5e-11: a state at the default scale, beyond the psd bound at scale 0.1.
+    RHO = DensityMatrix(np.diag([0.5 + 5e-11, 0.5, 0.0, -5e-11]))
+
+    @pytest.mark.parametrize(
+        "entropy",
+        [
+            lambda rho, tols: von_neumann(rho, tols=tols),
+            lambda rho, tols: tsallis_stack(rho.eigenvalues[None], 2.0, tols=tols),
+            lambda rho, tols: conditional_tsallis(rho, "A", 2.0, tols=tols),
+        ],
+        ids=["von_neumann", "tsallis_stack", "conditional_tsallis"],
+    )
+    def test_negative_eigenvalue_beyond_the_bound_fails(self, entropy):
+        assert np.isfinite(entropy(self.RHO, Tolerances())).all()
+        with pytest.raises(CheckError, match="negative eigenvalue in entropy input") as err:
+            entropy(self.RHO, Tolerances(0.1))
+        assert err.value.check == "psd"
+        assert err.value.magnitude == pytest.approx(-5e-11)
 
 
 class TestVonNeumann:
@@ -299,7 +321,7 @@ class TestRelativeEntropy:
         assert relative_entropy(rho, rho) == pytest.approx(0.0, abs=1e-12)
 
     def test_pure_vs_maximally_mixed(self):
-        pure = pure_density(PureStateAmplitudes(1, 0, 0, 0))
+        pure = pure_density([1, 0, 0, 0])
         mixed = DensityMatrix(np.eye(4) / 4)
         assert relative_entropy(pure, mixed) == pytest.approx(math.log(4), abs=1e-12)
 
@@ -338,6 +360,6 @@ class TestPureStateTheoremB:
             assert conditional_tsallis(rho, side, 1.0) <= 1e-10
 
     def test_separable_pure_state_has_zero_conditional(self):
-        rho = pure_density(PureStateAmplitudes(0, 1, 0, 0))
+        rho = pure_density([0, 1, 0, 0])
         for side in ("A", "B"):
             assert abs(conditional_tsallis(rho, side, 1.0)) <= 1e-12

@@ -177,3 +177,39 @@ def test_pinning_test_exists_and_calls_the_name(name):
     body = next(node for node in tree.body if isinstance(node, ast.ClassDef) and node.name == cls)
     func = next(node for node in body.body if isinstance(node, ast.FunctionDef) and node.name == test)
     assert name in {node.id for node in ast.walk(func) if isinstance(node, ast.Name)}
+
+
+# Below this a float literal is a bound or a round-off level, never a figure of the paper.
+SMALL_LITERAL = 1e-3
+
+
+def _small_literals_without_a_name():
+    """(module, line, value) per float literal 0 < |x| < ``SMALL_LITERAL`` that is neither inside
+    ``linalg.Tolerances`` nor the whole right-hand side of a module-level ``NAME = literal``."""
+    found = []
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        named = set()
+        for statement in tree.body:
+            if isinstance(statement, ast.ClassDef) and (path.stem, statement.name) == ("linalg", "Tolerances"):
+                named |= {id(node) for node in ast.walk(statement)}
+            elif (
+                isinstance(statement, ast.Assign)
+                and [type(target) for target in statement.targets] == [ast.Name]
+                and isinstance(statement.value, ast.Constant)
+            ):
+                named.add(id(statement.value))
+        found += [
+            (path.stem, node.lineno, node.value)
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Constant)
+            and type(node.value) in (float, complex)
+            and 0 < abs(node.value) < SMALL_LITERAL
+            and id(node) not in named
+        ]
+    return found
+
+
+def test_small_float_literals_are_named_once():
+    """Tolerances are defined in one place: ``Tolerances``, or a named module constant that says why it is not one."""
+    assert _small_literals_without_a_name() == []

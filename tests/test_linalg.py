@@ -20,7 +20,7 @@ from qdeficit.linalg import (
     tensor_product,
     transpose_stack,
 )
-from qdeficit.states import example_state, pure_density, PureStateAmplitudes, werner
+from qdeficit.states import example_state, werner
 from qdeficit.structure import classify
 
 from helpers import kron_oracle, matrix_json, numpy_spectrum, random_hermitian

@@ -1,6 +1,5 @@
 import math
 from fractions import Fraction
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -10,7 +9,6 @@ from hypothesis import strategies as st
 from qdeficit.concurrence import pure_concurrence
 from qdeficit.linalg import CheckError, DensityMatrix, Tolerances
 from qdeficit.states import (
-    PureStateAmplitudes,
     RegistryError,
     bloch_vectors,
     correlation_tensor,
@@ -18,7 +16,6 @@ from qdeficit.states import (
     from_registry,
     isospectral_pair,
     pure_density,
-    purity_check,
     random_mixed,
     random_pure,
     werner,
@@ -27,7 +24,8 @@ from qdeficit.states import (
 
 from helpers import I2, SX, SY, SZ
 
-SINGLET = PureStateAmplitudes(0, 1 / math.sqrt(2), -1 / math.sqrt(2), 0)
+SINGLET = np.array([0, 1, -1, 0]) / math.sqrt(2)
+PRODUCT_11 = np.array([1, 0, 0, 0], dtype=complex)
 
 
 class TestWerner:
@@ -119,14 +117,16 @@ class TestIsospectralPair:
 
 class TestPureDensity:
     def test_basis_state(self):
-        amps = PureStateAmplitudes(1, 0, 0, 0)
         expected = np.zeros((4, 4))
         expected[0, 0] = 1.0
-        assert np.array_equal(pure_density(amps).matrix, expected)
+        assert np.array_equal(pure_density(PRODUCT_11).matrix, expected)
 
     def test_rejects_unnormalized(self):
-        with pytest.raises(CheckError):
-            PureStateAmplitudes(1.0, 0.5, 0, 0)
+        # |psi|^2 is the projector's trace: no amplitude is renormalized silently.
+        with pytest.raises(CheckError) as err:
+            pure_density([1.0, 0.5, 0, 0])
+        assert err.value.check == "trace"
+        assert err.value.magnitude == pytest.approx(0.25)
 
     def test_random_states_are_projectors(self):
         for seed in range(30):
@@ -140,15 +140,15 @@ class TestBlochVectors:
         assert np.max(np.abs(bloch_vectors(SINGLET))) < 1e-15
 
     def test_computational_product(self):
-        assert np.array_equal(bloch_vectors(PureStateAmplitudes(1, 0, 0, 0)), [[0, 0, 1], [0, 0, 1]])
+        assert np.array_equal(bloch_vectors(PRODUCT_11), [[0, 0, 1], [0, 0, 1]])
 
     def test_bell_phi_plus(self):
-        amps = PureStateAmplitudes(1 / math.sqrt(2), 0, 0, 1 / math.sqrt(2))
+        amps = np.array([1, 0, 0, 1]) / math.sqrt(2)
         assert np.max(np.abs(bloch_vectors(amps))) < 1e-15
 
     def test_transverse_polarization(self):
         # (|1> + i|0>)/sqrt(2) on A gives s(A) = (0, 1, 0)
-        amps = PureStateAmplitudes(1 / math.sqrt(2), 0, 1j / math.sqrt(2), 0)
+        amps = np.array([1, 0, 1j, 0]) / math.sqrt(2)
         assert tuple(bloch_vectors(amps)[0]) == pytest.approx((0.0, 1.0, 0.0), abs=1e-15)
 
     def test_consistent_with_marginals(self):
@@ -176,7 +176,7 @@ class TestBlochVectors:
 
 class TestCorrelationTensor:
     def test_computational_product(self):
-        c = correlation_tensor(PureStateAmplitudes(1, 0, 0, 0))
+        c = correlation_tensor(PRODUCT_11)
         assert c.shape == (3, 3)
         assert np.max(np.abs(c - np.diag([0.0, 0.0, 1.0]))) < 1e-15
 
@@ -212,14 +212,20 @@ class TestCorrelationTensor:
             assert np.max(np.abs(rebuilt / 4 - rho)) <= 1e-10
 
 
+def _purity_and_residual(amps):
+    """Marginal purity (1 + |s(A)|^2)/2 and the residual of 1 - |s(A)|^2 = C^2, from the closed forms."""
+    mag2 = np.sum(bloch_vectors(amps)[..., 0, :] ** 2, axis=-1)
+    return (1.0 + mag2) / 2.0, np.abs((1.0 - mag2) - pure_concurrence(amps) ** 2)
+
+
 class TestPurityCheck:
     def test_product_state(self):
-        purity, residual = purity_check(PureStateAmplitudes(1, 0, 0, 0))
+        purity, residual = _purity_and_residual(PRODUCT_11)
         assert purity == pytest.approx(1.0)
         assert residual < 1e-15
 
     def test_singlet(self):
-        purity, residual = purity_check(SINGLET)
+        purity, residual = _purity_and_residual(SINGLET)
         assert purity == pytest.approx(0.5)
         assert residual < 1e-15
 
@@ -227,8 +233,10 @@ class TestPurityCheck:
     @given(st.integers(min_value=0, max_value=10**9))
     def test_identity_and_symmetry_property(self, seed):
         amps = random_pure(seed)
-        _, residual = purity_check(amps)
+        purity, residual = _purity_and_residual(amps)
         assert residual <= 1e-10
+        marginal = pure_density(amps).marginal("A").matrix
+        assert abs(purity - np.trace(marginal @ marginal).real) <= 1e-12
         s_a, s_b = bloch_vectors(amps)
         assert abs(np.linalg.norm(s_a) - np.linalg.norm(s_b)) <= 1e-10
 
@@ -237,8 +245,9 @@ class TestSamplers:
     def test_pure_normalized_and_deterministic(self):
         for seed in (0, 1, 999):
             amps = random_pure(seed)
-            assert abs(amps.norm_squared() - 1.0) <= 1e-12
-            assert amps == random_pure(seed)
+            assert amps.shape == (4,)
+            assert abs(np.vdot(amps, amps).real - 1.0) <= 1e-12
+            assert np.array_equal(amps, random_pure(seed))
 
     def test_mean_concurrence_smoke_bound(self):
         total = sum(pure_concurrence(random_pure(seed)) for seed in range(10_000))
@@ -272,7 +281,7 @@ class TestRegistry:
 
     def test_pure_spec(self):
         rho = from_registry("pure:0.70710678118654752,0,0,0.70710678118654752")
-        amps = PureStateAmplitudes(1 / math.sqrt(2), 0, 0, 1 / math.sqrt(2))
+        amps = np.array([1, 0, 0, 1]) / math.sqrt(2)
         assert np.max(np.abs(rho.matrix - pure_density(amps).matrix)) < 1e-12
 
     def test_pure_spec_complex_components(self):
@@ -293,19 +302,19 @@ class TestNaNFailsTheBounds:
 
     def test_pure_amplitudes(self):
         with pytest.raises(CheckError) as err:
-            PureStateAmplitudes(math.nan, 0, 0, 0)
-        assert err.value.check == "normalization"
+            pure_density([math.nan, 0, 0, 0])
+        assert err.value.check == "finite"
 
-    # Duck-typed amplitudes: PureStateAmplitudes itself rejects a NaN.
-    NAN_AMPS = SimpleNamespace(a11=complex(math.nan), a10=0j, a01=0j, a00=0j)
+    # Nothing checks amplitudes before the closed forms: their own bounds must catch the NaN row.
+    NAN_AMPS = np.array([PRODUCT_11, SINGLET, [math.nan, 0, 0, 0], [math.nan, 0, 0, 0]])
 
     def test_bloch_vector(self):
-        with pytest.raises(CheckError) as err:
+        with pytest.raises(CheckError, match="state 2") as err:
             bloch_vectors(self.NAN_AMPS)
         assert err.value.check == "bloch norm"
 
     def test_correlation_tensor(self):
-        with pytest.raises(CheckError) as err:
+        with pytest.raises(CheckError, match="state 2") as err:
             correlation_tensor(self.NAN_AMPS)
         assert err.value.check == "correlation bound"
 
@@ -313,8 +322,8 @@ class TestNaNFailsTheBounds:
 class TestPolarizationBounds:
     """|s| <= 1 and |C_ij| <= 1 hold to ``tols.hermiticity``, so the tolerance scale reaches them."""
 
-    # |a11|^2 = 1 + 5e-9 passes the amplitudes' 1e-8 normalization check.
-    LONG = PureStateAmplitudes(math.sqrt(1 + 5e-9), 0, 0, 0)
+    # |a11|^2 = 1 + 5e-9: the closed forms check no normalization, only their own bounds.
+    LONG = np.array([math.sqrt(1 + 5e-9), 0, 0, 0])
 
     @pytest.mark.parametrize(
         ("func", "check"), [(bloch_vectors, "bloch norm"), (correlation_tensor, "correlation bound")]
@@ -325,6 +334,43 @@ class TestPolarizationBounds:
         assert err.value.check == check
         assert err.value.magnitude > 4e-9
         assert np.max(np.abs(func(self.LONG, tols=Tolerances(1000.0)))) > 1.0
+
+
+class TestClosedFormStacks:
+    """The closed forms on an amplitude stack ``(50, 4)``: one value per row, whatever the stack."""
+
+    AMPS = np.array([random_pure(seed) for seed in range(50)])
+    SHAPES = [(bloch_vectors, (2, 3)), (correlation_tensor, (3, 3)), (pure_concurrence, ())]
+
+    @pytest.mark.parametrize(("func", "shape"), SHAPES, ids=[func.__name__ for func, _ in SHAPES])
+    def test_stack_matches_row_by_row_calls(self, func, shape):
+        stacked = func(self.AMPS)
+        assert stacked.shape == (50, *shape)
+        # Not bit-identical: numpy's abs of an array and of a single amplitude may round differently.
+        assert np.max(np.abs(stacked - np.array([func(a) for a in self.AMPS]))) <= 1e-15
+
+    def test_stack_matches_reduced_state_formulas(self):
+        # psi[a, b] over (|1>, |0>) per qubit: rho_A = psi psi^+, rho_B = psi^T psi^*, and
+        # a qubit state (I + s.sigma)/2 has s = (2 Re r01, -2 Im r01, r00 - r11).
+        psi = self.AMPS.reshape(50, 2, 2)
+        rho_a = psi @ psi.conj().swapaxes(-1, -2)
+        rho_b = psi.swapaxes(-1, -2) @ psi.conj()
+
+        def polarization(r):
+            return np.stack((2 * r[:, 0, 1].real, -2 * r[:, 0, 1].imag, (r[:, 0, 0] - r[:, 1, 1]).real), axis=-1)
+
+        want_s = np.stack((polarization(rho_a), polarization(rho_b)), axis=1)
+        paulis = np.array((SX, SY, SZ))
+        want_c = np.einsum("nab,iac,jbd,ncd->nij", psi.conj(), paulis, paulis, psi).real
+        assert np.max(np.abs(bloch_vectors(self.AMPS) - want_s)) <= 1e-15
+        assert np.max(np.abs(correlation_tensor(self.AMPS) - want_c)) <= 1e-15
+        assert np.max(np.abs(pure_concurrence(self.AMPS) - 2 * np.abs(np.linalg.det(psi)))) <= 1e-15
+
+    def test_leading_axes_broadcast(self):
+        grid = self.AMPS.reshape(5, 10, 4)
+        assert np.array_equal(bloch_vectors(grid).reshape(50, 2, 3), bloch_vectors(self.AMPS))
+        assert np.array_equal(correlation_tensor(grid).reshape(50, 3, 3), correlation_tensor(self.AMPS))
+        assert np.array_equal(pure_concurrence(grid).reshape(50), pure_concurrence(self.AMPS))
 
 
 class TestWernerMatrices:
