@@ -10,7 +10,7 @@ The draws are made one state at a time.  Everything after them runs on
 stacks of at most ``STACK_SIZE`` states: each stack is validated once by
 ``density_stack``, and each property's magnitude is one array over the
 stack, from the package's stack kernels (``marginal_stack``,
-``transpose_stack``, ``eigh_stack``, ``sqrt_stack``,
+``transpose_stack``, ``eigvalsh_stack``, ``sqrt_stack``,
 ``concurrence_stack``, ``entropy_stack``, ``tsallis_stack``,
 ``relative_entropy_stack`` and the frame pass ``decohere_stack``), held
 against its bound once.  The pure-only and product-only properties run
@@ -45,7 +45,7 @@ from .linalg import (
     CheckError,
     Tolerances,
     density_stack,
-    eigh_stack,
+    eigvalsh_stack,
     marginal_stack,
     sqrt_stack,
     tensor_product,
@@ -226,7 +226,7 @@ def _check_stack(indices, seed: int, tols: Tolerances):
     lu_gap = np.abs(conc - concurrence_stack(rotated, *density_stack(rotated, tols=tols), tols=tols))
     record("concurrence-local-unitary", lu_gap <= tols.concurrence_zero, lambda j: f"{lu_gap[j]:.2e}")
 
-    ppt_min = eigh_stack(pt, tols=tols)[0][:, -1]
+    ppt_min = eigvalsh_stack(pt, tols=tols)[:, -1]
     zero = tols.concurrence_zero
     ok = (conc > zero) & (ppt_min < -zero) | (conc <= zero) & (ppt_min >= -zero)
     record("concurrence-ppt-equivalence", ok, lambda j: f"C={conc[j]:.3e} ppt={ppt_min[j]:.3e}")

@@ -9,7 +9,11 @@ A ``DensityMatrix`` is a two-qubit state or one of its qubit marginals.
 The ``*_stack`` functions work on stacks ``(N, ..., n, n)`` whose leading
 index counts states.  ``DensityMatrix`` is their N = 1 call: it validates
 through ``eigh_stack`` and keeps the eigen-data it computed, so every
-validity check, and the package's one eigensolver call, is written once.
+validity check is written once.  The package solves eigenproblems only
+here, through two validated entries that share those checks:
+``eigh_stack`` where eigenvectors are read (a state, its marginals) and
+``eigvalsh_stack`` where only the spectrum is (spin-flip cores, partial
+transposes).
 A check that fails on a stack raises for the lowest failing state and
 names it.  Each check first reduces the whole stack to one number, and
 searches for the failing state only once that number is out of bounds.
@@ -28,6 +32,7 @@ __all__ = [
     "TOLS",
     "DensityMatrix",
     "eigh_stack",
+    "eigvalsh_stack",
     "density_stack",
     "tensor_product",
     "marginal_stack",
@@ -146,6 +151,18 @@ def _require_finite(m: np.ndarray) -> None:
         CheckError.raise_first("finite", counts > 0, counts, lambda k: f"{counts[k]} NaN or infinite entries")
 
 
+def _hermitian_stack(m, tols: Tolerances) -> np.ndarray:
+    """``m`` as a complex array, once it passes the finite, square and hermiticity checks."""
+    m = np.asarray(m, dtype=complex)
+    _require_finite(m)
+    if m.ndim < 3 or m.shape[-1] != m.shape[-2] or not m.size:
+        raise CheckError("square", 0.0, f"shape {m.shape[1:]} is not square and nonempty")
+    herm = np.abs(m - m.conj().swapaxes(-1, -2))
+    if not herm.max() <= tols.hermiticity:
+        CheckError.above("hermiticity", herm.max(axis=(-2, -1)), tols.hermiticity)
+    return m
+
+
 def eigh_stack(m, *, tols: Tolerances = TOLS) -> tuple[np.ndarray, np.ndarray]:
     """Validated eigendecomposition of a stack ``(N, ..., n, n)`` of Hermitian matrices.
 
@@ -155,15 +172,17 @@ def eigh_stack(m, *, tols: Tolerances = TOLS) -> tuple[np.ndarray, np.ndarray]:
     LAPACK's: every consumer forms V f(values) V†, |<u|v>|^2 or u† M u,
     none of which changes when a column gets a unit phase.
     """
-    m = np.asarray(m, dtype=complex)
-    _require_finite(m)
-    if m.ndim < 3 or m.shape[-1] != m.shape[-2] or not m.size:
-        raise CheckError("square", 0.0, f"shape {m.shape[1:]} is not square and nonempty")
-    herm = np.abs(m - m.conj().swapaxes(-1, -2))
-    if not herm.max() <= tols.hermiticity:
-        CheckError.above("hermiticity", herm.max(axis=(-2, -1)), tols.hermiticity)
-    values, vectors = np.linalg.eigh(m)
+    values, vectors = np.linalg.eigh(_hermitian_stack(m, tols))
     return values[..., ::-1].copy(), vectors[..., ::-1].copy()
+
+
+def eigvalsh_stack(m, *, tols: Tolerances = TOLS) -> np.ndarray:
+    """``eigh_stack``'s checks and its eigenvalues, descending, without eigenvectors.
+
+    LAPACK computes these without the vectors, so they agree with
+    ``eigh_stack``'s to round-off, not bit for bit.
+    """
+    return np.linalg.eigvalsh(_hermitian_stack(m, tols))[..., ::-1].copy()
 
 
 def _density_checks(m: np.ndarray, values: np.ndarray, tols: Tolerances) -> None:
@@ -222,7 +241,7 @@ class DensityMatrix:
             raise CheckError("dims", 0.0, f"two-qubit state required, got dims {self.dims}")
         cached = self._marginals.get(keep)
         if cached is None:
-            cached = DensityMatrix(_reduce_stack(self.matrix, keep), tols=self._tols)
+            cached = DensityMatrix(_hermitian_part(_partial_trace(self.matrix, keep)), tols=self._tols)
             self._marginals[keep] = cached
         return cached
 
@@ -245,11 +264,18 @@ def _split(m: np.ndarray) -> np.ndarray:
     return m.reshape(m.shape[:-2] + (2, 2, 2, 2))
 
 
-def _reduce_stack(m: np.ndarray, keep: str) -> np.ndarray:
-    """Hermitian part of the reduced matrix of qubit ``keep`` for each matrix of ``(..., 4, 4)``."""
-    r = _split(m)
-    reduced = np.einsum("...ikjk->...ij" if keep == "A" else "...kikj->...ij", r)
-    return 0.5 * (reduced + reduced.conj().swapaxes(-1, -2))
+# The (row, column) axes of each qubit in the (a, b, a', b') view.
+_AXES = {"A": (-4, -2), "B": (-3, -1)}
+
+
+def _partial_trace(m: np.ndarray, keep: str) -> np.ndarray:
+    """Reduced matrix of qubit ``keep`` for each two-qubit matrix of ``(..., 4, 4)``."""
+    axis1, axis2 = _AXES["B" if keep == "A" else "A"]
+    return _split(m).trace(axis1=axis1, axis2=axis2)
+
+
+def _hermitian_part(m: np.ndarray) -> np.ndarray:
+    return 0.5 * (m + m.conj().swapaxes(-1, -2))
 
 
 def marginal_stack(m: np.ndarray, *, tols: Tolerances = TOLS):
@@ -260,9 +286,7 @@ def marginal_stack(m: np.ndarray, *, tols: Tolerances = TOLS):
     """
     if m.shape[-2:] != (4, 4):
         raise CheckError("dims", 0.0, f"two-qubit matrices (..., 4, 4) required, got shape {m.shape}")
-    mats = np.empty(m.shape[:-2] + (2, 2, 2), dtype=complex)
-    mats[..., 0, :, :] = _reduce_stack(m, "A")
-    mats[..., 1, :, :] = _reduce_stack(m, "B")
+    mats = _hermitian_part(np.stack((_partial_trace(m, "A"), _partial_trace(m, "B")), axis=-3))
     values, vectors = density_stack(mats, tols=tols)
     return mats, values, vectors
 
@@ -275,9 +299,7 @@ def transpose_stack(m: np.ndarray, side: str) -> np.ndarray:
     """
     if side not in ("A", "B"):
         raise ValueError(f"subsystem must be 'A' or 'B', got {side!r}")
-    r = _split(m)
-    out = np.einsum("...iljk->...ikjl" if side == "B" else "...jkil->...ikjl", r)
-    return out.reshape(m.shape)
+    return _split(m).swapaxes(*_AXES[side]).reshape(m.shape)
 
 
 def sqrt_stack(values: np.ndarray, vectors: np.ndarray) -> np.ndarray:

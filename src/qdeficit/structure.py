@@ -41,7 +41,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .concurrence import concurrence_stack
+from .concurrence import core_concurrence, spin_flip_core_stack
 from .entropy import entropy_stack
 from .linalg import (
     TOLS,
@@ -49,7 +49,7 @@ from .linalg import (
     DensityMatrix,
     Tolerances,
     density_stack,
-    eigh_stack,
+    eigvalsh_stack,
     marginal_stack,
     tensor_product,
     transpose_stack,
@@ -167,7 +167,11 @@ def decohere_stack(m: np.ndarray, marginals, vectors: np.ndarray, *, tols: Toler
 
 def _classify(m: np.ndarray, w: np.ndarray, v: np.ndarray, tols: Tolerances) -> Classification:
     """Every figure of each state of a validated stack ``(m, w, v)``, as columns."""
-    conc = concurrence_stack(m, w, v, tols=tols)
+    # The spin-flip cores and the partial transposes need only spectra: one values-only call
+    # on (N, 2, 4, 4), so a failing check names state k // 2 of the flat index k.
+    spectra = eigvalsh_stack(np.stack((spin_flip_core_stack(m, w, v), transpose_stack(m, "B")), axis=1), tols=tols)
+    conc = core_concurrence(spectra[:, 0], tols=tols)
+    ppt_min = spectra[:, 1, -1]
     s = entropy_stack(w, tols=tols)
     marginals = marginal_stack(m, tols=tols)
     s_marg = entropy_stack(marginals[1], tols=tols)
@@ -180,7 +184,6 @@ def _classify(m: np.ndarray, w: np.ndarray, v: np.ndarray, tols: Tolerances) -> 
     tr = p.sum(axis=-1)
     CheckError.above("trace", abs(tr - 1.0), tols.hermiticity, lambda k: f"decohered trace {tr[k]:.12g}")
     deficit = entropy_stack(np.sort(p, axis=-1)[:, ::-1], tols=tols) - s
-    ppt_min = eigh_stack(transpose_stack(m, "B"), tols=tols)[0][:, -1]
     side_max, defined = _ratio_stack(weights, w, frame_w, tols)
     # Commuting with both frames' projectors is the decoherence fixed point rho = rho_d.
     commutes = np.abs(m - mat_d).max(axis=(-2, -1)) <= tols.identity
@@ -198,8 +201,10 @@ def classify_stack(matrices, *, tols: Tolerances = TOLS) -> Classification:
     Each matrix is validated as ``DensityMatrix`` validates it; the first
     failing check raises for the lowest failing state and names it.
     S(rho_d) is read from the joint P(alpha, beta), which is rho_d's
-    spectrum, so the stack takes four eigensolves: the states, their
-    marginals, the spin-flip cores and the partial transposes.
+    spectrum.  The stack takes three eigensolver calls: ``eigh`` on the
+    states and on their marginals, whose eigenvectors the frame and the
+    overlap weights read, and one values-only ``eigvalsh`` on the
+    spin-flip cores and the partial transposes together.
     """
     m = np.asarray(matrices, dtype=complex)
     if m.ndim != 3 or m.shape[1:] != (4, 4):

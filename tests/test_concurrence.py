@@ -15,7 +15,7 @@ from qdeficit.states import (
     werner,
 )
 
-from helpers import charpoly_lambdas, gamma_route_matrix, haar_unitary
+from helpers import YY, charpoly_lambdas, gamma_route_matrix, haar_unitary, random_hermitian
 
 SINGLET = np.array([0, 1, -1, 0]) / math.sqrt(2)
 
@@ -45,6 +45,17 @@ class TestSpinFlip:
         stack = np.array([random_mixed(seed, seed % 4 + 1) for seed in range(20)])
         values, _ = density_stack(spin_flip_stack(stack))
         assert values[:, -1].min() > -1e-10
+
+    @pytest.mark.parametrize("n", [1, 40])
+    @pytest.mark.parametrize("skew", [0.0, 1e-11])
+    def test_bit_identical_to_the_conjugation_by_sigma_y_sigma_y(self, n, skew):
+        """The signed index reversal against the symmetrized (YY) m* (YY), also on a stack that is
+        Hermitian only to within ``skew``, as a validated input may be."""
+        rng = np.random.default_rng(n)
+        stack = np.array([random_hermitian(rng) for _ in range(n)])
+        stack += skew * rng.standard_normal(stack.shape)
+        f = YY @ np.conj(stack) @ YY
+        assert np.array_equal(spin_flip_stack(stack), 0.5 * (f + f.conj().swapaxes(-1, -2)))
 
     def test_rejects_single_subsystem(self):
         with pytest.raises(CheckError) as err:

@@ -95,7 +95,7 @@ def test_no_unused_imports(path):
     assert _unused_imports(path) == []
 
 
-# numpy's eigen- and singular-value solvers: the package calls ``eigh`` once and no other.
+# numpy's eigen- and singular-value solvers: the package calls ``eigh`` and ``eigvalsh`` once each, and no other.
 SOLVERS = {"eigh", "eig", "eigvals", "eigvalsh", "svd"}
 
 
@@ -130,8 +130,9 @@ def _imported_roots(path):
 
 
 def test_one_eigensolver_call_in_eigh_stack():
-    """Every eigendecomposition in the package goes through ``linalg.eigh_stack``."""
-    assert _solver_references() == [("linalg", "eigh_stack", "eigh")]
+    """Every eigensolve in the package goes through linalg's two validated entries:
+    ``eigh_stack`` where eigenvectors are read, ``eigvalsh_stack`` where only the spectrum is."""
+    assert _solver_references() == [("linalg", "eigh_stack", "eigh"), ("linalg", "eigvalsh_stack", "eigvalsh")]
     assert [path.stem for path in SOURCES if "scipy" in _imported_roots(path)] == []
 
 

@@ -15,6 +15,8 @@ from qdeficit.linalg import (
     density_from_json,
     density_stack,
     eigh_stack,
+    eigvalsh_stack,
+    marginal_stack,
     matrix_from_json,
     sqrt_stack,
     tensor_product,
@@ -47,6 +49,24 @@ def _eig(m) -> tuple[np.ndarray, np.ndarray]:
     """``eigh_stack`` on a stack of one matrix: row 0 of ``(values, vectors)``."""
     values, vectors = eigh_stack(np.asarray(m)[None])
     return values[0], vectors[0]
+
+
+def _rejected(m) -> CheckError:
+    """The error both validated entries raise on the stack ``m``: they must name the same check
+    and magnitude, since ``eigvalsh_stack`` runs ``eigh_stack``'s checks."""
+    errors = []
+    for solve in (eigh_stack, eigvalsh_stack):
+        with pytest.raises(CheckError) as err:
+            solve(m)
+        errors.append(err.value)
+    eigh_error, eigvalsh_error = errors
+    assert (eigvalsh_error.check, eigvalsh_error.magnitude) == (eigh_error.check, eigh_error.magnitude)
+    assert str(eigvalsh_error) == str(eigh_error)
+    return eigh_error
+
+
+def _random_stack(rng, n: int, dim: int = 4) -> np.ndarray:
+    return np.array([random_hermitian(rng, dim) for _ in range(n)])
 
 
 def _rebuild(values, vectors) -> np.ndarray:
@@ -87,23 +107,44 @@ class TestHermitianEig:
 
     def test_rejects_non_square(self):
         for shape in ((2, 3), (0, 0)):
-            with pytest.raises(CheckError) as err:
-                _eig(np.ones(shape))
-            assert err.value.check == "square"
+            assert _rejected(np.ones(shape)[None]).check == "square"
 
     def test_rejects_non_hermitian(self):
-        m = np.array([[0.0, 1.0], [0.0, 0.0]])
-        with pytest.raises(CheckError) as err:
-            _eig(m)
-        assert err.value.check == "hermiticity"
-        assert err.value.magnitude == pytest.approx(1.0)
+        err = _rejected(np.array([[0.0, 1.0], [0.0, 0.0]])[None])
+        assert err.check == "hermiticity"
+        assert err.magnitude == pytest.approx(1.0)
 
     @pytest.mark.parametrize("bad", NON_FINITE)
     def test_rejects_non_finite(self, bad):
-        with pytest.raises(CheckError) as err:
-            _eig(np.diag([bad, 0.0]))
-        assert err.value.check == "finite"
-        assert err.value.magnitude == 1
+        err = _rejected(np.diag([bad, 0.0])[None])
+        assert err.check == "finite"
+        assert err.magnitude == 1
+
+    @pytest.mark.parametrize("check", ["finite", "hermiticity"])
+    def test_both_entries_name_the_lowest_failing_state(self, check):
+        stack = _random_stack(np.random.default_rng(5), 6)
+        for k in (4, 2):
+            stack[k, 0, 1] = np.nan if check == "finite" else stack[k, 0, 1] + 1.0
+        err = _rejected(stack)
+        assert err.check == check
+        assert "state 2" in str(err)
+
+    def test_a_stack_of_pairs_names_the_state(self):
+        """A check on ``(N, 2, n, n)`` names state k // 2 of flat entry k, as ``classify_stack``'s
+        stack of spin-flip cores and partial transposes needs."""
+        stack = _random_stack(np.random.default_rng(9), 10).reshape(5, 2, 4, 4)
+        stack[3, 1, 2, 0] += 1.0
+        err = _rejected(stack)
+        assert err.check == "hermiticity"
+        assert "state 3" in str(err)
+
+    @pytest.mark.parametrize(("n", "dim"), [(1, 4), (50, 4), (50, 2)])
+    def test_eigvalsh_stack_matches_eigh_stack(self, n, dim):
+        stack = _random_stack(np.random.default_rng(n + dim), n, dim)
+        values = eigvalsh_stack(stack)
+        assert values.shape == (n, dim)
+        assert np.all(np.diff(values, axis=-1) <= 0)
+        assert np.max(np.abs(values - eigh_stack(stack)[0])) <= 1e-14
 
     @settings(deadline=None, max_examples=60)
     @given(st.integers(min_value=0, max_value=10**9))
@@ -163,6 +204,22 @@ class TestPartialTrace:
         for side in ("A", "B"):
             assert abs(np.trace(rho.marginal(side).matrix) - 1.0) < 1e-14
 
+    @pytest.mark.parametrize("n", [1, 40])
+    def test_marginals_are_bit_identical_to_the_einsum_partial_traces(self, n):
+        """On states Hermitian only to within 1e-12, as a validated input may be, so that the
+        symmetrization shows."""
+        rng = np.random.default_rng(n)
+        g = _random_stack(rng, n)
+        stack = g @ g.conj().swapaxes(-1, -2)
+        stack /= np.trace(stack, axis1=-2, axis2=-1).real[:, None, None]
+        stack += 1e-12 * rng.standard_normal(stack.shape)
+        mats, rho = marginal_stack(stack)[0], DensityMatrix(stack[0])
+        for k, pattern in enumerate(("nikjk->nij", "nkikj->nij")):
+            reduced = np.einsum(pattern, stack.reshape(n, 2, 2, 2, 2))
+            want = 0.5 * (reduced + reduced.conj().swapaxes(-1, -2))
+            assert np.array_equal(mats[:, k], want)
+            assert np.array_equal(rho.marginal("AB"[k]).matrix, want[0])
+
     def test_rejects_single_subsystem(self):
         single = DensityMatrix(np.eye(2) / 2)
         with pytest.raises(CheckError) as err:
@@ -201,6 +258,13 @@ class TestPartialTranspose:
         sa = numpy_spectrum(transpose_stack(rho.matrix, "A"))
         sb = numpy_spectrum(transpose_stack(rho.matrix, "B"))
         assert np.max(np.abs(sa - sb)) < 1e-12
+
+    @pytest.mark.parametrize("n", [1, 40])
+    def test_bit_identical_to_the_einsum_reshuffles(self, n):
+        stack = _random_stack(np.random.default_rng(n), n)
+        for side, pattern in (("A", "njkil->nikjl"), ("B", "niljk->nikjl")):
+            want = np.einsum(pattern, stack.reshape(n, 2, 2, 2, 2)).reshape(n, 4, 4)
+            assert np.array_equal(transpose_stack(stack, side), want)
 
     def test_rejects_unknown_side(self):
         with pytest.raises(ValueError, match="subsystem must be 'A' or 'B'"):

@@ -283,18 +283,23 @@ class TestClassifyStack:
 
     @pytest.mark.parametrize("n", [1, 200])
     def test_makes_four_eigensolves_whatever_the_stack_size(self, monkeypatch, n):
-        """The states, their marginals, the spin-flip cores and the partial transposes: rho_d takes none."""
+        """``eigh`` on the states and on their marginals, one ``eigvalsh`` on the spin-flip cores and
+        the partial transposes together: rho_d takes none."""
         stack = _mixed_stack()[:n]
+        assert len(stack) == n
         calls = []
-        eigh = np.linalg.eigh
 
-        def counted_eigh(*args, **kwargs):
-            calls.append(1)
-            return eigh(*args, **kwargs)
+        def counted(solver):
+            def call(*args, **kwargs):
+                calls.append(solver.__name__)
+                return solver(*args, **kwargs)
 
-        monkeypatch.setattr(np.linalg, "eigh", counted_eigh)
+            return call
+
+        for name in ("eigh", "eigvalsh"):
+            monkeypatch.setattr(np.linalg, name, counted(getattr(np.linalg, name)))
         classify_stack(stack)
-        assert len(calls) == 4
+        assert sorted(calls) == ["eigh", "eigh", "eigvalsh"]
 
     def test_report_fields_are_python_scalars(self):
         report = classify(werner(0.5))
