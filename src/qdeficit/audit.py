@@ -29,6 +29,7 @@ fails on NaN.
 
 from __future__ import annotations
 
+import multiprocessing
 import os
 from concurrent.futures import ProcessPoolExecutor
 
@@ -116,10 +117,13 @@ def _draw(index: int, seed: int):
     return f"random mixed rank {rank}", None, False, random_mixed(int(rng.integers(0, 2**32)), rank)
 
 
-def _local_gaussians(index: int, seed: int) -> list[np.ndarray]:
-    """The complex Gaussian 2x2 draws of the state's two local unitaries, in order."""
-    rng = np.random.default_rng((seed, index, 7))
-    return [rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)) for _ in range(2)]
+def _local_gaussians(index: int, seed: int) -> np.ndarray:
+    """The complex Gaussian 2x2 draws ``(2, 2, 2)`` of the state's two local unitaries, in order.
+
+    One draw holds, per unitary, its real parts and then its imaginary parts.
+    """
+    g = np.random.default_rng((seed, index, 7)).standard_normal((2, 2, 2, 2))
+    return g[:, 0] + 1j * g[:, 1]
 
 
 def _haar_unitaries(z: np.ndarray) -> np.ndarray:
@@ -361,7 +365,9 @@ def run_audit(n: int, seed: int, jobs: int = 1, tols: Tolerances = TOLS):
     indices = range(n)
     workers = min(jobs, n, os.cpu_count() or 1)
     if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        # Spawned, not forked: the BLAS library that numpy loads starts a thread,
+        # and forking a multi-threaded process can deadlock.
+        with ProcessPoolExecutor(max_workers=workers, mp_context=multiprocessing.get_context("spawn")) as pool:
             parts = list(pool.map(_audit_part, [(indices[k::workers], seed, tols) for k in range(workers)]))
     else:
         parts = [_audit_part((indices, seed, tols))]

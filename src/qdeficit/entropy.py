@@ -43,7 +43,7 @@ def entropy_stack(values: np.ndarray, *, tols: Tolerances = TOLS) -> np.ndarray:
     _require_psd(values, tols)
     # Entries off the support become 1, whose x ln x is exactly 0.
     vals = np.where(values > tols.support_cutoff, values, 1.0)
-    return -np.sum(vals * np.log(vals), axis=-1)
+    return -np.add.reduce(vals * np.log(vals), axis=-1)
 
 
 def von_neumann(rho: DensityMatrix, *, tols: Tolerances = TOLS) -> float:

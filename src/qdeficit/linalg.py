@@ -268,10 +268,15 @@ def _split(m: np.ndarray) -> np.ndarray:
 _AXES = {"A": (-4, -2), "B": (-3, -1)}
 
 
-def _partial_trace(m: np.ndarray, keep: str) -> np.ndarray:
-    """Reduced matrix of qubit ``keep`` for each two-qubit matrix of ``(..., 4, 4)``."""
-    axis1, axis2 = _AXES["B" if keep == "A" else "A"]
-    return _split(m).trace(axis1=axis1, axis2=axis2)
+def _partial_trace(m: np.ndarray, keep: str, out: np.ndarray | None = None) -> np.ndarray:
+    """Reduced matrix of qubit ``keep`` for each two-qubit matrix of ``(..., 4, 4)``, written to ``out`` if given.
+
+    The two diagonal blocks are added in one call, the sum ``ndarray.trace`` forms.
+    """
+    x = _split(m)
+    if keep == "A":
+        return np.add(x[..., 0, :, 0], x[..., 1, :, 1], out=out)
+    return np.add(x[..., 0, :, 0, :], x[..., 1, :, 1, :], out=out)
 
 
 def _hermitian_part(m: np.ndarray) -> np.ndarray:
@@ -282,11 +287,16 @@ def marginal_stack(m: np.ndarray, *, tols: Tolerances = TOLS):
     """Both qubit marginals of each two-qubit matrix of a stack ``(N, 4, 4)``.
 
     Returns ``(matrices, values, vectors)`` indexed ``[state, side A/B, ...]``:
-    the 2N marginals are validated and diagonalised in one call.
+    both partial traces are written into one ``(N, 2, 2, 2)`` buffer, and
+    the 2N marginals are symmetrized, validated and diagonalised in one
+    call each.
     """
     if m.shape[-2:] != (4, 4):
         raise CheckError("dims", 0.0, f"two-qubit matrices (..., 4, 4) required, got shape {m.shape}")
-    mats = _hermitian_part(np.stack((_partial_trace(m, "A"), _partial_trace(m, "B")), axis=-3))
+    mats = np.empty(m.shape[:-2] + (2, 2, 2), dtype=complex)
+    _partial_trace(m, "A", mats[..., 0, :, :])
+    _partial_trace(m, "B", mats[..., 1, :, :])
+    mats = _hermitian_part(mats)
     values, vectors = density_stack(mats, tols=tols)
     return mats, values, vectors
 

@@ -187,9 +187,14 @@ def random_mixed(seed: int, rank: int) -> np.ndarray:
     rng = np.random.default_rng(seed)
     weights = rng.exponential(size=rank)
     weights /= weights.sum()
+    # The rank vectors in one draw, in random_pure's order: each vector's real parts, then its imaginary parts.
+    re, im = rng.standard_normal((rank, 2, 4)).transpose(1, 0, 2)
+    # random_pure's np.linalg.norm, one vector per row: the real and the imaginary sums of squares, added.
+    norms = np.sqrt(np.einsum("ni,ni->n", re, re) + np.einsum("ni,ni->n", im, im))
+    vectors = (re + 1j * im) / norms[:, None]
     mat = np.zeros((4, 4), dtype=complex)
-    for w in weights:
-        mat += w * _projector(random_pure(rng))
+    for w, v in zip(weights, vectors):
+        mat += w * _projector(v)
     return 0.5 * (mat + mat.conj().T)
 
 

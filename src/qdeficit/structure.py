@@ -23,7 +23,11 @@ distribution P(alpha, beta).  So rho_d's spectrum is P, and S(rho_d) is
 the Shannon entropy H(P): the deficit needs no eigensolve of rho_d.
 rho_d's density checks are read from P as well: nonnegativity of P is
 its psd check, P's sum its trace check, and rho_d is Hermitian by
-construction.
+construction.  The four entropies a classification reads, S(rho),
+S(rho_A), S(rho_B) and H(P), come from one ``entropy_stack`` pass over
+the spectra [rho, rho_A, rho_B, P], each zero-padded to four levels; a
+padding zero lies off the support and adds nothing.  The eigensolves
+stay three calls per stack.
 
 A marginal whose two eigenvalues differ by more than ``tols.degeneracy``
 contributes its eigenvectors; otherwise its eigenbasis is not unique and
@@ -70,8 +74,8 @@ _EYE4 = np.eye(4)
 
 
 def _frame_stack(marg: np.ndarray, values: np.ndarray, vectors: np.ndarray, tols: Tolerances):
-    """Frame eigenvalues ``(N, 2, 2)`` per side, the degeneracy mask ``(N, 2)`` and the
-    product vectors ``(N, 4, 4)``, from the marginals' eigendecompositions."""
+    """Frame eigenvalues ``(N, 2, 2)`` per side, the degeneracy mask ``(N, 2)``, the product
+    vectors ``u`` ``(N, 4, 4)`` and their conjugate, from the marginals' eigendecompositions."""
     degenerate = values[..., 0] - values[..., 1] <= tols.degeneracy
     if np.count_nonzero(degenerate):
         diag = np.real(np.diagonal(marg[degenerate], axis1=-2, axis2=-1))
@@ -80,26 +84,29 @@ def _frame_stack(marg: np.ndarray, values: np.ndarray, vectors: np.ndarray, tols
         values[degenerate] = np.where(swap[:, None], diag[:, ::-1], diag)
         vectors[degenerate] = np.where(swap[:, None, None], _SWAP2, _EYE2)
     u = tensor_product(vectors[:, 0], vectors[:, 1])
-    gram = np.abs(u.conj().swapaxes(-1, -2) @ u - _EYE4)
+    u_conj = u.conj()
+    gram = np.abs(u_conj.swapaxes(-1, -2) @ u - _EYE4)
     if not gram.max() <= tols.identity:
         CheckError.above("frame orthonormality", gram.max(axis=(-2, -1)), tols.identity)
     CheckError.above("marginal normalization", np.abs(values.sum(axis=-1) - 1.0), tols.hermiticity)
-    return values, degenerate, u
+    return values, degenerate, u, u_conj
 
 
-def _dephase(m: np.ndarray, u: np.ndarray, tols: Tolerances) -> tuple[np.ndarray, np.ndarray]:
-    """Decohered matrices ``(N, 4, 4)`` and their joint diagonals ``(N, 4)`` in the frames ``u``."""
-    diag = np.einsum("nij,nik,nkj->nj", u.conj(), m, u).real
+def _dephase(m: np.ndarray, u: np.ndarray, u_conj: np.ndarray, tols: Tolerances) -> tuple[np.ndarray, np.ndarray]:
+    """Decohered matrices ``(N, 4, 4)`` and their joint diagonals ``(N, 4)`` in the frames ``u``,
+    whose conjugate is ``u_conj``."""
+    diag = np.einsum("nij,nik,nkj->nj", u_conj, m, u).real
     if not diag.min() >= -tols.psd:
         CheckError.below("joint nonnegativity", diag.min(axis=-1), -tols.psd)
     diag = np.maximum(diag, 0.0)
-    mat = (u * diag[:, None, :]) @ u.conj().swapaxes(-1, -2)
+    mat = (u * diag[:, None, :]) @ u_conj.swapaxes(-1, -2)
     return 0.5 * (mat + mat.conj().swapaxes(-1, -2)), diag
 
 
-def _overlap_stack(u: np.ndarray, vectors: np.ndarray, tols: Tolerances) -> np.ndarray:
-    """Squared overlaps ``(N, 2, 2, 4)`` of each frame with its state's eigenvectors."""
-    weights = np.abs(u.conj().swapaxes(-1, -2) @ vectors) ** 2
+def _overlap_stack(u_conj: np.ndarray, vectors: np.ndarray, tols: Tolerances) -> np.ndarray:
+    """Squared overlaps ``(N, 2, 2, 4)`` of each frame, given by its conjugate ``u_conj``, with its
+    state's eigenvectors."""
+    weights = np.abs(u_conj.swapaxes(-1, -2) @ vectors) ** 2
     err = np.maximum(np.abs(weights.sum(axis=-2) - 1.0), np.abs(weights.sum(axis=-1) - 1.0))
     if not err.max() <= tols.hermiticity:
         CheckError.above("overlap normalization", err.max(axis=-1), tols.hermiticity)
@@ -112,11 +119,13 @@ def _ratio_stack(weights: np.ndarray, values: np.ndarray, frame_values: np.ndarr
     Pairs whose total overlap weight vanishes are skipped: they never
     enter any entropy expression.
     """
-    connection = np.array((weights.sum(axis=2), weights.sum(axis=1))).swapaxes(0, 1)
+    connection = np.empty((len(weights), 2, 2, 4))  # (N, side A/B, frame index, Gamma)
+    np.add.reduce(weights, axis=2, out=connection[:, 0])
+    np.add.reduce(weights, axis=1, out=connection[:, 1])
     live = (frame_values[..., None] > tols.support_cutoff) & (connection > tols.support_cutoff)
     # The floor only keeps the masked-out rows finite.
     ratios = values[:, None, None, :] / np.maximum(frame_values, tols.support_cutoff)[..., None]
-    side_max = np.max(ratios, axis=(-2, -1), where=live, initial=0.0)
+    side_max = np.maximum.reduce(ratios, axis=(-2, -1), where=live, initial=0.0)
     return side_max, (side_max <= 1.0 + tols.hermiticity).all(axis=-1)
 
 
@@ -160,30 +169,40 @@ def decohere_stack(m: np.ndarray, marginals, vectors: np.ndarray, *, tols: Toler
     eigenvalues.
     """
     marg, marg_w, marg_v = marginals
-    frame_w, degenerate, u = _frame_stack(marg, marg_w, marg_v, tols)
-    mat_d, joint = _dephase(m, u, tols)
-    return Decoherence(mat_d, joint.reshape(-1, 2, 2), frame_w, degenerate, _overlap_stack(u, vectors, tols))
+    frame_w, degenerate, u, u_conj = _frame_stack(marg, marg_w, marg_v, tols)
+    mat_d, joint = _dephase(m, u, u_conj, tols)
+    return Decoherence(mat_d, joint.reshape(-1, 2, 2), frame_w, degenerate, _overlap_stack(u_conj, vectors, tols))
 
 
 def _classify(m: np.ndarray, w: np.ndarray, v: np.ndarray, tols: Tolerances) -> Classification:
     """Every figure of each state of a validated stack ``(m, w, v)``, as columns."""
+    n = len(m)
     # The spin-flip cores and the partial transposes need only spectra: one values-only call
     # on (N, 2, 4, 4), so a failing check names state k // 2 of the flat index k.
-    spectra = eigvalsh_stack(np.stack((spin_flip_core_stack(m, w, v), transpose_stack(m, "B")), axis=1), tols=tols)
+    pairs = np.empty((n, 2, 4, 4), dtype=complex)
+    pairs[:, 0] = spin_flip_core_stack(m, w, v)
+    pairs[:, 1] = transpose_stack(m, "B")
+    spectra = eigvalsh_stack(pairs, tols=tols)
     conc = core_concurrence(spectra[:, 0], tols=tols)
     ppt_min = spectra[:, 1, -1]
-    s = entropy_stack(w, tols=tols)
+    # The entropy input check on rho, ahead of the marginals' and the frame's checks; the pass below repeats it.
+    CheckError.below("psd", w[:, -1], -tols.psd, lambda k: "negative eigenvalue in entropy input")
     marginals = marginal_stack(m, tols=tols)
-    s_marg = entropy_stack(marginals[1], tols=tols)
-    s_a, s_b = s_marg[:, 0], s_marg[:, 1]
-    mutual = s_a + s_b - s
     mat_d, joint, frame_w, degenerate, weights = decohere_stack(m, marginals, v, tols=tols)
     # rho_d is diagonal in the frame, so its spectrum is the joint P: S(rho_d) = H(P).  _dephase has
     # checked P >= -psd (the psd check) and made rho_d Hermitian; its trace is P's sum.
     p = joint.reshape(-1, 4)
     tr = p.sum(axis=-1)
     CheckError.above("trace", abs(tr - 1.0), tols.hermiticity, lambda k: f"decohered trace {tr[k]:.12g}")
-    deficit = entropy_stack(np.sort(p, axis=-1)[:, ::-1], tols=tols) - s
+    # One entropy pass over the spectra of rho, rho_A, rho_B and rho_d, zero-padded to four levels.
+    # The zeros lie off the support; the marginals passed the psd check in marginal_stack, and P >= 0.
+    levels = np.zeros((n, 4, 4))
+    levels[:, 0] = w
+    levels[:, 1:3, :2] = marginals[1]
+    levels[:, 3] = np.sort(p, axis=-1)[:, ::-1]
+    s, s_a, s_b, s_d = entropy_stack(levels, tols=tols).T
+    mutual = s_a + s_b - s
+    deficit = s_d - s
     side_max, defined = _ratio_stack(weights, w, frame_w, tols)
     # Commuting with both frames' projectors is the decoherence fixed point rho = rho_d.
     commutes = np.abs(m - mat_d).max(axis=(-2, -1)) <= tols.identity

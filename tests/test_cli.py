@@ -154,9 +154,10 @@ class TestAudit:
         sizes = []
 
         class RecordingPool:
-            """Records the requested size and runs the chunks in this process."""
+            """Records the requested size, requires spawned workers and runs the chunks in this process."""
 
-            def __init__(self, max_workers):
+            def __init__(self, max_workers, mp_context):
+                assert mp_context.get_start_method() == "spawn"
                 sizes.append(max_workers)
 
             def __enter__(self):
@@ -172,6 +173,14 @@ class TestAudit:
         monkeypatch.setattr(os, "cpu_count", lambda: cpus)
         assert cli.run_audit(n, 42, jobs) == cli.run_audit(n, 42, 1)
         assert sizes == pool_sizes
+
+    def test_local_gaussians_are_bit_identical_to_one_draw_per_part(self):
+        """The one (2, 2, 2, 2) draw against the four 2x2 draws it replaces: per unitary, real then imaginary."""
+        for seed in (0, 7, 42, 2**31 - 1):
+            for index in range(200):
+                rng = np.random.default_rng((seed, index, 7))
+                want = [rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)) for _ in range(2)]
+                assert np.array_equal(audit._local_gaussians(index, seed), np.array(want)), (seed, index)
 
     # Squaring root * (1 + 3e-8) leaves a residual of 6e-8 |rho_ij|, and every
     # trace-one 4x4 state has an entry of at least 1/4: between 1e-8 and 1e-7.

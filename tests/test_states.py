@@ -264,6 +264,22 @@ class TestSamplers:
         with pytest.raises(ValueError):
             random_mixed(1, 5)
 
+    def test_mixed_draw_is_bit_identical_to_one_random_pure_per_vector(self):
+        """random_mixed draws its vectors in one call; the loop of random_pure draws it replaces is the oracle."""
+        for seed in range(500):
+            for rank in (1, 2, 3, 4):
+                rng = np.random.default_rng(seed)
+                weights = rng.exponential(size=rank)
+                weights /= weights.sum()
+                want = np.zeros((4, 4), dtype=complex)
+                for w in weights:
+                    v = random_pure(rng)
+                    want += w * np.outer(v, v.conj())
+                want = 0.5 * (want + want.conj().T)
+                got = random_mixed(seed, rank)
+                assert np.array_equal(got, want), (seed, rank)
+                assert np.array_equal(np.signbit(got.view(float)), np.signbit(want.view(float))), (seed, rank)
+
     def test_mixed_full_rank_spectrum(self):
         vals = DensityMatrix(random_mixed(3, 4)).eigenvalues
         assert vals[-1] > 1e-6

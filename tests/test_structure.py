@@ -20,6 +20,7 @@ from qdeficit.states import example_state, from_registry, random_mixed, werner, 
 from qdeficit.structure import classify, classify_stack, decohere_stack, verdicts
 
 from helpers import numpy_spectrum
+from unfused import classify_columns
 
 SEEDED_STATES = st.tuples(st.integers(min_value=0, max_value=2**32 - 1), st.integers(min_value=1, max_value=4))
 
@@ -211,23 +212,46 @@ class TestScaledChecks:
         with pytest.raises(CheckError) as err:
             structure._frame_stack(marg, values, vectors, TOLS)
         assert err.value.check == "marginal normalization"
-        frame_values, _, _ = structure._frame_stack(marg, values, vectors, loose)
+        frame_values = structure._frame_stack(marg, values, vectors, loose)[0]
         assert np.array_equal(frame_values, values)
+
+    def test_classify_checks_the_spectrum_of_rho_before_its_marginals(self):
+        """A state validated under looser bounds, whose rho and rho_A both have a negative eigenvalue
+        beyond classify's bound: the entropy input check on rho fails first."""
+        rho = DensityMatrix(np.diag([0.5, 0.5 + 5e-10, 0.0, -5e-10]), tols=Tolerances(10.0))
+        with pytest.raises(CheckError) as err:
+            classify(rho)
+        assert str(err.value) == "psd check failed (magnitude -5e-10): negative eigenvalue in entropy input"
 
     @pytest.mark.parametrize("shift", [1.0, -1.0], ids=["above-mutual", "negative"])
     def test_classify_rejects_deficit_outside_bounds(self, monkeypatch, shift):
         rho = werner(0.3)
-        real = structure.entropy_stack
-
-        def bad_decohered_entropy(values, *, tols):
-            # rho_d's spectrum is the only four-level one classify reads besides rho's
-            is_rho_d = values.shape[-1] == 4 and not np.array_equal(values, rho.eigenvalues[None])
-            return real(values, tols=tols) + (shift if is_rho_d else 0.0)
-
-        monkeypatch.setattr(structure, "entropy_stack", bad_decohered_entropy)
+        _shift_decohered_entropy(monkeypatch, rho.matrix[None], [shift])
         with pytest.raises(CheckError) as err:
             classify(rho)
         assert err.value.check == "deficit bounds"
+        assert "state" not in str(err.value)
+
+
+def _shift_decohered_entropy(monkeypatch, werner_stack: np.ndarray, shifts) -> None:
+    """Make ``structure.entropy_stack`` add ``shifts[k]`` to S(rho_d) of Werner state k, however
+    the spectra it is given are stacked.
+
+    A Werner state's frame is the computational basis, so rho_d's spectrum is
+    its sorted diagonal, which no other spectrum of the stack equals.
+    """
+    joint = np.sort(np.real(np.diagonal(werner_stack, axis1=-2, axis2=-1)), axis=-1)[:, ::-1]
+    real = structure.entropy_stack
+
+    def shifted(values, *, tols):
+        out = real(values, tols=tols)
+        if values.shape[-1] != 4:
+            return out
+        rows = values.reshape(-1, 1, 4)
+        hit = np.all(np.abs(rows - joint) <= 1e-15, axis=-1)  # (spectrum, state)
+        return out + (hit @ np.asarray(shifts, dtype=float)).reshape(out.shape)
+
+    monkeypatch.setattr(structure, "entropy_stack", shifted)
 
 
 def _mixed_stack() -> np.ndarray:
@@ -324,6 +348,20 @@ class TestClassifyStack:
                 assert value == row.item(), field
                 assert type(value) is (bool if row.dtype == bool else float), field
 
+    def test_columns_are_bit_identical_to_the_unfused_reference(self):
+        stack = _mixed_stack()
+        cols, want = classify_stack(stack), classify_columns(stack, *density_stack(stack))
+        for name, col in cols._asdict().items():
+            assert np.array_equal(col, getattr(want, name)), name
+            assert np.array_equal(np.signbit(col), np.signbit(getattr(want, name))), name
+
+    @pytest.mark.parametrize("name", ["E1", "E2", "E3", "E4", "E5", "E6", "iso:E", "iso:S", "werner:0.3", "werner:1"])
+    def test_classify_is_bit_identical_to_the_unfused_reference(self, name):
+        rho = from_registry(name)
+        want = classify_columns(rho.matrix[None], rho.eigenvalues[None], rho.eigenvectors[None])
+        for field, value in classify(rho)._asdict().items():
+            assert np.array_equal(value, getattr(want, field)[0]), field
+
     @pytest.mark.parametrize("shape", [(4, 4), (2, 3, 3), (1, 2, 2)])
     def test_rejects_stack_that_is_not_two_qubit(self, shape):
         with pytest.raises(CheckError) as err:
@@ -377,16 +415,7 @@ class TestClassifyStackErrors:
 
     def test_deficit_bounds_names_the_bad_state(self, monkeypatch):
         stack = werner_matrices([0.1, 0.3, 0.5, 0.7])
-        spectra = np.array([DensityMatrix(m).eigenvalues for m in stack])
-        real = structure.entropy_stack
-
-        def bad_decohered_entropy(values, *, tols):
-            out = real(values, tols=tols)
-            if values.shape == spectra.shape and not np.array_equal(values, spectra):  # the rho_d spectra
-                out[2] += 1.0
-            return out
-
-        monkeypatch.setattr(structure, "entropy_stack", bad_decohered_entropy)
+        _shift_decohered_entropy(monkeypatch, stack, [0.0, 0.0, 1.0, 0.0])
         with pytest.raises(CheckError) as err:
             classify_stack(stack)
         assert err.value.check == "deficit bounds"
@@ -397,8 +426,8 @@ class TestClassifyStackErrors:
         """rho_d's trace is read from the joint P: a P that does not sum to one fails ``trace``."""
         real = structure._dephase
 
-        def heavy_joint(m, u, tols):
-            mat, diag = real(m, u, tols)
+        def heavy_joint(*args):
+            mat, diag = real(*args)
             diag = diag.copy()
             diag[2, 0] += excess
             return mat, diag
@@ -414,6 +443,6 @@ class TestClassifyStackErrors:
         u = np.broadcast_to(np.eye(4, dtype=complex), stack.shape).copy()
         u[2, 1, 1] = np.nan
         with pytest.raises(CheckError) as err:
-            structure._dephase(stack, u, TOLS)
+            structure._dephase(stack, u, u.conj(), TOLS)
         assert err.value.check == "joint nonnegativity"
         assert "state 2" in str(err.value)
