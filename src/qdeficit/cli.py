@@ -5,9 +5,10 @@ The figures come from ``structure`` and the audit from ``audit``; this
 module holds the reference tables they are compared against, parses
 arguments and formats output.
 
-Exit codes: 0 success, 1 verification failure, 2 input error.  Results go
-to stdout, diagnostics to stderr.  Numeric output uses 12 significant
-digits.
+Exit codes: 0 success, 1 verification failure, 2 input error, 141 (128 +
+SIGPIPE) when the reader closes stdout early, as ``| head`` does; the rest
+of the output then goes to the null device, with no traceback.  Results go
+to stdout, diagnostics to stderr.  Numeric output uses 12 significant digits.
 """
 
 from __future__ import annotations
@@ -30,8 +31,9 @@ LN5 = math.log(5.0)
 
 _COLUMNS = ("concurrence", "entropy_diff_a", "entropy_diff_b", "deficit_over_ln2", "mutual_over_ln2")
 
-# Closed-form reference values for the six example states.
-_TABLE1_CLOSED = {
+# Closed forms of the figures the reference reports check, keyed by registry
+# name: table1's five columns for E1..E6 and three iso-report figures for the pair.
+_CLOSED = {
     "E1": {
         "concurrence": 2.0 / 3.0,
         "entropy_diff_a": (5.0 / 6.0) * math.log(4.0 / 5.0),
@@ -74,6 +76,8 @@ _TABLE1_CLOSED = {
         "deficit_over_ln2": 0.0,
         "mutual_over_ln2": 1.0,
     },
+    "iso:E": {"concurrence": 2.0 / 3.0, "mutual": (3.0 * LN3 - 2.0 * LN2) / 3.0, "deficit": (2.0 / 3.0) * LN2},
+    "iso:S": {"concurrence": 0.0, "mutual": (3.0 * LN3 - 2.0 * LN2) / 3.0, "deficit": 0.0},
 }
 
 # The four nontrivial decimals as printed in the reference table.
@@ -82,14 +86,6 @@ _TABLE1_PRINTED = {
     ("E1", "mutual_over_ln2"): 0.9182,
     ("E2", "mutual_over_ln2"): 0.3817,
     ("E3", "mutual_over_ln2"): 0.9183,
-}
-
-_ISO_CLOSED = {
-    "mutual": (3.0 * LN3 - 2.0 * LN2) / 3.0,
-    "deficit_e": (2.0 / 3.0) * LN2,
-    "deficit_s": 0.0,
-    "concurrence_e": 2.0 / 3.0,
-    "concurrence_s": 0.0,
 }
 
 
@@ -121,28 +117,24 @@ def table1_rows(tols: Tolerances = TOLS) -> dict[str, dict[str, float]]:
     return rows
 
 
+def _mismatches(rows: dict[str, dict[str, float]], tols: Tolerances) -> list[str]:
+    """One line per figure of ``rows`` off its closed form by more than ``tols.hermiticity``
+    or off its printed decimal by more than ``tols.printed``; a NaN counts as off."""
+    mismatches = []
+    for name, row in rows.items():
+        for col, closed in _CLOSED[name].items():
+            got, printed = row[col], _TABLE1_PRINTED.get((name, col))
+            for label, want, tol in (("closed form", closed, tols.hermiticity), ("printed", printed, tols.printed)):
+                if want is not None and not abs(got - want) <= tol:
+                    mismatches.append(f"{name}.{col}: computed {_fmt(got)} vs {label} {_fmt(want)} "
+                                      f"(|diff| {abs(got - want):.3e} > {tol:.1e})")
+    return mismatches
+
+
 def check_table1(tols: Tolerances = TOLS) -> tuple[dict, list[str]]:
     """Compare the computed table against closed forms and printed decimals."""
     rows = table1_rows(tols)
-    closed_tol = tols.hermiticity
-    printed_tol = tols.printed
-    mismatches = []
-    for name, row in rows.items():
-        for col in _COLUMNS:
-            got = row[col]
-            want = _TABLE1_CLOSED[name][col]
-            if abs(got - want) > closed_tol:
-                mismatches.append(
-                    f"{name}.{col}: computed {_fmt(got)} vs closed form {_fmt(want)} "
-                    f"(|diff| {abs(got - want):.3e} > {closed_tol:.1e})"
-                )
-            printed = _TABLE1_PRINTED.get((name, col))
-            if printed is not None and abs(got - printed) > printed_tol:
-                mismatches.append(
-                    f"{name}.{col}: computed {_fmt(got)} vs printed {printed} "
-                    f"(|diff| {abs(got - printed):.3e} > {printed_tol:.1e})"
-                )
-    return rows, mismatches
+    return rows, _mismatches(rows, tols)
 
 
 def _grid(pmin: float, pmax: float, step: float):
@@ -180,9 +172,8 @@ def werner_sweep_rows(pmin: float, pmax: float, step: float, tols: Tolerances = 
 
 
 def iso_report_data(tols: Tolerances = TOLS) -> dict:
-    rho_e, rho_s = isospectral_pair(tols=tols)
     data = {}
-    for tag, rho in (("E", rho_e), ("S", rho_s)):
+    for tag, rho in zip("ES", isospectral_pair(tols=tols)):
         report = classify(rho, tols=tols)
         data[tag] = {
             "spectrum": [float(v) for v in rho.eigenvalues],
@@ -198,21 +189,9 @@ def iso_report_data(tols: Tolerances = TOLS) -> dict:
 
 def check_iso_report(tols: Tolerances = TOLS) -> tuple[dict, list[str]]:
     data = iso_report_data(tols)
-    tol = tols.hermiticity
-    mismatches = []
     spec_gap = max(abs(a - b) for a, b in zip(data["E"]["spectrum"], data["S"]["spectrum"]))
-    if spec_gap > tols.support_cutoff:
-        mismatches.append(f"global spectra differ by {spec_gap:.3e}")
-    for tag in ("E", "S"):
-        if abs(data[tag]["mutual"] - _ISO_CLOSED["mutual"]) > tol:
-            mismatches.append(f"mutual entropy of {tag} off by "
-                              f"{abs(data[tag]['mutual'] - _ISO_CLOSED['mutual']):.3e}")
-    for key, tag in (("deficit_e", "E"), ("deficit_s", "S")):
-        if abs(data[tag]["deficit"] - _ISO_CLOSED[key]) > tol:
-            mismatches.append(f"deficit of {tag} off by {abs(data[tag]['deficit'] - _ISO_CLOSED[key]):.3e}")
-    for key, tag in (("concurrence_e", "E"), ("concurrence_s", "S")):
-        if abs(data[tag]["concurrence"] - _ISO_CLOSED[key]) > tol:
-            mismatches.append(f"concurrence of {tag} off by {abs(data[tag]['concurrence'] - _ISO_CLOSED[key]):.3e}")
+    mismatches = [f"global spectra differ by {spec_gap:.3e}"] if spec_gap > tols.support_cutoff else []
+    mismatches += _mismatches({f"iso:{tag}": row for tag, row in data.items()}, tols)
     return data, mismatches
 
 
@@ -230,11 +209,9 @@ def _cmd_table1(args, tols: Tolerances) -> int:
         cells = [name.ljust(widths[0])]
         cells += [_fmt(row[col]).ljust(w) for col, w in zip(_COLUMNS, widths[1:])]
         print("  ".join(cells).rstrip())
-    if mismatches:
-        for line in mismatches:
-            print(f"mismatch: {line}", file=sys.stderr)
-        return 1
-    return 0
+    for line in mismatches:
+        print(f"mismatch: {line}", file=sys.stderr)
+    return 1 if mismatches else 0
 
 
 def _cmd_werner_sweep(args, tols: Tolerances) -> int:
@@ -300,11 +277,9 @@ def _cmd_iso_report(args, tols: Tolerances) -> int:
         print(f"  entropy_diff_a     {_fmt(d['entropy_diff_a'])}")
         print(f"  mutual             {_fmt(d['mutual'])}")
         print(f"  deficit            {_fmt(d['deficit'])}")
-    if mismatches:
-        for line in mismatches:
-            print(f"mismatch: {line}", file=sys.stderr)
-        return 1
-    return 0
+    for line in mismatches:
+        print(f"mismatch: {line}", file=sys.stderr)
+    return 1 if mismatches else 0
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -353,10 +328,15 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     # CheckError, RegistryError and json.JSONDecodeError are ValueErrors: every input error exits 2.
     try:
-        return args.func(args, Tolerances(args.tolerance))
+        code = args.func(args, Tolerances(args.tolerance))
+        sys.stdout.flush()  # here, not at exit, so a short output's closed pipe is caught below too
+        return code
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
 
 
 if __name__ == "__main__":

@@ -332,6 +332,8 @@ def matrix_from_json(payload) -> np.ndarray:
         rows = [[_json_entry(entry) for entry in row] for row in payload]
     except TypeError as exc:
         raise ValueError("matrix payload must be nested arrays of [re, im] pairs") from exc
+    if len({len(row) for row in rows}) > 1:
+        raise ValueError("matrix payload has rows of unequal length")
     arr = np.array(rows, dtype=complex)
     if arr.ndim != 2:
         raise ValueError("matrix payload must be two-dimensional")

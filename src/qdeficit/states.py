@@ -1,5 +1,8 @@
-"""State constructors: Werner family, the six reference examples, the
-isospectral pair, pure two-qubit states, and seeded samplers.
+"""State constructors: Werner family, the paper's reference states, pure
+two-qubit states, and seeded samplers.
+
+The paper's eight reference states, E1..E6 and the isospectral pair iso:E
+and iso:S, are one table of matrices, ``_REFERENCE``, keyed by registry name.
 
 Computational basis order is |11>, |10>, |01>, |00> throughout.  A pure
 state is its amplitude vector (a11, a10, a01, a00) in that order, and a
@@ -54,6 +57,18 @@ _BELL_PROJECTOR = _projector(_BELL_PHI_PLUS)
 _MAXIMALLY_MIXED = np.eye(4) / 4.0
 
 
+_REFERENCE = {
+    "E1": (_projector([0, -2, 1, 0]) + _projector([0, 0, 0, 1])) / 6.0,
+    "E2": (_projector([0, 1, 1, 0]) + 4.0 * _projector([0, 0, 0, 1])) / 6.0,
+    "E3": (_projector([0, 1, 1, 0]) + _projector([0, 0, 0, 1])) / 3.0,
+    "E4": _projector(_ket([0, 1, -1, 0]) / math.sqrt(2)),
+    "E5": np.diag([0.0, 0.0, 0.5, 0.5]).astype(complex),
+    "E6": np.diag([0.5, 0.0, 0.0, 0.5]).astype(complex),
+    "iso:E": (_projector([1, 0, 0, 0]) + _projector([0, 1, 1, 0])) / 3.0,
+    "iso:S": np.diag([1.0, 0.0, 0.0, 2.0]).astype(complex) / 3.0,
+}
+
+
 def werner_matrices(ps) -> np.ndarray:
     """Stack ``(N, 4, 4)`` of p |Phi><Phi| + (1-p) I/4, one matrix per p in ``ps``."""
     ps = np.asarray(ps, dtype=float).reshape(-1)
@@ -68,25 +83,11 @@ def werner(p: float, *, tols: Tolerances = TOLS) -> DensityMatrix:
     return DensityMatrix(werner_matrices(p)[0], tols=tols)
 
 
-def _example_matrix(name: str) -> np.ndarray:
-    if name == "E1":
-        return (_projector([0, -2, 1, 0]) + _projector([0, 0, 0, 1])) / 6.0
-    if name == "E2":
-        return (_projector([0, 1, 1, 0]) + 4.0 * _projector([0, 0, 0, 1])) / 6.0
-    if name == "E3":
-        return (_projector([0, 1, 1, 0]) + _projector([0, 0, 0, 1])) / 3.0
-    if name == "E4":
-        return _projector(_ket([0, 1, -1, 0]) / math.sqrt(2))
-    if name == "E5":
-        return np.diag([0.0, 0.0, 0.5, 0.5]).astype(complex)
-    if name == "E6":
-        return np.diag([0.5, 0.0, 0.0, 0.5]).astype(complex)
-    raise RegistryError(f"unknown example state {name!r}")
-
-
 def example_state(name: str, *, tols: Tolerances = TOLS) -> DensityMatrix:
     """One of the six reference mixed/pure states E1..E6."""
-    return DensityMatrix(_example_matrix(name), tols=tols)
+    if name not in EXAMPLE_NAMES:
+        raise RegistryError(f"unknown example state {name!r}")
+    return DensityMatrix(_REFERENCE[name], tols=tols)
 
 
 def isospectral_pair(*, tols: Tolerances = TOLS) -> tuple[DensityMatrix, DensityMatrix]:
@@ -95,23 +96,7 @@ def isospectral_pair(*, tols: Tolerances = TOLS) -> tuple[DensityMatrix, Density
     The first is entangled, the second separable; they are distinguished
     by the quantum deficit but not by any spectrum-only functional.
     """
-    entangled = (
-        _projector([1, 0, 0, 0])
-        + np.array(
-            [
-                [0, 0, 0, 0],
-                [0, 1, 1, 0],
-                [0, 1, 1, 0],
-                [0, 0, 0, 0],
-            ],
-            dtype=complex,
-        )
-    ) / 3.0
-    separable = np.diag([1.0, 0.0, 0.0, 2.0]).astype(complex) / 3.0
-    return (
-        DensityMatrix(entangled, tols=tols),
-        DensityMatrix(separable, tols=tols),
-    )
+    return DensityMatrix(_REFERENCE["iso:E"], tols=tols), DensityMatrix(_REFERENCE["iso:S"], tols=tols)
 
 
 def pure_density(amps, *, tols: Tolerances = TOLS) -> DensityMatrix:
@@ -206,11 +191,8 @@ def from_registry(spec: str, *, tols: Tolerances = TOLS) -> DensityMatrix:
     such as ``0.5+0.5j``.
     """
     spec = spec.strip()
-    if spec in EXAMPLE_NAMES:
-        return example_state(spec, tols=tols)
-    if spec in ("iso:E", "iso:S"):
-        pair = isospectral_pair(tols=tols)
-        return pair[0] if spec == "iso:E" else pair[1]
+    if spec in _REFERENCE:
+        return DensityMatrix(_REFERENCE[spec], tols=tols)
     if spec.startswith("werner:"):
         try:
             p = float(spec.split(":", 1)[1])

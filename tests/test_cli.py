@@ -2,6 +2,9 @@ import json
 import math
 import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -35,6 +38,43 @@ class TestReferenceCommands:
         code, _, err = _run(capsys, "--tolerance", "1e-2", "table1")
         assert code == 1
         assert "E1.deficit_over_ln2: computed 0.601606745739 vs printed 0.6016" in err
+
+    @pytest.mark.parametrize(
+        "command, name, col, closed, line",
+        [
+            ("table1", "E2", "concurrence", 0.5,
+             "E2.concurrence: computed 0.333333333333 vs closed form 0.5 (|diff| 1.667e-01 > 1.0e-10)"),
+            ("table1", "E2", "concurrence", math.nan,
+             "E2.concurrence: computed 0.333333333333 vs closed form nan (|diff| nan > 1.0e-10)"),
+            ("iso-report", "iso:E", "deficit", 0.0,
+             "iso:E.deficit: computed 0.462098120373 vs closed form 0 (|diff| 4.621e-01 > 1.0e-10)"),
+            ("iso-report", "iso:S", "deficit", math.nan,
+             "iso:S.deficit: computed 0 vs closed form nan (|diff| nan > 1.0e-10)"),
+            ("iso-report", "iso:S", "mutual", 0.0,
+             "iso:S.mutual: computed 0.636514168295 vs closed form 0 (|diff| 6.365e-01 > 1.0e-10)"),
+        ],
+        ids=["E2.concurrence", "E2.concurrence-nan", "iso:E.deficit", "iso:S.deficit-nan", "iso:S.mutual"],
+    )
+    def test_closed_form_mismatch_is_verification_failure(self, capsys, monkeypatch, command, name, col, closed, line):
+        report = _run(capsys, command)[1]
+        monkeypatch.setitem(cli._CLOSED[name], col, closed)
+        code, out, err = _run(capsys, command)
+        assert code == 1
+        assert out == report
+        assert err == f"mismatch: {line}\n"
+
+    def test_closed_reader_exits_141_without_a_traceback(self):
+        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+        with subprocess.Popen(
+            [sys.executable, "-m", "qdeficit.cli", "werner-sweep", "--step", "1e-4"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+        ) as proc:
+            assert proc.stdout.readline().startswith(b"p,concurrence,")
+            proc.stdout.close()  # the reader stops after one line, as ``| head -1`` does
+            err = proc.stderr.read().decode()
+            assert proc.wait(timeout=60) == 141
+        assert "Traceback" not in err
+        assert "Exception ignored" not in err
 
 
 def _werner_entropy(p: float) -> float:
@@ -368,6 +408,22 @@ class TestClassify:
         assert code == 2
         assert out == ""
         assert err.startswith("error: matrix entry")
+
+    @pytest.mark.parametrize(
+        "payload, message",
+        [
+            ({"matrix": [[[1, 0]], [[0, 0], [1, 0]]]}, "error: matrix payload has rows of unequal length"),
+            (5, "error: matrix payload must be nested arrays of [re, im] pairs"),
+            ([], "error: matrix payload must be two-dimensional"),
+        ],        ids=["ragged", "number", "empty"],
+    )
+    def test_matrix_that_is_not_a_table_of_entries_is_input_error(self, capsys, tmp_path, payload, message):
+        path = tmp_path / "bad_matrix.json"
+        path.write_text(json.dumps(payload))
+        code, out, err = _run(capsys, "classify", str(path))
+        assert code == 2
+        assert out == ""
+        assert err == message + "\n"
 
     @pytest.mark.parametrize("entry", [{"a": 1, "b": 2}, [True, False]])
     def test_entry_that_is_not_a_pair_of_numbers_is_input_error(self, capsys, tmp_path, entry):
