@@ -35,9 +35,7 @@ from .states import (
     RegistryError,
     bloch_vectors,
     correlation_tensor,
-    example_state,
     from_registry,
-    isospectral_pair,
     pure_density,
     random_mixed,
     random_pure,

@@ -22,7 +22,7 @@ import sys
 
 from .audit import AUDIT_PROPERTIES, run_audit
 from .linalg import TOLS, DensityMatrix, Tolerances, density_from_json
-from .states import EXAMPLE_NAMES, example_state, from_registry, isospectral_pair, werner_matrices
+from .states import EXAMPLE_NAMES, from_registry, werner_matrices
 from .structure import classify, classify_stack, verdicts
 
 LN2 = math.log(2.0)
@@ -102,22 +102,18 @@ def _fmt(x: float) -> str:
     return format(float(x), ".12g")
 
 
-def table1_rows(tols: Tolerances = TOLS) -> dict[str, dict[str, float]]:
-    """Computed concurrence, q=1 entropy differences, D/ln2 and S/ln2 per example."""
+def _reference_rows(names, tols: Tolerances) -> dict[str, dict]:
+    """Per registry name: its ``state``, ``classify``'s fields, and D and I in units of ln 2."""
     rows = {}
-    for name in EXAMPLE_NAMES:
-        report = classify(example_state(name, tols=tols), tols=tols)
-        rows[name] = {
-            "concurrence": report.concurrence,
-            "entropy_diff_a": report.entropy_diff_a,
-            "entropy_diff_b": report.entropy_diff_b,
-            "deficit_over_ln2": report.deficit / LN2,
-            "mutual_over_ln2": report.mutual / LN2,
-        }
+    for name in names:
+        state = from_registry(name, tols=tols)
+        report = classify(state, tols=tols)
+        rows[name] = {"state": state, **report._asdict(),
+                      "deficit_over_ln2": report.deficit / LN2, "mutual_over_ln2": report.mutual / LN2}
     return rows
 
 
-def _mismatches(rows: dict[str, dict[str, float]], tols: Tolerances) -> list[str]:
+def _mismatches(rows: dict[str, dict], tols: Tolerances) -> list[str]:
     """One line per figure of ``rows`` off its closed form by more than ``tols.hermiticity``
     or off its printed decimal by more than ``tols.printed``; a NaN counts as off."""
     mismatches = []
@@ -129,12 +125,6 @@ def _mismatches(rows: dict[str, dict[str, float]], tols: Tolerances) -> list[str
                     mismatches.append(f"{name}.{col}: computed {_fmt(got)} vs {label} {_fmt(want)} "
                                       f"(|diff| {abs(got - want):.3e} > {tol:.1e})")
     return mismatches
-
-
-def check_table1(tols: Tolerances = TOLS) -> tuple[dict, list[str]]:
-    """Compare the computed table against closed forms and printed decimals."""
-    rows = table1_rows(tols)
-    return rows, _mismatches(rows, tols)
 
 
 def _grid(pmin: float, pmax: float, step: float):
@@ -171,37 +161,14 @@ def werner_sweep_rows(pmin: float, pmax: float, step: float, tols: Tolerances = 
     return rows
 
 
-def iso_report_data(tols: Tolerances = TOLS) -> dict:
-    data = {}
-    for tag, rho in zip("ES", isospectral_pair(tols=tols)):
-        report = classify(rho, tols=tols)
-        data[tag] = {
-            "spectrum": [float(v) for v in rho.eigenvalues],
-            "marginal_spectrum_a": [float(v) for v in rho.marginal("A").eigenvalues],
-            "marginal_spectrum_b": [float(v) for v in rho.marginal("B").eigenvalues],
-            "concurrence": report.concurrence,
-            "entropy_diff_a": report.entropy_diff_a,
-            "mutual": report.mutual,
-            "deficit": report.deficit,
-        }
-    return data
-
-
-def check_iso_report(tols: Tolerances = TOLS) -> tuple[dict, list[str]]:
-    data = iso_report_data(tols)
-    spec_gap = max(abs(a - b) for a, b in zip(data["E"]["spectrum"], data["S"]["spectrum"]))
-    mismatches = [f"global spectra differ by {spec_gap:.3e}"] if spec_gap > tols.support_cutoff else []
-    mismatches += _mismatches({f"iso:{tag}": row for tag, row in data.items()}, tols)
-    return data, mismatches
-
-
 # ---------------------------------------------------------------------------
 # Subcommands
 # ---------------------------------------------------------------------------
 
 
 def _cmd_table1(args, tols: Tolerances) -> int:
-    rows, mismatches = check_table1(tols)
+    rows = _reference_rows(EXAMPLE_NAMES, tols)
+    mismatches = _mismatches(rows, tols)
     header = ("example",) + _COLUMNS
     widths = [max(len(h), 18) for h in header]
     print("  ".join(h.ljust(w) for h, w in zip(header, widths)))
@@ -266,17 +233,19 @@ def _cmd_audit(args, tols: Tolerances) -> int:
 
 
 def _cmd_iso_report(args, tols: Tolerances) -> int:
-    data, mismatches = check_iso_report(tols)
-    for tag in ("E", "S"):
-        d = data[tag]
-        print(f"state {tag}:")
-        print(f"  spectrum           {' '.join(_fmt(v) for v in d['spectrum'])}")
-        print(f"  marginal spectra   A: {' '.join(_fmt(v) for v in d['marginal_spectrum_a'])}"
-              f"  B: {' '.join(_fmt(v) for v in d['marginal_spectrum_b'])}")
-        print(f"  concurrence        {_fmt(d['concurrence'])}")
-        print(f"  entropy_diff_a     {_fmt(d['entropy_diff_a'])}")
-        print(f"  mutual             {_fmt(d['mutual'])}")
-        print(f"  deficit            {_fmt(d['deficit'])}")
+    rows = _reference_rows(("iso:E", "iso:S"), tols)
+    spectra = [row["state"].eigenvalues for row in rows.values()]
+    spec_gap = max(abs(a - b) for a, b in zip(*spectra))
+    mismatches = [f"global spectra differ by {spec_gap:.3e}"] if spec_gap > tols.support_cutoff else []
+    mismatches += _mismatches(rows, tols)
+    for name, row in rows.items():
+        state = row["state"]
+        print(f"state {name[-1]}:")
+        print(f"  spectrum           {' '.join(_fmt(v) for v in state.eigenvalues)}")
+        print(f"  marginal spectra   A: {' '.join(_fmt(v) for v in state.marginal('A').eigenvalues)}"
+              f"  B: {' '.join(_fmt(v) for v in state.marginal('B').eigenvalues)}")
+        for col in ("concurrence", "entropy_diff_a", "mutual", "deficit"):
+            print(f"  {col:<19}{_fmt(row[col])}")
     for line in mismatches:
         print(f"mismatch: {line}", file=sys.stderr)
     return 1 if mismatches else 0

@@ -65,6 +65,9 @@ def tsallis_stack(values: np.ndarray, q: float, *, tols: Tolerances = TOLS) -> n
     if q == 1:
         return entropy_stack(values, tols=tols)
     _require_psd(values, tols)
+    # The plain power sum, not _log_power_sum: at q = 1 +- 1e-4 over 351 spectra, its worst error
+    # against 50-digit mpmath was 2.3e-12, the log route's 3.4e-12.  The log route serves the
+    # conditional at large q, where Tr rho^q underflows.
     # Entries off the support become 0, whose q-th power is exactly 0.
     support = np.where(values > tols.support_cutoff, values, 0.0)
     return (np.sum(support**q, axis=-1) - 1.0) / (1.0 - q)

@@ -211,10 +211,10 @@ class DensityMatrix:
     other shape fails the ``dims`` check.  Validation happens at
     construction, as ``density_stack`` validates a stack of one.  The
     read-only ``eigenvalues`` (descending) and ``eigenvectors`` (columns)
-    are that call's row 0; the marginals are cached.
+    are that call's row 0.
     """
 
-    __slots__ = ("matrix", "eigenvalues", "eigenvectors", "_marginals", "_tols")
+    __slots__ = ("matrix", "eigenvalues", "eigenvectors", "_tols")
 
     def __init__(self, matrix, *, tols: Tolerances = TOLS):
         arr = np.array(matrix, dtype=complex)
@@ -226,7 +226,6 @@ class DensityMatrix:
         self.matrix = _freeze(arr)
         self.eigenvalues = _freeze(values[0])
         self.eigenvectors = _freeze(vectors[0])
-        self._marginals: dict[str, "DensityMatrix"] = {}
         self._tols = tols
 
     @property
@@ -239,11 +238,7 @@ class DensityMatrix:
             raise ValueError(f"subsystem must be 'A' or 'B', got {keep!r}")
         if self.dims != (2, 2):
             raise CheckError("dims", 0.0, f"two-qubit state required, got dims {self.dims}")
-        cached = self._marginals.get(keep)
-        if cached is None:
-            cached = DensityMatrix(_hermitian_part(_partial_trace(self.matrix, keep)), tols=self._tols)
-            self._marginals[keep] = cached
-        return cached
+        return DensityMatrix(_hermitian_part(_partial_trace(self.matrix, keep)), tols=self._tols)
 
     def __repr__(self) -> str:
         return f"DensityMatrix(dims={self.dims}, spectrum={np.round(self.eigenvalues, 6)})"

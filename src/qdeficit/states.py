@@ -3,6 +3,9 @@ two-qubit states, and seeded samplers.
 
 The paper's eight reference states, E1..E6 and the isospectral pair iso:E
 and iso:S, are one table of matrices, ``_REFERENCE``, keyed by registry name.
+iso:E is entangled and iso:S separable, yet they share their global and
+marginal spectra: the quantum deficit tells them apart, no spectrum-only
+functional does.
 
 Computational basis order is |11>, |10>, |01>, |00> throughout.  A pure
 state is its amplitude vector (a11, a10, a01, a00) in that order, and a
@@ -25,8 +28,6 @@ __all__ = [
     "RegistryError",
     "werner_matrices",
     "werner",
-    "example_state",
-    "isospectral_pair",
     "pure_density",
     "bloch_vectors",
     "correlation_tensor",
@@ -81,22 +82,6 @@ def werner_matrices(ps) -> np.ndarray:
 def werner(p: float, *, tols: Tolerances = TOLS) -> DensityMatrix:
     """p |Phi><Phi| + (1-p) I/4 with Phi the (|00>+|11>)/sqrt(2) Bell state."""
     return DensityMatrix(werner_matrices(p)[0], tols=tols)
-
-
-def example_state(name: str, *, tols: Tolerances = TOLS) -> DensityMatrix:
-    """One of the six reference mixed/pure states E1..E6."""
-    if name not in EXAMPLE_NAMES:
-        raise RegistryError(f"unknown example state {name!r}")
-    return DensityMatrix(_REFERENCE[name], tols=tols)
-
-
-def isospectral_pair(*, tols: Tolerances = TOLS) -> tuple[DensityMatrix, DensityMatrix]:
-    """Two states with identical global and marginal spectra.
-
-    The first is entangled, the second separable; they are distinguished
-    by the quantum deficit but not by any spectrum-only functional.
-    """
-    return DensityMatrix(_REFERENCE["iso:E"], tols=tols), DensityMatrix(_REFERENCE["iso:S"], tols=tols)
 
 
 def pure_density(amps, *, tols: Tolerances = TOLS) -> DensityMatrix:

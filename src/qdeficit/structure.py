@@ -31,10 +31,12 @@ stay three calls per stack.
 
 A marginal whose two eigenvalues differ by more than ``tols.degeneracy``
 contributes its eigenvectors; otherwise its eigenbasis is not unique and
-the frame takes the computational basis, ordered by descending diagonal
-entry (ties keep index order).  On a stack this rule is a per-state,
-per-side mask, so degenerate and generic states share one call.  That
-makes decoherence deterministic but basis-dependent exactly where the
+the frame takes the computational basis in index order, with the
+marginal's diagonal as its eigenvalues.  No figure depends on that
+order: the classification reads the frame only through sorted or
+maximised quantities.  On a stack this rule is a per-state, per-side
+mask, so degenerate and generic states share one call.  That makes
+decoherence deterministic but basis-dependent exactly where the
 construction itself is underdetermined, so the classifier records when
 the fallback fired.
 """
@@ -69,7 +71,6 @@ __all__ = [
 ]
 
 _EYE2 = np.eye(2, dtype=complex)
-_SWAP2 = _EYE2[:, ::-1].copy()
 _EYE4 = np.eye(4)
 
 
@@ -78,11 +79,9 @@ def _frame_stack(marg: np.ndarray, values: np.ndarray, vectors: np.ndarray, tols
     vectors ``u`` ``(N, 4, 4)`` and their conjugate, from the marginals' eigendecompositions."""
     degenerate = values[..., 0] - values[..., 1] <= tols.degeneracy
     if np.count_nonzero(degenerate):
-        diag = np.real(np.diagonal(marg[degenerate], axis1=-2, axis2=-1))
-        swap = diag[:, 1] > diag[:, 0]
         values, vectors = values.copy(), vectors.copy()
-        values[degenerate] = np.where(swap[:, None], diag[:, ::-1], diag)
-        vectors[degenerate] = np.where(swap[:, None, None], _SWAP2, _EYE2)
+        values[degenerate] = np.real(np.diagonal(marg[degenerate], axis1=-2, axis2=-1))
+        vectors[degenerate] = _EYE2
     u = tensor_product(vectors[:, 0], vectors[:, 1])
     u_conj = u.conj()
     gram = np.abs(u_conj.swapaxes(-1, -2) @ u - _EYE4)
@@ -154,7 +153,7 @@ class Decoherence(NamedTuple):
 
     matrices: np.ndarray  # rho_d (N, 4, 4), diagonal in each state's frame
     joint: np.ndarray  # P[alpha, beta] (N, 2, 2), the diagonal of rho_d in the frame
-    frame_values: np.ndarray  # (N, side A/B, alpha): the frame's marginal eigenvalues
+    frame_values: np.ndarray  # (N, side A/B, alpha): marginal eigenvalues, a degenerate side's diagonal in index order
     degenerate: np.ndarray  # (N, side A/B): the side took the computational-basis frame
     weights: np.ndarray  # |<alpha, beta|Gamma>|^2 (N, alpha, beta, Gamma)
 

@@ -1,8 +1,8 @@
 """The entry points the benchmark calls still run and pass its own checks.
 
-``bench/workloads.py`` is loaded by path and left as it is; each workload
-runs one call on the first input of round 0 and its check must find no
-failed state.
+``bench/workloads.py`` and ``bench/spans.py`` are loaded by path and left
+as they are; each workload runs one call on the first input of round 0 and
+its check must find no failed state, and the tracer finds every name it wraps.
 """
 
 import importlib.util
@@ -12,18 +12,19 @@ import pytest
 
 import qdeficit
 import qdeficit.cli  # noqa: F401 - the workloads reach cli through the package
+from qdeficit.linalg import DensityMatrix
 
-WORKLOADS_PATH = Path(__file__).resolve().parent.parent / "bench" / "workloads.py"
+BENCH = Path(__file__).resolve().parent.parent / "bench"
 
 
-def _load_workloads():
-    spec = importlib.util.spec_from_file_location("bench_workloads", WORKLOADS_PATH)
+def _load(stem):
+    spec = importlib.util.spec_from_file_location(f"bench_{stem}", BENCH / f"{stem}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    return module.WORKLOADS
+    return module
 
 
-WORKLOADS = _load_workloads()
+WORKLOADS = _load("workloads").WORKLOADS
 
 
 @pytest.mark.parametrize("name", sorted(WORKLOADS))
@@ -32,3 +33,10 @@ def test_first_call_passes_its_check(name):
     first = workload.inputs(0)[0]
     result = workload.check(first, workload.call(qdeficit, first))
     assert result.failed == 0, result.notes
+
+
+def test_tracer_finds_every_name_it_wraps():
+    """Building the tracer looks up the ``DensityMatrix`` methods it wraps by name."""
+    tracer = _load("spans").Tracer(qdeficit)
+    patched = {(owner, attr) for owner, attr, _, _ in tracer._patches}
+    assert {(DensityMatrix, "__init__"), (DensityMatrix, "marginal")} <= patched

@@ -24,15 +24,41 @@ def _run(capsys, *argv):
     return code, out, err
 
 
+def _as_printed(got: float, want: float) -> bool:
+    """``got``, printed to 12 significant digits, is ``want`` up to half a unit in its last
+    digit; a vanishing figure may print its round-off."""
+    return math.isclose(got, want, rel_tol=5e-12, abs_tol=1e-15)
+
+
 class TestReferenceCommands:
     def test_table1_matches_reference(self, capsys):
         code, out, err = _run(capsys, "table1")
         assert code == 0, err
-        assert [line.split()[0] for line in out.splitlines()[1:]] == ["E1", "E2", "E3", "E4", "E5", "E6"]
+        header, *lines = [line.split() for line in out.splitlines()]
+        assert [cells[0] for cells in lines] == ["E1", "E2", "E3", "E4", "E5", "E6"]
+        printed = {cells[0]: dict(zip(header[1:], map(float, cells[1:]))) for cells in lines}
+        for name, row in printed.items():
+            for col, closed in cli._CLOSED[name].items():
+                assert _as_printed(row[col], closed), (name, col, row[col], closed)
 
     def test_iso_report_matches_reference(self, capsys):
-        code, _, err = _run(capsys, "iso-report")
+        code, out, err = _run(capsys, "iso-report")
         assert code == 0, err
+        printed = {}
+        for line in out.splitlines():
+            if line.startswith("state "):
+                row = printed[f"iso:{line[6:-1]}"] = {}
+            else:  # a 19-character label after two spaces, then the figures
+                row[line[2:21].strip()] = [float(v) for v in line[21:].replace("A:", "").replace("B:", "").split()]
+        assert list(printed) == ["iso:E", "iso:S"]
+        for name, row in printed.items():
+            spectra = row["spectrum"] + row["marginal spectra"]
+            assert len(spectra) == 8, name
+            for got, want in zip(spectra, [2 / 3, 1 / 3, 0, 0] + [2 / 3, 1 / 3] * 2):
+                assert _as_printed(got, want), (name, got, want)
+            for col, closed in cli._CLOSED[name].items():
+                (got,) = row[col]
+                assert _as_printed(got, closed), (name, col, got, closed)
 
     def test_tight_tolerance_is_verification_failure(self, capsys):
         code, _, err = _run(capsys, "--tolerance", "1e-2", "table1")

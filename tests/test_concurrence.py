@@ -7,8 +7,7 @@ from qdeficit.concurrence import concurrence_stack, lambda_spectrum, pure_concur
 from qdeficit.linalg import CheckError, DensityMatrix, density_stack, eigh_stack, transpose_stack
 from qdeficit.states import (
     bloch_vectors,
-    example_state,
-    isospectral_pair,
+    from_registry,
     pure_density,
     random_mixed,
     random_pure,
@@ -32,7 +31,7 @@ class TestSpinFlip:
         assert np.max(np.abs(spin_flip_stack(m) - m)) < 1e-15
 
     def test_singlet_invariant(self):
-        m = example_state("E4").matrix
+        m = from_registry("E4").matrix
         assert np.max(np.abs(spin_flip_stack(m) - m)) < 1e-15
 
     def test_basis_projector_flips(self):
@@ -65,7 +64,7 @@ class TestSpinFlip:
 
 class TestLambdaSpectrum:
     def test_singlet(self):
-        lam = lambda_spectrum(example_state("E4"))
+        lam = lambda_spectrum(from_registry("E4"))
         assert lam == pytest.approx((1.0, 0.0, 0.0, 0.0), abs=1e-12)
 
     def test_maximally_mixed(self):
@@ -101,7 +100,7 @@ class TestConcurrence:
         [("E1", 2 / 3), ("E2", 1 / 3), ("E3", 2 / 3), ("E4", 1.0), ("E5", 0.0), ("E6", 0.0)],
     )
     def test_reference_states(self, name, expected):
-        assert _concurrence(example_state(name).matrix)[0] == pytest.approx(expected, abs=1e-10)
+        assert _concurrence(from_registry(name).matrix)[0] == pytest.approx(expected, abs=1e-10)
 
     def test_werner_closed_form(self):
         ps = np.arange(0.0, 1.0 + 1e-12, 0.05)
@@ -112,7 +111,7 @@ class TestConcurrence:
         assert _concurrence(werner(2 / 3).matrix)[0] == pytest.approx(0.5, abs=1e-12)
 
     def test_isospectral_pair_distinguished(self):
-        rho_e, rho_s = isospectral_pair()
+        rho_e, rho_s = from_registry("iso:E"), from_registry("iso:S")
         assert _concurrence(rho_e.matrix, rho_s.matrix) == pytest.approx([2 / 3, 0.0], abs=1e-10)
 
     def test_range_and_flip_invariance(self):

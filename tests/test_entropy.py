@@ -16,8 +16,7 @@ from qdeficit.entropy import (
 )
 from qdeficit.linalg import CheckError, DensityMatrix, Tolerances, marginal_stack, tensor_product
 from qdeficit.states import (
-    example_state,
-    isospectral_pair,
+    from_registry,
     pure_density,
     random_mixed,
     random_pure,
@@ -77,7 +76,7 @@ class TestEntropyInputPsd:
 
 class TestVonNeumann:
     def test_pure_state_zero(self):
-        assert von_neumann(example_state("E4")) == pytest.approx(0.0, abs=1e-12)
+        assert von_neumann(from_registry("E4")) == pytest.approx(0.0, abs=1e-12)
 
     def test_maximally_mixed_qubit(self):
         assert von_neumann(DensityMatrix(np.eye(2) / 2)) == pytest.approx(LN2)
@@ -89,7 +88,7 @@ class TestVonNeumann:
 
 class TestTsallis:
     def test_pure_state_zero_for_any_q(self):
-        values = example_state("E4").eigenvalues[None]
+        values = from_registry("E4").eigenvalues[None]
         for q in (0.5, 1.0, 2.0, 5.0, 50.0):
             assert tsallis_stack(values, q)[0] == pytest.approx(0.0, abs=1e-12)
 
@@ -109,7 +108,7 @@ class TestTsallis:
                 conditional_tsallis(werner(0.5), "A", q)
 
     def test_continuity_at_q_one(self):
-        for rho in (werner(0.5), example_state("E1"), DensityMatrix(random_mixed(4, 3))):
+        for rho in (werner(0.5), from_registry("E1"), DensityMatrix(random_mixed(4, 3))):
             s1 = von_neumann(rho)
             above = tsallis_stack(rho.eigenvalues[None], 1.0 + 1e-4)[0]
             below = tsallis_stack(rho.eigenvalues[None], 1.0 - 1e-4)[0]
@@ -123,18 +122,18 @@ class TestEntropyDifference:
     """S_q(AB) - S_q(side) through ``conditional_tsallis``; at q = 1 it is the plain difference."""
 
     def test_e1_negative_on_a_zero_on_b(self):
-        rho = example_state("E1")
+        rho = from_registry("E1")
         assert conditional_tsallis(rho, "A", 1.0) == pytest.approx((5 / 6) * math.log(4 / 5), abs=1e-10)
         assert conditional_tsallis(rho, "B", 1.0) == pytest.approx(0.0, abs=1e-10)
 
     def test_e2_positive_both_sides(self):
-        rho = example_state("E2")
+        rho = from_registry("E2")
         expected = (5 / 6) * math.log(5 / 4)
         assert conditional_tsallis(rho, "A", 1.0) == pytest.approx(expected, abs=1e-10)
         assert conditional_tsallis(rho, "B", 1.0) == pytest.approx(expected, abs=1e-10)
 
     def test_e3_zero_for_all_q(self):
-        rho = example_state("E3")
+        rho = from_registry("E3")
         for q in (0.5, 1.0, 2.0, 5.0):
             for side in ("A", "B"):
                 assert abs(conditional_tsallis(rho, side, q)) <= 1e-12
@@ -155,7 +154,7 @@ class TestEntropyDifference:
 class TestConditionalTsallis:
     def test_reduces_to_difference_at_q_one(self):
         for name in ("E1", "E2", "E3", "E4", "E5", "E6"):
-            rho = example_state(name)
+            rho = from_registry(name)
             for side in ("A", "B"):
                 diff = von_neumann(rho) - von_neumann(rho.marginal(side))
                 assert conditional_tsallis(rho, side, 1.0) == pytest.approx(diff, abs=1e-14)
@@ -164,7 +163,7 @@ class TestConditionalTsallis:
                     assert conditional_tsallis(rho, side, q) == pytest.approx(diff, abs=1e-5)
 
     def test_bell_state_minus_ln2(self):
-        rho = example_state("E4")
+        rho = from_registry("E4")
         for side in ("A", "B"):
             assert conditional_tsallis(rho, side, 1.0) == pytest.approx(-LN2, abs=1e-12)
 
@@ -226,13 +225,13 @@ class TestInfinityCriterion:
         assert sat_a and sat_b
 
     def test_pure_entangled_violates(self):
-        assert tsallis_infinity_criterion(example_state("E4")) == (False, False)
+        assert tsallis_infinity_criterion(from_registry("E4")) == (False, False)
 
     def test_e6_boundary_satisfied(self):
-        assert tsallis_infinity_criterion(example_state("E6")) == (True, True)
+        assert tsallis_infinity_criterion(from_registry("E6")) == (True, True)
 
     def test_agrees_with_q50_sign_on_reference_states(self):
-        states = [example_state(name) for name in ("E1", "E2", "E3", "E4", "E5", "E6")]
+        states = [from_registry(name) for name in ("E1", "E2", "E3", "E4", "E5", "E6")]
         states += [werner(float(p)) for p in np.arange(0.0, 1.0 + 1e-12, 0.05)]
         for rho in states:
             flags = tsallis_infinity_criterion(rho)
@@ -241,7 +240,7 @@ class TestInfinityCriterion:
                 assert flag == (sign >= -1e-12), (rho, side, sign)
 
     def test_agrees_with_q100_sign_away_from_boundary(self):
-        states = [example_state(name) for name in ("E1", "E2", "E3", "E4", "E5", "E6")]
+        states = [from_registry(name) for name in ("E1", "E2", "E3", "E4", "E5", "E6")]
         states += [werner(float(p)) for p in np.arange(0.0, 1.0 + 1e-12, 0.05)]
         states += [DensityMatrix(random_mixed(seed, seed % 4 + 1)) for seed in range(40)]
         checked = {True: 0, False: 0}
@@ -261,14 +260,14 @@ class TestMutualEntropy:
     """S(A) + S(B) - S(AB), ``classify``'s ``mutual``."""
 
     def test_product_example_zero(self):
-        assert classify(example_state("E5")).mutual == pytest.approx(0.0, abs=1e-12)
+        assert classify(from_registry("E5")).mutual == pytest.approx(0.0, abs=1e-12)
 
     def test_bell_state(self):
-        assert classify(example_state("E4")).mutual == pytest.approx(2 * LN2, abs=1e-12)
+        assert classify(from_registry("E4")).mutual == pytest.approx(2 * LN2, abs=1e-12)
 
     def test_isospectral_pair_share_value(self):
         expected = (3 * LN3 - 2 * LN2) / 3
-        for rho in isospectral_pair():
+        for rho in (from_registry("iso:E"), from_registry("iso:S")):
             assert classify(rho).mutual == pytest.approx(expected, abs=1e-10)
 
     @settings(deadline=None, max_examples=50)
@@ -283,7 +282,7 @@ class TestMutualEntropy:
         product = DensityMatrix(tensor_product(rho_a, sigma_b))
         assert classify(product).mutual <= 1e-10
         # and a correlated state is bounded away from zero
-        assert classify(example_state("E6")).mutual > 0.5
+        assert classify(from_registry("E6")).mutual > 0.5
 
 
 def _relative_entropy_oracle(m1: np.ndarray, m2: np.ndarray) -> float:
@@ -335,7 +334,7 @@ class TestRelativeEntropy:
 
     def test_support_violation_returns_infinity(self):
         full = DensityMatrix(np.eye(4) / 4)
-        pure = example_state("E4")
+        pure = from_registry("E4")
         assert relative_entropy(full, pure) == math.inf
 
     def test_positive_for_distinct_states(self):

@@ -22,7 +22,7 @@ from qdeficit.linalg import (
     tensor_product,
     transpose_stack,
 )
-from qdeficit.states import example_state, werner
+from qdeficit.states import from_registry, werner
 from qdeficit.structure import classify
 
 from helpers import kron_oracle, matrix_json, numpy_spectrum, random_hermitian
@@ -182,7 +182,7 @@ class TestTensorProduct:
 
 class TestPartialTrace:
     def test_singlet_marginal_maximally_mixed(self):
-        singlet = example_state("E4")
+        singlet = from_registry("E4")
         for side in ("A", "B"):
             marg = singlet.marginal(side)
             assert np.max(np.abs(marg.matrix - np.eye(2) / 2)) < 1e-15
@@ -195,7 +195,7 @@ class TestPartialTrace:
         assert np.max(np.abs(composite.marginal("B").matrix - sigma_b)) < 1e-15
 
     def test_example_marginals(self):
-        e1 = example_state("E1")
+        e1 = from_registry("E1")
         assert np.max(np.abs(e1.marginal("A").matrix - np.diag([4 / 6, 2 / 6]))) < 1e-15
         assert np.max(np.abs(e1.marginal("B").matrix - np.diag([1 / 6, 5 / 6]))) < 1e-15
 
@@ -243,7 +243,7 @@ class TestPartialTranspose:
         assert below > 0 > above
 
     def test_singlet_minimum_eigenvalue(self):
-        vals = numpy_spectrum(transpose_stack(example_state("E4").matrix, "B"))
+        vals = numpy_spectrum(transpose_stack(from_registry("E4").matrix, "B"))
         assert vals[-1] == pytest.approx(-0.5, abs=1e-12)
 
     def test_involution_and_trace(self):

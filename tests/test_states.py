@@ -12,9 +12,7 @@ from qdeficit.states import (
     RegistryError,
     bloch_vectors,
     correlation_tensor,
-    example_state,
     from_registry,
-    isospectral_pair,
     pure_density,
     random_mixed,
     random_pure,
@@ -81,34 +79,34 @@ class TestExampleStates:
     @pytest.mark.parametrize("name", list(SPECTRA))
     def test_spectrum(self, name):
         expected = [float(v) for v in self.SPECTRA[name]]
-        assert np.max(np.abs(example_state(name).eigenvalues - expected)) <= 1e-12
+        assert np.max(np.abs(from_registry(name).eigenvalues - expected)) <= 1e-12
 
     @pytest.mark.parametrize("name", list(MARGINALS))
     def test_marginal_diagonals(self, name):
-        rho = example_state(name)
+        rho = from_registry(name)
         diag_a, diag_b = self.MARGINALS[name]
         assert np.max(np.abs(rho.marginal("A").matrix - np.diag([float(v) for v in diag_a]))) <= 1e-15
         assert np.max(np.abs(rho.marginal("B").matrix - np.diag([float(v) for v in diag_b]))) <= 1e-15
 
     def test_singlet_matches_amplitude_construction(self):
-        assert np.max(np.abs(example_state("E4").matrix - pure_density(SINGLET).matrix)) < 1e-15
+        assert np.max(np.abs(from_registry("E4").matrix - pure_density(SINGLET).matrix)) < 1e-15
 
     def test_unknown_name(self):
         with pytest.raises(RegistryError):
-            example_state("E7")
+            from_registry("E7")
 
 
 class TestIsospectralPair:
     def test_identical_global_spectra(self):
-        rho_e, rho_s = isospectral_pair()
+        rho_e, rho_s = from_registry("iso:E"), from_registry("iso:S")
         assert np.max(np.abs(rho_e.eigenvalues - rho_s.eigenvalues)) <= 1e-12
         assert np.allclose(rho_e.eigenvalues, [2 / 3, 1 / 3, 0, 0], atol=1e-15)
 
     def test_marginal_spectra_coincide_as_sets(self):
-        rho_e, rho_s = isospectral_pair()
+        rho_e, rho_s = from_registry("iso:E"), from_registry("iso:S")
         spectra = [
             sorted(np.round(rho.marginal(side).eigenvalues, 12))
-            for rho in isospectral_pair()
+            for rho in (rho_e, rho_s)
             for side in ("A", "B")
         ]
         for s in spectra[1:]:
@@ -286,11 +284,16 @@ class TestSamplers:
 
 
 class TestRegistry:
+    # Entry by entry in the basis |11>, |10>, |01>, |00>, times 3.
+    NAMED = {
+        "E3": [[0, 0, 0, 0], [0, 1, 1, 0], [0, 1, 1, 0], [0, 0, 0, 1]],
+        "iso:E": [[1, 0, 0, 0], [0, 1, 1, 0], [0, 1, 1, 0], [0, 0, 0, 0]],
+        "iso:S": [[1, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 2]],
+    }
+
     def test_named_states(self):
-        assert np.array_equal(from_registry("E3").matrix, example_state("E3").matrix)
-        rho_e, rho_s = isospectral_pair()
-        assert np.array_equal(from_registry("iso:E").matrix, rho_e.matrix)
-        assert np.array_equal(from_registry("iso:S").matrix, rho_s.matrix)
+        for name, thirds in self.NAMED.items():
+            assert np.max(np.abs(from_registry(name).matrix - np.array(thirds) / 3)) <= 1e-16, name
 
     def test_werner_spec(self):
         assert np.array_equal(from_registry("werner:0.25").matrix, werner(0.25).matrix)

@@ -16,10 +16,10 @@ from qdeficit.linalg import (
     marginal_stack,
     tensor_product,
 )
-from qdeficit.states import example_state, from_registry, random_mixed, werner, werner_matrices
+from qdeficit.states import from_registry, random_mixed, werner, werner_matrices
 from qdeficit.structure import classify, classify_stack, decohere_stack, verdicts
 
-from helpers import numpy_spectrum
+from helpers import I2, SZ, numpy_spectrum
 from unfused import classify_columns
 
 SEEDED_STATES = st.tuples(st.integers(min_value=0, max_value=2**32 - 1), st.integers(min_value=1, max_value=4))
@@ -56,7 +56,7 @@ class TestDecohere:
         assert np.max(np.abs(rho_dd.matrix - rho_d.matrix)) <= 1e-12
 
     def test_idempotent_on_degenerate_marginals(self):
-        for rho in (werner(0.3), example_state("E5"), example_state("E6")):
+        for rho in (werner(0.3), from_registry("E5"), from_registry("E6")):
             rho_d = decohere(rho).state
             rho_dd = decohere(rho_d).state
             assert np.max(np.abs(rho_dd.matrix - rho_d.matrix)) <= 1e-12
@@ -256,7 +256,8 @@ def _shift_decohered_entropy(monkeypatch, werner_stack: np.ndarray, shifts) -> N
 
 def _mixed_stack() -> np.ndarray:
     """Degenerate and generic marginals side by side: the paper's states, Werner
-    states, 200 seeded mixed states of rank 1-4, products and decohered states."""
+    states, 200 seeded mixed states of rank 1-4, products, decohered states and
+    a Werner state whose marginals are degenerate only within the tolerance."""
     names = ["E1", "E2", "E3", "E4", "E5", "E6", "iso:E", "iso:S"]
     mats = [from_registry(name).matrix for name in names]
     mats += list(werner_matrices([0.0, 0.3, 1 / 3, 1.0]))
@@ -264,7 +265,9 @@ def _mixed_stack() -> np.ndarray:
     rng = np.random.default_rng(11)
     mats += [tensor_product(_random_qubit_state(rng), _random_qubit_state(rng)) for _ in range(10)]
     mats += [decohere(DensityMatrix(random_mixed(1000 + seed, 1 + seed % 4))).state.matrix for seed in range(10)]
-    mats += [decohere(werner(0.6)).state.matrix, decohere(example_state("E1")).state.matrix]
+    mats += [decohere(werner(0.6)).state.matrix, decohere(from_registry("E1")).state.matrix]
+    # Each marginal's diagonal rises by 2e-11, inside tols.degeneracy: the frame keeps index order.
+    mats.append(werner_matrices([0.3])[0] - 2e-11 * (tensor_product(SZ, I2) + tensor_product(I2, SZ)) / 4)
     return np.array(mats)
 
 

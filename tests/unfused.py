@@ -34,6 +34,8 @@ def marginals(m: np.ndarray, tols: Tolerances = TOLS):
 
 
 def _frame(marg: np.ndarray, values: np.ndarray, vectors: np.ndarray, tols: Tolerances):
+    """The frame, a degenerate side ordered by descending diagonal where ``structure`` keeps
+    index order: no column may depend on that order."""
     degenerate = values[..., 0] - values[..., 1] <= tols.degeneracy
     if np.count_nonzero(degenerate):
         diag = np.real(np.diagonal(marg[degenerate], axis1=-2, axis2=-1))
