@@ -13,7 +13,7 @@ them ``(..., 4)`` is what the closed forms ``bloch_vectors``,
 ``correlation_tensor`` and ``pure_concurrence`` take.
 """
 
-from .concurrence import concurrence_stack, lambda_spectrum, pure_concurrence, spin_flip_stack
+from .concurrence import lambda_spectrum, pure_concurrence, spin_flip_stack
 from .entropy import (
     conditional_tsallis,
     relative_entropy_stack,

@@ -7,13 +7,21 @@ random local unitaries are drawn from ``default_rng((s, i, 7))``.  Pure
 and product states get their own properties too.
 
 The draws are made one state at a time.  Everything after them runs on
-stacks of at most ``STACK_SIZE`` states: each stack is validated once by
-``density_stack``, and each property's magnitude is one array over the
-stack, from the package's stack kernels (``marginal_stack``,
-``transpose_stack``, ``eigvalsh_stack``, ``sqrt_stack``,
-``concurrence_stack``, ``entropy_stack``, ``tsallis_stack``,
+stacks of at most ``STACK_SIZE`` states, and each property's magnitude is
+one array over the stack, from the package's stack kernels
+(``marginal_stack``, ``transpose_stack``, ``eigvalsh_stack``,
+``sqrt_stack``, ``spin_flip_stack``, ``spin_flip_core_stack``,
+``core_concurrence``, ``entropy_stack``, ``tsallis_stack``,
 ``relative_entropy_stack`` and the frame pass ``decohere_stack``), held
-against its bound once.  The pure-only and product-only properties run
+against its bound once.  The states are validated by one
+``density_stack`` call, and the four matrices derived from each state
+(its marginal product, spin flip, local rotation and rho_d) by a second
+one on a stack ``(N, 4, 4, 4)`` grouped on axis 1, so that a failing
+check names state k.  The spin-flip cores of rho, its flip and its
+rotation are solved with rho's partial transpose in one ``eigvalsh_stack``
+call.  A stack makes four ``eigh`` calls, six when it holds a mixed
+product (whose factors and their marginals are validated too), and one
+``eigvalsh``.  The pure-only and product-only properties run
 on the pure and the product rows of the stack; the pure rows' second
 route is the closed forms ``bloch_vectors``, ``correlation_tensor`` and
 ``pure_concurrence`` on their amplitude stack ``(P, 4)``, which solve no
@@ -35,7 +43,7 @@ from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
-from .concurrence import concurrence_stack, pure_concurrence, spin_flip_stack
+from .concurrence import core_concurrence, pure_concurrence, spin_flip_core_stack, spin_flip_stack
 from .entropy import entropy_stack, relative_entropy_stack, tsallis_stack
 from .linalg import (
     I2,
@@ -87,7 +95,8 @@ AUDIT_PROPERTIES = (
 
 _POSITION = {prop: k for k, prop in enumerate(AUDIT_PROPERTIES)}
 
-# States per stack: bounds the working arrays (a few hundred kB) whatever the number of states.
+# States per stack: bounds the working arrays whatever the number of states.  The largest,
+# the grouped (N, 4, 4, 4) stacks of derived matrices and of spin-flip cores, take 256 kB each.
 STACK_SIZE = 256
 
 # tsallis-continuity compares S_q at q = 1 +- this offset with S.
@@ -155,7 +164,8 @@ def _check_stack(indices, seed: int, tols: Tolerances):
     product = np.array([k for k, (_, _, is_product, _) in enumerate(draws) if is_product], dtype=int)
     mixed_product = [k for k, (_, _, _, drawn) in enumerate(draws) if isinstance(drawn, tuple)]
 
-    m = np.empty((len(draws), 4, 4), dtype=complex)
+    n = len(draws)
+    m = np.empty((n, 4, 4), dtype=complex)
     for k, (_, _, _, drawn) in enumerate(draws):
         if not isinstance(drawn, tuple):
             m[k] = drawn
@@ -172,6 +182,8 @@ def _check_stack(indices, seed: int, tols: Tolerances):
     def record(prop: str, ok: np.ndarray, detail, rows: np.ndarray | None = None):
         """``ok`` holds one verdict per row of ``rows`` (default: every state); ``detail(j)`` describes row j."""
         checked[prop] += len(ok)
+        if ok.all():
+            return
         for j in np.flatnonzero(~ok):
             k = j if rows is None else rows[j]
             failures.append((indices[k], _POSITION[prop], prop, f"{labels[k]}: {detail(j)}"))
@@ -179,15 +191,28 @@ def _check_stack(indices, seed: int, tols: Tolerances):
     w, v = density_stack(m, tols=tols)
     marginals = marginal_stack(m, tols=tols)
     marg, marg_w = marginals[0], marginals[1]
+    dec = decohere_stack(m, marginals, v, tols=tols)
+    units = _haar_unitaries(gaussians)
+    u_local = tensor_product(units[:, 0], units[:, 1])
+
+    # The product of rho's marginals, its spin flip, its local rotation and rho_d, validated
+    # as one stack grouped on axis 1; the product's and rho_d's marginals in one call.
+    derived = np.stack(
+        (tensor_product(marg[:, 0], marg[:, 1]), spin_flip_stack(m), u_local @ m @ _dagger(u_local), dec.matrices),
+        axis=1,
+    )
+    derived_w, derived_v = density_stack(derived, tols=tols)
+    derived_marginals = marginal_stack(derived[:, ::3], tols=tols)
+    prod, rho_d = derived[:, 0], derived[:, 3]
+    w_d, v_d = derived_w[:, 3], derived_v[:, 3]
+    marginals_d = tuple(x[:, 1] for x in derived_marginals)
 
     rec = _max_abs((v * w[:, None, :]) @ _dagger(v) - m)
     tr = np.abs(w.sum(axis=-1) - m.trace(axis1=-2, axis2=-1).real)
     ok = (rec <= tols.identity) & (tr <= tols.identity)
     record("eig-reconstruction", ok, lambda j: f"rec={rec[j]:.2e} tr={tr[j]:.2e}")
 
-    prod = tensor_product(marg[:, 0], marg[:, 1])
-    density_stack(prod, tols=tols)
-    kron = _max_abs(marginal_stack(prod, tols=tols)[0][:, 0] - marg[:, 0])
+    kron = _max_abs(derived_marginals[0][:, 0, 0] - marg[:, 0])
     record("kron-partial-trace", kron <= tols.reshuffle, lambda j: f"{kron[j]:.2e}")
 
     # involution checked on the raw matrices: the transpose of an entangled
@@ -216,29 +241,28 @@ def _check_stack(indices, seed: int, tols: Tolerances):
     ok = (up <= tols.continuity) & (down <= tols.continuity)
     record("tsallis-continuity", ok, lambda j: f"{max(up[j], down[j]):.2e}")
 
-    conc = concurrence_stack(m, w, v, tols=tols)
+    # The spin-flip cores of rho, its flip and its rotation, and rho's partial transpose: one values-only call.
+    cores = np.empty((n, 4, 4, 4), dtype=complex)
+    cores[:, 0] = spin_flip_core_stack(w, v)
+    cores[:, 1:3] = spin_flip_core_stack(derived_w[:, 1:3], derived_v[:, 1:3])
+    cores[:, 3] = pt
+    spectra = eigvalsh_stack(cores, tols=tols)
+    conc, conc_flip, conc_rot = core_concurrence(spectra[:, :3], tols=tols).T
     ok = (conc >= -tols.support_cutoff) & (conc <= 1.0 + tols.hermiticity)
     record("concurrence-range", ok, lambda j: f"{float(conc[j])}")
 
-    flipped = spin_flip_stack(m)
-    flip_gap = np.abs(conc - concurrence_stack(flipped, *density_stack(flipped, tols=tols), tols=tols))
+    flip_gap = np.abs(conc - conc_flip)
     record("concurrence-flip-invariance", flip_gap <= tols.concurrence_zero, lambda j: f"{flip_gap[j]:.2e}")
 
-    units = _haar_unitaries(gaussians)
-    u_local = tensor_product(units[:, 0], units[:, 1])
-    rotated = u_local @ m @ _dagger(u_local)
-    lu_gap = np.abs(conc - concurrence_stack(rotated, *density_stack(rotated, tols=tols), tols=tols))
+    lu_gap = np.abs(conc - conc_rot)
     record("concurrence-local-unitary", lu_gap <= tols.concurrence_zero, lambda j: f"{lu_gap[j]:.2e}")
 
-    ppt_min = eigvalsh_stack(pt, tols=tols)[:, -1]
+    ppt_min = spectra[:, 3, -1]
     zero = tols.concurrence_zero
     ok = (conc > zero) & (ppt_min < -zero) | (conc <= zero) & (ppt_min >= -zero)
     record("concurrence-ppt-equivalence", ok, lambda j: f"C={conc[j]:.3e} ppt={ppt_min[j]:.3e}")
 
-    dec = decohere_stack(m, marginals, v, tols=tols)
-    rho_d, joint, frame_w = dec.matrices, dec.joint, dec.frame_values
-    w_d, v_d = density_stack(rho_d, tols=tols)
-    marginals_d = marginal_stack(rho_d, tols=tols)
+    joint, frame_w = dec.joint, dec.frame_values
     err = _max_abs(marginals_d[0] - marg)
     record("decohere-marginals", err <= tols.identity, lambda j: f"{err[j]:.2e}")
 

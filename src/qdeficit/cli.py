@@ -21,7 +21,7 @@ import os
 import sys
 
 from .audit import AUDIT_PROPERTIES, run_audit
-from .linalg import TOLS, DensityMatrix, Tolerances, density_from_json
+from .linalg import TOLS, DensityMatrix, Tolerances, density_from_json, marginal_stack
 from .states import EXAMPLE_NAMES, from_registry, werner_matrices
 from .structure import classify, classify_stack, verdicts
 
@@ -240,10 +240,10 @@ def _cmd_iso_report(args, tols: Tolerances) -> int:
     mismatches += _mismatches(rows, tols)
     for name, row in rows.items():
         state = row["state"]
+        marg_a, marg_b = marginal_stack(state.matrix[None], tols=tols)[1][0]
         print(f"state {name[-1]}:")
         print(f"  spectrum           {' '.join(_fmt(v) for v in state.eigenvalues)}")
-        print(f"  marginal spectra   A: {' '.join(_fmt(v) for v in state.marginal('A').eigenvalues)}"
-              f"  B: {' '.join(_fmt(v) for v in state.marginal('B').eigenvalues)}")
+        print(f"  marginal spectra   A: {' '.join(_fmt(v) for v in marg_a)}  B: {' '.join(_fmt(v) for v in marg_b)}")
         for col in ("concurrence", "entropy_diff_a", "mutual", "deficit"):
             print(f"  {col:<19}{_fmt(row[col])}")
     for line in mismatches:

@@ -1,15 +1,18 @@
 """Wootters concurrence for two-qubit density matrices.
 
-The spin-flip spectrum is computed by a Hermitian route: the eigenvalues
-of rho * rho_tilde equal those of the core sqrt(rho) rho_tilde sqrt(rho),
-which is Hermitian PSD, so no general non-Hermitian eigensolver is
-needed.  Only the core's eigenvalues are read, so ``eigvalsh_stack``
-solves it and no eigenvectors are built.  On a validated stack
-``(N, 4, 4)`` with its eigendecompositions, ``spin_flip_core_stack``
-builds the cores and ``core_concurrence`` turns their spectra into
-concurrences; ``concurrence_stack`` is the two combined, and a caller
-with other spectra to solve can put the cores into its own stack.
-``lambda_spectrum`` is the N = 1 call; a single state's concurrence is
+The spin-flip spectrum is computed by a Hermitian route.  With
+rho = V W V† and Y = sigma_y x sigma_y, Wootters' symmetric matrix
+tau = sqrt(W) V^T Y V sqrt(W) (PRL 80, 2245, 1998) has singular values
+lambda_i, the square roots of the eigenvalues of rho * rho_tilde, so the
+Hermitian PSD core tau† tau has eigenvalues lambda_i^2 and no general
+non-Hermitian eigensolver is needed.  Y V is V with its rows reversed and
+signed, so tau takes one 4x4 product and its core a second.  Only the
+core's eigenvalues are read, so ``eigvalsh_stack`` solves it and no
+eigenvectors are built.  From a validated stack's eigendecompositions,
+``spin_flip_core_stack`` builds the cores and ``core_concurrence`` turns
+their spectra into concurrences; a caller puts the cores into its own
+stack with the other spectra it solves.  ``lambda_spectrum`` is the
+N = 1 call; a single state's concurrence is
 ``classify(rho).concurrence``.  A brute-force cross-check against the
 characteristic polynomial of the matrix product lives in the test suite.
 ``pure_concurrence`` is the closed form on a stack of pure-state
@@ -20,20 +23,21 @@ from __future__ import annotations
 
 import numpy as np
 
-from .linalg import TOLS, CheckError, DensityMatrix, Tolerances, eigvalsh_stack, sqrt_stack
+from .linalg import TOLS, CheckError, DensityMatrix, Tolerances, eigvalsh_stack
 
 __all__ = [
     "spin_flip_stack",
     "spin_flip_core_stack",
     "core_concurrence",
     "lambda_spectrum",
-    "concurrence_stack",
     "pure_concurrence",
 ]
 
-# sigma_y x sigma_y is anti-diagonal with entries s = (-1, 1, 1, -1), so conjugating by it
-# reverses both indices and multiplies entry (i, j) by s_i s_j.
-_FLIP_SIGNS = np.outer((-1.0, 1.0, 1.0, -1.0), (-1.0, 1.0, 1.0, -1.0))
+# sigma_y x sigma_y is anti-diagonal with entries s = (-1, 1, 1, -1): multiplying by it
+# reverses the row index and multiplies row i by s_i, and conjugating by it reverses both
+# indices and multiplies entry (i, j) by s_i s_j.
+_SIGNS = np.array((-1.0, 1.0, 1.0, -1.0))
+_FLIP_SIGNS = np.outer(_SIGNS, _SIGNS)
 
 # Eigenvalues of the Hermitian core below this are round-off zeros; taking
 # their square root would inflate them to ~1e-8 and bias the concurrence.
@@ -50,33 +54,35 @@ def spin_flip_stack(m: np.ndarray) -> np.ndarray:
     return 0.5 * (f + f.conj().swapaxes(-1, -2))
 
 
-def spin_flip_core_stack(m: np.ndarray, values: np.ndarray, vectors: np.ndarray) -> np.ndarray:
-    """Hermitian cores sqrt(rho) rho_tilde sqrt(rho) ``(N, 4, 4)`` of a stack with its eigendecompositions."""
-    root = sqrt_stack(values, vectors)
-    core = root @ spin_flip_stack(m) @ root
-    return 0.5 * (core + core.conj().swapaxes(-1, -2))
+def spin_flip_core_stack(values: np.ndarray, vectors: np.ndarray) -> np.ndarray:
+    """Hermitian cores tau† tau ``(..., 4, 4)`` from the eigendecompositions ``(values, vectors)``
+    of a stack of two-qubit states, tau = sqrt(W) V^T Y V sqrt(W) in each state's eigenbasis."""
+    if np.shape(vectors)[-2:] != (4, 4):
+        raise CheckError("dims", 0.0, f"two-qubit eigenvectors (..., 4, 4) required, got shape {np.shape(vectors)}")
+    b = vectors * np.sqrt(np.maximum(values, 0.0))[..., None, :]
+    tau = b.swapaxes(-1, -2) @ (_SIGNS[:, None] * b[..., ::-1, :])
+    # Entries (i, j) and (j, i) of tau† tau are sums of conjugate products: no symmetrizing pass.
+    return tau.conj().swapaxes(-1, -2) @ tau
 
 
 def _lambdas(core_values: np.ndarray, tols: Tolerances) -> np.ndarray:
-    """Spin-flip singular values ``(N, 4)``, descending, from the cores' descending eigenvalues."""
-    CheckError.below("lambda nonnegativity", core_values[:, -1], -tols.identity)
+    """Spin-flip singular values ``(..., 4)``, descending, from the cores' descending eigenvalues.
+
+    The check reads ``core_values[..., -1]``, so on a stack ``(N, ...)`` a failure names state k.
+    """
+    CheckError.below("lambda nonnegativity", core_values[..., -1], -tols.identity)
     return np.sqrt(np.where(core_values < _CORE_NOISE_FLOOR, 0.0, core_values))
 
 
 def core_concurrence(core_values: np.ndarray, *, tols: Tolerances = TOLS) -> np.ndarray:
-    """max(lambda1 - lambda2 - lambda3 - lambda4, 0) per state, from the cores' descending eigenvalues ``(N, 4)``."""
+    """max(lambda1 - lambda2 - lambda3 - lambda4, 0) per core, from the cores' descending eigenvalues ``(..., 4)``."""
     # subtract.reduce is ((l1 - l2) - l3) - l4, left to right.
     return np.maximum(np.subtract.reduce(_lambdas(core_values, tols), axis=-1), 0.0)
 
 
-def concurrence_stack(m: np.ndarray, values: np.ndarray, vectors: np.ndarray, *, tols: Tolerances = TOLS) -> np.ndarray:
-    """Concurrence of each state of a validated stack with its eigendecompositions."""
-    return core_concurrence(eigvalsh_stack(spin_flip_core_stack(m, values, vectors), tols=tols), tols=tols)
-
-
 def lambda_spectrum(rho: DensityMatrix, *, tols: Tolerances = TOLS) -> np.ndarray:
     """Spin-flip singular values: square roots of the eigenvalues of rho times its spin flip, descending."""
-    core = spin_flip_core_stack(rho.matrix[None], rho.eigenvalues[None], rho.eigenvectors[None])
+    core = spin_flip_core_stack(rho.eigenvalues[None], rho.eigenvectors[None])
     return _lambdas(eigvalsh_stack(core, tols=tols), tols)[0]
 
 

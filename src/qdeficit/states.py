@@ -162,9 +162,9 @@ def random_mixed(seed: int, rank: int) -> np.ndarray:
     # random_pure's np.linalg.norm, one vector per row: the real and the imaginary sums of squares, added.
     norms = np.sqrt(np.einsum("ni,ni->n", re, re) + np.einsum("ni,ni->n", im, im))
     vectors = (re + 1j * im) / norms[:, None]
-    mat = np.zeros((4, 4), dtype=complex)
-    for w, v in zip(weights, vectors):
-        mat += w * _projector(v)
+    # The weighted projectors summed in order from a zero start, as a loop of += would sum them.
+    projectors = weights[:, None, None] * (vectors[:, :, None] * vectors[:, None, :].conj())
+    mat = np.add.reduce(projectors, axis=0, initial=0j)
     return 0.5 * (mat + mat.conj().T)
 
 

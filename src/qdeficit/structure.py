@@ -179,7 +179,7 @@ def _classify(m: np.ndarray, w: np.ndarray, v: np.ndarray, tols: Tolerances) -> 
     # The spin-flip cores and the partial transposes need only spectra: one values-only call
     # on (N, 2, 4, 4), so a failing check names state k // 2 of the flat index k.
     pairs = np.empty((n, 2, 4, 4), dtype=complex)
-    pairs[:, 0] = spin_flip_core_stack(m, w, v)
+    pairs[:, 0] = spin_flip_core_stack(w, v)
     pairs[:, 1] = transpose_stack(m, "B")
     spectra = eigvalsh_stack(pairs, tols=tols)
     conc = core_concurrence(spectra[:, 0], tols=tols)

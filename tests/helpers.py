@@ -1,13 +1,15 @@
 """Independent numerical oracles used across the test suite, and a JSON writer.
 
 Everything here deliberately avoids the package's own computation paths:
-numpy's eigensolvers, explicit entrywise loops, and characteristic
-polynomial root-finding serve as the second route for cross-checks.
+numpy's eigensolvers, explicit entrywise loops, characteristic
+polynomial root-finding and mpmath's multiprecision eigensolver serve as
+the second route for cross-checks.
 ``matrix_json`` writes the state-file format that ``density_from_json`` reads.
 """
 
 from __future__ import annotations
 
+import mpmath
 import numpy as np
 
 I2 = np.eye(2, dtype=complex)
@@ -58,6 +60,18 @@ def charpoly_lambdas(rho_matrix: np.ndarray) -> np.ndarray:
     roots = np.roots(np.poly(product))
     vals = np.clip(np.real(roots), 0.0, None)
     return np.sort(np.sqrt(vals))[::-1]
+
+
+def mpmath_concurrence(rho_matrix: np.ndarray, dps: int = 40) -> float:
+    """Concurrence of the matrix, its float entries taken exactly, from the eigenvalues of
+    rho * rho_tilde by mpmath's general eigensolver in ``dps``-digit arithmetic."""
+    with mpmath.workdps(dps):
+        entries = np.asarray(rho_matrix, dtype=complex)
+        rho = mpmath.matrix([[mpmath.mpc(z.real, z.imag) for z in row] for row in entries])
+        flip = mpmath.matrix(YY.real) * rho.conjugate() * mpmath.matrix(YY.real)
+        roots = mpmath.eig(rho * flip, left=False, right=False)
+        lam = sorted((mpmath.sqrt(max(mpmath.re(r), 0)) for r in roots), reverse=True)
+        return float(max(lam[0] - lam[1] - lam[2] - lam[3], 0))
 
 
 def gamma_route_matrix(values: np.ndarray, vectors: np.ndarray) -> np.ndarray:

@@ -59,6 +59,8 @@ class TestReferenceCommands:
             for col, closed in cli._CLOSED[name].items():
                 (got,) = row[col]
                 assert _as_printed(got, closed), (name, col, got, closed)
+        # The separable state's concurrence prints as its closed form, not as round-off.
+        assert printed["iso:S"]["concurrence"] == [0.0]
 
     def test_tight_tolerance_is_verification_failure(self, capsys):
         code, _, err = _run(capsys, "--tolerance", "1e-2", "table1")
@@ -306,20 +308,57 @@ class TestAudit:
         assert run(7) == ((counts, failures), [7, 7, 6])
 
     def test_eigensolver_calls_do_not_grow_with_the_state_count(self, monkeypatch):
-        calls = []
-        eigh = np.linalg.eigh
-
-        def counted_eigh(*args, **kwargs):
-            calls.append(1)
-            return eigh(*args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, "eigh", counted_eigh)
+        calls = _count_eigensolver_calls(monkeypatch)
         audit.run_audit(15, 42)
-        small = len(calls)
+        small = sorted(calls)
         calls.clear()
         audit.run_audit(150, 42)
-        assert small > 0
-        assert len(calls) == small
+        assert small.count("eigh") > 0 and small.count("eigvalsh") > 0
+        assert sorted(calls) == small
+
+    def test_a_stack_makes_six_eigh_and_one_eigvalsh_call(self, monkeypatch):
+        """``eigh`` on the mixed products' factors and their marginals, the states and their marginals,
+        the four derived matrices per state and the product's and rho_d's marginals; one ``eigvalsh``
+        on the three spin-flip cores and the partial transpose per state."""
+        label = audit._draw(2, 42)[0]
+        assert label == "random mixed product"
+        calls = _count_eigensolver_calls(monkeypatch)
+        audit._check_stack(range(15), 42, TOLS)
+        assert sorted(calls) == ["eigh"] * 6 + ["eigvalsh"]
+
+    def test_failure_in_a_grouped_stack_is_booked_to_its_state(self, monkeypatch):
+        """State 5's rotation fails the trace check inside the stack of four derived matrices per state:
+        the error names state 5, not flat row 5 * 4 + 2 = 22."""
+        haar = audit._haar_unitaries
+
+        def scaled(z):
+            units = haar(z)
+            units[5] *= 1.0 + 1e-6
+            return units
+
+        monkeypatch.setattr(audit, "_haar_unitaries", scaled)
+        with pytest.raises(ValueError) as err:
+            audit.run_audit(20, 42)
+        message = str(err.value)
+        assert message.startswith("audit seed 42, states range(0, 20) (state k is the k-th of them): trace check")
+        assert "state 5: trace" in message
+        assert "state 22" not in message
+
+
+def _count_eigensolver_calls(monkeypatch) -> list[str]:
+    """The names of the ``np.linalg.eigh`` and ``eigvalsh`` calls made from here on, in order."""
+    calls = []
+
+    def counted(solver):
+        def call(*args, **kwargs):
+            calls.append(solver.__name__)
+            return solver(*args, **kwargs)
+
+        return call
+
+    for name in ("eigh", "eigvalsh"):
+        monkeypatch.setattr(np.linalg, name, counted(getattr(np.linalg, name)))
+    return calls
 
 
 class TestJointConditionalProbability:
@@ -363,6 +402,21 @@ class TestClassify:
         code, out, err = _run(capsys, "classify", "E1")
         assert code == 0, err
         assert json.loads(out)["concurrence"] == pytest.approx(2.0 / 3.0, abs=1e-11)
+
+    @pytest.mark.parametrize(
+        "name, concurrence, verdict",
+        [
+            ("iso:S", 0.0, "separable (concurrence = 0)"),
+            # (3p - 1) / 2 at p = 1 - 4e-7 is 1 - 6e-7: lambda_2..4 = 1e-7 count.
+            ("werner:0.9999996", 0.9999994, "entangled (concurrence = 0.999999)"),
+        ],
+    )
+    def test_concurrence_is_its_closed_form(self, capsys, name, concurrence, verdict):
+        code, out, err = _run(capsys, "classify", name)
+        assert code == 0, err
+        payload = json.loads(out)
+        assert payload["concurrence"] == concurrence
+        assert payload["verdicts"][0] == verdict
 
     @pytest.mark.parametrize(
         "name, fallback, ratio",
@@ -496,6 +550,11 @@ class TestWernerSweepChunks:
         rows = cli.werner_sweep_rows(0.0, (n - 1) * 1e-4, 1e-4)
         assert len(rows) == n
         assert rows == single[:n]
+
+    def test_fine_grid_concurrence_to_round_off(self, fine_grid_rows):
+        rows, _ = fine_grid_rows
+        worst = max(abs(conc - max(0.0, (3 * p - 1) / 2)) for p, conc, *_ in rows)
+        assert worst <= 1e-14
 
     def test_fine_grid_matches_closed_forms(self, fine_grid_rows):
         rows, _ = fine_grid_rows

@@ -3,8 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from qdeficit.concurrence import concurrence_stack, lambda_spectrum, pure_concurrence, spin_flip_stack
-from qdeficit.linalg import CheckError, DensityMatrix, density_stack, eigh_stack, transpose_stack
+from qdeficit.concurrence import (
+    core_concurrence,
+    lambda_spectrum,
+    pure_concurrence,
+    spin_flip_core_stack,
+    spin_flip_stack,
+)
+from qdeficit.linalg import CheckError, DensityMatrix, density_stack, eigh_stack, eigvalsh_stack, transpose_stack
 from qdeficit.states import (
     bloch_vectors,
     from_registry,
@@ -14,15 +20,16 @@ from qdeficit.states import (
     werner,
 )
 
-from helpers import YY, charpoly_lambdas, gamma_route_matrix, haar_unitary, random_hermitian
+from qdeficit.structure import classify
+
+from helpers import YY, charpoly_lambdas, gamma_route_matrix, haar_unitary, mpmath_concurrence, random_hermitian
 
 SINGLET = np.array([0, 1, -1, 0]) / math.sqrt(2)
 
 
 def _concurrence(*matrices) -> np.ndarray:
-    """``concurrence_stack`` over the matrices, validated as one stack."""
-    m = np.array(matrices)
-    return concurrence_stack(m, *density_stack(m))
+    """Concurrences of the matrices, validated as one stack: the spin-flip cores' spectra, one values-only call."""
+    return core_concurrence(eigvalsh_stack(spin_flip_core_stack(*density_stack(np.array(matrices)))))
 
 
 class TestSpinFlip:
@@ -134,6 +141,25 @@ class TestConcurrence:
         entangled = _concurrence(*stack) > 1e-8
         ppt_min = eigh_stack(transpose_stack(stack, "B"))[0][:, -1]
         assert np.array_equal(entangled, ppt_min < -1e-8)
+
+
+class TestCoreAccuracy:
+    """The core tau† tau gives the concurrence to round-off where its small lambdas sit near the noise floor."""
+
+    def test_werner_near_pure_matches_closed_form(self):
+        # lambda_2..4 = (1 - p) / 4 = 1e-7: core eigenvalues of 1e-14, just above the noise floor.
+        p = 1.0 - 4e-7
+        assert abs(classify(werner(p)).concurrence - (3 * p - 1) / 2) <= 1e-12
+
+    def test_random_mixed_match_multiprecision(self):
+        stack = np.array([random_mixed(seed, seed % 4 + 1) for seed in range(120)])
+        want = np.array([mpmath_concurrence(m) for m in stack])
+        assert np.max(np.abs(_concurrence(*stack) - want)) <= 1e-14
+
+    def test_core_rejects_eigenvectors_of_one_qubit(self):
+        with pytest.raises(CheckError) as err:
+            spin_flip_core_stack(np.full((1, 2), 0.5), np.eye(2)[None])
+        assert err.value.check == "dims"
 
 
 class TestPureConcurrence:

@@ -48,7 +48,7 @@ def _frame(marg: np.ndarray, values: np.ndarray, vectors: np.ndarray, tols: Tole
 
 def classify_columns(m: np.ndarray, w: np.ndarray, v: np.ndarray, tols: Tolerances = TOLS) -> Classification:
     """Every ``Classification`` column of a validated stack ``(m, w, v)``."""
-    spectra = eigvalsh_stack(np.stack((spin_flip_core_stack(m, w, v), transpose_stack(m, "B")), axis=1), tols=tols)
+    spectra = eigvalsh_stack(np.stack((spin_flip_core_stack(w, v), transpose_stack(m, "B")), axis=1), tols=tols)
     conc = core_concurrence(spectra[:, 0], tols=tols)
     ppt_min = spectra[:, 1, -1]
     s = entropy_stack(w, tols=tols)
