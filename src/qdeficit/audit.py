@@ -46,10 +46,7 @@ import numpy as np
 from .concurrence import core_concurrence, pure_concurrence, spin_flip_core_stack, spin_flip_stack
 from .entropy import entropy_stack, relative_entropy_stack, tsallis_stack
 from .linalg import (
-    I2,
-    SIGMA_X,
-    SIGMA_Y,
-    SIGMA_Z,
+    PAULI_PRODUCTS,
     TOLS,
     CheckError,
     Tolerances,
@@ -101,10 +98,6 @@ STACK_SIZE = 256
 
 # tsallis-continuity compares S_q at q = 1 +- this offset with S.
 _TSALLIS_OFFSET = 1e-4
-
-_PAULIS = np.array((I2, SIGMA_X, SIGMA_Y, SIGMA_Z))
-# sigma_mu x sigma_nu indexed [mu, nu], sigma_0 = I: rho = sum_mu,nu R_mu,nu sigma_mu x sigma_nu / 4.
-_PAULI_PRODUCTS = tensor_product(_PAULIS[:, None], _PAULIS[None, :])
 
 
 def _draw(index: int, seed: int):
@@ -189,9 +182,8 @@ def _check_stack(indices, seed: int, tols: Tolerances):
             failures.append((indices[k], _POSITION[prop], prop, f"{labels[k]}: {detail(j)}"))
 
     w, v = density_stack(m, tols=tols)
-    marginals = marginal_stack(m, tols=tols)
-    marg, marg_w = marginals[0], marginals[1]
-    dec = decohere_stack(m, marginals, v, tols=tols)
+    marg, marg_w, _ = marginal_stack(m, tols=tols)
+    dec = decohere_stack(m, v, tols=tols)
     units = _haar_unitaries(gaussians)
     u_local = tensor_product(units[:, 0], units[:, 1])
 
@@ -205,7 +197,6 @@ def _check_stack(indices, seed: int, tols: Tolerances):
     derived_marginals = marginal_stack(derived[:, ::3], tols=tols)
     prod, rho_d = derived[:, 0], derived[:, 3]
     w_d, v_d = derived_w[:, 3], derived_v[:, 3]
-    marginals_d = tuple(x[:, 1] for x in derived_marginals)
 
     rec = _max_abs((v * w[:, None, :]) @ _dagger(v) - m)
     tr = np.abs(w.sum(axis=-1) - m.trace(axis1=-2, axis2=-1).real)
@@ -262,30 +253,32 @@ def _check_stack(indices, seed: int, tols: Tolerances):
     ok = (conc > zero) & (ppt_min < -zero) | (conc <= zero) & (ppt_min >= -zero)
     record("concurrence-ppt-equivalence", ok, lambda j: f"C={conc[j]:.3e} ppt={ppt_min[j]:.3e}")
 
-    joint, frame_w = dec.joint, dec.frame_values
-    err = _max_abs(marginals_d[0] - marg)
+    # P and the frame values share their Fano coefficients: P is held against marg_w, from which
+    # a degenerate side's frame values (its diagonal in index order) differ by at most |a|.
+    joint = dec.joint
+    err = _max_abs(derived_marginals[0][:, 1] - marg)
     record("decohere-marginals", err <= tols.identity, lambda j: f"{err[j]:.2e}")
 
-    # rho_d's own marginals and eigenvectors frame the second pass.
-    idem = _max_abs(decohere_stack(rho_d, marginals_d, v_d, tols=tols).matrices - rho_d)
+    # rho_d's own eigenvectors and Fano coefficients frame the second pass.
+    idem = _max_abs(decohere_stack(rho_d, v_d, tols=tols).matrices - rho_d)
     record("decohere-idempotent", idem <= tols.reshuffle, lambda j: f"{idem[j]:.2e}")
 
-    # Row sums of P[alpha, beta] against side A's frame values, column sums against side B's.
-    err_joint = _max_abs(np.stack((joint.sum(axis=2), joint.sum(axis=1)), axis=1) - frame_w)
+    # Row sums of P[alpha, beta] against side A's marginal eigenvalues, column sums against side B's.
+    err_joint = _max_abs(np.stack((joint.sum(axis=2), joint.sum(axis=1)), axis=1) - marg_w)
     record("decohere-joint-marginals", err_joint <= tols.hermiticity, lambda j: f"{err_joint[j]:.2e}")
 
     s_d = entropy_stack(w_d, tols=tols)
     record("klein-entropy-increase", s_d >= s - tols.identity, lambda j: f"S_d-S={s_d[j] - s[j]:.2e}")
 
     rebuilt = np.stack((np.einsum("nabg,ng->na", dec.weights, w), np.einsum("nabg,ng->nb", dec.weights, w)), axis=1)
-    err_overlap = _max_abs(rebuilt - frame_w)
+    err_overlap = _max_abs(rebuilt - marg_w)
     record("overlap-reconstruction", err_overlap <= tols.identity, lambda j: f"{err_overlap[j]:.2e}")
 
     # P(alpha, beta) against p_beta and against p_alpha, over the marginal values off the
     # cutoff: the excess P - p is the joint-marginals scale, where P / p would amplify
     # round-off in P by 1 / p.
-    given = np.stack((np.broadcast_to(frame_w[:, 1, None, :], joint.shape),
-                      np.broadcast_to(frame_w[:, 0, :, None], joint.shape)), axis=1)
+    given = np.stack((np.broadcast_to(marg_w[:, 1, None, :], joint.shape),
+                      np.broadcast_to(marg_w[:, 0, :, None], joint.shape)), axis=1)
     both = np.stack((joint, joint), axis=1)
     defined = ~(given <= tols.support_cutoff)
     excess = np.max(both - given, axis=(1, 2, 3), where=defined, initial=-np.inf)
@@ -332,7 +325,7 @@ def _check_stack(indices, seed: int, tols: Tolerances):
         coeffs[:, 0, 0] = 1.0
         coeffs[:, 1:, 0], coeffs[:, 0, 1:] = vecs[:, 0], vecs[:, 1]
         coeffs[:, 1:, 1:] = correlation_tensor(amps, tols=tols)
-        pauli_err = _max_abs(np.einsum("pmn,mnij->pij", coeffs, _PAULI_PRODUCTS) / 4.0 - m[pure])
+        pauli_err = _max_abs(np.einsum("pmn,mnij->pij", coeffs, PAULI_PRODUCTS) / 4.0 - m[pure])
         record("pure-pauli-reconstruction", pauli_err <= tols.identity, lambda j: f"{pauli_err[j]:.2e}", pure)
 
         gap_c = np.abs(pure_c - conc[pure])

@@ -14,6 +14,8 @@ here, through two validated entries that share those checks:
 ``eigh_stack`` where eigenvectors are read (a state, its marginals) and
 ``eigvalsh_stack`` where only the spectrum is (spin-flip cores, partial
 transposes).
+``fano_stack`` gives the Fano coefficients R_mu,nu = Tr m sigma_mu x sigma_nu
+over the 16 ``PAULI_PRODUCTS`` (sigma_0 = I): m = sum R_mu,nu sigma_mu x sigma_nu / 4.
 A check that fails on a stack raises for the lowest failing state and
 names it.  Each check first reduces the whole stack to one number, and
 searches for the failing state only once that number is out of bounds.
@@ -35,6 +37,8 @@ __all__ = [
     "eigvalsh_stack",
     "density_stack",
     "tensor_product",
+    "PAULI_PRODUCTS",
+    "fano_stack",
     "marginal_stack",
     "transpose_stack",
     "sqrt_stack",
@@ -252,6 +256,20 @@ def tensor_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     a, b = np.asarray(a, dtype=complex), np.asarray(b, dtype=complex)
     out = a[..., :, None, :, None] * b[..., None, :, None, :]
     return out.reshape(out.shape[:-4] + (a.shape[-2] * b.shape[-2], a.shape[-1] * b.shape[-1]))
+
+
+_PAULIS = np.array((I2, SIGMA_X, SIGMA_Y, SIGMA_Z))
+# sigma_mu x sigma_nu indexed [mu, nu], sigma_0 = I.
+PAULI_PRODUCTS = _freeze(tensor_product(_PAULIS[:, None], _PAULIS[None, :]))
+# Tr m P = sum_ij Re m_ij Re P_ij + Im m_ij Im P_ij for Hermitian m and P: rows (ij, re/im), columns mu nu.
+_FANO = PAULI_PRODUCTS.reshape(16, 16).view(float).T.copy()
+
+
+def fano_stack(m) -> np.ndarray:
+    """Fano coefficients R[mu, nu] = Tr m sigma_mu x sigma_nu of each Hermitian two-qubit matrix of a
+    stack ``(..., 4, 4)``: one real ``(..., 32) @ (32, 16)`` product, which skips the vanishing Im R."""
+    m = np.ascontiguousarray(m, dtype=complex)
+    return (m.view(float).reshape(m.shape[:-2] + (32,)) @ _FANO).reshape(m.shape)
 
 
 def _split(m: np.ndarray) -> np.ndarray:

@@ -9,36 +9,32 @@ entropy increase it causes is the quantum deficit, ``classify``'s
 
 Every figure is computed once, by array kernels over a validated stack
 ``(m, w, v)``: the matrices ``m`` ``(N, 4, 4)`` with their descending
-eigenvalues ``w`` and eigenvectors ``v``.  The frame sequence (frame,
-decohered matrices, joint distribution, overlap weights) is one pass,
-``decohere_stack``.  ``classify_stack`` runs every kernel on a whole
-stack and returns a ``Classification`` of arrays, one entry per state.
-``classify`` is its N = 1 call on a ``DensityMatrix``'s own eigen-data:
-the same ``Classification``, holding row 0 as Python scalars.
-``verdicts`` words one such row.  A failed check names the lowest
-failing state of a stack.
+eigenvalues ``w`` and eigenvectors ``v``.  ``classify_stack`` returns a
+``Classification`` of arrays, one entry per state; ``classify`` is its
+N = 1 call on a ``DensityMatrix``'s own eigen-data, holding row 0 as
+Python scalars, and ``verdicts`` words such a row.  A failed check names
+the lowest failing state of a stack.
 
-rho_d is diagonal in the product frame, and that diagonal is the joint
-distribution P(alpha, beta).  So rho_d's spectrum is P, and S(rho_d) is
-the Shannon entropy H(P): the deficit needs no eigensolve of rho_d.
-rho_d's density checks are read from P as well: nonnegativity of P is
-its psd check, P's sum its trace check, and rho_d is Hermitian by
-construction.  The four entropies a classification reads, S(rho),
-S(rho_A), S(rho_B) and H(P), come from one ``entropy_stack`` pass over
-the spectra [rho, rho_A, rho_B, P], each zero-padded to four levels; a
-padding zero lies off the support and adds nothing.  The eigensolves
-stay three calls per stack.
+The frame pass, ``decohere_stack``, works in Fano form (U. Fano, Rev.
+Mod. Phys. 55, 855, 1983): R_mu,nu = Tr rho sigma_mu x sigma_nu, whose
+column a = R[1:, 0] and row b = R[0, 1:] are the marginals' Bloch vectors.
+Side A's eigenprojectors are (I +- n.sigma) / 2 with n = a / |a|, so with
+f = (1, +-n) its eigenvalues, the frame values, are f . (R_00, a) / 2, and
+the weight of |alpha, beta><alpha, beta| in a matrix with coefficients R
+is f_A^T R f_B / 4: the joint P(alpha, beta) for rho, the overlaps
+|<alpha, beta|Gamma>|^2 for rho's eigenprojectors.  rho_d has the
+coefficients sum P f_A f_B^T.  So a stack takes one ``eigh`` call, on the
+states, and one ``eigvalsh`` call, on the spin-flip cores and partial
+transposes.  rho_d's spectrum is P: S(rho_d) = H(P), P >= 0 is its psd
+check and P's sum its trace check.
 
-A marginal whose two eigenvalues differ by more than ``tols.degeneracy``
-contributes its eigenvectors; otherwise its eigenbasis is not unique and
-the frame takes the computational basis in index order, with the
-marginal's diagonal as its eigenvalues.  No figure depends on that
-order: the classification reads the frame only through sorted or
-maximised quantities.  On a stack this rule is a per-state, per-side
-mask, so degenerate and generic states share one call.  That makes
-decoherence deterministic but basis-dependent exactly where the
-construction itself is underdetermined, so the classifier records when
-the fallback fired.
+A side's eigenvalue gap is |a|.  At most ``tols.degeneracy``, its
+eigenbasis is not unique and its axis is z: the computational basis in
+index order, with the marginal's diagonal as frame values; no figure
+depends on that order.  On a stack the rule is a per-state, per-side
+mask, so degenerate and generic states share one call.  Decoherence is
+then basis-dependent exactly where the construction is underdetermined,
+and the classifier records when the fallback fired.
 """
 
 from __future__ import annotations
@@ -50,14 +46,14 @@ import numpy as np
 from .concurrence import core_concurrence, spin_flip_core_stack
 from .entropy import entropy_stack
 from .linalg import (
+    PAULI_PRODUCTS,
     TOLS,
     CheckError,
     DensityMatrix,
     Tolerances,
     density_stack,
     eigvalsh_stack,
-    marginal_stack,
-    tensor_product,
+    fano_stack,
     transpose_stack,
 )
 
@@ -70,46 +66,14 @@ __all__ = [
     "verdicts",
 ]
 
-_EYE2 = np.eye(2, dtype=complex)
-_EYE4 = np.eye(4)
-
-
-def _frame_stack(marg: np.ndarray, values: np.ndarray, vectors: np.ndarray, tols: Tolerances):
-    """Frame eigenvalues ``(N, 2, 2)`` per side, the degeneracy mask ``(N, 2)``, the product
-    vectors ``u`` ``(N, 4, 4)`` and their conjugate, from the marginals' eigendecompositions."""
-    degenerate = values[..., 0] - values[..., 1] <= tols.degeneracy
-    if np.count_nonzero(degenerate):
-        values, vectors = values.copy(), vectors.copy()
-        values[degenerate] = np.real(np.diagonal(marg[degenerate], axis1=-2, axis2=-1))
-        vectors[degenerate] = _EYE2
-    u = tensor_product(vectors[:, 0], vectors[:, 1])
-    u_conj = u.conj()
-    gram = np.abs(u_conj.swapaxes(-1, -2) @ u - _EYE4)
-    if not gram.max() <= tols.identity:
-        CheckError.above("frame orthonormality", gram.max(axis=(-2, -1)), tols.identity)
-    CheckError.above("marginal normalization", np.abs(values.sum(axis=-1) - 1.0), tols.hermiticity)
-    return values, degenerate, u, u_conj
-
-
-def _dephase(m: np.ndarray, u: np.ndarray, u_conj: np.ndarray, tols: Tolerances) -> tuple[np.ndarray, np.ndarray]:
-    """Decohered matrices ``(N, 4, 4)`` and their joint diagonals ``(N, 4)`` in the frames ``u``,
-    whose conjugate is ``u_conj``."""
-    diag = np.einsum("nij,nik,nkj->nj", u_conj, m, u).real
-    if not diag.min() >= -tols.psd:
-        CheckError.below("joint nonnegativity", diag.min(axis=-1), -tols.psd)
-    diag = np.maximum(diag, 0.0)
-    mat = (u * diag[:, None, :]) @ u_conj.swapaxes(-1, -2)
-    return 0.5 * (mat + mat.conj().swapaxes(-1, -2)), diag
-
-
-def _overlap_stack(u_conj: np.ndarray, vectors: np.ndarray, tols: Tolerances) -> np.ndarray:
-    """Squared overlaps ``(N, 2, 2, 4)`` of each frame, given by its conjugate ``u_conj``, with its
-    state's eigenvectors."""
-    weights = np.abs(u_conj.swapaxes(-1, -2) @ vectors) ** 2
-    err = np.maximum(np.abs(weights.sum(axis=-2) - 1.0), np.abs(weights.sum(axis=-1) - 1.0))
-    if not err.max() <= tols.hermiticity:
-        CheckError.above("overlap normalization", err.max(axis=-1), tols.hermiticity)
-    return weights.reshape(-1, 2, 2, 4)
+# The axis of a degenerate side: the computational basis, |1> (index 0) as the +1 state.
+_Z_AXIS = np.array((0.0, 0.0, 1.0))
+# f / 2 = (1, +-n) / 2 for frame index alpha = 0, 1; (R_00, a) and (R_00, b), column and row 0 of R.
+_HALF_SIGNS = np.array((0.5, -0.5))[:, None]
+_BLOCH = np.array(((0, 4, 8, 12), (0, 1, 2, 3)))
+# sigma_mu x sigma_nu as real rows ``(16, 32)``: real coefficients C_mu,nu times them give
+# sum C_mu,nu sigma_mu x sigma_nu, its real and imaginary parts interleaved as complex128 stores them.
+_PRODUCT_ROWS = PAULI_PRODUCTS.reshape(16, 16).view(float)
 
 
 def _ratio_stack(weights: np.ndarray, values: np.ndarray, frame_values: np.ndarray, tols: Tolerances):
@@ -158,19 +122,48 @@ class Decoherence(NamedTuple):
     weights: np.ndarray  # |<alpha, beta|Gamma>|^2 (N, alpha, beta, Gamma)
 
 
-def decohere_stack(m: np.ndarray, marginals, vectors: np.ndarray, *, tols: Tolerances = TOLS) -> Decoherence:
+def decohere_stack(m: np.ndarray, vectors: np.ndarray, *, tols: Tolerances = TOLS) -> Decoherence:
     """Drop all off-diagonal elements of each state in its marginal-eigenbasis product frame.
 
-    ``m`` is a validated stack ``(N, 4, 4)`` and ``marginals`` its
-    ``marginal_stack(m)``, ``vectors`` ``(N, 4, 4)`` the states'
-    eigenvectors, which the overlap weights read.  Both marginals are
-    preserved, and the joint's row/column sums are the frame's marginal
-    eigenvalues.
+    ``m`` is a validated stack ``(N, 4, 4)`` and ``vectors`` its eigenvectors: one
+    ``fano_stack`` product gives R for the states and for their eigenprojectors.
     """
-    marg, marg_w, marg_v = marginals
-    frame_w, degenerate, u, u_conj = _frame_stack(marg, marg_w, marg_v, tols)
-    mat_d, joint = _dephase(m, u, u_conj, tols)
-    return Decoherence(mat_d, joint.reshape(-1, 2, 2), frame_w, degenerate, _overlap_stack(u_conj, vectors, tols))
+    if m.shape[1:] != (4, 4):
+        raise CheckError("dims", 0.0, f"two-qubit matrices (N, 4, 4) required, got shape {m.shape}")
+    n = len(m)
+    mats = np.empty((n, 5, 4, 4), dtype=complex)
+    mats[:, 0] = m
+    columns = vectors.swapaxes(-1, -2)
+    np.multiply(columns[..., :, None], columns.conj()[..., None, :], out=mats[:, 1:])
+    r = fano_stack(mats).reshape(n, 5, 16)
+    tr = r[:, 0, 0]  # R_00, the trace both marginals share
+    CheckError.above("trace", abs(tr - 1.0), tols.hermiticity, lambda k: f"trace {complex(tr[k]):.12g}")
+
+    # Per side: (R_00, Bloch vector), its axis and the frame vectors f[side, alpha] / 2 = (1, +-n) / 2.
+    bloch = r[:, 0, _BLOCH]
+    norm = np.sqrt(np.einsum("nsi,nsi->ns", bloch[..., 1:], bloch[..., 1:]))
+    degenerate = norm <= tols.degeneracy
+    axis = np.where(degenerate[..., None], _Z_AXIS, bloch[..., 1:] / np.maximum(norm, tols.degeneracy)[..., None])
+    half_f = np.full((n, 2, 2, 4), 0.5)
+    half_f[..., 1:] = _HALF_SIGNS * axis[:, :, None]
+    frame_w = (half_f @ bloch[..., None])[..., 0]
+    CheckError.below("psd", frame_w, -tols.psd, lambda k: "negative eigenvalue")
+
+    # f_A f_B^T / 4, the coefficients of |alpha, beta><alpha, beta| ``(N, mu nu, alpha beta)``, and
+    # their weights in the state (the joint P) and in its eigenprojectors (the overlaps).
+    ft = half_f.swapaxes(-1, -2)
+    projectors = (ft[:, 0, :, None, :, None] * ft[:, 1, None, :, None, :]).reshape(n, 16, 4)
+    out = r @ projectors
+    CheckError.below("joint nonnegativity", out[:, 0], -tols.psd)
+    joint = np.maximum(out[:, 0], 0.0)
+    overlaps = out[:, 1:]
+    err = np.maximum(np.abs(overlaps.sum(axis=-2) - 1.0), np.abs(overlaps.sum(axis=-1) - 1.0))
+    CheckError.above("overlap normalization", err, tols.hermiticity)
+
+    # rho_d = sum P(alpha, beta) |alpha, beta><alpha, beta|, through its coefficients.
+    mat_d = ((projectors @ joint[..., None])[..., 0] @ _PRODUCT_ROWS).view(complex).reshape(n, 4, 4)
+    weights = overlaps.swapaxes(-1, -2).reshape(n, 2, 2, 4)
+    return Decoherence(mat_d, joint.reshape(n, 2, 2), frame_w, degenerate, weights)
 
 
 def _classify(m: np.ndarray, w: np.ndarray, v: np.ndarray, tols: Tolerances) -> Classification:
@@ -184,20 +177,18 @@ def _classify(m: np.ndarray, w: np.ndarray, v: np.ndarray, tols: Tolerances) -> 
     spectra = eigvalsh_stack(pairs, tols=tols)
     conc = core_concurrence(spectra[:, 0], tols=tols)
     ppt_min = spectra[:, 1, -1]
-    # The entropy input check on rho, ahead of the marginals' and the frame's checks; the pass below repeats it.
+    # The entropy input check on rho, ahead of the frame's checks; the pass below repeats it.
     CheckError.below("psd", w[:, -1], -tols.psd, lambda k: "negative eigenvalue in entropy input")
-    marginals = marginal_stack(m, tols=tols)
-    mat_d, joint, frame_w, degenerate, weights = decohere_stack(m, marginals, v, tols=tols)
-    # rho_d is diagonal in the frame, so its spectrum is the joint P: S(rho_d) = H(P).  _dephase has
-    # checked P >= -psd (the psd check) and made rho_d Hermitian; its trace is P's sum.
+    mat_d, joint, frame_w, degenerate, weights = decohere_stack(m, v, tols=tols)
+    # rho_d's spectrum is P, which decohere_stack checked against -psd: S(rho_d) = H(P), its trace P's sum.
     p = joint.reshape(-1, 4)
     tr = p.sum(axis=-1)
     CheckError.above("trace", abs(tr - 1.0), tols.hermiticity, lambda k: f"decohered trace {tr[k]:.12g}")
-    # One entropy pass over the spectra of rho, rho_A, rho_B and rho_d, zero-padded to four levels.
-    # The zeros lie off the support; the marginals passed the psd check in marginal_stack, and P >= 0.
+    # One entropy pass over the spectra of rho, rho_A and rho_B (the frame values, in any order) and
+    # rho_d, zero-padded to four levels off the support; the frame values passed the psd check.
     levels = np.zeros((n, 4, 4))
     levels[:, 0] = w
-    levels[:, 1:3, :2] = marginals[1]
+    levels[:, 1:3, :2] = frame_w
     levels[:, 3] = np.sort(p, axis=-1)[:, ::-1]
     s, s_a, s_b, s_d = entropy_stack(levels, tols=tols).T
     mutual = s_a + s_b - s
@@ -217,12 +208,10 @@ def classify_stack(matrices, *, tols: Tolerances = TOLS) -> Classification:
     """Every figure of each two-qubit state of a stack ``(N, 4, 4)``, one array per figure.
 
     Each matrix is validated as ``DensityMatrix`` validates it; the first
-    failing check raises for the lowest failing state and names it.
-    S(rho_d) is read from the joint P(alpha, beta), which is rho_d's
-    spectrum.  The stack takes three eigensolver calls: ``eigh`` on the
-    states and on their marginals, whose eigenvectors the frame and the
-    overlap weights read, and one values-only ``eigvalsh`` on the
-    spin-flip cores and the partial transposes together.
+    failing check raises for the lowest failing state and names it.  The
+    stack takes two eigensolver calls: ``eigh`` on the states, and one
+    values-only ``eigvalsh`` on the spin-flip cores and the partial
+    transposes together.
     """
     m = np.asarray(matrices, dtype=complex)
     if m.ndim != 3 or m.shape[1:] != (4, 4):

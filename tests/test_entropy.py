@@ -14,7 +14,7 @@ from qdeficit.entropy import (
     tsallis_stack,
     von_neumann,
 )
-from qdeficit.linalg import CheckError, DensityMatrix, Tolerances, marginal_stack, tensor_product
+from qdeficit.linalg import CheckError, DensityMatrix, Tolerances, tensor_product
 from qdeficit.states import (
     from_registry,
     pure_density,
@@ -327,7 +327,7 @@ class TestRelativeEntropy:
     def test_klein_mechanism_for_decohered_state(self):
         rho = werner(0.5)
         m = rho.matrix[None]
-        rho_d = DensityMatrix(decohere_stack(m, marginal_stack(m), rho.eigenvectors[None]).matrices[0])
+        rho_d = DensityMatrix(decohere_stack(m, rho.eigenvectors[None]).matrices[0])
         gap = von_neumann(rho_d) - von_neumann(rho)
         assert relative_entropy(rho, rho_d) == pytest.approx(gap, abs=1e-10)
         assert gap >= 0.0

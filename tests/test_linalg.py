@@ -10,19 +10,21 @@ from qdeficit.entropy import conditional_tsallis
 from qdeficit.linalg import (
     CheckError,
     DensityMatrix,
+    PAULI_PRODUCTS,
     TOLS,
     Tolerances,
     density_from_json,
     density_stack,
     eigh_stack,
     eigvalsh_stack,
+    fano_stack,
     marginal_stack,
     matrix_from_json,
     sqrt_stack,
     tensor_product,
     transpose_stack,
 )
-from qdeficit.states import from_registry, werner
+from qdeficit.states import bloch_vectors, correlation_tensor, from_registry, random_mixed, random_pure, werner
 from qdeficit.structure import classify
 
 from helpers import kron_oracle, matrix_json, numpy_spectrum, random_hermitian
@@ -269,6 +271,28 @@ class TestPartialTranspose:
     def test_rejects_unknown_side(self):
         with pytest.raises(ValueError, match="subsystem must be 'A' or 'B'"):
             transpose_stack(werner(0.5).matrix, "C")
+
+
+class TestFanoStack:
+    """R[mu, nu] = Tr m sigma_mu x sigma_nu against closed forms, the trace and the Pauli expansion."""
+
+    def test_pure_states_match_the_bloch_and_correlation_closed_forms(self):
+        amps = np.array([random_pure(seed) for seed in range(200)])
+        want = np.ones((len(amps), 4, 4))
+        vecs = bloch_vectors(amps)
+        want[:, 1:, 0], want[:, 0, 1:] = vecs[:, 0], vecs[:, 1]
+        want[:, 1:, 1:] = correlation_tensor(amps)
+        got = fano_stack(np.einsum("...i,...j->...ij", amps, amps.conj()))
+        assert np.max(np.abs(got - want)) <= 1e-14
+
+    def test_r00_is_the_trace(self):
+        stack = np.array([random_mixed(seed, 1 + seed % 4) for seed in range(50)]) * np.arange(1, 51)[:, None, None]
+        assert np.max(np.abs(fano_stack(stack)[:, 0, 0] - stack.trace(axis1=-2, axis2=-1).real)) <= 1e-13
+
+    def test_pauli_expansion_rebuilds_the_stack(self):
+        stack = np.array([random_mixed(seed, 1 + seed % 4) for seed in range(50)])
+        rebuilt = np.einsum("nmv,mvij->nij", fano_stack(stack), PAULI_PRODUCTS) / 4.0
+        assert np.max(np.abs(rebuilt - stack)) <= 1e-15
 
 
 def _sqrt(m: np.ndarray) -> np.ndarray:

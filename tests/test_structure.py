@@ -13,11 +13,10 @@ from qdeficit.linalg import (
     DensityMatrix,
     Tolerances,
     density_stack,
-    marginal_stack,
     tensor_product,
 )
 from qdeficit.states import from_registry, random_mixed, werner, werner_matrices
-from qdeficit.structure import classify, classify_stack, decohere_stack, verdicts
+from qdeficit.structure import Classification, classify, classify_stack, decohere_stack, verdicts
 
 from helpers import I2, SZ, numpy_spectrum
 from unfused import classify_columns
@@ -28,7 +27,7 @@ SEEDED_STATES = st.tuples(st.integers(min_value=0, max_value=2**32 - 1), st.inte
 def decohere(rho: DensityMatrix, *, tols: Tolerances = TOLS) -> SimpleNamespace:
     """``decohere_stack`` on one state: rho_d validated, with the joint, frame values and overlap weights."""
     m = rho.matrix[None]
-    dec = decohere_stack(m, marginal_stack(m, tols=tols), rho.eigenvectors[None], tols=tols)
+    dec = decohere_stack(m, rho.eigenvectors[None], tols=tols)
     state = DensityMatrix(dec.matrices[0], tols=tols)
     return SimpleNamespace(state=state, joint=dec.joint[0], frame_values=dec.frame_values[0], weights=dec.weights[0])
 
@@ -205,15 +204,14 @@ class TestScaledChecks:
         assert decohere(rho, tols=loose).frame_values.sum(axis=-1) == pytest.approx([1 + 5e-10] * 2, abs=1e-15)
         assert classify(rho, tols=loose).deficit == pytest.approx(classify(werner(0.5)).deficit, abs=1e-8)
 
-        # The frame's own normalization check, on marginal values that sum to 1 + 5e-10.
-        values = np.array([[[0.7 + 5e-10, 0.3], [0.6, 0.4 + 5e-10]]])
-        vectors = np.broadcast_to(np.eye(2, dtype=complex), (1, 2, 2, 2))
-        marg = vectors * values[..., None, :]
+    def test_frame_psd_scales(self):
+        """A state validated under looser bounds whose rho_A has the eigenvalue -5e-10: the frame's
+        psd check on its frame values fails at the default bound and passes at ten times it."""
+        rho = DensityMatrix(np.diag([0.5, 0.5 + 5e-10, 0.0, -5e-10]), tols=Tolerances(10.0))
         with pytest.raises(CheckError) as err:
-            structure._frame_stack(marg, values, vectors, TOLS)
-        assert err.value.check == "marginal normalization"
-        frame_values = structure._frame_stack(marg, values, vectors, loose)[0]
-        assert np.array_equal(frame_values, values)
+            decohere(rho)
+        assert str(err.value) == "psd check failed (magnitude -5e-10): negative eigenvalue"
+        assert decohere(rho, tols=Tolerances(10.0)).frame_values[0] == pytest.approx([1 + 5e-10, -5e-10], abs=1e-16)
 
     def test_classify_checks_the_spectrum_of_rho_before_its_marginals(self):
         """A state validated under looser bounds, whose rho and rho_A both have a negative eigenvalue
@@ -304,14 +302,14 @@ class TestClassifyStack:
         """H(P) against the eigenvalues of rho_d, on degenerate, generic and already decohered states."""
         stack = _mixed_stack()
         w, v = density_stack(stack)
-        dec = decohere_stack(stack, marginal_stack(stack), v)
+        dec = decohere_stack(stack, v)
         want = entropy_stack(density_stack(dec.matrices)[0]) - entropy_stack(w)
         assert np.max(np.abs(classify_stack(stack).deficit - want)) <= 1e-12
 
     @pytest.mark.parametrize("n", [1, 200])
-    def test_makes_four_eigensolves_whatever_the_stack_size(self, monkeypatch, n):
-        """``eigh`` on the states and on their marginals, one ``eigvalsh`` on the spin-flip cores and
-        the partial transposes together: rho_d takes none."""
+    def test_one_eigh_and_one_eigvalsh_whatever_the_stack_size(self, monkeypatch, n):
+        """``eigh`` on the states, one ``eigvalsh`` on the spin-flip cores and the partial transposes
+        together: the marginals, the frame and rho_d take none."""
         stack = _mixed_stack()[:n]
         assert len(stack) == n
         calls = []
@@ -326,7 +324,7 @@ class TestClassifyStack:
         for name in ("eigh", "eigvalsh"):
             monkeypatch.setattr(np.linalg, name, counted(getattr(np.linalg, name)))
         classify_stack(stack)
-        assert sorted(calls) == ["eigh", "eigh", "eigvalsh"]
+        assert calls == ["eigh", "eigvalsh"]
 
     def test_report_fields_are_python_scalars(self):
         report = classify(werner(0.5))
@@ -351,25 +349,33 @@ class TestClassifyStack:
                 assert value == row.item(), field
                 assert type(value) is (bool if row.dtype == bool else float), field
 
-    def test_columns_are_bit_identical_to_the_unfused_reference(self):
+    def test_columns_agree_with_the_matrix_route(self):
         stack = _mixed_stack()
-        cols, want = classify_stack(stack), classify_columns(stack, *density_stack(stack))
-        for name, col in cols._asdict().items():
-            assert np.array_equal(col, getattr(want, name)), name
-            assert np.array_equal(np.signbit(col), np.signbit(getattr(want, name))), name
+        _assert_agree(classify_stack(stack), classify_columns(stack, *density_stack(stack)))
 
     @pytest.mark.parametrize("name", ["E1", "E2", "E3", "E4", "E5", "E6", "iso:E", "iso:S", "werner:0.3", "werner:1"])
-    def test_classify_is_bit_identical_to_the_unfused_reference(self, name):
+    def test_classify_agrees_with_the_matrix_route(self, name):
         rho = from_registry(name)
         want = classify_columns(rho.matrix[None], rho.eigenvalues[None], rho.eigenvectors[None])
-        for field, value in classify(rho)._asdict().items():
-            assert np.array_equal(value, getattr(want, field)[0]), field
+        _assert_agree(Classification._make(np.array([value]) for value in classify(rho)), want)
 
     @pytest.mark.parametrize("shape", [(4, 4), (2, 3, 3), (1, 2, 2)])
     def test_rejects_stack_that_is_not_two_qubit(self, shape):
         with pytest.raises(CheckError) as err:
             classify_stack(np.ones(shape) / 4)
         assert err.value.check == "dims"
+
+
+def _assert_agree(cols: Classification, want: Classification) -> None:
+    """The Fano-form columns against the matrix route's: the concurrence and the partial transpose
+    share their solve, so they agree bit for bit, and so do the flags; the entropic columns read
+    the marginal spectra and P by the two routes, so they agree to round-off."""
+    for name in ("concurrence", "ppt_min_eig", "conditional_prob_defined", "commutes_with_marginals", "frame_fallback"):
+        assert np.array_equal(getattr(cols, name), getattr(want, name)), name
+    for name in ("entropy_diff_a", "entropy_diff_b", "mutual", "deficit"):
+        assert np.max(np.abs(getattr(cols, name) - getattr(want, name))) <= 1e-14, name
+    ratio = cols.worst_eigen_ratio
+    assert np.max(np.abs(ratio - want.worst_eigen_ratio) / ratio) <= 1e-12
 
 
 def _corrupt(kind: str, m: np.ndarray) -> np.ndarray:
@@ -427,25 +433,32 @@ class TestClassifyStackErrors:
     @pytest.mark.parametrize("excess", [1e-6, np.nan], ids=["heavy", "nan"])
     def test_decohered_trace_names_the_bad_state(self, monkeypatch, excess):
         """rho_d's trace is read from the joint P: a P that does not sum to one fails ``trace``."""
-        real = structure._dephase
+        real = structure.decohere_stack
 
-        def heavy_joint(*args):
-            mat, diag = real(*args)
-            diag = diag.copy()
-            diag[2, 0] += excess
-            return mat, diag
+        def heavy_joint(*args, **kwargs):
+            dec = real(*args, **kwargs)
+            joint = dec.joint.copy()
+            joint[2, 0, 0] += excess
+            return dec._replace(joint=joint)
 
-        monkeypatch.setattr(structure, "_dephase", heavy_joint)
+        monkeypatch.setattr(structure, "decohere_stack", heavy_joint)
         with pytest.raises(CheckError) as err:
             classify_stack(werner_matrices([0.1, 0.3, 0.5, 0.7]))
         assert err.value.check == "trace"
         assert "state 2" in str(err.value)
 
-    def test_nan_joint_fails_nonnegativity(self):
+    def test_nan_joint_fails_nonnegativity(self, monkeypatch):
+        """A NaN correlation coefficient of state 2 leaves its trace and frame values finite: P fails."""
+        real = structure.fano_stack
+
+        def nan_correlation(m):
+            r = real(m)
+            r[2, 0, 1, 1] = np.nan
+            return r
+
+        monkeypatch.setattr(structure, "fano_stack", nan_correlation)
         stack = werner_matrices([0.1, 0.3, 0.5, 0.7])
-        u = np.broadcast_to(np.eye(4, dtype=complex), stack.shape).copy()
-        u[2, 1, 1] = np.nan
         with pytest.raises(CheckError) as err:
-            structure._dephase(stack, u, u.conj(), TOLS)
+            decohere_stack(stack, density_stack(stack)[1])
         assert err.value.check == "joint nonnegativity"
         assert "state 2" in str(err.value)

@@ -1,11 +1,15 @@
-"""The classifier as one unfused call sequence, the reference ``structure._classify`` must match bit for bit.
+"""The classifier by the matrix route: the second route that ``structure._classify``'s Fano form must agree with.
 
-Every intermediate is formed the plain way: the partial traces by
-``ndarray.trace``, the spin-flip cores and the partial transposes joined
-by ``np.stack``, a fresh ``u.conj()`` at each use of the frame, the
-connection weights through ``np.array``, and S(rho), S(rho_A), S(rho_B)
-and H(P) from three ``entropy_stack`` calls.  The checks are left out:
-it runs on valid states only, and a check changes no value.
+Where ``structure`` reads the marginals, the frame, the joint P, rho_d and
+the overlap weights from Fano coefficients, this route forms them as
+matrices: the partial traces by ``ndarray.trace``, the marginals' own
+``eigh`` for their spectra and eigenvectors, the product frame u as a
+tensor product, P as the diagonal of u^dagger rho u by ``einsum``, rho_d as
+u diag(P) u^dagger, and the weights as |u^dagger v|^2.  A degenerate side
+(eigenvalue gap at most ``tols.degeneracy``) takes the computational
+basis.  The concurrence and the partial transpose's spectrum share their
+solve with ``structure``.  The checks are left out: it runs on valid
+states only, and a check changes no value.
 """
 
 from __future__ import annotations
