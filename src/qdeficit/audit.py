@@ -10,24 +10,25 @@ The draws are made one state at a time.  Everything after them runs on
 stacks of at most ``STACK_SIZE`` states, and each property's magnitude is
 one array over the stack, from the package's stack kernels
 (``marginal_stack``, ``transpose_stack``, ``eigvalsh_stack``,
-``sqrt_stack``, ``spin_flip_stack``, ``spin_flip_core_stack``,
-``core_concurrence``, ``entropy_stack``, ``tsallis_stack``,
+``spin_flip_stack``, ``spin_flip_dilation_stack``,
+``dilation_concurrence``, ``entropy_stack``, ``tsallis_stack``,
 ``relative_entropy_stack`` and the frame pass ``decohere_stack``), held
 against its bound once.  The states are validated by one
 ``density_stack`` call, and the four matrices derived from each state
 (its marginal product, spin flip, local rotation and rho_d) by a second
 one on a stack ``(N, 4, 4, 4)`` grouped on axis 1, so that a failing
-check names state k.  The spin-flip cores of rho, its flip and its
-rotation are solved with rho's partial transpose in one ``eigvalsh_stack``
-call.  A stack makes four ``eigh`` calls, six when it holds a mixed
-product (whose factors and their marginals are validated too), and one
-``eigvalsh``.  The pure-only and product-only properties run
-on the pure and the product rows of the stack; the pure rows' second
-route is the closed forms ``bloch_vectors``, ``correlation_tensor`` and
-``pure_concurrence`` on their amplitude stack ``(P, 4)``, which solve no
-eigenproblem.  Per state remain only the draws.  The stack size is
-fixed, so memory does not grow with the number of states, and no
-state's result depends on the others in its stack.
+check names state k.  The real spin-flip dilations of rho, its flip and
+its rotation are solved in one ``eigvalsh_stack`` call, and rho's
+complex partial transpose in a second.  A stack makes four ``eigh``
+calls, six when it holds a mixed product (whose factors and their
+marginals are validated too), and two ``eigvalsh``.  The pure-only and
+product-only properties run on the pure and the product rows of the
+stack; the pure rows' second route is the closed forms
+``bloch_vectors``, ``correlation_tensor`` and ``pure_concurrence`` on
+their amplitude stack ``(P, 4)``, which solve no eigenproblem.  Per
+state remain only the draws.  The stack size is fixed, so memory does
+not grow with the number of states, and no state's result depends on
+the others in its stack.
 
 Each property keeps two independent routes to the quantity it checks:
 neither side of a comparison is derived from the other side's
@@ -43,7 +44,7 @@ from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
-from .concurrence import core_concurrence, pure_concurrence, spin_flip_core_stack, spin_flip_stack
+from .concurrence import dilation_concurrence, pure_concurrence, spin_flip_dilation_stack, spin_flip_stack
 from .entropy import entropy_stack, relative_entropy_stack, tsallis_stack
 from .linalg import (
     PAULI_PRODUCTS,
@@ -53,7 +54,6 @@ from .linalg import (
     density_stack,
     eigvalsh_stack,
     marginal_stack,
-    sqrt_stack,
     tensor_product,
     transpose_stack,
 )
@@ -66,7 +66,7 @@ AUDIT_PROPERTIES = (
     "eig-reconstruction",
     "kron-partial-trace",
     "partial-transpose-involution",
-    "sqrt-roundtrip",
+    "spin-flip-trace",
     "mutual-nonnegative",
     "tsallis-continuity",
     "concurrence-range",
@@ -92,8 +92,8 @@ AUDIT_PROPERTIES = (
 
 _POSITION = {prop: k for k, prop in enumerate(AUDIT_PROPERTIES)}
 
-# States per stack: bounds the working arrays whatever the number of states.  The largest,
-# the grouped (N, 4, 4, 4) stacks of derived matrices and of spin-flip cores, take 256 kB each.
+# States per stack: bounds the working arrays whatever the number of states.  The largest are
+# the real spin-flip dilations (N, 3, 8, 8), 393 kB, and the grouped (N, 4, 4, 4) derived matrices, 256 kB.
 STACK_SIZE = 256
 
 # tsallis-continuity compares S_q at q = 1 +- this offset with S.
@@ -195,7 +195,7 @@ def _check_stack(indices, seed: int, tols: Tolerances):
     )
     derived_w, derived_v = density_stack(derived, tols=tols)
     derived_marginals = marginal_stack(derived[:, ::3], tols=tols)
-    prod, rho_d = derived[:, 0], derived[:, 3]
+    prod, flip, rho_d = derived[:, 0], derived[:, 1], derived[:, 3]
     w_d, v_d = derived_w[:, 3], derived_v[:, 3]
 
     rec = _max_abs((v * w[:, None, :]) @ _dagger(v) - m)
@@ -214,9 +214,15 @@ def _check_stack(indices, seed: int, tols: Tolerances):
     ok = (inv <= tols.reshuffle) & (tr_pt <= tols.reshuffle)
     record("partial-transpose-involution", ok, lambda j: f"inv={inv[j]:.2e}")
 
-    root = sqrt_stack(w, v)
-    sq = _max_abs(root @ root - m)
-    record("sqrt-roundtrip", sq <= tols.rebuilt, lambda j: f"{sq[j]:.2e}")
+    # The spin-flip dilations of rho, its flip and its rotation: one real values-only call.
+    dilations = np.empty((n, 3, 8, 8))
+    dilations[:, 0] = spin_flip_dilation_stack(w, v)
+    dilations[:, 1:] = spin_flip_dilation_stack(derived_w[:, 1:3], derived_v[:, 1:3])
+    dilation_values = eigvalsh_stack(dilations, tols=tols)
+    # sum lambda_i^2 from rho's four largest dilation values, and as Tr rho rho~ = sum_ij rho_ij rho~_ji.
+    lambda_squares = np.sum(dilation_values[:, 0, :4] ** 2, axis=-1)
+    trace_gap = np.abs(lambda_squares - np.einsum("nij,nji->n", m, flip).real)
+    record("spin-flip-trace", trace_gap <= tols.identity, lambda j: f"{trace_gap[j]:.2e}")
 
     # S(AB), S(A), S(B) once; the mutual entropy and the q = 1 conditional
     # entropies are the same sums as ``classify``'s and ``conditional_tsallis``'s.
@@ -232,13 +238,7 @@ def _check_stack(indices, seed: int, tols: Tolerances):
     ok = (up <= tols.continuity) & (down <= tols.continuity)
     record("tsallis-continuity", ok, lambda j: f"{max(up[j], down[j]):.2e}")
 
-    # The spin-flip cores of rho, its flip and its rotation, and rho's partial transpose: one values-only call.
-    cores = np.empty((n, 4, 4, 4), dtype=complex)
-    cores[:, 0] = spin_flip_core_stack(w, v)
-    cores[:, 1:3] = spin_flip_core_stack(derived_w[:, 1:3], derived_v[:, 1:3])
-    cores[:, 3] = pt
-    spectra = eigvalsh_stack(cores, tols=tols)
-    conc, conc_flip, conc_rot = core_concurrence(spectra[:, :3], tols=tols).T
+    conc, conc_flip, conc_rot = dilation_concurrence(dilation_values).T
     ok = (conc >= -tols.support_cutoff) & (conc <= 1.0 + tols.hermiticity)
     record("concurrence-range", ok, lambda j: f"{float(conc[j])}")
 
@@ -248,7 +248,7 @@ def _check_stack(indices, seed: int, tols: Tolerances):
     lu_gap = np.abs(conc - conc_rot)
     record("concurrence-local-unitary", lu_gap <= tols.concurrence_zero, lambda j: f"{lu_gap[j]:.2e}")
 
-    ppt_min = spectra[:, 3, -1]
+    ppt_min = eigvalsh_stack(pt, tols=tols)[:, -1]
     zero = tols.concurrence_zero
     ok = (conc > zero) & (ppt_min < -zero) | (conc <= zero) & (ppt_min >= -zero)
     record("concurrence-ppt-equivalence", ok, lambda j: f"C={conc[j]:.3e} ppt={ppt_min[j]:.3e}")

@@ -1,9 +1,10 @@
-"""Dense complex Hermitian linear algebra for two-qubit states and their qubit marginals.
+"""Dense Hermitian linear algebra for two-qubit states and their qubit marginals.
 
-Everything here works on plain ``numpy`` complex arrays.  The fixed
-two-qubit basis order is ``|11>, |10>, |01>, |00>`` (index 0..3); single
-qubits are ordered ``(|1>, |0>)``, so the Pauli matrices below have their
-familiar matrix form with ``|1>`` as the +1 eigenvector of ``SIGMA_Z``.
+Everything here works on plain ``numpy`` arrays, complex except where a
+stack is real symmetric.  The fixed two-qubit basis order is
+``|11>, |10>, |01>, |00>`` (index 0..3); single qubits are ordered
+``(|1>, |0>)``, so the Pauli matrices below have their familiar matrix
+form with ``|1>`` as the +1 eigenvector of ``SIGMA_Z``.
 A ``DensityMatrix`` is a two-qubit state or one of its qubit marginals.
 
 The ``*_stack`` functions work on stacks ``(N, ..., n, n)`` whose leading
@@ -11,9 +12,11 @@ index counts states.  ``DensityMatrix`` is their N = 1 call: it validates
 through ``eigh_stack`` and keeps the eigen-data it computed, so every
 validity check is written once.  The package solves eigenproblems only
 here, through two validated entries that share those checks:
-``eigh_stack`` where eigenvectors are read (a state, its marginals) and
-``eigvalsh_stack`` where only the spectrum is (spin-flip cores, partial
-transposes).
+``eigh_stack`` where eigenvectors are read (complex: a state, its
+marginals, the matrices derived from it) and ``eigvalsh_stack`` where only
+the spectrum is (real: the spin-flip dilations; complex: the partial
+transposes).  A float64 stack stays real, so LAPACK's real driver solves
+it; any other input is solved as complex.
 ``fano_stack`` gives the Fano coefficients R_mu,nu = Tr m sigma_mu x sigma_nu
 over the 16 ``PAULI_PRODUCTS`` (sigma_0 = I): m = sum R_mu,nu sigma_mu x sigma_nu / 4.
 A check that fails on a stack raises for the lowest failing state and
@@ -41,7 +44,6 @@ __all__ = [
     "fano_stack",
     "marginal_stack",
     "transpose_stack",
-    "sqrt_stack",
     "matrix_from_json",
     "density_from_json",
     "I2",
@@ -118,8 +120,9 @@ class Tolerances:
     sets it, and it must be finite and positive.  It reaches every check
     and verdict bound in ``linalg``, ``entropy``, ``concurrence``,
     ``structure``, the randomized audit and the CLI's reference-table
-    comparisons.  Eigendecompositions come from LAPACK's Hermitian solver
-    and take no tolerance, so scaling never changes a computed spectrum.
+    comparisons.  Eigendecompositions come from LAPACK's Hermitian and
+    real symmetric solvers and take no tolerance, so scaling never
+    changes a computed spectrum.
     """
 
     scale: float = 1.0
@@ -132,7 +135,7 @@ class Tolerances:
     concurrence_zero = _bound(1e-8, "Concurrence at or below this counts as separable")
     printed = _bound(1e-4, "Agreement with a decimal printed to four places")
     reshuffle = _bound(1e-12, "Residuals of exact rearrangements: index reshuffles, involutions, idempotent maps")
-    rebuilt = _bound(1e-8, "Residuals of a matrix rebuilt from factors: a square root squared, a product of marginals")
+    rebuilt = _bound(1e-8, "Residuals of a matrix rebuilt from factors, e.g. a product of marginals")
     continuity = _bound(1e-3, "Tsallis entropy at q = 1 ± 1e-4 against von Neumann")
 
     def __post_init__(self):
@@ -156,8 +159,11 @@ def _require_finite(m: np.ndarray) -> None:
 
 
 def _hermitian_stack(m, tols: Tolerances) -> np.ndarray:
-    """``m`` as a complex array, once it passes the finite, square and hermiticity checks."""
-    m = np.asarray(m, dtype=complex)
+    """``m`` as a complex array, or a real one if it is float64, once it passes the finite,
+    square and hermiticity checks."""
+    m = np.asarray(m)
+    if m.dtype != np.float64:
+        m = m.astype(complex, copy=False)
     _require_finite(m)
     if m.ndim < 3 or m.shape[-1] != m.shape[-2] or not m.size:
         raise CheckError("square", 0.0, f"shape {m.shape[1:]} is not square and nonempty")
@@ -323,11 +329,6 @@ def transpose_stack(m: np.ndarray, side: str) -> np.ndarray:
     if side not in ("A", "B"):
         raise ValueError(f"subsystem must be 'A' or 'B', got {side!r}")
     return _split(m).swapaxes(*_AXES[side]).reshape(m.shape)
-
-
-def sqrt_stack(values: np.ndarray, vectors: np.ndarray) -> np.ndarray:
-    """V sqrt(max(values, 0)) V† for each eigendecomposition of a stack, values ``(..., n)``, vectors ``(..., n, n)``."""
-    return (vectors * np.sqrt(np.maximum(values, 0.0))[..., None, :]) @ vectors.conj().swapaxes(-1, -2)
 
 
 def _json_entry(pair) -> complex:

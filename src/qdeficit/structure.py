@@ -24,9 +24,9 @@ the weight of |alpha, beta><alpha, beta| in a matrix with coefficients R
 is f_A^T R f_B / 4: the joint P(alpha, beta) for rho, the overlaps
 |<alpha, beta|Gamma>|^2 for rho's eigenprojectors.  rho_d has the
 coefficients sum P f_A f_B^T.  So a stack takes one ``eigh`` call, on the
-states, and one ``eigvalsh`` call, on the spin-flip cores and partial
-transposes.  rho_d's spectrum is P: S(rho_d) = H(P), P >= 0 is its psd
-check and P's sum its trace check.
+states, and two values-only ``eigvalsh`` calls, one on the real spin-flip
+dilations and one on the complex partial transposes.  rho_d's spectrum is
+P: S(rho_d) = H(P), P >= 0 is its psd check and P's sum its trace check.
 
 A side's eigenvalue gap is |a|.  At most ``tols.degeneracy``, its
 eigenbasis is not unique and its axis is z: the computational basis in
@@ -43,7 +43,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .concurrence import core_concurrence, spin_flip_core_stack
+from .concurrence import dilation_concurrence, spin_flip_dilation_stack
 from .entropy import entropy_stack
 from .linalg import (
     PAULI_PRODUCTS,
@@ -169,14 +169,10 @@ def decohere_stack(m: np.ndarray, vectors: np.ndarray, *, tols: Tolerances = TOL
 def _classify(m: np.ndarray, w: np.ndarray, v: np.ndarray, tols: Tolerances) -> Classification:
     """Every figure of each state of a validated stack ``(m, w, v)``, as columns."""
     n = len(m)
-    # The spin-flip cores and the partial transposes need only spectra: one values-only call
-    # on (N, 2, 4, 4), so a failing check names state k // 2 of the flat index k.
-    pairs = np.empty((n, 2, 4, 4), dtype=complex)
-    pairs[:, 0] = spin_flip_core_stack(w, v)
-    pairs[:, 1] = transpose_stack(m, "B")
-    spectra = eigvalsh_stack(pairs, tols=tols)
-    conc = core_concurrence(spectra[:, 0], tols=tols)
-    ppt_min = spectra[:, 1, -1]
+    # The spin-flip dilations and the partial transposes need only spectra: one values-only call
+    # each, the first on real matrices and the second on complex ones.
+    conc = dilation_concurrence(eigvalsh_stack(spin_flip_dilation_stack(w, v), tols=tols))
+    ppt_min = eigvalsh_stack(transpose_stack(m, "B"), tols=tols)[:, -1]
     # The entropy input check on rho, ahead of the frame's checks; the pass below repeats it.
     CheckError.below("psd", w[:, -1], -tols.psd, lambda k: "negative eigenvalue in entropy input")
     mat_d, joint, frame_w, degenerate, weights = decohere_stack(m, v, tols=tols)
@@ -209,9 +205,9 @@ def classify_stack(matrices, *, tols: Tolerances = TOLS) -> Classification:
 
     Each matrix is validated as ``DensityMatrix`` validates it; the first
     failing check raises for the lowest failing state and names it.  The
-    stack takes two eigensolver calls: ``eigh`` on the states, and one
-    values-only ``eigvalsh`` on the spin-flip cores and the partial
-    transposes together.
+    stack takes three eigensolver calls: ``eigh`` on the states, and one
+    values-only ``eigvalsh`` each on the spin-flip dilations and on the
+    partial transposes.
     """
     m = np.asarray(matrices, dtype=complex)
     if m.ndim != 3 or m.shape[1:] != (4, 4):

@@ -11,7 +11,7 @@ import pytest
 
 from qdeficit import audit, cli
 from qdeficit.cli import main
-from qdeficit.linalg import TOLS, marginal_stack, sqrt_stack
+from qdeficit.linalg import TOLS, eigvalsh_stack, marginal_stack
 from qdeficit.states import pure_density, werner
 from qdeficit.structure import classify, decohere_stack
 
@@ -252,14 +252,10 @@ class TestAudit:
                 want = [rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)) for _ in range(2)]
                 assert np.array_equal(audit._local_gaussians(index, seed), np.array(want)), (seed, index)
 
-    # Squaring root * (1 + 3e-8) leaves a residual of 6e-8 |rho_ij|, and every
-    # trace-one 4x4 state has an entry of at least 1/4: between 1e-8 and 1e-7.
     @pytest.mark.parametrize(("scale", "passes"), [("1", False), ("10", True)])
-    def test_injected_sqrt_fault_fails_at_default_scale_only(self, capsys, monkeypatch, scale, passes):
-        def faulty_sqrt(values, vectors):
-            return sqrt_stack(values, vectors) * (1.0 + 3e-8)
-
-        monkeypatch.setattr(audit, "sqrt_stack", faulty_sqrt)
+    def test_injected_spin_flip_fault_fails_at_default_scale_only(self, capsys, monkeypatch, scale, passes):
+        """Every state's sum lambda_i^2 grows by 3e-9, between the default bound and ten times it."""
+        monkeypatch.setattr(audit, "eigvalsh_stack", _lambda_fault(lambda values: slice(None)))
         code, out, err = _run(capsys, "--tolerance", scale, "audit", "--n", "12")
         if passes:
             assert code == 0, err
@@ -267,11 +263,11 @@ class TestAudit:
             assert err == ""
         else:
             assert code == 1
-            assert "FAIL sqrt-roundtrip (0/12)" in out.splitlines()
+            assert "FAIL spin-flip-trace (0/12)" in out.splitlines()
             assert out.count("FAIL") == 1
             lines = err.splitlines()
             assert lines[-1] == "12 property violations"
-            assert all(re.match(r"^state \d+ \(seed \d+\) failed sqrt-roundtrip: ", line) for line in lines[:-1])
+            assert all(re.match(r"^state \d+ \(seed \d+\) failed spin-flip-trace: ", line) for line in lines[:-1])
             assert len(lines) == 13
 
     def test_nan_entropy_fails_every_property_that_reads_it(self, monkeypatch):
@@ -287,26 +283,23 @@ class TestAudit:
 
     def test_failure_is_booked_to_its_state(self, monkeypatch):
         def run(stack_size):
-            """The audit of 20 states with row 5 of the first stack's square roots off by 3e-8."""
+            """The audit of 20 states with row 5 of the first stack's sum lambda_i^2 off by 3e-9."""
             stacks = []
 
-            def faulty_sqrt(values, vectors):
-                root = sqrt_stack(values, vectors)
-                if not stacks:
-                    root[5] *= 1.0 + 3e-8
-                stacks.append(len(root))
-                return root
+            def rows(values):
+                stacks.append(len(values))
+                return 5 if len(stacks) == 1 else slice(0)
 
-            monkeypatch.setattr(audit, "sqrt_stack", faulty_sqrt)
+            monkeypatch.setattr(audit, "eigvalsh_stack", _lambda_fault(rows))
             monkeypatch.setattr(audit, "STACK_SIZE", stack_size)
             return audit.run_audit(20, 42), stacks
 
         (counts, failures), stacks = run(audit.STACK_SIZE)
         assert stacks == [20]
         assert len(failures) == 1
-        assert failures[0].startswith("state 5 (seed 42) failed sqrt-roundtrip: random mixed product: ")
-        assert [prop for prop, (_, failed) in counts.items() if failed] == ["sqrt-roundtrip"]
-        assert counts["sqrt-roundtrip"] == [20, 1]
+        assert failures[0].startswith("state 5 (seed 42) failed spin-flip-trace: random mixed product: ")
+        assert [prop for prop, (_, failed) in counts.items() if failed] == ["spin-flip-trace"]
+        assert counts["spin-flip-trace"] == [20, 1]
         assert run(7) == ((counts, failures), [7, 7, 6])
 
     def test_eigensolver_calls_do_not_grow_with_the_state_count(self, monkeypatch):
@@ -318,15 +311,15 @@ class TestAudit:
         assert small.count("eigh") > 0 and small.count("eigvalsh") > 0
         assert sorted(calls) == small
 
-    def test_a_stack_makes_six_eigh_and_one_eigvalsh_call(self, monkeypatch):
+    def test_a_stack_makes_six_eigh_and_two_eigvalsh_calls(self, monkeypatch):
         """``eigh`` on the mixed products' factors and their marginals, the states and their marginals,
-        the four derived matrices per state and the product's and rho_d's marginals; one ``eigvalsh``
-        on the three spin-flip cores and the partial transpose per state."""
+        the four derived matrices per state and the product's and rho_d's marginals; ``eigvalsh`` on
+        the three real spin-flip dilations per state, and on the complex partial transposes."""
         label = audit._draw(2, 42)[0]
         assert label == "random mixed product"
         calls = _count_eigensolver_calls(monkeypatch)
         audit._check_stack(range(15), 42, TOLS)
-        assert sorted(calls) == ["eigh"] * 6 + ["eigvalsh"]
+        assert sorted(calls) == ["eigh"] * 6 + ["eigvalsh"] * 2
 
     def test_failure_in_a_grouped_stack_is_booked_to_its_state(self, monkeypatch):
         """State 5's rotation fails the trace check inside the stack of four derived matrices per state:
@@ -345,6 +338,25 @@ class TestAudit:
         assert message.startswith("audit seed 42, states range(0, 20) (state k is the k-th of them): trace check")
         assert "state 5: trace" in message
         assert "state 22" not in message
+
+
+def _lambda_fault(rows):
+    """``eigvalsh_stack`` for the audit, with a fault on the real dilations' spectra: in the states
+    ``rows(values)`` picks, lambda_1 and lambda_2 of every dilation grow by the t that adds 3e-9 to
+    sum lambda_i^2.  lambda_1 - lambda_2 - lambda_3 - lambda_4 and the order are unchanged, so
+    every concurrence stays as it was and only spin-flip-trace sees the fault."""
+    added = 3e-9
+
+    def faulty(m, *, tols):
+        values = eigvalsh_stack(m, tols=tols)
+        if values.shape[-1] == 8:
+            picked = rows(values)
+            s = np.maximum(values[picked, ..., :2], 0.0).sum(axis=-1, keepdims=True)
+            # 2 t s + 2 t^2 = added, the root without cancellation
+            values[picked, ..., :2] += added / (s + np.sqrt(s * s + 2.0 * added))
+        return values
+
+    return faulty
 
 
 def _count_eigensolver_calls(monkeypatch) -> list[str]:
@@ -412,6 +424,8 @@ class TestClassify:
             ("iso:S", 0.0, "separable (concurrence = 0)"),
             # (3p - 1) / 2 at p = 1 - 4e-7 is 1 - 6e-7: lambda_2..4 = 1e-7 count.
             ("werner:0.9999996", 0.9999994, "entangled (concurrence = 0.999999)"),
+            # p = 1 - 1e-7: lambda_2..4 = 2.5e-8 count, though their squares, 6.25e-16, are round-off size.
+            ("werner:0.9999999", 0.99999985, "entangled (concurrence = 1)"),
         ],
     )
     def test_concurrence_is_its_closed_form(self, capsys, name, concurrence, verdict):

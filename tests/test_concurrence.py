@@ -3,11 +3,12 @@ import math
 import numpy as np
 import pytest
 
+from qdeficit import concurrence
 from qdeficit.concurrence import (
-    core_concurrence,
+    dilation_concurrence,
     lambda_spectrum,
     pure_concurrence,
-    spin_flip_core_stack,
+    spin_flip_dilation_stack,
     spin_flip_stack,
 )
 from qdeficit.linalg import CheckError, DensityMatrix, density_stack, eigh_stack, eigvalsh_stack, transpose_stack
@@ -28,8 +29,8 @@ SINGLET = np.array([0, 1, -1, 0]) / math.sqrt(2)
 
 
 def _concurrence(*matrices) -> np.ndarray:
-    """Concurrences of the matrices, validated as one stack: the spin-flip cores' spectra, one values-only call."""
-    return core_concurrence(eigvalsh_stack(spin_flip_core_stack(*density_stack(np.array(matrices)))))
+    """Concurrences of the matrices, validated as one stack: the spin-flip dilations' spectra, one values-only call."""
+    return dilation_concurrence(eigvalsh_stack(spin_flip_dilation_stack(*density_stack(np.array(matrices)))))
 
 
 class TestSpinFlip:
@@ -143,12 +144,23 @@ class TestConcurrence:
         assert np.array_equal(entangled, ppt_min < -1e-8)
 
 
-class TestCoreAccuracy:
-    """The core tau† tau gives the concurrence to round-off where its small lambdas sit near the noise floor."""
+def _near_pure_rank_two(count: int) -> np.ndarray:
+    """(1 - eps) |psi><psi| + eps |phi><phi| for Haar psi, phi and eps log-uniform in [1e-9, 1e-5]."""
+    rng = np.random.default_rng(2024)
+    eps = 10.0 ** rng.uniform(-9.0, -5.0, count)
+    psi, phi = (np.array([random_pure(rng) for _ in range(count)]) for _ in range(2))
+    pure, other = (np.einsum("ni,nj->nij", a, a.conj()) for a in (psi, phi))
+    return (1.0 - eps)[:, None, None] * pure + eps[:, None, None] * other
 
-    def test_werner_near_pure_matches_closed_form(self):
-        # lambda_2..4 = (1 - p) / 4 = 1e-7: core eigenvalues of 1e-14, just above the noise floor.
-        p = 1.0 - 4e-7
+
+class TestCoreAccuracy:
+    """The dilation gives the lambdas to absolute round-off, so the concurrence is exact to round-off
+    also where the small lambdas are tiny."""
+
+    @pytest.mark.parametrize("delta", [4e-7, 1e-7, 1e-10])
+    def test_werner_near_pure_matches_closed_form(self, delta):
+        # lambda_2..4 = (1 - p) / 4 = delta / 4, as small as the square root of round-off in lambda_1^2.
+        p = 1.0 - delta
         assert abs(classify(werner(p)).concurrence - (3 * p - 1) / 2) <= 1e-12
 
     def test_random_mixed_match_multiprecision(self):
@@ -156,10 +168,31 @@ class TestCoreAccuracy:
         want = np.array([mpmath_concurrence(m) for m in stack])
         assert np.max(np.abs(_concurrence(*stack) - want)) <= 1e-14
 
+    def test_near_pure_match_multiprecision(self):
+        """40 rank-2 states a small eps from pure, and ``random_mixed(2703, 4)``, whose smallest
+        eigenvalue is 1.9e-7."""
+        stack = np.concatenate((_near_pure_rank_two(40), random_mixed(2703, 4)[None]))
+        want = np.array([mpmath_concurrence(m) for m in stack])
+        assert np.max(np.abs(_concurrence(*stack) - want)) <= 1e-14
+
     def test_core_rejects_eigenvectors_of_one_qubit(self):
         with pytest.raises(CheckError) as err:
-            spin_flip_core_stack(np.full((1, 2), 0.5), np.eye(2)[None])
+            spin_flip_dilation_stack(np.full((1, 2), 0.5), np.eye(2)[None])
         assert err.value.check == "dims"
+
+    def test_dilation_spectrum_is_plus_minus_lambda(self):
+        """The eight eigenvalues of each dilation are four values and their negatives."""
+        stack = np.array([random_mixed(seed, seed % 4 + 1) for seed in range(40)])
+        values = eigvalsh_stack(spin_flip_dilation_stack(*density_stack(stack)))
+        assert np.max(np.abs(values[:, :4] + values[:, :3:-1])) <= 1e-15
+
+    def test_a_sign_that_breaks_tau_symmetry_fails_hermiticity(self, monkeypatch):
+        """The hermiticity check on the dilation is the check that tau = tau^T: with one sign of
+        sigma_y x sigma_y flipped, tau is not symmetric and the solve refuses its dilation."""
+        monkeypatch.setattr(concurrence, "_SIGNS", np.array((1.0, 1.0, 1.0, -1.0)))
+        with pytest.raises(CheckError) as err:
+            eigvalsh_stack(spin_flip_dilation_stack(*density_stack(random_mixed(3, 4)[None])))
+        assert err.value.check == "hermiticity"
 
 
 class TestPureConcurrence:

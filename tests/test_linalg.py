@@ -20,7 +20,6 @@ from qdeficit.linalg import (
     fano_stack,
     marginal_stack,
     matrix_from_json,
-    sqrt_stack,
     tensor_product,
     transpose_stack,
 )
@@ -132,8 +131,8 @@ class TestHermitianEig:
         assert "state 2" in str(err)
 
     def test_a_stack_of_pairs_names_the_state(self):
-        """A check on ``(N, 2, n, n)`` names state k // 2 of flat entry k, as ``classify_stack``'s
-        stack of spin-flip cores and partial transposes needs."""
+        """A check on ``(N, 2, n, n)`` names state k // 2 of flat entry k, as the audit's grouped
+        stacks, such as its three spin-flip dilations per state, need."""
         stack = _random_stack(np.random.default_rng(9), 10).reshape(5, 2, 4, 4)
         stack[3, 1, 2, 0] += 1.0
         err = _rejected(stack)
@@ -147,6 +146,17 @@ class TestHermitianEig:
         assert values.shape == (n, dim)
         assert np.all(np.diff(values, axis=-1) <= 0)
         assert np.max(np.abs(values - eigh_stack(stack)[0])) <= 1e-14
+
+    def test_a_real_stack_stays_real(self):
+        """A float64 stack goes to LAPACK's real driver: real vectors, and the spectrum of the same
+        matrices solved as complex."""
+        rng = np.random.default_rng(11)
+        x = rng.standard_normal((20, 8, 8))
+        stack = x + x.swapaxes(-1, -2)
+        values, vectors = eigh_stack(stack)
+        assert vectors.dtype == np.float64
+        assert np.max(np.abs(values - eigh_stack(stack.astype(complex))[0])) <= 1e-13
+        assert np.max(np.abs(eigvalsh_stack(stack) - values)) <= 1e-13
 
     @settings(deadline=None, max_examples=60)
     @given(st.integers(min_value=0, max_value=10**9))
@@ -293,32 +303,6 @@ class TestFanoStack:
         stack = np.array([random_mixed(seed, 1 + seed % 4) for seed in range(50)])
         rebuilt = np.einsum("nmv,mvij->nij", fano_stack(stack), PAULI_PRODUCTS) / 4.0
         assert np.max(np.abs(rebuilt - stack)) <= 1e-15
-
-
-def _sqrt(m: np.ndarray) -> np.ndarray:
-    return sqrt_stack(*_eig(m))
-
-
-class TestSqrtStack:
-    def test_sqrt_of_scaled_identity(self):
-        out = _sqrt(np.eye(4) / 4)
-        assert np.max(np.abs(out - np.eye(4) / 2)) < 1e-14
-
-    def test_sqrt_diagonal(self):
-        out = _sqrt(np.diag([4 / 9, 1 / 9, 0, 0]).astype(complex))
-        assert np.max(np.abs(out - np.diag([2 / 3, 1 / 3, 0, 0]))) < 1e-14
-
-    def test_sqrt_squares_back(self):
-        rng = np.random.default_rng(13)
-        for _ in range(20):
-            h = random_hermitian(rng)
-            m = h @ h.conj().T / np.trace(h @ h.conj().T).real
-            root = _sqrt(m)
-            assert np.max(np.abs(root @ root - m)) < 1e-8
-
-    def test_round_off_negative_eigenvalues_become_zero(self):
-        out = sqrt_stack(np.array([[0.25, -1e-12], [1.0, 0.0]]), np.array([np.eye(2), np.eye(2)[::-1]]))
-        assert np.array_equal(out, [np.diag([0.5, 0.0]), np.diag([0.0, 1.0])])
 
 
 class TestDensityMatrix:

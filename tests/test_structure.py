@@ -307,9 +307,9 @@ class TestClassifyStack:
         assert np.max(np.abs(classify_stack(stack).deficit - want)) <= 1e-12
 
     @pytest.mark.parametrize("n", [1, 200])
-    def test_one_eigh_and_one_eigvalsh_whatever_the_stack_size(self, monkeypatch, n):
-        """``eigh`` on the states, one ``eigvalsh`` on the spin-flip cores and the partial transposes
-        together: the marginals, the frame and rho_d take none."""
+    def test_one_eigh_and_two_eigvalsh_whatever_the_stack_size(self, monkeypatch, n):
+        """``eigh`` on the states, one ``eigvalsh`` on the real spin-flip dilations and one on the
+        complex partial transposes: the marginals, the frame and rho_d take none."""
         stack = _mixed_stack()[:n]
         assert len(stack) == n
         calls = []
@@ -324,7 +324,7 @@ class TestClassifyStack:
         for name in ("eigh", "eigvalsh"):
             monkeypatch.setattr(np.linalg, name, counted(getattr(np.linalg, name)))
         classify_stack(stack)
-        assert calls == ["eigh", "eigvalsh"]
+        assert calls == ["eigh", "eigvalsh", "eigvalsh"]
 
     def test_report_fields_are_python_scalars(self):
         report = classify(werner(0.5))

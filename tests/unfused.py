@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from qdeficit.concurrence import core_concurrence, spin_flip_core_stack
+from qdeficit.concurrence import dilation_concurrence, spin_flip_dilation_stack
 from qdeficit.entropy import entropy_stack
 from qdeficit.linalg import TOLS, Tolerances, density_stack, eigvalsh_stack, tensor_product, transpose_stack
 from qdeficit.structure import Classification
@@ -52,9 +52,8 @@ def _frame(marg: np.ndarray, values: np.ndarray, vectors: np.ndarray, tols: Tole
 
 def classify_columns(m: np.ndarray, w: np.ndarray, v: np.ndarray, tols: Tolerances = TOLS) -> Classification:
     """Every ``Classification`` column of a validated stack ``(m, w, v)``."""
-    spectra = eigvalsh_stack(np.stack((spin_flip_core_stack(w, v), transpose_stack(m, "B")), axis=1), tols=tols)
-    conc = core_concurrence(spectra[:, 0], tols=tols)
-    ppt_min = spectra[:, 1, -1]
+    conc = dilation_concurrence(eigvalsh_stack(spin_flip_dilation_stack(w, v), tols=tols))
+    ppt_min = eigvalsh_stack(transpose_stack(m, "B"), tols=tols)[:, -1]
     s = entropy_stack(w, tols=tols)
     marg, marg_w, marg_v = marginals(m, tols)
     s_marg = entropy_stack(marg_w, tols=tols)
