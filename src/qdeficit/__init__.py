@@ -37,8 +37,6 @@ from .states import (
     correlation_tensor,
     from_registry,
     pure_density,
-    random_mixed,
-    random_pure,
     werner,
     werner_matrices,
 )

@@ -1,34 +1,30 @@
 """Randomized property audit: the paper's invariants on seeded random states.
 
-State ``i`` of seed ``s`` is drawn from ``default_rng((s, i))``: the pure
-product |10> at index 0, then in turn a Haar-pure state, a product of two
-random mixed marginals and a random mixed state of rank 1..4.  Its two
-random local unitaries are drawn from ``default_rng((s, i, 7))``.  Pure
-and product states get their own properties too.
+Every state is m = G G† / Tr G G† for a complex Gaussian 4x4 factor G,
+the induced measure of Życzkowski and Sommers (J. Phys. A 34, 7111,
+2001).  State i of seed s is row i % 256 of block i // 256, whose draw
+is ``default_rng((s, block)).standard_normal((rows, 48))`` read as 24
+complex numbers (real and imaginary parts in turn): G row by row, then
+the Gaussians of the state's two random local unitaries.  numpy fills
+the rows in order, so fewer rows are a prefix of the same draw: a stack
+draws only its own rows, and no state's draw depends on ``STACK_SIZE``,
+the job count or where its stack starts.  Only G's shape depends on the
+kind, i % 3: a Haar-pure state (1) keeps G's column 0, its amplitudes
+once normalized; a mixed product (2) is G_A x G_B, from G's two disjoint
+2x2 corners; a mixed state (0) keeps G's first (i // 3 - 1) % 4 + 1
+columns.  Index 0 is the pure product |10>.  Pure and product states get
+their own properties too.
 
-The draws are made one state at a time.  Everything after them runs on
-stacks of at most ``STACK_SIZE`` states, and each property's magnitude is
-one array over the stack, from the package's stack kernels
-(``marginal_stack``, ``transpose_stack``, ``eigvalsh_stack``,
-``spin_flip_stack``, ``spin_flip_dilation_stack``,
-``dilation_concurrence``, ``entropy_stack``, ``tsallis_stack``,
-``relative_entropy_stack`` and the frame pass ``decohere_stack``), held
-against its bound once.  The states are validated by one
-``density_stack`` call, and the four matrices derived from each state
-(its marginal product, spin flip, local rotation and rho_d) by a second
-one on a stack ``(N, 4, 4, 4)`` grouped on axis 1, so that a failing
-check names state k.  The real spin-flip dilations of rho, its flip and
-its rotation are solved in one ``eigvalsh_stack`` call, and rho's
-complex partial transpose in a second.  A stack makes four ``eigh``
-calls, six when it holds a mixed product (whose factors and their
-marginals are validated too), and two ``eigvalsh``.  The pure-only and
-product-only properties run on the pure and the product rows of the
-stack; the pure rows' second route is the closed forms
-``bloch_vectors``, ``correlation_tensor`` and ``pure_concurrence`` on
-their amplitude stack ``(P, 4)``, which solve no eigenproblem.  Per
-state remain only the draws.  The stack size is fixed, so memory does
-not grow with the number of states, and no state's result depends on
-the others in its stack.
+The checks run on stacks of at most ``STACK_SIZE`` states; each
+property's magnitude is one array over the stack, held against its
+bound once.  The states are validated by one ``density_stack`` call, the
+four matrices derived from each (marginal product, spin flip, local
+rotation, rho_d) by a second on a stack ``(N, 4, 4, 4)`` grouped on axis
+1, so that a failing check names state k.  The real spin-flip dilations
+of rho, its flip and its rotation take one ``eigvalsh_stack`` call, and
+rho's partial transpose a second: a stack makes four ``eigh`` calls and
+two ``eigvalsh``.  The pure rows' second route is the closed forms on
+their amplitudes, which solve no eigenproblem.
 
 Each property keeps two independent routes to the quantity it checks:
 neither side of a comparison is derived from the other side's
@@ -57,7 +53,7 @@ from .linalg import (
     tensor_product,
     transpose_stack,
 )
-from .states import bloch_vectors, correlation_tensor, random_mixed, random_pure
+from .states import bloch_vectors, correlation_tensor
 from .structure import decohere_stack
 
 __all__ = ["AUDIT_PROPERTIES", "run_audit"]
@@ -92,40 +88,39 @@ AUDIT_PROPERTIES = (
 
 _POSITION = {prop: k for k, prop in enumerate(AUDIT_PROPERTIES)}
 
-# States per stack: bounds the working arrays whatever the number of states.  The largest are
-# the real spin-flip dilations (N, 3, 8, 8), 393 kB, and the grouped (N, 4, 4, 4) derived matrices, 256 kB.
+# States per block of the seeding rule.  It is not STACK_SIZE, so that no state's draw moves with the memory bound.
+_BLOCK = 256
+
+# States per stack: bounds the working arrays whatever the number of states, and moves no state's draw.
+# The largest are the real spin-flip dilations (N, 3, 8, 8), 393 kB, and the grouped (N, 4, 4, 4) derived
+# matrices, 262 kB; the Gaussian rows drawn for a stack take at most 2 x 98 kB, as it may straddle two blocks.
 STACK_SIZE = 256
 
 # tsallis-continuity compares S_q at q = 1 +- this offset with S.
 _TSALLIS_OFFSET = 1e-4
 
 
-def _draw(index: int, seed: int):
-    """(label, amplitudes if pure, whether a product state, and the state's matrix, except that
-    a mixed product gives the two mixed states whose marginals it multiplies)."""
+def _mixed_rank(index):
+    """The rank of mixed state ``index`` (``index % 3 == 0``), for an index or an array of them."""
+    return (index // 3 - 1) % 4 + 1
+
+
+def _label(index: int) -> str:
+    """The kind of state ``index``, as its failure lines name it."""
     if index == 0:
-        amps = np.array([0, 1, 0, 0], dtype=complex)
-        return "fixed pure product |10>", amps, True, np.outer(amps, amps.conj())
-    kind = index % 3
-    rng = np.random.default_rng((seed, index))
-    if kind == 1:
-        amps = random_pure(rng)
-        return "haar pure", amps, False, np.outer(amps, amps.conj())
-    if kind == 2:
-        a = random_mixed(int(rng.integers(0, 2**32)), int(rng.integers(1, 3)))
-        b = random_mixed(int(rng.integers(0, 2**32)), int(rng.integers(1, 3)))
-        return "random mixed product", None, True, (a, b)
-    rank = (index // 3 - 1) % 4 + 1
-    return f"random mixed rank {rank}", None, False, random_mixed(int(rng.integers(0, 2**32)), rank)
+        return "fixed pure product |10>"
+    return ("random mixed rank {}", "haar pure", "random mixed product")[index % 3].format(_mixed_rank(index))
 
 
-def _local_gaussians(index: int, seed: int) -> np.ndarray:
-    """The complex Gaussian 2x2 draws ``(2, 2, 2)`` of the state's two local unitaries, in order.
-
-    One draw holds, per unitary, its real parts and then its imaginary parts.
-    """
-    g = np.random.default_rng((seed, index, 7)).standard_normal((2, 2, 2, 2))
-    return g[:, 0] + 1j * g[:, 1]
+def _draw(indices: range, seed: int) -> np.ndarray:
+    """The 24 complex Gaussians ``(N, 24)`` of the states ``indices``, a contiguous range: row i % _BLOCK of
+    block i // _BLOCK for state i, from a draw of the block's rows up to the last index it holds."""
+    rows = []
+    for block in range(indices.start // _BLOCK, (indices.stop - 1) // _BLOCK + 1):
+        first = block * _BLOCK
+        draw = np.random.default_rng((seed, block)).standard_normal((min(indices.stop - first, _BLOCK), 48))
+        rows.append(draw[max(indices.start - first, 0):])
+    return np.concatenate(rows).view(complex)
 
 
 def _haar_unitaries(z: np.ndarray) -> np.ndarray:
@@ -144,30 +139,33 @@ def _max_abs(x: np.ndarray) -> np.ndarray:
     return np.abs(x).reshape(len(x), -1).max(axis=1)
 
 
-def _check_stack(indices, seed: int, tols: Tolerances):
-    """Every property on the states ``indices`` as one stack.
+def _states(indices: range, seed: int):
+    """The states m = G G† / Tr G G† ``(N, 4, 4)``, G's column 0 normalized (a pure state's amplitudes)
+    and the Gaussians ``(N, 2, 2, 2)`` of each state's two local unitaries."""
+    g = _draw(indices, seed)
+    index = np.arange(indices.start, indices.stop)
+    kind = index % 3
+    gauss = g[:, :16].reshape(-1, 4, 4)
+    # A pure state keeps G's column 0, a mixed state its first rank columns; a product is G_A x G_B.
+    kept = np.select((kind == 1, kind == 0), (1, _mixed_rank(index)), 4)
+    factor = np.where(np.arange(4) < kept[:, None, None], gauss, 0)
+    factor[kind == 2] = tensor_product(gauss[kind == 2, :2, :2], gauss[kind == 2, 2:, 2:])
+    factor[index == 0] = np.outer(np.eye(4)[1], np.eye(4)[0])  # one column, |10>
+    m = factor @ _dagger(factor)
+    amplitudes = factor[:, :, 0] / np.linalg.norm(factor[:, :, 0], axis=-1, keepdims=True)
+    return m / m.trace(axis1=-2, axis2=-1).real[:, None, None], amplitudes, g[:, 16:].reshape(-1, 2, 2, 2)
+
+
+def _check_stack(indices: range, seed: int, tols: Tolerances):
+    """Every property on the states ``indices``, a contiguous range, as one stack.
 
     Returns the checked count per property and the failures as
     ``(index, property position, property, detail)``.
     """
-    draws = [_draw(i, seed) for i in indices]
-    gaussians = np.array([_local_gaussians(i, seed) for i in indices])
-    labels = [label for label, _, _, _ in draws]
-    pure = np.array([k for k, (_, amps, _, _) in enumerate(draws) if amps is not None], dtype=int)
-    product = np.array([k for k, (_, _, is_product, _) in enumerate(draws) if is_product], dtype=int)
-    mixed_product = [k for k, (_, _, _, drawn) in enumerate(draws) if isinstance(drawn, tuple)]
-
-    n = len(draws)
-    m = np.empty((n, 4, 4), dtype=complex)
-    for k, (_, _, _, drawn) in enumerate(draws):
-        if not isinstance(drawn, tuple):
-            m[k] = drawn
-    if mixed_product:
-        # Each factor is validated, and so are the marginals the product is built from.
-        factors = np.array([draws[k][3] for k in mixed_product])
-        density_stack(factors, tols=tols)
-        factor_marg = marginal_stack(factors, tols=tols)[0]
-        m[mixed_product] = tensor_product(factor_marg[:, 0, 0], factor_marg[:, 1, 1])
+    m, amplitudes, gaussians = _states(indices, seed)
+    index = np.arange(indices.start, indices.stop)
+    pure = np.flatnonzero((index % 3 == 1) | (index == 0))
+    product = np.flatnonzero((index % 3 == 2) | (index == 0))
 
     checked = dict.fromkeys(AUDIT_PROPERTIES, 0)
     failures = []
@@ -178,8 +176,8 @@ def _check_stack(indices, seed: int, tols: Tolerances):
         if ok.all():
             return
         for j in np.flatnonzero(~ok):
-            k = j if rows is None else rows[j]
-            failures.append((indices[k], _POSITION[prop], prop, f"{labels[k]}: {detail(j)}"))
+            i = indices[j if rows is None else rows[j]]
+            failures.append((i, _POSITION[prop], prop, f"{_label(i)}: {detail(j)}"))
 
     w, v = density_stack(m, tols=tols)
     marg, marg_w, _ = marginal_stack(m, tols=tols)
@@ -215,7 +213,7 @@ def _check_stack(indices, seed: int, tols: Tolerances):
     record("partial-transpose-involution", ok, lambda j: f"inv={inv[j]:.2e}")
 
     # The spin-flip dilations of rho, its flip and its rotation: one real values-only call.
-    dilations = np.empty((n, 3, 8, 8))
+    dilations = np.empty((len(m), 3, 8, 8))
     dilations[:, 0] = spin_flip_dilation_stack(w, v)
     dilations[:, 1:] = spin_flip_dilation_stack(derived_w[:, 1:3], derived_v[:, 1:3])
     dilation_values = eigvalsh_stack(dilations, tols=tols)
@@ -300,7 +298,7 @@ def _check_stack(indices, seed: int, tols: Tolerances):
 
     if len(pure):
         # The closed forms run on the pure rows alone: a bound they fail names the k-th pure row.
-        amps = np.array([draws[k][1] for k in pure])
+        amps = amplitudes[pure]
         sym = np.abs(s_a[pure] - s_b[pure])
         record("pure-marginal-entropy-symmetry", sym <= tols.identity, lambda j: f"{sym[j]:.2e}", pure)
 
@@ -348,7 +346,7 @@ def _check_stack(indices, seed: int, tols: Tolerances):
 
 
 def _audit_part(payload):
-    """``_check_stack`` over ``indices``, ``STACK_SIZE`` states at a time, with the results summed."""
+    """``_check_stack`` over the range ``indices``, ``STACK_SIZE`` states at a time, with the results summed."""
     indices, seed, tols = payload
     checked = dict.fromkeys(AUDIT_PROPERTIES, 0)
     failures = []
@@ -371,7 +369,8 @@ def run_audit(n: int, seed: int, jobs: int = 1, tols: Tolerances = TOLS):
     Returns (per-property (checked, failed) counts in stable order,
     failure detail lines ordered by state, then property).  Deterministic
     for a given seed, independent of the job count.  At most
-    ``min(jobs, n, cpu count)`` worker processes are started.
+    ``min(jobs, n, cpu count)`` worker processes are started, each on one
+    contiguous range of states.
     """
     if n < 1:
         raise ValueError(f"audit needs n >= 1, got {n}")
@@ -379,15 +378,15 @@ def run_audit(n: int, seed: int, jobs: int = 1, tols: Tolerances = TOLS):
         raise ValueError(f"audit needs jobs >= 1, got {jobs}")
     if seed < 0:
         raise ValueError(f"audit needs seed >= 0, got {seed}")
-    indices = range(n)
     workers = min(jobs, n, os.cpu_count() or 1)
+    payloads = [(range(n * k // workers, n * (k + 1) // workers), seed, tols) for k in range(workers)]
     if workers > 1:
         # Spawned, not forked: the BLAS library that numpy loads starts a thread,
         # and forking a multi-threaded process can deadlock.
         with ProcessPoolExecutor(max_workers=workers, mp_context=multiprocessing.get_context("spawn")) as pool:
-            parts = list(pool.map(_audit_part, [(indices[k::workers], seed, tols) for k in range(workers)]))
+            parts = list(pool.map(_audit_part, payloads))
     else:
-        parts = [_audit_part((indices, seed, tols))]
+        parts = [_audit_part(payloads[0])]
     counts = {prop: [sum(checked[prop] for checked, _ in parts), 0] for prop in AUDIT_PROPERTIES}
     lines = []
     for index, _, prop, detail in sorted(failure for _, failures in parts for failure in failures):

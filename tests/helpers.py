@@ -5,6 +5,7 @@ numpy's eigensolvers, explicit entrywise loops, characteristic
 polynomial root-finding and mpmath's multiprecision eigensolver serve as
 the second route for cross-checks.
 ``matrix_json`` writes the state-file format that ``density_from_json`` reads.
+``random_pure`` and ``random_mixed`` are the seeded state fixtures.
 """
 
 from __future__ import annotations
@@ -51,6 +52,39 @@ def haar_unitary(rng: np.random.Generator, n: int = 2) -> np.ndarray:
     z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     q, r = np.linalg.qr(z)
     return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def random_pure(seed: int | np.random.Generator) -> np.ndarray:
+    """Amplitudes ``(4,)`` of a Haar-uniform pure state: four normalized standard complex Gaussians.
+
+    ``seed`` is anything ``np.random.default_rng`` accepts.  A ``Generator``
+    is used as it is, so the amplitudes are its next eight draws.
+    """
+    rng = np.random.default_rng(seed)
+    z = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+    return z / np.linalg.norm(z)
+
+
+def random_mixed(seed: int, rank: int) -> np.ndarray:
+    """Matrix ``(4, 4)`` of a convex mix of ``rank`` Haar-random pure projectors with flat-simplex weights.
+
+    ``seed`` is anything ``np.random.default_rng`` accepts.  Like
+    ``random_pure``, it returns the draw; ``DensityMatrix`` validates it.
+    """
+    if not 1 <= rank <= 4:
+        raise ValueError(f"rank must lie in 1..4, got {rank}")
+    rng = np.random.default_rng(seed)
+    weights = rng.exponential(size=rank)
+    weights /= weights.sum()
+    # The rank vectors in one draw, in random_pure's order: each vector's real parts, then its imaginary parts.
+    re, im = rng.standard_normal((rank, 2, 4)).transpose(1, 0, 2)
+    # random_pure's np.linalg.norm, one vector per row: the real and the imaginary sums of squares, added.
+    norms = np.sqrt(np.einsum("ni,ni->n", re, re) + np.einsum("ni,ni->n", im, im))
+    vectors = (re + 1j * im) / norms[:, None]
+    # The weighted projectors summed in order from a zero start, as a loop of += would sum them.
+    projectors = weights[:, None, None] * (vectors[:, :, None] * vectors[:, None, :].conj())
+    mat = np.add.reduce(projectors, axis=0, initial=0j)
+    return 0.5 * (mat + mat.conj().T)
 
 
 def charpoly_lambdas(rho_matrix: np.ndarray) -> np.ndarray:

@@ -15,7 +15,7 @@ from qdeficit.linalg import TOLS, eigvalsh_stack, marginal_stack
 from qdeficit.states import pure_density, werner
 from qdeficit.structure import classify, decohere_stack
 
-from helpers import matrix_json
+from helpers import matrix_json, random_pure
 
 
 def _run(capsys, *argv):
@@ -244,14 +244,6 @@ class TestAudit:
         assert cli.run_audit(n, 42, jobs) == cli.run_audit(n, 42, 1)
         assert sizes == pool_sizes
 
-    def test_local_gaussians_are_bit_identical_to_one_draw_per_part(self):
-        """The one (2, 2, 2, 2) draw against the four 2x2 draws it replaces: per unitary, real then imaginary."""
-        for seed in (0, 7, 42, 2**31 - 1):
-            for index in range(200):
-                rng = np.random.default_rng((seed, index, 7))
-                want = [rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)) for _ in range(2)]
-                assert np.array_equal(audit._local_gaussians(index, seed), np.array(want)), (seed, index)
-
     @pytest.mark.parametrize(("scale", "passes"), [("1", False), ("10", True)])
     def test_injected_spin_flip_fault_fails_at_default_scale_only(self, capsys, monkeypatch, scale, passes):
         """Every state's sum lambda_i^2 grows by 3e-9, between the default bound and ten times it."""
@@ -311,15 +303,17 @@ class TestAudit:
         assert small.count("eigh") > 0 and small.count("eigvalsh") > 0
         assert sorted(calls) == small
 
-    def test_a_stack_makes_six_eigh_and_two_eigvalsh_calls(self, monkeypatch):
-        """``eigh`` on the mixed products' factors and their marginals, the states and their marginals,
-        the four derived matrices per state and the product's and rho_d's marginals; ``eigvalsh`` on
-        the three real spin-flip dilations per state, and on the complex partial transposes."""
-        label = audit._draw(2, 42)[0]
-        assert label == "random mixed product"
+    def test_a_stack_makes_four_eigh_and_two_eigvalsh_calls(self, monkeypatch):
+        """``eigh`` on the states and their marginals, the four derived matrices per state and the
+        product's and rho_d's marginals; ``eigvalsh`` on the three real spin-flip dilations per state,
+        and on the complex partial transposes."""
+        kinds = {audit._label(i) for i in range(15)}
+        assert kinds == {"fixed pure product |10>", "haar pure", "random mixed product"} | {
+            f"random mixed rank {rank}" for rank in range(1, 5)
+        }
         calls = _count_eigensolver_calls(monkeypatch)
         audit._check_stack(range(15), 42, TOLS)
-        assert sorted(calls) == ["eigh"] * 6 + ["eigvalsh"] * 2
+        assert sorted(calls) == ["eigh"] * 4 + ["eigvalsh"] * 2
 
     def test_failure_in_a_grouped_stack_is_booked_to_its_state(self, monkeypatch):
         """State 5's rotation fails the trace check inside the stack of four derived matrices per state:
@@ -338,6 +332,40 @@ class TestAudit:
         assert message.startswith("audit seed 42, states range(0, 20) (state k is the k-th of them): trace check")
         assert "state 5: trace" in message
         assert "state 22" not in message
+
+
+class TestDraw:
+    """The audit's seeding rule: state i of seed s is row i % 256 of ``default_rng((s, i // 256))``'s draw."""
+
+    @pytest.mark.parametrize("seed", [42, 7])
+    def test_kind_and_rank_follow_the_index(self, seed):
+        """Index 0 is |10><10|; otherwise i % 3 == 1 is pure, i % 3 == 2 a product of full-rank marginals,
+        and i % 3 == 0 a state of rank (i // 3 - 1) % 4 + 1, read from the spectrum and the marginals."""
+        m = audit._states(range(1000), seed)[0]
+        index = np.arange(1000)
+        kind = index % 3
+        rank = np.count_nonzero(np.linalg.eigvalsh(m) > TOLS.support_cutoff, axis=1)
+        want = np.select((kind == 1, kind == 2), (1, 4), (index // 3 - 1) % 4 + 1)
+        assert np.array_equal(m[0], np.diag([0, 1, 0, 0]).astype(complex))
+        assert np.array_equal(rank[1:], want[1:])
+        r = m.reshape(-1, 2, 2, 2, 2)
+        product = np.einsum("nij,nkl->nikjl", np.trace(r, axis1=2, axis2=4), np.trace(r, axis1=1, axis2=3))
+        off = np.abs(m - product.reshape(-1, 4, 4)).max(axis=(1, 2))
+        assert off[kind == 2].max() <= 1e-12
+        assert off[(kind != 2) & (index > 0)].min() > 1e-3
+
+    def test_pure_rows_are_haar(self):
+        """The mean of |<11|psi>|^2 over the ~10,000 pure rows of 30,000 states is 1/4 within 0.01,
+        five standard errors of its Beta(1, 3) distribution."""
+        index = np.arange(30000)
+        amps = audit._states(range(30000), 42)[1][index % 3 == 1]
+        assert abs(np.mean(np.abs(amps[:, 0]) ** 2) - 0.25) <= 0.01
+
+    @pytest.mark.parametrize("seed", [0, 42])
+    def test_a_stack_draws_the_rows_of_its_blocks(self, seed):
+        """States 250..269 straddle blocks 0 and 1: their draw is rows 250..269 of the two blocks' draws."""
+        whole = np.concatenate((audit._draw(range(0, 256), seed), audit._draw(range(256, 512), seed)))
+        assert np.array_equal(audit._draw(range(250, 270), seed), whole[250:270])
 
 
 def _lambda_fault(rows):
@@ -376,19 +404,25 @@ def _count_eigensolver_calls(monkeypatch) -> list[str]:
 
 
 class TestJointConditionalProbability:
-    def test_round_off_on_a_tiny_marginal_value_passes(self):
-        # Haar-pure state 65284 of seed 0 has p = 2.1e-7 on both sides.  Against side A's marginal
-        # eigenvalues, P(alpha, beta) - p is 2.2e-16, which the ratio P / p inflates to 1 + 2.8e-10,
-        # beyond 1 + tols.hermiticity.
-        label, amps, _, _ = audit._draw(65284, 0)
+    def test_round_off_on_a_tiny_marginal_value_passes(self, monkeypatch):
+        # A Haar-pure state with p = 2.1e-7 on both sides: state 65284 of seed 0 as the audit drew it
+        # one state at a time.  Against side A's marginal eigenvalues, P(alpha, beta) - p is 2.2e-16,
+        # which the ratio P / p inflates to 1 + 2.8e-10, beyond 1 + tols.hermiticity.
+        amps = random_pure(np.random.default_rng((0, 65284)))
         rho = pure_density(amps)
         m = rho.matrix[None]
         joint = decohere_stack(m, rho.eigenvectors[None]).joint
         given_a = marginal_stack(m)[1][:, 0, :, None]
         assert (joint / given_a).max() > 1.0 + TOLS.hermiticity
         assert (joint - given_a).max() <= TOLS.hermiticity
+        # The audit's checks on these amplitudes: a pure row keeps column 0 of its 4x4 Gaussian factor
+        # (entries 0, 4, 8 and 12 of its row), and identity Gaussians give its local unitaries.
+        row = np.zeros((1, 24), dtype=complex)
+        row[0, 0:16:4] = amps
+        row[0, 16:] = np.tile(np.eye(2).ravel(), 2)
+        monkeypatch.setattr(audit, "_draw", lambda indices, seed: row)
         checked, failures = audit._check_stack(range(65284, 65285), 0, TOLS)
-        assert label == "haar pure"
+        assert audit._label(65284) == "haar pure"
         assert checked["joint-conditional-probability"] == 1
         assert failures == []
 
@@ -408,7 +442,7 @@ class TestJointConditionalProbability:
         lines = [line for line in failures if "joint-conditional-probability" in line]
         assert lines == [
             "state 3 (seed 42) failed joint-conditional-probability: "
-            "random mixed rank 1: worst ratio 1.01, excess 9.25e-03"
+            "random mixed rank 1: worst ratio 1.01, excess 8.41e-03"
         ]
 
 

@@ -16,14 +16,21 @@ from qdeficit.states import (
     bloch_vectors,
     from_registry,
     pure_density,
-    random_mixed,
-    random_pure,
     werner,
 )
 
 from qdeficit.structure import classify
 
-from helpers import YY, charpoly_lambdas, gamma_route_matrix, haar_unitary, mpmath_concurrence, random_hermitian
+from helpers import (
+    YY,
+    charpoly_lambdas,
+    gamma_route_matrix,
+    haar_unitary,
+    mpmath_concurrence,
+    random_hermitian,
+    random_mixed,
+    random_pure,
+)
 
 SINGLET = np.array([0, 1, -1, 0]) / math.sqrt(2)
 

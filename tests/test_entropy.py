@@ -18,13 +18,11 @@ from qdeficit.linalg import CheckError, DensityMatrix, Tolerances, tensor_produc
 from qdeficit.states import (
     from_registry,
     pure_density,
-    random_mixed,
-    random_pure,
     werner,
 )
 from qdeficit.structure import classify, decohere_stack
 
-from helpers import haar_unitary
+from helpers import haar_unitary, random_mixed, random_pure
 
 LN2 = math.log(2.0)
 LN3 = math.log(3.0)

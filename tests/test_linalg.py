@@ -23,10 +23,10 @@ from qdeficit.linalg import (
     tensor_product,
     transpose_stack,
 )
-from qdeficit.states import bloch_vectors, correlation_tensor, from_registry, random_mixed, random_pure, werner
+from qdeficit.states import bloch_vectors, correlation_tensor, from_registry, werner
 from qdeficit.structure import classify
 
-from helpers import kron_oracle, matrix_json, numpy_spectrum, random_hermitian
+from helpers import kron_oracle, matrix_json, numpy_spectrum, random_hermitian, random_mixed, random_pure
 
 
 # Every bound Tolerances derives from its scale, with its default.

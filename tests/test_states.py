@@ -14,13 +14,11 @@ from qdeficit.states import (
     correlation_tensor,
     from_registry,
     pure_density,
-    random_mixed,
-    random_pure,
     werner,
     werner_matrices,
 )
 
-from helpers import I2, SX, SY, SZ
+from helpers import I2, SX, SY, SZ, random_mixed, random_pure
 
 SINGLET = np.array([0, 1, -1, 0]) / math.sqrt(2)
 PRODUCT_11 = np.array([1, 0, 0, 0], dtype=complex)

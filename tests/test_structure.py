@@ -15,10 +15,10 @@ from qdeficit.linalg import (
     density_stack,
     tensor_product,
 )
-from qdeficit.states import from_registry, random_mixed, werner, werner_matrices
+from qdeficit.states import from_registry, werner, werner_matrices
 from qdeficit.structure import Classification, classify, classify_stack, decohere_stack, verdicts
 
-from helpers import I2, SZ, numpy_spectrum
+from helpers import I2, SZ, numpy_spectrum, random_mixed
 from unfused import classify_columns
 
 SEEDED_STATES = st.tuples(st.integers(min_value=0, max_value=2**32 - 1), st.integers(min_value=1, max_value=4))
