@@ -6,7 +6,8 @@ marginal-eigenbasis product frame, whose one pass gives the decohered
 state, the joint distribution, the frame's eigenvalues and the overlap
 weights; the ``Classification`` of a state or of a stack of states,
 which carries the quantum deficit and the mutual entropy, with its
-verdict strings; alongside Wootters concurrence and the von Neumann /
+verdict strings, and its ``Figures`` alone for a stack that needs no
+diagnostics; alongside Wootters concurrence and the von Neumann /
 Tsallis entropy family.  Every single-state figure is row 0 of a stack
 kernel.  A pure state is its amplitude vector ``(4,)``, and a stack of
 them ``(..., 4)`` is what the closed forms ``bloch_vectors``,
@@ -40,6 +41,15 @@ from .states import (
     werner,
     werner_matrices,
 )
-from .structure import Classification, Decoherence, classify, classify_stack, decohere_stack, verdicts
+from .structure import (
+    Classification,
+    Decoherence,
+    Figures,
+    classify,
+    classify_stack,
+    decohere_stack,
+    figures_stack,
+    verdicts,
+)
 
 __version__ = "0.1.0"

@@ -23,7 +23,7 @@ import sys
 from .audit import AUDIT_PROPERTIES, run_audit
 from .linalg import TOLS, DensityMatrix, Tolerances, density_from_json, marginal_stack
 from .states import EXAMPLE_NAMES, from_registry, werner_matrices
-from .structure import classify, classify_stack, verdicts
+from .structure import classify, classify_stack, figures_stack, verdicts
 
 LN2 = math.log(2.0)
 LN3 = math.log(3.0)
@@ -93,8 +93,8 @@ _TABLE1_PRINTED = {
 # A float64 round-off level, not a bound: ``--tolerance`` would move the grid's last point.
 _GRID_END_SLACK = 1e-12
 
-# Rows classified per ``classify_stack`` call: bounds the sweep's working
-# arrays (a few hundred kB) whatever the step.
+# Rows per ``figures_stack`` call: bounds the sweep's working arrays (a few
+# hundred kB) whatever the step.
 WERNER_CHUNK = 1024
 
 
@@ -103,13 +103,18 @@ def _fmt(x: float) -> str:
 
 
 def _reference_rows(names, tols: Tolerances) -> dict[str, dict]:
-    """Per registry name: its ``state``, ``classify``'s fields, and D and I in units of ln 2."""
+    """Per registry name: its ``state``, ``classify``'s fields, and D and I in units of ln 2.
+
+    The states are classified in one ``classify_stack`` call, whose rows
+    are ``classify``'s figures.
+    """
+    states = [from_registry(name, tols=tols) for name in names]
+    cols = classify_stack([state.matrix for state in states], tols=tols)
     rows = {}
-    for name in names:
-        state = from_registry(name, tols=tols)
-        report = classify(state, tols=tols)
-        rows[name] = {"state": state, **report._asdict(),
-                      "deficit_over_ln2": report.deficit / LN2, "mutual_over_ln2": report.mutual / LN2}
+    for name, state, values in zip(names, states, zip(*(col.tolist() for col in cols))):
+        report = dict(zip(cols._fields, values))
+        rows[name] = {"state": state, **report,
+                      "deficit_over_ln2": report["deficit"] / LN2, "mutual_over_ln2": report["mutual"] / LN2}
     return rows
 
 
@@ -141,10 +146,12 @@ def _grid(pmin: float, pmax: float, step: float):
 def werner_sweep_rows(pmin: float, pmax: float, step: float, tols: Tolerances = TOLS):
     """Rows (p, C, S/ln2, D/ln2, conditional entropy at q=1, PPT min eigenvalue).
 
-    Every column after p is a ``classify`` field; the q=1 conditional
-    entropy is ``entropy_diff_a``, S(AB) - S(A).  The grid is classified
-    ``WERNER_CHUNK`` rows at a time by ``classify_stack``, whose figure
-    columns are read as Python floats, the values ``classify`` reports.
+    Every column after p is a ``Figures`` field; the q=1 conditional
+    entropy is ``entropy_diff_a``, S(AB) - S(A).  The grid goes
+    ``WERNER_CHUNK`` rows at a time through ``figures_stack``, which runs
+    every check that guards these columns and skips ``classify``'s
+    diagnostics; its columns are read as Python floats, the values
+    ``classify`` reports.
     """
     if not (0.0 <= pmin <= pmax <= 1.0):
         raise ValueError(f"need 0 <= min <= max <= 1, got [{pmin}, {pmax}]")
@@ -153,7 +160,7 @@ def werner_sweep_rows(pmin: float, pmax: float, step: float, tols: Tolerances = 
     grid = _grid(pmin, pmax, step)
     rows = []
     while chunk := list(itertools.islice(grid, WERNER_CHUNK)):
-        cols = classify_stack(werner_matrices(chunk), tols=tols)
+        cols = figures_stack(werner_matrices(chunk), tols=tols)
         rows += zip(
             chunk, cols.concurrence.tolist(), (cols.mutual / LN2).tolist(), (cols.deficit / LN2).tolist(),
             cols.entropy_diff_a.tolist(), cols.ppt_min_eig.tolist(),

@@ -9,24 +9,43 @@ entropy increase it causes is the quantum deficit, ``classify``'s
 
 Every figure is computed once, by array kernels over a validated stack
 ``(m, w, v)``: the matrices ``m`` ``(N, 4, 4)`` with their descending
-eigenvalues ``w`` and eigenvectors ``v``.  ``classify_stack`` returns a
-``Classification`` of arrays, one entry per state; ``classify`` is its
-N = 1 call on a ``DensityMatrix``'s own eigen-data, holding row 0 as
-Python scalars, and ``verdicts`` words such a row.  A failed check names
-the lowest failing state of a stack.
+eigenvalues ``w`` and eigenvectors ``v``.  The kernels form two layers.
 
-The frame pass, ``decohere_stack``, works in Fano form (U. Fano, Rev.
-Mod. Phys. 55, 855, 1983): R_mu,nu = Tr rho sigma_mu x sigma_nu, whose
+- The figure layer, ``figures_stack``, returns ``Figures``: the
+  concurrence, S(AB) - S(A), S(AB) - S(B), the mutual entropy, the
+  deficit and the least eigenvalue of the partial transpose, the columns
+  ``werner-sweep`` prints.  It runs every check that guards them: the
+  validation of the stack, the entropy input ``psd`` check on rho, the
+  frame's ``trace``, ``psd`` and ``joint nonnegativity``, rho_d's
+  ``trace`` and ``deficit bounds``.
+- The diagnostic layer, ``classify_stack``, calls the figure layer and
+  builds on it the eigenprojectors' overlap weights, the eigenvalue
+  ratio test and rho_d, for ``commutes_with_marginals``.  Its
+  ``Classification`` holds the ``Figures`` and these diagnostics.  The
+  ``overlap normalization`` check guards only the weights, so it runs
+  where they are computed (``classify``, ``decohere_stack`` and the
+  audit), after the figure checks, and not in the sweep.
+
+Both layers read P by the same product, so ``figures_stack``'s columns
+are ``classify_stack``'s bit for bit.  ``classify`` is
+``classify_stack``'s N = 1 call on a ``DensityMatrix``'s own eigen-data,
+holding row 0 as Python scalars, and ``verdicts`` words such a row.  A
+failed check names the lowest failing state of a stack.
+
+The frame pass works in Fano form (U. Fano, Rev. Mod. Phys. 55, 855,
+1983): R_mu,nu = Tr rho sigma_mu x sigma_nu, whose
 column a = R[1:, 0] and row b = R[0, 1:] are the marginals' Bloch vectors.
 Side A's eigenprojectors are (I +- n.sigma) / 2 with n = a / |a|, so with
 f = (1, +-n) its eigenvalues, the frame values, are f . (R_00, a) / 2, and
 the weight of |alpha, beta><alpha, beta| in a matrix with coefficients R
 is f_A^T R f_B / 4: the joint P(alpha, beta) for rho, the overlaps
 |<alpha, beta|Gamma>|^2 for rho's eigenprojectors.  rho_d has the
-coefficients sum P f_A f_B^T.  So a stack takes one ``eigh`` call, on the
-states, and two values-only ``eigvalsh`` calls, one on the real spin-flip
-dilations and one on the complex partial transposes.  rho_d's spectrum is
-P: S(rho_d) = H(P), P >= 0 is its psd check and P's sum its trace check.
+coefficients sum P f_A f_B^T; ``decohere_stack`` returns it with P, the
+frame values and the overlaps.  So a stack takes one ``eigh`` call, on
+the states, and two values-only ``eigvalsh`` calls, one on the real
+spin-flip dilations and one on the complex partial transposes, in either
+layer.  rho_d's spectrum is P: S(rho_d) = H(P), P >= 0 is its psd check
+and P's sum its trace check.
 
 A side's eigenvalue gap is |a|.  At most ``tols.degeneracy``, its
 eigenbasis is not unique and its axis is z: the computational basis in
@@ -58,9 +77,11 @@ from .linalg import (
 )
 
 __all__ = [
+    "Figures",
     "Classification",
     "Decoherence",
     "decohere_stack",
+    "figures_stack",
     "classify_stack",
     "classify",
     "verdicts",
@@ -92,12 +113,25 @@ def _ratio_stack(weights: np.ndarray, values: np.ndarray, frame_values: np.ndarr
     return side_max, (side_max <= 1.0 + tols.hermiticity).all(axis=-1)
 
 
+class Figures(NamedTuple):
+    """The figures ``werner-sweep`` prints, and a ``Classification``'s first six fields:
+    ``figures_stack``'s arrays, one entry per state."""
+
+    concurrence: np.ndarray  # (N,)
+    entropy_diff_a: np.ndarray  # (N,): S(AB) - S(A)
+    entropy_diff_b: np.ndarray  # (N,): S(AB) - S(B)
+    mutual: np.ndarray  # (N,): S(A) + S(B) - S(AB)
+    deficit: np.ndarray  # (N,): S(rho_d) - S(AB)
+    ppt_min_eig: np.ndarray  # (N,)
+
+
 class Classification(NamedTuple):
     """Every figure of two-qubit states: ``classify_stack``'s arrays, one entry per state,
     or ``classify``'s Python scalars for one state.
 
-    The conditional probabilities are defined while ``worst_eigen_ratio``
-    is at most 1 + ``tols.hermiticity``.
+    The first six fields are the ``Figures``.  The conditional
+    probabilities are defined while ``worst_eigen_ratio`` is at most
+    1 + ``tols.hermiticity``.
     """
 
     concurrence: np.ndarray  # (N,)
@@ -122,25 +156,33 @@ class Decoherence(NamedTuple):
     weights: np.ndarray  # |<alpha, beta|Gamma>|^2 (N, alpha, beta, Gamma)
 
 
-def decohere_stack(m: np.ndarray, vectors: np.ndarray, *, tols: Tolerances = TOLS) -> Decoherence:
-    """Drop all off-diagonal elements of each state in its marginal-eigenbasis product frame.
+class _Frame(NamedTuple):
+    """``_frame_pass``'s result for N states."""
 
-    ``m`` is a validated stack ``(N, 4, 4)`` and ``vectors`` its eigenvectors: one
-    ``fano_stack`` product gives R for the states and for their eigenprojectors.
-    """
-    if m.shape[1:] != (4, 4):
-        raise CheckError("dims", 0.0, f"two-qubit matrices (N, 4, 4) required, got shape {m.shape}")
+    frame_values: np.ndarray  # (N, side A/B, alpha)
+    degenerate: np.ndarray  # (N, side A/B)
+    projectors: np.ndarray  # f_A f_B^T / 4, the coefficients of |alpha, beta><alpha, beta| (N, mu nu, alpha beta)
+    joint: np.ndarray  # P (N, alpha beta), checked nonnegative
+
+
+def _fano_rows(m: np.ndarray, vectors: np.ndarray) -> np.ndarray:
+    """R ``(N, 5, 16)`` of each state (row 0) and of its eigenprojectors |Gamma><Gamma|: one ``fano_stack`` call."""
     n = len(m)
     mats = np.empty((n, 5, 4, 4), dtype=complex)
     mats[:, 0] = m
     columns = vectors.swapaxes(-1, -2)
     np.multiply(columns[..., :, None], columns.conj()[..., None, :], out=mats[:, 1:])
-    r = fano_stack(mats).reshape(n, 5, 16)
-    tr = r[:, 0, 0]  # R_00, the trace both marginals share
+    return fano_stack(mats).reshape(n, 5, 16)
+
+
+def _frame_pass(r: np.ndarray, tols: Tolerances) -> _Frame:
+    """Each state's product frame and joint P from its own Fano row ``r`` ``(N, 16)``."""
+    n = len(r)
+    tr = r[:, 0]  # R_00, the trace both marginals share
     CheckError.above("trace", abs(tr - 1.0), tols.hermiticity, lambda k: f"trace {complex(tr[k]):.12g}")
 
     # Per side: (R_00, Bloch vector), its axis and the frame vectors f[side, alpha] / 2 = (1, +-n) / 2.
-    bloch = r[:, 0, _BLOCH]
+    bloch = r[:, _BLOCH]
     norm = np.sqrt(np.einsum("nsi,nsi->ns", bloch[..., 1:], bloch[..., 1:]))
     degenerate = norm <= tols.degeneracy
     axis = np.where(degenerate[..., None], _Z_AXIS, bloch[..., 1:] / np.maximum(norm, tols.degeneracy)[..., None])
@@ -149,25 +191,50 @@ def decohere_stack(m: np.ndarray, vectors: np.ndarray, *, tols: Tolerances = TOL
     frame_w = (half_f @ bloch[..., None])[..., 0]
     CheckError.below("psd", frame_w, -tols.psd, lambda k: "negative eigenvalue")
 
-    # f_A f_B^T / 4, the coefficients of |alpha, beta><alpha, beta| ``(N, mu nu, alpha beta)``, and
-    # their weights in the state (the joint P) and in its eigenprojectors (the overlaps).
+    # P is the weight of each |alpha, beta><alpha, beta| in the state, f_A^T R f_B / 4.
     ft = half_f.swapaxes(-1, -2)
     projectors = (ft[:, 0, :, None, :, None] * ft[:, 1, None, :, None, :]).reshape(n, 16, 4)
-    out = r @ projectors
-    CheckError.below("joint nonnegativity", out[:, 0], -tols.psd)
-    joint = np.maximum(out[:, 0], 0.0)
-    overlaps = out[:, 1:]
+    joint = (r[:, None] @ projectors)[:, 0]
+    CheckError.below("joint nonnegativity", joint, -tols.psd)
+    return _Frame(frame_w, degenerate, projectors, np.maximum(joint, 0.0))
+
+
+def _overlap_pass(r: np.ndarray, projectors: np.ndarray, tols: Tolerances) -> np.ndarray:
+    """|<alpha, beta|Gamma>|^2 ``(N, alpha, beta, Gamma)``, the weight of each frame projector in
+    each eigenprojector, from ``_fano_rows``' R ``(N, 5, 16)``.
+
+    The product runs over all five rows and drops the state's: on the
+    contiguous block it is cheaper than on the strided rows 1-4 alone.
+    """
+    overlaps = (r @ projectors)[:, 1:]
     err = np.maximum(np.abs(overlaps.sum(axis=-2) - 1.0), np.abs(overlaps.sum(axis=-1) - 1.0))
     CheckError.above("overlap normalization", err, tols.hermiticity)
-
-    # rho_d = sum P(alpha, beta) |alpha, beta><alpha, beta|, through its coefficients.
-    mat_d = ((projectors @ joint[..., None])[..., 0] @ _PRODUCT_ROWS).view(complex).reshape(n, 4, 4)
-    weights = overlaps.swapaxes(-1, -2).reshape(n, 2, 2, 4)
-    return Decoherence(mat_d, joint.reshape(n, 2, 2), frame_w, degenerate, weights)
+    return overlaps.swapaxes(-1, -2).reshape(len(overlaps), 2, 2, 4)
 
 
-def _classify(m: np.ndarray, w: np.ndarray, v: np.ndarray, tols: Tolerances) -> Classification:
-    """Every figure of each state of a validated stack ``(m, w, v)``, as columns."""
+def _decohered(frame: _Frame) -> np.ndarray:
+    """rho_d = sum P(alpha, beta) |alpha, beta><alpha, beta| ``(N, 4, 4)``, through its coefficients."""
+    coefficients = (frame.projectors @ frame.joint[..., None])[..., 0]
+    return (coefficients @ _PRODUCT_ROWS).view(complex).reshape(len(coefficients), 4, 4)
+
+
+def decohere_stack(m: np.ndarray, vectors: np.ndarray, *, tols: Tolerances = TOLS) -> Decoherence:
+    """Drop all off-diagonal elements of each state in its marginal-eigenbasis product frame.
+
+    ``m`` is a validated stack ``(N, 4, 4)`` and ``vectors`` its eigenvectors: one
+    ``fano_stack`` product gives R for the states and for their eigenprojectors.
+    """
+    if m.shape[1:] != (4, 4):
+        raise CheckError("dims", 0.0, f"two-qubit matrices (N, 4, 4) required, got shape {m.shape}")
+    r = _fano_rows(m, vectors)
+    frame = _frame_pass(r[:, 0], tols)
+    weights = _overlap_pass(r, frame.projectors, tols)
+    return Decoherence(_decohered(frame), frame.joint.reshape(-1, 2, 2), frame.frame_values, frame.degenerate, weights)
+
+
+def _figures(m: np.ndarray, w: np.ndarray, v: np.ndarray, r: np.ndarray, tols: Tolerances):
+    """The ``Figures`` of a validated stack ``(m, w, v)`` whose Fano rows are ``r`` ``(N, 16)``,
+    and the ``_Frame`` they were read from."""
     n = len(m)
     # The spin-flip dilations and the partial transposes need only spectra: one values-only call
     # each, the first on real matrices and the second on complex ones.
@@ -175,33 +242,60 @@ def _classify(m: np.ndarray, w: np.ndarray, v: np.ndarray, tols: Tolerances) -> 
     ppt_min = eigvalsh_stack(transpose_stack(m, "B"), tols=tols)[:, -1]
     # The entropy input check on rho, ahead of the frame's checks; the pass below repeats it.
     CheckError.below("psd", w[:, -1], -tols.psd, lambda k: "negative eigenvalue in entropy input")
-    mat_d, joint, frame_w, degenerate, weights = decohere_stack(m, v, tols=tols)
-    # rho_d's spectrum is P, which decohere_stack checked against -psd: S(rho_d) = H(P), its trace P's sum.
-    p = joint.reshape(-1, 4)
+    frame = _frame_pass(r, tols)
+    # rho_d's spectrum is P, which the frame pass checked against -psd: S(rho_d) = H(P), its trace P's sum.
+    p = frame.joint
     tr = p.sum(axis=-1)
     CheckError.above("trace", abs(tr - 1.0), tols.hermiticity, lambda k: f"decohered trace {tr[k]:.12g}")
     # One entropy pass over the spectra of rho, rho_A and rho_B (the frame values, in any order) and
     # rho_d, zero-padded to four levels off the support; the frame values passed the psd check.
     levels = np.zeros((n, 4, 4))
     levels[:, 0] = w
-    levels[:, 1:3, :2] = frame_w
+    levels[:, 1:3, :2] = frame.frame_values
     levels[:, 3] = np.sort(p, axis=-1)[:, ::-1]
     s, s_a, s_b, s_d = entropy_stack(levels, tols=tols).T
     mutual = s_a + s_b - s
     deficit = s_d - s
-    side_max, defined = _ratio_stack(weights, w, frame_w, tols)
-    # Commuting with both frames' projectors is the decoherence fixed point rho = rho_d.
-    commutes = np.abs(m - mat_d).max(axis=(-2, -1)) <= tols.identity
-
     inside = (deficit >= -tols.identity) & (deficit <= mutual + tols.identity)
     CheckError.raise_first("deficit bounds", ~inside, deficit, lambda k: f"mutual={mutual[k]:.12g}")
-    return Classification(
-        conc, s - s_a, s - s_b, mutual, deficit, ppt_min, defined, commutes, degenerate, side_max.max(axis=-1)
-    )
+    return Figures(conc, s - s_a, s - s_b, mutual, deficit, ppt_min), frame
+
+
+def _classify(m: np.ndarray, w: np.ndarray, v: np.ndarray, tols: Tolerances) -> Classification:
+    """Every figure of each state of a validated stack ``(m, w, v)``, as columns: the
+    ``Figures`` first, then the diagnostics read from the eigenprojectors' overlaps and rho_d."""
+    r = _fano_rows(m, v)
+    figures, frame = _figures(m, w, v, r[:, 0], tols)
+    weights = _overlap_pass(r, frame.projectors, tols)
+    side_max, defined = _ratio_stack(weights, w, frame.frame_values, tols)
+    # Commuting with both frames' projectors is the decoherence fixed point rho = rho_d.
+    commutes = np.abs(m - _decohered(frame)).max(axis=(-2, -1)) <= tols.identity
+    return Classification(*figures, defined, commutes, frame.degenerate, side_max.max(axis=-1))
+
+
+def _validated_stack(matrices, tols: Tolerances):
+    """``(m, w, v)``: a stack ``(N, 4, 4)`` validated as ``DensityMatrix`` validates each matrix."""
+    m = np.asarray(matrices, dtype=complex)
+    if m.ndim != 3 or m.shape[1:] != (4, 4):
+        raise CheckError("dims", 0.0, f"a stack of two-qubit states (N, 4, 4) required, got shape {m.shape}")
+    return (m, *density_stack(m, tols=tols))
+
+
+def figures_stack(matrices, *, tols: Tolerances = TOLS) -> Figures:
+    """The ``Figures`` of each two-qubit state of a stack ``(N, 4, 4)``, bit for bit
+    ``classify_stack``'s first six columns, without its diagnostics.
+
+    Validation, the three eigensolver calls and every check that guards
+    a figure are ``classify_stack``'s; the eigenprojectors' overlaps, the
+    ratio test and rho_d are not computed.
+    """
+    m, w, v = _validated_stack(matrices, tols)
+    return _figures(m, w, v, fano_stack(m).reshape(len(m), 16), tols)[0]
 
 
 def classify_stack(matrices, *, tols: Tolerances = TOLS) -> Classification:
-    """Every figure of each two-qubit state of a stack ``(N, 4, 4)``, one array per figure.
+    """Every figure of each two-qubit state of a stack ``(N, 4, 4)``, one array per figure:
+    ``figures_stack``'s columns, then the diagnostics.
 
     Each matrix is validated as ``DensityMatrix`` validates it; the first
     failing check raises for the lowest failing state and names it.  The
@@ -209,11 +303,7 @@ def classify_stack(matrices, *, tols: Tolerances = TOLS) -> Classification:
     values-only ``eigvalsh`` each on the spin-flip dilations and on the
     partial transposes.
     """
-    m = np.asarray(matrices, dtype=complex)
-    if m.ndim != 3 or m.shape[1:] != (4, 4):
-        raise CheckError("dims", 0.0, f"a stack of two-qubit states (N, 4, 4) required, got shape {m.shape}")
-    w, v = density_stack(m, tols=tols)
-    return _classify(m, w, v, tols)
+    return _classify(*_validated_stack(matrices, tols), tols)
 
 
 def classify(rho_ab: DensityMatrix, *, tols: Tolerances = TOLS) -> Classification:
@@ -222,6 +312,8 @@ def classify(rho_ab: DensityMatrix, *, tols: Tolerances = TOLS) -> Classificatio
     ``frame_fallback`` is the (A, B) pair of sides whose degenerate
     marginal took the computational-basis frame.
     """
+    if rho_ab.dims != (2, 2):
+        raise CheckError("dims", 0.0, f"a two-qubit state (4, 4) required, got shape {rho_ab.matrix.shape}")
     cols = _classify(rho_ab.matrix[None], rho_ab.eigenvalues[None], rho_ab.eigenvectors[None], tols)
     row = Classification._make(col[0].tolist() for col in cols)
     return row._replace(frame_fallback=tuple(row.frame_fallback))

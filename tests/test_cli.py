@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qdeficit import audit, cli
+from qdeficit import audit, cli, structure
 from qdeficit.cli import main
 from qdeficit.linalg import TOLS, eigvalsh_stack, marginal_stack
 from qdeficit.states import pure_density, werner
@@ -156,6 +156,17 @@ class TestWernerSweep:
         assert code == 0, err
         assert "plot csvfile using 1:2" in path.read_text()
         assert f"wrote gnuplot script to {path}" in err
+
+    def test_sweep_computes_no_diagnostic(self, monkeypatch):
+        """The sweep prints figures only: it runs without the overlap pass, the ratio test and rho_d."""
+        def unreachable(*args, **kwargs):
+            raise AssertionError("a diagnostic kernel ran")
+
+        for name in ("_overlap_pass", "_ratio_stack", "_decohered"):
+            monkeypatch.setattr(structure, name, unreachable)
+        assert len(cli.werner_sweep_rows(0, 1, 1e-3)) == 1001
+        with pytest.raises(AssertionError, match="a diagnostic kernel ran"):
+            structure.classify_stack(werner(0.3).matrix[None])
 
 
 class TestToleranceScale:
@@ -531,6 +542,15 @@ class TestClassify:
         assert code == 2
         assert out == ""
         assert err.startswith("error: dims check failed")
+
+    def test_qubit_json_file_fails_dims_at_the_entry(self, capsys, tmp_path):
+        """A valid 2x2 state is a qubit marginal: classify names its shape, not a kernel's."""
+        path = tmp_path / "qubit.json"
+        path.write_text(json.dumps({"dims": [2, 1], "matrix": matrix_json(np.eye(2) / 2)}))
+        code, out, err = _run(capsys, "classify", str(path))
+        assert code == 2
+        assert out == ""
+        assert err == "error: dims check failed (magnitude 0): a two-qubit state (4, 4) required, got shape (2, 2)\n"
 
     def test_integer_beyond_the_float_range_is_input_error(self, capsys, tmp_path):
         path = tmp_path / "huge_entry.json"

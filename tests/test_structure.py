@@ -16,12 +16,23 @@ from qdeficit.linalg import (
     tensor_product,
 )
 from qdeficit.states import from_registry, werner, werner_matrices
-from qdeficit.structure import Classification, classify, classify_stack, decohere_stack, verdicts
+from qdeficit.structure import (
+    Classification,
+    Figures,
+    classify,
+    classify_stack,
+    decohere_stack,
+    figures_stack,
+    verdicts,
+)
 
 from helpers import I2, SZ, numpy_spectrum, random_mixed
 from unfused import classify_columns
 
 SEEDED_STATES = st.tuples(st.integers(min_value=0, max_value=2**32 - 1), st.integers(min_value=1, max_value=4))
+
+# The two entries over a stack: the figures alone, and the figures with the diagnostics built on them.
+ENTRIES = (classify_stack, figures_stack)
 
 
 def decohere(rho: DensityMatrix, *, tols: Tolerances = TOLS) -> SimpleNamespace:
@@ -69,9 +80,12 @@ class TestDecohere:
 
     @pytest.mark.parametrize("func", [decohere, classify])
     def test_rejects_non_qubit_dims(self, func):
+        """A qubit marginal fails ``dims`` at the entry, which names the shape it was given."""
         with pytest.raises(CheckError) as err:
             func(DensityMatrix(np.eye(2) / 2))
         assert err.value.check == "dims"
+        shape = {"decohere": "(1, 2, 2)", "classify": "(2, 2)"}[func.__name__]
+        assert str(err.value).endswith(f"4, 4) required, got shape {shape}")
 
 
 class TestQuantumDeficit:
@@ -252,6 +266,20 @@ def _shift_decohered_entropy(monkeypatch, werner_stack: np.ndarray, shifts) -> N
     monkeypatch.setattr(structure, "entropy_stack", shifted)
 
 
+def _unnormalized_overlaps(monkeypatch, k: int) -> None:
+    """Scale the Fano rows of state k's eigenprojectors by 1.01, leaving the state's own row:
+    its overlap weights then sum to 1.01."""
+    real = structure.fano_stack
+
+    def scaled(m):
+        r = real(m)
+        if r.shape[1:] == (5, 4, 4):  # each state's rows, then its eigenprojectors'
+            r[k, 1:] *= 1.01
+        return r
+
+    monkeypatch.setattr(structure, "fano_stack", scaled)
+
+
 def _mixed_stack() -> np.ndarray:
     """Degenerate and generic marginals side by side: the paper's states, Werner
     states, 200 seeded mixed states of rank 1-4, products, decohered states and
@@ -309,7 +337,7 @@ class TestClassifyStack:
     @pytest.mark.parametrize("n", [1, 200])
     def test_one_eigh_and_two_eigvalsh_whatever_the_stack_size(self, monkeypatch, n):
         """``eigh`` on the states, one ``eigvalsh`` on the real spin-flip dilations and one on the
-        complex partial transposes: the marginals, the frame and rho_d take none."""
+        complex partial transposes, through either entry: the marginals, the frame and rho_d take none."""
         stack = _mixed_stack()[:n]
         assert len(stack) == n
         calls = []
@@ -323,8 +351,21 @@ class TestClassifyStack:
 
         for name in ("eigh", "eigvalsh"):
             monkeypatch.setattr(np.linalg, name, counted(getattr(np.linalg, name)))
-        classify_stack(stack)
-        assert calls == ["eigh", "eigvalsh", "eigvalsh"]
+        for entry in ENTRIES:
+            calls.clear()
+            entry(stack)
+            assert calls == ["eigh", "eigvalsh", "eigvalsh"], entry.__name__
+
+    @pytest.mark.parametrize("n", [1, 200])
+    def test_figures_are_the_first_six_columns_bit_for_bit(self, n):
+        """``figures_stack`` and ``classify_stack`` read P from the same product of the same Fano
+        rows, so their shared columns agree in every bit, sign bits included."""
+        stack = _mixed_stack()[:n]
+        figures, cols = figures_stack(stack), classify_stack(stack)
+        assert Classification._fields[: len(Figures._fields)] == Figures._fields
+        for name, col in figures._asdict().items():
+            assert col.dtype == np.float64, name
+            assert np.array_equal(col.view(np.uint64), getattr(cols, name).view(np.uint64)), name
 
     def test_report_fields_are_python_scalars(self):
         report = classify(werner(0.5))
@@ -378,6 +419,19 @@ def _assert_agree(cols: Classification, want: Classification) -> None:
     assert np.max(np.abs(ratio - want.worst_eigen_ratio) / ratio) <= 1e-12
 
 
+def _raises(func, arg) -> CheckError:
+    with pytest.raises(CheckError) as err:
+        func(arg)
+    return err.value
+
+
+def _raised_by_both_entries(stack: np.ndarray) -> CheckError:
+    """The ``CheckError`` that both entries raise on ``stack``: the same check, with the same message."""
+    classified, figures = (_raises(entry, stack) for entry in ENTRIES)
+    assert (figures.check, str(figures)) == (classified.check, str(classified))
+    return classified
+
+
 def _corrupt(kind: str, m: np.ndarray) -> np.ndarray:
     m = m.astype(complex)
     if kind == "finite":
@@ -398,54 +452,71 @@ class TestClassifyStackErrors:
     def test_names_the_bad_state(self, check):
         stack = werner_matrices(np.linspace(0.0, 1.0, 6))
         stack[3] = _corrupt(check, stack[3])
-        with pytest.raises(CheckError) as err:
-            classify_stack(stack)
-        assert err.value.check == check
-        assert "state 3" in str(err.value)
+        err = _raised_by_both_entries(stack)
+        assert err.check == check
+        assert "state 3" in str(err)
 
     @pytest.mark.parametrize("check", ["finite", "hermiticity", "trace", "psd"])
     def test_lowest_failing_state_is_named(self, check):
         stack = werner_matrices(np.linspace(0.0, 1.0, 6))
         stack[4] = _corrupt(check, stack[4])
         stack[2] = _corrupt(check, stack[2])
-        with pytest.raises(CheckError) as err:
-            classify_stack(stack)
-        assert "state 2" in str(err.value)
+        assert "state 2" in str(_raised_by_both_entries(stack))
 
     @pytest.mark.parametrize("check", ["finite", "hermiticity", "trace", "psd"])
     def test_single_state_message_is_unchanged(self, check):
         bad = _corrupt(check, werner(0.4).matrix)
         with pytest.raises(CheckError) as single:
             DensityMatrix(bad)
-        with pytest.raises(CheckError) as stacked:
-            classify_stack(bad[None])
-        assert str(stacked.value) == str(single.value)
-        assert "state" not in str(stacked.value)
+        stacked = _raised_by_both_entries(bad[None])
+        assert str(stacked) == str(single.value)
+        assert "state" not in str(stacked)
 
     def test_deficit_bounds_names_the_bad_state(self, monkeypatch):
         stack = werner_matrices([0.1, 0.3, 0.5, 0.7])
         _shift_decohered_entropy(monkeypatch, stack, [0.0, 0.0, 1.0, 0.0])
-        with pytest.raises(CheckError) as err:
-            classify_stack(stack)
-        assert err.value.check == "deficit bounds"
-        assert "state 2" in str(err.value)
+        err = _raised_by_both_entries(stack)
+        assert err.check == "deficit bounds"
+        assert "state 2" in str(err)
 
     @pytest.mark.parametrize("excess", [1e-6, np.nan], ids=["heavy", "nan"])
     def test_decohered_trace_names_the_bad_state(self, monkeypatch, excess):
         """rho_d's trace is read from the joint P: a P that does not sum to one fails ``trace``."""
-        real = structure.decohere_stack
+        real = structure._frame_pass
 
-        def heavy_joint(*args, **kwargs):
-            dec = real(*args, **kwargs)
-            joint = dec.joint.copy()
-            joint[2, 0, 0] += excess
-            return dec._replace(joint=joint)
+        def heavy_joint(r, tols):
+            frame = real(r, tols)
+            joint = frame.joint.copy()
+            joint[2, 0] += excess
+            return frame._replace(joint=joint)
 
-        monkeypatch.setattr(structure, "decohere_stack", heavy_joint)
-        with pytest.raises(CheckError) as err:
-            classify_stack(werner_matrices([0.1, 0.3, 0.5, 0.7]))
-        assert err.value.check == "trace"
-        assert "state 2" in str(err.value)
+        monkeypatch.setattr(structure, "_frame_pass", heavy_joint)
+        err = _raised_by_both_entries(werner_matrices([0.1, 0.3, 0.5, 0.7]))
+        assert err.check == "trace"
+        assert "state 2" in str(err)
+        assert "decohered trace" in str(err)
+
+    def test_figure_checks_run_ahead_of_overlap_normalization(self, monkeypatch):
+        """The diagnostics are built on the figures: overlap weights of state 2 that do not sum to
+        one fail ``overlap normalization`` in ``classify_stack`` only, and a deficit out of bounds
+        on the same state fails ``deficit bounds`` first, through either entry."""
+        stack = werner_matrices([0.1, 0.3, 0.5, 0.7])
+        _unnormalized_overlaps(monkeypatch, 2)
+        figures_stack(stack)
+        err = _raises(classify_stack, stack)
+        assert err.check == "overlap normalization"
+        assert "state 2" in str(err)
+        _shift_decohered_entropy(monkeypatch, stack, [0.0, 0.0, 1.0, 0.0])
+        err = _raised_by_both_entries(stack)
+        assert err.check == "deficit bounds"
+        assert "state 2" in str(err)
+
+    def test_classify_meets_deficit_bounds_before_overlap_normalization(self, monkeypatch):
+        rho = werner(0.3)
+        _unnormalized_overlaps(monkeypatch, 0)
+        assert _raises(classify, rho).check == "overlap normalization"
+        _shift_decohered_entropy(monkeypatch, rho.matrix[None], [1.0])
+        assert _raises(classify, rho).check == "deficit bounds"
 
     def test_nan_joint_fails_nonnegativity(self, monkeypatch):
         """A NaN correlation coefficient of state 2 leaves its trace and frame values finite: P fails."""
