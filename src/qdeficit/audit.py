@@ -136,7 +136,7 @@ def _dagger(m: np.ndarray) -> np.ndarray:
 
 def _max_abs(x: np.ndarray) -> np.ndarray:
     """Largest |entry| per state of a stack; NaN stays NaN."""
-    return np.abs(x).reshape(len(x), -1).max(axis=1)
+    return np.maximum.reduce(np.abs(x).reshape(len(x), -1), axis=1)
 
 
 def _states(indices: range, seed: int):
@@ -173,7 +173,7 @@ def _check_stack(indices: range, seed: int, tols: Tolerances):
     def record(prop: str, ok: np.ndarray, detail, rows: np.ndarray | None = None):
         """``ok`` holds one verdict per row of ``rows`` (default: every state); ``detail(j)`` describes row j."""
         checked[prop] += len(ok)
-        if ok.all():
+        if np.logical_and.reduce(ok, axis=None):
             return
         for j in np.flatnonzero(~ok):
             i = indices[j if rows is None else rows[j]]

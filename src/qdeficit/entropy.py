@@ -35,7 +35,7 @@ def _log_power_sum(rho: DensityMatrix, q: float, tols: Tolerances) -> float:
     _require_psd(vals[None], tols)
     support = vals[vals > tols.support_cutoff]
     top = support[0]
-    return float(q * np.log(top) + np.log(np.sum((support / top) ** q)))
+    return float(q * np.log(top) + np.log(np.add.reduce((support / top) ** q)))
 
 
 def entropy_stack(values: np.ndarray, *, tols: Tolerances = TOLS) -> np.ndarray:
@@ -70,7 +70,7 @@ def tsallis_stack(values: np.ndarray, q: float, *, tols: Tolerances = TOLS) -> n
     # conditional at large q, where Tr rho^q underflows.
     # Entries off the support become 0, whose q-th power is exactly 0.
     support = np.where(values > tols.support_cutoff, values, 0.0)
-    return (np.sum(support**q, axis=-1) - 1.0) / (1.0 - q)
+    return (np.add.reduce(support**q, axis=-1) - 1.0) / (1.0 - q)
 
 
 def conditional_tsallis(rho_ab: DensityMatrix, side: str, q: float = 1.0, *, tols: Tolerances = TOLS) -> float:
@@ -128,6 +128,6 @@ def relative_entropy_stack(
     # w_g = <g|rho1|g> over rho2's eigenvectors |g>: Tr rho1 ln rho2 = sum w_g ln lambda_g.
     weights = np.einsum("...ig,...ij,...jg->...g", vectors2.conj(), m1, vectors2).real
     support = values2 > tols.support_cutoff
-    outside = np.sum(weights, axis=-1, where=~support)
-    cross = np.sum(weights * np.log(np.where(support, values2, 1.0)), axis=-1, where=support)
+    outside = np.add.reduce(weights, axis=-1, where=~support)
+    cross = np.add.reduce(weights * np.log(np.where(support, values2, 1.0)), axis=-1, where=support)
     return np.where(outside > tols.hermiticity, math.inf, -entropy_stack(values1, tols=tols) - cross)

@@ -20,8 +20,13 @@ it; any other input is solved as complex.
 ``fano_stack`` gives the Fano coefficients R_mu,nu = Tr m sigma_mu x sigma_nu
 over the 16 ``PAULI_PRODUCTS`` (sigma_0 = I): m = sum R_mu,nu sigma_mu x sigma_nu / 4.
 A check that fails on a stack raises for the lowest failing state and
-names it.  Each check first reduces the whole stack to one number, and
-searches for the failing state only once that number is out of bounds.
+names it.  Each check first reduces the whole stack to one number in one
+C-level call: ``np.count_nonzero`` of the ``isfinite`` mask, or a
+``np.maximum`` or ``np.minimum`` ``reduce`` of a residual.  It searches
+for the failing state only once that number is out of bounds; the finite
+check counts each state's bad entries only then.  The checks run in a
+fixed order over the whole stack: finite, square, hermiticity, then a
+density matrix's trace and psd.
 """
 
 from __future__ import annotations
@@ -151,25 +156,23 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-def _require_finite(m: np.ndarray) -> None:
-    nonfinite = ~np.isfinite(m)
-    if np.count_nonzero(nonfinite):
-        counts = np.count_nonzero(nonfinite.reshape(len(m), -1), axis=1)
-        CheckError.raise_first("finite", counts > 0, counts, lambda k: f"{counts[k]} NaN or infinite entries")
-
-
 def _hermitian_stack(m, tols: Tolerances) -> np.ndarray:
     """``m`` as a complex array, or a real one if it is float64, once it passes the finite,
     square and hermiticity checks."""
     m = np.asarray(m)
-    if m.dtype != np.float64:
+    real = m.dtype == np.float64
+    if not real:
         m = m.astype(complex, copy=False)
-    _require_finite(m)
+    finite = np.isfinite(m)
+    if np.count_nonzero(finite) < finite.size:
+        counts = np.count_nonzero(~finite.reshape(len(m), -1), axis=1)
+        CheckError.raise_first("finite", counts > 0, counts, lambda k: f"{counts[k]} NaN or infinite entries")
     if m.ndim < 3 or m.shape[-1] != m.shape[-2] or not m.size:
         raise CheckError("square", 0.0, f"shape {m.shape[1:]} is not square and nonempty")
-    herm = np.abs(m - m.conj().swapaxes(-1, -2))
-    if not herm.max() <= tols.hermiticity:
-        CheckError.above("hermiticity", herm.max(axis=(-2, -1)), tols.hermiticity)
+    # A float64 stack is its own conjugate.
+    herm = np.abs(m - (m if real else m.conj()).swapaxes(-1, -2))
+    if not np.maximum.reduce(herm, axis=None) <= tols.hermiticity:
+        CheckError.above("hermiticity", np.maximum.reduce(herm, axis=(-2, -1)), tols.hermiticity)
     return m
 
 
@@ -228,11 +231,12 @@ class DensityMatrix:
 
     def __init__(self, matrix, *, tols: Tolerances = TOLS):
         arr = np.array(matrix, dtype=complex)
+        stack = arr[None]
         # The finite, square and hermiticity checks run first.
-        values, vectors = eigh_stack(arr[None], tols=tols)
+        values, vectors = eigh_stack(stack, tols=tols)
         if arr.shape not in _DIMS:
             raise CheckError("dims", 0.0, f"a 4x4 two-qubit or 2x2 qubit matrix required, got shape {arr.shape}")
-        _density_checks(arr[None], values, tols)
+        _density_checks(stack, values, tols)
         self.matrix = _freeze(arr)
         self.eigenvalues = _freeze(values[0])
         self.eigenvectors = _freeze(vectors[0])
@@ -271,10 +275,16 @@ PAULI_PRODUCTS = _freeze(tensor_product(_PAULIS[:, None], _PAULIS[None, :]))
 _FANO = PAULI_PRODUCTS.reshape(16, 16).view(float).T.copy()
 
 
+def _require_two_qubits(m: np.ndarray) -> None:
+    if m.shape[-2:] != (4, 4):
+        raise CheckError("dims", 0.0, f"two-qubit matrices (..., 4, 4) required, got shape {m.shape}")
+
+
 def fano_stack(m) -> np.ndarray:
     """Fano coefficients R[mu, nu] = Tr m sigma_mu x sigma_nu of each Hermitian two-qubit matrix of a
     stack ``(..., 4, 4)``: one real ``(..., 32) @ (32, 16)`` product, which skips the vanishing Im R."""
     m = np.ascontiguousarray(m, dtype=complex)
+    _require_two_qubits(m)
     return (m.view(float).reshape(m.shape[:-2] + (32,)) @ _FANO).reshape(m.shape)
 
 
@@ -310,8 +320,7 @@ def marginal_stack(m: np.ndarray, *, tols: Tolerances = TOLS):
     the 2N marginals are symmetrized, validated and diagonalised in one
     call each.
     """
-    if m.shape[-2:] != (4, 4):
-        raise CheckError("dims", 0.0, f"two-qubit matrices (..., 4, 4) required, got shape {m.shape}")
+    _require_two_qubits(m)
     mats = np.empty(m.shape[:-2] + (2, 2, 2), dtype=complex)
     _partial_trace(m, "A", mats[..., 0, :, :])
     _partial_trace(m, "B", mats[..., 1, :, :])
@@ -328,6 +337,7 @@ def transpose_stack(m: np.ndarray, side: str) -> np.ndarray:
     """
     if side not in ("A", "B"):
         raise ValueError(f"subsystem must be 'A' or 'B', got {side!r}")
+    _require_two_qubits(m)
     return _split(m).swapaxes(*_AXES[side]).reshape(m.shape)
 
 

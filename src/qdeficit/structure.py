@@ -110,7 +110,7 @@ def _ratio_stack(weights: np.ndarray, values: np.ndarray, frame_values: np.ndarr
     # The floor only keeps the masked-out rows finite.
     ratios = values[:, None, None, :] / np.maximum(frame_values, tols.support_cutoff)[..., None]
     side_max = np.maximum.reduce(ratios, axis=(-2, -1), where=live, initial=0.0)
-    return side_max, (side_max <= 1.0 + tols.hermiticity).all(axis=-1)
+    return side_max, np.logical_and.reduce(side_max <= 1.0 + tols.hermiticity, axis=-1)
 
 
 class Figures(NamedTuple):
@@ -186,8 +186,9 @@ def _frame_pass(r: np.ndarray, tols: Tolerances) -> _Frame:
     norm = np.sqrt(np.einsum("nsi,nsi->ns", bloch[..., 1:], bloch[..., 1:]))
     degenerate = norm <= tols.degeneracy
     axis = np.where(degenerate[..., None], _Z_AXIS, bloch[..., 1:] / np.maximum(norm, tols.degeneracy)[..., None])
-    half_f = np.full((n, 2, 2, 4), 0.5)
-    half_f[..., 1:] = _HALF_SIGNS * axis[:, :, None]
+    half_f = np.empty((n, 2, 2, 4))
+    half_f[..., 0] = 0.5
+    np.multiply(_HALF_SIGNS, axis[:, :, None], out=half_f[..., 1:])
     frame_w = (half_f @ bloch[..., None])[..., 0]
     CheckError.below("psd", frame_w, -tols.psd, lambda k: "negative eigenvalue")
 
@@ -207,7 +208,7 @@ def _overlap_pass(r: np.ndarray, projectors: np.ndarray, tols: Tolerances) -> np
     contiguous block it is cheaper than on the strided rows 1-4 alone.
     """
     overlaps = (r @ projectors)[:, 1:]
-    err = np.maximum(np.abs(overlaps.sum(axis=-2) - 1.0), np.abs(overlaps.sum(axis=-1) - 1.0))
+    err = np.maximum(np.abs(np.add.reduce(overlaps, axis=-2) - 1.0), np.abs(np.add.reduce(overlaps, axis=-1) - 1.0))
     CheckError.above("overlap normalization", err, tols.hermiticity)
     return overlaps.swapaxes(-1, -2).reshape(len(overlaps), 2, 2, 4)
 
@@ -245,14 +246,15 @@ def _figures(m: np.ndarray, w: np.ndarray, v: np.ndarray, r: np.ndarray, tols: T
     frame = _frame_pass(r, tols)
     # rho_d's spectrum is P, which the frame pass checked against -psd: S(rho_d) = H(P), its trace P's sum.
     p = frame.joint
-    tr = p.sum(axis=-1)
+    tr = np.add.reduce(p, axis=-1)
     CheckError.above("trace", abs(tr - 1.0), tols.hermiticity, lambda k: f"decohered trace {tr[k]:.12g}")
     # One entropy pass over the spectra of rho, rho_A and rho_B (the frame values, in any order) and
     # rho_d, zero-padded to four levels off the support; the frame values passed the psd check.
     levels = np.zeros((n, 4, 4))
     levels[:, 0] = w
     levels[:, 1:3, :2] = frame.frame_values
-    levels[:, 3] = np.sort(p, axis=-1)[:, ::-1]
+    levels[:, 3] = p
+    levels[:, 3, ::-1].sort(axis=-1)  # ascending through the reversed view: P descending, in place
     s, s_a, s_b, s_d = entropy_stack(levels, tols=tols).T
     mutual = s_a + s_b - s
     deficit = s_d - s
@@ -269,8 +271,8 @@ def _classify(m: np.ndarray, w: np.ndarray, v: np.ndarray, tols: Tolerances) -> 
     weights = _overlap_pass(r, frame.projectors, tols)
     side_max, defined = _ratio_stack(weights, w, frame.frame_values, tols)
     # Commuting with both frames' projectors is the decoherence fixed point rho = rho_d.
-    commutes = np.abs(m - _decohered(frame)).max(axis=(-2, -1)) <= tols.identity
-    return Classification(*figures, defined, commutes, frame.degenerate, side_max.max(axis=-1))
+    commutes = np.maximum.reduce(np.abs(m - _decohered(frame)), axis=(-2, -1)) <= tols.identity
+    return Classification(*figures, defined, commutes, frame.degenerate, np.maximum.reduce(side_max, axis=-1))
 
 
 def _validated_stack(matrices, tols: Tolerances):
@@ -315,8 +317,9 @@ def classify(rho_ab: DensityMatrix, *, tols: Tolerances = TOLS) -> Classificatio
     if rho_ab.dims != (2, 2):
         raise CheckError("dims", 0.0, f"a two-qubit state (4, 4) required, got shape {rho_ab.matrix.shape}")
     cols = _classify(rho_ab.matrix[None], rho_ab.eigenvalues[None], rho_ab.eigenvectors[None], tols)
-    row = Classification._make(col[0].tolist() for col in cols)
-    return row._replace(frame_fallback=tuple(row.frame_fallback))
+    return Classification(
+        *(col.item() for col in cols[:-2]), tuple(cols.frame_fallback[0].tolist()), cols.worst_eigen_ratio.item()
+    )
 
 
 def verdicts(report: Classification, *, tols: Tolerances = TOLS) -> tuple[str, ...]:

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qdeficit.concurrence import spin_flip_stack
 from qdeficit.entropy import conditional_tsallis
 from qdeficit.linalg import (
     CheckError,
@@ -130,6 +131,35 @@ class TestHermitianEig:
         assert err.check == check
         assert "state 2" in str(err)
 
+    def test_finite_runs_before_hermiticity_on_every_state(self):
+        """State 0 is not Hermitian and state 1 holds a NaN: the finite check covers the whole
+        stack before hermiticity is read, so state 1 fails ``finite``."""
+        stack = _random_stack(np.random.default_rng(13), 3)
+        stack[0, 0, 1] += 1.0
+        stack[1, 2, 3] = np.nan
+        err = _rejected(stack)
+        assert err.check == "finite"
+        assert str(err).endswith("state 1: 1 NaN or infinite entries")
+
+    def test_finite_runs_before_square(self):
+        stack = np.zeros((2, 4, 3))
+        stack[1, 0, 0] = np.inf
+        err = _rejected(stack)
+        assert err.check == "finite"
+        assert "state 1" in str(err)
+
+    def test_real_hermiticity_magnitude_is_the_largest_asymmetry(self):
+        """A float64 stack skips the conjugate; the magnitude is still max |m - m^T| over the
+        failing state."""
+        x = np.random.default_rng(17).standard_normal((4, 8, 8))
+        stack = x + x.swapaxes(-1, -2)
+        stack[2, 5, 1] += 3e-7
+        stack[2, 0, 6] -= 2e-7
+        err = _rejected(stack)
+        assert err.check == "hermiticity"
+        assert "state 2" in str(err)
+        assert err.magnitude == np.max(np.abs(stack[2] - stack[2].T))
+
     def test_a_stack_of_pairs_names_the_state(self):
         """A check on ``(N, 2, n, n)`` names state k // 2 of flat entry k, as the audit's grouped
         stacks, such as its three spin-flip dilations per state, need."""
@@ -237,6 +267,20 @@ class TestPartialTrace:
         with pytest.raises(CheckError) as err:
             single.marginal("A")
         assert err.value.check == "dims"
+
+    @pytest.mark.parametrize("side", [2, 3])
+    @pytest.mark.parametrize(
+        "kernel",
+        [marginal_stack, spin_flip_stack, lambda m: transpose_stack(m, "B"), fano_stack],
+        ids=["marginal_stack", "spin_flip_stack", "transpose_stack", "fano_stack"],
+    )
+    def test_two_qubit_kernels_name_the_shape_they_reject(self, kernel, side):
+        """Every kernel that reads two-qubit indices fails ``dims`` on other matrices, naming the shape."""
+        stack = (np.eye(side) / side)[None].astype(complex)
+        with pytest.raises(CheckError) as err:
+            kernel(stack)
+        assert err.value.check == "dims"
+        assert str(err.value).endswith(f"two-qubit matrices (..., 4, 4) required, got shape (1, {side}, {side})")
 
 
 class TestPartialTranspose:

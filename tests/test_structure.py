@@ -297,6 +297,22 @@ def _mixed_stack() -> np.ndarray:
     return np.array(mats)
 
 
+def _solver_calls(monkeypatch) -> list[str]:
+    """The list that records, in order, each ``np.linalg.eigh`` and ``eigvalsh`` call made from now on."""
+    calls = []
+
+    def counted(solver):
+        def call(*args, **kwargs):
+            calls.append(solver.__name__)
+            return solver(*args, **kwargs)
+
+        return call
+
+    for name in ("eigh", "eigvalsh"):
+        monkeypatch.setattr(np.linalg, name, counted(getattr(np.linalg, name)))
+    return calls
+
+
 class TestClassifyStack:
     def test_stack_matches_single_state_calls(self):
         stack = _mixed_stack()
@@ -340,21 +356,19 @@ class TestClassifyStack:
         complex partial transposes, through either entry: the marginals, the frame and rho_d take none."""
         stack = _mixed_stack()[:n]
         assert len(stack) == n
-        calls = []
-
-        def counted(solver):
-            def call(*args, **kwargs):
-                calls.append(solver.__name__)
-                return solver(*args, **kwargs)
-
-            return call
-
-        for name in ("eigh", "eigvalsh"):
-            monkeypatch.setattr(np.linalg, name, counted(getattr(np.linalg, name)))
+        calls = _solver_calls(monkeypatch)
         for entry in ENTRIES:
             calls.clear()
             entry(stack)
             assert calls == ["eigh", "eigvalsh", "eigvalsh"], entry.__name__
+
+    def test_classify_solves_only_the_spectra_its_state_lacks(self, monkeypatch):
+        """``classify`` reads the ``DensityMatrix``'s own eigen-data, so one state costs the two
+        values-only calls and no ``eigh``."""
+        rho = DensityMatrix(_mixed_stack()[40])
+        calls = _solver_calls(monkeypatch)
+        classify(rho)
+        assert calls == ["eigvalsh", "eigvalsh"]
 
     @pytest.mark.parametrize("n", [1, 200])
     def test_figures_are_the_first_six_columns_bit_for_bit(self, n):
