@@ -8,20 +8,15 @@ weights; the ``Classification`` of a state or of a stack of states,
 which carries the quantum deficit and the mutual entropy, with its
 verdict strings, and its ``Figures`` alone for a stack that needs no
 diagnostics; alongside Wootters concurrence and the von Neumann /
-Tsallis entropy family.  Every single-state figure is row 0 of a stack
+Tsallis entropy family, read from stacks of spectra.  Every single-state
+figure, the conditional entropies among them, is row 0 of a stack
 kernel.  A pure state is its amplitude vector ``(4,)``, and a stack of
 them ``(..., 4)`` is what the closed forms ``bloch_vectors``,
 ``correlation_tensor`` and ``pure_concurrence`` take.
 """
 
-from .concurrence import lambda_spectrum, pure_concurrence, spin_flip_stack
-from .entropy import (
-    conditional_tsallis,
-    relative_entropy_stack,
-    tsallis_infinity_criterion,
-    tsallis_stack,
-    von_neumann,
-)
+from .concurrence import pure_concurrence, spin_flip_stack
+from .entropy import conditional_tsallis, relative_entropy_stack, tsallis_infinity_criterion, tsallis_stack
 from .linalg import (
     TOLS,
     CheckError,

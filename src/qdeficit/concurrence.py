@@ -19,9 +19,9 @@ hermiticity check on M is the check that tau = tau^T.
 From a validated stack's eigendecompositions, ``spin_flip_dilation_stack``
 builds the dilations and ``dilation_concurrence`` turns their spectra into
 concurrences; a caller solves the dilations in its own values-only call.
-``lambda_spectrum`` is the N = 1 call; a single state's concurrence is
-``classify(rho).concurrence``.  A brute-force cross-check against the
-characteristic polynomial of the matrix product lives in the test suite.
+A single state's concurrence is ``classify(rho).concurrence``.  A
+brute-force cross-check against the characteristic polynomial of the
+matrix product lives in the test suite.
 ``pure_concurrence`` is the closed form on a stack of pure-state
 amplitudes ``(..., 4)`` and solves no eigenproblem.
 """
@@ -30,13 +30,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from .linalg import TOLS, CheckError, DensityMatrix, Tolerances, eigvalsh_stack
+from .linalg import require_two_qubits
 
 __all__ = [
     "spin_flip_stack",
     "spin_flip_dilation_stack",
     "dilation_concurrence",
-    "lambda_spectrum",
     "pure_concurrence",
 ]
 
@@ -50,8 +49,7 @@ _FLIP_SIGNS = np.outer(_SIGNS, _SIGNS)
 def spin_flip_stack(m: np.ndarray) -> np.ndarray:
     """(sigma_y x sigma_y) m* (sigma_y x sigma_y), conjugated in the computational basis,
     for each two-qubit matrix of ``(..., 4, 4)``.  The flip of a state is a state."""
-    if np.shape(m)[-2:] != (4, 4):
-        raise CheckError("dims", 0.0, f"two-qubit matrices (..., 4, 4) required, got shape {np.shape(m)}")
+    require_two_qubits(m)
     f = _FLIP_SIGNS * np.conj(m)[..., ::-1, ::-1]
     return 0.5 * (f + f.conj().swapaxes(-1, -2))
 
@@ -59,8 +57,7 @@ def spin_flip_stack(m: np.ndarray) -> np.ndarray:
 def spin_flip_dilation_stack(values: np.ndarray, vectors: np.ndarray) -> np.ndarray:
     """Real dilations [[Re tau, Im tau], [Im tau, -Re tau]] ``(..., 8, 8)`` from the eigendecompositions
     ``(values, vectors)`` of a stack of two-qubit states, tau = sqrt(W) V^T Y V sqrt(W) in each eigenbasis."""
-    if np.shape(vectors)[-2:] != (4, 4):
-        raise CheckError("dims", 0.0, f"two-qubit eigenvectors (..., 4, 4) required, got shape {np.shape(vectors)}")
+    require_two_qubits(vectors)
     b = vectors * np.sqrt(np.maximum(values, 0.0))[..., None, :]
     tau = b.swapaxes(-1, -2) @ (_SIGNS[:, None] * b[..., ::-1, :])
     out = np.empty(tau.shape[:-2] + (8, 8))
@@ -76,12 +73,6 @@ def dilation_concurrence(dilation_values: np.ndarray) -> np.ndarray:
     lam = np.maximum(dilation_values[..., :4], 0.0)
     # subtract.reduce is ((l1 - l2) - l3) - l4, left to right.
     return np.maximum(np.subtract.reduce(lam, axis=-1), 0.0)
-
-
-def lambda_spectrum(rho: DensityMatrix, *, tols: Tolerances = TOLS) -> np.ndarray:
-    """Spin-flip singular values: square roots of the eigenvalues of rho times its spin flip, descending."""
-    dilation = spin_flip_dilation_stack(rho.eigenvalues[None], rho.eigenvectors[None])
-    return np.maximum(eigvalsh_stack(dilation, tols=tols)[0, :4], 0.0)
 
 
 def pure_concurrence(amps) -> np.ndarray:

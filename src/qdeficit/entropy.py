@@ -1,9 +1,12 @@
-"""Entropy functionals: von Neumann, Tsallis, conditional, relative.
+"""Entropy functionals on stacks of descending spectra: von Neumann, Tsallis, conditional, relative.
 
-All entropies are in natural log units (nats).  A spectrum whose lowest
-eigenvalue is below ``-tols.psd`` is rejected.  Eigenvalues at or below
-the support cutoff, those in ``[-tols.psd, 0)`` among them, contribute
-nothing (the 0*log(0) = 0 convention).
+Each function reads spectra ``(N, ..., n)``, eigenvalues descending along
+the last axis, as ``density_stack`` and ``marginal_stack`` return them.
+It gives one value per spectrum; the conditional entropies give one per
+state and side.  All entropies are in natural log units (nats).  A
+spectrum whose lowest eigenvalue is below ``-tols.psd`` is rejected.
+Eigenvalues at or below the support cutoff, those in ``[-tols.psd, 0)``
+among them, contribute nothing (the 0*log(0) = 0 convention).
 """
 
 from __future__ import annotations
@@ -12,11 +15,10 @@ import math
 
 import numpy as np
 
-from .linalg import TOLS, CheckError, DensityMatrix, Tolerances
+from .linalg import TOLS, CheckError, Tolerances
 
 __all__ = [
     "entropy_stack",
-    "von_neumann",
     "tsallis_stack",
     "conditional_tsallis",
     "tsallis_infinity_criterion",
@@ -29,13 +31,14 @@ def _require_psd(values: np.ndarray, tols: Tolerances) -> None:
     CheckError.below("psd", values[..., -1], -tols.psd, lambda k: "negative eigenvalue in entropy input")
 
 
-def _log_power_sum(rho: DensityMatrix, q: float, tols: Tolerances) -> float:
-    """ln Tr rho^q with the largest eigenvalue factored out, so no power underflows."""
-    vals = rho.eigenvalues
-    _require_psd(vals[None], tols)
-    support = vals[vals > tols.support_cutoff]
-    top = support[0]
-    return float(q * np.log(top) + np.log(np.add.reduce((support / top) ** q)))
+def _log_power_sum(values: np.ndarray, q: float, tols: Tolerances) -> np.ndarray:
+    """ln Tr rho^q over the last axis of descending spectra ``(N, ..., n)``, with the largest
+    eigenvalue factored out, so no power underflows."""
+    _require_psd(values, tols)
+    top = values[..., :1]
+    # The support is a prefix of a descending spectrum, so the zeros off it trail the sum.
+    ratios = np.where(values > tols.support_cutoff, values / top, 0.0) ** q
+    return q * np.log(top[..., 0]) + np.log(np.add.reduce(ratios, axis=-1))
 
 
 def entropy_stack(values: np.ndarray, *, tols: Tolerances = TOLS) -> np.ndarray:
@@ -44,11 +47,6 @@ def entropy_stack(values: np.ndarray, *, tols: Tolerances = TOLS) -> np.ndarray:
     # Entries off the support become 1, whose x ln x is exactly 0.
     vals = np.where(values > tols.support_cutoff, values, 1.0)
     return -np.add.reduce(vals * np.log(vals), axis=-1)
-
-
-def von_neumann(rho: DensityMatrix, *, tols: Tolerances = TOLS) -> float:
-    """-Tr(rho ln rho), evaluated on the eigenvalue support."""
-    return float(entropy_stack(rho.eigenvalues[None], tols=tols)[0])
 
 
 def _require_index(q: float) -> None:
@@ -73,43 +71,43 @@ def tsallis_stack(values: np.ndarray, q: float, *, tols: Tolerances = TOLS) -> n
     return (np.add.reduce(support**q, axis=-1) - 1.0) / (1.0 - q)
 
 
-def conditional_tsallis(rho_ab: DensityMatrix, side: str, q: float = 1.0, *, tols: Tolerances = TOLS) -> float:
-    """Conditional entropy (S_q(AB) - S_q(side)) / (1 + (1-q) S_q(side)).
+def conditional_tsallis(
+    values: np.ndarray, marginal_values: np.ndarray, q: float = 1.0, *, tols: Tolerances = TOLS
+) -> np.ndarray:
+    """Conditional entropies (S_q(AB) - S_q(X)) / (1 + (1-q) S_q(X)), ``(N, side A/B)``.
 
-    ``side`` names the marginal that is subtracted (and conditions the
-    denominator).  At q = 1 this reduces to the plain entropy difference.
-    Otherwise the denominator is Tr rho_side^q and the ratio equals
-    (Tr rho^q / Tr rho_side^q - 1) / (1 - q); it is evaluated from the two
-    log power sums, so neither the difference of two entropies near
-    1/(q-1) nor a vanishing Tr rho_side^q costs the sign at large q.  A
-    ratio beyond the float range returns ``-inf``.
+    ``values`` ``(N, 4)`` are the states' spectra and ``marginal_values``
+    ``(N, 2, 2)`` their marginals', ``[state, side A/B]``; side X is the
+    marginal that is subtracted.  At q = 1 this is the plain entropy
+    difference.  Otherwise the denominator is Tr rho_X^q and the ratio is
+    (Tr rho^q / Tr rho_X^q - 1) / (1 - q), evaluated from the two log
+    power sums, so neither the difference of two entropies near 1/(q-1)
+    nor a vanishing Tr rho_X^q costs the sign at large q.  A ratio beyond
+    the float range gives ``-inf``.
     """
     _require_index(q)
-    marg = rho_ab.marginal(side)
     if q == 1:
-        return von_neumann(rho_ab, tols=tols) - von_neumann(marg, tols=tols)
-    log_ratio = _log_power_sum(rho_ab, q, tols) - _log_power_sum(marg, q, tols)
-    try:
-        return -math.expm1(log_ratio) / (q - 1.0)
-    except OverflowError:  # Tr rho^q / Tr rho_side^q exceeds the float range, which needs q > 1
-        return -math.inf
+        return entropy_stack(values, tols=tols)[:, None] - entropy_stack(marginal_values, tols=tols)
+    log_ratio = _log_power_sum(values, q, tols)[:, None] - _log_power_sum(marginal_values, q, tols)
+    # Tr rho^q / Tr rho_X^q beyond the float range, which needs q > 1, overflows to inf: the ratio is -inf.
+    with np.errstate(over="ignore"):
+        return -np.expm1(log_ratio) / (q - 1.0)
 
 
-def tsallis_infinity_criterion(rho_ab: DensityMatrix, *, tols: Tolerances = TOLS) -> tuple[bool, bool]:
-    """Sign of the conditional entropy in the q -> infinity limit.
+def tsallis_infinity_criterion(
+    values: np.ndarray, marginal_values: np.ndarray, *, tols: Tolerances = TOLS
+) -> np.ndarray:
+    """Sign of the conditional entropy in the q -> infinity limit, ``(N, side A/B)`` booleans,
+    from ``conditional_tsallis``'s spectra.
 
     For large q, Tr rho^q is dominated by the largest eigenvalue, so the
     conditional entropy subtracting side X is eventually nonnegative
-    exactly when max eig of the composite <= max eig of marginal X.
-    Returns (satisfied for side A, satisfied for side B).  The reduction
-    is cross-validated against direct evaluation at q = 50 and q = 100 in
-    the test suite; note that at any finite q eigenvalue multiplicities
-    still matter in a narrow band around the boundary.
+    exactly when max eig of the composite <= max eig of marginal X.  The
+    reduction is cross-validated against direct evaluation at q = 50 and
+    q = 100 in the test suite; note that at any finite q eigenvalue
+    multiplicities still matter in a narrow band around the boundary.
     """
-    top = rho_ab.eigenvalues[0]
-    top_a = rho_ab.marginal("A").eigenvalues[0]
-    top_b = rho_ab.marginal("B").eigenvalues[0]
-    return (top <= top_a + tols.support_cutoff, top <= top_b + tols.support_cutoff)
+    return values[:, None, 0] <= marginal_values[..., 0] + tols.support_cutoff
 
 
 def relative_entropy_stack(

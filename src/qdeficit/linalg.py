@@ -47,6 +47,7 @@ __all__ = [
     "tensor_product",
     "PAULI_PRODUCTS",
     "fano_stack",
+    "require_two_qubits",
     "marginal_stack",
     "transpose_stack",
     "matrix_from_json",
@@ -123,11 +124,11 @@ class Tolerances:
 
     ``scale`` is the only settable value; the CLI's global ``--tolerance``
     sets it, and it must be finite and positive.  It reaches every check
-    and verdict bound in ``linalg``, ``entropy``, ``concurrence``,
-    ``structure``, the randomized audit and the CLI's reference-table
-    comparisons.  Eigendecompositions come from LAPACK's Hermitian and
-    real symmetric solvers and take no tolerance, so scaling never
-    changes a computed spectrum.
+    and verdict bound in ``linalg``, ``entropy``, ``structure``, the
+    randomized audit and the CLI's reference-table comparisons.
+    Eigendecompositions come from LAPACK's Hermitian and real symmetric
+    solvers and take no tolerance, so scaling never changes a computed
+    spectrum.
     """
 
     scale: float = 1.0
@@ -247,7 +248,10 @@ class DensityMatrix:
         return _DIMS[self.matrix.shape]
 
     def marginal(self, keep: str) -> "DensityMatrix":
-        """Reduced state of subsystem ``keep`` ('A' or 'B') of a two-qubit state."""
+        """Reduced state of subsystem ``keep`` ('A' or 'B') of a two-qubit state.
+
+        No package code reads it (the kernels read ``marginal_stack``); it stays while the
+        benchmark's tracer, ``bench/spans.py``, wraps it by name, and goes with the 2x2 state."""
         if keep not in ("A", "B"):
             raise ValueError(f"subsystem must be 'A' or 'B', got {keep!r}")
         if self.dims != (2, 2):
@@ -275,16 +279,17 @@ PAULI_PRODUCTS = _freeze(tensor_product(_PAULIS[:, None], _PAULIS[None, :]))
 _FANO = PAULI_PRODUCTS.reshape(16, 16).view(float).T.copy()
 
 
-def _require_two_qubits(m: np.ndarray) -> None:
-    if m.shape[-2:] != (4, 4):
-        raise CheckError("dims", 0.0, f"two-qubit matrices (..., 4, 4) required, got shape {m.shape}")
+def require_two_qubits(m) -> None:
+    """Fail ``dims`` unless ``m`` is a two-qubit matrix or a stack of them, ``(..., 4, 4)``; any array-like."""
+    if np.shape(m)[-2:] != (4, 4):
+        raise CheckError("dims", 0.0, f"two-qubit matrices (..., 4, 4) required, got shape {np.shape(m)}")
 
 
 def fano_stack(m) -> np.ndarray:
     """Fano coefficients R[mu, nu] = Tr m sigma_mu x sigma_nu of each Hermitian two-qubit matrix of a
     stack ``(..., 4, 4)``: one real ``(..., 32) @ (32, 16)`` product, which skips the vanishing Im R."""
     m = np.ascontiguousarray(m, dtype=complex)
-    _require_two_qubits(m)
+    require_two_qubits(m)
     return (m.view(float).reshape(m.shape[:-2] + (32,)) @ _FANO).reshape(m.shape)
 
 
@@ -320,7 +325,7 @@ def marginal_stack(m: np.ndarray, *, tols: Tolerances = TOLS):
     the 2N marginals are symmetrized, validated and diagonalised in one
     call each.
     """
-    _require_two_qubits(m)
+    require_two_qubits(m)
     mats = np.empty(m.shape[:-2] + (2, 2, 2), dtype=complex)
     _partial_trace(m, "A", mats[..., 0, :, :])
     _partial_trace(m, "B", mats[..., 1, :, :])
@@ -337,7 +342,7 @@ def transpose_stack(m: np.ndarray, side: str) -> np.ndarray:
     """
     if side not in ("A", "B"):
         raise ValueError(f"subsystem must be 'A' or 'B', got {side!r}")
-    _require_two_qubits(m)
+    require_two_qubits(m)
     return _split(m).swapaxes(*_AXES[side]).reshape(m.shape)
 
 

@@ -6,12 +6,16 @@ polynomial root-finding and mpmath's multiprecision eigensolver serve as
 the second route for cross-checks.
 ``matrix_json`` writes the state-file format that ``density_from_json`` reads.
 ``random_pure`` and ``random_mixed`` are the seeded state fixtures.
+``spectra`` is no oracle: it gives the package's own spectra of a stack of
+states and of their marginals, the inputs of the conditional entropies.
 """
 
 from __future__ import annotations
 
 import mpmath
 import numpy as np
+
+from qdeficit.linalg import TOLS, density_stack, marginal_stack
 
 I2 = np.eye(2, dtype=complex)
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -85,6 +89,13 @@ def random_mixed(seed: int, rank: int) -> np.ndarray:
     projectors = weights[:, None, None] * (vectors[:, :, None] * vectors[:, None, :].conj())
     mat = np.add.reduce(projectors, axis=0, initial=0j)
     return 0.5 * (mat + mat.conj().T)
+
+
+def spectra(matrices, *, tols=TOLS) -> tuple[np.ndarray, np.ndarray]:
+    """``(w, marg_w)``: the descending spectra ``(N, 4)`` of a stack of two-qubit states and
+    ``(N, 2, 2)`` of their marginals, ``[state, side A/B]``, validated at ``tols``."""
+    m = np.asarray(matrices, dtype=complex)
+    return density_stack(m, tols=tols)[0], marginal_stack(m, tols=tols)[1]
 
 
 def charpoly_lambdas(rho_matrix: np.ndarray) -> np.ndarray:

@@ -55,9 +55,21 @@ def _package_modules_imported_by(name):
     return {module or alias for module, alias in _relative_imports(path)}
 
 
-@pytest.mark.parametrize(("name", "allowed"), [("linalg", set()), ("states", {"linalg"})])
+@pytest.mark.parametrize(
+    ("name", "allowed"),
+    [("linalg", set()), ("states", {"linalg"}), ("concurrence", {"linalg"}), ("entropy", {"linalg"})],
+)
 def test_constructor_layers_import_only_below(name, allowed):
     assert _package_modules_imported_by(name) <= allowed
+
+
+@pytest.mark.parametrize("name", ["concurrence", "entropy"])
+def test_stack_kernels_never_read_the_one_state_type(name):
+    """The concurrence and entropy kernels read arrays only, so no one-state form can return unnoticed."""
+    tree = ast.parse(Path(qdeficit.__file__).with_name(f"{name}.py").read_text(encoding="utf-8"))
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    imported = {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) for alias in node.names}
+    assert "DensityMatrix" not in read | imported
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.stem)
@@ -137,12 +149,11 @@ def test_one_eigensolver_call_in_eigh_stack():
 
 
 # Public names that no module reads, each kept because the named test pins a paper number with it:
-# the Werner roots p*(q), the q = 50/100 cross-check and the characteristic-polynomial oracle.
+# the Werner roots p*(q) and the q = 50/100 cross-check.
 PINNED_BY_TESTS = {
     "conditional_tsallis": "test_entropy.py::TestConditionalTsallis::test_werner_q2_threshold_below_conditional_one",
     "tsallis_infinity_criterion":
         "test_entropy.py::TestInfinityCriterion::test_agrees_with_q100_sign_away_from_boundary",
-    "lambda_spectrum": "test_concurrence.py::TestLambdaSpectrum::test_matches_characteristic_polynomial_bruteforce",
 }
 
 

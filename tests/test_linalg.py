@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qdeficit.concurrence import spin_flip_stack
+from qdeficit.concurrence import spin_flip_dilation_stack, spin_flip_stack
 from qdeficit.entropy import conditional_tsallis
 from qdeficit.linalg import (
     CheckError,
@@ -27,7 +27,7 @@ from qdeficit.linalg import (
 from qdeficit.states import bloch_vectors, correlation_tensor, from_registry, werner
 from qdeficit.structure import classify
 
-from helpers import kron_oracle, matrix_json, numpy_spectrum, random_hermitian, random_mixed, random_pure
+from helpers import kron_oracle, matrix_json, numpy_spectrum, random_hermitian, random_mixed, random_pure, spectra
 
 
 # Every bound Tolerances derives from its scale, with its default.
@@ -271,8 +271,14 @@ class TestPartialTrace:
     @pytest.mark.parametrize("side", [2, 3])
     @pytest.mark.parametrize(
         "kernel",
-        [marginal_stack, spin_flip_stack, lambda m: transpose_stack(m, "B"), fano_stack],
-        ids=["marginal_stack", "spin_flip_stack", "transpose_stack", "fano_stack"],
+        [
+            marginal_stack,
+            spin_flip_stack,
+            lambda m: spin_flip_dilation_stack(np.ones(m.shape[:-1]), m),
+            lambda m: transpose_stack(m, "B"),
+            fano_stack,
+        ],
+        ids=["marginal_stack", "spin_flip_stack", "spin_flip_dilation_stack", "transpose_stack", "fano_stack"],
     )
     def test_two_qubit_kernels_name_the_shape_they_reject(self, kernel, side):
         """Every kernel that reads two-qubit indices fails ``dims`` on other matrices, naming the shape."""
@@ -466,7 +472,7 @@ class TestTolerances:
         for side in ("A", "B"):
             assert abs(np.trace(rho.marginal(side).matrix) - (1.0 + 5e-10)) < 1e-15
         assert math.isfinite(classify(rho, tols=loose).mutual)
-        assert math.isfinite(conditional_tsallis(rho, "A", 2.0, tols=loose))
+        assert np.isfinite(conditional_tsallis(*spectra([rho.matrix], tols=loose), 2.0, tols=loose)).all()
 
 
 class TestSerialization:
