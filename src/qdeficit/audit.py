@@ -281,9 +281,13 @@ def _check_stack(indices: range, seed: int, tols: Tolerances):
     defined = ~(given <= tols.support_cutoff)
     excess = np.max(both - given, axis=(1, 2, 3), where=defined, initial=-np.inf)
     lowest = np.min(both, axis=(1, 2, 3), where=defined, initial=np.inf)
-    ratio = np.max(np.divide(both, given, out=np.zeros_like(both), where=defined), axis=(1, 2, 3))
     ok = (excess <= tols.hermiticity) & (lowest >= -tols.support_cutoff)
-    record("joint-conditional-probability", ok, lambda j: f"worst ratio {ratio[j]:.12g}, excess {excess[j]:.2e}")
+
+    def detail(j):  # P / p is formed only for a failing row
+        ratio = np.max(np.divide(both[j], given[j], out=np.zeros_like(both[j]), where=defined[j]))
+        return f"worst ratio {ratio:.12g}, excess {excess[j]:.2e}"
+
+    record("joint-conditional-probability", ok, detail)
 
     deficit = s_d - s
     ok = (deficit >= -tols.identity) & (deficit <= mut + tols.identity)

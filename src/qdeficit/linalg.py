@@ -1,22 +1,25 @@
-"""Dense Hermitian linear algebra for two-qubit states and their qubit marginals.
+"""Dense Hermitian linear algebra for two-qubit states.
 
 Everything here works on plain ``numpy`` arrays, complex except where a
 stack is real symmetric.  The fixed two-qubit basis order is
 ``|11>, |10>, |01>, |00>`` (index 0..3); single qubits are ordered
 ``(|1>, |0>)``, so the Pauli matrices below have their familiar matrix
 form with ``|1>`` as the +1 eigenvector of ``SIGMA_Z``.
-A ``DensityMatrix`` is a two-qubit state or one of its qubit marginals.
+A ``DensityMatrix`` is one validated two-qubit state.
 
 The ``*_stack`` functions work on stacks ``(N, ..., n, n)`` whose leading
 index counts states.  ``DensityMatrix`` is their N = 1 call: it validates
 through ``eigh_stack`` and keeps the eigen-data it computed, so every
 validity check is written once.  The package solves eigenproblems only
 here, through two validated entries that share those checks:
-``eigh_stack`` where eigenvectors are read (complex: a state, its
-marginals, the matrices derived from it) and ``eigvalsh_stack`` where only
-the spectrum is (real: the spin-flip dilations; complex: the partial
-transposes).  A float64 stack stays real, so LAPACK's real driver solves
-it; any other input is solved as complex.
+``eigh_stack`` where eigenvectors are read (complex: the states and the
+matrices derived from them) and ``eigvalsh_stack`` where only the
+spectrum is (real: the spin-flip dilations; complex: the partial
+transposes).  The marginals pass through ``density_stack``, so
+``eigh_stack`` also returns their eigenvectors, but no package code
+reads them: the marginal eigenframe comes from the Fano coefficients.
+A float64 stack stays real, so LAPACK's real driver solves it; any
+other input is solved as complex.
 ``fano_stack`` gives the Fano coefficients R_mu,nu = Tr m sigma_mu x sigma_nu
 over the 16 ``PAULI_PRODUCTS`` (sigma_0 = I): m = sum R_mu,nu sigma_mu x sigma_nu / 4.
 A check that fails on a stack raises for the lowest failing state and
@@ -213,16 +216,10 @@ def density_stack(m, *, tols: Tolerances = TOLS) -> tuple[np.ndarray, np.ndarray
     return values, vectors
 
 
-# (dA, dB) by matrix shape: a two-qubit state, or a qubit marginal.
-_DIMS = {(4, 4): (2, 2), (2, 2): (2, 1)}
-
-
 class DensityMatrix:
-    """Hermitian, positive-semidefinite, trace-one matrix of two qubits or of one.
+    """Hermitian, positive-semidefinite, trace-one 4x4 matrix of two qubits.
 
-    The shape fixes the read-only ``dims``: a 4x4 matrix is a two-qubit
-    state, ``(2, 2)``, and a 2x2 matrix a qubit marginal, ``(2, 1)``; any
-    other shape fails the ``dims`` check.  Validation happens at
+    Any other shape fails the ``dims`` check.  Validation happens at
     construction, as ``density_stack`` validates a stack of one.  The
     read-only ``eigenvalues`` (descending) and ``eigenvectors`` (columns)
     are that call's row 0.
@@ -235,31 +232,23 @@ class DensityMatrix:
         stack = arr[None]
         # The finite, square and hermiticity checks run first.
         values, vectors = eigh_stack(stack, tols=tols)
-        if arr.shape not in _DIMS:
-            raise CheckError("dims", 0.0, f"a 4x4 two-qubit or 2x2 qubit matrix required, got shape {arr.shape}")
+        if arr.shape != (4, 4):
+            raise CheckError("dims", 0.0, f"a 4x4 two-qubit matrix required, got shape {arr.shape}")
         _density_checks(stack, values, tols)
         self.matrix = _freeze(arr)
         self.eigenvalues = _freeze(values[0])
         self.eigenvectors = _freeze(vectors[0])
         self._tols = tols
 
-    @property
-    def dims(self) -> tuple[int, int]:
-        return _DIMS[self.matrix.shape]
+    def marginal(self, keep: str) -> np.ndarray:
+        """The validated 2x2 reduced matrix of qubit ``keep`` ('A' or 'B'): ``marginal_stack``'s row,
+        at the state's own tolerances.
 
-    def marginal(self, keep: str) -> "DensityMatrix":
-        """Reduced state of subsystem ``keep`` ('A' or 'B') of a two-qubit state.
-
-        No package code reads it (the kernels read ``marginal_stack``); it stays while the
-        benchmark's tracer, ``bench/spans.py``, wraps it by name, and goes with the 2x2 state."""
+        No package code reads it; it stays only because the benchmark's tracer,
+        ``bench/spans.py``, wraps it by name, and it goes with ROADMAP item 1."""
         if keep not in ("A", "B"):
             raise ValueError(f"subsystem must be 'A' or 'B', got {keep!r}")
-        if self.dims != (2, 2):
-            raise CheckError("dims", 0.0, f"two-qubit state required, got dims {self.dims}")
-        return DensityMatrix(_hermitian_part(_partial_trace(self.matrix, keep)), tols=self._tols)
-
-    def __repr__(self) -> str:
-        return f"DensityMatrix(dims={self.dims}, spectrum={np.round(self.eigenvalues, 6)})"
+        return marginal_stack(self.matrix[None], tols=self._tols)[0][0, "AB".index(keep)]
 
 
 def tensor_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -302,8 +291,8 @@ def _split(m: np.ndarray) -> np.ndarray:
 _AXES = {"A": (-4, -2), "B": (-3, -1)}
 
 
-def _partial_trace(m: np.ndarray, keep: str, out: np.ndarray | None = None) -> np.ndarray:
-    """Reduced matrix of qubit ``keep`` for each two-qubit matrix of ``(..., 4, 4)``, written to ``out`` if given.
+def _partial_trace(m: np.ndarray, keep: str, out: np.ndarray) -> np.ndarray:
+    """Reduced matrix of qubit ``keep`` for each two-qubit matrix of ``(..., 4, 4)``, written to ``out``.
 
     The two diagonal blocks are added in one call, the sum ``ndarray.trace`` forms.
     """
@@ -370,10 +359,10 @@ def matrix_from_json(payload) -> np.ndarray:
 
 
 def density_from_json(payload, *, tols: Tolerances = TOLS) -> DensityMatrix:
-    """Parse either {"dims": [dA, dB], "matrix": ...} or a bare matrix.
+    """Parse either {"dims": [2, 2], "matrix": ...} or a bare matrix.
 
-    An optional ``dims`` must be the pair the matrix's shape implies:
-    ``[2, 2]`` for a 4x4 matrix, ``[2, 1]`` for a 2x2 one.
+    The matrix must be a 4x4 two-qubit state, validated first; an optional
+    ``dims`` must then be a pair of integers equal to ``[2, 2]``.
     """
     dims = None
     if isinstance(payload, dict):
@@ -385,6 +374,6 @@ def density_from_json(payload, *, tols: Tolerances = TOLS) -> DensityMatrix:
     if dims is not None and not well_formed:
         raise ValueError(f"'dims' must be a list of two integers, got {dims!r}")
     rho = DensityMatrix(matrix, tols=tols)
-    if dims is not None and tuple(dims) != rho.dims:
-        raise CheckError("dims", 0.0, f"dims {list(dims)} inconsistent with a matrix of dims {rho.dims}")
+    if dims is not None and list(dims) != [2, 2]:
+        raise CheckError("dims", 0.0, f"dims {list(dims)} inconsistent with a matrix of dims (2, 2)")
     return rho

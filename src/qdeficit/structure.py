@@ -219,14 +219,18 @@ def _decohered(frame: _Frame) -> np.ndarray:
     return (coefficients @ _PRODUCT_ROWS).view(complex).reshape(len(coefficients), 4, 4)
 
 
+def _require_stack(m: np.ndarray) -> None:
+    if m.shape[1:] != (4, 4):
+        raise CheckError("dims", 0.0, f"a stack of two-qubit states (N, 4, 4) required, got shape {m.shape}")
+
+
 def decohere_stack(m: np.ndarray, vectors: np.ndarray, *, tols: Tolerances = TOLS) -> Decoherence:
     """Drop all off-diagonal elements of each state in its marginal-eigenbasis product frame.
 
     ``m`` is a validated stack ``(N, 4, 4)`` and ``vectors`` its eigenvectors: one
     ``fano_stack`` product gives R for the states and for their eigenprojectors.
     """
-    if m.shape[1:] != (4, 4):
-        raise CheckError("dims", 0.0, f"two-qubit matrices (N, 4, 4) required, got shape {m.shape}")
+    _require_stack(m)
     r = _fano_rows(m, vectors)
     frame = _frame_pass(r[:, 0], tols)
     weights = _overlap_pass(r, frame.projectors, tols)
@@ -278,8 +282,7 @@ def _classify(m: np.ndarray, w: np.ndarray, v: np.ndarray, tols: Tolerances) -> 
 def _validated_stack(matrices, tols: Tolerances):
     """``(m, w, v)``: a stack ``(N, 4, 4)`` validated as ``DensityMatrix`` validates each matrix."""
     m = np.asarray(matrices, dtype=complex)
-    if m.ndim != 3 or m.shape[1:] != (4, 4):
-        raise CheckError("dims", 0.0, f"a stack of two-qubit states (N, 4, 4) required, got shape {m.shape}")
+    _require_stack(m)
     return (m, *density_stack(m, tols=tols))
 
 
@@ -314,8 +317,6 @@ def classify(rho_ab: DensityMatrix, *, tols: Tolerances = TOLS) -> Classificatio
     ``frame_fallback`` is the (A, B) pair of sides whose degenerate
     marginal took the computational-basis frame.
     """
-    if rho_ab.dims != (2, 2):
-        raise CheckError("dims", 0.0, f"a two-qubit state (4, 4) required, got shape {rho_ab.matrix.shape}")
     cols = _classify(rho_ab.matrix[None], rho_ab.eigenvalues[None], rho_ab.eigenvectors[None], tols)
     return Classification(
         *(col.item() for col in cols[:-2]), tuple(cols.frame_fallback[0].tolist()), cols.worst_eigen_ratio.item()

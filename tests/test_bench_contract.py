@@ -5,6 +5,7 @@ as they are; each workload runs one call on the first input of round 0 and
 its check must find no failed state, and the tracer finds every name it wraps.
 """
 
+import ast
 import importlib.util
 from pathlib import Path
 
@@ -40,3 +41,17 @@ def test_tracer_finds_every_name_it_wraps():
     tracer = _load("spans").Tracer(qdeficit)
     patched = {(owner, attr) for owner, attr, _, _ in tracer._patches}
     assert {(DensityMatrix, "__init__"), (DensityMatrix, "marginal")} <= patched
+
+
+def test_only_the_tracer_keeps_the_one_state_marginal():
+    """No package module calls ``.marginal(``, and ``bench/spans.py`` still names it.  Once the
+    tracer stops wrapping it, this fails: ``DensityMatrix.marginal`` and its ``_tols`` slot go."""
+    for path in sorted(Path(qdeficit.__file__).parent.glob("*.py")):
+        calls = [
+            node.lineno
+            for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr == "marginal"
+        ]
+        assert not calls, f"{path.name} calls .marginal( at lines {calls}"
+    spans = ast.parse((BENCH / "spans.py").read_text())
+    assert any(isinstance(node, ast.Attribute) and node.attr == "marginal" for node in ast.walk(spans))

@@ -544,13 +544,13 @@ class TestClassify:
         assert err.startswith("error: dims check failed")
 
     def test_qubit_json_file_fails_dims_at_the_entry(self, capsys, tmp_path):
-        """A valid 2x2 state is a qubit marginal: classify names its shape, not a kernel's."""
+        """A valid 2x2 state fails the constructor's shape check, which names its shape, not a kernel's."""
         path = tmp_path / "qubit.json"
         path.write_text(json.dumps({"dims": [2, 1], "matrix": matrix_json(np.eye(2) / 2)}))
         code, out, err = _run(capsys, "classify", str(path))
         assert code == 2
         assert out == ""
-        assert err == "error: dims check failed (magnitude 0): a two-qubit state (4, 4) required, got shape (2, 2)\n"
+        assert err == "error: dims check failed (magnitude 0): a 4x4 two-qubit matrix required, got shape (2, 2)\n"
 
     def test_integer_beyond_the_float_range_is_input_error(self, capsys, tmp_path):
         path = tmp_path / "huge_entry.json"

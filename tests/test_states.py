@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qdeficit.concurrence import pure_concurrence
-from qdeficit.linalg import CheckError, DensityMatrix, Tolerances
+from qdeficit.linalg import CheckError, DensityMatrix, Tolerances, marginal_stack
 from qdeficit.states import (
     RegistryError,
     bloch_vectors,
@@ -45,8 +45,7 @@ class TestWerner:
             rho = werner(float(p))
             expected = sorted([(3 * p + 1) / 4, (1 - p) / 4, (1 - p) / 4, (1 - p) / 4], reverse=True)
             assert np.max(np.abs(rho.eigenvalues - expected)) <= 1e-12
-            for side in ("A", "B"):
-                assert np.max(np.abs(rho.marginal(side).matrix - np.eye(2) / 2)) <= 1e-12
+            assert np.max(np.abs(marginal_stack(rho.matrix[None])[0][0] - np.eye(2) / 2)) <= 1e-12
 
     def test_pauli_expansion_on_grid(self):
         correlations = np.kron(SX, SX) - np.kron(SY, SY) + np.kron(SZ, SZ)
@@ -81,10 +80,10 @@ class TestExampleStates:
 
     @pytest.mark.parametrize("name", list(MARGINALS))
     def test_marginal_diagonals(self, name):
-        rho = from_registry(name)
+        marg_a, marg_b = marginal_stack(from_registry(name).matrix[None])[0][0]
         diag_a, diag_b = self.MARGINALS[name]
-        assert np.max(np.abs(rho.marginal("A").matrix - np.diag([float(v) for v in diag_a]))) <= 1e-15
-        assert np.max(np.abs(rho.marginal("B").matrix - np.diag([float(v) for v in diag_b]))) <= 1e-15
+        assert np.max(np.abs(marg_a - np.diag([float(v) for v in diag_a]))) <= 1e-15
+        assert np.max(np.abs(marg_b - np.diag([float(v) for v in diag_b]))) <= 1e-15
 
     def test_singlet_matches_amplitude_construction(self):
         assert np.max(np.abs(from_registry("E4").matrix - pure_density(SINGLET).matrix)) < 1e-15
@@ -101,12 +100,8 @@ class TestIsospectralPair:
         assert np.allclose(rho_e.eigenvalues, [2 / 3, 1 / 3, 0, 0], atol=1e-15)
 
     def test_marginal_spectra_coincide_as_sets(self):
-        rho_e, rho_s = from_registry("iso:E"), from_registry("iso:S")
-        spectra = [
-            sorted(np.round(rho.marginal(side).eigenvalues, 12))
-            for rho in (rho_e, rho_s)
-            for side in ("A", "B")
-        ]
+        marg_w = marginal_stack(np.stack([from_registry("iso:E").matrix, from_registry("iso:S").matrix]))[1]
+        spectra = [sorted(np.round(values, 12)) for values in marg_w.reshape(4, 2)]
         for s in spectra[1:]:
             assert s == spectra[0]
 
@@ -154,11 +149,12 @@ class TestBlochVectors:
             s_a, s_b = bloch_vectors(amps)
             rebuilt_a = (I2 + s_a[0] * SX + s_a[1] * SY + s_a[2] * SZ) / 2
             rebuilt_b = (I2 + s_b[0] * SX + s_b[1] * SY + s_b[2] * SZ) / 2
-            assert np.max(np.abs(rebuilt_a - rho.marginal("A").matrix)) <= 1e-10
-            assert np.max(np.abs(rebuilt_b - rho.marginal("B").matrix)) <= 1e-10
-            for side, vec in (("A", s_a), ("B", s_b)):
+            mats, values, _ = marginal_stack(rho.matrix[None])
+            assert np.max(np.abs(rebuilt_a - mats[0, 0])) <= 1e-10
+            assert np.max(np.abs(rebuilt_b - mats[0, 1])) <= 1e-10
+            for k, vec in enumerate((s_a, s_b)):
                 expected = [(1 + np.linalg.norm(vec)) / 2, (1 - np.linalg.norm(vec)) / 2]
-                assert np.max(np.abs(rho.marginal(side).eigenvalues - expected)) <= 1e-10
+                assert np.max(np.abs(values[0, k] - expected)) <= 1e-10
 
     def test_equals_pauli_expectations(self):
         # s_i(A) = Tr rho (sigma_i x I) and s_j(B) = Tr rho (I x sigma_j)
@@ -231,7 +227,7 @@ class TestPurityCheck:
         amps = random_pure(seed)
         purity, residual = _purity_and_residual(amps)
         assert residual <= 1e-10
-        marginal = pure_density(amps).marginal("A").matrix
+        marginal = marginal_stack(pure_density(amps).matrix[None])[0][0, 0]
         assert abs(purity - np.trace(marginal @ marginal).real) <= 1e-12
         s_a, s_b = bloch_vectors(amps)
         assert abs(np.linalg.norm(s_a) - np.linalg.norm(s_b)) <= 1e-10

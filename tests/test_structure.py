@@ -13,6 +13,7 @@ from qdeficit.linalg import (
     DensityMatrix,
     Tolerances,
     density_stack,
+    marginal_stack,
     tensor_product,
 )
 from qdeficit.states import from_registry, werner, werner_matrices
@@ -54,9 +55,8 @@ class TestDecohere:
     @given(SEEDED_STATES)
     def test_preserves_both_marginals(self, seed_rank):
         rho = DensityMatrix(random_mixed(*seed_rank))
-        rho_d = decohere(rho).state
-        for side in ("A", "B"):
-            assert np.max(np.abs(rho_d.marginal(side).matrix - rho.marginal(side).matrix)) <= 1e-10
+        marg_d, marg = marginal_stack(np.stack([decohere(rho).state.matrix, rho.matrix]))[0]
+        assert np.max(np.abs(marg_d - marg)) <= 1e-10
 
     @settings(deadline=None, max_examples=40)
     @given(SEEDED_STATES)
@@ -78,14 +78,12 @@ class TestDecohere:
         assert np.max(np.abs(dec.joint.sum(axis=1) - dec.frame_values[0])) <= 1e-10
         assert np.max(np.abs(dec.joint.sum(axis=0) - dec.frame_values[1])) <= 1e-10
 
-    @pytest.mark.parametrize("func", [decohere, classify])
-    def test_rejects_non_qubit_dims(self, func):
-        """A qubit marginal fails ``dims`` at the entry, which names the shape it was given."""
+    def test_rejects_non_qubit_dims(self):
+        """A stack of qubit states fails ``dims`` at the entry, which names the shape it was given."""
         with pytest.raises(CheckError) as err:
-            func(DensityMatrix(np.eye(2) / 2))
+            decohere_stack((np.eye(2) / 2)[None].astype(complex), np.eye(2)[None])
         assert err.value.check == "dims"
-        shape = {"decohere": "(1, 2, 2)", "classify": "(2, 2)"}[func.__name__]
-        assert str(err.value).endswith(f"4, 4) required, got shape {shape}")
+        assert str(err.value).endswith("a stack of two-qubit states (N, 4, 4) required, got shape (1, 2, 2)")
 
 
 class TestQuantumDeficit:
@@ -101,8 +99,7 @@ class TestQuantumDeficit:
         rho = DensityMatrix(random_mixed(*seed_rank))
         rho_d = decohere(rho).state
         s_d = _entropy_oracle(rho_d.matrix)
-        s_a = _entropy_oracle(rho.marginal("A").matrix)
-        s_b = _entropy_oracle(rho.marginal("B").matrix)
+        s_a, s_b = (_entropy_oracle(marg) for marg in marginal_stack(rho.matrix[None])[0][0])
         report = classify(rho)
         assert abs(report.deficit - report.mutual - (s_d - s_a - s_b)) <= 1e-9
         assert abs(s_d - entropy_stack(rho_d.eigenvalues[None])[0]) <= 1e-10
@@ -420,6 +417,7 @@ class TestClassifyStack:
         with pytest.raises(CheckError) as err:
             classify_stack(np.ones(shape) / 4)
         assert err.value.check == "dims"
+        assert str(err.value).endswith(f"a stack of two-qubit states (N, 4, 4) required, got shape {shape}")
 
 
 def _assert_agree(cols: Classification, want: Classification) -> None:
