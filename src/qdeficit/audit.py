@@ -16,20 +16,28 @@ columns.  Index 0 is the pure product |10>.  Pure and product states get
 their own properties too.
 
 The checks run on stacks of at most ``STACK_SIZE`` states; each
-property's magnitude is one array over the stack, held against its
+property's magnitudes are arrays over the stack, each held against its
 bound once.  The states are validated by one ``density_stack`` call, the
 four matrices derived from each (marginal product, spin flip, local
 rotation, rho_d) by a second on a stack ``(N, 4, 4, 4)`` grouped on axis
-1, so that a failing check names state k.  The real spin-flip dilations
-of rho, its flip and its rotation take one ``eigvalsh_stack`` call, and
-rho's partial transpose a second: a stack makes four ``eigh`` calls and
-two ``eigvalsh``.  The pure rows' second route is the closed forms on
-their amplitudes, which solve no eigenproblem.
+1, so that a failing check names state k.  ``marginal_stack`` solves
+rho's marginals, and then the product's and rho_d's, values-only; the
+real spin-flip dilations of rho, its flip and its rotation take one
+``eigvalsh_stack`` call, and rho's partial transpose another: a stack
+makes two ``eigh`` calls and four ``eigvalsh``.  The pure rows' second
+route is the closed forms on their amplitudes, which solve no
+eigenproblem.
 
 Each property keeps two independent routes to the quantity it checks:
 neither side of a comparison is derived from the other side's
-intermediate.  Every bound is a ``Tolerances`` property, and every check
-fails on NaN.
+intermediate.  A property passes ``record`` its named checks ``(name,
+magnitude, bound)``: one magnitude per state and a ``Tolerances`` bound.
+A check holds where magnitude <= bound, so NaN fails; a lower bound is an
+upper bound on the negated value (``-D``).  A state passes where every
+check holds; only the two equivalences, concurrence-ppt-equivalence and
+pure-conditional-nonpositive, pass their own verdicts.  A failure line
+shows every check's ``name=magnitude`` in order, with `` > bound`` after
+each that failed: ``mut=2.220e-16 gap=1.000e-06 > 1.0e-08``.
 """
 
 from __future__ import annotations
@@ -156,6 +164,32 @@ def _states(indices: range, seed: int):
     return m / m.trace(axis1=-2, axis2=-1).real[:, None, None], amplitudes, g[:, 16:].reshape(-1, 2, 2, 2)
 
 
+class _Ledger:
+    """The checked counts and failures of the properties of one stack, the states ``indices``."""
+
+    def __init__(self, indices: range):
+        self.indices = indices
+        self.checked = dict.fromkeys(AUDIT_PROPERTIES, 0)
+        self.failures = []
+
+    def record(self, prop: str, *checks, rows: np.ndarray | None = None, ok: np.ndarray | None = None):
+        """Book ``prop`` on every state, or on the states ``rows`` picks: its verdicts, unless an equivalence
+        passes them as ``ok``, and its failure lines from its ``checks`` (see the module docstring)."""
+        self.checked[prop] += len(checks[0][1])
+        if ok is None:
+            if all(np.maximum.reduce(magnitude) <= bound for _, magnitude, bound in checks):
+                return
+            ok = np.logical_and.reduce([magnitude <= bound for _, magnitude, bound in checks])
+        elif np.logical_and.reduce(ok):
+            return
+        for j in np.flatnonzero(~ok):
+            i = self.indices[j if rows is None else rows[j]]
+            # + 0.0 shows a negated zero as 0.
+            shown = (f"{name}={x[j] + 0.0:.3e}" + ("" if x[j] <= bound else f" > {bound:.1e}")
+                     for name, x, bound in checks)
+            self.failures.append((i, _POSITION[prop], prop, f"{_label(i)}: {' '.join(shown)}"))
+
+
 def _check_stack(indices: range, seed: int, tols: Tolerances):
     """Every property on the states ``indices``, a contiguous range, as one stack.
 
@@ -166,51 +200,36 @@ def _check_stack(indices: range, seed: int, tols: Tolerances):
     index = np.arange(indices.start, indices.stop)
     pure = np.flatnonzero((index % 3 == 1) | (index == 0))
     product = np.flatnonzero((index % 3 == 2) | (index == 0))
-
-    checked = dict.fromkeys(AUDIT_PROPERTIES, 0)
-    failures = []
-
-    def record(prop: str, ok: np.ndarray, detail, rows: np.ndarray | None = None):
-        """``ok`` holds one verdict per row of ``rows`` (default: every state); ``detail(j)`` describes row j."""
-        checked[prop] += len(ok)
-        if np.logical_and.reduce(ok, axis=None):
-            return
-        for j in np.flatnonzero(~ok):
-            i = indices[j if rows is None else rows[j]]
-            failures.append((i, _POSITION[prop], prop, f"{_label(i)}: {detail(j)}"))
+    ledger = _Ledger(indices)
+    record = ledger.record
 
     w, v = density_stack(m, tols=tols)
-    marg, marg_w, _ = marginal_stack(m, tols=tols)
+    marg, marg_w = marginal_stack(m, tols=tols)
     dec = decohere_stack(m, v, tols=tols)
     units = _haar_unitaries(gaussians)
     u_local = tensor_product(units[:, 0], units[:, 1])
 
     # The product of rho's marginals, its spin flip, its local rotation and rho_d, validated
     # as one stack grouped on axis 1; the product's and rho_d's marginals in one call.
-    derived = np.stack(
-        (tensor_product(marg[:, 0], marg[:, 1]), spin_flip_stack(m), u_local @ m @ _dagger(u_local), dec.matrices),
-        axis=1,
-    )
+    derived = np.stack((tensor_product(marg[:, 0], marg[:, 1]), spin_flip_stack(m), u_local @ m @ _dagger(u_local),
+                        dec.matrices), axis=1)
     derived_w, derived_v = density_stack(derived, tols=tols)
-    derived_marginals = marginal_stack(derived[:, ::3], tols=tols)
+    derived_marginals = marginal_stack(derived[:, ::3], tols=tols)[0]
     prod, flip, rho_d = derived[:, 0], derived[:, 1], derived[:, 3]
     w_d, v_d = derived_w[:, 3], derived_v[:, 3]
 
     rec = _max_abs((v * w[:, None, :]) @ _dagger(v) - m)
     tr = np.abs(w.sum(axis=-1) - m.trace(axis1=-2, axis2=-1).real)
-    ok = (rec <= tols.identity) & (tr <= tols.identity)
-    record("eig-reconstruction", ok, lambda j: f"rec={rec[j]:.2e} tr={tr[j]:.2e}")
+    record("eig-reconstruction", ("rec", rec, tols.identity), ("tr", tr, tols.identity))
 
-    kron = _max_abs(derived_marginals[0][:, 0, 0] - marg[:, 0])
-    record("kron-partial-trace", kron <= tols.reshuffle, lambda j: f"{kron[j]:.2e}")
+    record("kron-partial-trace", ("kron", _max_abs(derived_marginals[:, 0, 0] - marg[:, 0]), tols.reshuffle))
 
     # involution checked on the raw matrices: the transpose of an entangled
     # state is not PSD, so it cannot round-trip through validation
-    pt = transpose_stack(m, "B")
-    inv = _max_abs(transpose_stack(pt, "B") - m)
+    pt = transpose_stack(m)
+    inv = _max_abs(transpose_stack(pt) - m)
     tr_pt = np.abs(pt.trace(axis1=-2, axis2=-1).real - 1.0)
-    ok = (inv <= tols.reshuffle) & (tr_pt <= tols.reshuffle)
-    record("partial-transpose-involution", ok, lambda j: f"inv={inv[j]:.2e}")
+    record("partial-transpose-involution", ("inv", inv, tols.reshuffle), ("tr_pt", tr_pt, tols.reshuffle))
 
     # The spin-flip dilations of rho, its flip and its rotation: one real values-only call.
     dilations = np.empty((len(m), 3, 8, 8))
@@ -220,57 +239,48 @@ def _check_stack(indices: range, seed: int, tols: Tolerances):
     # sum lambda_i^2 from rho's four largest dilation values, and as Tr rho rho~ = sum_ij rho_ij rho~_ji.
     lambda_squares = np.sum(dilation_values[:, 0, :4] ** 2, axis=-1)
     trace_gap = np.abs(lambda_squares - np.einsum("nij,nji->n", m, flip).real)
-    record("spin-flip-trace", trace_gap <= tols.identity, lambda j: f"{trace_gap[j]:.2e}")
+    record("spin-flip-trace", ("trace_gap", trace_gap, tols.identity))
 
     # S(AB), S(A), S(B) once; the mutual entropy and the q = 1 conditional
     # entropies are the same sums as ``classify``'s and ``conditional_tsallis``'s.
     s = entropy_stack(w, tols=tols)
-    s_marg = entropy_stack(marg_w, tols=tols)
-    s_a, s_b = s_marg[:, 0], s_marg[:, 1]
+    s_a, s_b = entropy_stack(marg_w, tols=tols).T
     mut = s_a + s_b - s
     cond_a, cond_b = s - s_a, s - s_b
-    record("mutual-nonnegative", mut >= -tols.hermiticity, lambda j: f"{mut[j]:.2e}")
+    record("mutual-nonnegative", ("-mut", -mut, tols.hermiticity))
 
     up = np.abs(tsallis_stack(w, 1.0 + _TSALLIS_OFFSET, tols=tols) - s)
     down = np.abs(tsallis_stack(w, 1.0 - _TSALLIS_OFFSET, tols=tols) - s)
-    ok = (up <= tols.continuity) & (down <= tols.continuity)
-    record("tsallis-continuity", ok, lambda j: f"{max(up[j], down[j]):.2e}")
+    record("tsallis-continuity", ("up", up, tols.continuity), ("down", down, tols.continuity))
 
     conc, conc_flip, conc_rot = dilation_concurrence(dilation_values).T
-    ok = (conc >= -tols.support_cutoff) & (conc <= 1.0 + tols.hermiticity)
-    record("concurrence-range", ok, lambda j: f"{float(conc[j])}")
-
-    flip_gap = np.abs(conc - conc_flip)
-    record("concurrence-flip-invariance", flip_gap <= tols.concurrence_zero, lambda j: f"{flip_gap[j]:.2e}")
-
-    lu_gap = np.abs(conc - conc_rot)
-    record("concurrence-local-unitary", lu_gap <= tols.concurrence_zero, lambda j: f"{lu_gap[j]:.2e}")
+    record("concurrence-range", ("-C", -conc, tols.support_cutoff), ("C-1", conc - 1.0, tols.hermiticity))
+    record("concurrence-flip-invariance", ("flip_gap", np.abs(conc - conc_flip), tols.concurrence_zero))
+    record("concurrence-local-unitary", ("lu_gap", np.abs(conc - conc_rot), tols.concurrence_zero))
 
     ppt_min = eigvalsh_stack(pt, tols=tols)[:, -1]
     zero = tols.concurrence_zero
-    ok = (conc > zero) & (ppt_min < -zero) | (conc <= zero) & (ppt_min >= -zero)
-    record("concurrence-ppt-equivalence", ok, lambda j: f"C={conc[j]:.3e} ppt={ppt_min[j]:.3e}")
+    record("concurrence-ppt-equivalence", ("C", conc, zero), ("-ppt_min", -ppt_min, zero),
+           ok=(conc > zero) & (ppt_min < -zero) | (conc <= zero) & (ppt_min >= -zero))
 
     # P and the frame values share their Fano coefficients: P is held against marg_w, from which
     # a degenerate side's frame values (its diagonal in index order) differ by at most |a|.
     joint = dec.joint
-    err = _max_abs(derived_marginals[0][:, 1] - marg)
-    record("decohere-marginals", err <= tols.identity, lambda j: f"{err[j]:.2e}")
+    record("decohere-marginals", ("marg_gap", _max_abs(derived_marginals[:, 1] - marg), tols.identity))
 
     # rho_d's own eigenvectors and Fano coefficients frame the second pass.
     idem = _max_abs(decohere_stack(rho_d, v_d, tols=tols).matrices - rho_d)
-    record("decohere-idempotent", idem <= tols.reshuffle, lambda j: f"{idem[j]:.2e}")
+    record("decohere-idempotent", ("idem", idem, tols.reshuffle))
 
     # Row sums of P[alpha, beta] against side A's marginal eigenvalues, column sums against side B's.
     err_joint = _max_abs(np.stack((joint.sum(axis=2), joint.sum(axis=1)), axis=1) - marg_w)
-    record("decohere-joint-marginals", err_joint <= tols.hermiticity, lambda j: f"{err_joint[j]:.2e}")
+    record("decohere-joint-marginals", ("err_joint", err_joint, tols.hermiticity))
 
     s_d = entropy_stack(w_d, tols=tols)
-    record("klein-entropy-increase", s_d >= s - tols.identity, lambda j: f"S_d-S={s_d[j] - s[j]:.2e}")
+    record("klein-entropy-increase", ("S-S_d", s - s_d, tols.identity))
 
     rebuilt = np.stack((np.einsum("nabg,ng->na", dec.weights, w), np.einsum("nabg,ng->nb", dec.weights, w)), axis=1)
-    err_overlap = _max_abs(rebuilt - marg_w)
-    record("overlap-reconstruction", err_overlap <= tols.identity, lambda j: f"{err_overlap[j]:.2e}")
+    record("overlap-reconstruction", ("err_overlap", _max_abs(rebuilt - marg_w), tols.identity))
 
     # P(alpha, beta) against p_beta and against p_alpha, over the marginal values off the
     # cutoff: the excess P - p is the joint-marginals scale, where P / p would amplify
@@ -281,72 +291,61 @@ def _check_stack(indices: range, seed: int, tols: Tolerances):
     defined = ~(given <= tols.support_cutoff)
     excess = np.max(both - given, axis=(1, 2, 3), where=defined, initial=-np.inf)
     lowest = np.min(both, axis=(1, 2, 3), where=defined, initial=np.inf)
-    ok = (excess <= tols.hermiticity) & (lowest >= -tols.support_cutoff)
-
-    def detail(j):  # P / p is formed only for a failing row
-        ratio = np.max(np.divide(both[j], given[j], out=np.zeros_like(both[j]), where=defined[j]))
-        return f"worst ratio {ratio:.12g}, excess {excess[j]:.2e}"
-
-    record("joint-conditional-probability", ok, detail)
+    record("joint-conditional-probability", ("excess", excess, tols.hermiticity),
+           ("-P_min", -lowest, tols.support_cutoff))
 
     deficit = s_d - s
-    ok = (deficit >= -tols.identity) & (deficit <= mut + tols.identity)
-    record("deficit-bounds", ok, lambda j: f"D={deficit[j]:.3e} S={mut[j]:.3e}")
+    gap = deficit - mut
+    record("deficit-bounds", ("-D", -deficit, tols.identity), ("D-I", gap, tols.identity))
 
     # D - I with D by a second route: rho_d is rho's pinching in rho_d's eigenbasis, so D = S(rho || rho_d).
     # (-S(rho_d || rho_A x rho_B) is infinite wherever a marginal eigenvalue squared falls below the support cutoff.)
-    gap = deficit - mut
     gap_identity = np.abs(gap - (relative_entropy_stack(m, w, w_d, v_d, tols=tols) - mut))
-    ok = (gap_identity <= tols.identity) & (gap <= tols.identity)
-    record("deficit-mutual-gap-identity", ok, lambda j: f"{gap_identity[j]:.2e}")
+    record("deficit-mutual-gap-identity", ("gap_identity", gap_identity, tols.identity), ("D-I", gap, tols.identity))
 
     if len(pure):
         # The closed forms run on the pure rows alone: a bound they fail names the k-th pure row.
         amps = amplitudes[pure]
-        sym = np.abs(s_a[pure] - s_b[pure])
-        record("pure-marginal-entropy-symmetry", sym <= tols.identity, lambda j: f"{sym[j]:.2e}", pure)
+        record("pure-marginal-entropy-symmetry", ("sym", np.abs(s_a[pure] - s_b[pure]), tols.identity), rows=pure)
 
         pure_c = pure_concurrence(amps)
         c_a, c_b = cond_a[pure], cond_b[pure]
         nonpos = (c_a <= tols.hermiticity) & (c_b <= tols.hermiticity)
         equality = (np.abs(c_a) <= tols.hermiticity) & (np.abs(c_b) <= tols.hermiticity)
-        ok = nonpos & (equality & (pure_c <= zero) | ~equality & (pure_c > zero))
-        record(
-            "pure-conditional-nonpositive", ok, lambda j: f"cond=({c_a[j]:.3e},{c_b[j]:.3e}) C={pure_c[j]:.3e}", pure
-        )
+        record("pure-conditional-nonpositive", ("cond_A", c_a, tols.hermiticity), ("cond_B", c_b, tols.hermiticity),
+               ("C", pure_c, zero), rows=pure, ok=nonpos & (equality & (pure_c <= zero) | ~equality & (pure_c > zero)))
 
         # 1 - |s(A)|^2 = C^2 = 4 |a11 a00 - a01 a10|^2
         vecs = bloch_vectors(amps, tols=tols)
         mag2_a = np.sum(vecs[:, 0] ** 2, axis=-1)
         residual = np.abs((1.0 - mag2_a) - pure_c**2)
         norms = np.linalg.norm(vecs, axis=2)
-        ok = (residual <= tols.hermiticity) & (np.abs(norms[:, 0] - norms[:, 1]) <= tols.hermiticity)
-        record("pure-bloch-identity", ok, lambda j: f"res={residual[j]:.2e}", pure)
+        norm_gap = np.abs(norms[:, 0] - norms[:, 1])
+        record("pure-bloch-identity", ("res", residual, tols.hermiticity), ("norm_gap", norm_gap, tols.hermiticity),
+               rows=pure)
 
         coeffs = np.empty((len(pure), 4, 4))
         coeffs[:, 0, 0] = 1.0
         coeffs[:, 1:, 0], coeffs[:, 0, 1:] = vecs[:, 0], vecs[:, 1]
         coeffs[:, 1:, 1:] = correlation_tensor(amps, tols=tols)
         pauli_err = _max_abs(np.einsum("pmn,mnij->pij", coeffs, PAULI_PRODUCTS) / 4.0 - m[pure])
-        record("pure-pauli-reconstruction", pauli_err <= tols.identity, lambda j: f"{pauli_err[j]:.2e}", pure)
+        record("pure-pauli-reconstruction", ("pauli_err", pauli_err, tols.identity), rows=pure)
 
         gap_c = np.abs(pure_c - conc[pure])
         gap_bloch = np.abs(pure_c - np.sqrt(np.maximum(1.0 - mag2_a, 0.0)))
-        ok = (gap_c <= zero) & (gap_bloch <= zero)
-        record("pure-concurrence-routes", ok, lambda j: f"{max(gap_c[j], gap_bloch[j]):.2e}", pure)
+        record("pure-concurrence-routes", ("gap_c", gap_c, zero), ("gap_bloch", gap_bloch, zero), rows=pure)
 
     if len(product):
         prod_gap = _max_abs(m[product] - prod[product])
-        mut_p = mut[product]
-        ok = (mut_p <= tols.hermiticity) & (prod_gap <= tols.rebuilt)
-        record("product-mutual-zero", ok, lambda j: f"mut={mut_p[j]:.2e}", product)
+        record("product-mutual-zero", ("mut", mut[product], tols.hermiticity), ("gap", prod_gap, tols.rebuilt),
+               rows=product)
         # S(AB) - S(A) = S(B) and S(AB) - S(B) = S(A), both nonnegative.
         c_a, c_b = cond_a[product], cond_b[product]
-        ok = (np.abs(c_a - s_b[product]) <= tols.identity) & (np.abs(c_b - s_a[product]) <= tols.identity)
-        ok &= (c_a >= -tols.identity) & (c_b >= -tols.identity)
-        record("product-entropy-difference", ok, lambda j: f"({c_a[j]:.3e},{c_b[j]:.3e})", product)
+        record("product-entropy-difference", ("diff_A", np.abs(c_a - s_b[product]), tols.identity),
+               ("diff_B", np.abs(c_b - s_a[product]), tols.identity), ("-cond_A", -c_a, tols.identity),
+               ("-cond_B", -c_b, tols.identity), rows=product)
 
-    return checked, failures
+    return ledger.checked, ledger.failures
 
 
 def _audit_part(payload):

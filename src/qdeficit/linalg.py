@@ -15,9 +15,8 @@ here, through two validated entries that share those checks:
 ``eigh_stack`` where eigenvectors are read (complex: the states and the
 matrices derived from them) and ``eigvalsh_stack`` where only the
 spectrum is (real: the spin-flip dilations; complex: the partial
-transposes).  The marginals pass through ``density_stack``, so
-``eigh_stack`` also returns their eigenvectors, but no package code
-reads them: the marginal eigenframe comes from the Fano coefficients.
+transposes and the marginals, whose eigenframe comes from the Fano
+coefficients instead).
 A float64 stack stays real, so LAPACK's real driver solves it; any
 other input is solved as complex.
 ``fano_stack`` gives the Fano coefficients R_mu,nu = Tr m sigma_mu x sigma_nu
@@ -287,10 +286,6 @@ def _split(m: np.ndarray) -> np.ndarray:
     return m.reshape(m.shape[:-2] + (2, 2, 2, 2))
 
 
-# The (row, column) axes of each qubit in the (a, b, a', b') view.
-_AXES = {"A": (-4, -2), "B": (-3, -1)}
-
-
 def _partial_trace(m: np.ndarray, keep: str, out: np.ndarray) -> np.ndarray:
     """Reduced matrix of qubit ``keep`` for each two-qubit matrix of ``(..., 4, 4)``, written to ``out``.
 
@@ -309,30 +304,29 @@ def _hermitian_part(m: np.ndarray) -> np.ndarray:
 def marginal_stack(m: np.ndarray, *, tols: Tolerances = TOLS):
     """Both qubit marginals of each two-qubit matrix of a stack ``(N, 4, 4)``.
 
-    Returns ``(matrices, values, vectors)`` indexed ``[state, side A/B, ...]``:
+    Returns ``(matrices, values)`` indexed ``[state, side A/B, ...]``:
     both partial traces are written into one ``(N, 2, 2, 2)`` buffer, and
-    the 2N marginals are symmetrized, validated and diagonalised in one
-    call each.
+    the 2N marginals are symmetrized, then validated as density matrices
+    and solved values-only in one call each.
     """
     require_two_qubits(m)
     mats = np.empty(m.shape[:-2] + (2, 2, 2), dtype=complex)
     _partial_trace(m, "A", mats[..., 0, :, :])
     _partial_trace(m, "B", mats[..., 1, :, :])
     mats = _hermitian_part(mats)
-    values, vectors = density_stack(mats, tols=tols)
-    return mats, values, vectors
+    values = eigvalsh_stack(mats, tols=tols)
+    _density_checks(mats, values, tols)
+    return mats, values
 
 
-def transpose_stack(m: np.ndarray, side: str) -> np.ndarray:
-    """Transpose the indices of qubit ``side`` ('A' or 'B') in each two-qubit matrix of ``(..., 4, 4)``.
+def transpose_stack(m: np.ndarray) -> np.ndarray:
+    """Transpose the indices of qubit B in each two-qubit matrix of ``(..., 4, 4)``.
 
     The partial transpose of a state is Hermitian with trace one, but not
     PSD when the state is entangled.
     """
-    if side not in ("A", "B"):
-        raise ValueError(f"subsystem must be 'A' or 'B', got {side!r}")
     require_two_qubits(m)
-    return _split(m).swapaxes(*_AXES[side]).reshape(m.shape)
+    return _split(m).swapaxes(-3, -1).reshape(m.shape)
 
 
 def _json_entry(pair) -> complex:

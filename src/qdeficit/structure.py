@@ -147,12 +147,14 @@ class Classification(NamedTuple):
 
 
 class Decoherence(NamedTuple):
-    """The frame pass over a stack of N states: ``decohere_stack``'s result."""
+    """The frame pass over a stack of N states: ``decohere_stack``'s result.
+
+    Which sides took the computational-basis frame is ``classify``'s ``frame_fallback``.
+    """
 
     matrices: np.ndarray  # rho_d (N, 4, 4), diagonal in each state's frame
     joint: np.ndarray  # P[alpha, beta] (N, 2, 2), the diagonal of rho_d in the frame
     frame_values: np.ndarray  # (N, side A/B, alpha): marginal eigenvalues, a degenerate side's diagonal in index order
-    degenerate: np.ndarray  # (N, side A/B): the side took the computational-basis frame
     weights: np.ndarray  # |<alpha, beta|Gamma>|^2 (N, alpha, beta, Gamma)
 
 
@@ -234,7 +236,7 @@ def decohere_stack(m: np.ndarray, vectors: np.ndarray, *, tols: Tolerances = TOL
     r = _fano_rows(m, vectors)
     frame = _frame_pass(r[:, 0], tols)
     weights = _overlap_pass(r, frame.projectors, tols)
-    return Decoherence(_decohered(frame), frame.joint.reshape(-1, 2, 2), frame.frame_values, frame.degenerate, weights)
+    return Decoherence(_decohered(frame), frame.joint.reshape(-1, 2, 2), frame.frame_values, weights)
 
 
 def _figures(m: np.ndarray, w: np.ndarray, v: np.ndarray, r: np.ndarray, tols: Tolerances):
@@ -244,7 +246,7 @@ def _figures(m: np.ndarray, w: np.ndarray, v: np.ndarray, r: np.ndarray, tols: T
     # The spin-flip dilations and the partial transposes need only spectra: one values-only call
     # each, the first on real matrices and the second on complex ones.
     conc = dilation_concurrence(eigvalsh_stack(spin_flip_dilation_stack(w, v), tols=tols))
-    ppt_min = eigvalsh_stack(transpose_stack(m, "B"), tols=tols)[:, -1]
+    ppt_min = eigvalsh_stack(transpose_stack(m), tols=tols)[:, -1]
     # The entropy input check on rho, ahead of the frame's checks; the pass below repeats it.
     CheckError.below("psd", w[:, -1], -tols.psd, lambda k: "negative eigenvalue in entropy input")
     frame = _frame_pass(r, tols)

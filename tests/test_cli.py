@@ -1,3 +1,5 @@
+import ast
+import inspect
 import json
 import math
 import os
@@ -11,8 +13,9 @@ import pytest
 
 from qdeficit import audit, cli, structure
 from qdeficit.cli import main
-from qdeficit.linalg import TOLS, eigvalsh_stack, marginal_stack
-from qdeficit.states import pure_density, werner
+from qdeficit.entropy import entropy_stack
+from qdeficit.linalg import TOLS, density_stack, eigvalsh_stack, marginal_stack, transpose_stack
+from qdeficit.states import bloch_vectors, pure_density, werner
 from qdeficit.structure import classify, decohere_stack
 
 from helpers import matrix_json, random_pure
@@ -206,6 +209,46 @@ class TestToleranceScale:
         assert out_1 == out_2
 
 
+def _offset_transposes(monkeypatch):
+    """Every partial transpose gains 1e-9 I: its trace is off by 4e-9 and the round trip by 2e-9."""
+    monkeypatch.setattr(audit, "transpose_stack", lambda m: transpose_stack(m) + 1e-9 * np.eye(4))
+
+
+def _lower_marginal_entropies(monkeypatch):
+    """S(A) and S(B) fall by 1e-6, so D - I rises by 2e-6: above its bound on the product states, where D = I = 0.
+    D - I and its second route move together."""
+
+    def lowered(values, *, tols):
+        return entropy_stack(values, tols=tols) - (1e-6 if values.shape[-1] == 2 else 0.0)
+
+    monkeypatch.setattr(audit, "entropy_stack", lowered)
+
+
+def _stretch_bloch_b(monkeypatch):
+    """Side B's Bloch vector of each pure state grows by 1e-6 of its length; side A's, which the residual
+    1 - |s(A)|^2 - C^2 reads, stays."""
+
+    def stretched(amps, *, tols):
+        vecs = bloch_vectors(amps, tols=tols)
+        vecs[:, 1] *= 1.0 + 1e-6
+        return vecs
+
+    monkeypatch.setattr(audit, "bloch_vectors", stretched)
+
+
+def _offset_marginal_product(monkeypatch):
+    """State 2's product of marginals gains 1e-6 (|11><11| - |10><10|) in the stack of derived matrices,
+    before it is validated: its trace and marginal A stay, and the mutual entropy does not read it."""
+
+    def offset(m, *, tols):
+        if m.ndim == 4:
+            m[2, 0, 0, 0] += 1e-6
+            m[2, 0, 1, 1] -= 1e-6
+        return density_stack(m, tols=tols)
+
+    monkeypatch.setattr(audit, "density_stack", offset)
+
+
 class TestAudit:
     def test_independent_of_job_count(self, capsys):
         code_1, out_1, err_1 = _run(capsys, "audit", "--n", "300", "--seed", "42", "--jobs", "1")
@@ -280,9 +323,45 @@ class TestAudit:
             "deficit-mutual-gap-identity", "pure-marginal-entropy-symmetry", "pure-conditional-nonpositive",
             "product-mutual-zero", "product-entropy-difference",
         }
-        counts, _ = audit.run_audit(12, 42)
+        counts, lines = audit.run_audit(12, 42)
         for prop, (checked, failed) in counts.items():
             assert failed == (checked if prop in reads_entropy else 0), prop
+        # Each line shows a NaN magnitude against its bound.
+        assert all(re.search(r"=nan > \S", line) for line in lines)
+
+    @pytest.mark.parametrize(
+        ("fault", "prop", "name", "bound"),
+        [
+            (_offset_transposes, "partial-transpose-involution", "tr_pt", "1.0e-12"),
+            (_lower_marginal_entropies, "deficit-mutual-gap-identity", "D-I", "1.0e-09"),
+            (_stretch_bloch_b, "pure-bloch-identity", "norm_gap", "1.0e-10"),
+            (_offset_marginal_product, "product-mutual-zero", "gap", "1.0e-08"),
+        ],
+        ids=["transposed-trace", "deficit-minus-mutual", "pure-norm-gap", "product-gap"],
+    )
+    def test_failure_line_shows_the_magnitude_that_failed(self, monkeypatch, fault, prop, name, bound):
+        """A fault in one magnitude of a compound property: each of its failure lines shows that
+        magnitude against its bound, whatever the property's other magnitudes read."""
+        fault(monkeypatch)
+        counts, lines = audit.run_audit(12, 42)
+        failed = [line for line in lines if f" failed {prop}: " in line]
+        assert counts[prop][1] == len(failed) > 0
+        shown = re.compile(rf"(: | ){re.escape(name)}=\S+ > {re.escape(bound)}( |$)")
+        assert all(shown.search(line) for line in failed), failed
+
+    def test_check_stack_derives_every_failure_line(self):
+        """``_check_stack`` writes no verdict or detail of its own: it holds no lambda and no f-string,
+        it books each property once through ``record`` with ``(name, magnitude, tols bound)`` checks,
+        and only the two equivalences pass their own verdicts."""
+        nodes = list(ast.walk(ast.parse(inspect.getsource(audit._check_stack))))
+        assert not [node for node in nodes if isinstance(node, (ast.Lambda, ast.JoinedStr))]
+        calls = [node for node in nodes if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "record"]
+        assert sorted(call.args[0].value for call in calls) == sorted(audit.AUDIT_PROPERTIES)
+        own = {call.args[0].value for call in calls if any(keyword.arg == "ok" for keyword in call.keywords)}
+        assert own == {"concurrence-ppt-equivalence", "pure-conditional-nonpositive"}
+        for check in (check for call in calls for check in call.args[1:]):
+            assert isinstance(check, ast.Tuple) and len(check.elts) == 3
+            assert ast.unparse(check.elts[2]).startswith("tols.") or ast.unparse(check.elts[2]) == "zero"
 
     def test_failure_is_booked_to_its_state(self, monkeypatch):
         def run(stack_size):
@@ -314,17 +393,17 @@ class TestAudit:
         assert small.count("eigh") > 0 and small.count("eigvalsh") > 0
         assert sorted(calls) == small
 
-    def test_a_stack_makes_four_eigh_and_two_eigvalsh_calls(self, monkeypatch):
-        """``eigh`` on the states and their marginals, the four derived matrices per state and the
-        product's and rho_d's marginals; ``eigvalsh`` on the three real spin-flip dilations per state,
-        and on the complex partial transposes."""
+    def test_a_stack_makes_two_eigh_and_four_eigvalsh_calls(self, monkeypatch):
+        """``eigh`` on the states and on the four derived matrices per state; ``eigvalsh`` on the
+        states' marginals, on the product's and rho_d's marginals, on the three real spin-flip
+        dilations per state, and on the complex partial transposes."""
         kinds = {audit._label(i) for i in range(15)}
         assert kinds == {"fixed pure product |10>", "haar pure", "random mixed product"} | {
             f"random mixed rank {rank}" for rank in range(1, 5)
         }
         calls = _count_eigensolver_calls(monkeypatch)
         audit._check_stack(range(15), 42, TOLS)
-        assert sorted(calls) == ["eigh"] * 4 + ["eigvalsh"] * 2
+        assert sorted(calls) == ["eigh"] * 2 + ["eigvalsh"] * 4
 
     def test_failure_in_a_grouped_stack_is_booked_to_its_state(self, monkeypatch):
         """State 5's rotation fails the trace check inside the stack of four derived matrices per state:
@@ -453,7 +532,7 @@ class TestJointConditionalProbability:
         lines = [line for line in failures if "joint-conditional-probability" in line]
         assert lines == [
             "state 3 (seed 42) failed joint-conditional-probability: "
-            "random mixed rank 1: worst ratio 1.01, excess 8.41e-03"
+            "random mixed rank 1: excess=8.407e-03 > 1.0e-10 -P_min=0.000e+00"
         ]
 
 

@@ -153,7 +153,7 @@ class TestConcurrence:
     def test_ppt_equivalence(self):
         stack = np.array([random_mixed(seed, seed % 4 + 1) for seed in range(200)])
         entangled = _concurrence(*stack) > 1e-8
-        ppt_min = eigh_stack(transpose_stack(stack, "B"))[0][:, -1]
+        ppt_min = eigh_stack(transpose_stack(stack))[0][:, -1]
         assert np.array_equal(entangled, ppt_min < -1e-8)
 
 

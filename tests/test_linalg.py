@@ -244,6 +244,15 @@ class TestPartialTrace:
         traces = np.trace(marginal_stack(werner(0.37).matrix[None])[0][0], axis1=-2, axis2=-1)
         assert np.max(np.abs(traces - 1.0)) < 1e-14
 
+    def test_marginal_spectra_are_values_only_and_validated(self):
+        """The spectra are ``eigvalsh_stack``'s of the returned matrices, bit for bit, and a marginal
+        with a negative eigenvalue fails the psd check."""
+        mats, values = marginal_stack(np.stack([from_registry(name).matrix for name in ("E1", "E2", "E3")]))
+        assert np.array_equal(values, eigvalsh_stack(mats))
+        with pytest.raises(CheckError) as err:
+            marginal_stack(np.diag([1.5, 0.0, -0.5, 0.0]).astype(complex)[None])
+        assert err.value.check == "psd"
+
     @pytest.mark.parametrize("n", [1, 40])
     def test_marginals_are_bit_identical_to_the_einsum_partial_traces(self, n):
         """On states Hermitian only to within 1e-12, as a validated input may be, so that the
@@ -283,7 +292,7 @@ class TestPartialTrace:
             marginal_stack,
             spin_flip_stack,
             lambda m: spin_flip_dilation_stack(np.ones(m.shape[:-1]), m),
-            lambda m: transpose_stack(m, "B"),
+            transpose_stack,
             fano_stack,
         ],
         ids=["marginal_stack", "spin_flip_stack", "spin_flip_dilation_stack", "transpose_stack", "fano_stack"],
@@ -302,43 +311,30 @@ class TestPartialTranspose:
         rho_a = np.array([[0.8, 0.2], [0.2, 0.2]], dtype=complex)
         sigma_b = np.array([[0.5, 0.5j], [-0.5j, 0.5]], dtype=complex)
         composite = DensityMatrix(tensor_product(rho_a, sigma_b))
-        for side in ("A", "B"):
-            vals = numpy_spectrum(transpose_stack(composite.matrix, side))
-            assert vals[-1] > -1e-12
+        assert numpy_spectrum(transpose_stack(composite.matrix))[-1] > -1e-12
 
     def test_werner_crossing_at_one_third(self):
         eps = 1e-9
-        below = numpy_spectrum(transpose_stack(werner(1 / 3 - eps).matrix, "B"))[-1]
-        above = numpy_spectrum(transpose_stack(werner(1 / 3 + eps).matrix, "B"))[-1]
+        below = numpy_spectrum(transpose_stack(werner(1 / 3 - eps).matrix))[-1]
+        above = numpy_spectrum(transpose_stack(werner(1 / 3 + eps).matrix))[-1]
         assert below > 0 > above
 
     def test_singlet_minimum_eigenvalue(self):
-        vals = numpy_spectrum(transpose_stack(from_registry("E4").matrix, "B"))
+        vals = numpy_spectrum(transpose_stack(from_registry("E4").matrix))
         assert vals[-1] == pytest.approx(-0.5, abs=1e-12)
 
     def test_involution_and_trace(self):
         rho = werner(0.9)
-        pt = transpose_stack(rho.matrix, "B")
+        pt = transpose_stack(rho.matrix)
         assert abs(np.trace(pt) - 1.0) < 1e-12
         back = np.einsum("iljk->ikjl", pt.reshape(2, 2, 2, 2)).reshape(4, 4)
         assert np.max(np.abs(back - rho.matrix)) < 1e-15
 
-    def test_both_sides_share_spectrum(self):
-        rho = werner(0.77)
-        sa = numpy_spectrum(transpose_stack(rho.matrix, "A"))
-        sb = numpy_spectrum(transpose_stack(rho.matrix, "B"))
-        assert np.max(np.abs(sa - sb)) < 1e-12
-
     @pytest.mark.parametrize("n", [1, 40])
     def test_bit_identical_to_the_einsum_reshuffles(self, n):
         stack = _random_stack(np.random.default_rng(n), n)
-        for side, pattern in (("A", "njkil->nikjl"), ("B", "niljk->nikjl")):
-            want = np.einsum(pattern, stack.reshape(n, 2, 2, 2, 2)).reshape(n, 4, 4)
-            assert np.array_equal(transpose_stack(stack, side), want)
-
-    def test_rejects_unknown_side(self):
-        with pytest.raises(ValueError, match="subsystem must be 'A' or 'B'"):
-            transpose_stack(werner(0.5).matrix, "C")
+        want = np.einsum("niljk->nikjl", stack.reshape(n, 2, 2, 2, 2)).reshape(n, 4, 4)
+        assert np.array_equal(transpose_stack(stack), want)
 
 
 class TestFanoStack:

@@ -149,7 +149,7 @@ class TestBlochVectors:
             s_a, s_b = bloch_vectors(amps)
             rebuilt_a = (I2 + s_a[0] * SX + s_a[1] * SY + s_a[2] * SZ) / 2
             rebuilt_b = (I2 + s_b[0] * SX + s_b[1] * SY + s_b[2] * SZ) / 2
-            mats, values, _ = marginal_stack(rho.matrix[None])
+            mats, values = marginal_stack(rho.matrix[None])
             assert np.max(np.abs(rebuilt_a - mats[0, 0])) <= 1e-10
             assert np.max(np.abs(rebuilt_b - mats[0, 1])) <= 1e-10
             for k, vec in enumerate((s_a, s_b)):

@@ -53,7 +53,7 @@ def _frame(marg: np.ndarray, values: np.ndarray, vectors: np.ndarray, tols: Tole
 def classify_columns(m: np.ndarray, w: np.ndarray, v: np.ndarray, tols: Tolerances = TOLS) -> Classification:
     """Every ``Classification`` column of a validated stack ``(m, w, v)``."""
     conc = dilation_concurrence(eigvalsh_stack(spin_flip_dilation_stack(w, v), tols=tols))
-    ppt_min = eigvalsh_stack(transpose_stack(m, "B"), tols=tols)[:, -1]
+    ppt_min = eigvalsh_stack(transpose_stack(m), tols=tols)[:, -1]
     s = entropy_stack(w, tols=tols)
     marg, marg_w, marg_v = marginals(m, tols)
     s_marg = entropy_stack(marg_w, tols=tols)
