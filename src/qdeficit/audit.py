@@ -22,11 +22,12 @@ four matrices derived from each (marginal product, spin flip, local
 rotation, rho_d) by a second on a stack ``(N, 4, 4, 4)`` grouped on axis
 1, so that a failing check names state k.  ``marginal_stack`` solves
 rho's marginals, and then the product's and rho_d's, values-only; the
-real spin-flip dilations of rho, its flip and its rotation take one
-``eigvalsh_stack`` call, and rho's partial transpose another: a stack
-makes two ``eigh`` calls and four ``eigvalsh``.  The pure rows' second
-route is the closed forms on their amplitudes, which solve no
-eigenproblem.
+spin-flip lambdas of rho, its flip and its rotation take one
+``concurrence`` call, which solves the real dilations of their tau (the
+rotations are complex, so the three families stack complex), and rho's
+partial transpose another call: a stack makes two ``eigh`` calls and
+four ``eigvalsh``.  The pure rows' second route is the closed forms on
+their amplitudes, which solve no eigenproblem.
 
 Each property keeps two independent routes to the quantity it checks:
 neither side of a comparison is derived from the other side's
@@ -37,18 +38,17 @@ upper bound on the negated value (``-D``).  A state passes where every
 check holds; only the two equivalences, concurrence-ppt-equivalence and
 pure-conditional-nonpositive, pass their own verdicts.  A failure line
 shows every check's ``name=magnitude`` in order, with `` > bound`` after
-each that failed: ``mut=2.220e-16 gap=1.000e-06 > 1.0e-08``.
+each that failed, the bound as its shortest round-trip form, so that it
+reads back as the bound held: ``mut=2.220e-16 gap=1.000e-06 > 1e-08``.
 """
 
 from __future__ import annotations
 
-import multiprocessing
 import os
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
-from .concurrence import dilation_concurrence, pure_concurrence, spin_flip_dilation_stack, spin_flip_stack
+from .concurrence import concurrence, pure_concurrence, spin_flip_stack, wootters_concurrence
 from .entropy import entropy_stack, relative_entropy_stack, tsallis_stack
 from .linalg import (
     PAULI_PRODUCTS,
@@ -100,8 +100,9 @@ _POSITION = {prop: k for k, prop in enumerate(AUDIT_PROPERTIES)}
 _BLOCK = 256
 
 # States per stack: bounds the working arrays whatever the number of states, and moves no state's draw.
-# The largest are the real spin-flip dilations (N, 3, 8, 8), 393 kB, and the grouped (N, 4, 4, 4) derived
-# matrices, 262 kB; the Gaussian rows drawn for a stack take at most 2 x 98 kB, as it may straddle two blocks.
+# The largest are the real spin-flip dilations (N, 3, 8, 8) that ``concurrence`` builds, 393 kB, and the
+# grouped (N, 4, 4, 4) derived matrices, 262 kB; the Gaussian rows drawn for a stack take at most 2 x 98 kB,
+# as it may straddle two blocks.
 STACK_SIZE = 256
 
 # tsallis-continuity compares S_q at q = 1 +- this offset with S.
@@ -155,7 +156,7 @@ def _states(indices: range, seed: int):
     kind = index % 3
     gauss = g[:, :16].reshape(-1, 4, 4)
     # A pure state keeps G's column 0, a mixed state its first rank columns; a product is G_A x G_B.
-    kept = np.select((kind == 1, kind == 0), (1, _mixed_rank(index)), 4)
+    kept = np.where(kind == 1, 1, np.where(kind == 0, _mixed_rank(index), 4))
     factor = np.where(np.arange(4) < kept[:, None, None], gauss, 0)
     factor[kind == 2] = tensor_product(gauss[kind == 2, :2, :2], gauss[kind == 2, 2:, 2:])
     factor[index == 0] = np.outer(np.eye(4)[1], np.eye(4)[0])  # one column, |10>
@@ -185,7 +186,7 @@ class _Ledger:
         for j in np.flatnonzero(~ok):
             i = self.indices[j if rows is None else rows[j]]
             # + 0.0 shows a negated zero as 0.
-            shown = (f"{name}={x[j] + 0.0:.3e}" + ("" if x[j] <= bound else f" > {bound:.1e}")
+            shown = (f"{name}={x[j] + 0.0:.3e}" + ("" if x[j] <= bound else f" > {bound}")
                      for name, x, bound in checks)
             self.failures.append((i, _POSITION[prop], prop, f"{_label(i)}: {' '.join(shown)}"))
 
@@ -231,13 +232,12 @@ def _check_stack(indices: range, seed: int, tols: Tolerances):
     tr_pt = np.abs(pt.trace(axis1=-2, axis2=-1).real - 1.0)
     record("partial-transpose-involution", ("inv", inv, tols.reshuffle), ("tr_pt", tr_pt, tols.reshuffle))
 
-    # The spin-flip dilations of rho, its flip and its rotation: one real values-only call.
-    dilations = np.empty((len(m), 3, 8, 8))
-    dilations[:, 0] = spin_flip_dilation_stack(w, v)
-    dilations[:, 1:] = spin_flip_dilation_stack(derived_w[:, 1:3], derived_v[:, 1:3])
-    dilation_values = eigvalsh_stack(dilations, tols=tols)
-    # sum lambda_i^2 from rho's four largest dilation values, and as Tr rho rho~ = sum_ij rho_ij rho~_ji.
-    lambda_squares = np.sum(dilation_values[:, 0, :4] ** 2, axis=-1)
+    # The spin-flip lambdas of rho, its flip and its rotation: one call on the three families, stacked
+    # complex, since the rotations are.
+    lam = concurrence(np.concatenate((w[:, None], derived_w[:, 1:3]), axis=1),
+                      np.concatenate((v[:, None], derived_v[:, 1:3]), axis=1), tols=tols)
+    # sum lambda_i^2 from rho's lambdas, and as Tr rho rho~ = sum_ij rho_ij rho~_ji.
+    lambda_squares = np.sum(lam[:, 0] ** 2, axis=-1)
     trace_gap = np.abs(lambda_squares - np.einsum("nij,nji->n", m, flip).real)
     record("spin-flip-trace", ("trace_gap", trace_gap, tols.identity))
 
@@ -253,7 +253,7 @@ def _check_stack(indices: range, seed: int, tols: Tolerances):
     down = np.abs(tsallis_stack(w, 1.0 - _TSALLIS_OFFSET, tols=tols) - s)
     record("tsallis-continuity", ("up", up, tols.continuity), ("down", down, tols.continuity))
 
-    conc, conc_flip, conc_rot = dilation_concurrence(dilation_values).T
+    conc, conc_flip, conc_rot = wootters_concurrence(lam).T
     record("concurrence-range", ("-C", -conc, tols.support_cutoff), ("C-1", conc - 1.0, tols.hermiticity))
     record("concurrence-flip-invariance", ("flip_gap", np.abs(conc - conc_flip), tols.concurrence_zero))
     record("concurrence-local-unitary", ("lu_gap", np.abs(conc - conc_rot), tols.concurrence_zero))
@@ -381,9 +381,15 @@ def run_audit(n: int, seed: int, jobs: int = 1, tols: Tolerances = TOLS):
         raise ValueError(f"audit needs jobs >= 1, got {jobs}")
     if seed < 0:
         raise ValueError(f"audit needs seed >= 0, got {seed}")
-    workers = min(jobs, n, os.cpu_count() or 1)
+    workers = min(jobs, n)
+    if workers > 1:
+        workers = min(workers, os.cpu_count() or 1)
     payloads = [(range(n * k // workers, n * (k + 1) // workers), seed, tols) for k in range(workers)]
     if workers > 1:
+        # Loaded here, so that a one-process audit and every other command pay no import of the pool.
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
         # Spawned, not forked: the BLAS library that numpy loads starts a thread,
         # and forking a multi-threaded process can deadlock.
         with ProcessPoolExecutor(max_workers=workers, mp_context=multiprocessing.get_context("spawn")) as pool:

@@ -12,13 +12,17 @@ index counts states.  ``DensityMatrix`` is their N = 1 call: it validates
 through ``eigh_stack`` and keeps the eigen-data it computed, so every
 validity check is written once.  The package solves eigenproblems only
 here, through two validated entries that share those checks:
-``eigh_stack`` where eigenvectors are read (complex: the states and the
-matrices derived from them) and ``eigvalsh_stack`` where only the
-spectrum is (real: the spin-flip dilations; complex: the partial
-transposes and the marginals, whose eigenframe comes from the Fano
-coefficients instead).
-A float64 stack stays real, so LAPACK's real driver solves it; any
-other input is solved as complex.
+``eigh_stack`` where eigenvectors are read (the states and the matrices
+derived from them) and ``eigvalsh_stack`` where only the spectrum is
+(the spin-flip tau or its dilations, the partial transposes and the
+marginals, whose eigenframe comes from the Fano coefficients instead).
+One realness rule decides the driver, for a stack as a whole: a float64
+stack, or a complex one whose imaginary parts are all exactly zero, is
+solved as real by LAPACK's real symmetric driver, and returns real
+eigenvectors; any other stack is solved as complex.  A single nonzero
+imaginary part anywhere keeps the whole stack complex; a NaN counts as
+nonzero, so it stays complex and fails the finite check.  Every state
+of the paper, E1-E6, the isospectral pair and the Werner family, is real.
 ``fano_stack`` gives the Fano coefficients R_mu,nu = Tr m sigma_mu x sigma_nu
 over the 16 ``PAULI_PRODUCTS`` (sigma_0 = I): m = sum R_mu,nu sigma_mu x sigma_nu / 4.
 A check that fails on a stack raises for the lowest failing state and
@@ -160,12 +164,15 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
 
 
 def _hermitian_stack(m, tols: Tolerances) -> np.ndarray:
-    """``m`` as a complex array, or a real one if it is float64, once it passes the finite,
-    square and hermiticity checks."""
+    """``m`` as a real array if it is float64 or complex with every imaginary part exactly zero,
+    else as a complex one, once it passes the finite, square and hermiticity checks."""
     m = np.asarray(m)
-    real = m.dtype == np.float64
-    if not real:
+    if m.dtype != np.float64:
         m = m.astype(complex, copy=False)
+        # One test on the whole stack; a NaN counts as nonzero, so it stays complex and fails finite.
+        if not np.count_nonzero(m.imag):
+            m = m.real
+    real = m.dtype == np.float64
     finite = np.isfinite(m)
     if np.count_nonzero(finite) < finite.size:
         counts = np.count_nonzero(~finite.reshape(len(m), -1), axis=1)
@@ -220,8 +227,9 @@ class DensityMatrix:
 
     Any other shape fails the ``dims`` check.  Validation happens at
     construction, as ``density_stack`` validates a stack of one.  The
-    read-only ``eigenvalues`` (descending) and ``eigenvectors`` (columns)
-    are that call's row 0.
+    read-only ``matrix`` is complex; ``eigenvalues`` (descending) and
+    ``eigenvectors`` (columns) are that call's row 0, so a real state,
+    one with no nonzero imaginary part, holds real eigenvectors.
     """
 
     __slots__ = ("matrix", "eigenvalues", "eigenvectors", "_tols")

@@ -42,10 +42,11 @@ is f_A^T R f_B / 4: the joint P(alpha, beta) for rho, the overlaps
 |<alpha, beta|Gamma>|^2 for rho's eigenprojectors.  rho_d has the
 coefficients sum P f_A f_B^T; ``decohere_stack`` returns it with P, the
 frame values and the overlaps.  So a stack takes one ``eigh`` call, on
-the states, and two values-only ``eigvalsh`` calls, one on the real
-spin-flip dilations and one on the complex partial transposes, in either
-layer.  rho_d's spectrum is P: S(rho_d) = H(P), P >= 0 is its psd check
-and P's sum its trace check.
+the states, and two values-only ``eigvalsh`` calls, one in
+``concurrence`` on Wootters' tau (real for a real stack, else its real
+dilations) and one on the partial transposes, in either layer.  rho_d's
+spectrum is P: S(rho_d) = H(P), P >= 0 is its psd check and P's sum its
+trace check.
 
 A side's eigenvalue gap is |a|.  At most ``tols.degeneracy``, its
 eigenbasis is not unique and its axis is z: the computational basis in
@@ -62,7 +63,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .concurrence import dilation_concurrence, spin_flip_dilation_stack
+from .concurrence import concurrence, wootters_concurrence
 from .entropy import entropy_stack
 from .linalg import (
     PAULI_PRODUCTS,
@@ -243,9 +244,8 @@ def _figures(m: np.ndarray, w: np.ndarray, v: np.ndarray, r: np.ndarray, tols: T
     """The ``Figures`` of a validated stack ``(m, w, v)`` whose Fano rows are ``r`` ``(N, 16)``,
     and the ``_Frame`` they were read from."""
     n = len(m)
-    # The spin-flip dilations and the partial transposes need only spectra: one values-only call
-    # each, the first on real matrices and the second on complex ones.
-    conc = dilation_concurrence(eigvalsh_stack(spin_flip_dilation_stack(w, v), tols=tols))
+    # The spin-flip lambdas and the partial transposes need only spectra: one values-only call each.
+    conc = wootters_concurrence(concurrence(w, v, tols=tols))
     ppt_min = eigvalsh_stack(transpose_stack(m), tols=tols)[:, -1]
     # The entropy input check on rho, ahead of the frame's checks; the pass below repeats it.
     CheckError.below("psd", w[:, -1], -tols.psd, lambda k: "negative eigenvalue in entropy input")
@@ -307,8 +307,8 @@ def classify_stack(matrices, *, tols: Tolerances = TOLS) -> Classification:
     Each matrix is validated as ``DensityMatrix`` validates it; the first
     failing check raises for the lowest failing state and names it.  The
     stack takes three eigensolver calls: ``eigh`` on the states, and one
-    values-only ``eigvalsh`` each on the spin-flip dilations and on the
-    partial transposes.
+    values-only ``eigvalsh`` each on the spin-flip tau (or its dilations)
+    and on the partial transposes.
     """
     return _classify(*_validated_stack(matrices, tols), tols)
 

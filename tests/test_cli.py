@@ -1,4 +1,5 @@
 import ast
+import concurrent.futures
 import inspect
 import json
 import math
@@ -13,8 +14,9 @@ import pytest
 
 from qdeficit import audit, cli, structure
 from qdeficit.cli import main
+from qdeficit.concurrence import concurrence
 from qdeficit.entropy import entropy_stack
-from qdeficit.linalg import TOLS, density_stack, eigvalsh_stack, marginal_stack, transpose_stack
+from qdeficit.linalg import TOLS, Tolerances, density_stack, marginal_stack, transpose_stack
 from qdeficit.states import bloch_vectors, pure_density, werner
 from qdeficit.structure import classify, decohere_stack
 
@@ -293,15 +295,28 @@ class TestAudit:
             def map(self, fn, payloads):
                 return map(fn, payloads)
 
-        monkeypatch.setattr(audit, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
         monkeypatch.setattr(os, "cpu_count", lambda: cpus)
         assert cli.run_audit(n, 42, jobs) == cli.run_audit(n, 42, 1)
         assert sizes == pool_sizes
 
+    @pytest.mark.parametrize(("n", "jobs"), [(5, 1), (1, 4)])
+    def test_one_process_audit_loads_no_pool(self, monkeypatch, n, jobs):
+        """With one state or one job the audit asks for no cpu count, and a fresh interpreter that
+        runs it has imported neither ``multiprocessing`` nor ``concurrent.futures``."""
+        monkeypatch.setattr(os, "cpu_count", lambda: pytest.fail("cpu_count called"))
+        assert cli.run_audit(n, 42, jobs) == cli.run_audit(n, 42, 1)
+        code = (f"import sys; import qdeficit.cli as cli; cli.run_audit({n}, 42, {jobs}); "
+                "print(sorted({'multiprocessing', 'concurrent.futures'} & set(sys.modules)))")
+        src = str(Path(cli.__file__).parents[1])
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                              env={**os.environ, "PYTHONPATH": src}, timeout=60)
+        assert done.stdout == "[]\n"
+
     @pytest.mark.parametrize(("scale", "passes"), [("1", False), ("10", True)])
     def test_injected_spin_flip_fault_fails_at_default_scale_only(self, capsys, monkeypatch, scale, passes):
         """Every state's sum lambda_i^2 grows by 3e-9, between the default bound and ten times it."""
-        monkeypatch.setattr(audit, "eigvalsh_stack", _lambda_fault(lambda values: slice(None)))
+        monkeypatch.setattr(audit, "concurrence", _lambda_fault(lambda lam: slice(None)))
         code, out, err = _run(capsys, "--tolerance", scale, "audit", "--n", "12")
         if passes:
             assert code == 0, err
@@ -332,10 +347,10 @@ class TestAudit:
     @pytest.mark.parametrize(
         ("fault", "prop", "name", "bound"),
         [
-            (_offset_transposes, "partial-transpose-involution", "tr_pt", "1.0e-12"),
-            (_lower_marginal_entropies, "deficit-mutual-gap-identity", "D-I", "1.0e-09"),
-            (_stretch_bloch_b, "pure-bloch-identity", "norm_gap", "1.0e-10"),
-            (_offset_marginal_product, "product-mutual-zero", "gap", "1.0e-08"),
+            (_offset_transposes, "partial-transpose-involution", "tr_pt", "1e-12"),
+            (_lower_marginal_entropies, "deficit-mutual-gap-identity", "D-I", "1e-09"),
+            (_stretch_bloch_b, "pure-bloch-identity", "norm_gap", "1e-10"),
+            (_offset_marginal_product, "product-mutual-zero", "gap", "1e-08"),
         ],
         ids=["transposed-trace", "deficit-minus-mutual", "pure-norm-gap", "product-gap"],
     )
@@ -348,6 +363,15 @@ class TestAudit:
         assert counts[prop][1] == len(failed) > 0
         shown = re.compile(rf"(: | ){re.escape(name)}=\S+ > {re.escape(bound)}( |$)")
         assert all(shown.search(line) for line in failed), failed
+
+    @pytest.mark.parametrize("scale", [1.37, 1.0 / 3.0])
+    def test_failure_line_shows_the_bound_exactly(self, monkeypatch, scale):
+        """The bound is printed as its shortest round-trip form: it reads back as the bound held."""
+        _offset_transposes(monkeypatch)
+        tols = Tolerances(scale)
+        lines = audit.run_audit(12, 42, tols=tols)[1]
+        shown = {float(bound) for line in lines for bound in re.findall(r"tr_pt=\S+ > (\S+)", line)}
+        assert shown == {tols.reshuffle}
 
     def test_check_stack_derives_every_failure_line(self):
         """``_check_stack`` writes no verdict or detail of its own: it holds no lambda and no f-string,
@@ -368,11 +392,11 @@ class TestAudit:
             """The audit of 20 states with row 5 of the first stack's sum lambda_i^2 off by 3e-9."""
             stacks = []
 
-            def rows(values):
-                stacks.append(len(values))
+            def rows(lam):
+                stacks.append(len(lam))
                 return 5 if len(stacks) == 1 else slice(0)
 
-            monkeypatch.setattr(audit, "eigvalsh_stack", _lambda_fault(rows))
+            monkeypatch.setattr(audit, "concurrence", _lambda_fault(rows))
             monkeypatch.setattr(audit, "STACK_SIZE", stack_size)
             return audit.run_audit(20, 42), stacks
 
@@ -459,20 +483,19 @@ class TestDraw:
 
 
 def _lambda_fault(rows):
-    """``eigvalsh_stack`` for the audit, with a fault on the real dilations' spectra: in the states
-    ``rows(values)`` picks, lambda_1 and lambda_2 of every dilation grow by the t that adds 3e-9 to
-    sum lambda_i^2.  lambda_1 - lambda_2 - lambda_3 - lambda_4 and the order are unchanged, so
-    every concurrence stays as it was and only spin-flip-trace sees the fault."""
+    """``concurrence`` for the audit, with a fault on its lambdas: in the states ``rows(lam)`` picks,
+    lambda_1 and lambda_2 of every family grow by the t that adds 3e-9 to sum lambda_i^2.
+    lambda_1 - lambda_2 - lambda_3 - lambda_4 and the order are unchanged, so every concurrence
+    stays as it was and only spin-flip-trace sees the fault."""
     added = 3e-9
 
-    def faulty(m, *, tols):
-        values = eigvalsh_stack(m, tols=tols)
-        if values.shape[-1] == 8:
-            picked = rows(values)
-            s = np.maximum(values[picked, ..., :2], 0.0).sum(axis=-1, keepdims=True)
-            # 2 t s + 2 t^2 = added, the root without cancellation
-            values[picked, ..., :2] += added / (s + np.sqrt(s * s + 2.0 * added))
-        return values
+    def faulty(values, vectors, *, tols):
+        lam = concurrence(values, vectors, tols=tols).copy()
+        picked = rows(lam)
+        s = lam[picked, ..., :2].sum(axis=-1, keepdims=True)
+        # 2 t s + 2 t^2 = added, the root without cancellation
+        lam[picked, ..., :2] += added / (s + np.sqrt(s * s + 2.0 * added))
+        return lam
 
     return faulty
 
@@ -532,7 +555,7 @@ class TestJointConditionalProbability:
         lines = [line for line in failures if "joint-conditional-probability" in line]
         assert lines == [
             "state 3 (seed 42) failed joint-conditional-probability: "
-            "random mixed rank 1: excess=8.407e-03 > 1.0e-10 -P_min=0.000e+00"
+            "random mixed rank 1: excess=8.407e-03 > 1e-10 -P_min=0.000e+00"
         ]
 
 

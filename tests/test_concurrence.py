@@ -3,12 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from qdeficit import concurrence
+import qdeficit.concurrence as kernels
 from qdeficit.concurrence import (
-    dilation_concurrence,
+    concurrence,
     pure_concurrence,
-    spin_flip_dilation_stack,
     spin_flip_stack,
+    wootters_concurrence,
 )
 from qdeficit.linalg import CheckError, DensityMatrix, density_stack, eigh_stack, eigvalsh_stack, transpose_stack
 from qdeficit.states import (
@@ -16,6 +16,7 @@ from qdeficit.states import (
     from_registry,
     pure_density,
     werner,
+    werner_matrices,
 )
 
 from qdeficit.structure import classify
@@ -35,8 +36,8 @@ SINGLET = np.array([0, 1, -1, 0]) / math.sqrt(2)
 
 
 def _concurrence(*matrices) -> np.ndarray:
-    """Concurrences of the matrices, validated as one stack: the spin-flip dilations' spectra, one values-only call."""
-    return dilation_concurrence(eigvalsh_stack(spin_flip_dilation_stack(*density_stack(np.array(matrices)))))
+    """Concurrences of the matrices, validated as one stack: the spin-flip lambdas, one values-only call."""
+    return wootters_concurrence(_lambdas(*matrices))
 
 
 class TestSpinFlip:
@@ -81,9 +82,8 @@ class TestSpinFlip:
 
 
 def _lambdas(*matrices) -> np.ndarray:
-    """Spin-flip singular values ``(N, 4)``, descending: the four largest eigenvalues of each
-    state's real dilation, floored at 0."""
-    return np.maximum(eigvalsh_stack(spin_flip_dilation_stack(*density_stack(np.array(matrices))))[:, :4], 0.0)
+    """Spin-flip singular values ``(N, 4)``, descending, of the matrices validated as one stack."""
+    return concurrence(*density_stack(np.array(matrices)))
 
 
 class TestLambdaSpectrum:
@@ -99,7 +99,7 @@ class TestLambdaSpectrum:
 
     def test_matches_characteristic_polynomial_bruteforce(self):
         stack = np.array([random_mixed(seed, 4) for seed in range(150)])
-        lam = np.maximum(eigvalsh_stack(spin_flip_dilation_stack(*density_stack(stack)))[:, :4], 0.0)
+        lam = concurrence(*density_stack(stack))
         brute = np.array([charpoly_lambdas(m) for m in stack])
         assert np.max(np.abs(lam - brute)) <= 1e-7
 
@@ -166,9 +166,57 @@ def _near_pure_rank_two(count: int) -> np.ndarray:
     return (1.0 - eps)[:, None, None] * pure + eps[:, None, None] * other
 
 
+def _random_real_mixed(seed: int, rank: int) -> np.ndarray:
+    """A real state of rank ``rank``: a flat-simplex mix of projectors on normalized real Gaussian vectors."""
+    rng = np.random.default_rng(seed)
+    weights = rng.exponential(size=rank)
+    kets = rng.standard_normal((rank, 4))
+    kets /= np.linalg.norm(kets, axis=1, keepdims=True)
+    return np.einsum("r,ri,rj->ij", weights / weights.sum(), kets, kets)
+
+
+def _real_states() -> np.ndarray:
+    """The paper's states, the isospectral pair, a Werner grid and 200 random real states of rank 1-4."""
+    names = ["E1", "E2", "E3", "E4", "E5", "E6", "iso:E", "iso:S"]
+    mats = [from_registry(name).matrix.real for name in names]
+    mats += list(werner_matrices(np.linspace(0.0, 1.0, 101)).real)
+    mats += [_random_real_mixed(seed, 1 + seed % 4) for seed in range(200)]
+    return np.array(mats)
+
+
+class TestRealTau:
+    """A real stack has real eigenvectors, so tau is real symmetric and its lambdas are |eig tau|."""
+
+    def test_real_tau_matches_the_dilation(self):
+        """The same eigendecompositions, with the eigenvectors cast to complex, take the dilation."""
+        w, v = density_stack(_real_states())
+        assert v.dtype == np.float64
+        assert np.max(np.abs(concurrence(w, v) - concurrence(w, v.astype(complex)))) <= 1e-15
+
+    def test_real_tau_is_one_four_by_four_real_solve(self, monkeypatch):
+        received = []
+        solve = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: received.append((m.dtype, m.shape)) or solve(m))
+        concurrence(*density_stack(_real_states()[:5]))
+        assert received == [(np.float64, (5, 4, 4))]
+
+    def test_near_pure_real_match_multiprecision(self):
+        """60 real rank-2 states a small eps from pure, at ``test_near_pure_match_multiprecision``'s bound."""
+        rng = np.random.default_rng(2025)
+        eps = 10.0 ** rng.uniform(-9.0, -5.0, 60)
+        kets = rng.standard_normal((2, 60, 4))
+        kets /= np.linalg.norm(kets, axis=-1, keepdims=True)
+        pure, other = np.einsum("kni,knj->knij", kets, kets)
+        stack = (1.0 - eps)[:, None, None] * pure + eps[:, None, None] * other
+        w, v = density_stack(stack)
+        assert v.dtype == np.float64
+        want = np.array([mpmath_concurrence(m) for m in stack])
+        assert np.max(np.abs(wootters_concurrence(concurrence(w, v)) - want)) <= 1e-14
+
+
 class TestCoreAccuracy:
-    """The dilation gives the lambdas to absolute round-off, so the concurrence is exact to round-off
-    also where the small lambdas are tiny."""
+    """The real tau and the dilation give the lambdas to absolute round-off, so the concurrence is
+    exact to round-off also where the small lambdas are tiny."""
 
     @pytest.mark.parametrize("delta", [4e-7, 1e-7, 1e-10])
     def test_werner_near_pure_matches_closed_form(self, delta):
@@ -190,21 +238,30 @@ class TestCoreAccuracy:
 
     def test_core_rejects_eigenvectors_of_one_qubit(self):
         with pytest.raises(CheckError) as err:
-            spin_flip_dilation_stack(np.full((1, 2), 0.5), np.eye(2)[None])
+            concurrence(np.full((1, 2), 0.5), np.eye(2)[None])
         assert err.value.check == "dims"
 
     def test_dilation_spectrum_is_plus_minus_lambda(self):
         """The eight eigenvalues of each dilation are four values and their negatives."""
         stack = np.array([random_mixed(seed, seed % 4 + 1) for seed in range(40)])
-        values = eigvalsh_stack(spin_flip_dilation_stack(*density_stack(stack)))
+        values = eigvalsh_stack(kernels._dilation(kernels._tau(*density_stack(stack))))
         assert np.max(np.abs(values[:, :4] + values[:, :3:-1])) <= 1e-15
 
     def test_a_sign_that_breaks_tau_symmetry_fails_hermiticity(self, monkeypatch):
         """The hermiticity check on the dilation is the check that tau = tau^T: with one sign of
         sigma_y x sigma_y flipped, tau is not symmetric and the solve refuses its dilation."""
-        monkeypatch.setattr(concurrence, "_SIGNS", np.array((1.0, 1.0, 1.0, -1.0)))
+        monkeypatch.setattr(kernels, "_SIGNS", np.array((1.0, 1.0, 1.0, -1.0)))
         with pytest.raises(CheckError) as err:
-            eigvalsh_stack(spin_flip_dilation_stack(*density_stack(random_mixed(3, 4)[None])))
+            concurrence(*density_stack(random_mixed(3, 4)[None]))
+        assert err.value.check == "hermiticity"
+
+    def test_a_sign_that_breaks_real_tau_symmetry_fails_hermiticity(self, monkeypatch):
+        """A real tau is solved as it is, and its hermiticity check is the same tau = tau^T check."""
+        monkeypatch.setattr(kernels, "_SIGNS", np.array((1.0, 1.0, 1.0, -1.0)))
+        w, v = density_stack(_random_real_mixed(3, 4)[None])
+        assert v.dtype == np.float64
+        with pytest.raises(CheckError) as err:
+            concurrence(w, v)
         assert err.value.check == "hermiticity"
 
 

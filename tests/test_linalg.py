@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qdeficit.concurrence import spin_flip_dilation_stack, spin_flip_stack
+from qdeficit.concurrence import concurrence, spin_flip_stack
 from qdeficit.entropy import conditional_tsallis
 from qdeficit.linalg import (
     CheckError,
@@ -188,6 +188,24 @@ class TestHermitianEig:
         assert np.max(np.abs(values - eigh_stack(stack.astype(complex))[0])) <= 1e-13
         assert np.max(np.abs(eigvalsh_stack(stack) - values)) <= 1e-13
 
+    def test_a_complex_stack_with_zero_imaginary_parts_is_solved_as_real(self):
+        """Its float64 twin's LAPACK call: the same bits, and real vectors."""
+        x = np.random.default_rng(12).standard_normal((20, 4, 4))
+        real = x + x.swapaxes(-1, -2)
+        twin = real.astype(complex)
+        for got, want in zip(eigh_stack(twin), eigh_stack(real)):
+            assert got.dtype == np.float64
+            assert np.array_equal(got, want)
+        assert np.array_equal(eigvalsh_stack(twin), eigvalsh_stack(real))
+
+    def test_a_nan_imaginary_part_fails_finite(self):
+        """A NaN counts as a nonzero imaginary part, so the stack stays complex and fails ``finite``."""
+        stack = np.tile(np.eye(4, dtype=complex) / 4, (5, 1, 1))
+        stack[3, 1, 2] = complex(0.0, np.nan)
+        err = _rejected(stack)
+        assert err.check == "finite"
+        assert str(err).endswith("state 3: 1 NaN or infinite entries")
+
     @settings(deadline=None, max_examples=60)
     @given(st.integers(min_value=0, max_value=10**9))
     def test_reconstruction_and_trace_property(self, seed):
@@ -291,11 +309,11 @@ class TestPartialTrace:
         [
             marginal_stack,
             spin_flip_stack,
-            lambda m: spin_flip_dilation_stack(np.ones(m.shape[:-1]), m),
+            lambda m: concurrence(np.ones(m.shape[:-1]), m),
             transpose_stack,
             fano_stack,
         ],
-        ids=["marginal_stack", "spin_flip_stack", "spin_flip_dilation_stack", "transpose_stack", "fano_stack"],
+        ids=["marginal_stack", "spin_flip_stack", "concurrence", "transpose_stack", "fano_stack"],
     )
     def test_two_qubit_kernels_name_the_shape_they_reject(self, kernel, side):
         """Every kernel that reads two-qubit indices fails ``dims`` on other matrices, naming the shape."""
@@ -385,6 +403,12 @@ class TestDensityMatrix:
                 DensityMatrix(np.eye(side) / side)
             assert err.value.check == "dims"
             assert str(err.value).endswith(f"a 4x4 two-qubit matrix required, got shape ({side}, {side})")
+
+    def test_a_real_state_holds_real_eigenvectors(self):
+        rho = werner(0.3)
+        assert rho.matrix.dtype == np.complex128
+        assert rho.eigenvectors.dtype == np.float64
+        assert np.max(np.abs(_rebuild(rho.eigenvalues, rho.eigenvectors) - rho.matrix)) <= 1e-15
 
     def test_matrix_is_immutable(self):
         rho = werner(0.5)

@@ -294,20 +294,54 @@ def _mixed_stack() -> np.ndarray:
     return np.array(mats)
 
 
-def _solver_calls(monkeypatch) -> list[str]:
-    """The list that records, in order, each ``np.linalg.eigh`` and ``eigvalsh`` call made from now on."""
+def _solver_calls(monkeypatch, dtypes: list[str] | None = None) -> list[str]:
+    """The list that records, in order, each ``np.linalg.eigh`` and ``eigvalsh`` call made from now on;
+    ``dtypes``, if given, records the dtype of the stack each call hands LAPACK."""
     calls = []
 
     def counted(solver):
-        def call(*args, **kwargs):
+        def call(m, *args, **kwargs):
             calls.append(solver.__name__)
-            return solver(*args, **kwargs)
+            if dtypes is not None:
+                dtypes.append(m.dtype.name)
+            return solver(m, *args, **kwargs)
 
         return call
 
     for name in ("eigh", "eigvalsh"):
         monkeypatch.setattr(np.linalg, name, counted(getattr(np.linalg, name)))
     return calls
+
+
+class TestRealStacks:
+    """A stack whose imaginary parts are all exactly zero is solved as real, whatever its dtype."""
+
+    @staticmethod
+    def _real_states() -> np.ndarray:
+        """The real states of ``_mixed_stack``, as float64: the paper's, Werner and decohered states,
+        degenerate marginals among them."""
+        return np.array([m.real for m in _mixed_stack() if not np.count_nonzero(m.imag)])
+
+    def test_a_real_stack_and_its_complex_twin_agree_bit_for_bit(self, monkeypatch):
+        real = self._real_states()
+        assert len(real) >= 15
+        dtypes = []
+        _solver_calls(monkeypatch, dtypes)
+        cols, twin = classify_stack(real), classify_stack(real.astype(complex))
+        assert dtypes == ["float64"] * 6
+        for name, col in cols._asdict().items():
+            other = getattr(twin, name)
+            assert col.dtype == other.dtype, name
+            assert col.tobytes() == other.tobytes(), name
+
+    def test_one_imaginary_entry_keeps_the_whole_stack_complex(self, monkeypatch):
+        stack = self._real_states().astype(complex)
+        stack[-1, 0, 3] += 1e-13j
+        stack[-1, 3, 0] -= 1e-13j
+        dtypes = []
+        _solver_calls(monkeypatch, dtypes)
+        classify_stack(stack)
+        assert dtypes == ["complex128", "float64", "complex128"]
 
 
 class TestClassifyStack:
@@ -350,15 +384,21 @@ class TestClassifyStack:
 
     @pytest.mark.parametrize("n", [1, 200])
     def test_one_eigh_and_two_eigvalsh_whatever_the_stack_size(self, monkeypatch, n):
-        """``eigh`` on the states, one ``eigvalsh`` on the real spin-flip dilations and one on the
-        complex partial transposes, through either entry: the marginals, the frame and rho_d take none."""
+        """``eigh`` on the states, one ``eigvalsh`` on the spin-flip tau or its dilations and one on the
+        partial transposes, through either entry: the marginals, the frame and rho_d take none.
+        E1 alone is real, so all three solves are real; among the 200 states some are complex, so the
+        states and their transposes are solved as complex and the tau as real dilations."""
         stack = _mixed_stack()[:n]
         assert len(stack) == n
-        calls = _solver_calls(monkeypatch)
+        want = {1: ["float64"] * 3, 200: ["complex128", "float64", "complex128"]}[n]
+        dtypes = []
+        calls = _solver_calls(monkeypatch, dtypes)
         for entry in ENTRIES:
             calls.clear()
+            dtypes.clear()
             entry(stack)
             assert calls == ["eigh", "eigvalsh", "eigvalsh"], entry.__name__
+            assert dtypes == want, entry.__name__
 
     def test_classify_solves_only_the_spectra_its_state_lacks(self, monkeypatch):
         """``classify`` reads the ``DensityMatrix``'s own eigen-data, so one state costs the two

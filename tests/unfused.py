@@ -16,12 +16,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from qdeficit.concurrence import dilation_concurrence, spin_flip_dilation_stack
+from qdeficit.concurrence import concurrence, wootters_concurrence
 from qdeficit.entropy import entropy_stack
 from qdeficit.linalg import TOLS, Tolerances, density_stack, eigvalsh_stack, tensor_product, transpose_stack
 from qdeficit.structure import Classification
 
-_EYE2 = np.eye(2, dtype=complex)
+# Real, so that they may be written into the real marginal eigenvectors of a real stack.
+_EYE2 = np.eye(2)
 _SWAP2 = _EYE2[:, ::-1].copy()
 
 
@@ -52,7 +53,7 @@ def _frame(marg: np.ndarray, values: np.ndarray, vectors: np.ndarray, tols: Tole
 
 def classify_columns(m: np.ndarray, w: np.ndarray, v: np.ndarray, tols: Tolerances = TOLS) -> Classification:
     """Every ``Classification`` column of a validated stack ``(m, w, v)``."""
-    conc = dilation_concurrence(eigvalsh_stack(spin_flip_dilation_stack(w, v), tols=tols))
+    conc = wootters_concurrence(concurrence(w, v, tols=tols))
     ppt_min = eigvalsh_stack(transpose_stack(m), tols=tols)[:, -1]
     s = entropy_stack(w, tols=tols)
     marg, marg_w, marg_v = marginals(m, tols)
