@@ -276,8 +276,9 @@ def _check_stack(indices: range, seed: int, tols: Tolerances):
     err_joint = _max_abs(np.stack((joint.sum(axis=2), joint.sum(axis=1)), axis=1) - marg_w)
     record("decohere-joint-marginals", ("err_joint", err_joint, tols.hermiticity))
 
-    s_d = entropy_stack(w_d, tols=tols)
-    record("klein-entropy-increase", ("S-S_d", s - s_d, tols.identity))
+    # Klein's inequality S(rho) <= S(rho_d), with S(rho_d) by the frame's route: H(P), P sorted descending.
+    h_p = entropy_stack(np.sort(joint.reshape(-1, 4), axis=-1)[:, ::-1], tols=tols)
+    record("klein-entropy-increase", ("S-H(P)", s - h_p, tols.identity))
 
     rebuilt = np.stack((np.einsum("nabg,ng->na", dec.weights, w), np.einsum("nabg,ng->nb", dec.weights, w)), axis=1)
     record("overlap-reconstruction", ("err_overlap", _max_abs(rebuilt - marg_w), tols.identity))
@@ -294,14 +295,14 @@ def _check_stack(indices: range, seed: int, tols: Tolerances):
     record("joint-conditional-probability", ("excess", excess, tols.hermiticity),
            ("-P_min", -lowest, tols.support_cutoff))
 
-    deficit = s_d - s
+    deficit = entropy_stack(w_d, tols=tols) - s
     gap = deficit - mut
     record("deficit-bounds", ("-D", -deficit, tols.identity), ("D-I", gap, tols.identity))
 
     # D - I with D by a second route: rho_d is rho's pinching in rho_d's eigenbasis, so D = S(rho || rho_d).
     # (-S(rho_d || rho_A x rho_B) is infinite wherever a marginal eigenvalue squared falls below the support cutoff.)
     gap_identity = np.abs(gap - (relative_entropy_stack(m, w, w_d, v_d, tols=tols) - mut))
-    record("deficit-mutual-gap-identity", ("gap_identity", gap_identity, tols.identity), ("D-I", gap, tols.identity))
+    record("deficit-mutual-gap-identity", ("gap_identity", gap_identity, tols.identity))
 
     if len(pure):
         # The closed forms run on the pure rows alone: a bound they fail names the k-th pure row.
@@ -348,22 +349,14 @@ def _check_stack(indices: range, seed: int, tols: Tolerances):
     return ledger.checked, ledger.failures
 
 
-def _audit_part(payload):
-    """``_check_stack`` over the range ``indices``, ``STACK_SIZE`` states at a time, with the results summed."""
+def _audit_stack(payload):
+    """``_check_stack`` on one stack ``(indices, seed, tols)``, a failed check named with its stack."""
     indices, seed, tols = payload
-    checked = dict.fromkeys(AUDIT_PROPERTIES, 0)
-    failures = []
-    for start in range(0, len(indices), STACK_SIZE):
-        stack = indices[start:start + STACK_SIZE]
-        try:
-            stack_checked, stack_failures = _check_stack(stack, seed, tols)
-        except CheckError as exc:
-            # A stack check names the position of the failing state in its stack.
-            raise ValueError(f"audit seed {seed}, states {stack} (state k is the k-th of them): {exc}") from exc
-        for prop, count in stack_checked.items():
-            checked[prop] += count
-        failures += stack_failures
-    return checked, failures
+    try:
+        return _check_stack(indices, seed, tols)
+    except CheckError as exc:
+        # A stack check names the position of the failing state in its stack.
+        raise ValueError(f"audit seed {seed}, states {indices} (state k is the k-th of them): {exc}") from exc
 
 
 def run_audit(n: int, seed: int, jobs: int = 1, tols: Tolerances = TOLS):
@@ -371,9 +364,10 @@ def run_audit(n: int, seed: int, jobs: int = 1, tols: Tolerances = TOLS):
 
     Returns (per-property (checked, failed) counts in stable order,
     failure detail lines ordered by state, then property).  Deterministic
-    for a given seed, independent of the job count.  At most
-    ``min(jobs, n, cpu count)`` worker processes are started, each on one
-    contiguous range of states.
+    for a given seed, independent of the job count.  The unit of work is
+    one stack of at most ``STACK_SIZE`` consecutive states; with more than
+    one stack, at most ``min(jobs, stacks, cpu count)`` worker processes
+    share them.
     """
     if n < 1:
         raise ValueError(f"audit needs n >= 1, got {n}")
@@ -381,10 +375,10 @@ def run_audit(n: int, seed: int, jobs: int = 1, tols: Tolerances = TOLS):
         raise ValueError(f"audit needs jobs >= 1, got {jobs}")
     if seed < 0:
         raise ValueError(f"audit needs seed >= 0, got {seed}")
-    workers = min(jobs, n)
+    payloads = [(range(start, min(start + STACK_SIZE, n)), seed, tols) for start in range(0, n, STACK_SIZE)]
+    workers = min(jobs, len(payloads))
     if workers > 1:
         workers = min(workers, os.cpu_count() or 1)
-    payloads = [(range(n * k // workers, n * (k + 1) // workers), seed, tols) for k in range(workers)]
     if workers > 1:
         # Loaded here, so that a one-process audit and every other command pay no import of the pool.
         import multiprocessing
@@ -393,9 +387,9 @@ def run_audit(n: int, seed: int, jobs: int = 1, tols: Tolerances = TOLS):
         # Spawned, not forked: the BLAS library that numpy loads starts a thread,
         # and forking a multi-threaded process can deadlock.
         with ProcessPoolExecutor(max_workers=workers, mp_context=multiprocessing.get_context("spawn")) as pool:
-            parts = list(pool.map(_audit_part, payloads))
+            parts = list(pool.map(_audit_stack, payloads))
     else:
-        parts = [_audit_part(payloads[0])]
+        parts = list(map(_audit_stack, payloads))
     counts = {prop: [sum(checked[prop] for checked, _ in parts), 0] for prop in AUDIT_PROPERTIES}
     lines = []
     for index, _, prop, detail in sorted(failure for _, failures in parts for failure in failures):

@@ -120,7 +120,8 @@ def _reference_rows(names, tols: Tolerances) -> dict[str, dict]:
 
 def _mismatches(rows: dict[str, dict], tols: Tolerances) -> list[str]:
     """One line per figure of ``rows`` off its closed form by more than ``tols.hermiticity``
-    or off its printed decimal by more than ``tols.printed``; a NaN counts as off."""
+    or off its printed decimal by more than ``tols.printed``; a NaN counts as off.  Each line
+    shows the bound as its shortest round-trip form, so that it reads back as the bound held."""
     mismatches = []
     for name, row in rows.items():
         for col, closed in _CLOSED[name].items():
@@ -128,7 +129,7 @@ def _mismatches(rows: dict[str, dict], tols: Tolerances) -> list[str]:
             for label, want, tol in (("closed form", closed, tols.hermiticity), ("printed", printed, tols.printed)):
                 if want is not None and not abs(got - want) <= tol:
                     mismatches.append(f"{name}.{col}: computed {_fmt(got)} vs {label} {_fmt(want)} "
-                                      f"(|diff| {abs(got - want):.3e} > {tol:.1e})")
+                                      f"(|diff| {abs(got - want):.3e} > {tol})")
     return mismatches
 
 

@@ -39,14 +39,16 @@ Side A's eigenprojectors are (I +- n.sigma) / 2 with n = a / |a|, so with
 f = (1, +-n) its eigenvalues, the frame values, are f . (R_00, a) / 2, and
 the weight of |alpha, beta><alpha, beta| in a matrix with coefficients R
 is f_A^T R f_B / 4: the joint P(alpha, beta) for rho, the overlaps
-|<alpha, beta|Gamma>|^2 for rho's eigenprojectors.  rho_d has the
-coefficients sum P f_A f_B^T; ``decohere_stack`` returns it with P, the
-frame values and the overlaps.  So a stack takes one ``eigh`` call, on
-the states, and two values-only ``eigvalsh`` calls, one in
-``concurrence`` on Wootters' tau (real for a real stack, else its real
-dilations) and one on the partial transposes, in either layer.  rho_d's
-spectrum is P: S(rho_d) = H(P), P >= 0 is its psd check and P's sum its
-trace check.
+|<alpha, beta|Gamma>|^2 for rho's eigenprojectors.  The frame pass reads
+every weight in that one product over a stack of R ``(N, K, 4, 4)``: row
+0 is the state's, and rows 1-4, where the overlaps are wanted, its
+eigenprojectors'.  rho_d has the coefficients sum P f_A f_B^T;
+``decohere_stack`` returns it with P, the frame values and the overlaps.
+So a stack takes one ``eigh`` call, on the states, and two values-only
+``eigvalsh`` calls, one in ``concurrence`` on Wootters' tau (real for a
+real stack, else its real dilations) and one on the partial transposes,
+in either layer.  rho_d's spectrum is P: S(rho_d) = H(P), P >= 0 is its
+psd check and P's sum its trace check.
 
 A side's eigenvalue gap is |a|.  At most ``tols.degeneracy``, its
 eigenbasis is not unique and its axis is z: the computational basis in
@@ -90,9 +92,11 @@ __all__ = [
 
 # The axis of a degenerate side: the computational basis, |1> (index 0) as the +1 state.
 _Z_AXIS = np.array((0.0, 0.0, 1.0))
-# f / 2 = (1, +-n) / 2 for frame index alpha = 0, 1; (R_00, a) and (R_00, b), column and row 0 of R.
+# f / 2 = (1, +-n) / 2 for frame index alpha = 0, 1.
 _HALF_SIGNS = np.array((0.5, -0.5))[:, None]
-_BLOCH = np.array(((0, 4, 8, 12), (0, 1, 2, 3)))
+# The indices (mu, nu) of (R_00, a) and (R_00, b), column and row 0 of R.
+_BLOCH_MU = np.array(((0, 1, 2, 3), (0, 0, 0, 0)))
+_BLOCH_NU = _BLOCH_MU[::-1]
 # sigma_mu x sigma_nu as real rows ``(16, 32)``: real coefficients C_mu,nu times them give
 # sum C_mu,nu sigma_mu x sigma_nu, its real and imaginary parts interleaved as complex128 stores them.
 _PRODUCT_ROWS = PAULI_PRODUCTS.reshape(16, 16).view(float)
@@ -126,25 +130,19 @@ class Figures(NamedTuple):
     ppt_min_eig: np.ndarray  # (N,)
 
 
-class Classification(NamedTuple):
-    """Every figure of two-qubit states: ``classify_stack``'s arrays, one entry per state,
-    or ``classify``'s Python scalars for one state.
+Classification = NamedTuple("Classification", [
+    *Figures.__annotations__.items(),
+    ("conditional_prob_defined", np.ndarray),  # bool (N,)
+    ("commutes_with_marginals", np.ndarray),  # bool (N,)
+    ("frame_fallback", np.ndarray),  # bool (N, side A/B): the side took the computational-basis frame
+    ("worst_eigen_ratio", np.ndarray),  # (N,): the larger side of ``_ratio_stack``'s maxima
+])
+Classification.__doc__ = """Every figure of two-qubit states: ``classify_stack``'s arrays, one entry per state,
+or ``classify``'s Python scalars for one state.
 
-    The first six fields are the ``Figures``.  The conditional
-    probabilities are defined while ``worst_eigen_ratio`` is at most
-    1 + ``tols.hermiticity``.
-    """
-
-    concurrence: np.ndarray  # (N,)
-    entropy_diff_a: np.ndarray  # (N,): S(AB) - S(A)
-    entropy_diff_b: np.ndarray  # (N,): S(AB) - S(B)
-    mutual: np.ndarray  # (N,): S(A) + S(B) - S(AB)
-    deficit: np.ndarray  # (N,): S(rho_d) - S(AB)
-    ppt_min_eig: np.ndarray  # (N,)
-    conditional_prob_defined: np.ndarray  # bool (N,)
-    commutes_with_marginals: np.ndarray  # bool (N,)
-    frame_fallback: np.ndarray  # bool (N, side A/B): the side took the computational-basis frame
-    worst_eigen_ratio: np.ndarray  # (N,): the larger side of ``_ratio_stack``'s maxima
+The first six fields are the ``Figures``.  The conditional probabilities
+are defined while ``worst_eigen_ratio`` is at most 1 + ``tols.hermiticity``.
+"""
 
 
 class Decoherence(NamedTuple):
@@ -164,28 +162,29 @@ class _Frame(NamedTuple):
 
     frame_values: np.ndarray  # (N, side A/B, alpha)
     degenerate: np.ndarray  # (N, side A/B)
-    projectors: np.ndarray  # f_A f_B^T / 4, the coefficients of |alpha, beta><alpha, beta| (N, mu nu, alpha beta)
-    joint: np.ndarray  # P (N, alpha beta), checked nonnegative
+    half_f: np.ndarray  # f / 2 (N, side A/B, alpha, mu): |alpha><alpha| = sum_mu (f / 2)_mu sigma_mu
+    joint: np.ndarray  # P (N, alpha, beta), checked nonnegative
+    overlaps: np.ndarray  # the weights f_A^T R f_B / 4 of rows 1.. of R (N, K - 1, alpha, beta), unchecked
 
 
 def _fano_rows(m: np.ndarray, vectors: np.ndarray) -> np.ndarray:
-    """R ``(N, 5, 16)`` of each state (row 0) and of its eigenprojectors |Gamma><Gamma|: one ``fano_stack`` call."""
-    n = len(m)
-    mats = np.empty((n, 5, 4, 4), dtype=complex)
+    """R ``(N, 5, 4, 4)`` of each state (row 0) and of its eigenprojectors |Gamma><Gamma|: one ``fano_stack`` call."""
+    mats = np.empty((len(m), 5, 4, 4), dtype=complex)
     mats[:, 0] = m
     columns = vectors.swapaxes(-1, -2)
     np.multiply(columns[..., :, None], columns.conj()[..., None, :], out=mats[:, 1:])
-    return fano_stack(mats).reshape(n, 5, 16)
+    return fano_stack(mats)
 
 
 def _frame_pass(r: np.ndarray, tols: Tolerances) -> _Frame:
-    """Each state's product frame and joint P from its own Fano row ``r`` ``(N, 16)``."""
+    """Each state's product frame, and the weights of its frame projectors in each row of ``r``
+    ``(N, K, 4, 4)``: P from the state's own R, row 0, the overlaps from rows 1 to K - 1."""
     n = len(r)
-    tr = r[:, 0]  # R_00, the trace both marginals share
+    tr = r[:, 0, 0, 0]  # R_00, the trace both marginals share
     CheckError.above("trace", abs(tr - 1.0), tols.hermiticity, lambda k: f"trace {complex(tr[k]):.12g}")
 
     # Per side: (R_00, Bloch vector), its axis and the frame vectors f[side, alpha] / 2 = (1, +-n) / 2.
-    bloch = r[:, _BLOCH]
+    bloch = r[:, 0, _BLOCH_MU, _BLOCH_NU]
     norm = np.sqrt(np.einsum("nsi,nsi->ns", bloch[..., 1:], bloch[..., 1:]))
     degenerate = norm <= tols.degeneracy
     axis = np.where(degenerate[..., None], _Z_AXIS, bloch[..., 1:] / np.maximum(norm, tols.degeneracy)[..., None])
@@ -195,31 +194,29 @@ def _frame_pass(r: np.ndarray, tols: Tolerances) -> _Frame:
     frame_w = (half_f @ bloch[..., None])[..., 0]
     CheckError.below("psd", frame_w, -tols.psd, lambda k: "negative eigenvalue")
 
-    # P is the weight of each |alpha, beta><alpha, beta| in the state, f_A^T R f_B / 4.
-    ft = half_f.swapaxes(-1, -2)
-    projectors = (ft[:, 0, :, None, :, None] * ft[:, 1, None, :, None, :]).reshape(n, 16, 4)
-    joint = (r[:, None] @ projectors)[:, 0]
+    # The weight of each |alpha, beta><alpha, beta| in each row, f_A^T R f_B / 4: row 0 is P.
+    weights = half_f[:, None, 0] @ r @ half_f[:, None, 1].swapaxes(-1, -2)
+    joint = weights[:, 0]
     CheckError.below("joint nonnegativity", joint, -tols.psd)
-    return _Frame(frame_w, degenerate, projectors, np.maximum(joint, 0.0))
+    return _Frame(frame_w, degenerate, half_f, np.maximum(joint, 0.0), weights[:, 1:])
 
 
-def _overlap_pass(r: np.ndarray, projectors: np.ndarray, tols: Tolerances) -> np.ndarray:
-    """|<alpha, beta|Gamma>|^2 ``(N, alpha, beta, Gamma)``, the weight of each frame projector in
-    each eigenprojector, from ``_fano_rows``' R ``(N, 5, 16)``.
-
-    The product runs over all five rows and drops the state's: on the
-    contiguous block it is cheaper than on the strided rows 1-4 alone.
-    """
-    overlaps = (r @ projectors)[:, 1:]
-    err = np.maximum(np.abs(np.add.reduce(overlaps, axis=-2) - 1.0), np.abs(np.add.reduce(overlaps, axis=-1) - 1.0))
+def _overlap_pass(overlaps: np.ndarray, tols: Tolerances) -> np.ndarray:
+    """The overlaps |<alpha, beta|Gamma>|^2 ``(N, Gamma, alpha, beta)`` of ``_frame_pass``, checked to sum
+    to one over the frame and over Gamma, as ``(N, alpha, beta, Gamma)``."""
+    per_gamma = np.add.reduce(overlaps, axis=(-2, -1))
+    per_frame = np.add.reduce(overlaps, axis=1).reshape(per_gamma.shape)
+    err = np.maximum(np.abs(per_gamma - 1.0), np.abs(per_frame - 1.0))
     CheckError.above("overlap normalization", err, tols.hermiticity)
-    return overlaps.swapaxes(-1, -2).reshape(len(overlaps), 2, 2, 4)
+    return overlaps.transpose(0, 2, 3, 1)
 
 
 def _decohered(frame: _Frame) -> np.ndarray:
-    """rho_d = sum P(alpha, beta) |alpha, beta><alpha, beta| ``(N, 4, 4)``, through its coefficients."""
-    coefficients = (frame.projectors @ frame.joint[..., None])[..., 0]
-    return (coefficients @ _PRODUCT_ROWS).view(complex).reshape(len(coefficients), 4, 4)
+    """rho_d = sum P(alpha, beta) |alpha, beta><alpha, beta| ``(N, 4, 4)``, through its coefficients
+    sum P f_A f_B^T / 4."""
+    half_f = frame.half_f
+    coefficients = half_f[:, 0].swapaxes(-1, -2) @ frame.joint @ half_f[:, 1]
+    return (coefficients.reshape(-1, 16) @ _PRODUCT_ROWS).view(complex).reshape(-1, 4, 4)
 
 
 def _require_stack(m: np.ndarray) -> None:
@@ -234,15 +231,13 @@ def decohere_stack(m: np.ndarray, vectors: np.ndarray, *, tols: Tolerances = TOL
     ``fano_stack`` product gives R for the states and for their eigenprojectors.
     """
     _require_stack(m)
-    r = _fano_rows(m, vectors)
-    frame = _frame_pass(r[:, 0], tols)
-    weights = _overlap_pass(r, frame.projectors, tols)
-    return Decoherence(_decohered(frame), frame.joint.reshape(-1, 2, 2), frame.frame_values, weights)
+    frame = _frame_pass(_fano_rows(m, vectors), tols)
+    return Decoherence(_decohered(frame), frame.joint, frame.frame_values, _overlap_pass(frame.overlaps, tols))
 
 
 def _figures(m: np.ndarray, w: np.ndarray, v: np.ndarray, r: np.ndarray, tols: Tolerances):
-    """The ``Figures`` of a validated stack ``(m, w, v)`` whose Fano rows are ``r`` ``(N, 16)``,
-    and the ``_Frame`` they were read from."""
+    """The ``Figures`` of a validated stack ``(m, w, v)`` whose Fano rows are ``r`` ``(N, K, 4, 4)``,
+    the state's first, and the ``_Frame`` they were read from."""
     n = len(m)
     # The spin-flip lambdas and the partial transposes need only spectra: one values-only call each.
     conc = wootters_concurrence(concurrence(w, v, tols=tols))
@@ -252,14 +247,14 @@ def _figures(m: np.ndarray, w: np.ndarray, v: np.ndarray, r: np.ndarray, tols: T
     frame = _frame_pass(r, tols)
     # rho_d's spectrum is P, which the frame pass checked against -psd: S(rho_d) = H(P), its trace P's sum.
     p = frame.joint
-    tr = np.add.reduce(p, axis=-1)
+    tr = np.add.reduce(p, axis=(-2, -1))
     CheckError.above("trace", abs(tr - 1.0), tols.hermiticity, lambda k: f"decohered trace {tr[k]:.12g}")
     # One entropy pass over the spectra of rho, rho_A and rho_B (the frame values, in any order) and
     # rho_d, zero-padded to four levels off the support; the frame values passed the psd check.
     levels = np.zeros((n, 4, 4))
     levels[:, 0] = w
     levels[:, 1:3, :2] = frame.frame_values
-    levels[:, 3] = p
+    levels[:, 3] = p.reshape(n, 4)
     levels[:, 3, ::-1].sort(axis=-1)  # ascending through the reversed view: P descending, in place
     s, s_a, s_b, s_d = entropy_stack(levels, tols=tols).T
     mutual = s_a + s_b - s
@@ -272,9 +267,8 @@ def _figures(m: np.ndarray, w: np.ndarray, v: np.ndarray, r: np.ndarray, tols: T
 def _classify(m: np.ndarray, w: np.ndarray, v: np.ndarray, tols: Tolerances) -> Classification:
     """Every figure of each state of a validated stack ``(m, w, v)``, as columns: the
     ``Figures`` first, then the diagnostics read from the eigenprojectors' overlaps and rho_d."""
-    r = _fano_rows(m, v)
-    figures, frame = _figures(m, w, v, r[:, 0], tols)
-    weights = _overlap_pass(r, frame.projectors, tols)
+    figures, frame = _figures(m, w, v, _fano_rows(m, v), tols)
+    weights = _overlap_pass(frame.overlaps, tols)
     side_max, defined = _ratio_stack(weights, w, frame.frame_values, tols)
     # Commuting with both frames' projectors is the decoherence fixed point rho = rho_d.
     commutes = np.maximum.reduce(np.abs(m - _decohered(frame)), axis=(-2, -1)) <= tols.identity
@@ -297,7 +291,7 @@ def figures_stack(matrices, *, tols: Tolerances = TOLS) -> Figures:
     ratio test and rho_d are not computed.
     """
     m, w, v = _validated_stack(matrices, tols)
-    return _figures(m, w, v, fano_stack(m).reshape(len(m), 16), tols)[0]
+    return _figures(m, w, v, fano_stack(m)[:, None], tols)[0]
 
 
 def classify_stack(matrices, *, tols: Tolerances = TOLS) -> Classification:

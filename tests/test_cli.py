@@ -78,15 +78,15 @@ class TestReferenceCommands:
         "command, name, col, closed, line",
         [
             ("table1", "E2", "concurrence", 0.5,
-             "E2.concurrence: computed 0.333333333333 vs closed form 0.5 (|diff| 1.667e-01 > 1.0e-10)"),
+             "E2.concurrence: computed 0.333333333333 vs closed form 0.5 (|diff| 1.667e-01 > 1e-10)"),
             ("table1", "E2", "concurrence", math.nan,
-             "E2.concurrence: computed 0.333333333333 vs closed form nan (|diff| nan > 1.0e-10)"),
+             "E2.concurrence: computed 0.333333333333 vs closed form nan (|diff| nan > 1e-10)"),
             ("iso-report", "iso:E", "deficit", 0.0,
-             "iso:E.deficit: computed 0.462098120373 vs closed form 0 (|diff| 4.621e-01 > 1.0e-10)"),
+             "iso:E.deficit: computed 0.462098120373 vs closed form 0 (|diff| 4.621e-01 > 1e-10)"),
             ("iso-report", "iso:S", "deficit", math.nan,
-             "iso:S.deficit: computed 0 vs closed form nan (|diff| nan > 1.0e-10)"),
+             "iso:S.deficit: computed 0 vs closed form nan (|diff| nan > 1e-10)"),
             ("iso-report", "iso:S", "mutual", 0.0,
-             "iso:S.mutual: computed 0.636514168295 vs closed form 0 (|diff| 6.365e-01 > 1.0e-10)"),
+             "iso:S.mutual: computed 0.636514168295 vs closed form 0 (|diff| 6.365e-01 > 1e-10)"),
         ],
         ids=["E2.concurrence", "E2.concurrence-nan", "iso:E.deficit", "iso:S.deficit-nan", "iso:S.mutual"],
     )
@@ -97,6 +97,17 @@ class TestReferenceCommands:
         assert code == 1
         assert out == report
         assert err == f"mismatch: {line}\n"
+
+    def test_mismatch_shows_the_bound_exactly(self, capsys, monkeypatch):
+        """A miss of 1.39e-10 against the bound 1.37e-10 of ``--tolerance 1.37`` reads above that bound,
+        not above 1.37e-10 rounded to 1.4e-10."""
+        closed = cli._CLOSED["E2"]["concurrence"]
+        monkeypatch.setitem(cli._CLOSED["E2"], "concurrence", closed + 1.39e-10)
+        code, _, err = _run(capsys, "--tolerance", "1.37", "table1")
+        assert code == 1
+        assert err == ("mismatch: E2.concurrence: computed 0.333333333333 vs closed form 0.333333333472 "
+                       "(|diff| 1.390e-10 > 1.3700000000000002e-10)\n")
+        assert float(err.split(" > ")[1].rstrip(")\n")) == Tolerances(1.37).hermiticity
 
     def test_closed_reader_exits_141_without_a_traceback(self):
         env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
@@ -204,8 +215,8 @@ class TestToleranceScale:
         assert json.loads(out)["concurrence"] == 0.0
 
     def test_scaled_audit_independent_of_job_count(self, capsys):
-        code_1, out_1, err_1 = _run(capsys, "--tolerance", "2", "audit", "--n", "60", "--jobs", "1")
-        code_2, out_2, err_2 = _run(capsys, "--tolerance", "2", "audit", "--n", "60", "--jobs", "2")
+        code_1, out_1, err_1 = _run(capsys, "--tolerance", "2", "audit", "--n", "300", "--jobs", "1")
+        code_2, out_2, err_2 = _run(capsys, "--tolerance", "2", "audit", "--n", "300", "--jobs", "2")
         assert code_1 == 0, err_1
         assert code_2 == 0, err_2
         assert out_1 == out_2
@@ -274,9 +285,13 @@ class TestAudit:
         assert err == "error: audit needs seed >= 0, got -1\n"
 
     @pytest.mark.parametrize(
-        ("n", "jobs", "cpus", "pool_sizes"), [(3, 64, 8, [3]), (20, 64, 8, [8]), (20, 4, 8, [4]), (3, 64, None, [])]
+        ("n", "jobs", "cpus", "pool_sizes"),
+        [(3, 64, 8, []), (20, 64, 8, []), (20, 4, 8, []), (3, 64, None, []),
+         (600, 64, 8, [3]), (600, 2, 8, [2]), (600, 64, 2, [2]), (600, 64, None, [])],
     )
     def test_pool_size_is_capped_by_states_and_cpus(self, monkeypatch, n, jobs, cpus, pool_sizes):
+        """A stack is the unit of work: one stack runs in this process, more share min(jobs, stacks, cpus)
+        workers."""
         sizes = []
 
         class RecordingPool:
@@ -348,7 +363,7 @@ class TestAudit:
         ("fault", "prop", "name", "bound"),
         [
             (_offset_transposes, "partial-transpose-involution", "tr_pt", "1e-12"),
-            (_lower_marginal_entropies, "deficit-mutual-gap-identity", "D-I", "1e-09"),
+            (_lower_marginal_entropies, "deficit-bounds", "D-I", "1e-09"),
             (_stretch_bloch_b, "pure-bloch-identity", "norm_gap", "1e-10"),
             (_offset_marginal_product, "product-mutual-zero", "gap", "1e-08"),
         ],

@@ -382,6 +382,15 @@ class TestClassifyStack:
         want = entropy_stack(density_stack(dec.matrices)[0]) - entropy_stack(w)
         assert np.max(np.abs(classify_stack(stack).deficit - want)) <= 1e-12
 
+    def test_joint_is_the_eigenvalue_weighted_overlap_sum(self):
+        """The paper's joint P(alpha, beta) = sum_Gamma lambda_Gamma |<alpha, beta|Gamma>|^2, from the
+        overlaps that ``decohere_stack`` returns with P."""
+        stack = _mixed_stack()
+        w, v = density_stack(stack)
+        dec = decohere_stack(stack, v)
+        built = np.einsum("nabg,ng->nab", dec.weights, w)
+        assert np.max(np.abs(built - dec.joint)) <= TOLS.hermiticity
+
     @pytest.mark.parametrize("n", [1, 200])
     def test_one_eigh_and_two_eigvalsh_whatever_the_stack_size(self, monkeypatch, n):
         """``eigh`` on the states, one ``eigvalsh`` on the spin-flip tau or its dilations and one on the
