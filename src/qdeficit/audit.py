@@ -204,7 +204,7 @@ def _check_stack(indices: range, seed: int, tols: Tolerances):
     ledger = _Ledger(indices)
     record = ledger.record
 
-    w, v = density_stack(m, tols=tols)
+    m, w, v = density_stack(m, tols=tols)
     marg, marg_w = marginal_stack(m, tols=tols)
     dec = decohere_stack(m, v, tols=tols)
     units = _haar_unitaries(gaussians)
@@ -214,7 +214,7 @@ def _check_stack(indices: range, seed: int, tols: Tolerances):
     # as one stack grouped on axis 1; the product's and rho_d's marginals in one call.
     derived = np.stack((tensor_product(marg[:, 0], marg[:, 1]), spin_flip_stack(m), u_local @ m @ _dagger(u_local),
                         dec.matrices), axis=1)
-    derived_w, derived_v = density_stack(derived, tols=tols)
+    derived, derived_w, derived_v = density_stack(derived, tols=tols)
     derived_marginals = marginal_stack(derived[:, ::3], tols=tols)[0]
     prod, flip, rho_d = derived[:, 0], derived[:, 1], derived[:, 3]
     w_d, v_d = derived_w[:, 3], derived_v[:, 3]

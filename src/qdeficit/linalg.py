@@ -1,17 +1,17 @@
 """Dense Hermitian linear algebra for two-qubit states.
 
-Everything here works on plain ``numpy`` arrays, complex except where a
-stack is real symmetric.  The fixed two-qubit basis order is
+Everything here works on plain ``numpy`` arrays, float64 for a real
+stack and complex otherwise.  The fixed two-qubit basis order is
 ``|11>, |10>, |01>, |00>`` (index 0..3); single qubits are ordered
 ``(|1>, |0>)``, so the Pauli matrices below have their familiar matrix
 form with ``|1>`` as the +1 eigenvector of ``SIGMA_Z``.
-A ``DensityMatrix`` is one validated two-qubit state.
 
 The ``*_stack`` functions work on stacks ``(N, ..., n, n)`` whose leading
-index counts states.  ``DensityMatrix`` is their N = 1 call: it validates
-through ``eigh_stack`` and keeps the eigen-data it computed, so every
-validity check is written once.  The package solves eigenproblems only
-here, through two validated entries that share those checks:
+index counts states.  ``density_stack`` is the one validating entry for
+states and returns ``(m, values, vectors)``; a ``DensityMatrix``, one
+validated two-qubit state, is its N = 1 call and keeps the eigen-data it
+computed, so every validity check is written once.  Eigenproblems are
+solved only here, through two validated entries that share those checks:
 ``eigh_stack`` where eigenvectors are read (the states and the matrices
 derived from them) and ``eigvalsh_stack`` where only the spectrum is
 (the spin-flip tau or its dilations, the partial transposes and the
@@ -21,8 +21,11 @@ stack, or a complex one whose imaginary parts are all exactly zero, is
 solved as real by LAPACK's real symmetric driver, and returns real
 eigenvectors; any other stack is solved as complex.  A single nonzero
 imaginary part anywhere keeps the whole stack complex; a NaN counts as
-nonzero, so it stays complex and fails the finite check.  Every state
-of the paper, E1-E6, the isospectral pair and the Werner family, is real.
+nonzero, so it stays complex and fails the finite check.  So real or
+complex is decided once: ``density_stack`` returns ``m`` in the dtype it
+was solved in, and every stack derived here from a float64 one is
+float64.  Every state of the paper, E1-E6, the isospectral pair and the
+Werner family, is real.
 ``fano_stack`` gives the Fano coefficients R_mu,nu = Tr m sigma_mu x sigma_nu
 over the 16 ``PAULI_PRODUCTS`` (sigma_0 = I): m = sum R_mu,nu sigma_mu x sigma_nu / 4.
 A check that fails on a stack raises for the lowest failing state and
@@ -30,9 +33,10 @@ names it.  Each check first reduces the whole stack to one number in one
 C-level call: ``np.count_nonzero`` of the ``isfinite`` mask, or a
 ``np.maximum`` or ``np.minimum`` ``reduce`` of a residual.  It searches
 for the failing state only once that number is out of bounds; the finite
-check counts each state's bad entries only then.  The checks run in a
-fixed order over the whole stack: finite, square, hermiticity, then a
-density matrix's trace and psd.
+check counts each state's bad entries only then.  The checks on states
+run in one fixed order over the whole stack: the caller's ``dims`` (a
+``DensityMatrix``'s 4x4 shape, ``structure``'s ``(N, 4, 4)``), then
+finite, square, hermiticity, trace and psd.
 """
 
 from __future__ import annotations
@@ -214,35 +218,33 @@ def _density_checks(m: np.ndarray, values: np.ndarray, tols: Tolerances) -> None
     CheckError.below("psd", values[..., -1], -tols.psd, lambda k: "negative eigenvalue")
 
 
-def density_stack(m, *, tols: Tolerances = TOLS) -> tuple[np.ndarray, np.ndarray]:
-    """``eigh_stack`` plus the trace and psd checks of a density matrix."""
-    m = np.asarray(m, dtype=complex)
+def density_stack(m, *, tols: Tolerances = TOLS) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(m, values, vectors)``: ``eigh_stack`` plus a density matrix's trace and psd checks on a
+    stack ``(N, ..., n, n)``, with ``m`` in the dtype it was solved in, its vectors' dtype."""
     values, vectors = eigh_stack(m, tols=tols)
+    if not (isinstance(m, np.ndarray) and m.dtype == vectors.dtype):
+        m = (np.real(m) if vectors.dtype == np.float64 else np.asarray(m)).astype(vectors.dtype)
     _density_checks(m, values, tols)
-    return values, vectors
+    return m, values, vectors
 
 
 class DensityMatrix:
     """Hermitian, positive-semidefinite, trace-one 4x4 matrix of two qubits.
 
-    Any other shape fails the ``dims`` check.  Validation happens at
-    construction, as ``density_stack`` validates a stack of one.  The
-    read-only ``matrix`` is complex; ``eigenvalues`` (descending) and
-    ``eigenvectors`` (columns) are that call's row 0, so a real state,
-    one with no nonzero imaginary part, holds real eigenvectors.
+    Any other shape fails the ``dims`` check, ahead of every other check.
+    The read-only ``matrix``, ``eigenvalues`` (descending) and
+    ``eigenvectors`` (columns) are ``density_stack``'s row 0, so a real
+    state, one with no nonzero imaginary part, is float64 throughout.
     """
 
     __slots__ = ("matrix", "eigenvalues", "eigenvectors", "_tols")
 
     def __init__(self, matrix, *, tols: Tolerances = TOLS):
-        arr = np.array(matrix, dtype=complex)
-        stack = arr[None]
-        # The finite, square and hermiticity checks run first.
-        values, vectors = eigh_stack(stack, tols=tols)
+        arr = np.array(matrix)
         if arr.shape != (4, 4):
             raise CheckError("dims", 0.0, f"a 4x4 two-qubit matrix required, got shape {arr.shape}")
-        _density_checks(stack, values, tols)
-        self.matrix = _freeze(arr)
+        m, values, vectors = density_stack(arr[None], tols=tols)
+        self.matrix = _freeze(m[0])
         self.eigenvalues = _freeze(values[0])
         self.eigenvectors = _freeze(vectors[0])
         self._tols = tols
@@ -263,7 +265,7 @@ def tensor_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
     Leading axes of stacks ``(..., r, c)`` broadcast, one product per state.
     """
-    a, b = np.asarray(a, dtype=complex), np.asarray(b, dtype=complex)
+    a, b = np.asarray(a), np.asarray(b)
     out = a[..., :, None, :, None] * b[..., None, :, None, :]
     return out.reshape(out.shape[:-4] + (a.shape[-2] * b.shape[-2], a.shape[-1] * b.shape[-1]))
 
@@ -281,11 +283,14 @@ def require_two_qubits(m) -> None:
         raise CheckError("dims", 0.0, f"two-qubit matrices (..., 4, 4) required, got shape {np.shape(m)}")
 
 
-def fano_stack(m) -> np.ndarray:
+def fano_stack(m: np.ndarray) -> np.ndarray:
     """Fano coefficients R[mu, nu] = Tr m sigma_mu x sigma_nu of each Hermitian two-qubit matrix of a
-    stack ``(..., 4, 4)``: one real ``(..., 32) @ (32, 16)`` product, which skips the vanishing Im R."""
-    m = np.ascontiguousarray(m, dtype=complex)
+    stack ``(..., 4, 4)``: one real product, which skips the vanishing Im R.  A complex stack takes
+    ``(..., 32) @ (32, 16)``; a float64 one, whose Im m is zero, the real rows alone, ``(..., 16) @ (16, 16)``."""
     require_two_qubits(m)
+    if m.dtype == np.float64:
+        return (m.reshape(m.shape[:-2] + (16,)) @ _FANO[::2]).reshape(m.shape)
+    m = np.ascontiguousarray(m, dtype=complex)
     return (m.view(float).reshape(m.shape[:-2] + (32,)) @ _FANO).reshape(m.shape)
 
 
@@ -313,12 +318,12 @@ def marginal_stack(m: np.ndarray, *, tols: Tolerances = TOLS):
     """Both qubit marginals of each two-qubit matrix of a stack ``(N, 4, 4)``.
 
     Returns ``(matrices, values)`` indexed ``[state, side A/B, ...]``:
-    both partial traces are written into one ``(N, 2, 2, 2)`` buffer, and
-    the 2N marginals are symmetrized, then validated as density matrices
-    and solved values-only in one call each.
+    both partial traces are written into one ``(N, 2, 2, 2)`` buffer in
+    ``m``'s dtype, and the 2N marginals are symmetrized, then validated as
+    density matrices and solved values-only in one call each.
     """
     require_two_qubits(m)
-    mats = np.empty(m.shape[:-2] + (2, 2, 2), dtype=complex)
+    mats = np.empty(m.shape[:-2] + (2, 2, 2), dtype=m.dtype)
     _partial_trace(m, "A", mats[..., 0, :, :])
     _partial_trace(m, "B", mats[..., 1, :, :])
     mats = _hermitian_part(mats)

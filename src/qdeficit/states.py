@@ -5,7 +5,8 @@ The paper's eight reference states, E1..E6 and the isospectral pair iso:E
 and iso:S, are one table of matrices, ``_REFERENCE``, keyed by registry name.
 iso:E is entangled and iso:S separable, yet they share their global and
 marginal spectra: the quantum deficit tells them apart, no spectrum-only
-functional does.
+functional does.  These states and the Werner family are real and built
+as float64, which validation keeps.
 
 Computational basis order is |11>, |10>, |01>, |00> throughout.  A pure
 state is its amplitude vector (a11, a10, a01, a00) in that order, and a
@@ -13,7 +14,8 @@ stack of them is a complex array ``(..., 4)``: ``bloch_vectors`` and
 ``correlation_tensor`` evaluate their closed forms on the whole stack at
 once, as ``werner_matrices`` builds a stack of mixed states.  Nothing
 here normalizes or validates amplitudes; ``pure_density`` hands the
-projector to ``DensityMatrix``, whose trace check is |psi|^2 = 1.
+projector, in the amplitudes' dtype, to ``DensityMatrix``, whose trace
+check is |psi|^2 = 1.
 """
 
 from __future__ import annotations
@@ -42,17 +44,12 @@ class RegistryError(ValueError):
     """Unknown or malformed state-registry specifier."""
 
 
-def _ket(entries) -> np.ndarray:
-    return np.asarray(entries, dtype=complex)
-
-
 def _projector(entries) -> np.ndarray:
-    v = _ket(entries)
+    v = np.asarray(entries)
     return np.outer(v, v.conj())
 
 
-_BELL_PHI_PLUS = _ket([1, 0, 0, 1]) / math.sqrt(2)  # (|11> + |00>)/sqrt(2)
-_BELL_PROJECTOR = _projector(_BELL_PHI_PLUS)
+_BELL_PROJECTOR = _projector(np.array([1, 0, 0, 1]) / math.sqrt(2))  # Phi = (|11> + |00>)/sqrt(2)
 _MAXIMALLY_MIXED = np.eye(4) / 4.0
 
 
@@ -60,11 +57,11 @@ _REFERENCE = {
     "E1": (_projector([0, -2, 1, 0]) + _projector([0, 0, 0, 1])) / 6.0,
     "E2": (_projector([0, 1, 1, 0]) + 4.0 * _projector([0, 0, 0, 1])) / 6.0,
     "E3": (_projector([0, 1, 1, 0]) + _projector([0, 0, 0, 1])) / 3.0,
-    "E4": _projector(_ket([0, 1, -1, 0]) / math.sqrt(2)),
-    "E5": np.diag([0.0, 0.0, 0.5, 0.5]).astype(complex),
-    "E6": np.diag([0.5, 0.0, 0.0, 0.5]).astype(complex),
+    "E4": _projector(np.array([0, 1, -1, 0]) / math.sqrt(2)),
+    "E5": np.diag([0.0, 0.0, 0.5, 0.5]),
+    "E6": np.diag([0.5, 0.0, 0.0, 0.5]),
     "iso:E": (_projector([1, 0, 0, 0]) + _projector([0, 1, 1, 0])) / 3.0,
-    "iso:S": np.diag([1.0, 0.0, 0.0, 2.0]).astype(complex) / 3.0,
+    "iso:S": np.diag([1.0, 0.0, 0.0, 2.0]) / 3.0,
 }
 
 

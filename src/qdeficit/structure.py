@@ -8,8 +8,9 @@ entropy increase it causes is the quantum deficit, ``classify``'s
 ``deficit``.
 
 Every figure is computed once, by array kernels over a validated stack
-``(m, w, v)``: the matrices ``m`` ``(N, 4, 4)`` with their descending
-eigenvalues ``w`` and eigenvectors ``v``.  The kernels form two layers.
+``(m, w, v)``, ``density_stack``'s triple: the matrices ``m`` ``(N, 4, 4)``
+with their descending eigenvalues ``w`` and eigenvectors ``v``, ``m`` and
+``v`` float64 for a real stack.  The kernels form two layers.
 
 - The figure layer, ``figures_stack``, returns ``Figures``: the
   concurrence, S(AB) - S(A), S(AB) - S(B), the mutual entropy, the
@@ -43,7 +44,7 @@ is f_A^T R f_B / 4: the joint P(alpha, beta) for rho, the overlaps
 every weight in that one product over a stack of R ``(N, K, 4, 4)``: row
 0 is the state's, and rows 1-4, where the overlaps are wanted, its
 eigenprojectors'.  rho_d has the coefficients sum P f_A f_B^T;
-``decohere_stack`` returns it with P, the frame values and the overlaps.
+``decohere_stack`` returns it with P and the overlaps.
 So a stack takes one ``eigh`` call, on the states, and two values-only
 ``eigvalsh`` calls, one in ``concurrence`` on Wootters' tau (real for a
 real stack, else its real dilations) and one on the partial transposes,
@@ -153,7 +154,6 @@ class Decoherence(NamedTuple):
 
     matrices: np.ndarray  # rho_d (N, 4, 4), diagonal in each state's frame
     joint: np.ndarray  # P[alpha, beta] (N, 2, 2), the diagonal of rho_d in the frame
-    frame_values: np.ndarray  # (N, side A/B, alpha): marginal eigenvalues, a degenerate side's diagonal in index order
     weights: np.ndarray  # |<alpha, beta|Gamma>|^2 (N, alpha, beta, Gamma)
 
 
@@ -168,8 +168,9 @@ class _Frame(NamedTuple):
 
 
 def _fano_rows(m: np.ndarray, vectors: np.ndarray) -> np.ndarray:
-    """R ``(N, 5, 4, 4)`` of each state (row 0) and of its eigenprojectors |Gamma><Gamma|: one ``fano_stack`` call."""
-    mats = np.empty((len(m), 5, 4, 4), dtype=complex)
+    """R ``(N, 5, 4, 4)`` of each state (row 0) and of its eigenprojectors |Gamma><Gamma|, built in ``m``'s
+    dtype, which ``density_stack`` gives ``vectors`` too: one ``fano_stack`` call."""
+    mats = np.empty((len(m), 5, 4, 4), dtype=m.dtype)
     mats[:, 0] = m
     columns = vectors.swapaxes(-1, -2)
     np.multiply(columns[..., :, None], columns.conj()[..., None, :], out=mats[:, 1:])
@@ -219,9 +220,12 @@ def _decohered(frame: _Frame) -> np.ndarray:
     return (coefficients.reshape(-1, 16) @ _PRODUCT_ROWS).view(complex).reshape(-1, 4, 4)
 
 
-def _require_stack(m: np.ndarray) -> None:
+def _require_stack(matrices) -> np.ndarray:
+    """``matrices`` as an array, once it passes the ``dims`` check: a stack ``(N, 4, 4)``."""
+    m = np.asarray(matrices)
     if m.shape[1:] != (4, 4):
         raise CheckError("dims", 0.0, f"a stack of two-qubit states (N, 4, 4) required, got shape {m.shape}")
+    return m
 
 
 def decohere_stack(m: np.ndarray, vectors: np.ndarray, *, tols: Tolerances = TOLS) -> Decoherence:
@@ -230,9 +234,9 @@ def decohere_stack(m: np.ndarray, vectors: np.ndarray, *, tols: Tolerances = TOL
     ``m`` is a validated stack ``(N, 4, 4)`` and ``vectors`` its eigenvectors: one
     ``fano_stack`` product gives R for the states and for their eigenprojectors.
     """
-    _require_stack(m)
+    m = _require_stack(m)
     frame = _frame_pass(_fano_rows(m, vectors), tols)
-    return Decoherence(_decohered(frame), frame.joint, frame.frame_values, _overlap_pass(frame.overlaps, tols))
+    return Decoherence(_decohered(frame), frame.joint, _overlap_pass(frame.overlaps, tols))
 
 
 def _figures(m: np.ndarray, w: np.ndarray, v: np.ndarray, r: np.ndarray, tols: Tolerances):
@@ -275,13 +279,6 @@ def _classify(m: np.ndarray, w: np.ndarray, v: np.ndarray, tols: Tolerances) -> 
     return Classification(*figures, defined, commutes, frame.degenerate, np.maximum.reduce(side_max, axis=-1))
 
 
-def _validated_stack(matrices, tols: Tolerances):
-    """``(m, w, v)``: a stack ``(N, 4, 4)`` validated as ``DensityMatrix`` validates each matrix."""
-    m = np.asarray(matrices, dtype=complex)
-    _require_stack(m)
-    return (m, *density_stack(m, tols=tols))
-
-
 def figures_stack(matrices, *, tols: Tolerances = TOLS) -> Figures:
     """The ``Figures`` of each two-qubit state of a stack ``(N, 4, 4)``, bit for bit
     ``classify_stack``'s first six columns, without its diagnostics.
@@ -290,7 +287,7 @@ def figures_stack(matrices, *, tols: Tolerances = TOLS) -> Figures:
     a figure are ``classify_stack``'s; the eigenprojectors' overlaps, the
     ratio test and rho_d are not computed.
     """
-    m, w, v = _validated_stack(matrices, tols)
+    m, w, v = density_stack(_require_stack(matrices), tols=tols)
     return _figures(m, w, v, fano_stack(m)[:, None], tols)[0]
 
 
@@ -304,7 +301,7 @@ def classify_stack(matrices, *, tols: Tolerances = TOLS) -> Classification:
     values-only ``eigvalsh`` each on the spin-flip tau (or its dilations)
     and on the partial transposes.
     """
-    return _classify(*_validated_stack(matrices, tols), tols)
+    return _classify(*density_stack(_require_stack(matrices), tols=tols), tols)
 
 
 def classify(rho_ab: DensityMatrix, *, tols: Tolerances = TOLS) -> Classification:

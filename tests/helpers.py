@@ -95,7 +95,7 @@ def spectra(matrices, *, tols=TOLS) -> tuple[np.ndarray, np.ndarray]:
     """``(w, marg_w)``: the descending spectra ``(N, 4)`` of a stack of two-qubit states and
     ``(N, 2, 2)`` of their marginals, ``[state, side A/B]``, validated at ``tols``."""
     m = np.asarray(matrices, dtype=complex)
-    return density_stack(m, tols=tols)[0], marginal_stack(m, tols=tols)[1]
+    return density_stack(m, tols=tols)[1], marginal_stack(m, tols=tols)[1]
 
 
 def charpoly_lambdas(rho_matrix: np.ndarray) -> np.ndarray:

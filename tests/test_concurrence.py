@@ -57,7 +57,7 @@ class TestSpinFlip:
 
     def test_output_is_valid_state(self):
         stack = np.array([random_mixed(seed, seed % 4 + 1) for seed in range(20)])
-        values, _ = density_stack(spin_flip_stack(stack))
+        _, values, _ = density_stack(spin_flip_stack(stack))
         assert values[:, -1].min() > -1e-10
 
     @pytest.mark.parametrize("n", [1, 40])
@@ -83,7 +83,7 @@ class TestSpinFlip:
 
 def _lambdas(*matrices) -> np.ndarray:
     """Spin-flip singular values ``(N, 4)``, descending, of the matrices validated as one stack."""
-    return concurrence(*density_stack(np.array(matrices)))
+    return concurrence(*density_stack(np.array(matrices))[1:])
 
 
 class TestLambdaSpectrum:
@@ -99,7 +99,7 @@ class TestLambdaSpectrum:
 
     def test_matches_characteristic_polynomial_bruteforce(self):
         stack = np.array([random_mixed(seed, 4) for seed in range(150)])
-        lam = concurrence(*density_stack(stack))
+        lam = concurrence(*density_stack(stack)[1:])
         brute = np.array([charpoly_lambdas(m) for m in stack])
         assert np.max(np.abs(lam - brute)) <= 1e-7
 
@@ -189,7 +189,7 @@ class TestRealTau:
 
     def test_real_tau_matches_the_dilation(self):
         """The same eigendecompositions, with the eigenvectors cast to complex, take the dilation."""
-        w, v = density_stack(_real_states())
+        _, w, v = density_stack(_real_states())
         assert v.dtype == np.float64
         assert np.max(np.abs(concurrence(w, v) - concurrence(w, v.astype(complex)))) <= 1e-15
 
@@ -197,7 +197,7 @@ class TestRealTau:
         received = []
         solve = np.linalg.eigvalsh
         monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: received.append((m.dtype, m.shape)) or solve(m))
-        concurrence(*density_stack(_real_states()[:5]))
+        concurrence(*density_stack(_real_states()[:5])[1:])
         assert received == [(np.float64, (5, 4, 4))]
 
     def test_near_pure_real_match_multiprecision(self):
@@ -208,7 +208,7 @@ class TestRealTau:
         kets /= np.linalg.norm(kets, axis=-1, keepdims=True)
         pure, other = np.einsum("kni,knj->knij", kets, kets)
         stack = (1.0 - eps)[:, None, None] * pure + eps[:, None, None] * other
-        w, v = density_stack(stack)
+        _, w, v = density_stack(stack)
         assert v.dtype == np.float64
         want = np.array([mpmath_concurrence(m) for m in stack])
         assert np.max(np.abs(wootters_concurrence(concurrence(w, v)) - want)) <= 1e-14
@@ -244,7 +244,7 @@ class TestCoreAccuracy:
     def test_dilation_spectrum_is_plus_minus_lambda(self):
         """The eight eigenvalues of each dilation are four values and their negatives."""
         stack = np.array([random_mixed(seed, seed % 4 + 1) for seed in range(40)])
-        values = eigvalsh_stack(kernels._dilation(kernels._tau(*density_stack(stack))))
+        values = eigvalsh_stack(kernels._dilation(kernels._tau(*density_stack(stack)[1:])))
         assert np.max(np.abs(values[:, :4] + values[:, :3:-1])) <= 1e-15
 
     def test_a_sign_that_breaks_tau_symmetry_fails_hermiticity(self, monkeypatch):
@@ -252,13 +252,13 @@ class TestCoreAccuracy:
         sigma_y x sigma_y flipped, tau is not symmetric and the solve refuses its dilation."""
         monkeypatch.setattr(kernels, "_SIGNS", np.array((1.0, 1.0, 1.0, -1.0)))
         with pytest.raises(CheckError) as err:
-            concurrence(*density_stack(random_mixed(3, 4)[None]))
+            concurrence(*density_stack(random_mixed(3, 4)[None])[1:])
         assert err.value.check == "hermiticity"
 
     def test_a_sign_that_breaks_real_tau_symmetry_fails_hermiticity(self, monkeypatch):
         """A real tau is solved as it is, and its hermiticity check is the same tau = tau^T check."""
         monkeypatch.setattr(kernels, "_SIGNS", np.array((1.0, 1.0, 1.0, -1.0)))
-        w, v = density_stack(_random_real_mixed(3, 4)[None])
+        _, w, v = density_stack(_random_real_mixed(3, 4)[None])
         assert v.dtype == np.float64
         with pytest.raises(CheckError) as err:
             concurrence(w, v)

@@ -91,7 +91,7 @@ class TestVonNeumann:
         assert entropy(from_registry("E4")) == pytest.approx(0.0, abs=1e-12)
 
     def test_maximally_mixed_qubit(self):
-        assert entropy_stack(density_stack(np.eye(2)[None] / 2)[0])[0] == pytest.approx(LN2)
+        assert entropy_stack(density_stack(np.eye(2)[None] / 2)[1])[0] == pytest.approx(LN2)
 
     def test_werner_half(self):
         expected = -0.625 * math.log(0.625) - 3 * 0.125 * math.log(0.125)
@@ -154,7 +154,7 @@ class TestEntropyDifference:
         rho_a = m / np.trace(m).real
         sigma_b = np.array([[0.85, 0.1], [0.1, 0.15]], dtype=complex)
         composite = DensityMatrix(tensor_product(rho_a, sigma_b))
-        s_a, s_b = entropy_stack(density_stack(np.array([rho_a, sigma_b]))[0])
+        s_a, s_b = entropy_stack(density_stack(np.array([rho_a, sigma_b]))[1])
         assert conditional(composite, 1.0) == pytest.approx([s_b, s_a], abs=1e-10)
 
 

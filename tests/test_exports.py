@@ -225,3 +225,52 @@ def _small_literals_without_a_name():
 def test_small_float_literals_are_named_once():
     """Tolerances are defined in one place: ``Tolerances``, or a named module constant that says why it is not one."""
     assert _small_literals_without_a_name() == []
+
+
+# The casts to complex that stay: the Pauli constants, the realness rule itself, the complex branch of
+# ``fano_stack``, parsed JSON and the closed forms on pure-state amplitudes.  A real state stays float64
+# everywhere else, so no cast may come back to feed the realness scan.
+COMPLEX_CASTS = sorted([
+    ("concurrence", "pure_concurrence"),
+    ("linalg", "I2"),
+    ("linalg", "SIGMA_X"),
+    ("linalg", "SIGMA_Y"),
+    ("linalg", "SIGMA_Z"),
+    ("linalg", "_hermitian_stack"),
+    ("linalg", "fano_stack"),
+    ("linalg", "matrix_from_json"),
+    ("states", "bloch_vectors"),
+    ("states", "correlation_tensor"),
+])
+
+
+def _is_complex(node):
+    """``complex`` or a numpy complex type such as ``np.complex128``."""
+    return (isinstance(node, ast.Name) and node.id == "complex") or (
+        isinstance(node, ast.Attribute) and node.attr.startswith("complex")
+    )
+
+
+def _complex_casts():
+    """(module, top-level definition) per ``dtype=complex`` keyword and ``.astype(complex...)`` call, one
+    entry each; a module-level assignment is named by its target."""
+    found = []
+    for path in SOURCES:
+        for statement in ast.parse(path.read_text(encoding="utf-8")).body:
+            owner = min(_defined_names(statement), default=None)
+            for node in ast.walk(statement):
+                if isinstance(node, ast.keyword) and node.arg == "dtype" and _is_complex(node.value):
+                    found.append((path.stem, owner))
+                elif (
+                    isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Attribute)
+                    and node.func.attr == "astype"
+                    and node.args
+                    and _is_complex(node.args[0])
+                ):
+                    found.append((path.stem, owner))
+    return sorted(found)
+
+
+def test_complex_casts_only_at_the_listed_sites():
+    assert _complex_casts() == COMPLEX_CASTS

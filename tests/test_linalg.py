@@ -24,7 +24,7 @@ from qdeficit.linalg import (
     tensor_product,
     transpose_stack,
 )
-from qdeficit.states import bloch_vectors, correlation_tensor, from_registry, werner
+from qdeficit.states import bloch_vectors, correlation_tensor, from_registry, werner, werner_matrices
 from qdeficit.structure import classify
 
 from helpers import kron_oracle, matrix_json, numpy_spectrum, random_hermitian, random_mixed, random_pure, spectra
@@ -377,6 +377,40 @@ class TestFanoStack:
         assert np.max(np.abs(rebuilt - stack)) <= 1e-15
 
 
+class TestOneDtype:
+    """Real or complex is decided once, by ``density_stack``'s realness rule: a real state stays float64
+    through every stack derived from it."""
+
+    def test_werner_matrices_are_float64(self):
+        assert werner_matrices([0.0, 0.3, 1.0]).dtype == np.float64
+
+    def test_density_stack_returns_a_zero_imaginary_stack_as_its_real_part(self):
+        real = werner_matrices(np.linspace(0.0, 1.0, 7))
+        m, values, vectors = density_stack(real.astype(complex))
+        assert m.dtype == vectors.dtype == np.float64
+        assert np.array_equal(m, real)
+        assert np.array_equal(values, density_stack(real)[1])
+
+    def test_density_stack_keeps_a_complex_stack(self):
+        stack = np.array([random_mixed(seed, 4) for seed in range(5)])
+        m, _, vectors = density_stack(stack)
+        assert m is stack
+        assert vectors.dtype == np.complex128
+
+    def test_derived_stacks_of_float64_input_stay_float64(self):
+        real = werner_matrices(np.linspace(0.0, 1.0, 7))
+        mats, values = marginal_stack(real)
+        assert mats.dtype == values.dtype == np.float64
+        assert transpose_stack(real).dtype == np.float64
+        assert tensor_product(mats[:, 0], mats[:, 1]).dtype == np.float64
+
+    def test_fano_real_route_is_the_complex_route(self):
+        """The real route drops only the rows of ``_FANO`` that Im m = 0 multiplies."""
+        x = np.random.default_rng(13).standard_normal((5000, 4, 4))
+        for real in (x + x.swapaxes(-1, -2), werner_matrices(np.arange(0.0, 1.0, 1e-3))):
+            assert np.array_equal(fano_stack(real), fano_stack(real.astype(complex)))
+
+
 class TestDensityMatrix:
     def test_rejects_non_hermitian(self):
         m = np.eye(4) / 4
@@ -406,7 +440,7 @@ class TestDensityMatrix:
 
     def test_a_real_state_holds_real_eigenvectors(self):
         rho = werner(0.3)
-        assert rho.matrix.dtype == np.complex128
+        assert rho.matrix.dtype == np.float64
         assert rho.eigenvectors.dtype == np.float64
         assert np.max(np.abs(_rebuild(rho.eigenvalues, rho.eigenvectors) - rho.matrix)) <= 1e-15
 
@@ -417,7 +451,7 @@ class TestDensityMatrix:
 
     def test_eigen_data_is_row_zero_of_density_stack_and_read_only(self):
         rho = werner(0.3)
-        values, vectors = density_stack(rho.matrix[None])
+        _, values, vectors = density_stack(rho.matrix[None])
         assert np.array_equal(rho.eigenvalues, values[0])
         assert np.array_equal(rho.eigenvectors, vectors[0])
         for arr in (rho.eigenvalues, rho.eigenvectors):

@@ -13,6 +13,7 @@ from qdeficit.linalg import (
     DensityMatrix,
     Tolerances,
     density_stack,
+    fano_stack,
     marginal_stack,
     tensor_product,
 )
@@ -37,11 +38,13 @@ ENTRIES = (classify_stack, figures_stack)
 
 
 def decohere(rho: DensityMatrix, *, tols: Tolerances = TOLS) -> SimpleNamespace:
-    """``decohere_stack`` on one state: rho_d validated, with the joint, frame values and overlap weights."""
+    """``decohere_stack`` on one state: rho_d validated, with the joint and overlap weights, and the
+    frame values of the frame pass on the state's own Fano coefficients."""
     m = rho.matrix[None]
     dec = decohere_stack(m, rho.eigenvectors[None], tols=tols)
     state = DensityMatrix(dec.matrices[0], tols=tols)
-    return SimpleNamespace(state=state, joint=dec.joint[0], frame_values=dec.frame_values[0], weights=dec.weights[0])
+    frame_values = structure._frame_pass(fano_stack(m)[:, None], tols).frame_values[0]
+    return SimpleNamespace(state=state, joint=dec.joint[0], frame_values=frame_values, weights=dec.weights[0])
 
 
 def _entropy_oracle(m: np.ndarray) -> float:
@@ -323,16 +326,26 @@ class TestRealStacks:
         return np.array([m.real for m in _mixed_stack() if not np.count_nonzero(m.imag)])
 
     def test_a_real_stack_and_its_complex_twin_agree_bit_for_bit(self, monkeypatch):
+        """Through every entry that validates a state: both stack entries, and ``classify`` on a
+        ``DensityMatrix`` row by row, whose Python floats agree in ``repr``, sign of zero included."""
         real = self._real_states()
         assert len(real) >= 15
         dtypes = []
         _solver_calls(monkeypatch, dtypes)
-        cols, twin = classify_stack(real), classify_stack(real.astype(complex))
-        assert dtypes == ["float64"] * 6
-        for name, col in cols._asdict().items():
-            other = getattr(twin, name)
-            assert col.dtype == other.dtype, name
-            assert col.tobytes() == other.tobytes(), name
+        for entry in ENTRIES:
+            dtypes.clear()
+            cols, twin = entry(real), entry(real.astype(complex))
+            assert dtypes == ["float64"] * 6, entry.__name__
+            for name, col in cols._asdict().items():
+                other = getattr(twin, name)
+                assert col.dtype == other.dtype, name
+                assert col.tobytes() == other.tobytes(), name
+        for k, m in enumerate(real):
+            dtypes.clear()
+            report, twin = classify(DensityMatrix(m)), classify(DensityMatrix(m.astype(complex)))
+            assert dtypes == ["float64"] * 6, k
+            for name, value in report._asdict().items():
+                assert repr(value) == repr(getattr(twin, name)), (k, name)
 
     def test_one_imaginary_entry_keeps_the_whole_stack_complex(self, monkeypatch):
         stack = self._real_states().astype(complex)
@@ -377,16 +390,16 @@ class TestClassifyStack:
     def test_deficit_matches_the_decohered_spectrum(self):
         """H(P) against the eigenvalues of rho_d, on degenerate, generic and already decohered states."""
         stack = _mixed_stack()
-        w, v = density_stack(stack)
+        _, w, v = density_stack(stack)
         dec = decohere_stack(stack, v)
-        want = entropy_stack(density_stack(dec.matrices)[0]) - entropy_stack(w)
+        want = entropy_stack(density_stack(dec.matrices)[1]) - entropy_stack(w)
         assert np.max(np.abs(classify_stack(stack).deficit - want)) <= 1e-12
 
     def test_joint_is_the_eigenvalue_weighted_overlap_sum(self):
         """The paper's joint P(alpha, beta) = sum_Gamma lambda_Gamma |<alpha, beta|Gamma>|^2, from the
         overlaps that ``decohere_stack`` returns with P."""
         stack = _mixed_stack()
-        w, v = density_stack(stack)
+        _, w, v = density_stack(stack)
         dec = decohere_stack(stack, v)
         built = np.einsum("nabg,ng->nab", dec.weights, w)
         assert np.max(np.abs(built - dec.joint)) <= TOLS.hermiticity
@@ -453,7 +466,7 @@ class TestClassifyStack:
 
     def test_columns_agree_with_the_matrix_route(self):
         stack = _mixed_stack()
-        _assert_agree(classify_stack(stack), classify_columns(stack, *density_stack(stack)))
+        _assert_agree(classify_stack(stack), classify_columns(*density_stack(stack)))
 
     @pytest.mark.parametrize("name", ["E1", "E2", "E3", "E4", "E5", "E6", "iso:E", "iso:S", "werner:0.3", "werner:1"])
     def test_classify_agrees_with_the_matrix_route(self, name):
@@ -510,9 +523,24 @@ def _corrupt(kind: str, m: np.ndarray) -> np.ndarray:
 class TestClassifyStackErrors:
     """A bad state inside a stack raises its named check and names its index."""
 
+    @pytest.mark.parametrize(("check", "entries"), [
+        ("dims", {(1, 1): np.nan}),  # a qubit matrix, also not finite
+        ("finite", {(0, 1): 0.1, (2, 2): np.nan}),  # also not Hermitian
+        ("hermiticity", {(0, 1): 0.1, (1, 1): 1.25}),  # also of trace 2
+        ("trace", {(3, 3): -0.25, (0, 0): 1.0}),  # also not psd
+    ])
+    def test_both_state_entries_check_in_one_order(self, check, entries):
+        """dims, finite, square, hermiticity, trace, psd: the first check ``m`` fails is the one
+        raised, by ``DensityMatrix`` and by both stack entries on the stack of one."""
+        m = np.eye(2 if check == "dims" else 4) / 4
+        for index, value in entries.items():
+            m[index] = value
+        assert _raises(DensityMatrix, m).check == check
+        assert _raised_by_both_entries(m[None]).check == check
+
     @pytest.mark.parametrize("check", ["finite", "hermiticity", "trace", "psd"])
     def test_names_the_bad_state(self, check):
-        stack = werner_matrices(np.linspace(0.0, 1.0, 6))
+        stack = werner_matrices(np.linspace(0.0, 1.0, 6)).astype(complex)
         stack[3] = _corrupt(check, stack[3])
         err = _raised_by_both_entries(stack)
         assert err.check == check
@@ -520,7 +548,7 @@ class TestClassifyStackErrors:
 
     @pytest.mark.parametrize("check", ["finite", "hermiticity", "trace", "psd"])
     def test_lowest_failing_state_is_named(self, check):
-        stack = werner_matrices(np.linspace(0.0, 1.0, 6))
+        stack = werner_matrices(np.linspace(0.0, 1.0, 6)).astype(complex)
         stack[4] = _corrupt(check, stack[4])
         stack[2] = _corrupt(check, stack[2])
         assert "state 2" in str(_raised_by_both_entries(stack))
@@ -592,6 +620,6 @@ class TestClassifyStackErrors:
         monkeypatch.setattr(structure, "fano_stack", nan_correlation)
         stack = werner_matrices([0.1, 0.3, 0.5, 0.7])
         with pytest.raises(CheckError) as err:
-            decohere_stack(stack, density_stack(stack)[1])
+            decohere_stack(stack, density_stack(stack)[2])
         assert err.value.check == "joint nonnegativity"
         assert "state 2" in str(err.value)

@@ -34,7 +34,7 @@ def marginals(m: np.ndarray, tols: Tolerances = TOLS):
     """``(matrices, values, vectors)`` of both marginals, indexed ``[state, side A/B, ...]``."""
     split = m.reshape(-1, 2, 2, 2, 2)
     mats = _hermitian_part(np.stack((split.trace(axis1=-3, axis2=-1), split.trace(axis1=-4, axis2=-2)), axis=-3))
-    values, vectors = density_stack(mats, tols=tols)
+    _, values, vectors = density_stack(mats, tols=tols)
     return mats, values, vectors
 
 
