@@ -23,11 +23,11 @@ rotation, rho_d) by a second on a stack ``(N, 4, 4, 4)`` grouped on axis
 1, so that a failing check names state k.  ``marginal_stack`` solves
 rho's marginals, and then the product's and rho_d's, values-only; the
 spin-flip lambdas of rho, its flip and its rotation take one
-``concurrence`` call, which solves the real dilations of their tau (the
-rotations are complex, so the three families stack complex), and rho's
-partial transpose another call: a stack makes two ``eigh`` calls and
-four ``eigvalsh``.  The pure rows' second route is the closed forms on
-their amplitudes, which solve no eigenproblem.
+``concurrence`` call, one ``svd`` of their tau (the rotations are
+complex, so the three families stack complex), and rho's partial
+transpose an ``eigvalsh``: a stack makes two ``eigh`` calls, three
+``eigvalsh`` and one ``svd``.  The pure rows' second route is the closed
+forms on their amplitudes, which solve no eigenproblem.
 
 Each property keeps two independent routes to the quantity it checks:
 neither side of a comparison is derived from the other side's
@@ -49,7 +49,7 @@ import os
 import numpy as np
 
 from .concurrence import concurrence, pure_concurrence, spin_flip_stack, wootters_concurrence
-from .entropy import entropy_stack, relative_entropy_stack, tsallis_stack
+from .entropy import conditional_tsallis, entropy_stack, relative_entropy_stack, tsallis_stack
 from .linalg import (
     PAULI_PRODUCTS,
     TOLS,
@@ -100,9 +100,9 @@ _POSITION = {prop: k for k, prop in enumerate(AUDIT_PROPERTIES)}
 _BLOCK = 256
 
 # States per stack: bounds the working arrays whatever the number of states, and moves no state's draw.
-# The largest are the real spin-flip dilations (N, 3, 8, 8) that ``concurrence`` builds, 393 kB, and the
-# grouped (N, 4, 4, 4) derived matrices, 262 kB; the Gaussian rows drawn for a stack take at most 2 x 98 kB,
-# as it may straddle two blocks.
+# The largest are the grouped (N, 4, 4, 4) derived matrices, 262 kB, and the spin-flip tau (N, 3, 4, 4) that
+# ``concurrence`` builds, 197 kB; the Gaussian rows drawn for a stack take at most 2 x 98 kB, as it may straddle
+# two blocks.
 STACK_SIZE = 256
 
 # tsallis-continuity compares S_q at q = 1 +- this offset with S.
@@ -241,12 +241,11 @@ def _check_stack(indices: range, seed: int, tols: Tolerances):
     trace_gap = np.abs(lambda_squares - np.einsum("nij,nji->n", m, flip).real)
     record("spin-flip-trace", ("trace_gap", trace_gap, tols.identity))
 
-    # S(AB), S(A), S(B) once; the mutual entropy and the q = 1 conditional
-    # entropies are the same sums as ``classify``'s and ``conditional_tsallis``'s.
+    # S(AB), S(A), S(B) once; the mutual entropy is the same sum as ``classify``'s.
     s = entropy_stack(w, tols=tols)
     s_a, s_b = entropy_stack(marg_w, tols=tols).T
     mut = s_a + s_b - s
-    cond_a, cond_b = s - s_a, s - s_b
+    cond_a, cond_b = conditional_tsallis(w, marg_w, tols=tols).T
     record("mutual-nonnegative", ("-mut", -mut, tols.hermiticity))
 
     up = np.abs(tsallis_stack(w, 1.0 + _TSALLIS_OFFSET, tols=tols) - s)

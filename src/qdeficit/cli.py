@@ -5,10 +5,11 @@ The figures come from ``structure`` and the audit from ``audit``; this
 module holds the reference tables they are compared against, parses
 arguments and formats output.
 
-Exit codes: 0 success, 1 verification failure, 2 input error, 141 (128 +
-SIGPIPE) when the reader closes stdout early, as ``| head`` does; the rest
-of the output then goes to the null device, with no traceback.  Results go
-to stdout, diagnostics to stderr.  Numeric output uses 12 significant digits.
+Exit codes: 0 success, 1 verification failure, 2 input error (a file
+that cannot be opened among them), 141 (128 + SIGPIPE) when the reader
+closes stdout early, as ``| head`` does; the rest of the output then goes
+to the null device, with no traceback.  Results go to stdout, diagnostics
+to stderr.  Numeric output uses 12 significant digits.
 """
 
 from __future__ import annotations
@@ -316,6 +317,10 @@ def main(argv=None) -> int:
     except BrokenPipeError:
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 141
+    # After BrokenPipeError, which is an OSError: a path that cannot be opened, such as --gnuplot's.
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -10,22 +10,23 @@ The ``*_stack`` functions work on stacks ``(N, ..., n, n)`` whose leading
 index counts states.  ``density_stack`` is the one validating entry for
 states and returns ``(m, values, vectors)``; a ``DensityMatrix``, one
 validated two-qubit state, is its N = 1 call and keeps the eigen-data it
-computed, so every validity check is written once.  Eigenproblems are
-solved only here, through two validated entries that share those checks:
-``eigh_stack`` where eigenvectors are read (the states and the matrices
-derived from them) and ``eigvalsh_stack`` where only the spectrum is
-(the spin-flip tau or its dilations, the partial transposes and the
-marginals, whose eigenframe comes from the Fano coefficients instead).
+computed, so every validity check is written once.  Eigen- and singular
+values are solved only here, through three validated entries that share
+those checks: ``eigh_stack`` where eigenvectors are read (the states and
+the matrices derived from them), ``eigvalsh_stack`` where only the
+spectrum is (the partial transposes and the marginals, whose eigenframe
+comes from the Fano coefficients instead), and ``svdvals_stack`` for the
+singular values of Wootters' complex symmetric tau.
 One realness rule decides the driver, for a stack as a whole: a float64
 stack, or a complex one whose imaginary parts are all exactly zero, is
 solved as real by LAPACK's real symmetric driver, and returns real
-eigenvectors; any other stack is solved as complex.  A single nonzero
-imaginary part anywhere keeps the whole stack complex; a NaN counts as
-nonzero, so it stays complex and fails the finite check.  So real or
-complex is decided once: ``density_stack`` returns ``m`` in the dtype it
-was solved in, and every stack derived here from a float64 one is
-float64.  Every state of the paper, E1-E6, the isospectral pair and the
-Werner family, is real.
+eigenvectors; any other stack is solved as complex, and a complex tau
+by ``svd``.  A single nonzero imaginary part anywhere keeps the whole
+stack complex; a NaN counts as nonzero, so it stays complex and fails
+the finite check.  So real or complex is decided once: ``density_stack``
+returns ``m`` in the dtype it was solved in, and every stack derived
+here from a float64 one is float64.  Every state of the paper, E1-E6,
+the isospectral pair and the Werner family, is real.
 ``fano_stack`` gives the Fano coefficients R_mu,nu = Tr m sigma_mu x sigma_nu
 over the 16 ``PAULI_PRODUCTS`` (sigma_0 = I): m = sum R_mu,nu sigma_mu x sigma_nu / 4.
 A check that fails on a stack raises for the lowest failing state and
@@ -53,6 +54,7 @@ __all__ = [
     "DensityMatrix",
     "eigh_stack",
     "eigvalsh_stack",
+    "svdvals_stack",
     "density_stack",
     "tensor_product",
     "PAULI_PRODUCTS",
@@ -167,9 +169,10 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-def _hermitian_stack(m, tols: Tolerances) -> np.ndarray:
+def _hermitian_stack(m, tols: Tolerances, conj: bool = True) -> np.ndarray:
     """``m`` as a real array if it is float64 or complex with every imaginary part exactly zero,
-    else as a complex one, once it passes the finite, square and hermiticity checks."""
+    else as a complex one, once it passes the finite, square and hermiticity checks.  Without ``conj``
+    the hermiticity check holds a complex stack to m = m^T, which on a real stack is the same check."""
     m = np.asarray(m)
     if m.dtype != np.float64:
         m = m.astype(complex, copy=False)
@@ -184,7 +187,7 @@ def _hermitian_stack(m, tols: Tolerances) -> np.ndarray:
     if m.ndim < 3 or m.shape[-1] != m.shape[-2] or not m.size:
         raise CheckError("square", 0.0, f"shape {m.shape[1:]} is not square and nonempty")
     # A float64 stack is its own conjugate.
-    herm = np.abs(m - (m if real else m.conj()).swapaxes(-1, -2))
+    herm = np.abs(m - (m.conj() if conj and not real else m).swapaxes(-1, -2))
     if not np.maximum.reduce(herm, axis=None) <= tols.hermiticity:
         CheckError.above("hermiticity", np.maximum.reduce(herm, axis=(-2, -1)), tols.hermiticity)
     return m
@@ -210,6 +213,21 @@ def eigvalsh_stack(m, *, tols: Tolerances = TOLS) -> np.ndarray:
     ``eigh_stack``'s to round-off, not bit for bit.
     """
     return np.linalg.eigvalsh(_hermitian_stack(m, tols))[..., ::-1].copy()
+
+
+def svdvals_stack(m, *, tols: Tolerances = TOLS) -> np.ndarray:
+    """The singular values, descending, of a stack ``(N, ..., n, n)`` of complex symmetric matrices.
+
+    Runs the finite and square checks, then the hermiticity check held to
+    m = m^T.  Under the realness rule a real stack is real symmetric,
+    m = O diag(e) O^T with O orthogonal, so its singular values are |e|,
+    from one values-only real solve; any other takes one ``svd`` without
+    vectors.
+    """
+    m = _hermitian_stack(m, tols, conj=False)
+    if m.dtype == np.float64:
+        return np.sort(np.abs(np.linalg.eigvalsh(m)), axis=-1)[..., ::-1]
+    return np.linalg.svd(m, compute_uv=False)
 
 
 def _density_checks(m: np.ndarray, values: np.ndarray, tols: Tolerances) -> None:

@@ -46,10 +46,10 @@ every weight in that one product over a stack of R ``(N, K, 4, 4)``: row
 eigenprojectors'.  rho_d has the coefficients sum P f_A f_B^T;
 ``decohere_stack`` returns it with P and the overlaps.
 So a stack takes one ``eigh`` call, on the states, and two values-only
-``eigvalsh`` calls, one in ``concurrence`` on Wootters' tau (real for a
-real stack, else its real dilations) and one on the partial transposes,
-in either layer.  rho_d's spectrum is P: S(rho_d) = H(P), P >= 0 is its
-psd check and P's sum its trace check.
+calls, in either layer: one in ``concurrence`` on Wootters' tau, an
+``eigvalsh`` for a real stack and an ``svd`` for a complex one, and one
+``eigvalsh`` on the partial transposes.  rho_d's spectrum is P:
+S(rho_d) = H(P), P >= 0 is its psd check and P's sum its trace check.
 
 A side's eigenvalue gap is |a|.  At most ``tols.degeneracy``, its
 eigenbasis is not unique and its axis is z: the computational basis in
@@ -297,9 +297,9 @@ def classify_stack(matrices, *, tols: Tolerances = TOLS) -> Classification:
 
     Each matrix is validated as ``DensityMatrix`` validates it; the first
     failing check raises for the lowest failing state and names it.  The
-    stack takes three eigensolver calls: ``eigh`` on the states, and one
-    values-only ``eigvalsh`` each on the spin-flip tau (or its dilations)
-    and on the partial transposes.
+    stack takes three solver calls: ``eigh`` on the states, and one
+    values-only call each on the spin-flip tau (``eigvalsh`` if it is real,
+    else ``svd``) and on the partial transposes (``eigvalsh``).
     """
     return _classify(*density_stack(_require_stack(matrices), tols=tols), tols)
 

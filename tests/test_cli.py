@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qdeficit import audit, cli, structure
+from qdeficit import audit, cli, entropy, structure
 from qdeficit.cli import main
 from qdeficit.concurrence import concurrence
 from qdeficit.entropy import entropy_stack
@@ -172,6 +172,14 @@ class TestWernerSweep:
         assert code == 0, err
         assert "plot csvfile using 1:2" in path.read_text()
         assert f"wrote gnuplot script to {path}" in err
+
+    def test_unwritable_gnuplot_path_is_input_error(self, capsys, tmp_path):
+        """A path that cannot be opened exits 2 with one error line, after the CSV it follows."""
+        path = tmp_path / "missing" / "sweep.gp"
+        code, out, err = _run(capsys, "werner-sweep", "--step", "0.5", "--gnuplot", str(path))
+        assert code == 2
+        assert out.splitlines()[0].startswith("p,concurrence,")
+        assert err == f"error: [Errno 2] No such file or directory: '{path}'\n"
 
     def test_sweep_computes_no_diagnostic(self, monkeypatch):
         """The sweep prints figures only: it runs without the overlap pass, the ratio test and rho_d."""
@@ -347,7 +355,9 @@ class TestAudit:
             assert len(lines) == 13
 
     def test_nan_entropy_fails_every_property_that_reads_it(self, monkeypatch):
-        monkeypatch.setattr(audit, "entropy_stack", lambda values, *, tols: np.full(values.shape[:-1], math.nan))
+        """S is NaN where the audit reads it and inside the entropy kernels, ``conditional_tsallis``'s among them."""
+        for module in (audit, entropy):
+            monkeypatch.setattr(module, "entropy_stack", lambda values, *, tols: np.full(values.shape[:-1], math.nan))
         reads_entropy = {
             "mutual-nonnegative", "tsallis-continuity", "klein-entropy-increase", "deficit-bounds",
             "deficit-mutual-gap-identity", "pure-marginal-entropy-symmetry", "pure-conditional-nonpositive",
@@ -429,20 +439,20 @@ class TestAudit:
         small = sorted(calls)
         calls.clear()
         audit.run_audit(150, 42)
-        assert small.count("eigh") > 0 and small.count("eigvalsh") > 0
+        assert small.count("eigh") > 0 and small.count("eigvalsh") > 0 and small.count("svd") > 0
         assert sorted(calls) == small
 
-    def test_a_stack_makes_two_eigh_and_four_eigvalsh_calls(self, monkeypatch):
+    def test_a_stack_makes_two_eigh_three_eigvalsh_and_one_svd_call(self, monkeypatch):
         """``eigh`` on the states and on the four derived matrices per state; ``eigvalsh`` on the
-        states' marginals, on the product's and rho_d's marginals, on the three real spin-flip
-        dilations per state, and on the complex partial transposes."""
+        states' marginals, on the product's and rho_d's marginals and on the complex partial
+        transposes; ``svd`` on the three complex spin-flip tau per state."""
         kinds = {audit._label(i) for i in range(15)}
         assert kinds == {"fixed pure product |10>", "haar pure", "random mixed product"} | {
             f"random mixed rank {rank}" for rank in range(1, 5)
         }
         calls = _count_eigensolver_calls(monkeypatch)
         audit._check_stack(range(15), 42, TOLS)
-        assert sorted(calls) == ["eigh"] * 2 + ["eigvalsh"] * 4
+        assert sorted(calls) == ["eigh"] * 2 + ["eigvalsh"] * 3 + ["svd"]
 
     def test_failure_in_a_grouped_stack_is_booked_to_its_state(self, monkeypatch):
         """State 5's rotation fails the trace check inside the stack of four derived matrices per state:
@@ -516,7 +526,7 @@ def _lambda_fault(rows):
 
 
 def _count_eigensolver_calls(monkeypatch) -> list[str]:
-    """The names of the ``np.linalg.eigh`` and ``eigvalsh`` calls made from here on, in order."""
+    """The names of the ``np.linalg.eigh``, ``eigvalsh`` and ``svd`` calls made from here on, in order."""
     calls = []
 
     def counted(solver):
@@ -526,7 +536,7 @@ def _count_eigensolver_calls(monkeypatch) -> list[str]:
 
         return call
 
-    for name in ("eigh", "eigvalsh"):
+    for name in ("eigh", "eigvalsh", "svd"):
         monkeypatch.setattr(np.linalg, name, counted(getattr(np.linalg, name)))
     return calls
 

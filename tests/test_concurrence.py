@@ -10,7 +10,7 @@ from qdeficit.concurrence import (
     spin_flip_stack,
     wootters_concurrence,
 )
-from qdeficit.linalg import CheckError, DensityMatrix, density_stack, eigh_stack, eigvalsh_stack, transpose_stack
+from qdeficit.linalg import CheckError, DensityMatrix, density_stack, eigh_stack, transpose_stack
 from qdeficit.states import (
     bloch_vectors,
     from_registry,
@@ -187,11 +187,13 @@ def _real_states() -> np.ndarray:
 class TestRealTau:
     """A real stack has real eigenvectors, so tau is real symmetric and its lambdas are |eig tau|."""
 
-    def test_real_tau_matches_the_dilation(self):
-        """The same eigendecompositions, with the eigenvectors cast to complex, take the dilation."""
+    def test_real_tau_matches_the_complex_route(self):
+        """The same eigendecompositions, each eigenvector times a seeded unit phase, take the ``svd``:
+        the phases D turn tau into D tau D, whose singular values are tau's."""
         _, w, v = density_stack(_real_states())
         assert v.dtype == np.float64
-        assert np.max(np.abs(concurrence(w, v) - concurrence(w, v.astype(complex)))) <= 1e-15
+        phases = np.exp(2j * np.pi * np.random.default_rng(31).random(w.shape))
+        assert np.max(np.abs(concurrence(w, v) - concurrence(w, v * phases[:, None, :]))) <= 1e-15
 
     def test_real_tau_is_one_four_by_four_real_solve(self, monkeypatch):
         received = []
@@ -215,14 +217,21 @@ class TestRealTau:
 
 
 class TestCoreAccuracy:
-    """The real tau and the dilation give the lambdas to absolute round-off, so the concurrence is
-    exact to round-off also where the small lambdas are tiny."""
+    """The real tau's eigenvalues and the complex tau's singular values give the lambdas to absolute
+    round-off, so the concurrence is exact to round-off also where the small lambdas are tiny."""
 
     @pytest.mark.parametrize("delta", [4e-7, 1e-7, 1e-10])
     def test_werner_near_pure_matches_closed_form(self, delta):
+        """The real Werner state, and 50 complex twins under seeded local unitaries U_A x U_B."""
         # lambda_2..4 = (1 - p) / 4 = delta / 4, as small as the square root of round-off in lambda_1^2.
         p = 1.0 - delta
         assert abs(classify(werner(p)).concurrence - (3 * p - 1) / 2) <= 1e-12
+        rng = np.random.default_rng(33)
+        units = np.array([np.kron(haar_unitary(rng), haar_unitary(rng)) for _ in range(50)])
+        rotated = units @ werner(p).matrix @ units.conj().swapaxes(-1, -2)
+        _, w, v = density_stack(rotated)
+        assert v.dtype == np.complex128
+        assert np.max(np.abs(wootters_concurrence(concurrence(w, v)) - (3 * p - 1) / 2)) <= 1e-12
 
     def test_random_mixed_match_multiprecision(self):
         stack = np.array([random_mixed(seed, seed % 4 + 1) for seed in range(120)])
@@ -241,15 +250,9 @@ class TestCoreAccuracy:
             concurrence(np.full((1, 2), 0.5), np.eye(2)[None])
         assert err.value.check == "dims"
 
-    def test_dilation_spectrum_is_plus_minus_lambda(self):
-        """The eight eigenvalues of each dilation are four values and their negatives."""
-        stack = np.array([random_mixed(seed, seed % 4 + 1) for seed in range(40)])
-        values = eigvalsh_stack(kernels._dilation(kernels._tau(*density_stack(stack)[1:])))
-        assert np.max(np.abs(values[:, :4] + values[:, :3:-1])) <= 1e-15
-
     def test_a_sign_that_breaks_tau_symmetry_fails_hermiticity(self, monkeypatch):
-        """The hermiticity check on the dilation is the check that tau = tau^T: with one sign of
-        sigma_y x sigma_y flipped, tau is not symmetric and the solve refuses its dilation."""
+        """The hermiticity check on a complex tau is the check that tau = tau^T: with one sign of
+        sigma_y x sigma_y flipped, tau is not symmetric and the solve refuses it."""
         monkeypatch.setattr(kernels, "_SIGNS", np.array((1.0, 1.0, 1.0, -1.0)))
         with pytest.raises(CheckError) as err:
             concurrence(*density_stack(random_mixed(3, 4)[None])[1:])

@@ -107,7 +107,7 @@ def test_no_unused_imports(path):
     assert _unused_imports(path) == []
 
 
-# numpy's eigen- and singular-value solvers: the package calls ``eigh`` and ``eigvalsh`` once each, and no other.
+# numpy's eigen- and singular-value solvers: the package calls them only in linalg's three validated entries.
 SOLVERS = {"eigh", "eig", "eigvals", "eigvalsh", "svd"}
 
 
@@ -142,16 +142,21 @@ def _imported_roots(path):
 
 
 def test_one_eigensolver_call_in_eigh_stack():
-    """Every eigensolve in the package goes through linalg's two validated entries:
-    ``eigh_stack`` where eigenvectors are read, ``eigvalsh_stack`` where only the spectrum is."""
-    assert _solver_references() == [("linalg", "eigh_stack", "eigh"), ("linalg", "eigvalsh_stack", "eigvalsh")]
+    """Every solve in the package goes through linalg's three validated entries: ``eigh_stack`` where
+    eigenvectors are read, ``eigvalsh_stack`` where only the spectrum is, and ``svdvals_stack`` for the
+    singular values of a complex symmetric tau, ``eigvalsh`` if it is real and ``svd`` if not."""
+    assert _solver_references() == [
+        ("linalg", "eigh_stack", "eigh"),
+        ("linalg", "eigvalsh_stack", "eigvalsh"),
+        ("linalg", "svdvals_stack", "svd"),
+        ("linalg", "svdvals_stack", "eigvalsh"),
+    ]
     assert [path.stem for path in SOURCES if "scipy" in _imported_roots(path)] == []
 
 
 # Public names that no module reads, each kept because the named test pins a paper number with it:
-# the Werner roots p*(q) and the q = 50/100 cross-check.
+# the q = 50/100 cross-check.
 PINNED_BY_TESTS = {
-    "conditional_tsallis": "test_entropy.py::TestConditionalTsallis::test_werner_q2_threshold_below_conditional_one",
     "tsallis_infinity_criterion":
         "test_entropy.py::TestInfinityCriterion::test_agrees_with_q100_sign_away_from_boundary",
 }
@@ -274,3 +279,19 @@ def _complex_casts():
 
 def test_complex_casts_only_at_the_listed_sites():
     assert _complex_casts() == COMPLEX_CASTS
+
+
+def _dtype_comparisons():
+    """(module, line) per comparison that reads a ``.dtype``."""
+    return [
+        (path.stem, node.lineno)
+        for path in SOURCES
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Compare)
+        and any(isinstance(x, ast.Attribute) and x.attr == "dtype" for x in (node.left, *node.comparators))
+    ]
+
+
+def test_only_linalg_tests_a_dtype():
+    """Real or complex is decided once, by linalg's realness rule: no other module branches on a dtype."""
+    assert [(module, line) for module, line in _dtype_comparisons() if module != "linalg"] == []

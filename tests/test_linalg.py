@@ -21,6 +21,7 @@ from qdeficit.linalg import (
     fano_stack,
     marginal_stack,
     matrix_from_json,
+    svdvals_stack,
     tensor_product,
     transpose_stack,
 )
@@ -162,7 +163,7 @@ class TestHermitianEig:
 
     def test_a_stack_of_pairs_names_the_state(self):
         """A check on ``(N, 2, n, n)`` names state k // 2 of flat entry k, as the audit's grouped
-        stacks, such as its three spin-flip dilations per state, need."""
+        stacks, such as its three spin-flip tau per state, need."""
         stack = _random_stack(np.random.default_rng(9), 10).reshape(5, 2, 4, 4)
         stack[3, 1, 2, 0] += 1.0
         err = _rejected(stack)
@@ -214,6 +215,31 @@ class TestHermitianEig:
         assert np.max(np.abs(_rebuild(values, vectors) - h)) <= 1e-9
         assert abs(np.sum(values) - np.trace(h).real) <= 1e-9
         assert np.max(np.abs(vectors.conj().T @ vectors - np.eye(4))) <= 1e-9
+
+
+class TestSvdvalsStack:
+    """Singular values of complex symmetric stacks, such as Wootters' tau, under the realness rule."""
+
+    @staticmethod
+    def _real_symmetric(seed: int) -> np.ndarray:
+        x = np.random.default_rng(seed).standard_normal((30, 4, 4))
+        return x + x.swapaxes(-1, -2)
+
+    def test_a_complex_stack_with_zero_imaginary_parts_takes_the_real_route(self, monkeypatch):
+        """As for states: its real part's solve, bit for bit, and no ``svd``."""
+        real = self._real_symmetric(43)
+        monkeypatch.setattr(np.linalg, "svd", lambda *args, **kwargs: pytest.fail("svd called"))
+        assert np.array_equal(svdvals_stack(real.astype(complex)), svdvals_stack(real))
+
+    def test_a_hermitian_stack_that_is_not_symmetric_fails_hermiticity(self):
+        """The check holds m to m^T, not to m†, and names the lowest failing state."""
+        stack = self._real_symmetric(44)[:5].astype(complex)
+        stack[3] = random_hermitian(np.random.default_rng(45))
+        with pytest.raises(CheckError) as err:
+            svdvals_stack(stack)
+        assert err.value.check == "hermiticity"
+        assert "state 3" in str(err.value)
+        assert err.value.magnitude == np.max(np.abs(stack[3] - stack[3].T))
 
 
 class TestTensorProduct:

@@ -298,8 +298,8 @@ def _mixed_stack() -> np.ndarray:
 
 
 def _solver_calls(monkeypatch, dtypes: list[str] | None = None) -> list[str]:
-    """The list that records, in order, each ``np.linalg.eigh`` and ``eigvalsh`` call made from now on;
-    ``dtypes``, if given, records the dtype of the stack each call hands LAPACK."""
+    """The list that records, in order, each ``np.linalg.eigh``, ``eigvalsh`` and ``svd`` call made from
+    now on; ``dtypes``, if given, records the dtype of the stack each call hands LAPACK."""
     calls = []
 
     def counted(solver):
@@ -311,7 +311,7 @@ def _solver_calls(monkeypatch, dtypes: list[str] | None = None) -> list[str]:
 
         return call
 
-    for name in ("eigh", "eigvalsh"):
+    for name in ("eigh", "eigvalsh", "svd"):
         monkeypatch.setattr(np.linalg, name, counted(getattr(np.linalg, name)))
     return calls
 
@@ -354,7 +354,7 @@ class TestRealStacks:
         dtypes = []
         _solver_calls(monkeypatch, dtypes)
         classify_stack(stack)
-        assert dtypes == ["complex128", "float64", "complex128"]
+        assert dtypes == ["complex128"] * 3
 
 
 class TestClassifyStack:
@@ -406,29 +406,29 @@ class TestClassifyStack:
 
     @pytest.mark.parametrize("n", [1, 200])
     def test_one_eigh_and_two_eigvalsh_whatever_the_stack_size(self, monkeypatch, n):
-        """``eigh`` on the states, one ``eigvalsh`` on the spin-flip tau or its dilations and one on the
+        """``eigh`` on the states, one values-only call on the spin-flip tau and one ``eigvalsh`` on the
         partial transposes, through either entry: the marginals, the frame and rho_d take none.
-        E1 alone is real, so all three solves are real; among the 200 states some are complex, so the
-        states and their transposes are solved as complex and the tau as real dilations."""
+        E1 alone is real, so all three solves are real and tau's is an ``eigvalsh``; among the 200 states
+        some are complex, so all three stacks are complex and tau's singular values take an ``svd``."""
         stack = _mixed_stack()[:n]
         assert len(stack) == n
-        want = {1: ["float64"] * 3, 200: ["complex128", "float64", "complex128"]}[n]
+        want = {1: (["eigh", "eigvalsh", "eigvalsh"], ["float64"] * 3),
+                200: (["eigh", "svd", "eigvalsh"], ["complex128"] * 3)}[n]
         dtypes = []
         calls = _solver_calls(monkeypatch, dtypes)
         for entry in ENTRIES:
             calls.clear()
             dtypes.clear()
             entry(stack)
-            assert calls == ["eigh", "eigvalsh", "eigvalsh"], entry.__name__
-            assert dtypes == want, entry.__name__
+            assert (calls, dtypes) == want, entry.__name__
 
     def test_classify_solves_only_the_spectra_its_state_lacks(self, monkeypatch):
         """``classify`` reads the ``DensityMatrix``'s own eigen-data, so one state costs the two
-        values-only calls and no ``eigh``."""
+        values-only calls and no ``eigh``: this state is complex, so its tau takes the ``svd``."""
         rho = DensityMatrix(_mixed_stack()[40])
         calls = _solver_calls(monkeypatch)
         classify(rho)
-        assert calls == ["eigvalsh", "eigvalsh"]
+        assert calls == ["svd", "eigvalsh"]
 
     @pytest.mark.parametrize("n", [1, 200])
     def test_figures_are_the_first_six_columns_bit_for_bit(self, n):
