@@ -12,6 +12,8 @@ spectra.  Every single-state figure, the conditional entropies among
 them, is row 0 of a stack kernel.  A pure state is its amplitude vector
 ``(4,)``, and a stack of them ``(..., 4)`` is what the closed forms
 ``bloch_vectors``, ``correlation_tensor`` and ``pure_concurrence`` take.
+``werner_matrices`` and ``from_registry`` build unvalidated matrices;
+``DensityMatrix`` or a stack entry validates them.
 """
 
 from .concurrence import pure_concurrence, spin_flip_stack
@@ -31,8 +33,6 @@ from .states import (
     bloch_vectors,
     correlation_tensor,
     from_registry,
-    pure_density,
-    werner,
     werner_matrices,
 )
 from .structure import (

@@ -21,6 +21,8 @@ import math
 import os
 import sys
 
+import numpy as np
+
 from .audit import AUDIT_PROPERTIES, run_audit
 from .linalg import TOLS, DensityMatrix, Tolerances, density_from_json, marginal_stack
 from .states import EXAMPLE_NAMES, from_registry, werner_matrices
@@ -104,18 +106,16 @@ def _fmt(x: float) -> str:
 
 
 def _reference_rows(names, tols: Tolerances) -> dict[str, dict]:
-    """Per registry name: its ``state``, ``classify``'s fields, and D and I in units of ln 2.
+    """Per registry name: ``classify``'s fields, and D and I in units of ln 2.
 
-    The states are classified in one ``classify_stack`` call, whose rows
-    are ``classify``'s figures.
+    The registry's matrices are validated and classified in one
+    ``classify_stack`` call, whose rows are ``classify``'s figures.
     """
-    states = [from_registry(name, tols=tols) for name in names]
-    cols = classify_stack([state.matrix for state in states], tols=tols)
+    cols = classify_stack([from_registry(name) for name in names], tols=tols)
     rows = {}
-    for name, state, values in zip(names, states, zip(*(col.tolist() for col in cols))):
+    for name, values in zip(names, zip(*(col.tolist() for col in cols))):
         report = dict(zip(cols._fields, values))
-        rows[name] = {"state": state, **report,
-                      "deficit_over_ln2": report["deficit"] / LN2, "mutual_over_ln2": report["mutual"] / LN2}
+        rows[name] = {**report, "deficit_over_ln2": report["deficit"] / LN2, "mutual_over_ln2": report["mutual"] / LN2}
     return rows
 
 
@@ -213,7 +213,7 @@ def _resolve_state(spec: str, tols: Tolerances) -> DensityMatrix:
     if os.path.isfile(spec):
         with open(spec, "r", encoding="utf-8") as fh:
             return density_from_json(json.load(fh), tols=tols)
-    return from_registry(spec, tols=tols)
+    return DensityMatrix(from_registry(spec), tols=tols)
 
 
 def _cmd_classify(args, tols: Tolerances) -> int:
@@ -242,14 +242,14 @@ def _cmd_audit(args, tols: Tolerances) -> int:
 
 
 def _cmd_iso_report(args, tols: Tolerances) -> int:
-    rows = _reference_rows(("iso:E", "iso:S"), tols)
-    spectra = [row["state"].eigenvalues for row in rows.values()]
-    spec_gap = max(abs(a - b) for a, b in zip(*spectra))
+    names = ("iso:E", "iso:S")
+    states = [DensityMatrix(from_registry(name), tols=tols) for name in names]
+    rows = {name: classify(state, tols=tols)._asdict() for name, state in zip(names, states)}
+    spec_gap = max(abs(a - b) for a, b in zip(*(state.eigenvalues for state in states)))
     mismatches = [f"global spectra differ by {spec_gap:.3e}"] if spec_gap > tols.support_cutoff else []
     mismatches += _mismatches(rows, tols)
-    for name, row in rows.items():
-        state = row["state"]
-        marg_a, marg_b = marginal_stack(state.matrix[None], tols=tols)[1][0]
+    marginals = marginal_stack(np.stack([state.matrix for state in states]), tols=tols)[1]
+    for (name, row), state, (marg_a, marg_b) in zip(rows.items(), states, marginals):
         print(f"state {name[-1]}:")
         print(f"  spectrum           {' '.join(_fmt(v) for v in state.eigenvalues)}")
         print(f"  marginal spectra   A: {' '.join(_fmt(v) for v in marg_a)}  B: {' '.join(_fmt(v) for v in marg_b)}")

@@ -1,5 +1,5 @@
 """State constructors: Werner family, the paper's reference states and pure
-two-qubit states.
+two-qubit states, as plain arrays.
 
 The paper's eight reference states, E1..E6 and the isospectral pair iso:E
 and iso:S, are one table of matrices, ``_REFERENCE``, keyed by registry name.
@@ -12,10 +12,11 @@ Computational basis order is |11>, |10>, |01>, |00> throughout.  A pure
 state is its amplitude vector (a11, a10, a01, a00) in that order, and a
 stack of them is a complex array ``(..., 4)``: ``bloch_vectors`` and
 ``correlation_tensor`` evaluate their closed forms on the whole stack at
-once, as ``werner_matrices`` builds a stack of mixed states.  Nothing
-here normalizes or validates amplitudes; ``pure_density`` hands the
-projector, in the amplitudes' dtype, to ``DensityMatrix``, whose trace
-check is |psi|^2 = 1.
+once, as ``werner_matrices`` builds a stack of mixed states.  This
+module builds arrays and validates no state; ``linalg`` validates them,
+where a command uses them.  Nothing here normalizes amplitudes: a
+``pure:`` spec resolves to the projector, whose trace, |psi|^2, the
+validation holds to 1.
 """
 
 from __future__ import annotations
@@ -24,13 +25,11 @@ import math
 
 import numpy as np
 
-from .linalg import TOLS, CheckError, DensityMatrix, Tolerances
+from .linalg import TOLS, CheckError, Tolerances
 
 __all__ = [
     "RegistryError",
     "werner_matrices",
-    "werner",
-    "pure_density",
     "bloch_vectors",
     "correlation_tensor",
     "from_registry",
@@ -72,16 +71,6 @@ def werner_matrices(ps) -> np.ndarray:
     if not inside.all():
         raise ValueError(f"werner parameter must lie in [0, 1], got {ps[~inside][0]}")
     return ps[:, None, None] * _BELL_PROJECTOR + (1.0 - ps)[:, None, None] * _MAXIMALLY_MIXED
-
-
-def werner(p: float, *, tols: Tolerances = TOLS) -> DensityMatrix:
-    """p |Phi><Phi| + (1-p) I/4 with Phi the (|00>+|11>)/sqrt(2) Bell state."""
-    return DensityMatrix(werner_matrices(p)[0], tols=tols)
-
-
-def pure_density(amps, *, tols: Tolerances = TOLS) -> DensityMatrix:
-    """Rank-one projector |Psi><Psi| of the amplitudes ``(4,)``; its trace check is |Psi|^2 = 1."""
-    return DensityMatrix(_projector(amps), tols=tols)
 
 
 def _re2(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -130,23 +119,25 @@ def correlation_tensor(amps, *, tols: Tolerances = TOLS) -> np.ndarray:
     return c.reshape(c.shape[:-1] + (3, 3))
 
 
-def from_registry(spec: str, *, tols: Tolerances = TOLS) -> DensityMatrix:
-    """Resolve a registry name to a state.
+def from_registry(spec: str) -> np.ndarray:
+    """Resolve a registry name to its 4x4 matrix, unvalidated and the caller's own copy.
 
     Accepted forms: ``E1``..``E6``, ``iso:E``, ``iso:S``, ``werner:<p>``,
     and ``pure:<a11>,<a10>,<a01>,<a00>`` with complex-literal components
-    such as ``0.5+0.5j``.
+    such as ``0.5+0.5j``.  The matrix is float64, except a ``pure:`` spec's
+    projector, which is complex; validation solves it as real when every
+    imaginary part is zero.
     """
     spec = spec.strip()
     if spec in _REFERENCE:
-        return DensityMatrix(_REFERENCE[spec], tols=tols)
+        return _REFERENCE[spec].copy()
     if spec.startswith("werner:"):
         try:
             p = float(spec.split(":", 1)[1])
         except ValueError as exc:
             raise RegistryError(f"bad werner parameter in {spec!r}") from exc
         try:
-            return werner(p, tols=tols)
+            return werner_matrices(p)[0]
         except ValueError as exc:
             raise RegistryError(str(exc)) from exc
     if spec.startswith("pure:"):
@@ -157,5 +148,5 @@ def from_registry(spec: str, *, tols: Tolerances = TOLS) -> DensityMatrix:
             amps = [complex(part.strip()) for part in parts]
         except ValueError as exc:
             raise RegistryError(f"bad amplitude in {spec!r}: {exc}") from exc
-        return pure_density(amps, tols=tols)
+        return _projector(amps)
     raise RegistryError(f"unknown state specifier {spec!r}")

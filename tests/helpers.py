@@ -8,6 +8,8 @@ the second route for cross-checks.
 ``random_pure`` and ``random_mixed`` are the seeded state fixtures.
 ``spectra`` is no oracle: it gives the package's own spectra of a stack of
 states and of their marginals, the inputs of the conditional entropies.
+Nor are ``werner`` and ``pure_density``: the package builds these states
+as plain matrices, and they validate them as one ``DensityMatrix``.
 """
 
 from __future__ import annotations
@@ -15,7 +17,8 @@ from __future__ import annotations
 import mpmath
 import numpy as np
 
-from qdeficit.linalg import TOLS, density_stack, marginal_stack
+from qdeficit.linalg import TOLS, DensityMatrix, density_stack, marginal_stack
+from qdeficit.states import werner_matrices
 
 I2 = np.eye(2, dtype=complex)
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -89,6 +92,17 @@ def random_mixed(seed: int, rank: int) -> np.ndarray:
     projectors = weights[:, None, None] * (vectors[:, :, None] * vectors[:, None, :].conj())
     mat = np.add.reduce(projectors, axis=0, initial=0j)
     return 0.5 * (mat + mat.conj().T)
+
+
+def werner(p: float, *, tols=TOLS) -> DensityMatrix:
+    """The validated Werner state p |Phi><Phi| + (1-p) I/4: ``werner_matrices``'s row as a ``DensityMatrix``."""
+    return DensityMatrix(werner_matrices(p)[0], tols=tols)
+
+
+def pure_density(amps, *, tols=TOLS) -> DensityMatrix:
+    """The validated projector |psi><psi| of the amplitudes ``(4,)``, in their dtype; its trace check is |psi|^2 = 1."""
+    v = np.asarray(amps)
+    return DensityMatrix(np.outer(v, v.conj()), tols=tols)
 
 
 def spectra(matrices, *, tols=TOLS) -> tuple[np.ndarray, np.ndarray]:

@@ -17,10 +17,10 @@ from qdeficit.cli import main
 from qdeficit.concurrence import concurrence
 from qdeficit.entropy import entropy_stack
 from qdeficit.linalg import TOLS, Tolerances, density_stack, marginal_stack, transpose_stack
-from qdeficit.states import bloch_vectors, pure_density, werner
+from qdeficit.states import bloch_vectors
 from qdeficit.structure import classify, decohere_stack
 
-from helpers import matrix_json, random_pure
+from helpers import matrix_json, pure_density, random_pure, werner
 
 
 def _run(capsys, *argv):
@@ -68,6 +68,20 @@ class TestReferenceCommands:
                 assert _as_printed(got, closed), (name, col, got, closed)
         # The separable state's concurrence prints as its closed form, not as round-off.
         assert printed["iso:S"]["concurrence"] == [0.0]
+
+    def test_table1_solves_the_six_states_in_one_eigh_call(self, capsys, monkeypatch):
+        """The registry's matrices are validated by the one ``classify_stack`` call: ``eigh`` on the
+        ``(6, 4, 4)`` stack, then ``eigvalsh`` on the real spin-flip tau and on the partial transposes."""
+        calls = _count_eigensolver_calls(monkeypatch)
+        assert _run(capsys, "table1")[0] == 0
+        assert calls == ["eigh", "eigvalsh", "eigvalsh"]
+
+    def test_iso_report_solves_each_state_once(self, capsys, monkeypatch):
+        """One ``eigh`` per state, in its ``DensityMatrix``, whose eigen-data ``classify`` reads; the rest
+        are values-only: tau and the partial transpose per state, then both states' marginals."""
+        calls = _count_eigensolver_calls(monkeypatch)
+        assert _run(capsys, "iso-report")[0] == 0
+        assert calls == ["eigh", "eigh"] + ["eigvalsh"] * 5
 
     def test_tight_tolerance_is_verification_failure(self, capsys):
         code, _, err = _run(capsys, "--tolerance", "1e-2", "table1")

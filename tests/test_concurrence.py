@@ -14,8 +14,6 @@ from qdeficit.linalg import CheckError, DensityMatrix, density_stack, eigh_stack
 from qdeficit.states import (
     bloch_vectors,
     from_registry,
-    pure_density,
-    werner,
     werner_matrices,
 )
 
@@ -27,9 +25,11 @@ from helpers import (
     gamma_route_matrix,
     haar_unitary,
     mpmath_concurrence,
+    pure_density,
     random_hermitian,
     random_mixed,
     random_pure,
+    werner,
 )
 
 SINGLET = np.array([0, 1, -1, 0]) / math.sqrt(2)
@@ -46,7 +46,7 @@ class TestSpinFlip:
         assert np.max(np.abs(spin_flip_stack(m) - m)) < 1e-15
 
     def test_singlet_invariant(self):
-        m = from_registry("E4").matrix
+        m = from_registry("E4")
         assert np.max(np.abs(spin_flip_stack(m) - m)) < 1e-15
 
     def test_basis_projector_flips(self):
@@ -88,7 +88,7 @@ def _lambdas(*matrices) -> np.ndarray:
 
 class TestLambdaSpectrum:
     def test_singlet(self):
-        assert _lambdas(from_registry("E4").matrix)[0] == pytest.approx((1.0, 0.0, 0.0, 0.0), abs=1e-12)
+        assert _lambdas(from_registry("E4"))[0] == pytest.approx((1.0, 0.0, 0.0, 0.0), abs=1e-12)
 
     def test_maximally_mixed(self):
         assert _lambdas(np.eye(4) / 4)[0] == pytest.approx((0.25, 0.25, 0.25, 0.25), abs=1e-14)
@@ -121,7 +121,7 @@ class TestConcurrence:
         [("E1", 2 / 3), ("E2", 1 / 3), ("E3", 2 / 3), ("E4", 1.0), ("E5", 0.0), ("E6", 0.0)],
     )
     def test_reference_states(self, name, expected):
-        assert _concurrence(from_registry(name).matrix)[0] == pytest.approx(expected, abs=1e-10)
+        assert _concurrence(from_registry(name))[0] == pytest.approx(expected, abs=1e-10)
 
     def test_werner_closed_form(self):
         ps = np.arange(0.0, 1.0 + 1e-12, 0.05)
@@ -132,8 +132,7 @@ class TestConcurrence:
         assert _concurrence(werner(2 / 3).matrix)[0] == pytest.approx(0.5, abs=1e-12)
 
     def test_isospectral_pair_distinguished(self):
-        rho_e, rho_s = from_registry("iso:E"), from_registry("iso:S")
-        assert _concurrence(rho_e.matrix, rho_s.matrix) == pytest.approx([2 / 3, 0.0], abs=1e-10)
+        assert _concurrence(from_registry("iso:E"), from_registry("iso:S")) == pytest.approx([2 / 3, 0.0], abs=1e-10)
 
     def test_range_and_flip_invariance(self):
         stack = np.array([random_mixed(seed, seed % 4 + 1) for seed in range(50)])
@@ -178,7 +177,7 @@ def _random_real_mixed(seed: int, rank: int) -> np.ndarray:
 def _real_states() -> np.ndarray:
     """The paper's states, the isospectral pair, a Werner grid and 200 random real states of rank 1-4."""
     names = ["E1", "E2", "E3", "E4", "E5", "E6", "iso:E", "iso:S"]
-    mats = [from_registry(name).matrix.real for name in names]
+    mats = [from_registry(name).real for name in names]
     mats += list(werner_matrices(np.linspace(0.0, 1.0, 101)).real)
     mats += [_random_real_mixed(seed, 1 + seed % 4) for seed in range(200)]
     return np.array(mats)

@@ -18,13 +18,11 @@ from qdeficit.entropy import (
 from qdeficit.linalg import CheckError, DensityMatrix, Tolerances, density_stack, tensor_product
 from qdeficit.states import (
     from_registry,
-    pure_density,
-    werner,
     werner_matrices,
 )
 from qdeficit.structure import classify, classify_stack, decohere_stack
 
-from helpers import haar_unitary, numpy_spectrum, random_mixed, random_pure, spectra
+from helpers import haar_unitary, numpy_spectrum, pure_density, random_mixed, random_pure, spectra, werner
 
 LN2 = math.log(2.0)
 LN3 = math.log(3.0)
@@ -88,7 +86,7 @@ class TestVonNeumann:
     """-Tr rho ln rho through ``entropy_stack``."""
 
     def test_pure_state_zero(self):
-        assert entropy(from_registry("E4")) == pytest.approx(0.0, abs=1e-12)
+        assert entropy(DensityMatrix(from_registry("E4"))) == pytest.approx(0.0, abs=1e-12)
 
     def test_maximally_mixed_qubit(self):
         assert entropy_stack(density_stack(np.eye(2)[None] / 2)[1])[0] == pytest.approx(LN2)
@@ -100,7 +98,7 @@ class TestVonNeumann:
 
 class TestTsallis:
     def test_pure_state_zero_for_any_q(self):
-        values = from_registry("E4").eigenvalues[None]
+        values = DensityMatrix(from_registry("E4")).eigenvalues[None]
         for q in (0.5, 1.0, 2.0, 5.0, 50.0):
             assert tsallis_stack(values, q)[0] == pytest.approx(0.0, abs=1e-12)
 
@@ -120,7 +118,7 @@ class TestTsallis:
                 conditional_tsallis(*spectra([werner(0.5).matrix]), q)
 
     def test_continuity_at_q_one(self):
-        for rho in (werner(0.5), from_registry("E1"), DensityMatrix(random_mixed(4, 3))):
+        for rho in (werner(0.5), DensityMatrix(from_registry("E1")), DensityMatrix(random_mixed(4, 3))):
             s1 = entropy(rho)
             above = tsallis_stack(rho.eigenvalues[None], 1.0 + 1e-4)[0]
             below = tsallis_stack(rho.eigenvalues[None], 1.0 - 1e-4)[0]
@@ -134,16 +132,16 @@ class TestEntropyDifference:
     """S_q(AB) - S_q(X) through ``conditional_tsallis``; at q = 1 it is the plain difference."""
 
     def test_e1_negative_on_a_zero_on_b(self):
-        diff_a, diff_b = conditional(from_registry("E1"), 1.0)
+        diff_a, diff_b = conditional(DensityMatrix(from_registry("E1")), 1.0)
         assert diff_a == pytest.approx((5 / 6) * math.log(4 / 5), abs=1e-10)
         assert diff_b == pytest.approx(0.0, abs=1e-10)
 
     def test_e2_positive_both_sides(self):
         expected = (5 / 6) * math.log(5 / 4)
-        assert conditional(from_registry("E2"), 1.0) == pytest.approx([expected, expected], abs=1e-10)
+        assert conditional(DensityMatrix(from_registry("E2")), 1.0) == pytest.approx([expected, expected], abs=1e-10)
 
     def test_e3_zero_for_all_q(self):
-        rho = from_registry("E3")
+        rho = DensityMatrix(from_registry("E3"))
         for q in (0.5, 1.0, 2.0, 5.0):
             assert np.max(np.abs(conditional(rho, q))) <= 1e-12
 
@@ -166,7 +164,7 @@ def _werner_conditional_a(p, q):
 class TestConditionalTsallis:
     def test_reduces_to_difference_at_q_one(self):
         for name in ("E1", "E2", "E3", "E4", "E5", "E6"):
-            rho = from_registry(name)
+            rho = DensityMatrix(from_registry(name))
             # The marginals by an einsum partial trace and numpy's solver, away from the kernels.
             parts = (np.einsum(pattern, rho.matrix.reshape(2, 2, 2, 2)) for pattern in ("ikjk->ij", "kikj->ij"))
             marginal_entropies = entropy_stack(np.array([numpy_spectrum(part) for part in parts]))
@@ -177,7 +175,7 @@ class TestConditionalTsallis:
                 assert conditional(rho, q) == pytest.approx(diff, abs=1e-5)
 
     def test_bell_state_minus_ln2(self):
-        assert conditional(from_registry("E4"), 1.0) == pytest.approx([-LN2, -LN2], abs=1e-12)
+        assert conditional(DensityMatrix(from_registry("E4")), 1.0) == pytest.approx([-LN2, -LN2], abs=1e-12)
 
     def test_werner_zero_crossing_near_0747(self):
         from scipy.optimize import brentq
@@ -228,7 +226,7 @@ class TestConditionalTsallis:
 
 def _reference_matrices():
     """E1-E6 and werner(p) on a 0.05 grid, ``(27, 4, 4)``."""
-    examples = [from_registry(name).matrix for name in ("E1", "E2", "E3", "E4", "E5", "E6")]
+    examples = [from_registry(name) for name in ("E1", "E2", "E3", "E4", "E5", "E6")]
     return np.concatenate([examples, werner_matrices(np.arange(0.0, 1.0 + 1e-12, 0.05))])
 
 
@@ -238,10 +236,10 @@ class TestInfinityCriterion:
         assert flags.tolist() == [[True, True], [False, False], [True, True]]
 
     def test_pure_entangled_violates(self):
-        assert tsallis_infinity_criterion(*spectra([from_registry("E4").matrix])).tolist() == [[False, False]]
+        assert tsallis_infinity_criterion(*spectra([from_registry("E4")])).tolist() == [[False, False]]
 
     def test_e6_boundary_satisfied(self):
-        assert tsallis_infinity_criterion(*spectra([from_registry("E6").matrix])).tolist() == [[True, True]]
+        assert tsallis_infinity_criterion(*spectra([from_registry("E6")])).tolist() == [[True, True]]
 
     def test_agrees_with_q50_sign_on_reference_states(self):
         w, marg_w = spectra(_reference_matrices())
@@ -302,14 +300,14 @@ class TestMutualEntropy:
     """S(A) + S(B) - S(AB), ``classify``'s ``mutual``."""
 
     def test_product_example_zero(self):
-        assert classify(from_registry("E5")).mutual == pytest.approx(0.0, abs=1e-12)
+        assert classify(DensityMatrix(from_registry("E5"))).mutual == pytest.approx(0.0, abs=1e-12)
 
     def test_bell_state(self):
-        assert classify(from_registry("E4")).mutual == pytest.approx(2 * LN2, abs=1e-12)
+        assert classify(DensityMatrix(from_registry("E4"))).mutual == pytest.approx(2 * LN2, abs=1e-12)
 
     def test_isospectral_pair_share_value(self):
         expected = (3 * LN3 - 2 * LN2) / 3
-        for rho in (from_registry("iso:E"), from_registry("iso:S")):
+        for rho in (DensityMatrix(from_registry("iso:E")), DensityMatrix(from_registry("iso:S"))):
             assert classify(rho).mutual == pytest.approx(expected, abs=1e-10)
 
     @settings(deadline=None, max_examples=50)
@@ -324,7 +322,7 @@ class TestMutualEntropy:
         product = DensityMatrix(tensor_product(rho_a, sigma_b))
         assert classify(product).mutual <= 1e-10
         # and a correlated state is bounded away from zero
-        assert classify(from_registry("E6")).mutual > 0.5
+        assert classify(DensityMatrix(from_registry("E6"))).mutual > 0.5
 
 
 def _relative_entropy_oracle(m1: np.ndarray, m2: np.ndarray) -> float:
@@ -376,7 +374,7 @@ class TestRelativeEntropy:
 
     def test_support_violation_returns_infinity(self):
         full = DensityMatrix(np.eye(4) / 4)
-        pure = from_registry("E4")
+        pure = DensityMatrix(from_registry("E4"))
         assert relative_entropy(full, pure) == math.inf
 
     def test_positive_for_distinct_states(self):

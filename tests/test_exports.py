@@ -63,13 +63,37 @@ def test_constructor_layers_import_only_below(name, allowed):
     assert _package_modules_imported_by(name) <= allowed
 
 
-@pytest.mark.parametrize("name", ["concurrence", "entropy"])
+@pytest.mark.parametrize("name", ["concurrence", "entropy", "states"])
 def test_stack_kernels_never_read_the_one_state_type(name):
-    """The concurrence and entropy kernels read arrays only, so no one-state form can return unnoticed."""
+    """The concurrence and entropy kernels read arrays and the state constructors build them, so no
+    one-state form can return unnoticed."""
     tree = ast.parse(Path(qdeficit.__file__).with_name(f"{name}.py").read_text(encoding="utf-8"))
     read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     imported = {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) for alias in node.names}
     assert "DensityMatrix" not in read | imported
+
+
+def _density_matrix_sites(path):
+    """(module, site) per ``DensityMatrix(...)`` call in ``path``: the site is the top-level function or
+    ``Class.method`` that makes it, None for a module-level statement."""
+    sites = set()
+    for node in ast.parse(path.read_text(encoding="utf-8")).body:
+        prefix, items = (f"{node.name}.", node.body) if isinstance(node, ast.ClassDef) else ("", [node])
+        for item in items:
+            name = getattr(item, "name", None)
+            for call in ast.walk(item):
+                func = getattr(call, "func", None)
+                callee = getattr(func, "id", None) or getattr(func, "attr", None)
+                if isinstance(call, ast.Call) and callee == "DensityMatrix":
+                    sites.add((path.stem, prefix + name if name else None))
+    return sites
+
+
+def test_only_the_commands_and_the_json_reader_build_a_density_matrix():
+    """A state is validated once, where it is used: ``density_from_json`` for a file and the CLI
+    functions that resolve a registry spec.  Constructors and kernels build and read arrays."""
+    sites = set().union(*(_density_matrix_sites(path) for path in SOURCES))
+    assert sites == {("linalg", "density_from_json"), ("cli", "_resolve_state"), ("cli", "_cmd_iso_report")}
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.stem)

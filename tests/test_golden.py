@@ -3,7 +3,9 @@
 Each file is the stdout of ``python -m qdeficit.cli <command>`` for the
 command its name gives.  A change that moves a printed digit of one of
 these commands fails here; a change that means to move it records the new
-file the same way and names the change.
+file the same way and names the change.  ``pure:0.1,0.7j,0.7,0.1j`` is
+the one complex state: it takes the ``svd`` route for Wootters' tau and
+the complex Fano product.
 """
 
 from pathlib import Path
@@ -21,7 +23,7 @@ COMMANDS = {
     "audit-n300-seed42": ["audit", "--n", "300", "--seed", "42"],
     **{
         f"classify-{spec.replace(':', '-')}": ["classify", spec]
-        for spec in ("E1", "E2", "E3", "E4", "E5", "E6", "iso:E", "iso:S", "werner:0.3")
+        for spec in ("E1", "E2", "E3", "E4", "E5", "E6", "iso:E", "iso:S", "werner:0.3", "pure:0.1,0.7j,0.7,0.1j")
     },
 }
 

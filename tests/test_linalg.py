@@ -25,10 +25,19 @@ from qdeficit.linalg import (
     tensor_product,
     transpose_stack,
 )
-from qdeficit.states import bloch_vectors, correlation_tensor, from_registry, werner, werner_matrices
+from qdeficit.states import bloch_vectors, correlation_tensor, from_registry, werner_matrices
 from qdeficit.structure import classify
 
-from helpers import kron_oracle, matrix_json, numpy_spectrum, random_hermitian, random_mixed, random_pure, spectra
+from helpers import (
+    kron_oracle,
+    matrix_json,
+    numpy_spectrum,
+    random_hermitian,
+    random_mixed,
+    random_pure,
+    spectra,
+    werner,
+)
 
 
 # Every bound Tolerances derives from its scale, with its default.
@@ -268,7 +277,7 @@ class TestTensorProduct:
 
 class TestPartialTrace:
     def test_singlet_marginal_maximally_mixed(self):
-        marg = marginal_stack(from_registry("E4").matrix[None])[0][0]
+        marg = marginal_stack(from_registry("E4")[None])[0][0]
         assert np.max(np.abs(marg - np.eye(2) / 2)) < 1e-15
 
     def test_product_state_recovers_factor(self):
@@ -280,7 +289,7 @@ class TestPartialTrace:
         assert np.max(np.abs(marg_b - sigma_b)) < 1e-15
 
     def test_example_marginals(self):
-        marg_a, marg_b = marginal_stack(from_registry("E1").matrix[None])[0][0]
+        marg_a, marg_b = marginal_stack(from_registry("E1")[None])[0][0]
         assert np.max(np.abs(marg_a - np.diag([4 / 6, 2 / 6]))) < 1e-15
         assert np.max(np.abs(marg_b - np.diag([1 / 6, 5 / 6]))) < 1e-15
 
@@ -291,7 +300,7 @@ class TestPartialTrace:
     def test_marginal_spectra_are_values_only_and_validated(self):
         """The spectra are ``eigvalsh_stack``'s of the returned matrices, bit for bit, and a marginal
         with a negative eigenvalue fails the psd check."""
-        mats, values = marginal_stack(np.stack([from_registry(name).matrix for name in ("E1", "E2", "E3")]))
+        mats, values = marginal_stack(np.stack([from_registry(name) for name in ("E1", "E2", "E3")]))
         assert np.array_equal(values, eigvalsh_stack(mats))
         with pytest.raises(CheckError) as err:
             marginal_stack(np.diag([1.5, 0.0, -0.5, 0.0]).astype(complex)[None])
@@ -364,7 +373,7 @@ class TestPartialTranspose:
         assert below > 0 > above
 
     def test_singlet_minimum_eigenvalue(self):
-        vals = numpy_spectrum(transpose_stack(from_registry("E4").matrix))
+        vals = numpy_spectrum(transpose_stack(from_registry("E4")))
         assert vals[-1] == pytest.approx(-0.5, abs=1e-12)
 
     def test_involution_and_trace(self):

@@ -13,12 +13,10 @@ from qdeficit.states import (
     bloch_vectors,
     correlation_tensor,
     from_registry,
-    pure_density,
-    werner,
     werner_matrices,
 )
 
-from helpers import I2, SX, SY, SZ, random_mixed, random_pure
+from helpers import I2, SX, SY, SZ, pure_density, random_mixed, random_pure, werner
 
 SINGLET = np.array([0, 1, -1, 0]) / math.sqrt(2)
 PRODUCT_11 = np.array([1, 0, 0, 0], dtype=complex)
@@ -76,17 +74,17 @@ class TestExampleStates:
     @pytest.mark.parametrize("name", list(SPECTRA))
     def test_spectrum(self, name):
         expected = [float(v) for v in self.SPECTRA[name]]
-        assert np.max(np.abs(from_registry(name).eigenvalues - expected)) <= 1e-12
+        assert np.max(np.abs(DensityMatrix(from_registry(name)).eigenvalues - expected)) <= 1e-12
 
     @pytest.mark.parametrize("name", list(MARGINALS))
     def test_marginal_diagonals(self, name):
-        marg_a, marg_b = marginal_stack(from_registry(name).matrix[None])[0][0]
+        marg_a, marg_b = marginal_stack(from_registry(name)[None])[0][0]
         diag_a, diag_b = self.MARGINALS[name]
         assert np.max(np.abs(marg_a - np.diag([float(v) for v in diag_a]))) <= 1e-15
         assert np.max(np.abs(marg_b - np.diag([float(v) for v in diag_b]))) <= 1e-15
 
     def test_singlet_matches_amplitude_construction(self):
-        assert np.max(np.abs(from_registry("E4").matrix - pure_density(SINGLET).matrix)) < 1e-15
+        assert np.max(np.abs(from_registry("E4") - pure_density(SINGLET).matrix)) < 1e-15
 
     def test_unknown_name(self):
         with pytest.raises(RegistryError):
@@ -95,27 +93,29 @@ class TestExampleStates:
 
 class TestIsospectralPair:
     def test_identical_global_spectra(self):
-        rho_e, rho_s = from_registry("iso:E"), from_registry("iso:S")
+        rho_e, rho_s = DensityMatrix(from_registry("iso:E")), DensityMatrix(from_registry("iso:S"))
         assert np.max(np.abs(rho_e.eigenvalues - rho_s.eigenvalues)) <= 1e-12
         assert np.allclose(rho_e.eigenvalues, [2 / 3, 1 / 3, 0, 0], atol=1e-15)
 
     def test_marginal_spectra_coincide_as_sets(self):
-        marg_w = marginal_stack(np.stack([from_registry("iso:E").matrix, from_registry("iso:S").matrix]))[1]
+        marg_w = marginal_stack(np.stack([from_registry("iso:E"), from_registry("iso:S")]))[1]
         spectra = [sorted(np.round(values, 12)) for values in marg_w.reshape(4, 2)]
         for s in spectra[1:]:
             assert s == spectra[0]
 
 
 class TestPureDensity:
+    """A ``pure:`` spec's projector, validated as ``DensityMatrix`` validates it."""
+
     def test_basis_state(self):
         expected = np.zeros((4, 4))
         expected[0, 0] = 1.0
-        assert np.array_equal(pure_density(PRODUCT_11).matrix, expected)
+        assert np.array_equal(DensityMatrix(from_registry("pure:1,0,0,0")).matrix, expected)
 
     def test_rejects_unnormalized(self):
         # |psi|^2 is the projector's trace: no amplitude is renormalized silently.
         with pytest.raises(CheckError) as err:
-            pure_density([1.0, 0.5, 0, 0])
+            DensityMatrix(from_registry("pure:1,0.5,0,0"))
         assert err.value.check == "trace"
         assert err.value.magnitude == pytest.approx(0.25)
 
@@ -287,19 +287,36 @@ class TestRegistry:
 
     def test_named_states(self):
         for name, thirds in self.NAMED.items():
-            assert np.max(np.abs(from_registry(name).matrix - np.array(thirds) / 3)) <= 1e-16, name
+            assert np.max(np.abs(from_registry(name) - np.array(thirds) / 3)) <= 1e-16, name
 
     def test_werner_spec(self):
-        assert np.array_equal(from_registry("werner:0.25").matrix, werner(0.25).matrix)
+        assert np.array_equal(from_registry("werner:0.25"), werner_matrices([0.25])[0])
 
     def test_pure_spec(self):
-        rho = from_registry("pure:0.70710678118654752,0,0,0.70710678118654752")
+        m = from_registry("pure:0.70710678118654752,0,0,0.70710678118654752")
         amps = np.array([1, 0, 0, 1]) / math.sqrt(2)
-        assert np.max(np.abs(rho.matrix - pure_density(amps).matrix)) < 1e-12
+        assert np.max(np.abs(m - np.outer(amps, amps))) < 1e-12
 
     def test_pure_spec_complex_components(self):
-        rho = from_registry("pure:0.5+0.5j,0.5,0,0.5j")
-        assert rho.eigenvalues[0] == pytest.approx(1.0)
+        m = from_registry("pure:0.5+0.5j,0.5,0,0.5j")
+        assert np.linalg.eigvalsh(m)[-1] == pytest.approx(1.0)
+
+    @pytest.mark.parametrize(
+        ("spec", "dtype"),
+        [(name, np.float64) for name in ("E1", "E2", "E3", "E4", "E5", "E6", "iso:E", "iso:S", "werner:0.3")]
+        + [("pure:0.6,0.8j,0,0", np.complex128), ("pure:1,0,0,0", np.complex128)],
+    )
+    def test_returns_an_unvalidated_matrix_of_its_dtype(self, spec, dtype):
+        m = from_registry(spec)
+        assert type(m) is np.ndarray
+        assert (m.shape, m.dtype) == ((4, 4), dtype)
+
+    @pytest.mark.parametrize("spec", ["E1", "iso:S", "werner:0.3", "pure:0.6,0.8j,0,0"])
+    def test_a_write_through_the_result_leaves_the_next_call_unchanged(self, spec):
+        first = from_registry(spec)
+        want = first.copy()
+        first[0, 0] = 7.0
+        assert np.array_equal(from_registry(spec), want)
 
     @pytest.mark.parametrize(
         "bad",
@@ -315,7 +332,7 @@ class TestNaNFailsTheBounds:
 
     def test_pure_amplitudes(self):
         with pytest.raises(CheckError) as err:
-            pure_density([math.nan, 0, 0, 0])
+            DensityMatrix(from_registry("pure:nan,0,0,0"))
         assert err.value.check == "finite"
 
     # Nothing checks amplitudes before the closed forms: their own bounds must catch the NaN row.

@@ -17,7 +17,7 @@ from qdeficit.linalg import (
     marginal_stack,
     tensor_product,
 )
-from qdeficit.states import from_registry, werner, werner_matrices
+from qdeficit.states import from_registry, werner_matrices
 from qdeficit.structure import (
     Classification,
     Figures,
@@ -28,7 +28,7 @@ from qdeficit.structure import (
     verdicts,
 )
 
-from helpers import I2, SZ, numpy_spectrum, random_mixed
+from helpers import I2, SZ, numpy_spectrum, random_mixed, werner
 from unfused import classify_columns
 
 SEEDED_STATES = st.tuples(st.integers(min_value=0, max_value=2**32 - 1), st.integers(min_value=1, max_value=4))
@@ -69,7 +69,7 @@ class TestDecohere:
         assert np.max(np.abs(rho_dd.matrix - rho_d.matrix)) <= 1e-12
 
     def test_idempotent_on_degenerate_marginals(self):
-        for rho in (werner(0.3), from_registry("E5"), from_registry("E6")):
+        for rho in (werner(0.3), DensityMatrix(from_registry("E5")), DensityMatrix(from_registry("E6"))):
             rho_d = decohere(rho).state
             rho_dd = decohere(rho_d).state
             assert np.max(np.abs(rho_dd.matrix - rho_d.matrix)) <= 1e-12
@@ -140,7 +140,7 @@ class TestConditionalRatio:
 
     @pytest.mark.parametrize("name", ["E1", "E4", "E5", "E6", "iso:S", "werner:0.5"])
     def test_matches_loop_reference_on_registry(self, name):
-        _assert_ratios_match_loop(from_registry(name))
+        _assert_ratios_match_loop(DensityMatrix(from_registry(name)))
 
 
 SEPARABLE = "separable (concurrence = 0)"
@@ -171,7 +171,7 @@ class TestClassifyVerdicts:
         ],
     )
     def test_pinned(self, name, verdicts, commutes, defined):
-        report = classify(from_registry(name))
+        report = classify(DensityMatrix(from_registry(name)))
         assert structure.verdicts(report) == verdicts
         assert report.commutes_with_marginals is commutes
         assert report.conditional_prob_defined is defined
@@ -285,13 +285,13 @@ def _mixed_stack() -> np.ndarray:
     states, 200 seeded mixed states of rank 1-4, products, decohered states and
     a Werner state whose marginals are degenerate only within the tolerance."""
     names = ["E1", "E2", "E3", "E4", "E5", "E6", "iso:E", "iso:S"]
-    mats = [from_registry(name).matrix for name in names]
+    mats = [from_registry(name) for name in names]
     mats += list(werner_matrices([0.0, 0.3, 1 / 3, 1.0]))
     mats += [random_mixed(seed, 1 + seed % 4) for seed in range(200)]
     rng = np.random.default_rng(11)
     mats += [tensor_product(_random_qubit_state(rng), _random_qubit_state(rng)) for _ in range(10)]
     mats += [decohere(DensityMatrix(random_mixed(1000 + seed, 1 + seed % 4))).state.matrix for seed in range(10)]
-    mats += [decohere(werner(0.6)).state.matrix, decohere(from_registry("E1")).state.matrix]
+    mats += [decohere(werner(0.6)).state.matrix, decohere(DensityMatrix(from_registry("E1"))).state.matrix]
     # Each marginal's diagonal rises by 2e-11, inside tols.degeneracy: the frame keeps index order.
     mats.append(werner_matrices([0.3])[0] - 2e-11 * (tensor_product(SZ, I2) + tensor_product(I2, SZ)) / 4)
     return np.array(mats)
@@ -453,7 +453,7 @@ class TestClassifyStack:
         "name", ["E1", "E2", "E3", "E4", "E5", "E6", "iso:E", "iso:S", "werner:0.3", "werner:1", "pure:0.6,0.8j,0,0"]
     )
     def test_classify_is_row_zero_of_the_stack(self, name):
-        rho = from_registry(name)
+        rho = DensityMatrix(from_registry(name))
         report, cols = classify(rho), classify_stack(rho.matrix[None])
         for field, value in report._asdict().items():
             row = cols._asdict()[field][0]
@@ -470,7 +470,7 @@ class TestClassifyStack:
 
     @pytest.mark.parametrize("name", ["E1", "E2", "E3", "E4", "E5", "E6", "iso:E", "iso:S", "werner:0.3", "werner:1"])
     def test_classify_agrees_with_the_matrix_route(self, name):
-        rho = from_registry(name)
+        rho = DensityMatrix(from_registry(name))
         want = classify_columns(rho.matrix[None], rho.eigenvalues[None], rho.eigenvectors[None])
         _assert_agree(Classification._make(np.array([value]) for value in classify(rho)), want)
 
