@@ -12,8 +12,9 @@ spectra.  Every single-state figure, the conditional entropies among
 them, is row 0 of a stack kernel.  A pure state is its amplitude vector
 ``(4,)``, and a stack of them ``(..., 4)`` is what the closed forms
 ``bloch_vectors``, ``correlation_tensor`` and ``pure_concurrence`` take.
-``werner_matrices`` and ``from_registry`` build unvalidated matrices;
-``DensityMatrix`` or a stack entry validates them.
+``werner_matrices``, ``from_registry`` and ``matrix_from_json``, the
+reader of a state file, build unvalidated matrices; ``DensityMatrix`` or
+a stack entry validates them.
 """
 
 from .concurrence import pure_concurrence, spin_flip_stack
@@ -23,7 +24,6 @@ from .linalg import (
     CheckError,
     DensityMatrix,
     Tolerances,
-    density_from_json,
     matrix_from_json,
     tensor_product,
     transpose_stack,

@@ -49,15 +49,15 @@ import os
 import numpy as np
 
 from .concurrence import concurrence, pure_concurrence, spin_flip_stack, wootters_concurrence
-from .entropy import conditional_tsallis, entropy_stack, relative_entropy_stack, tsallis_stack
+from .entropy import entropy_stack, relative_entropy_stack, tsallis_stack
 from .linalg import (
-    PAULI_PRODUCTS,
     TOLS,
     CheckError,
     Tolerances,
     density_stack,
     eigvalsh_stack,
     marginal_stack,
+    pauli_sum,
     tensor_product,
     transpose_stack,
 )
@@ -241,11 +241,11 @@ def _check_stack(indices: range, seed: int, tols: Tolerances):
     trace_gap = np.abs(lambda_squares - np.einsum("nij,nji->n", m, flip).real)
     record("spin-flip-trace", ("trace_gap", trace_gap, tols.identity))
 
-    # S(AB), S(A), S(B) once; the mutual entropy is the same sum as ``classify``'s.
+    # S(AB), S(A), S(B) once; the mutual and the q = 1 conditional entropies are the same sums as ``classify``'s.
     s = entropy_stack(w, tols=tols)
     s_a, s_b = entropy_stack(marg_w, tols=tols).T
     mut = s_a + s_b - s
-    cond_a, cond_b = conditional_tsallis(w, marg_w, tols=tols).T
+    cond_a, cond_b = s - s_a, s - s_b
     record("mutual-nonnegative", ("-mut", -mut, tols.hermiticity))
 
     up = np.abs(tsallis_stack(w, 1.0 + _TSALLIS_OFFSET, tols=tols) - s)
@@ -328,7 +328,7 @@ def _check_stack(indices: range, seed: int, tols: Tolerances):
         coeffs[:, 0, 0] = 1.0
         coeffs[:, 1:, 0], coeffs[:, 0, 1:] = vecs[:, 0], vecs[:, 1]
         coeffs[:, 1:, 1:] = correlation_tensor(amps, tols=tols)
-        pauli_err = _max_abs(np.einsum("pmn,mnij->pij", coeffs, PAULI_PRODUCTS) / 4.0 - m[pure])
+        pauli_err = _max_abs(pauli_sum(coeffs, m) / 4.0 - m[pure])
         record("pure-pauli-reconstruction", ("pauli_err", pauli_err, tols.identity), rows=pure)
 
         gap_c = np.abs(pure_c - conc[pure])

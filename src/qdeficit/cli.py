@@ -24,7 +24,7 @@ import sys
 import numpy as np
 
 from .audit import AUDIT_PROPERTIES, run_audit
-from .linalg import TOLS, DensityMatrix, Tolerances, density_from_json, marginal_stack
+from .linalg import TOLS, DensityMatrix, Tolerances, eigvalsh_stack, marginal_stack, matrix_from_json
 from .states import EXAMPLE_NAMES, from_registry, werner_matrices
 from .structure import classify, classify_stack, figures_stack, verdicts
 
@@ -106,7 +106,7 @@ def _fmt(x: float) -> str:
 
 
 def _reference_rows(names, tols: Tolerances) -> dict[str, dict]:
-    """Per registry name: ``classify``'s fields, and D and I in units of ln 2.
+    """Per registry name, for ``table1`` and ``iso-report``: ``classify``'s fields, and D and I in units of ln 2.
 
     The registry's matrices are validated and classified in one
     ``classify_stack`` call, whose rows are ``classify``'s figures.
@@ -212,8 +212,10 @@ def _cmd_werner_sweep(args, tols: Tolerances) -> int:
 def _resolve_state(spec: str, tols: Tolerances) -> DensityMatrix:
     if os.path.isfile(spec):
         with open(spec, "r", encoding="utf-8") as fh:
-            return density_from_json(json.load(fh), tols=tols)
-    return DensityMatrix(from_registry(spec), tols=tols)
+            matrix = matrix_from_json(json.load(fh))
+    else:
+        matrix = from_registry(spec)
+    return DensityMatrix(matrix, tols=tols)
 
 
 def _cmd_classify(args, tols: Tolerances) -> int:
@@ -243,15 +245,16 @@ def _cmd_audit(args, tols: Tolerances) -> int:
 
 def _cmd_iso_report(args, tols: Tolerances) -> int:
     names = ("iso:E", "iso:S")
-    states = [DensityMatrix(from_registry(name), tols=tols) for name in names]
-    rows = {name: classify(state, tols=tols)._asdict() for name, state in zip(names, states)}
-    spec_gap = max(abs(a - b) for a, b in zip(*(state.eigenvalues for state in states)))
+    rows = _reference_rows(names, tols)
+    matrices = np.stack([from_registry(name) for name in names])
+    spectra = eigvalsh_stack(matrices, tols=tols)
+    spec_gap = np.max(np.abs(spectra[0] - spectra[1]))
     mismatches = [f"global spectra differ by {spec_gap:.3e}"] if spec_gap > tols.support_cutoff else []
     mismatches += _mismatches(rows, tols)
-    marginals = marginal_stack(np.stack([state.matrix for state in states]), tols=tols)[1]
-    for (name, row), state, (marg_a, marg_b) in zip(rows.items(), states, marginals):
+    marginals = marginal_stack(matrices, tols=tols)[1]
+    for (name, row), spectrum, (marg_a, marg_b) in zip(rows.items(), spectra, marginals):
         print(f"state {name[-1]}:")
-        print(f"  spectrum           {' '.join(_fmt(v) for v in state.eigenvalues)}")
+        print(f"  spectrum           {' '.join(_fmt(v) for v in spectrum)}")
         print(f"  marginal spectra   A: {' '.join(_fmt(v) for v in marg_a)}  B: {' '.join(_fmt(v) for v in marg_b)}")
         for col in ("concurrence", "entropy_diff_a", "mutual", "deficit"):
             print(f"  {col:<19}{_fmt(row[col])}")

@@ -27,8 +27,8 @@ the finite check.  So real or complex is decided once: ``density_stack``
 returns ``m`` in the dtype it was solved in, and every stack derived
 here from a float64 one is float64.  Every state of the paper, E1-E6,
 the isospectral pair and the Werner family, is real.
-``fano_stack`` gives the Fano coefficients R_mu,nu = Tr m sigma_mu x sigma_nu
-over the 16 ``PAULI_PRODUCTS`` (sigma_0 = I): m = sum R_mu,nu sigma_mu x sigma_nu / 4.
+``fano_stack`` gives the Fano coefficients R_mu,nu = Tr m sigma_mu x sigma_nu over the
+16 ``PAULI_PRODUCTS`` (sigma_0 = I), and ``pauli_sum`` m = sum R_mu,nu sigma_mu x sigma_nu / 4.
 A check that fails on a stack raises for the lowest failing state and
 names it.  Each check first reduces the whole stack to one number in one
 C-level call: ``np.count_nonzero`` of the ``isfinite`` mask, or a
@@ -59,11 +59,11 @@ __all__ = [
     "tensor_product",
     "PAULI_PRODUCTS",
     "fano_stack",
+    "pauli_sum",
     "require_two_qubits",
     "marginal_stack",
     "transpose_stack",
     "matrix_from_json",
-    "density_from_json",
     "I2",
     "SIGMA_X",
     "SIGMA_Y",
@@ -312,6 +312,15 @@ def fano_stack(m: np.ndarray) -> np.ndarray:
     return (m.view(float).reshape(m.shape[:-2] + (32,)) @ _FANO).reshape(m.shape)
 
 
+def pauli_sum(c: np.ndarray, like: np.ndarray) -> np.ndarray:
+    """sum c[mu, nu] sigma_mu x sigma_nu of each real coefficient matrix of a stack ``(..., 4, 4)``, ``fano_stack``'s
+    inverse up to its factor 4: float64, from the real rows, where ``like`` is float64, else complex."""
+    shape, c = c.shape, c.reshape(c.shape[:-2] + (16,))
+    if like.dtype == np.float64:
+        return (c @ _FANO[::2].T).reshape(shape)
+    return (c @ _FANO.T).view(complex).reshape(shape)
+
+
 def _split(m: np.ndarray) -> np.ndarray:
     """View each two-qubit matrix of ``(..., 4, 4)`` with indices (a, b, a', b')."""
     return m.reshape(m.shape[:-2] + (2, 2, 2, 2))
@@ -371,6 +380,13 @@ def _json_entry(pair) -> complex:
 
 
 def matrix_from_json(payload) -> np.ndarray:
+    """A state file's payload, {"dims": [2, 2], "matrix": ...} or a bare matrix, as an unvalidated complex
+    array: the entries are parsed first, then an optional ``dims`` must be a pair of integers equal to [2, 2]."""
+    dims = None
+    if isinstance(payload, dict):
+        if "matrix" not in payload:
+            raise ValueError("state object must contain a 'matrix' field")
+        payload, dims = payload["matrix"], payload.get("dims")
     try:
         rows = [[_json_entry(entry) for entry in row] for row in payload]
     except TypeError as exc:
@@ -380,25 +396,9 @@ def matrix_from_json(payload) -> np.ndarray:
     arr = np.array(rows, dtype=complex)
     if arr.ndim != 2:
         raise ValueError("matrix payload must be two-dimensional")
+    if dims is not None:
+        if not (isinstance(dims, (list, tuple)) and len(dims) == 2 and all(type(d) is int for d in dims)):
+            raise ValueError(f"'dims' must be a list of two integers, got {dims!r}")
+        if list(dims) != [2, 2]:
+            raise CheckError("dims", 0.0, f"dims {list(dims)} inconsistent with a matrix of dims (2, 2)")
     return arr
-
-
-def density_from_json(payload, *, tols: Tolerances = TOLS) -> DensityMatrix:
-    """Parse either {"dims": [2, 2], "matrix": ...} or a bare matrix.
-
-    The matrix must be a 4x4 two-qubit state, validated first; an optional
-    ``dims`` must then be a pair of integers equal to ``[2, 2]``.
-    """
-    dims = None
-    if isinstance(payload, dict):
-        if "matrix" not in payload:
-            raise ValueError("state object must contain a 'matrix' field")
-        payload, dims = payload["matrix"], payload.get("dims")
-    matrix = matrix_from_json(payload)
-    well_formed = isinstance(dims, (list, tuple)) and len(dims) == 2 and all(type(d) is int for d in dims)
-    if dims is not None and not well_formed:
-        raise ValueError(f"'dims' must be a list of two integers, got {dims!r}")
-    rho = DensityMatrix(matrix, tols=tols)
-    if dims is not None and list(dims) != [2, 2]:
-        raise CheckError("dims", 0.0, f"dims {list(dims)} inconsistent with a matrix of dims (2, 2)")
-    return rho

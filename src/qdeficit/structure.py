@@ -69,7 +69,6 @@ import numpy as np
 from .concurrence import concurrence, wootters_concurrence
 from .entropy import entropy_stack
 from .linalg import (
-    PAULI_PRODUCTS,
     TOLS,
     CheckError,
     DensityMatrix,
@@ -77,6 +76,7 @@ from .linalg import (
     density_stack,
     eigvalsh_stack,
     fano_stack,
+    pauli_sum,
     transpose_stack,
 )
 
@@ -98,9 +98,6 @@ _HALF_SIGNS = np.array((0.5, -0.5))[:, None]
 # The indices (mu, nu) of (R_00, a) and (R_00, b), column and row 0 of R.
 _BLOCH_MU = np.array(((0, 1, 2, 3), (0, 0, 0, 0)))
 _BLOCH_NU = _BLOCH_MU[::-1]
-# sigma_mu x sigma_nu as real rows ``(16, 32)``: real coefficients C_mu,nu times them give
-# sum C_mu,nu sigma_mu x sigma_nu, its real and imaginary parts interleaved as complex128 stores them.
-_PRODUCT_ROWS = PAULI_PRODUCTS.reshape(16, 16).view(float)
 
 
 def _ratio_stack(weights: np.ndarray, values: np.ndarray, frame_values: np.ndarray, tols: Tolerances):
@@ -212,12 +209,11 @@ def _overlap_pass(overlaps: np.ndarray, tols: Tolerances) -> np.ndarray:
     return overlaps.transpose(0, 2, 3, 1)
 
 
-def _decohered(frame: _Frame) -> np.ndarray:
-    """rho_d = sum P(alpha, beta) |alpha, beta><alpha, beta| ``(N, 4, 4)``, through its coefficients
-    sum P f_A f_B^T / 4."""
+def _decohered(frame: _Frame, m: np.ndarray) -> np.ndarray:
+    """rho_d = sum P(alpha, beta) |alpha, beta><alpha, beta| ``(N, 4, 4)`` of the states ``m``, in their
+    dtype, through its coefficients sum P f_A f_B^T / 4."""
     half_f = frame.half_f
-    coefficients = half_f[:, 0].swapaxes(-1, -2) @ frame.joint @ half_f[:, 1]
-    return (coefficients.reshape(-1, 16) @ _PRODUCT_ROWS).view(complex).reshape(-1, 4, 4)
+    return pauli_sum(half_f[:, 0].swapaxes(-1, -2) @ frame.joint @ half_f[:, 1], m)
 
 
 def _require_stack(matrices) -> np.ndarray:
@@ -236,7 +232,7 @@ def decohere_stack(m: np.ndarray, vectors: np.ndarray, *, tols: Tolerances = TOL
     """
     m = _require_stack(m)
     frame = _frame_pass(_fano_rows(m, vectors), tols)
-    return Decoherence(_decohered(frame), frame.joint, _overlap_pass(frame.overlaps, tols))
+    return Decoherence(_decohered(frame, m), frame.joint, _overlap_pass(frame.overlaps, tols))
 
 
 def _figures(m: np.ndarray, w: np.ndarray, v: np.ndarray, r: np.ndarray, tols: Tolerances):
@@ -275,7 +271,7 @@ def _classify(m: np.ndarray, w: np.ndarray, v: np.ndarray, tols: Tolerances) -> 
     weights = _overlap_pass(frame.overlaps, tols)
     side_max, defined = _ratio_stack(weights, w, frame.frame_values, tols)
     # Commuting with both frames' projectors is the decoherence fixed point rho = rho_d.
-    commutes = np.maximum.reduce(np.abs(m - _decohered(frame)), axis=(-2, -1)) <= tols.identity
+    commutes = np.maximum.reduce(np.abs(m - _decohered(frame, m)), axis=(-2, -1)) <= tols.identity
     return Classification(*figures, defined, commutes, frame.degenerate, np.maximum.reduce(side_max, axis=-1))
 
 

@@ -4,7 +4,7 @@ Everything here deliberately avoids the package's own computation paths:
 numpy's eigensolvers, explicit entrywise loops, characteristic
 polynomial root-finding and mpmath's multiprecision eigensolver serve as
 the second route for cross-checks.
-``matrix_json`` writes the state-file format that ``density_from_json`` reads.
+``matrix_json`` writes the state-file format that ``matrix_from_json`` reads.
 ``random_pure`` and ``random_mixed`` are the seeded state fixtures.
 ``spectra`` is no oracle: it gives the package's own spectra of a stack of
 states and of their marginals, the inputs of the conditional entropies.

@@ -77,11 +77,12 @@ class TestReferenceCommands:
         assert calls == ["eigh", "eigvalsh", "eigvalsh"]
 
     def test_iso_report_solves_each_state_once(self, capsys, monkeypatch):
-        """One ``eigh`` per state, in its ``DensityMatrix``, whose eigen-data ``classify`` reads; the rest
-        are values-only: tau and the partial transpose per state, then both states' marginals."""
+        """``table1``'s one ``classify_stack`` call on the pair: ``eigh`` on the ``(2, 4, 4)`` stack, then
+        ``eigvalsh`` on tau and on the partial transposes; then the printed spectra and both states'
+        marginals, values-only."""
         calls = _count_eigensolver_calls(monkeypatch)
         assert _run(capsys, "iso-report")[0] == 0
-        assert calls == ["eigh", "eigh"] + ["eigvalsh"] * 5
+        assert calls == ["eigh"] + ["eigvalsh"] * 4
 
     def test_tight_tolerance_is_verification_failure(self, capsys):
         code, _, err = _run(capsys, "--tolerance", "1e-2", "table1")
@@ -685,13 +686,13 @@ class TestClassify:
         assert err.startswith("error: dims check failed")
 
     def test_qubit_json_file_fails_dims_at_the_entry(self, capsys, tmp_path):
-        """A valid 2x2 state fails the constructor's shape check, which names its shape, not a kernel's."""
+        """A valid 2x2 state with dims [2, 1] fails the reader's ``dims`` comparison, ahead of any kernel."""
         path = tmp_path / "qubit.json"
         path.write_text(json.dumps({"dims": [2, 1], "matrix": matrix_json(np.eye(2) / 2)}))
         code, out, err = _run(capsys, "classify", str(path))
         assert code == 2
         assert out == ""
-        assert err == "error: dims check failed (magnitude 0): a 4x4 two-qubit matrix required, got shape (2, 2)\n"
+        assert err == "error: dims check failed (magnitude 0): dims [2, 1] inconsistent with a matrix of dims (2, 2)\n"
 
     def test_integer_beyond_the_float_range_is_input_error(self, capsys, tmp_path):
         path = tmp_path / "huge_entry.json"

@@ -90,10 +90,11 @@ def _density_matrix_sites(path):
 
 
 def test_only_the_commands_and_the_json_reader_build_a_density_matrix():
-    """A state is validated once, where it is used: ``density_from_json`` for a file and the CLI
-    functions that resolve a registry spec.  Constructors and kernels build and read arrays."""
+    """A state is validated once, where it is used: ``classify``'s resolver, for a state file or a
+    registry spec, is the one ``DensityMatrix`` site.  Readers, constructors and kernels build and read
+    arrays, and the reference commands validate their states as one stack."""
     sites = set().union(*(_density_matrix_sites(path) for path in SOURCES))
-    assert sites == {("linalg", "density_from_json"), ("cli", "_resolve_state"), ("cli", "_cmd_iso_report")}
+    assert sites == {("cli", "_resolve_state")}
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.stem)
@@ -179,8 +180,9 @@ def test_one_eigensolver_call_in_eigh_stack():
 
 
 # Public names that no module reads, each kept because the named test pins a paper number with it:
-# the q = 50/100 cross-check.
+# the Werner threshold p*(2) = 1/sqrt(3) and the q = 50/100 cross-check.
 PINNED_BY_TESTS = {
+    "conditional_tsallis": "test_entropy.py::TestConditionalTsallis::test_werner_q2_threshold_below_conditional_one",
     "tsallis_infinity_criterion":
         "test_entropy.py::TestInfinityCriterion::test_agrees_with_q100_sign_away_from_boundary",
 }
@@ -256,10 +258,11 @@ def test_small_float_literals_are_named_once():
     assert _small_literals_without_a_name() == []
 
 
-# The casts to complex that stay: the Pauli constants, the realness rule itself, the complex branch of
-# ``fano_stack``, parsed JSON and the closed forms on pure-state amplitudes.  A real state stays float64
-# everywhere else, so no cast may come back to feed the realness scan.
+# The casts to complex that stay: the Pauli constants, the realness rule itself, the complex branches of
+# ``fano_stack`` and ``pauli_sum``, the audit's Gaussians, parsed JSON and the closed forms on pure-state
+# amplitudes.  A real state stays float64 everywhere else, so no cast may come back to feed the realness scan.
 COMPLEX_CASTS = sorted([
+    ("audit", "_draw"),
     ("concurrence", "pure_concurrence"),
     ("linalg", "I2"),
     ("linalg", "SIGMA_X"),
@@ -268,6 +271,7 @@ COMPLEX_CASTS = sorted([
     ("linalg", "_hermitian_stack"),
     ("linalg", "fano_stack"),
     ("linalg", "matrix_from_json"),
+    ("linalg", "pauli_sum"),
     ("states", "bloch_vectors"),
     ("states", "correlation_tensor"),
 ])
@@ -281,8 +285,8 @@ def _is_complex(node):
 
 
 def _complex_casts():
-    """(module, top-level definition) per ``dtype=complex`` keyword and ``.astype(complex...)`` call, one
-    entry each; a module-level assignment is named by its target."""
+    """(module, top-level definition) per ``dtype=complex`` keyword and ``.astype(complex...)`` or
+    ``.view(complex...)`` call, one entry each; a module-level assignment is named by its target."""
     found = []
     for path in SOURCES:
         for statement in ast.parse(path.read_text(encoding="utf-8")).body:
@@ -293,7 +297,7 @@ def _complex_casts():
                 elif (
                     isinstance(node, ast.Call)
                     and isinstance(node.func, ast.Attribute)
-                    and node.func.attr == "astype"
+                    and node.func.attr in ("astype", "view")
                     and node.args
                     and _is_complex(node.args[0])
                 ):

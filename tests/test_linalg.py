@@ -14,7 +14,6 @@ from qdeficit.linalg import (
     PAULI_PRODUCTS,
     TOLS,
     Tolerances,
-    density_from_json,
     density_stack,
     eigh_stack,
     eigvalsh_stack,
@@ -574,12 +573,21 @@ class TestSerialization:
 
     def test_density_roundtrip(self):
         rho = werner(0.31)
-        back = density_from_json({"dims": [2, 2], "matrix": matrix_json(rho.matrix)})
+        back = DensityMatrix(matrix_from_json({"dims": [2, 2], "matrix": matrix_json(rho.matrix)}))
         assert np.max(np.abs(back.matrix - rho.matrix)) < 1e-15
 
     def test_bare_matrix_payload(self):
-        rho = density_from_json(matrix_json(np.eye(4) / 4))
+        rho = DensityMatrix(matrix_from_json(matrix_json(np.eye(4) / 4)))
         assert np.array_equal(rho.matrix, np.eye(4) / 4)
+
+    @pytest.mark.parametrize("spec", ["E1", "pure:0.1,0.7j,0.7,0.1j"])
+    def test_both_payload_forms_read_back_as_one_array(self, spec):
+        m = from_registry(spec)
+        bare = matrix_from_json(matrix_json(m))
+        wrapped = matrix_from_json({"dims": [2, 2], "matrix": matrix_json(m)})
+        assert bare.dtype == wrapped.dtype == complex
+        assert np.array_equal(bare, wrapped)
+        assert np.array_equal(bare, m)
 
     def test_bad_payload(self):
         with pytest.raises(ValueError):
@@ -591,27 +599,33 @@ class TestSerialization:
         with pytest.raises(ValueError):
             matrix_from_json([[[True, False]]])  # booleans are not numbers
         with pytest.raises(ValueError):
-            density_from_json({"dims": [2, 2]})
+            DensityMatrix(matrix_from_json({"dims": [2, 2]}))
 
     @pytest.mark.parametrize("dims", [4, [2], [2, 2, 1], [2.9, 2], [2, 2.0], [True, 4], "22"])
     def test_malformed_dims_rejected(self, dims):
         with pytest.raises(ValueError, match="'dims' must be a list of two integers"):
-            density_from_json({"dims": dims, "matrix": matrix_json(np.eye(4) / 4)})
+            DensityMatrix(matrix_from_json({"dims": dims, "matrix": matrix_json(np.eye(4) / 4)}))
 
     @pytest.mark.parametrize(("dims", "side"), [([1, 4], 4), ([4, 1], 4), ([2, 1], 4), ([2, 2], 2)])
     def test_dims_other_than_the_shapes_rejected(self, dims, side):
         with pytest.raises(CheckError) as err:
-            density_from_json({"dims": dims, "matrix": matrix_json(np.eye(side) / side)})
+            DensityMatrix(matrix_from_json({"dims": dims, "matrix": matrix_json(np.eye(side) / side)}))
         assert err.value.check == "dims"
 
     def test_qubit_marginal_payload(self):
-        """A valid 2x2 state fails the constructor's shape check, whatever its dims."""
+        """A valid 2x2 state fails ``dims``: the reader's comparison for dims other than [2, 2], else the
+        constructor's shape check."""
         qubit = matrix_json(np.eye(2) / 2)
-        for payload in ({"dims": [2, 1], "matrix": qubit}, {"dims": [2, 2], "matrix": qubit}, qubit):
+        shape = "a 4x4 two-qubit matrix required, got shape (2, 2)"
+        for payload, message in (
+            ({"dims": [2, 1], "matrix": qubit}, "dims [2, 1] inconsistent with a matrix of dims (2, 2)"),
+            ({"dims": [2, 2], "matrix": qubit}, shape),
+            (qubit, shape),
+        ):
             with pytest.raises(CheckError) as err:
-                density_from_json(payload)
+                DensityMatrix(matrix_from_json(payload))
             assert err.value.check == "dims"
-            assert str(err.value).endswith("a 4x4 two-qubit matrix required, got shape (2, 2)")
+            assert str(err.value).endswith(message)
 
     def test_integer_beyond_the_float_range_rejected(self):
         with pytest.raises(ValueError, match="beyond the float range"):
@@ -620,4 +634,4 @@ class TestSerialization:
     def test_invalid_state_payload(self):
         payload = matrix_json(np.eye(4))  # trace 4
         with pytest.raises(CheckError):
-            density_from_json(payload)
+            DensityMatrix(matrix_from_json(payload))

@@ -347,6 +347,17 @@ class TestRealStacks:
             for name, value in report._asdict().items():
                 assert repr(value) == repr(getattr(twin, name)), (k, name)
 
+    def test_a_real_stack_decoheres_to_float64(self):
+        """rho_d of a float64 stack is float64: the real part, to round-off, of its complex twin's rho_d,
+        whose imaginary parts are exactly zero."""
+        m, _, v = density_stack(self._real_states())
+        assert m.dtype == v.dtype == np.float64
+        real = decohere_stack(m, v).matrices
+        twin = decohere_stack(m.astype(complex), v.astype(complex)).matrices
+        assert (real.dtype, twin.dtype) == (np.float64, complex)
+        assert not np.count_nonzero(twin.imag)
+        assert np.max(np.abs(real - twin.real)) < 1e-15
+
     def test_one_imaginary_entry_keeps_the_whole_stack_complex(self, monkeypatch):
         stack = self._real_states().astype(complex)
         stack[-1, 0, 3] += 1e-13j
