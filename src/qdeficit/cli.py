@@ -1,9 +1,9 @@
 """Command-line surface: reference-table regression, Werner sweeps,
 state classification, and the randomized property audit.
 
-The figures come from ``structure`` and the audit from ``audit``; this
-module holds the reference tables they are compared against, parses
-arguments and formats output.
+This module parses arguments and formats output.  The figures come from
+``structure``, the audit from ``audit``, and the paper's reference
+figures, which ``table1`` and ``iso-report`` check, from ``states``.
 
 Exit codes: 0 success, 1 verification failure, 2 input error (a file
 that cannot be opened among them), 141 (128 + SIGPIPE) when the reader
@@ -25,72 +25,10 @@ import numpy as np
 
 from .audit import AUDIT_PROPERTIES, run_audit
 from .linalg import TOLS, DensityMatrix, Tolerances, eigvalsh_stack, marginal_stack, matrix_from_json
-from .states import EXAMPLE_NAMES, from_registry, werner_matrices
+from .states import EXAMPLE_NAMES, LN2, REFERENCE_FIGURES, from_registry, werner_matrices
 from .structure import classify, classify_stack, figures_stack, verdicts
 
-LN2 = math.log(2.0)
-LN3 = math.log(3.0)
-LN5 = math.log(5.0)
-
 _COLUMNS = ("concurrence", "entropy_diff_a", "entropy_diff_b", "deficit_over_ln2", "mutual_over_ln2")
-
-# Closed forms of the figures the reference reports check, keyed by registry
-# name: table1's five columns for E1..E6 and three iso-report figures for the pair.
-_CLOSED = {
-    "E1": {
-        "concurrence": 2.0 / 3.0,
-        "entropy_diff_a": (5.0 / 6.0) * math.log(4.0 / 5.0),
-        "entropy_diff_b": 0.0,
-        "deficit_over_ln2": (5.0 * LN5 - 8.0 * LN2) / (6.0 * LN2),
-        "mutual_over_ln2": (3.0 * LN3 - 2.0 * LN2) / (3.0 * LN2),
-    },
-    "E2": {
-        "concurrence": 1.0 / 3.0,
-        "entropy_diff_a": (5.0 / 6.0) * math.log(5.0 / 4.0),
-        "entropy_diff_b": (5.0 / 6.0) * math.log(5.0 / 4.0),
-        "deficit_over_ln2": 1.0 / 3.0,
-        "mutual_over_ln2": (3.0 * LN3 + 8.0 * LN2 - 5.0 * LN5) / (3.0 * LN2),
-    },
-    "E3": {
-        "concurrence": 2.0 / 3.0,
-        "entropy_diff_a": 0.0,
-        "entropy_diff_b": 0.0,
-        "deficit_over_ln2": 2.0 / 3.0,
-        "mutual_over_ln2": (3.0 * LN3 - 2.0 * LN2) / (3.0 * LN2),
-    },
-    "E4": {
-        "concurrence": 1.0,
-        "entropy_diff_a": -LN2,
-        "entropy_diff_b": -LN2,
-        "deficit_over_ln2": 1.0,
-        "mutual_over_ln2": 2.0,
-    },
-    "E5": {
-        "concurrence": 0.0,
-        "entropy_diff_a": LN2,
-        "entropy_diff_b": 0.0,
-        "deficit_over_ln2": 0.0,
-        "mutual_over_ln2": 0.0,
-    },
-    "E6": {
-        "concurrence": 0.0,
-        "entropy_diff_a": 0.0,
-        "entropy_diff_b": 0.0,
-        "deficit_over_ln2": 0.0,
-        "mutual_over_ln2": 1.0,
-    },
-    "iso:E": {"concurrence": 2.0 / 3.0, "mutual": (3.0 * LN3 - 2.0 * LN2) / 3.0, "deficit": (2.0 / 3.0) * LN2},
-    "iso:S": {"concurrence": 0.0, "mutual": (3.0 * LN3 - 2.0 * LN2) / 3.0, "deficit": 0.0},
-}
-
-# The four nontrivial decimals as printed in the reference table.
-_TABLE1_PRINTED = {
-    ("E1", "deficit_over_ln2"): 0.6016,
-    ("E1", "mutual_over_ln2"): 0.9182,
-    ("E2", "mutual_over_ln2"): 0.3817,
-    ("E3", "mutual_over_ln2"): 0.9183,
-}
-
 
 # Round-off allowance for the last grid point p = pmin + k * step against pmax.
 # A float64 round-off level, not a bound: ``--tolerance`` would move the grid's last point.
@@ -105,33 +43,35 @@ def _fmt(x: float) -> str:
     return format(float(x), ".12g")
 
 
-def _reference_rows(names, tols: Tolerances) -> dict[str, dict]:
-    """Per registry name, for ``table1`` and ``iso-report``: ``classify``'s fields, and D and I in units of ln 2.
+def _reference_check(names, tols: Tolerances) -> tuple[dict[str, dict], list[str]]:
+    """The registry's ``names`` classified in one ``classify_stack`` call and held against their paper figures.
 
-    The registry's matrices are validated and classified in one
-    ``classify_stack`` call, whose rows are ``classify``'s figures.
+    Returns, per name, ``classify``'s fields with D and I in units of ln 2; and one line per figure
+    off its closed form by more than ``tols.hermiticity`` or off its printed decimal by more than
+    ``tols.printed``, a NaN counting as off.  Each line shows the bound as its shortest round-trip
+    form, so that it reads back as the bound held.
     """
     cols = classify_stack([from_registry(name) for name in names], tols=tols)
-    rows = {}
+    rows, mismatches = {}, []
     for name, values in zip(names, zip(*(col.tolist() for col in cols))):
-        report = dict(zip(cols._fields, values))
-        rows[name] = {**report, "deficit_over_ln2": report["deficit"] / LN2, "mutual_over_ln2": report["mutual"] / LN2}
-    return rows
-
-
-def _mismatches(rows: dict[str, dict], tols: Tolerances) -> list[str]:
-    """One line per figure of ``rows`` off its closed form by more than ``tols.hermiticity``
-    or off its printed decimal by more than ``tols.printed``; a NaN counts as off.  Each line
-    shows the bound as its shortest round-trip form, so that it reads back as the bound held."""
-    mismatches = []
-    for name, row in rows.items():
-        for col, closed in _CLOSED[name].items():
-            got, printed = row[col], _TABLE1_PRINTED.get((name, col))
-            for label, want, tol in (("closed form", closed, tols.hermiticity), ("printed", printed, tols.printed)):
+        row = rows[name] = dict(zip(cols._fields, values))
+        row.update(deficit_over_ln2=row["deficit"] / LN2, mutual_over_ln2=row["mutual"] / LN2)
+        figures = REFERENCE_FIGURES[name]
+        for col, closed in figures["closed"].items():
+            got = row[col]
+            for label, want, tol in (("closed form", closed, tols.hermiticity),
+                                     ("printed", figures["printed"].get(col), tols.printed)):
                 if want is not None and not abs(got - want) <= tol:
                     mismatches.append(f"{name}.{col}: computed {_fmt(got)} vs {label} {_fmt(want)} "
                                       f"(|diff| {abs(got - want):.3e} > {tol})")
-    return mismatches
+    return rows, mismatches
+
+
+def _verdict(mismatches: list[str]) -> int:
+    """The reference commands' tail: each mismatch to stderr, and exit 1 if there is any."""
+    for line in mismatches:
+        print(f"mismatch: {line}", file=sys.stderr)
+    return 1 if mismatches else 0
 
 
 def _grid(pmin: float, pmax: float, step: float):
@@ -176,8 +116,7 @@ def werner_sweep_rows(pmin: float, pmax: float, step: float, tols: Tolerances = 
 
 
 def _cmd_table1(args, tols: Tolerances) -> int:
-    rows = _reference_rows(EXAMPLE_NAMES, tols)
-    mismatches = _mismatches(rows, tols)
+    rows, mismatches = _reference_check(EXAMPLE_NAMES, tols)
     header = ("example",) + _COLUMNS
     widths = [max(len(h), 18) for h in header]
     print("  ".join(h.ljust(w) for h, w in zip(header, widths)))
@@ -185,9 +124,7 @@ def _cmd_table1(args, tols: Tolerances) -> int:
         cells = [name.ljust(widths[0])]
         cells += [_fmt(row[col]).ljust(w) for col, w in zip(_COLUMNS, widths[1:])]
         print("  ".join(cells).rstrip())
-    for line in mismatches:
-        print(f"mismatch: {line}", file=sys.stderr)
-    return 1 if mismatches else 0
+    return _verdict(mismatches)
 
 
 def _cmd_werner_sweep(args, tols: Tolerances) -> int:
@@ -245,12 +182,11 @@ def _cmd_audit(args, tols: Tolerances) -> int:
 
 def _cmd_iso_report(args, tols: Tolerances) -> int:
     names = ("iso:E", "iso:S")
-    rows = _reference_rows(names, tols)
+    rows, figure_mismatches = _reference_check(names, tols)
     matrices = np.stack([from_registry(name) for name in names])
     spectra = eigvalsh_stack(matrices, tols=tols)
     spec_gap = np.max(np.abs(spectra[0] - spectra[1]))
     mismatches = [f"global spectra differ by {spec_gap:.3e}"] if spec_gap > tols.support_cutoff else []
-    mismatches += _mismatches(rows, tols)
     marginals = marginal_stack(matrices, tols=tols)[1]
     for (name, row), spectrum, (marg_a, marg_b) in zip(rows.items(), spectra, marginals):
         print(f"state {name[-1]}:")
@@ -258,9 +194,7 @@ def _cmd_iso_report(args, tols: Tolerances) -> int:
         print(f"  marginal spectra   A: {' '.join(_fmt(v) for v in marg_a)}  B: {' '.join(_fmt(v) for v in marg_b)}")
         for col in ("concurrence", "entropy_diff_a", "mutual", "deficit"):
             print(f"  {col:<19}{_fmt(row[col])}")
-    for line in mismatches:
-        print(f"mismatch: {line}", file=sys.stderr)
-    return 1 if mismatches else 0
+    return _verdict(mismatches + figure_mismatches)
 
 
 def _build_parser() -> argparse.ArgumentParser:

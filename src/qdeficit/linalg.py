@@ -400,5 +400,5 @@ def matrix_from_json(payload) -> np.ndarray:
         if not (isinstance(dims, (list, tuple)) and len(dims) == 2 and all(type(d) is int for d in dims)):
             raise ValueError(f"'dims' must be a list of two integers, got {dims!r}")
         if list(dims) != [2, 2]:
-            raise CheckError("dims", 0.0, f"dims {list(dims)} inconsistent with a matrix of dims (2, 2)")
+            raise CheckError("dims", 0.0, f"dims [2, 2] required, got {list(dims)}")
     return arr

@@ -6,7 +6,12 @@ and iso:S, are one table of matrices, ``_REFERENCE``, keyed by registry name.
 iso:E is entangled and iso:S separable, yet they share their global and
 marginal spectra: the quantum deficit tells them apart, no spectrum-only
 functional does.  These states and the Werner family are real and built
-as float64, which validation keeps.
+as float64, which validation keeps.  ``REFERENCE_FIGURES`` holds their
+figures under the same names, one record each: ``closed``, the closed
+forms that ``table1`` (E1..E6) and ``iso-report`` (the pair) check, and
+``printed``, the decimals of the paper's Table 1.  A record's column is a
+``classify`` field, or D or I in units of ln 2 (``deficit_over_ln2``,
+``mutual_over_ln2``).
 
 Computational basis order is |11>, |10>, |01>, |00> throughout.  A pure
 state is its amplitude vector (a11, a10, a01, a00) in that order, and a
@@ -34,9 +39,13 @@ __all__ = [
     "correlation_tensor",
     "from_registry",
     "EXAMPLE_NAMES",
+    "LN2",
+    "REFERENCE_FIGURES",
 ]
 
 EXAMPLE_NAMES = ("E1", "E2", "E3", "E4", "E5", "E6")
+
+LN2, LN3, LN5 = math.log(2.0), math.log(3.0), math.log(5.0)
 
 
 class RegistryError(ValueError):
@@ -61,6 +70,55 @@ _REFERENCE = {
     "E6": np.diag([0.5, 0.0, 0.0, 0.5]),
     "iso:E": (_projector([1, 0, 0, 0]) + _projector([0, 1, 1, 0])) / 3.0,
     "iso:S": np.diag([1.0, 0.0, 0.0, 2.0]) / 3.0,
+}
+
+REFERENCE_FIGURES = {
+    "E1": {"closed": {
+        "concurrence": 2.0 / 3.0,
+        "entropy_diff_a": (5.0 / 6.0) * math.log(4.0 / 5.0),
+        "entropy_diff_b": 0.0,
+        "deficit_over_ln2": (5.0 * LN5 - 8.0 * LN2) / (6.0 * LN2),
+        "mutual_over_ln2": (3.0 * LN3 - 2.0 * LN2) / (3.0 * LN2),
+    }, "printed": {"deficit_over_ln2": 0.6016, "mutual_over_ln2": 0.9182}},
+    "E2": {"closed": {
+        "concurrence": 1.0 / 3.0,
+        "entropy_diff_a": (5.0 / 6.0) * math.log(5.0 / 4.0),
+        "entropy_diff_b": (5.0 / 6.0) * math.log(5.0 / 4.0),
+        "deficit_over_ln2": 1.0 / 3.0,
+        "mutual_over_ln2": (3.0 * LN3 + 8.0 * LN2 - 5.0 * LN5) / (3.0 * LN2),
+    }, "printed": {"mutual_over_ln2": 0.3817}},
+    "E3": {"closed": {
+        "concurrence": 2.0 / 3.0,
+        "entropy_diff_a": 0.0,
+        "entropy_diff_b": 0.0,
+        "deficit_over_ln2": 2.0 / 3.0,
+        "mutual_over_ln2": (3.0 * LN3 - 2.0 * LN2) / (3.0 * LN2),
+    }, "printed": {"mutual_over_ln2": 0.9183}},
+    "E4": {"closed": {
+        "concurrence": 1.0,
+        "entropy_diff_a": -LN2,
+        "entropy_diff_b": -LN2,
+        "deficit_over_ln2": 1.0,
+        "mutual_over_ln2": 2.0,
+    }, "printed": {}},
+    "E5": {"closed": {
+        "concurrence": 0.0,
+        "entropy_diff_a": LN2,
+        "entropy_diff_b": 0.0,
+        "deficit_over_ln2": 0.0,
+        "mutual_over_ln2": 0.0,
+    }, "printed": {}},
+    "E6": {"closed": {
+        "concurrence": 0.0,
+        "entropy_diff_a": 0.0,
+        "entropy_diff_b": 0.0,
+        "deficit_over_ln2": 0.0,
+        "mutual_over_ln2": 1.0,
+    }, "printed": {}},
+    "iso:E": {"closed": {"concurrence": 2.0 / 3.0, "mutual": (3.0 * LN3 - 2.0 * LN2) / 3.0,
+                         "deficit": (2.0 / 3.0) * LN2}, "printed": {}},
+    "iso:S": {"closed": {"concurrence": 0.0, "mutual": (3.0 * LN3 - 2.0 * LN2) / 3.0, "deficit": 0.0},
+              "printed": {}},
 }
 
 

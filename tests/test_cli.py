@@ -17,7 +17,7 @@ from qdeficit.cli import main
 from qdeficit.concurrence import concurrence
 from qdeficit.entropy import entropy_stack
 from qdeficit.linalg import TOLS, Tolerances, density_stack, marginal_stack, transpose_stack
-from qdeficit.states import bloch_vectors
+from qdeficit.states import REFERENCE_FIGURES, bloch_vectors
 from qdeficit.structure import classify, decohere_stack
 
 from helpers import matrix_json, pure_density, random_pure, werner
@@ -43,7 +43,7 @@ class TestReferenceCommands:
         assert [cells[0] for cells in lines] == ["E1", "E2", "E3", "E4", "E5", "E6"]
         printed = {cells[0]: dict(zip(header[1:], map(float, cells[1:]))) for cells in lines}
         for name, row in printed.items():
-            for col, closed in cli._CLOSED[name].items():
+            for col, closed in REFERENCE_FIGURES[name]["closed"].items():
                 assert _as_printed(row[col], closed), (name, col, row[col], closed)
                 # A figure whose closed form is 0 prints as 0, not as round-off.
                 assert closed != 0.0 or row[col] == 0.0, (name, col, row[col])
@@ -63,7 +63,7 @@ class TestReferenceCommands:
             assert len(spectra) == 8, name
             for got, want in zip(spectra, [2 / 3, 1 / 3, 0, 0] + [2 / 3, 1 / 3] * 2):
                 assert _as_printed(got, want), (name, got, want)
-            for col, closed in cli._CLOSED[name].items():
+            for col, closed in REFERENCE_FIGURES[name]["closed"].items():
                 (got,) = row[col]
                 assert _as_printed(got, closed), (name, col, got, closed)
         # The separable state's concurrence prints as its closed form, not as round-off.
@@ -107,7 +107,7 @@ class TestReferenceCommands:
     )
     def test_closed_form_mismatch_is_verification_failure(self, capsys, monkeypatch, command, name, col, closed, line):
         report = _run(capsys, command)[1]
-        monkeypatch.setitem(cli._CLOSED[name], col, closed)
+        monkeypatch.setitem(REFERENCE_FIGURES[name]["closed"], col, closed)
         code, out, err = _run(capsys, command)
         assert code == 1
         assert out == report
@@ -116,13 +116,30 @@ class TestReferenceCommands:
     def test_mismatch_shows_the_bound_exactly(self, capsys, monkeypatch):
         """A miss of 1.39e-10 against the bound 1.37e-10 of ``--tolerance 1.37`` reads above that bound,
         not above 1.37e-10 rounded to 1.4e-10."""
-        closed = cli._CLOSED["E2"]["concurrence"]
-        monkeypatch.setitem(cli._CLOSED["E2"], "concurrence", closed + 1.39e-10)
+        closed = REFERENCE_FIGURES["E2"]["closed"]["concurrence"]
+        monkeypatch.setitem(REFERENCE_FIGURES["E2"]["closed"], "concurrence", closed + 1.39e-10)
         code, _, err = _run(capsys, "--tolerance", "1.37", "table1")
         assert code == 1
         assert err == ("mismatch: E2.concurrence: computed 0.333333333333 vs closed form 0.333333333472 "
                        "(|diff| 1.390e-10 > 1.3700000000000002e-10)\n")
         assert float(err.split(" > ")[1].rstrip(")\n")) == Tolerances(1.37).hermiticity
+
+    def test_cli_holds_no_numeric_table(self):
+        """``cli`` parses and formats: none of its module-level dicts, lists, tuples or sets holds a number,
+        so the paper's figures stay beside their states in ``states``."""
+        containers = (ast.Dict, ast.List, ast.Tuple, ast.Set, ast.DictComp, ast.ListComp, ast.SetComp)
+
+        def holds_a_number(node):
+            return any(isinstance(leaf, ast.Constant) and type(leaf.value) in (int, float, complex)
+                       for leaf in ast.walk(node))
+
+        tables = [
+            ast.unparse(statement).split(" =")[0]
+            for statement in ast.parse(Path(cli.__file__).read_text(encoding="utf-8")).body
+            if isinstance(statement, (ast.Assign, ast.AnnAssign)) and statement.value is not None
+            and any(isinstance(node, containers) and holds_a_number(node) for node in ast.walk(statement.value))
+        ]
+        assert tables == []
 
     def test_closed_reader_exits_141_without_a_traceback(self):
         env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
@@ -237,12 +254,14 @@ class TestToleranceScale:
         assert code == 0, err
         assert json.loads(out)["concurrence"] == 0.0
 
-    def test_scaled_audit_independent_of_job_count(self, capsys):
+    def test_scaled_audit_independent_of_job_count(self, capsys, monkeypatch):
+        pools = _spawned_pools(monkeypatch)
         code_1, out_1, err_1 = _run(capsys, "--tolerance", "2", "audit", "--n", "300", "--jobs", "1")
         code_2, out_2, err_2 = _run(capsys, "--tolerance", "2", "audit", "--n", "300", "--jobs", "2")
         assert code_1 == 0, err_1
         assert code_2 == 0, err_2
         assert out_1 == out_2
+        assert pools == [2]
 
 
 def _offset_transposes(monkeypatch):
@@ -285,14 +304,32 @@ def _offset_marginal_product(monkeypatch):
     monkeypatch.setattr(audit, "density_stack", offset)
 
 
+def _spawned_pools(monkeypatch):
+    """Lets ``run_audit`` start its pool from two stacks on, with two CPUs; each pool, spawned for real,
+    records its size in the returned list.  The spawned workers never read ``STACKS_PER_WORKER``."""
+    sizes = []
+
+    class RecordedPool(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, max_workers, mp_context):
+            sizes.append(max_workers)
+            super().__init__(max_workers=max_workers, mp_context=mp_context)
+
+    monkeypatch.setattr(audit, "STACKS_PER_WORKER", 1)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordedPool)
+    return sizes
+
+
 class TestAudit:
-    def test_independent_of_job_count(self, capsys):
+    def test_independent_of_job_count(self, capsys, monkeypatch):
+        pools = _spawned_pools(monkeypatch)
         code_1, out_1, err_1 = _run(capsys, "audit", "--n", "300", "--seed", "42", "--jobs", "1")
         code_2, out_2, err_2 = _run(capsys, "audit", "--n", "300", "--seed", "42", "--jobs", "2")
         assert code_1 == 0, err_1
         assert code_2 == 0, err_2
         assert out_1 == out_2
         assert "FAIL" not in out_1
+        assert pools == [2]
 
     @pytest.mark.parametrize("jobs", ["0", "-3"])
     def test_job_count_below_one_is_input_error(self, capsys, jobs):
@@ -310,11 +347,14 @@ class TestAudit:
     @pytest.mark.parametrize(
         ("n", "jobs", "cpus", "pool_sizes"),
         [(3, 64, 8, []), (20, 64, 8, []), (20, 4, 8, []), (3, 64, None, []),
-         (600, 64, 8, [3]), (600, 2, 8, [2]), (600, 64, 2, [2]), (600, 64, None, [])],
+         (600, 64, 8, []), (600, 2, 8, []), (600, 64, 2, []), (600, 64, None, []),
+         (1100, 64, 8, [2]), (1600, 64, 8, [3]), (1600, 2, 8, [2]), (1600, 64, 2, [2]), (1600, 64, None, [])],
     )
     def test_pool_size_is_capped_by_states_and_cpus(self, monkeypatch, n, jobs, cpus, pool_sizes):
-        """A stack is the unit of work: one stack runs in this process, more share min(jobs, stacks, cpus)
-        workers."""
+        """A stack is the unit of work: min(jobs, stacks // STACKS_PER_WORKER, cpus) workers share the
+        stacks where that is two or more, else they run in this process.  Two stacks per worker here,
+        so that the caps show at 3 (600 states), 5 (1100) and 7 (1600) stacks."""
+        monkeypatch.setattr(audit, "STACKS_PER_WORKER", 2)
         sizes = []
 
         class RecordingPool:
@@ -338,10 +378,11 @@ class TestAudit:
         assert cli.run_audit(n, 42, jobs) == cli.run_audit(n, 42, 1)
         assert sizes == pool_sizes
 
-    @pytest.mark.parametrize(("n", "jobs"), [(5, 1), (1, 4)])
+    @pytest.mark.parametrize(("n", "jobs"), [(5, 1), (1, 4), (600, 2)])
     def test_one_process_audit_loads_no_pool(self, monkeypatch, n, jobs):
-        """With one state or one job the audit asks for no cpu count, and a fresh interpreter that
-        runs it has imported neither ``multiprocessing`` nor ``concurrent.futures``."""
+        """With one job, one state or fewer than ``STACKS_PER_WORKER`` stacks for a second worker, the
+        audit asks for no cpu count, and a fresh interpreter that runs it has imported neither
+        ``multiprocessing`` nor ``concurrent.futures``."""
         monkeypatch.setattr(os, "cpu_count", lambda: pytest.fail("cpu_count called"))
         assert cli.run_audit(n, 42, jobs) == cli.run_audit(n, 42, 1)
         code = (f"import sys; import qdeficit.cli as cli; cli.run_audit({n}, 42, {jobs}); "
@@ -692,7 +733,7 @@ class TestClassify:
         code, out, err = _run(capsys, "classify", str(path))
         assert code == 2
         assert out == ""
-        assert err == "error: dims check failed (magnitude 0): dims [2, 1] inconsistent with a matrix of dims (2, 2)\n"
+        assert err == "error: dims check failed (magnitude 0): dims [2, 2] required, got [2, 1]\n"
 
     def test_integer_beyond_the_float_range_is_input_error(self, capsys, tmp_path):
         path = tmp_path / "huge_entry.json"

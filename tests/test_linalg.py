@@ -618,7 +618,7 @@ class TestSerialization:
         qubit = matrix_json(np.eye(2) / 2)
         shape = "a 4x4 two-qubit matrix required, got shape (2, 2)"
         for payload, message in (
-            ({"dims": [2, 1], "matrix": qubit}, "dims [2, 1] inconsistent with a matrix of dims (2, 2)"),
+            ({"dims": [2, 1], "matrix": qubit}, "dims [2, 2] required, got [2, 1]"),
             ({"dims": [2, 2], "matrix": qubit}, shape),
             (qubit, shape),
         ):

@@ -9,12 +9,15 @@ from hypothesis import strategies as st
 from qdeficit.concurrence import pure_concurrence
 from qdeficit.linalg import CheckError, DensityMatrix, Tolerances, marginal_stack
 from qdeficit.states import (
+    EXAMPLE_NAMES,
+    REFERENCE_FIGURES,
     RegistryError,
     bloch_vectors,
     correlation_tensor,
     from_registry,
     werner_matrices,
 )
+from qdeficit.structure import Classification
 
 from helpers import I2, SX, SY, SZ, pure_density, random_mixed, random_pure, werner
 
@@ -275,6 +278,24 @@ class TestSamplers:
     def test_mixed_full_rank_spectrum(self):
         vals = DensityMatrix(random_mixed(3, 4)).eigenvalues
         assert vals[-1] > 1e-6
+
+
+class TestReferenceFigures:
+    """The paper's figures are checked whole: a record's every figure is one a reference command compares."""
+
+    COLUMNS = set(Classification._fields) | {"deficit_over_ln2", "mutual_over_ln2"}
+
+    def test_the_records_are_table1_and_the_isospectral_pair(self):
+        assert set(REFERENCE_FIGURES) == {*EXAMPLE_NAMES, "iso:E", "iso:S"}
+
+    @pytest.mark.parametrize("name", sorted(REFERENCE_FIGURES))
+    def test_record_is_whole(self, name):
+        record = REFERENCE_FIGURES[name]
+        assert from_registry(name).shape == (4, 4)
+        assert set(record) == {"closed", "printed"}
+        assert record["closed"] and set(record["closed"]) <= self.COLUMNS
+        # A printed decimal is compared only beside its closed form.
+        assert set(record["printed"]) <= set(record["closed"])
 
 
 class TestRegistry:
