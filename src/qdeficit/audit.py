@@ -25,9 +25,10 @@ rho's marginals, and then the product's and rho_d's, values-only; the
 spin-flip lambdas of rho, its flip and its rotation take one
 ``concurrence`` call, one ``svd`` of their tau (the rotations are
 complex, so the three families stack complex), and rho's partial
-transpose an ``eigvalsh``: a stack makes two ``eigh`` calls, three
-``eigvalsh`` and one ``svd``.  The pure rows' second route is the closed
-forms on their amplitudes, which solve no eigenproblem.
+transpose an ``eigvalsh``.  The local unitaries are Haar by 2x2
+Gram-Schmidt: a stack makes two ``eigh`` calls, three ``eigvalsh``, one
+``svd`` and no ``qr``.  The pure rows' second route is the closed forms
+on their amplitudes, which solve no eigenproblem.
 
 Each property keeps two independent routes to the quantity it checks:
 neither side of a comparison is derived from the other side's
@@ -106,13 +107,14 @@ _BLOCK = 256
 STACK_SIZE = 256
 
 # Stacks per worker below which a spawned worker, which imports numpy and the package first, costs more than it
-# saves.  Fresh `audit --jobs 2` against `--jobs 1` with a pool always started (2-CPU VM, 6 alternating runs, median
-# s): 0.80 against 0.74 at 40 stacks, 0.89 against 0.91 at 48, 0.97 against 1.06 at 56, 1.11 against 1.27 at 64.
-# The break-even is about 24 stacks per worker; 32 keeps a margin on a noisy machine.
+# saves; measure again when a stack's cost changes.  Fresh `audit --jobs 2` against `--jobs 1` with a pool always
+# started (2-CPU VM, 6 alternating runs, median s): 0.77 against 0.74 at 40 stacks, 0.95 against 0.85 at 48, 0.91
+# against 1.02 at 56, 1.01 against 1.15 at 64.  The break-even is about 26 stacks per worker; 32 keeps a margin.
 STACKS_PER_WORKER = 32
 
 # tsallis-continuity compares S_q at q = 1 +- this offset with S.
 _TSALLIS_OFFSET = 1e-4
+_PRODUCT_10 = np.outer(np.eye(4)[1], np.eye(4)[0])  # the factor G of state 0, |10>: one column
 
 
 def _mixed_rank(index):
@@ -139,10 +141,13 @@ def _draw(indices: range, seed: int) -> np.ndarray:
 
 
 def _haar_unitaries(z: np.ndarray) -> np.ndarray:
-    """Haar unitaries from a stack of complex Gaussian matrices: Q of QR with R's diagonal phases."""
-    q, r = np.linalg.qr(z)
-    d = np.diagonal(r, axis1=-2, axis2=-1)
-    return q * (d / np.abs(d))[..., None, :]
+    """Haar unitaries (Mezzadri, Notices AMS 54, 592, 2007): Q of 2x2 z = QR, R's diagonal positive, by Gram-Schmidt."""
+    a, b = z[..., 0, 0], z[..., 1, 0]
+    det = a * z[..., 1, 1] - b * z[..., 0, 1]
+    phase = det / abs(det)  # of column 1, (-conj b, conj a), so that R11 = |det z| / |a, b| is positive
+    q = np.empty_like(z)
+    q[..., 0], q[..., 0, 1], q[..., 1, 1] = z[..., 0], -phase * b.conj(), phase * a.conj()
+    return q / np.sqrt(abs(a) ** 2 + abs(b) ** 2)[..., None, None]
 
 
 def _dagger(m: np.ndarray) -> np.ndarray:
@@ -165,7 +170,7 @@ def _states(indices: range, seed: int):
     kept = np.where(kind == 1, 1, np.where(kind == 0, _mixed_rank(index), 4))
     factor = np.where(np.arange(4) < kept[:, None, None], gauss, 0)
     factor[kind == 2] = tensor_product(gauss[kind == 2, :2, :2], gauss[kind == 2, 2:, 2:])
-    factor[index == 0] = np.outer(np.eye(4)[1], np.eye(4)[0])  # one column, |10>
+    factor[index == 0] = _PRODUCT_10
     m = factor @ _dagger(factor)
     amplitudes = factor[:, :, 0] / np.linalg.norm(factor[:, :, 0], axis=-1, keepdims=True)
     return m / m.trace(axis1=-2, axis2=-1).real[:, None, None], amplitudes, g[:, 16:].reshape(-1, 2, 2, 2)
@@ -205,8 +210,8 @@ def _check_stack(indices: range, seed: int, tols: Tolerances):
     """
     m, amplitudes, gaussians = _states(indices, seed)
     index = np.arange(indices.start, indices.stop)
-    pure = np.flatnonzero((index % 3 == 1) | (index == 0))
-    product = np.flatnonzero((index % 3 == 2) | (index == 0))
+    kind = index % 3
+    pure, product = (np.flatnonzero((kind == k) | (index == 0)) for k in (1, 2))
     ledger = _Ledger(indices)
     record = ledger.record
 
@@ -285,18 +290,17 @@ def _check_stack(indices: range, seed: int, tols: Tolerances):
     h_p = entropy_stack(np.sort(joint.reshape(-1, 4), axis=-1)[:, ::-1], tols=tols)
     record("klein-entropy-increase", ("S-H(P)", s - h_p, tols.identity))
 
-    rebuilt = np.stack((np.einsum("nabg,ng->na", dec.weights, w), np.einsum("nabg,ng->nb", dec.weights, w)), axis=1)
+    rebuilt = (np.stack((dec.weights.sum(axis=2), dec.weights.sum(axis=1)), axis=1) @ w[:, None, :, None])[..., 0]
     record("overlap-reconstruction", ("err_overlap", _max_abs(rebuilt - marg_w), tols.identity))
 
     # P(alpha, beta) against p_beta and against p_alpha, over the marginal values off the
     # cutoff: the excess P - p is the joint-marginals scale, where P / p would amplify
     # round-off in P by 1 / p.
-    given = np.stack((np.broadcast_to(marg_w[:, 1, None, :], joint.shape),
-                      np.broadcast_to(marg_w[:, 0, :, None], joint.shape)), axis=1)
-    both = np.stack((joint, joint), axis=1)
+    given = np.empty((len(joint), 2, 2, 2))
+    given[:, 0], given[:, 1] = marg_w[:, 1, None, :], marg_w[:, 0, :, None]
     defined = ~(given <= tols.support_cutoff)
-    excess = np.max(both - given, axis=(1, 2, 3), where=defined, initial=-np.inf)
-    lowest = np.min(both, axis=(1, 2, 3), where=defined, initial=np.inf)
+    excess = np.max(joint[:, None] - given, axis=(1, 2, 3), where=defined, initial=-np.inf)
+    lowest = np.min(joint, axis=(1, 2), where=defined.any(axis=1), initial=np.inf)
     record("joint-conditional-probability", ("excess", excess, tols.hermiticity),
            ("-P_min", -lowest, tols.support_cutoff))
 
@@ -331,8 +335,7 @@ def _check_stack(indices: range, seed: int, tols: Tolerances):
                rows=pure)
 
         coeffs = np.empty((len(pure), 4, 4))
-        coeffs[:, 0, 0] = 1.0
-        coeffs[:, 1:, 0], coeffs[:, 0, 1:] = vecs[:, 0], vecs[:, 1]
+        coeffs[:, 0, 0], coeffs[:, 1:, 0], coeffs[:, 0, 1:] = 1.0, vecs[:, 0], vecs[:, 1]
         coeffs[:, 1:, 1:] = correlation_tensor(amps, tols=tols)
         pauli_err = _max_abs(pauli_sum(coeffs, m) / 4.0 - m[pure])
         record("pure-pauli-reconstruction", ("pauli_err", pauli_err, tols.identity), rows=pure)

@@ -124,7 +124,7 @@ def relative_entropy_stack(
     if m1.shape[-1] != vectors2.shape[-1]:
         raise CheckError("dims", 0.0, f"matrix sides differ: {m1.shape[-1]} vs {vectors2.shape[-1]}")
     # w_g = <g|rho1|g> over rho2's eigenvectors |g>: Tr rho1 ln rho2 = sum w_g ln lambda_g.
-    weights = np.einsum("...ig,...ij,...jg->...g", vectors2.conj(), m1, vectors2).real
+    weights = np.add.reduce((vectors2.conj() * (m1 @ vectors2)).real, axis=-2)
     support = values2 > tols.support_cutoff
     outside = np.add.reduce(weights, axis=-1, where=~support)
     cross = np.add.reduce(weights * np.log(np.where(support, values2, 1.0)), axis=-1, where=support)

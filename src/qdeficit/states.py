@@ -16,12 +16,11 @@ forms that ``table1`` (E1..E6) and ``iso-report`` (the pair) check, and
 Computational basis order is |11>, |10>, |01>, |00> throughout.  A pure
 state is its amplitude vector (a11, a10, a01, a00) in that order, and a
 stack of them is a complex array ``(..., 4)``: ``bloch_vectors`` and
-``correlation_tensor`` evaluate their closed forms on the whole stack at
-once, as ``werner_matrices`` builds a stack of mixed states.  This
-module builds arrays and validates no state; ``linalg`` validates them,
-where a command uses them.  Nothing here normalizes amplitudes: a
-``pure:`` spec resolves to the projector, whose trace, |psi|^2, the
-validation holds to 1.
+``correlation_tensor`` read each entry of their closed forms from one
+table of the six amplitude pair products.  This module builds arrays and
+validates no state; ``linalg`` validates them, where a command uses them.
+Nothing here normalizes amplitudes: a ``pure:`` spec resolves to the
+projector, whose trace, |psi|^2, the validation holds to 1.
 """
 
 from __future__ import annotations
@@ -131,14 +130,22 @@ def werner_matrices(ps) -> np.ndarray:
     return ps[:, None, None] * _BELL_PROJECTOR + (1.0 - ps)[:, None, None] * _MAXIMALLY_MIXED
 
 
-def _re2(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    # x y* + y x*
-    return 2.0 * (x * y.conj()).real
+# The terms of ``_pair_terms``, pairs ij = 01, 02, 03, 12, 13, 23 of (a11, a10, a01, a00): re_ij = 2 Re a_i a_j*
+# (0..5), im_ij = -2 Im a_i a_j* (6..11), -re_ij (12..17), -im_ij (18..23); each entry sums two, by the tables:
+# s_x(A) = re02 + re13, s_y(A) = im02 + im13, s_x(B) = re01 + re23, s_y(B) = im01 + im23;
+# C_xx = re03 + re12, C_xy = im03 - im12, C_xz = re02 - re13, C_yx = im03 + im12, C_yy = re12 - re03,
+# C_yz = im02 - im13, C_zx = re01 - re23, C_zy = im01 - im23.
+_PAIR_I, _PAIR_J = np.array([[0, 0, 0, 1, 1, 2], [1, 2, 3, 2, 3, 3]])
+_TERM_SCALE = np.repeat([2.0, -2.0, -2.0, 2.0], 6)
+_BLOCH_TERMS = np.array([[1, 7, 0, 6], [4, 10, 5, 11]])
+_CORRELATION_TERMS = np.array([[2, 8, 1, 8, 3, 7, 0, 6], [3, 21, 16, 9, 14, 22, 17, 23]])
 
 
-def _im2(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    # i (x y* - y x*)
-    return -2.0 * (x * y.conj()).imag
+def _pair_terms(amps):
+    """The 24 terms ``(..., 24)`` of the closed forms of pure states ``(..., 4)``, and |a_i|^2 ``(4, ...)``."""
+    a = np.asarray(amps, dtype=complex)
+    products = np.take(a, _PAIR_I, axis=-1) * np.take(a, _PAIR_J, axis=-1).conj()
+    return np.concatenate((products.real, products.imag) * 2, axis=-1) * _TERM_SCALE, np.moveaxis(abs(a) ** 2, -1, 0)
 
 
 def bloch_vectors(amps, *, tols: Tolerances = TOLS) -> np.ndarray:
@@ -146,12 +153,10 @@ def bloch_vectors(amps, *, tols: Tolerances = TOLS) -> np.ndarray:
 
     Each row must satisfy |s| <= 1 within ``tols.hermiticity``.
     """
-    a11, a10, a01, a00 = np.moveaxis(np.asarray(amps, dtype=complex), -1, 0)
-    p11, p10, p01, p00 = abs(a11) ** 2, abs(a10) ** 2, abs(a01) ** 2, abs(a00) ** 2
-    s = np.stack((
-        np.stack((_re2(a11, a01) + _re2(a10, a00), _im2(a11, a01) + _im2(a10, a00), p11 - p01 + p10 - p00), -1),
-        np.stack((_re2(a11, a10) + _re2(a01, a00), _im2(a11, a10) + _im2(a01, a00), p11 - p10 + p01 - p00), -1),
-    ), -2)
+    terms, (p11, p10, p01, p00) = _pair_terms(amps)
+    s = np.empty(terms.shape[:-1] + (2, 3))
+    s[..., :2] = (terms[..., _BLOCH_TERMS[0]] + terms[..., _BLOCH_TERMS[1]]).reshape(terms.shape[:-1] + (2, 2))
+    s[..., 0, 2], s[..., 1, 2] = p11 - p01 + p10 - p00, p11 - p10 + p01 - p00
     CheckError.above("bloch norm", np.sum(s * s, axis=-1).reshape(-1, 2) - 1.0, tols.hermiticity)
     return s
 
@@ -161,18 +166,10 @@ def correlation_tensor(amps, *, tols: Tolerances = TOLS) -> np.ndarray:
 
     Every entry must lie in [-1, 1] within ``tols.hermiticity``.
     """
-    a11, a10, a01, a00 = np.moveaxis(np.asarray(amps, dtype=complex), -1, 0)
-    c = np.stack((
-        _re2(a11, a00) + _re2(a10, a01),
-        _im2(a11, a00) - _im2(a10, a01),
-        _re2(a11, a01) - _re2(a10, a00),
-        _im2(a11, a00) + _im2(a10, a01),
-        -_re2(a11, a00) + _re2(a10, a01),
-        _im2(a11, a01) - _im2(a10, a00),
-        _re2(a11, a10) - _re2(a01, a00),
-        _im2(a11, a10) - _im2(a01, a00),
-        abs(a11) ** 2 - abs(a10) ** 2 - abs(a01) ** 2 + abs(a00) ** 2,
-    ), -1)
+    terms, (p11, p10, p01, p00) = _pair_terms(amps)
+    c = np.empty(terms.shape[:-1] + (9,))
+    c[..., :8] = terms[..., _CORRELATION_TERMS[0]] + terms[..., _CORRELATION_TERMS[1]]
+    c[..., 8] = p11 - p10 - p01 + p00
     CheckError.above("correlation bound", np.abs(c).reshape(-1, 9) - 1.0, tols.hermiticity)
     return c.reshape(c.shape[:-1] + (3, 3))
 

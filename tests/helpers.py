@@ -55,10 +55,16 @@ def random_hermitian(rng: np.random.Generator, n: int = 4) -> np.ndarray:
     return (x + x.conj().T) / 2.0
 
 
-def haar_unitary(rng: np.random.Generator, n: int = 2) -> np.ndarray:
-    z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+def haar_unitaries(z: np.ndarray) -> np.ndarray:
+    """Haar unitaries from a stack of complex Gaussian matrices by QR with phase fix (Mezzadri, Notices AMS
+    54, 592, 2007): Q of ``np.linalg.qr`` times R's diagonal phases."""
     q, r = np.linalg.qr(z)
-    return q * (np.diag(r) / np.abs(np.diag(r)))
+    d = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * (d / np.abs(d))[..., None, :]
+
+
+def haar_unitary(rng: np.random.Generator, n: int = 2) -> np.ndarray:
+    return haar_unitaries(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
 
 
 def random_pure(seed: int | np.random.Generator) -> np.ndarray:

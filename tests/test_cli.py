@@ -20,7 +20,7 @@ from qdeficit.linalg import TOLS, Tolerances, density_stack, marginal_stack, tra
 from qdeficit.states import REFERENCE_FIGURES, bloch_vectors
 from qdeficit.structure import classify, decohere_stack
 
-from helpers import matrix_json, pure_density, random_pure, werner
+from helpers import haar_unitaries, matrix_json, pure_density, random_pure, werner
 
 
 def _run(capsys, *argv):
@@ -501,7 +501,7 @@ class TestAudit:
     def test_a_stack_makes_two_eigh_three_eigvalsh_and_one_svd_call(self, monkeypatch):
         """``eigh`` on the states and on the four derived matrices per state; ``eigvalsh`` on the
         states' marginals, on the product's and rho_d's marginals and on the complex partial
-        transposes; ``svd`` on the three complex spin-flip tau per state."""
+        transposes; ``svd`` on the three complex spin-flip tau per state; no ``qr`` for the local unitaries."""
         kinds = {audit._label(i) for i in range(15)}
         assert kinds == {"fixed pure product |10>", "haar pure", "random mixed product"} | {
             f"random mixed rank {rank}" for rank in range(1, 5)
@@ -563,6 +563,32 @@ class TestDraw:
         assert np.array_equal(audit._draw(range(250, 270), seed), whole[250:270])
 
 
+class TestHaarUnitaries:
+    """The audit's 2x2 Gram-Schmidt against QR with phase fix, on the Gaussians of 10^4 audit states."""
+
+    EPS = np.finfo(float).eps
+
+    @pytest.mark.parametrize("seed", [42, 7])
+    def test_matches_qr_with_phase_fix(self, seed):
+        """Both are the Q whose R has a positive real diagonal.  A 2x2 Q's second column moves by about eps
+        times z's condition number under a perturbation of z, so the two routes agree to 8 eps kappa(z); each
+        is unitary to 8 eps.  QR itself exceeds 1e-15 there: 1.22e-15 on 29 of seed 42's 2 x 10^4 draws."""
+        z = audit._states(range(10000), seed)[2]
+        got, want = audit._haar_unitaries(z), haar_unitaries(z)
+        gap = np.abs(got - want).max(axis=(-2, -1))
+        assert np.all(gap <= 8 * self.EPS * np.linalg.cond(z))
+        for q in (got, want):
+            assert np.abs(q.conj().swapaxes(-1, -2) @ q - np.eye(2)).max() <= 8 * self.EPS
+
+    def test_r_has_a_positive_real_diagonal(self):
+        z = audit._states(range(1000), 42)[2]
+        r = audit._haar_unitaries(z).conj().swapaxes(-1, -2) @ z
+        diagonal = np.diagonal(r, axis1=-2, axis2=-1)
+        assert diagonal.real.min() > 0.0
+        assert np.abs(diagonal.imag / diagonal.real).max() <= 1e-14
+        assert np.abs(np.tril(r, -1)).max() <= 1e-14
+
+
 def _lambda_fault(rows):
     """``concurrence`` for the audit, with a fault on its lambdas: in the states ``rows(lam)`` picks,
     lambda_1 and lambda_2 of every family grow by the t that adds 3e-9 to sum lambda_i^2.
@@ -582,7 +608,7 @@ def _lambda_fault(rows):
 
 
 def _count_eigensolver_calls(monkeypatch) -> list[str]:
-    """The names of the ``np.linalg.eigh``, ``eigvalsh`` and ``svd`` calls made from here on, in order."""
+    """The names of the ``np.linalg.eigh``, ``eigvalsh``, ``svd`` and ``qr`` calls made from here on, in order."""
     calls = []
 
     def counted(solver):
@@ -592,7 +618,7 @@ def _count_eigensolver_calls(monkeypatch) -> list[str]:
 
         return call
 
-    for name in ("eigh", "eigvalsh", "svd"):
+    for name in ("eigh", "eigvalsh", "svd", "qr"):
         monkeypatch.setattr(np.linalg, name, counted(getattr(np.linalg, name)))
     return calls
 

@@ -15,7 +15,7 @@ from qdeficit.entropy import (
     tsallis_infinity_criterion,
     tsallis_stack,
 )
-from qdeficit.linalg import CheckError, DensityMatrix, Tolerances, density_stack, tensor_product
+from qdeficit.linalg import TOLS, CheckError, DensityMatrix, Tolerances, density_stack, tensor_product
 from qdeficit.states import (
     from_registry,
     werner_matrices,
@@ -379,6 +379,25 @@ class TestRelativeEntropy:
 
     def test_positive_for_distinct_states(self):
         assert relative_entropy(werner(0.3), werner(0.6)) > 1e-3
+
+    def test_matches_the_three_operand_weights(self):
+        """The weights w_g = <g|rho1|g> as one three-operand ``einsum``, on random pairs and on one whose rho1
+        has weight off rho2's support, the ``inf`` branch.  Weights within 1e-15 move the result by at most
+        1e-15 sum |ln lambda_g| over rho2's support."""
+        m1 = np.array([random_mixed(seed, 1 + seed % 4) for seed in range(40)] + [np.eye(4) / 4])
+        m2 = np.array([random_mixed(100 + seed, 4) for seed in range(40)] + [from_registry("E4")])
+        _, w1, _ = density_stack(m1)
+        _, w2, v2 = density_stack(m2)
+        got = relative_entropy_stack(m1, w1, w2, v2)
+
+        weights = np.einsum("...ig,...ij,...jg->...g", v2.conj(), m1, v2).real
+        support = w2 > TOLS.support_cutoff
+        logs = np.log(np.where(support, w2, 1.0))
+        outside = np.add.reduce(weights, axis=-1, where=~support)
+        want = np.where(outside > TOLS.hermiticity, math.inf, -entropy_stack(w1) - np.sum(weights * logs, axis=-1))
+        assert np.isinf(got[-1]) and np.isinf(want[-1])
+        assert np.all(np.isfinite(got[:-1]))
+        assert np.all(np.abs(got[:-1] - want[:-1]) <= 1e-15 * np.abs(logs[:-1]).sum(axis=-1))
 
     def test_dimension_mismatch(self):
         with pytest.raises(CheckError) as err:

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qdeficit.concurrence import pure_concurrence
-from qdeficit.linalg import CheckError, DensityMatrix, Tolerances, marginal_stack
+from qdeficit.linalg import CheckError, DensityMatrix, Tolerances, fano_stack, marginal_stack
 from qdeficit.states import (
     EXAMPLE_NAMES,
     REFERENCE_FIGURES,
@@ -19,6 +19,7 @@ from qdeficit.states import (
 )
 from qdeficit.structure import Classification
 
+import unfused
 from helpers import I2, SX, SY, SZ, pure_density, random_mixed, random_pure, werner
 
 SINGLET = np.array([0, 1, -1, 0]) / math.sqrt(2)
@@ -205,6 +206,36 @@ class TestCorrelationTensor:
                 for j in range(3):
                     rebuilt += c[i, j] * np.kron(paulis[i], paulis[j])
             assert np.max(np.abs(rebuilt / 4 - rho)) <= 1e-10
+
+
+class TestPairProductTable:
+    """The table of pair products against the closed forms written pair by pair, and against the Fano route."""
+
+    @staticmethod
+    def _amplitudes(n):
+        a = np.random.default_rng(n).standard_normal((n, 8)).view(complex)
+        return a / np.linalg.norm(a, axis=-1, keepdims=True)
+
+    @pytest.mark.parametrize("n", [1, 6, 86, 200])
+    def test_bit_identical_to_the_pair_by_pair_forms(self, n):
+        """86 is the most pure rows an audit stack holds."""
+        amps = self._amplitudes(n)
+        assert np.array_equal(bloch_vectors(amps), unfused.bloch_vectors(amps))
+        assert np.array_equal(correlation_tensor(amps), unfused.correlation_tensor(amps))
+
+    def test_basis_states_bit_identical(self):
+        for amps in (np.eye(4, dtype=complex), *np.eye(4, dtype=complex)):
+            assert np.array_equal(bloch_vectors(amps), unfused.bloch_vectors(amps))
+            assert np.array_equal(correlation_tensor(amps), unfused.correlation_tensor(amps))
+
+    def test_rows_of_the_fano_coefficients(self):
+        """R[i, 0] = s_i(A), R[0, j] = s_j(B) and R[i, j] = C_ij of a a^dagger."""
+        amps = self._amplitudes(200)
+        r = fano_stack(np.einsum("...i,...j->...ij", amps, amps.conj()))
+        vecs = bloch_vectors(amps)
+        assert np.max(np.abs(r[:, 1:, 0] - vecs[:, 0])) <= 1e-15
+        assert np.max(np.abs(r[:, 0, 1:] - vecs[:, 1])) <= 1e-15
+        assert np.max(np.abs(r[:, 1:, 1:] - correlation_tensor(amps))) <= 1e-15
 
 
 def _purity_and_residual(amps):

@@ -1,4 +1,7 @@
-"""The classifier by the matrix route: the second route that ``structure._classify``'s Fano form must agree with.
+"""Second routes that the package's fused forms must agree with.
+
+``classify_columns`` is the classifier by the matrix route, the second
+route that ``structure._classify``'s Fano form must agree with.
 
 Where ``structure`` reads the marginals, the frame, the joint P, rho_d and
 the overlap weights from Fano coefficients, this route forms them as
@@ -10,6 +13,11 @@ u diag(P) u^dagger, and the weights as |u^dagger v|^2.  A degenerate side
 basis.  The concurrence and the partial transpose's spectrum share their
 solve with ``structure``.  The checks are left out: it runs on valid
 states only, and a check changes no value.
+
+``bloch_vectors`` and ``correlation_tensor`` are the pure states' closed
+forms written pair by pair, with ``_re2`` and ``_im2``: ``states`` reads
+the same sums from its table of pair products, and must match them bit
+for bit on a stack.
 """
 
 from __future__ import annotations
@@ -77,3 +85,40 @@ def classify_columns(m: np.ndarray, w: np.ndarray, v: np.ndarray, tols: Toleranc
     return Classification(
         conc, s - s_a, s - s_b, mutual, deficit, ppt_min, defined, commutes, degenerate, side_max.max(axis=-1)
     )
+
+
+def _re2(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    # x y* + y x*
+    return 2.0 * (x * y.conj()).real
+
+
+def _im2(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    # i (x y* - y x*)
+    return -2.0 * (x * y.conj()).imag
+
+
+def bloch_vectors(amps) -> np.ndarray:
+    """Both polarization vectors ``(..., 2, 3)`` of pure states ``(..., 4)``, pair by pair."""
+    a11, a10, a01, a00 = np.moveaxis(np.asarray(amps, dtype=complex), -1, 0)
+    p11, p10, p01, p00 = abs(a11) ** 2, abs(a10) ** 2, abs(a01) ** 2, abs(a00) ** 2
+    return np.stack((
+        np.stack((_re2(a11, a01) + _re2(a10, a00), _im2(a11, a01) + _im2(a10, a00), p11 - p01 + p10 - p00), -1),
+        np.stack((_re2(a11, a10) + _re2(a01, a00), _im2(a11, a10) + _im2(a01, a00), p11 - p10 + p01 - p00), -1),
+    ), -2)
+
+
+def correlation_tensor(amps) -> np.ndarray:
+    """The correlation tensor ``(..., 3, 3)`` of pure states ``(..., 4)``, pair by pair."""
+    a11, a10, a01, a00 = np.moveaxis(np.asarray(amps, dtype=complex), -1, 0)
+    c = np.stack((
+        _re2(a11, a00) + _re2(a10, a01),
+        _im2(a11, a00) - _im2(a10, a01),
+        _re2(a11, a01) - _re2(a10, a00),
+        _im2(a11, a00) + _im2(a10, a01),
+        -_re2(a11, a00) + _re2(a10, a01),
+        _im2(a11, a01) - _im2(a10, a00),
+        _re2(a11, a10) - _re2(a01, a00),
+        _im2(a11, a10) - _im2(a01, a00),
+        abs(a11) ** 2 - abs(a10) ** 2 - abs(a01) ** 2 + abs(a00) ** 2,
+    ), -1)
+    return c.reshape(c.shape[:-1] + (3, 3))
